@@ -83,35 +83,48 @@ class ReconciliationResult:
     success: bool
 
 
-def _bisect_correct(pa: np.ndarray, pb: np.ndarray, lo: int, hi: int,
-                    log: Optional[PublicChannelLog]) -> int:
-    """Binary parity search for one error inside pb[lo:hi); flips it and
-    returns the number of parities disclosed."""
-    leaked = 0
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        leaked += 1
-        if log is not None:
-            log.post("alice->bob", "parity", {"range": (lo, mid)})
-        if (int(pa[lo:mid].sum()) & 1) != (int(pb[lo:mid].sum()) & 1):
-            hi = mid
-        else:
-            lo = mid
+def _bisect_blocks(pa: np.ndarray, pb: np.ndarray, lo: np.ndarray,
+                   hi: np.ndarray, log: Optional[PublicChannelLog]) -> int:
+    """Binary parity search for one error in each disjoint range
+    pb[lo[i]:hi[i]), all ranges in lockstep, one vectorised step per level.
+    Flips the errors found; returns the number of parities disclosed, which
+    are logged range by range.  The prefix parities stay valid throughout:
+    the ranges are disjoint and the flips land after every search ends.
+    """
+    ca = np.pad(np.bitwise_xor.accumulate(pa), (1, 0))
+    cb = np.pad(np.bitwise_xor.accumulate(pb), (1, 0))
+    lo, hi = lo.copy(), hi.copy()
+    steps = [np.empty((3, 0), dtype=np.int64)]   # rows: range, lo, mid
+    live = np.flatnonzero(hi - lo > 1)
+    while live.size:
+        l, mid = lo[live], (lo[live] + hi[live]) // 2
+        steps.append(np.stack((live, l, mid)))
+        left = (ca[mid] ^ ca[l] ^ cb[mid] ^ cb[l]).astype(bool)
+        hi[live[left]] = mid[left]
+        lo[live[~left]] = mid[~left]
+        live = live[hi[live] - lo[live] > 1]
     pb[lo] ^= 1
-    return leaked
+    steps = np.concatenate(steps, axis=1)
+    if log is not None:
+        ranges = steps[1:, np.argsort(steps[0], kind="stable")]
+        for r in zip(*ranges.tolist()):
+            log.post("alice->bob", "parity", {"range": r})
+    return steps.shape[1]
 
 
 def bbbss_correct(alice: BitString, bob: BitString, eps_est: float,
-                  rng: np.random.Generator, max_passes: int = 4,
+                  rng: np.random.Generator, max_passes: Optional[int] = None,
                   initial_block: Optional[int] = None,
                   subset_clean_target: int = 20,
                   log: Optional[PublicChannelLog] = None) -> ReconciliationResult:
     """Multi-pass block-parity reconciliation.
 
-    Each pass permutes the strings, compares block parities (block size
-    starting near 0.73/eps and doubling per pass), and bisects mismatched
-    blocks.  A final phase compares parities of random half-size subsets
-    until `subset_clean_target` consecutive subsets agree.  Every disclosed
+    Each pass permutes the strings, compares block parities and bisects
+    all mismatched blocks in lockstep.  The block size starts near 0.73/eps
+    and doubles per pass up to n/2; the passes stop at the first n/2-sized
+    one unless `max_passes` fixes their number.  A final phase bisects
+    random half-size subsets whose parities differ, until
+    `subset_clean_target` consecutive subsets agree.  Every disclosed
     parity is counted in leaked_bits.
     """
     if len(alice) != len(bob):
@@ -121,8 +134,7 @@ def bbbss_correct(alice: BitString, bob: BitString, eps_est: float,
         raise ValueError("cannot reconcile empty keys")
     if not 0.0 <= eps_est < 0.5:
         raise ValueError("eps_est must lie in [0, 0.5)")
-    a = alice.to_array().astype(np.int64)
-    b = bob.to_array().astype(np.int64)
+    a, b = alice.to_array(), bob.to_array()
     leaked = 0
     rounds = 0
 
@@ -130,25 +142,26 @@ def bbbss_correct(alice: BitString, bob: BitString, eps_est: float,
         k = max(2, int(0.73 / eps_est)) if eps_est > 0 else max(2, n // 4)
     else:
         k = initial_block
-    k = min(k, max(2, n // 2))
+    cap = max(2, n // 2)
+    k = min(k, cap)
+    if max_passes is None:      # ceil(log2(cap / k)) doublings reach the cap
+        max_passes = 1 + (-(-cap // k) - 1).bit_length()
 
     for _ in range(max_passes):
         rounds += 1
         perm = rng.permutation(n)
         pa, pb = a[perm], b[perm]
         starts = np.arange(0, n, k)
-        par_a = np.add.reduceat(pa, starts) & 1
-        par_b = np.add.reduceat(pb, starts) & 1
+        par_a = np.bitwise_xor.reduceat(pa, starts)
+        par_b = np.bitwise_xor.reduceat(pb, starts)
         leaked += starts.size
         if log is not None:
             log.post("alice->bob", "parity",
                      {"pass_block_parities": int(starts.size)})
-        for blk in np.flatnonzero(par_a != par_b):
-            lo = int(starts[blk])
-            hi = int(starts[blk + 1]) if blk + 1 < starts.size else n
-            leaked += _bisect_correct(pa, pb, lo, hi, log)
+        lo = starts[par_a != par_b]
+        leaked += _bisect_blocks(pa, pb, lo, np.minimum(lo + k, n), log)
         b[perm] = pb
-        k = min(2 * k, max(2, n // 2))
+        k = min(2 * k, cap)
 
     # random-subset verification phase
     clean = 0
@@ -161,20 +174,21 @@ def bbbss_correct(alice: BitString, bob: BitString, eps_est: float,
         leaked += 1
         if log is not None:
             log.post("alice->bob", "parity", {"subset_size": int(mask.sum())})
-        if (int(a[mask].sum()) & 1) == (int(b[mask].sum()) & 1):
+        if np.count_nonzero(a & mask) % 2 == np.count_nonzero(b & mask) % 2:
             clean += 1
             continue
         clean = 0
         idxs = np.flatnonzero(mask)
         rng.shuffle(idxs)
         pa, pb = a[idxs], b[idxs]
-        leaked += _bisect_correct(pa, pb, 0, idxs.size, log)
+        leaked += _bisect_blocks(pa, pb, np.array([0]),
+                                 np.array([idxs.size]), log)
         b[idxs] = pb
 
     success = clean >= subset_clean_target
     return ReconciliationResult(
-        corrected_alice=BitString.from_array(a.astype(np.uint8)),
-        corrected_bob=BitString.from_array(b.astype(np.uint8)),
+        corrected_alice=BitString.from_array(a),
+        corrected_bob=BitString.from_array(b),
         leaked_bits=leaked, rounds=rounds,
         residual_error_estimate=2.0 ** (-subset_clean_target),
         success=success)
@@ -372,13 +386,17 @@ class PipelineParams:
     qber_abort_threshold: float = 0.11
     safety_bits: int = 30
     eve_bound: str = "two_epsilon"     # or "entropy"
-    max_passes: int = 4
+    max_passes: Optional[int] = None   # None: until blocks reach n/2
     subset_clean_target: int = 20
     auth_prime: int = PRODUCTION_PRIME
 
     def __post_init__(self):
         if self.eve_bound not in ("two_epsilon", "entropy"):
             raise ValueError("eve_bound must be 'two_epsilon' or 'entropy'")
+        if self.max_passes is not None and not (
+                type(self.max_passes) is int and self.max_passes >= 1):
+            raise ValueError("max_passes must be None or an integer >= 1, "
+                             f"got {self.max_passes!r}")
 
 
 @dataclass
@@ -424,7 +442,9 @@ def parity_knowledge(p: float, n: int) -> float:
 def run_pipeline(transcript, params: PipelineParams,
                  rng: np.random.Generator) -> FinalKeyResult:
     """Estimation -> abort check -> reconciliation -> privacy amplification
-    on a session transcript, with every public message authenticated."""
+    on a session transcript.  Only the QBER sample, the reconciliation
+    summary and the final-key digest are authenticated; the parities and
+    the privacy-amplification seed go out untagged."""
     return run_pipeline_on_keys(transcript.sifted_alice,
                                 transcript.sifted_bob, params, rng)
 
@@ -437,10 +457,14 @@ def run_pipeline_on_keys(sifted_alice: BitString, sifted_bob: BitString,
     auth = AuthConfig.fresh(rng, prime=params.auth_prime,
                             degree=max(64, n0 // 32), pool_tags=64)
 
-    def send(direction, purpose, payload_bits: BitString, payload):
+    def send(direction, purpose, payload_bits: BitString, payload) -> bool:
         tag = authenticate(payload_bits, auth)
-        assert verify(payload_bits, tag, auth)
         log.post(direction, purpose, payload)
+        return verify(payload_bits, tag, auth)
+
+    def auth_failed(purpose, eps, leaked=0, k=0):
+        return FinalKeyResult(None, 0, eps, leaked, k, "authentication",
+                              f"{purpose} tag failed verification", log)
 
     if n0 == 0:
         return FinalKeyResult(None, 0, 0.0, 0, 0, "estimation",
@@ -449,8 +473,9 @@ def run_pipeline_on_keys(sifted_alice: BitString, sifted_bob: BitString,
     eps, positions = estimate_qber(sifted_alice, sifted_bob,
                                    params.sample_fraction, rng)
     disclosed = BitString.from_array(sifted_alice.to_array()[positions])
-    send("both", "qber_sample", disclosed, {"positions": len(positions),
-                                            "epsilon": eps})
+    if not send("both", "qber_sample", disclosed,
+                {"positions": len(positions), "epsilon": eps}):
+        return auth_failed("qber_sample", eps)
     alice = remove_positions(sifted_alice, positions)
     bob = remove_positions(sifted_bob, positions)
 
@@ -467,9 +492,10 @@ def run_pipeline_on_keys(sifted_alice: BitString, sifted_bob: BitString,
                         max_passes=params.max_passes,
                         subset_clean_target=params.subset_clean_target,
                         log=log)
-    send("alice->bob", "reconciliation_summary",
-         BitString.from_array(np.zeros(8, dtype=np.uint8)),
-         {"leaked_bits": rec.leaked_bits, "rounds": rec.rounds})
+    if not send("alice->bob", "reconciliation_summary",
+                BitString.from_array(np.zeros(8, dtype=np.uint8)),
+                {"leaked_bits": rec.leaked_bits, "rounds": rec.rounds}):
+        return auth_failed("reconciliation_summary", eps, rec.leaked_bits)
     if not rec.success:
         return FinalKeyResult(None, 0, eps, rec.leaked_bits, 0,
                               "reconciliation",
@@ -487,9 +513,10 @@ def run_pipeline_on_keys(sifted_alice: BitString, sifted_bob: BitString,
     final_b = BitString.from_array(
         toeplitz_hash(rec.corrected_bob.to_array(), seed.to_array(),
                       len(final_a)))
-    send("alice->bob", "final_key_digest",
-         BitString.from_array(final_a.to_array()[:32]),
-         {"final_length": len(final_a)})
+    if not send("alice->bob", "final_key_digest",
+                BitString.from_array(final_a.to_array()[:32]),
+                {"final_length": len(final_a)}):
+        return auth_failed("final_key_digest", eps, rec.leaked_bits, k)
     if final_a != final_b:
         return FinalKeyResult(None, 0, eps, rec.leaked_bits, k,
                               "verification", "final keys differ", log)

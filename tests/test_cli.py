@@ -50,6 +50,18 @@ def test_unknown_field_reports_path():
         parse_scenario(dict(BASE, detector={"preset": "ideal", "gain": 2}))
 
 
+def test_bad_max_passes_is_config_error(tmp_path, capsys):
+    message = "postproc: max_passes must be None or an integer >= 1, got 0"
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        parse_scenario(dict(BASE, postproc={"max_passes": 0}))
+    path = write_scenario(tmp_path, dict(BASE, postproc={"max_passes": 0}))
+    code, _, err = run_cli(capsys, "run", path)
+    assert code == 1
+    assert message in err
+    assert parse_scenario(dict(BASE, postproc={"max_passes": None})) \
+        .pipeline.max_passes is None
+
+
 def test_bad_preset_name_is_config_error(tmp_path, capsys):
     path = write_scenario(tmp_path, dict(BASE, detector={"preset": "hal9000"}))
     code, _, err = run_cli(capsys, "run", path)

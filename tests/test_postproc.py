@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from qkdsim import postproc
 from qkdsim.bits import BitString, random_bits
 from qkdsim.postproc import (AuthConfig, NoSecureKey, OtpPoolExhausted,
                              PipelineParams, PublicChannelLog, advantage_distill,
@@ -119,6 +120,123 @@ def test_bbbss_validations():
         bbbss_correct(BitString([1]), BitString([1, 0]), 0.03, rng)
     with pytest.raises(ValueError):
         bbbss_correct(BitString([1, 0]), BitString([1, 0]), 0.7, rng)
+
+
+def _reference_bisect(pa, pb, lo, hi, log):
+    leaked = 0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        leaked += 1
+        log.post("alice->bob", "parity", {"range": (lo, mid)})
+        if pa[lo:mid].sum() % 2 != pb[lo:mid].sum() % 2:
+            hi = mid
+        else:
+            lo = mid
+    pb[lo] ^= 1
+    return leaked
+
+
+def reference_bbbss(alice, bob, eps_est, rng, max_passes, initial_block,
+                    subset_clean_target, log):
+    """Scalar reference reconciliation: one bisection at a time, block by
+    block, with a fixed pass count."""
+    a = alice.to_array().astype(np.int64)
+    b = bob.to_array().astype(np.int64)
+    n = a.size
+    leaked = rounds = 0
+    k = min(initial_block or max(2, int(0.73 / eps_est)), max(2, n // 2))
+    for _ in range(max_passes):
+        rounds += 1
+        perm = rng.permutation(n)
+        pa, pb = a[perm], b[perm]
+        starts = np.arange(0, n, k)
+        mismatched = (np.add.reduceat(pa, starts) % 2
+                      != np.add.reduceat(pb, starts) % 2)
+        leaked += starts.size
+        log.post("alice->bob", "parity", {"pass_block_parities": starts.size})
+        for blk in np.flatnonzero(mismatched):
+            lo = int(starts[blk])
+            leaked += _reference_bisect(pa, pb, lo, min(lo + k, n), log)
+        b[perm] = pb
+        k = min(2 * k, max(2, n // 2))
+    clean = subset_rounds = 0
+    while (clean < subset_clean_target
+           and subset_rounds < 50 * subset_clean_target + 200):
+        subset_rounds += 1
+        rounds += 1
+        mask = rng.random(n) < 0.5
+        leaked += 1
+        log.post("alice->bob", "parity", {"subset_size": int(mask.sum())})
+        if a[mask].sum() % 2 == b[mask].sum() % 2:
+            clean += 1
+            continue
+        clean = 0
+        idxs = np.flatnonzero(mask)
+        rng.shuffle(idxs)
+        pa, pb = a[idxs], b[idxs]
+        leaked += _reference_bisect(pa, pb, 0, idxs.size, log)
+        b[idxs] = pb
+    return (BitString.from_array(a), BitString.from_array(b), leaked, rounds,
+            clean >= subset_clean_target)
+
+
+@pytest.mark.parametrize("n, eps, initial_block, seed", [
+    (5000, 0.03, None, 40),
+    (997, 0.08, None, 41),      # blocks of 9, the last one of 7
+    (300, 0.10, 1, 42),         # blocks of one bit: no bisection
+    (301, 0.10, 2, 43),         # blocks of 2, the last one of 1
+    (302, 0.10, 3, 44),         # blocks of 3, the last one of 2
+    (7, 0.20, None, 45),        # blocks of 3, 3 and 1
+    (20000, 0.02, None, 46),
+    (4000, 0.05, 100, 47),
+])
+def test_bbbss_lockstep_matches_scalar_reference(n, eps, initial_block, seed):
+    data_rng = make_rng(seed)
+    a = random_bits(n, data_rng)
+    b = flip_fraction(a, eps, data_rng)
+    log, ref_log = PublicChannelLog(), PublicChannelLog()
+    rec = bbbss_correct(a, b, eps, make_rng(seed + 1000), max_passes=4,
+                        initial_block=initial_block, log=log)
+    ref = reference_bbbss(a, b, eps, make_rng(seed + 1000), 4, initial_block,
+                          20, ref_log)
+    assert (rec.corrected_alice, rec.corrected_bob, rec.leaked_bits,
+            rec.rounds, rec.success) == ref
+    # repr also pins the payload types: tuples of Python ints
+    assert repr(log.messages) == repr(ref_log.messages)
+    assert log.leaked_parity_count == ref_log.leaked_parity_count
+
+
+def test_bbbss_passes_double_blocks_up_to_half_the_key():
+    n, eps = 10000, 0.03                # first block 24, cap 5000
+    rng = make_rng(48)
+    a = random_bits(n, rng)
+    b = flip_fraction(a, eps, rng)
+    sizes = [min(24 << i, n // 2) for i in range(12)]
+
+    def pass_blocks(max_passes):
+        log = PublicChannelLog()
+        bbbss_correct(a, b, eps, make_rng(49), max_passes=max_passes, log=log)
+        return [m["payload"]["pass_block_parities"] for m in log.messages
+                if "pass_block_parities" in m["payload"]]
+
+    assert pass_blocks(None) == [math.ceil(n / k) for k in sizes[:9]]
+    assert pass_blocks(3) == [math.ceil(n / k) for k in sizes[:3]]
+    assert pass_blocks(12) == [math.ceil(n / k) for k in sizes]
+
+
+def test_bbbss_converges_at_a_million_bits():
+    # with too few passes, residual errors leave the subset phase finding
+    # them one per two O(n) rounds: superlinear, and past a few million
+    # bits it hits its round cap
+    n, eps = 1_000_000, 0.02
+    rng = make_rng(50)
+    a = random_bits(n, rng)
+    b = flip_fraction(a, eps, rng)
+    rec = bbbss_correct(a, b, eps, rng)
+    passes = 1 + math.ceil(math.log2((n // 2) / int(0.73 / eps)))
+    assert rec.success
+    assert rec.corrected_alice == rec.corrected_bob == a
+    assert rec.rounds - passes <= 20 + 10
 
 
 # ---------------------------------------------------------------------------
@@ -334,3 +452,41 @@ def test_eve_bound_models():
         -(0.1 * math.log2(0.1)) - 0.9 * math.log2(0.9))
     with pytest.raises(ValueError):
         eve_information_per_bit(0.1, "optimism")
+
+
+@pytest.mark.parametrize("bad", [0, -1, 2.5, "4", True])
+def test_pipeline_params_rejects_bad_max_passes(bad):
+    with pytest.raises(ValueError,
+                       match="max_passes must be None or an integer >= 1"):
+        PipelineParams(max_passes=bad)
+
+
+def test_pipeline_params_accepts_none_and_positive_max_passes():
+    assert PipelineParams().max_passes is None
+    assert PipelineParams(max_passes=1).max_passes == 1
+
+
+@pytest.mark.parametrize("failing_call, purpose", [
+    (1, "qber_sample"),
+    (2, "reconciliation_summary"),
+    (3, "final_key_digest"),
+])
+def test_pipeline_aborts_when_a_tag_fails_verification(monkeypatch,
+                                                       failing_call, purpose):
+    calls = []
+    real_verify = postproc.verify
+
+    def failing_verify(message, tag, cfg):
+        calls.append(tag)
+        return len(calls) != failing_call and real_verify(message, tag, cfg)
+
+    monkeypatch.setattr(postproc, "verify", failing_verify)
+    rng = make_rng(27)
+    a = random_bits(20000, rng)
+    b = flip_fraction(a, 0.02, rng)
+    res = run_pipeline_on_keys(a, b, PipelineParams(), rng)
+    assert res.abort_stage == "authentication"
+    assert res.abort_reason == f"{purpose} tag failed verification"
+    assert res.final_key is None and res.final_length == 0
+    assert res.log.messages[-1]["purpose"] == purpose
+    assert len(calls) == failing_call
