@@ -6,20 +6,19 @@ announcement.  Eve's own optics are noiseless and lossless (worst-case
 convention: all imperfections belong to the legitimate hardware, all
 information to Eve).
 
-Scalar ``attack_*`` functions define the per-pulse semantics; the
-``*_batch`` variants are the vectorized forms consumed by the protocol
-engines and are exact array translations of the scalar ones.
+``attack_batch`` applies a strategy to a whole pulse stream and is the
+one implementation of each attack; ``resolve_known_bits`` turns the record
+into Eve's knowledge once the sifting announcement is public.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .quantum import (NO_CLICK, Basis, ChannelModel, PhotonPulse, SignalState,
-                      VACUUM)
+from .quantum import ChannelModel, SignalState
 
 KINDS = ("none", "intercept_resend", "beam_split", "pns", "usd_b92")
 
@@ -93,110 +92,14 @@ class BatchAttack:
 
 
 # ---------------------------------------------------------------------------
-# scalar per-pulse operations
+# session-level transforms
 # ---------------------------------------------------------------------------
-
-def attack_intercept_resend(pulse: PhotonPulse, strategy: EveStrategy,
-                            rng: np.random.Generator,
-                            bases: Sequence[Basis]) -> tuple[PhotonPulse, dict]:
-    """Eve measures the pulse with an ideal detector in a basis chosen by
-    her policy and resends a fresh single photon in the observed
-    eigenstate."""
-    if strategy.kind != "intercept_resend":
-        raise ValueError("strategy kind must be intercept_resend")
-    if strategy.basis_policy == "fixed_basis":
-        b_idx = strategy.fixed_basis
-    else:
-        b_idx = int(rng.integers(0, len(bases)))
-    basis = bases[b_idx]
-    if pulse.n == 0:
-        return VACUUM, {"measured_basis": b_idx, "measured_bit": -1}
-    k1 = int(rng.binomial(pulse.n, basis.prob_outcome_one(pulse.state)))
-    k0 = pulse.n - k1
-    if k0 and k1:  # conflicting projections: double click, random bit
-        bit = int(rng.integers(0, 2))
-    else:
-        bit = 1 if k1 else 0
-    return PhotonPulse(1, basis.eigenstate(bit)), {
-        "measured_basis": b_idx, "measured_bit": bit}
-
-
-def attack_beam_split(pulse: PhotonPulse, strategy: EveStrategy,
-                      ch: ChannelModel,
-                      rng: np.random.Generator) -> tuple[PhotonPulse, dict]:
-    """Divert each photon to Eve with the tap probability; the remainder
-    continues over a line whose loss is reduced so the total transmittance
-    seen by Bob is unchanged.  Eve stores her photons and measures them in
-    the announced basis after sifting."""
-    if strategy.kind != "beam_split":
-        raise ValueError("strategy kind must be beam_split")
-    eta = ch.transmittance
-    tap = strategy.tap_ratio if strategy.tap_ratio is not None else 1.0 - eta
-    if tap > 1.0 - eta + 1e-12:
-        raise ValueError(
-            f"tap_ratio {tap} exceeds the channel loss 1 - eta = {1 - eta}")
-    k_eve = int(rng.binomial(pulse.n, tap)) if pulse.n else 0
-    remainder = pulse.n - k_eve
-    eta_fwd = eta / (1.0 - tap) if tap < 1.0 else 1.0
-    k_bob = int(rng.binomial(remainder, min(1.0, eta_fwd))) if remainder else 0
-    fwd = PhotonPulse(k_bob, pulse.state) if k_bob else VACUUM
-    return fwd, {"stored_photon": k_eve >= 1}
-
-
-def attack_pns(pulse: PhotonPulse, strategy: EveStrategy,
-               rng: np.random.Generator) -> tuple[PhotonPulse, dict]:
-    """Non-demolition photon-number measurement: keep exactly one photon
-    of every multi-photon pulse and forward the rest losslessly; block a
-    single photon with block_single_prob, else forward it untouched."""
-    if strategy.kind != "pns":
-        raise ValueError("strategy kind must be pns")
-    if pulse.n >= 2:
-        return PhotonPulse(pulse.n - 1, pulse.state), {"stored_photon": True}
-    if pulse.n == 1:
-        if rng.random() < strategy.block_single_prob:
-            return VACUUM, {"stored_photon": False, "blocked": True}
-        return pulse, {"stored_photon": False}
-    return VACUUM, {"stored_photon": False}
-
 
 def usd_success_prob(phi0: SignalState, phi1: SignalState) -> float:
     """Success probability of unambiguous discrimination between two pure
     states: 1 - |<phi0|phi1>|."""
     return 1.0 - abs(phi0.overlap(phi1))
 
-
-def attack_usd_b92(pulse: PhotonPulse, strategy: EveStrategy,
-                   phi0: SignalState, phi1: SignalState,
-                   ch: ChannelModel,
-                   rng: np.random.Generator) -> tuple[PhotonPulse, dict]:
-    """Unambiguous state discrimination on a B92 pulse.  On success Eve
-    knows the bit exactly and forwards a perfect copy over a lossless
-    line; failures are converted to vacuum.  Successful copies are
-    throttled so Bob's detection rate matches the honest lossy channel
-    (possible whenever transmittance < 1 - overlap)."""
-    if strategy.kind != "usd_b92":
-        raise ValueError("strategy kind must be usd_b92")
-    if pulse.n == 0:
-        return VACUUM, {"conclusive": False, "measured_bit": -1}
-    ov0 = abs(phi0.overlap(pulse.state))
-    ov1 = abs(phi1.overlap(pulse.state))
-    if min(1.0 - ov0, 1.0 - ov1) > 1e-9:
-        raise ValueError("usd_b92 applied to a pulse outside the B92 state pair")
-    bit = 0 if ov0 > ov1 else 1
-    p_succ = usd_success_prob(phi0, phi1)
-    if rng.random() >= p_succ:
-        return VACUUM, {"conclusive": False, "measured_bit": -1}
-    forward_prob = min(1.0, ch.transmittance / p_succ)
-    if rng.random() < forward_prob:
-        fwd = PhotonPulse(1, phi0 if bit == 0 else phi1)
-    else:
-        fwd = VACUUM
-    return fwd, {"conclusive": True, "measured_bit": bit}
-
-
-# ---------------------------------------------------------------------------
-# vectorized session-level transforms
-# ---------------------------------------------------------------------------
 
 def attack_batch(strategy: EveStrategy, n: np.ndarray, state_idx: np.ndarray,
                  p_one: np.ndarray, eigen_idx: np.ndarray,
@@ -210,6 +113,16 @@ def attack_batch(strategy: EveStrategy, n: np.ndarray, state_idx: np.ndarray,
     p_one:         (K, M) projection probabilities onto outcome 1 for
                    table state k measured in basis m.
     eigen_idx:     (M, 2) table index of each basis eigenstate.
+
+    intercept_resend measures every non-vacuum pulse with an ideal detector
+    (conflicting projections give a random bit) and resends one photon in
+    the observed eigenstate.  beam_split diverts each photon with the tap
+    probability and forwards the rest over a line whose loss keeps Bob's
+    total transmittance.  pns keeps one photon of every multi-photon pulse,
+    forwards the rest losslessly and blocks single photons with
+    block_single_prob.  usd_b92 forwards a perfect copy of each conclusive
+    discrimination, throttled to the honest detection rate (possible while
+    transmittance < 1 - overlap); failures become vacuum.
     """
     npulses = n.shape[0]
     rec = EveRecord(pulse_count=npulses)

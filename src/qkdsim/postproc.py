@@ -281,10 +281,15 @@ PRODUCTION_PRIME = (1 << 61) - 1
 class AuthConfig:
     """Shared authentication material.
 
-    The password keys a polynomial hash over GF(p): tag(m) = y + sum m_i x^i
-    for message digits m_i (base-2^(bitlen(p)-1) chunks, at most degree - 1
-    of them).  Each emitted tag is one-time-pad encrypted with a fresh
-    segment of otp_pool; segments are never reused.
+    The password keys a polynomial hash over GF(p):
+    tag(m) = y + sum_i m_i x^(i+1) for message digits m_i, at most
+    degree - 1 of them: the bit length of m, then m in base-2^(bitlen(p)-1)
+    chunks.  The length digit makes the encoding injective.  Each emitted
+    tag is one-time-pad encrypted with a fresh segment of otp_pool;
+    segments are never reused.  Two distinct messages hash to polynomials
+    whose difference is nonzero of degree at most degree - 1, so they
+    collide on at most degree - 1 keys x: a forger who sees one tag
+    succeeds with probability at most (degree - 1) / p.
     """
 
     prime: int
@@ -305,7 +310,7 @@ class AuthConfig:
 
     @property
     def deception_probability(self) -> float:
-        return 1.0 / self.prime
+        return (self.degree - 1) / self.prime
 
     def _field_elements(self) -> tuple[int, int]:
         bits = self.shared_password.to_array()
@@ -333,9 +338,14 @@ class AuthConfig:
 
 
 def _message_digits(message: BitString, cfg: AuthConfig) -> list[int]:
-    w = cfg.tag_bits - 1  # chunks strictly below the prime
+    """Bit length, then base-2^w chunks with w = bitlen(p) - 1, so every
+    digit lies below the prime and no two messages share their digits."""
+    w = cfg.tag_bits - 1
     bits = message.to_array()
-    digits = []
+    if len(bits) >= cfg.prime:
+        raise ValueError(
+            f"message too long: {len(bits)} bits, the prime is {cfg.prime}")
+    digits = [len(bits)]
     for i in range(0, len(bits), w):
         chunk = bits[i: i + w]
         digits.append(int("".join(map(str, chunk)), 2))
@@ -346,6 +356,14 @@ def _message_digits(message: BitString, cfg: AuthConfig) -> list[int]:
     return digits
 
 
+def _poly_hash(message: BitString, cfg: AuthConfig) -> int:
+    x, y = cfg._field_elements()
+    acc = 0
+    for digit in reversed(_message_digits(message, cfg)):  # Horner
+        acc = (acc + digit) * x % cfg.prime
+    return (y + acc) % cfg.prime
+
+
 @dataclass(frozen=True)
 class AuthTag:
     value: int
@@ -354,26 +372,15 @@ class AuthTag:
 
 def authenticate(message: BitString, cfg: AuthConfig) -> AuthTag:
     """Tag the message and consume one one-time-pad segment."""
-    x, y = cfg._field_elements()
-    p = cfg.prime
-    acc = 0
-    for digit in reversed(_message_digits(message, cfg)):  # Horner, m_i x^i
-        acc = (acc + digit) * x % p
-    tag = (y + acc) % p
     segment = cfg.next_segment
-    enc = (tag + cfg._pad_value(segment)) % p
+    enc = (_poly_hash(message, cfg) + cfg._pad_value(segment)) % cfg.prime
     cfg.next_segment += 1
     return AuthTag(value=enc, segment=segment)
 
 
 def verify(message: BitString, tag: AuthTag, cfg: AuthConfig) -> bool:
-    x, y = cfg._field_elements()
-    p = cfg.prime
-    acc = 0
-    for digit in reversed(_message_digits(message, cfg)):
-        acc = (acc + digit) * x % p
-    expected = ((y + acc) + cfg._pad_value(tag.segment)) % p
-    return expected == tag.value
+    expected = _poly_hash(message, cfg) + cfg._pad_value(tag.segment)
+    return expected % cfg.prime == tag.value
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """Protocol sessions: BB84, B92, six-state, SARG04, decoy-intensity BB84,
 and the entanglement-based BBM92 and E91 schemes.
 
-Each runner is deterministic given its generator and returns a
-``SessionTranscript``.  Pulse streams are processed as whole numpy arrays;
-the per-pulse semantics are those of the scalar operations in
-``quantum`` and ``adversary``.
+The five prepare-and-measure protocols share one engine,
+``_run_prepare_measure``, driven by a ``PrepareMeasureSpec`` per protocol
+(state table, basis choice, photon sampler, sift rule, announcement).
+Every session is deterministic given its generator and returns a
+``SessionTranscript``.  Pulse streams are processed as whole numpy arrays
+by the batch kernels of ``quantum`` (``measure_batch``) and ``adversary``
+(``attack_batch``, ``resolve_known_bits``).
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -21,7 +24,8 @@ from .adversary import EveRecord, EveStrategy
 from .bits import BitString
 from .quantum import (ALL_BASES, DIAGONAL, NO_CLICK, RECTILINEAR, Basis,
                       ChannelModel, DetectorModel, SignalState, SourceModel,
-                      measure_batch, sample_photon_number)
+                      attenuate_batch, measure_batch, sample_photon_number,
+                      sample_singlet_cos)
 
 PROTOCOLS = ("bb84", "b92", "six_state", "sarg", "decoy_bb84", "bbm92", "e91")
 
@@ -30,7 +34,8 @@ PROTOCOLS = ("bb84", "b92", "six_state", "sarg", "decoy_bb84", "bbm92", "e91")
 class ProtocolConfig:
     protocol: str
     num_pulses: int
-    basis_bias: Optional[float] = None      # prob of the primary basis
+    basis_bias: Optional[float] = None      # prob of the primary basis;
+                                            # not used by b92 and e91
     b92_overlap: float = 2 ** -0.5          # |<phi0|phi1>|
     signal_mu: float = 0.8
     decoy_mu: float = 0.12
@@ -41,8 +46,11 @@ class ProtocolConfig:
             raise ValueError(f"unknown protocol {self.protocol!r}")
         if self.num_pulses < 0:
             raise ValueError("num_pulses must be >= 0")
-        if self.basis_bias is not None and not 0.0 < self.basis_bias < 1.0:
-            raise ValueError("basis_bias must lie in (0,1)")
+        if self.basis_bias is not None:
+            if self.protocol in ("b92", "e91"):
+                raise ValueError(f"basis_bias is not used by {self.protocol}")
+            if not 0.0 < self.basis_bias < 1.0:
+                raise ValueError("basis_bias must lie in (0,1)")
         if self.protocol == "b92" and not 0.0 < self.b92_overlap < 1.0:
             raise ValueError("b92 overlap must lie in (0,1)")
         if self.protocol == "decoy_bb84":
@@ -133,19 +141,18 @@ class StateTable:
     flip[k]      = index of the state orthogonal to state k (misalignment
                    target), -1 if absent from the table.
     eigen_idx[m, o] = table index of basis m's outcome-o eigenstate.
-    bit[k], prep_basis[k] = classical labels of state k.
+    bit[k]       = key bit state k encodes, -1 if Alice never sends it.
     """
 
     states: tuple
     bases: tuple
     bit: np.ndarray
-    prep_basis: np.ndarray
     p_one: np.ndarray
     flip: np.ndarray
     eigen_idx: np.ndarray
 
     @classmethod
-    def build(cls, states, bases, bit, prep_basis) -> "StateTable":
+    def build(cls, states, bases, bit) -> "StateTable":
         K, M = len(states), len(bases)
         p_one = np.empty((K, M))
         for k, st in enumerate(states):
@@ -166,21 +173,20 @@ class StateTable:
                         eigen_idx[m, o] = k
                         break
         return cls(tuple(states), tuple(bases), np.asarray(bit, dtype=np.int8),
-                   np.asarray(prep_basis, dtype=np.int8), p_one, flip, eigen_idx)
+                   p_one, flip, eigen_idx)
 
 
 def bb84_table() -> StateTable:
     # index = 2*basis + bit: H, V, A, D
     b = [RECTILINEAR, DIAGONAL]
     states = [b[0].v0, b[0].v1, b[1].v0, b[1].v1]
-    return StateTable.build(states, b, bit=[0, 1, 0, 1], prep_basis=[0, 0, 1, 1])
+    return StateTable.build(states, b, bit=[0, 1, 0, 1])
 
 
 def six_state_table() -> StateTable:
     b = list(ALL_BASES)
     states = [v for ba in b for v in (ba.v0, ba.v1)]
-    return StateTable.build(states, b, bit=[0, 1, 0, 1, 0, 1],
-                            prep_basis=[0, 0, 1, 1, 2, 2])
+    return StateTable.build(states, b, bit=[0, 1, 0, 1, 0, 1])
 
 
 def b92_states(overlap: float) -> tuple[SignalState, SignalState]:
@@ -198,8 +204,7 @@ def b92_table(overlap: float) -> StateTable:
     basis0 = Basis("test_bit0", phi1.orthogonal(), phi1)
     basis1 = Basis("test_bit1", phi0.orthogonal(), phi0)
     states = [phi0, phi1, phi0.orthogonal(), phi1.orthogonal()]
-    return StateTable.build(states, [basis0, basis1],
-                            bit=[0, 1, -1, -1], prep_basis=[0, 1, -1, -1])
+    return StateTable.build(states, [basis0, basis1], bit=[0, 1, -1, -1])
 
 
 # SARG announcement chain: H->A, A->V, V->D, D->H (table order H,V,A,D)
@@ -207,7 +212,7 @@ _SARG_PARTNER = np.array([2, 3, 0, 1])
 
 
 # ---------------------------------------------------------------------------
-# shared engine pieces
+# prepare-and-measure engine
 # ---------------------------------------------------------------------------
 
 def _biased_choice(rng, n, num_options, primary_prob):
@@ -225,199 +230,141 @@ def _biased_choice(rng, n, num_options, primary_prob):
     return out
 
 
-def _deliver_and_detect(n, state_idx, table, ch, det, bob_basis,
-                        channel_consumed, rng):
-    """Channel loss (unless Eve already replaced the line), receiver
-    misalignment flip, then detection."""
-    if not channel_consumed and ch.transmittance < 1.0:
-        n = rng.binomial(n, ch.transmittance)
+def _source_photons(cfg, src, rng):
+    """Photon counts drawn from the source model; no intensity tags."""
+    return sample_photon_number(src, rng, size=cfg.num_pulses), None
+
+
+def _decoy_photons(cfg, src, rng):
+    """Randomly interleaved decoy pulses.  The source argument fixes the
+    emitter family; photon numbers are drawn per pulse from the tagged mean
+    photon number (signal_mu / decoy_mu).  Returns the decoy mask as tags."""
+    if src.kind != "attenuated_laser":
+        raise ValueError("decoy_bb84 requires an attenuated_laser source")
+    decoy = rng.random(cfg.num_pulses) < cfg.decoy_fraction
+    return rng.poisson(np.where(decoy, cfg.decoy_mu, cfg.signal_mu)), decoy
+
+
+def _intensity_stats(cfg, decoy, clicked) -> dict:
+    stats = {}
+    for label, mu, mask in (("signal", cfg.signal_mu, ~decoy),
+                            ("decoy", cfg.decoy_mu, decoy)):
+        sent, detected = int(mask.sum()), int(clicked[mask].sum())
+        stats[label] = {"mu": mu, "sent": sent, "detected": detected,
+                        "gain": detected / sent if sent else 0.0}
+    return stats
+
+
+# Sift rules: (table, sent state indices, Alice's and Bob's bases, outcomes)
+# -> (sift mask, Bob's per-pulse bit, outcomes reported in the transcript).
+
+def _sift_basis(table, sent, a_bases, b_bases, outcomes):
+    """BB84-style: keep the clicks measured in Alice's basis."""
+    return (outcomes != NO_CLICK) & (b_bases == a_bases), outcomes, outcomes
+
+
+def _sift_conclusive(table, sent, a_bases, b_bases, outcomes):
+    """B92: outcome 0 on test basis c is the conclusive detection of bit c
+    (a projection orthogonal to the other state)."""
+    return outcomes == 0, b_bases, outcomes
+
+
+def _sift_pair(table, sent, a_bases, b_bases, outcomes):
+    """SARG pair announcement: Alice announces the non-orthogonal pair (sent
+    state, fixed partner); Bob is conclusive when his measured eigenstate is
+    orthogonal to one announced state, which identifies the other as
+    Alice's."""
+    measured_state = table.eigen_idx[b_bases, np.maximum(outcomes, 0)]
+    partner = _SARG_PARTNER[sent]
+    orth_to_sent = measured_state == table.flip[sent]
+    orth_to_partner = measured_state == table.flip[partner]
+    sift = (outcomes != NO_CLICK) & (orth_to_sent | orth_to_partner)
+    bob_bits = table.bit[np.where(orth_to_sent, partner, sent)]
+    return sift, bob_bits, np.where(sift, bob_bits, NO_CLICK).astype(np.int8)
+
+
+@dataclass(frozen=True)
+class PrepareMeasureSpec:
+    """What distinguishes one prepare-and-measure protocol from another.
+
+    table:        ProtocolConfig -> StateTable; state 2*basis + bit is sent.
+    alice_basis:  Alice draws a basis per pulse; otherwise (B92) the bit
+                  alone picks the state and her basis is recorded as 0.
+    photons:      (cfg, src, rng) -> (photon counts, intensity tags or None).
+    sift:         sift rule, see ``_sift_basis``.
+    announcement: what sifting discloses to Eve ('basis' or 'pair').
+    usd_pair:     hand the first two table states to the attack as the B92
+                  pair that unambiguous discrimination targets.
+    """
+
+    table: Callable[[ProtocolConfig], StateTable]
+    alice_basis: bool = True
+    photons: Callable = _source_photons
+    sift: Callable = _sift_basis
+    announcement: str = "basis"
+    usd_pair: bool = False
+
+
+_PREPARE_MEASURE = {
+    "bb84": PrepareMeasureSpec(lambda cfg: bb84_table()),
+    "six_state": PrepareMeasureSpec(lambda cfg: six_state_table()),
+    "b92": PrepareMeasureSpec(lambda cfg: b92_table(cfg.b92_overlap),
+                              alice_basis=False, sift=_sift_conclusive,
+                              usd_pair=True),
+    "sarg": PrepareMeasureSpec(lambda cfg: bb84_table(), sift=_sift_pair,
+                               announcement="pair"),
+    "decoy_bb84": PrepareMeasureSpec(lambda cfg: bb84_table(),
+                                     photons=_decoy_photons),
+}
+
+
+def _run_prepare_measure(spec: PrepareMeasureSpec, cfg: ProtocolConfig,
+                         src: SourceModel, ch: ChannelModel,
+                         det: DetectorModel, eve: EveStrategy,
+                         rng: np.random.Generator) -> SessionTranscript:
+    """Prepare -> attack -> channel and detection -> sift -> resolve what
+    Eve knows after the sifting announcement."""
+    table = spec.table(cfg)
+    N = cfg.num_pulses
+    num_bases = len(table.bases)
+    bits = rng.integers(0, 2, size=N, dtype=np.int8)
+    if spec.alice_basis:
+        a_bases = _biased_choice(rng, N, num_bases, cfg.basis_bias)
+    else:
+        a_bases = np.zeros(N, dtype=np.int8)
+    b_bases = _biased_choice(rng, N, num_bases, cfg.basis_bias)
+    sent = (2 * a_bases + bits).astype(np.int64)
+    n, tags = spec.photons(cfg, src, rng)
+
+    atk = adversary.attack_batch(
+        eve, n, sent, table.p_one, table.eigen_idx, num_bases, ch, rng,
+        b92_states=table.states[:2] if spec.usd_pair else None)
+    # channel loss (unless Eve already replaced the line), one receiver
+    # misalignment flip per pulse, then detection
+    n, state_idx = atk.n, atk.state_idx
+    if not atk.channel_consumed:
+        n = attenuate_batch(n, ch, rng)
     if ch.misalignment_error_prob > 0.0:
         flipped = (n > 0) & (rng.random(n.shape[0]) < ch.misalignment_error_prob)
         state_idx = np.where(flipped & (table.flip[state_idx] >= 0),
                              table.flip[state_idx], state_idx)
-    p1 = table.p_one[state_idx, bob_basis]
-    outcomes = measure_batch(n, p1, det, rng)
-    return outcomes
+    outcomes = measure_batch(n, table.p_one[state_idx, b_bases], det, rng)
 
-
-def _attack(eve, n, state_idx, table, ch, rng, signal_basis_count,
-            b92_pair=None):
-    return adversary.attack_batch(
-        eve, n, state_idx, table.p_one, table.eigen_idx,
-        signal_basis_count, ch, rng, b92_states=b92_pair)
-
-
-# ---------------------------------------------------------------------------
-# prepare-and-measure protocols
-# ---------------------------------------------------------------------------
-
-def run_bb84(cfg: ProtocolConfig, src: SourceModel, ch: ChannelModel,
-             det: DetectorModel, eve: EveStrategy,
-             rng: np.random.Generator) -> SessionTranscript:
-    table = bb84_table()
-    N = cfg.num_pulses
-    bits = rng.integers(0, 2, size=N, dtype=np.int8)
-    a_bases = _biased_choice(rng, N, 2, cfg.basis_bias)
-    b_bases = _biased_choice(rng, N, 2, cfg.basis_bias)
-    state_idx = (2 * a_bases + bits).astype(np.int64)
-    n = sample_photon_number(src, rng, size=N)
-
-    atk = _attack(eve, n, state_idx, table, ch, rng, signal_basis_count=2)
-    outcomes = _deliver_and_detect(atk.n, atk.state_idx, table, ch, det,
-                                   b_bases, atk.channel_consumed, rng)
-    sift = (outcomes != NO_CLICK) & (b_bases == a_bases)
-    known = adversary.resolve_known_bits(eve, atk.record, a_bases, bits,
-                                         "basis", rng)
-    return SessionTranscript(
-        protocol="bb84", pulse_count=N,
-        detection_count=int((outcomes != NO_CLICK).sum()),
-        alice_bits=bits, alice_bases=a_bases, bob_bases=b_bases,
-        bob_outcomes=outcomes, sift_mask=sift,
-        sifted_alice=BitString.from_array(bits[sift]),
-        sifted_bob=BitString.from_array(outcomes[sift].astype(np.uint8)),
-        eve_record=atk.record, eve_known_mask=known)
-
-
-def run_six_state(cfg: ProtocolConfig, src: SourceModel, ch: ChannelModel,
-                  det: DetectorModel, eve: EveStrategy,
-                  rng: np.random.Generator) -> SessionTranscript:
-    table = six_state_table()
-    N = cfg.num_pulses
-    bits = rng.integers(0, 2, size=N, dtype=np.int8)
-    a_bases = _biased_choice(rng, N, 3, cfg.basis_bias)
-    b_bases = _biased_choice(rng, N, 3, cfg.basis_bias)
-    state_idx = (2 * a_bases + bits).astype(np.int64)
-    n = sample_photon_number(src, rng, size=N)
-
-    atk = _attack(eve, n, state_idx, table, ch, rng, signal_basis_count=3)
-    outcomes = _deliver_and_detect(atk.n, atk.state_idx, table, ch, det,
-                                   b_bases, atk.channel_consumed, rng)
-    sift = (outcomes != NO_CLICK) & (b_bases == a_bases)
-    known = adversary.resolve_known_bits(eve, atk.record, a_bases, bits,
-                                         "basis", rng)
-    return SessionTranscript(
-        protocol="six_state", pulse_count=N,
-        detection_count=int((outcomes != NO_CLICK).sum()),
-        alice_bits=bits, alice_bases=a_bases, bob_bases=b_bases,
-        bob_outcomes=outcomes, sift_mask=sift,
-        sifted_alice=BitString.from_array(bits[sift]),
-        sifted_bob=BitString.from_array(outcomes[sift].astype(np.uint8)),
-        eve_record=atk.record, eve_known_mask=known)
-
-
-def run_b92(cfg: ProtocolConfig, src: SourceModel, ch: ChannelModel,
-            det: DetectorModel, eve: EveStrategy,
-            rng: np.random.Generator) -> SessionTranscript:
-    table = b92_table(cfg.b92_overlap)
-    pair = (table.states[0], table.states[1])
-    N = cfg.num_pulses
-    bits = rng.integers(0, 2, size=N, dtype=np.int8)
-    state_idx = bits.astype(np.int64)            # state k encodes bit k
-    # Bob picks which bit value to test; outcome 0 on test basis c is the
-    # conclusive detection of bit c (projection orthogonal to the other state)
-    b_choice = rng.integers(0, 2, size=N, dtype=np.int8)
-    n = sample_photon_number(src, rng, size=N)
-
-    atk = _attack(eve, n, state_idx, table, ch, rng, signal_basis_count=2,
-                  b92_pair=pair)
-    outcomes = _deliver_and_detect(atk.n, atk.state_idx, table, ch, det,
-                                   b_choice, atk.channel_consumed, rng)
-    sift = outcomes == 0
-    known = adversary.resolve_known_bits(eve, atk.record,
-                                         np.zeros(N, dtype=np.int8), bits,
-                                         "basis", rng)
-    return SessionTranscript(
-        protocol="b92", pulse_count=N,
-        detection_count=int((outcomes != NO_CLICK).sum()),
-        alice_bits=bits, alice_bases=np.zeros(N, dtype=np.int8),
-        bob_bases=b_choice, bob_outcomes=outcomes, sift_mask=sift,
-        sifted_alice=BitString.from_array(bits[sift]),
-        sifted_bob=BitString.from_array(b_choice[sift].astype(np.uint8)),
-        eve_record=atk.record, eve_known_mask=known)
-
-
-def run_sarg(cfg: ProtocolConfig, src: SourceModel, ch: ChannelModel,
-             det: DetectorModel, eve: EveStrategy,
-             rng: np.random.Generator) -> SessionTranscript:
-    """BB84 hardware with pair-announcement sifting: Alice announces the
-    non-orthogonal pair (sent state, fixed partner); Bob is conclusive when
-    his measured eigenstate is orthogonal to one announced state, which
-    identifies the other as Alice's."""
-    table = bb84_table()
-    N = cfg.num_pulses
-    bits = rng.integers(0, 2, size=N, dtype=np.int8)
-    a_bases = _biased_choice(rng, N, 2, cfg.basis_bias)
-    b_bases = _biased_choice(rng, N, 2, cfg.basis_bias)
-    state_idx = (2 * a_bases + bits).astype(np.int64)
-    n = sample_photon_number(src, rng, size=N)
-
-    atk = _attack(eve, n, state_idx, table, ch, rng, signal_basis_count=2)
-    outcomes = _deliver_and_detect(atk.n, atk.state_idx, table, ch, det,
-                                   b_bases, atk.channel_consumed, rng)
+    sift, bob_bits, reported = spec.sift(table, sent, a_bases, b_bases,
+                                         outcomes)
     clicked = outcomes != NO_CLICK
-    measured_state = table.eigen_idx[b_bases, np.maximum(outcomes, 0)]
-    partner = _SARG_PARTNER[state_idx]
-    orth_to_sent = measured_state == table.flip[state_idx]
-    orth_to_partner = measured_state == table.flip[partner]
-    sift = clicked & (orth_to_sent | orth_to_partner)
-    inferred = np.where(orth_to_sent, partner, state_idx)
-    bob_bits = table.bit[inferred]
     known = adversary.resolve_known_bits(eve, atk.record, a_bases, bits,
-                                         "pair", rng)
+                                         spec.announcement, rng)
     return SessionTranscript(
-        protocol="sarg", pulse_count=N,
+        protocol=cfg.protocol, pulse_count=N,
         detection_count=int(clicked.sum()),
         alice_bits=bits, alice_bases=a_bases, bob_bases=b_bases,
-        bob_outcomes=np.where(sift, bob_bits, NO_CLICK).astype(np.int8),
-        sift_mask=sift,
+        bob_outcomes=reported, sift_mask=sift,
         sifted_alice=BitString.from_array(bits[sift]),
         sifted_bob=BitString.from_array(bob_bits[sift].astype(np.uint8)),
-        eve_record=atk.record, eve_known_mask=known)
-
-
-def run_decoy_bb84(cfg: ProtocolConfig, src: SourceModel, ch: ChannelModel,
-                   det: DetectorModel, eve: EveStrategy,
-                   rng: np.random.Generator) -> SessionTranscript:
-    """BB84 with randomly interleaved decoy-intensity pulses.  The source
-    argument fixes the emitter family; photon numbers are drawn per pulse
-    from the tagged mean photon number (signal_mu / decoy_mu)."""
-    if src.kind != "attenuated_laser":
-        raise ValueError("decoy_bb84 requires an attenuated_laser source")
-    table = bb84_table()
-    N = cfg.num_pulses
-    bits = rng.integers(0, 2, size=N, dtype=np.int8)
-    a_bases = _biased_choice(rng, N, 2, cfg.basis_bias)
-    b_bases = _biased_choice(rng, N, 2, cfg.basis_bias)
-    state_idx = (2 * a_bases + bits).astype(np.int64)
-    decoy = rng.random(N) < cfg.decoy_fraction
-    mu = np.where(decoy, cfg.decoy_mu, cfg.signal_mu)
-    n = rng.poisson(mu)
-
-    atk = _attack(eve, n, state_idx, table, ch, rng, signal_basis_count=2)
-    outcomes = _deliver_and_detect(atk.n, atk.state_idx, table, ch, det,
-                                   b_bases, atk.channel_consumed, rng)
-    clicked = outcomes != NO_CLICK
-    sift = clicked & (b_bases == a_bases)
-    stats = {
-        "signal": {"mu": cfg.signal_mu,
-                   "sent": int((~decoy).sum()),
-                   "detected": int(clicked[~decoy].sum())},
-        "decoy": {"mu": cfg.decoy_mu,
-                  "sent": int(decoy.sum()),
-                  "detected": int(clicked[decoy].sum())},
-    }
-    for entry in stats.values():
-        entry["gain"] = entry["detected"] / entry["sent"] if entry["sent"] else 0.0
-    known = adversary.resolve_known_bits(eve, atk.record, a_bases, bits,
-                                         "basis", rng)
-    return SessionTranscript(
-        protocol="decoy_bb84", pulse_count=N,
-        detection_count=int(clicked.sum()),
-        alice_bits=bits, alice_bases=a_bases, bob_bases=b_bases,
-        bob_outcomes=outcomes, sift_mask=sift,
-        sifted_alice=BitString.from_array(bits[sift]),
-        sifted_bob=BitString.from_array(outcomes[sift].astype(np.uint8)),
-        alice_intensities=decoy.astype(np.int8), intensity_stats=stats,
+        alice_intensities=None if tags is None else tags.astype(np.int8),
+        intensity_stats=(None if tags is None
+                         else _intensity_stats(cfg, tags, clicked)),
         eve_record=atk.record, eve_known_mask=known)
 
 
@@ -434,13 +381,11 @@ def _pair_outcomes(theta_a, theta_b, eve: EveStrategy, eve_angles,
     angle drawn uniformly from eve_angles and resends the corresponding
     eigenstate, which Bob then projects."""
     m = theta_a.shape[0]
-    a = np.where(rng.random(m) < 0.5, 1, -1).astype(np.int8)
     if eve.kind == "none":
-        cos_ab = np.cos(np.radians(theta_a - theta_b))
-        p_opp = (1.0 + cos_ab) / 2.0
-        b = np.where(rng.random(m) < p_opp, -a, a).astype(np.int8)
-        return a, b
+        return sample_singlet_cos(np.cos(np.radians(theta_a - theta_b)), rng,
+                                  size=m)
     if eve.kind == "intercept_resend":
+        a = np.where(rng.random(m) < 0.5, 1, -1).astype(np.int8)
         phi = rng.choice(np.asarray(eve_angles, dtype=float), size=m)
         cos_ae = np.cos(np.radians(theta_a - phi))
         p_opp = (1.0 + cos_ae) / 2.0
@@ -471,10 +416,6 @@ def _pair_reception(b, ch: ChannelModel, det: DetectorModel, rng):
     return detected, b
 
 
-_BBM92_ANGLES = np.array([0.0, 90.0])       # two conjugate bases
-_E91_ALICE_ANGLES = np.array([0.0, 45.0, 90.0])
-_E91_BOB_ANGLES = np.array([45.0, 90.0, 135.0])
-
 # CHSH settings inside the E91 geometry: n1=90deg, n1'=0deg (Alice),
 # n2=45deg, n2'=135deg (Bob); every unprimed/mixed pair is 45deg apart and
 # the doubly primed pair 135deg apart.
@@ -485,57 +426,49 @@ E91_CHSH_SETTINGS = {
     ("n1p", "n2p"): (0, 2),
 }
 
+# protocol -> (Alice's angles, Bob's angles, CHSH settings or None), in
+# degrees.  BBM92 measures in two conjugate bases; E91 uses three angles
+# per side.  Eve intercepts at Bob's angles.
+_PAIR_SPECS = {
+    "bbm92": (np.array([0.0, 90.0]), np.array([0.0, 90.0]), None),
+    "e91": (np.array([0.0, 45.0, 90.0]), np.array([45.0, 90.0, 135.0]),
+            E91_CHSH_SETTINGS),
+}
 
-def run_bbm92(cfg: ProtocolConfig, ch: ChannelModel, det: DetectorModel,
-              eve: EveStrategy, rng: np.random.Generator) -> SessionTranscript:
-    """Entangled-pair BB84 variant: both parties measure in one of two
-    conjugate bases; matching bases give perfectly anti-correlated singlet
-    outcomes, so Bob flips his bit to align the keys."""
+
+def _run_entangled(cfg: ProtocolConfig, ch: ChannelModel, det: DetectorModel,
+                   eve: EveStrategy,
+                   rng: np.random.Generator) -> SessionTranscript:
+    """Singlet-pair session (BBM92, E91).  Matching angles give perfectly
+    anti-correlated outcomes, so Bob flips his bit to align the keys.  E91
+    also collects its four CHSH setting combinations as +/-1 product
+    samples for the Bell-estimation module."""
+    alice_angles, bob_angles, chsh_settings = _PAIR_SPECS[cfg.protocol]
     N = cfg.num_pulses
-    a_idx = _biased_choice(rng, N, 2, cfg.basis_bias)
-    b_idx = _biased_choice(rng, N, 2, cfg.basis_bias)
-    a, b = _pair_outcomes(_BBM92_ANGLES[a_idx], _BBM92_ANGLES[b_idx],
-                          eve, _BBM92_ANGLES, rng)
+    a_idx = _biased_choice(rng, N, len(alice_angles), cfg.basis_bias)
+    b_idx = _biased_choice(rng, N, len(bob_angles), cfg.basis_bias)
+    theta_a = alice_angles[a_idx]
+    theta_b = bob_angles[b_idx]
+    a, b = _pair_outcomes(theta_a, theta_b, eve, bob_angles, rng)
     detected, b = _pair_reception(b, ch, det, rng)
+
+    sift = detected & (theta_a == theta_b)
     a_bits = ((1 - a) // 2).astype(np.int8)
     b_bits = ((1 + b) // 2).astype(np.int8)  # flip converts anti-correlation
-    sift = detected & (a_idx == b_idx)
+    chsh = None
+    if chsh_settings is not None:
+        chsh = {}
+        for label, (ai, bi) in chsh_settings.items():
+            mask = detected & (a_idx == ai) & (b_idx == bi)
+            chsh[label] = (a[mask] * b[mask]).astype(np.int8)
     outcomes = np.where(detected, b_bits, NO_CLICK).astype(np.int8)
     return SessionTranscript(
-        protocol="bbm92", pulse_count=N, detection_count=int(detected.sum()),
+        protocol=cfg.protocol, pulse_count=N,
+        detection_count=int(detected.sum()),
         alice_bits=a_bits, alice_bases=a_idx, bob_bases=b_idx,
         bob_outcomes=outcomes, sift_mask=sift,
         sifted_alice=BitString.from_array(a_bits[sift]),
-        sifted_bob=BitString.from_array(b_bits[sift].astype(np.uint8)))
-
-
-def run_e91(cfg: ProtocolConfig, ch: ChannelModel, det: DetectorModel,
-            eve: EveStrategy, rng: np.random.Generator) -> SessionTranscript:
-    """Three-angle entangled protocol.  Matching angles give key bits;
-    the four CHSH setting combinations are collected as +/-1 product
-    samples for the Bell-estimation module."""
-    N = cfg.num_pulses
-    a_idx = rng.integers(0, 3, size=N, dtype=np.int8)
-    b_idx = rng.integers(0, 3, size=N, dtype=np.int8)
-    theta_a = _E91_ALICE_ANGLES[a_idx]
-    theta_b = _E91_BOB_ANGLES[b_idx]
-    a, b = _pair_outcomes(theta_a, theta_b, eve, _E91_BOB_ANGLES, rng)
-    detected, b = _pair_reception(b, ch, det, rng)
-
-    matched = detected & (theta_a == theta_b)
-    a_bits = ((1 - a) // 2).astype(np.int8)
-    b_bits = ((1 + b) // 2).astype(np.int8)
-    chsh = {}
-    for label, (ai, bi) in E91_CHSH_SETTINGS.items():
-        mask = detected & (a_idx == ai) & (b_idx == bi)
-        chsh[label] = (a[mask] * b[mask]).astype(np.int8)
-    outcomes = np.where(detected, b_bits, NO_CLICK).astype(np.int8)
-    return SessionTranscript(
-        protocol="e91", pulse_count=N, detection_count=int(detected.sum()),
-        alice_bits=a_bits, alice_bases=a_idx, bob_bases=b_idx,
-        bob_outcomes=outcomes, sift_mask=matched,
-        sifted_alice=BitString.from_array(a_bits[matched]),
-        sifted_bob=BitString.from_array(b_bits[matched].astype(np.uint8)),
+        sifted_bob=BitString.from_array(b_bits[sift].astype(np.uint8)),
         chsh_samples=chsh)
 
 
@@ -546,18 +479,8 @@ def run_e91(cfg: ProtocolConfig, ch: ChannelModel, det: DetectorModel,
 def run_session(cfg: ProtocolConfig, src: SourceModel, ch: ChannelModel,
                 det: DetectorModel, eve: EveStrategy,
                 rng: np.random.Generator) -> SessionTranscript:
-    if cfg.protocol == "bb84":
-        return run_bb84(cfg, src, ch, det, eve, rng)
-    if cfg.protocol == "b92":
-        return run_b92(cfg, src, ch, det, eve, rng)
-    if cfg.protocol == "six_state":
-        return run_six_state(cfg, src, ch, det, eve, rng)
-    if cfg.protocol == "sarg":
-        return run_sarg(cfg, src, ch, det, eve, rng)
-    if cfg.protocol == "decoy_bb84":
-        return run_decoy_bb84(cfg, src, ch, det, eve, rng)
-    if cfg.protocol == "bbm92":
-        return run_bbm92(cfg, ch, det, eve, rng)
-    if cfg.protocol == "e91":
-        return run_e91(cfg, ch, det, eve, rng)
-    raise ValueError(f"unknown protocol {cfg.protocol!r}")
+    """Run one session of cfg.protocol; pair protocols have no source."""
+    if cfg.protocol in _PAIR_SPECS:
+        return _run_entangled(cfg, ch, det, eve, rng)
+    return _run_prepare_measure(_PREPARE_MEASURE[cfg.protocol], cfg, src, ch,
+                                det, eve, rng)

@@ -2,9 +2,10 @@
 channels, threshold detectors, and singlet-pair sampling.
 
 All parameter records are immutable dataclasses; every sampling function
-takes an explicit ``numpy.random.Generator``.  Scalar operations carry the
-model semantics; the ``*_batch`` helpers are the vectorized equivalents
-used by the protocol engines.
+takes an explicit ``numpy.random.Generator``.  Pulses are handled as whole
+streams: ``attenuate_batch`` is the one channel-loss model and
+``measure_batch`` the one detection model, applied to arrays of photon
+counts and projection probabilities by the protocol engine.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import json
 import math
 from dataclasses import dataclass
 from importlib import resources
-from typing import Optional
 
 import numpy as np
 
@@ -46,9 +46,6 @@ class SignalState:
     def orthogonal(self) -> "SignalState":
         """The unique (up to phase) state orthogonal to this one."""
         return SignalState(-np.conj(self.amp_v), np.conj(self.amp_h))
-
-    def as_vector(self) -> np.ndarray:
-        return np.array([self.amp_h, self.amp_v], dtype=complex)
 
 
 _S2 = 1.0 / math.sqrt(2.0)
@@ -86,25 +83,7 @@ RECTILINEAR = Basis("rectilinear", STATE_H, STATE_V)
 DIAGONAL = Basis("diagonal", STATE_A, STATE_D)
 CIRCULAR = Basis("circular", STATE_L, STATE_R)
 
-SIGNAL_BASES = (RECTILINEAR, DIAGONAL)
 ALL_BASES = (RECTILINEAR, DIAGONAL, CIRCULAR)
-
-
-@dataclass(frozen=True)
-class PhotonPulse:
-    """n identically polarized photons; n = 0 is the vacuum."""
-
-    n: int
-    state: Optional[SignalState] = None
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("photon count must be >= 0")
-        if self.n >= 1 and self.state is None:
-            raise ValueError("non-vacuum pulse needs a polarization state")
-
-
-VACUUM = PhotonPulse(0, None)
 
 
 # ---------------------------------------------------------------------------
@@ -172,19 +151,17 @@ class SourceModel:
 
 
 def sample_photon_number(src: SourceModel, rng: np.random.Generator,
-                         size: int | None = None):
-    """Draw photon counts from the source model (scalar or array)."""
+                         size: int) -> np.ndarray:
+    """Draw the photon counts of `size` pulses from the source model."""
     if src.kind == "ideal_single_photon":
-        return 1 if size is None else np.ones(size, dtype=np.int64)
+        return np.ones(size, dtype=np.int64)
     if src.kind == "attenuated_laser":
-        out = rng.poisson(src.mu, size=size)
-        return int(out) if size is None else out
+        return rng.poisson(src.mu, size=size)
     # heralded_pdc
     u = rng.random(size=size)
     p0 = 1.0 - src.herald_efficiency
     p01 = 1.0 - src.multi_pair_prob
-    out = np.where(u < p0, 0, np.where(u < p01, 1, 2))
-    return int(out) if size is None else out.astype(np.int64)
+    return np.where(u < p0, 0, np.where(u < p01, 1, 2)).astype(np.int64)
 
 
 def g2(src: SourceModel) -> float:
@@ -223,9 +200,6 @@ class ChannelModel:
         return 10.0 ** (-self.attenuation_db_per_km * self.length_km / 10.0)
 
 
-IDENTITY_CHANNEL = ChannelModel()
-
-
 @dataclass(frozen=True)
 class DetectorModel:
     """Pair of threshold detectors behind a basis analyzer.
@@ -245,9 +219,6 @@ class DetectorModel:
             raise ValueError("dark_prob must lie in [0,1)")
         if self.double_click_policy != "assign_random_bit":
             raise ValueError("unsupported double_click_policy")
-
-
-IDEAL_DETECTOR = DetectorModel()
 
 
 def load_presets() -> dict:
@@ -277,52 +248,29 @@ def channel_preset(name: str, length_km: float = 0.0,
                         **params)
 
 
+def attenuate_batch(n_photons: np.ndarray, ch: ChannelModel,
+                    rng: np.random.Generator) -> np.ndarray:
+    """Channel loss on a stream of pulses: each photon survives the line
+    independently with probability ``ch.transmittance``.  A lossless line
+    returns the counts unchanged and draws nothing."""
+    if ch.transmittance < 1.0:
+        return rng.binomial(n_photons, ch.transmittance)
+    return n_photons
+
+
 # ---------------------------------------------------------------------------
-# scalar channel / detection operations
+# detection
 # ---------------------------------------------------------------------------
-
-def transmit(pulse: PhotonPulse, ch: ChannelModel,
-             rng: np.random.Generator) -> PhotonPulse:
-    """Thin each photon independently with the channel transmittance, then
-    flip the surviving pulse to the orthogonal state with the misalignment
-    probability (one flip per pulse, not per photon)."""
-    if pulse.n == 0:
-        return pulse
-    survivors = int(rng.binomial(pulse.n, ch.transmittance))
-    if survivors == 0:
-        return VACUUM
-    state = pulse.state
-    if ch.misalignment_error_prob > 0 and rng.random() < ch.misalignment_error_prob:
-        state = state.orthogonal()
-    return PhotonPulse(survivors, state)
-
-
-def measure(pulse: PhotonPulse, basis: Basis, det: DetectorModel,
-            rng: np.random.Generator) -> int:
-    """Project a pulse in the given basis.
-
-    Returns 0 or 1 on a single click, NO_CLICK when neither detector fires.
-    Each photon is thinned by the detector efficiency and then projects
-    independently; dark counts fire each logical detector independently.
-    """
-    detected = int(rng.binomial(pulse.n, det.efficiency)) if pulse.n else 0
-    k1 = int(rng.binomial(detected, basis.prob_outcome_one(pulse.state))) if detected else 0
-    k0 = detected - k1
-    fire0 = k0 > 0 or rng.random() < det.dark_prob
-    fire1 = k1 > 0 or rng.random() < det.dark_prob
-    if fire0 and fire1:
-        return int(rng.integers(0, 2))
-    if fire1:
-        return 1
-    if fire0:
-        return 0
-    return NO_CLICK
-
 
 def measure_batch(n_photons: np.ndarray, p_one: np.ndarray,
                   det: DetectorModel, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized `measure`: per-pulse photon counts and projection
-    probabilities in, outcomes {NO_CLICK, 0, 1} out."""
+    """Project a stream of pulses: per-pulse photon counts and projection
+    probabilities onto outcome 1 in, outcomes {NO_CLICK, 0, 1} out.
+
+    Each photon is thinned by the detector efficiency and then projects
+    independently; dark counts fire each logical detector independently.
+    When both detectors fire the outcome is a uniform bit.
+    """
     detected = rng.binomial(n_photons, det.efficiency)
     k1 = rng.binomial(detected, p_one)
     k0 = detected - k1
@@ -358,7 +306,7 @@ def _check_unit(v: np.ndarray) -> np.ndarray:
 
 
 def sample_singlet(n1: np.ndarray, n2: np.ndarray, rng: np.random.Generator,
-                   size: int | None = None):
+                   size: int):
     """Sample +/-1 outcome pairs for spin measurements along n1, n2 on a
     shared singlet.  Marginals are uniform and E[a*b] = -n1.n2, i.e. the
     joint law P(a,b) = (1 - a b n1.n2) / 4."""
@@ -368,15 +316,10 @@ def sample_singlet(n1: np.ndarray, n2: np.ndarray, rng: np.random.Generator,
     return sample_singlet_cos(c, rng, size=size)
 
 
-def sample_singlet_cos(cos_angle: float, rng: np.random.Generator,
-                       size: int | None = None):
-    """Singlet outcome pairs given the cosine of the angle between the two
-    measurement directions."""
-    scalar = size is None
-    m = 1 if scalar else size
-    a = np.where(rng.random(m) < 0.5, 1, -1).astype(np.int8)
+def sample_singlet_cos(cos_angle, rng: np.random.Generator, size: int):
+    """`size` singlet outcome pairs given the cosine of the angle between
+    the two measurement directions (a float, or one cosine per pair)."""
+    a = np.where(rng.random(size) < 0.5, 1, -1).astype(np.int8)
     p_opposite = (1.0 + cos_angle) / 2.0
-    b = np.where(rng.random(m) < p_opposite, -a, a).astype(np.int8)
-    if scalar:
-        return int(a[0]), int(b[0])
+    b = np.where(rng.random(size) < p_opposite, -a, a).astype(np.int8)
     return a, b

@@ -2,15 +2,20 @@ import numpy as np
 import pytest
 
 from qkdsim.adversary import (EveStrategy, NO_EVE, attack_batch,
-                              attack_beam_split, attack_intercept_resend,
-                              attack_pns, attack_usd_b92, resolve_known_bits,
-                              usd_success_prob)
-from qkdsim.protocols import b92_states, bb84_table
-from qkdsim.quantum import (RECTILINEAR, DIAGONAL, STATE_H, VACUUM,
-                            ChannelModel, PhotonPulse)
+                              resolve_known_bits, usd_success_prob)
+from qkdsim.protocols import (ProtocolConfig, b92_states, b92_table,
+                              bb84_table, run_session)
+from qkdsim.quantum import ChannelModel, DetectorModel, SourceModel
 from qkdsim.rng import make_rng
 
-BASES = (RECTILINEAR, DIAGONAL)
+BB84 = bb84_table()     # states H, V, A, D; bases rectilinear, diagonal
+
+
+def attack(eve, n, idx, ch=ChannelModel(), rng=None, table=BB84, **kw):
+    return attack_batch(eve, np.asarray(n, dtype=np.int64),
+                        np.asarray(idx, dtype=np.int64), table.p_one,
+                        table.eigen_idx, len(table.bases), ch,
+                        rng if rng is not None else make_rng(0), **kw)
 
 
 def test_strategy_validation():
@@ -21,64 +26,61 @@ def test_strategy_validation():
 
 
 def test_intercept_resend_same_basis_is_transparent():
-    rng = make_rng(1)
     eve = EveStrategy("intercept_resend", basis_policy="fixed_basis",
                       fixed_basis=0)
-    out, info = attack_intercept_resend(PhotonPulse(1, STATE_H), eve, rng,
-                                        BASES)
-    assert info["measured_bit"] == 0
-    assert abs(abs(out.state.overlap(STATE_H)) - 1.0) < 1e-12
+    atk = attack(eve, np.ones(50), np.zeros(50), rng=make_rng(1))
+    assert (atk.record.measured_bit == 0).all()
+    assert (atk.n == 1).all() and (atk.state_idx == 0).all()    # H resent
 
 
 def test_intercept_resend_wrong_basis_randomizes():
-    rng = make_rng(2)
     eve = EveStrategy("intercept_resend", basis_policy="fixed_basis",
                       fixed_basis=1)
-    bits = [attack_intercept_resend(PhotonPulse(1, STATE_H), eve, rng,
-                                    BASES)[1]["measured_bit"]
-            for _ in range(20000)]
-    assert abs(np.mean(bits) - 0.5) < 0.02
+    atk = attack(eve, np.ones(20000), np.zeros(20000), rng=make_rng(2))
+    assert abs(atk.record.measured_bit.mean() - 0.5) < 0.02
+    # the resent photon is the diagonal eigenstate Eve observed
+    assert (atk.state_idx == 2 + atk.record.measured_bit).all()
 
 
 def test_intercept_resend_vacuum_passthrough():
-    rng = make_rng(3)
     eve = EveStrategy("intercept_resend")
-    out, info = attack_intercept_resend(VACUUM, eve, rng, BASES)
-    assert out.n == 0 and info["measured_bit"] == -1
+    atk = attack(eve, [0, 0, 1], [3, 1, 0], rng=make_rng(3))
+    assert atk.n.tolist() == [0, 0, 1]
+    assert atk.record.measured_bit[:2].tolist() == [-1, -1]
+    assert atk.state_idx[:2].tolist() == [3, 1]
 
 
 def test_beam_split_preserves_bob_rate():
     # tap = channel loss, forward losslessly: Bob sees the honest statistics
     ch = ChannelModel(length_km=30.0, attenuation_db_per_km=0.2)  # T ~ 0.25
     eve = EveStrategy("beam_split")
-    rng = make_rng(4)
     trials = 100000
-    got = sum(attack_beam_split(PhotonPulse(1, STATE_H), eve, ch, rng)[0].n
-              for _ in range(trials))
-    assert got / trials == pytest.approx(ch.transmittance, abs=0.005)
+    atk = attack(eve, np.ones(trials), np.zeros(trials), ch, make_rng(4))
+    assert atk.channel_consumed
+    assert atk.n.mean() == pytest.approx(ch.transmittance, abs=0.005)
+    # a single photon reaches either Bob or Eve's store, never both
+    assert not (atk.record.stored_photon & (atk.n > 0)).any()
 
 
 def test_beam_split_rejects_excess_tap():
     ch = ChannelModel()  # lossless: no tap budget at all
     eve = EveStrategy("beam_split", tap_ratio=0.3)
     with pytest.raises(ValueError):
-        attack_beam_split(PhotonPulse(1, STATE_H), eve, ch, make_rng(5))
+        attack(eve, [1], [0], ch, make_rng(5))
 
 
 def test_pns_keeps_one_of_multi():
-    rng = make_rng(6)
-    eve = EveStrategy("pns")
-    out, info = attack_pns(PhotonPulse(3, STATE_H), eve, rng)
-    assert out.n == 2 and info["stored_photon"]
-    out, info = attack_pns(PhotonPulse(1, STATE_H), eve, rng)
-    assert out.n == 1 and not info["stored_photon"]
+    atk = attack(EveStrategy("pns"), [3, 1, 2, 0], [0, 1, 2, 3],
+                 rng=make_rng(6))
+    assert atk.n.tolist() == [2, 1, 1, 0]
+    assert atk.record.stored_photon.tolist() == [True, False, True, False]
+    assert atk.state_idx.tolist() == [0, 1, 2, 3] and atk.channel_consumed
 
 
 def test_pns_blocks_singles():
-    rng = make_rng(7)
     eve = EveStrategy("pns", block_single_prob=1.0)
-    out, _ = attack_pns(PhotonPulse(1, STATE_H), eve, rng)
-    assert out.n == 0
+    atk = attack(eve, [1, 1, 2], [0, 0, 0], rng=make_rng(7))
+    assert atk.n.tolist() == [0, 0, 1]
 
 
 def test_usd_success_prob():
@@ -87,28 +89,24 @@ def test_usd_success_prob():
 
 
 def test_usd_forwards_perfect_copies_at_honest_rate():
-    phi0, phi1 = b92_states(2 ** -0.5)
+    table = b92_table(2 ** -0.5)
     ch = ChannelModel(length_km=10.0, attenuation_db_per_km=0.7)  # T ~ 0.2
-    eve = EveStrategy("usd_b92")
-    rng = make_rng(8)
     trials = 100000
-    forwarded = 0
-    for _ in range(trials):
-        out, info = attack_usd_b92(PhotonPulse(1, phi0), eve, phi0, phi1,
-                                   ch, rng)
-        if out.n:
-            forwarded += 1
-            assert info["conclusive"] and info["measured_bit"] == 0
-            assert abs(abs(out.state.overlap(phi0)) - 1.0) < 1e-12
-    assert forwarded / trials == pytest.approx(ch.transmittance, abs=0.005)
+    atk = attack(EveStrategy("usd_b92"), np.ones(trials), np.zeros(trials),
+                 ch, make_rng(8), table=table, b92_states=table.states[:2])
+    fwd = atk.n > 0
+    assert fwd.mean() == pytest.approx(ch.transmittance, abs=0.005)
+    assert (atk.n[fwd] == 1).all() and (atk.state_idx[fwd] == 0).all()
+    assert atk.record.conclusive[fwd].all()
+    assert (atk.record.measured_bit[fwd] == 0).all()
 
 
 def test_usd_rejects_foreign_state():
-    phi0, phi1 = b92_states(0.5)
-    eve = EveStrategy("usd_b92")
-    with pytest.raises(ValueError):
-        attack_usd_b92(PhotonPulse(1, STATE_H), eve, phi0, phi1,
-                       ChannelModel(), make_rng(9))
+    # BB84 states lie outside any B92 pair: the attack does not apply
+    with pytest.raises(ValueError, match="B92 state pair"):
+        run_session(ProtocolConfig("bb84", 10), SourceModel.ideal(),
+                    ChannelModel(), DetectorModel(), EveStrategy("usd_b92"),
+                    make_rng(9))
 
 
 def test_batch_none_is_identity():

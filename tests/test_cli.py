@@ -62,6 +62,14 @@ def test_bad_max_passes_is_config_error(tmp_path, capsys):
         .pipeline.max_passes is None
 
 
+def test_unused_basis_bias_is_config_error(tmp_path, capsys):
+    path = write_scenario(tmp_path, dict(BASE, protocol="b92",
+                                         basis_bias=0.7))
+    code, out, err = run_cli(capsys, "run", path)
+    assert code == 1 and out == ""
+    assert err == "error: protocol: basis_bias is not used by b92\n"
+
+
 def test_bad_preset_name_is_config_error(tmp_path, capsys):
     path = write_scenario(tmp_path, dict(BASE, detector={"preset": "hal9000"}))
     code, _, err = run_cli(capsys, "run", path)

@@ -402,12 +402,34 @@ def test_message_cardinality_bound_enforced():
     cfg = AuthConfig.fresh(rng, degree=2)
     with pytest.raises(ValueError):
         authenticate(random_bits(200, rng), cfg)
+    # 300 bits fit in 44 of the 63 digits, but the length digit must stay
+    # below the prime
+    cfg = AuthConfig.fresh(rng, prime=251, degree=64)
+    with pytest.raises(ValueError, match="bits, the prime is 251"):
+        authenticate(random_bits(300, rng), cfg)
+
+
+def test_tag_does_not_verify_a_message_with_the_same_chunks():
+    rng = make_rng(23)
+    cfg = AuthConfig.fresh(rng)
+    w = cfg.tag_bits - 1
+    zeros = lambda k: BitString.from_array(np.zeros(k, dtype=np.uint8))
+    # leading zeros of a chunk, and trailing all-zero chunks, used to vanish
+    for m, other in ((BitString([1]), BitString([0, 1])),
+                     (zeros(w), zeros(2 * w)),
+                     (BitString([]), zeros(w))):
+        assert not verify(other, authenticate(m, cfg), cfg)
+        assert verify(m, authenticate(m, cfg), cfg)
 
 
 def test_deception_probability_field():
     rng = make_rng(22)
+    # two distinct messages of at most degree - 1 digits collide on at most
+    # degree - 1 of the p hash keys
     assert AuthConfig.fresh(rng, prime=251).deception_probability == \
-        pytest.approx(1 / 251)
+        pytest.approx(63 / 251)
+    assert AuthConfig.fresh(rng, prime=251, degree=8) \
+        .deception_probability == pytest.approx(7 / 251)
 
 
 # ---------------------------------------------------------------------------

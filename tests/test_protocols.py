@@ -28,6 +28,9 @@ def test_config_validation():
         ProtocolConfig("b92", 10, b92_overlap=1.5)
     with pytest.raises(ValueError):
         ProtocolConfig("decoy_bb84", 10, signal_mu=0.5, decoy_mu=0.5)
+    for protocol in ("b92", "e91"):     # choices always uniform
+        with pytest.raises(ValueError, match="basis_bias is not used"):
+            ProtocolConfig(protocol, 10, basis_bias=0.7)
 
 
 def test_bb84_honest_statistics():
@@ -136,9 +139,12 @@ def test_e91_collects_chsh_samples():
 
 
 def test_channel_loss_reduces_detections():
-    ch = ChannelModel(length_km=50.0, attenuation_db_per_km=0.2)
-    t = run("bb84", 100000, 17, ch=ch)
-    assert t.detection_count / t.pulse_count == pytest.approx(0.1, abs=0.005)
+    for ch, abs_tol in (
+            (ChannelModel(length_km=50.0, attenuation_db_per_km=0.2), 0.005),
+            (ChannelModel(length_km=10.0, attenuation_db_per_km=3.0), 5e-4)):
+        t = run("bb84", 100000, 17, ch=ch)     # T = 0.1, then T = 0.001
+        assert t.detection_count / t.pulse_count == \
+            pytest.approx(ch.transmittance, abs=abs_tol)
 
 
 def test_dark_counts_register_on_lost_pulses():

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from qkdsim.quantum import (CIRCULAR, DIAGONAL, NO_CLICK, RECTILINEAR,
-                            STATE_A, STATE_H, STATE_L, STATE_V, VACUUM,
-                            Basis, ChannelModel, DetectorModel, PhotonPulse,
-                            SignalState, SourceModel, bloch_vector,
-                            channel_preset, detector_preset, g2,
-                            load_presets, measure, sample_photon_number,
-                            sample_singlet, transmit)
+                            STATE_A, STATE_H, STATE_L, STATE_V, Basis,
+                            ChannelModel, DetectorModel, SignalState,
+                            SourceModel, attenuate_batch, bloch_vector,
+                            channel_preset, detector_preset, g2, load_presets,
+                            measure_batch, sample_photon_number,
+                            sample_singlet)
 from qkdsim.rng import make_rng
 
 
@@ -65,37 +65,40 @@ def test_channel_transmittance():
 
 def test_transmit_loss_statistics():
     ch = ChannelModel(length_km=10.0, attenuation_db_per_km=3.0)  # T = 0.001
+    survived = attenuate_batch(np.ones(100000, dtype=np.int64), ch, make_rng(4))
+    assert survived.max() <= 1
+    assert survived.mean() == pytest.approx(ch.transmittance, abs=5e-4)
+    # a lossless line passes the counts through and draws nothing
     rng = make_rng(4)
-    survived = sum(transmit(PhotonPulse(1, STATE_H), ch, rng).n
-                   for _ in range(100000))
-    assert survived / 100000 == pytest.approx(ch.transmittance, abs=5e-4)
+    n = np.array([0, 1, 3])
+    assert attenuate_batch(n, ChannelModel(), rng) is n
+    assert rng.random() == make_rng(4).random()
 
 
 def test_measure_deterministic_projection():
-    rng = make_rng(5)
-    det = DetectorModel()
-    assert measure(PhotonPulse(1, STATE_V), RECTILINEAR, det, rng) == 1
-    assert measure(PhotonPulse(1, STATE_H), RECTILINEAR, det, rng) == 0
-    assert measure(VACUUM, RECTILINEAR, det, rng) == NO_CLICK
+    p_one = np.array([RECTILINEAR.prob_outcome_one(STATE_V),
+                      RECTILINEAR.prob_outcome_one(STATE_H), 0.5])
+    outs = measure_batch(np.array([1, 1, 0]), p_one, DetectorModel(),
+                         make_rng(5))
+    assert outs.tolist() == [1, 0, NO_CLICK]
 
 
 def test_measure_conjugate_basis_uniform():
-    rng = make_rng(6)
-    det = DetectorModel()
-    outs = [measure(PhotonPulse(1, STATE_H), DIAGONAL, det, rng)
-            for _ in range(20000)]
-    assert abs(np.mean(outs) - 0.5) < 0.02
+    p_one = np.full(20000, DIAGONAL.prob_outcome_one(STATE_H))
+    outs = measure_batch(np.ones(20000, dtype=np.int64), p_one,
+                         DetectorModel(), make_rng(6))
+    assert (outs != NO_CLICK).all()
+    assert abs(outs.mean() - 0.5) < 0.02
 
 
 def test_dark_count_rate_on_vacuum():
     # two logical detectors: click prob 1 - (1 - p)^2
     p_dark = 1e-3
     det = DetectorModel(dark_prob=p_dark)
-    rng = make_rng(7)
-    clicks = sum(measure(VACUUM, RECTILINEAR, det, rng) != NO_CLICK
-                 for _ in range(200000))
+    outs = measure_batch(np.zeros(200000, dtype=np.int64),
+                         np.zeros(200000), det, make_rng(7))
     expect = 1.0 - (1.0 - p_dark) ** 2
-    assert clicks / 200000 == pytest.approx(expect, rel=0.15)
+    assert (outs != NO_CLICK).mean() == pytest.approx(expect, rel=0.15)
 
 
 def test_presets_load():
