@@ -70,7 +70,12 @@ class BitString:
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return BitString.from_array(self.to_array()[i])
+            start, stop, step = i.indices(self._length)
+            if step != 1:
+                return BitString.from_array(self.to_array()[i])
+            lo = start >> 3   # unpack only the bytes the slice covers
+            bits = np.unpackbits(self._packed[lo:(stop + 7) >> 3])
+            return BitString.from_array(bits[start - 8 * lo: stop - 8 * lo])
         i = int(i)
         if i < 0:
             i += self._length

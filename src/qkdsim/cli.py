@@ -15,14 +15,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
+from functools import partial
 from importlib import resources
 from typing import Optional
 
 import numpy as np
 
 from . import bell as bell_mod
-from .adversary import EveStrategy, NO_EVE
+from .adversary import EveStrategy
 from .postproc import FinalKeyResult, PipelineParams, run_pipeline
 from .protocols import ProtocolConfig, SessionTranscript, run_session
 from .quantum import (ChannelModel, DetectorModel, SourceModel,
@@ -53,116 +54,65 @@ def _strip_comments(obj):
     return obj
 
 
-def _take(section: dict, path: str, allowed: set) -> None:
-    extra = set(section) - allowed
+# scenario section -> (model, cast).  Source and channel numbers are read as
+# floats, so "mu": 1 prints as 1.0 in the rate report; the other sections
+# pass values through as written.
+SECTIONS = {"source": (SourceModel, float), "channel": (ChannelModel, float),
+            "detector": (DetectorModel, None), "eve": (EveStrategy, None),
+            "postproc": (PipelineParams, None)}
+PRESETS = {ChannelModel: channel_preset, DetectorModel: detector_preset}
+
+
+def _refuse_unknown(raw: dict, path: str, allowed: set) -> None:
+    extra = set(raw) - allowed
     if extra:
         raise ConfigError(f"{path}: unknown field(s) {sorted(extra)}")
 
 
-def _parse_source(raw: Optional[dict]) -> SourceModel:
-    if raw is None:
-        return SourceModel.ideal()
-    _take(raw, "source", {"kind", "mu", "herald_efficiency",
-                          "multi_pair_prob"})
-    kind = raw.get("kind", "ideal")
+def _section(path: str, model, raw: Optional[dict], cast=None):
+    """Build ``model`` from a scenario section whose fields are the model's
+    dataclass fields.  A source's ``kind`` names the ``SourceModel``
+    constructor to call; a ``preset`` loads channel or detector presets
+    and passes every other field through as an override."""
+    if not isinstance(raw or {}, dict):
+        raise ConfigError(f"{path}: expected an object, got {raw!r}")
+    raw = dict(raw or {})
+    allowed = {f.name for f in fields(model)}
+    if model in PRESETS:
+        allowed.add("preset")
+    _refuse_unknown(raw, path, allowed)
+    factory = model
+    if model is SourceModel:
+        kind = raw.pop("kind", "ideal")
+        if not isinstance(vars(SourceModel).get(str(kind)), classmethod):
+            raise ConfigError(f"source.kind: unknown kind {kind!r}")
+        factory = getattr(SourceModel, kind)
+    elif "preset" in raw:
+        factory = partial(PRESETS[model], raw.pop("preset"))
     try:
-        if kind == "ideal":
-            return SourceModel.ideal()
-        if kind == "laser":
-            return SourceModel.laser(float(raw["mu"]))
-        if kind == "heralded":
-            return SourceModel.heralded(float(raw["herald_efficiency"]),
-                                        float(raw["multi_pair_prob"]))
-    except KeyError as exc:
-        raise ConfigError(f"source: missing field {exc}") from None
-    except ValueError as exc:
-        raise ConfigError(f"source: {exc}") from None
-    raise ConfigError(f"source.kind: unknown kind {kind!r}")
-
-
-def _parse_channel(raw: Optional[dict]) -> ChannelModel:
-    if raw is None:
-        return ChannelModel()
-    _take(raw, "channel", {"preset", "length_km", "attenuation_db_per_km",
-                           "misalignment_error_prob"})
-    try:
-        if "preset" in raw:
-            return channel_preset(
-                raw["preset"], length_km=float(raw.get("length_km", 0.0)),
-                misalignment_error_prob=float(
-                    raw.get("misalignment_error_prob", 0.0)))
-        return ChannelModel(
-            length_km=float(raw.get("length_km", 0.0)),
-            attenuation_db_per_km=float(raw.get("attenuation_db_per_km", 0.0)),
-            misalignment_error_prob=float(
-                raw.get("misalignment_error_prob", 0.0)))
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"channel: {exc}") from None
-
-
-def _parse_detector(raw: Optional[dict]) -> DetectorModel:
-    if raw is None:
-        return DetectorModel()
-    _take(raw, "detector", {"preset", "efficiency", "dark_prob",
-                            "double_click_policy"})
-    overrides = {k: v for k, v in raw.items() if k != "preset"}
-    try:
-        if "preset" in raw:
-            return detector_preset(raw["preset"], **overrides)
-        return DetectorModel(**overrides)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ConfigError(f"detector: {exc}") from None
-
-
-def _parse_eve(raw: Optional[dict]) -> EveStrategy:
-    if raw is None:
-        return NO_EVE
-    _take(raw, "eve", {"kind", "basis_policy", "fixed_basis", "tap_ratio",
-                       "block_single_prob"})
-    try:
-        return EveStrategy(**raw)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"eve: {exc}") from None
-
-
-def _parse_pipeline(raw: Optional[dict]) -> PipelineParams:
-    if raw is None:
-        return PipelineParams()
-    _take(raw, "postproc", {"sample_fraction", "qber_abort_threshold",
-                            "safety_bits", "eve_bound", "max_passes",
-                            "subset_clean_target", "auth_prime"})
-    try:
-        return PipelineParams(**raw)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"postproc: {exc}") from None
+        return factory(**{k: cast(v) if cast else v for k, v in raw.items()})
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def parse_scenario(raw: dict) -> Scenario:
     raw = _strip_comments(raw)
-    _take(raw, "scenario", {"protocol", "num_pulses", "seed", "basis_bias",
-                            "b92_overlap", "signal_mu", "decoy_mu",
-                            "decoy_fraction", "source", "channel", "detector",
-                            "eve", "postproc"})
+    protocol_fields = {f.name for f in fields(ProtocolConfig)}
+    _refuse_unknown(raw, "scenario",
+                    protocol_fields | set(SECTIONS) | {"seed"})
     if "seed" not in raw:
         raise ConfigError("seed: required (no ambient randomness)")
-    if "protocol" not in raw:
-        raise ConfigError("protocol: required")
-    if "num_pulses" not in raw:
-        raise ConfigError("num_pulses: required")
-    proto_kwargs = {k: raw[k] for k in ("basis_bias", "b92_overlap",
-                                        "signal_mu", "decoy_mu",
-                                        "decoy_fraction") if k in raw}
+    for f in fields(ProtocolConfig):
+        if f.default is MISSING and f.name not in raw:
+            raise ConfigError(f"{f.name}: required")
+    protocol = {k: v for k, v in raw.items() if k in protocol_fields}
     try:
-        cfg = ProtocolConfig(protocol=raw["protocol"],
-                             num_pulses=int(raw["num_pulses"]), **proto_kwargs)
-    except ValueError as exc:
+        protocol["num_pulses"] = int(protocol["num_pulses"])
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"protocol: {exc}") from None
-    return Scenario(protocol_config=cfg,
-                    source=_parse_source(raw.get("source")),
-                    channel=_parse_channel(raw.get("channel")),
-                    detector=_parse_detector(raw.get("detector")),
-                    eve=_parse_eve(raw.get("eve")),
-                    pipeline=_parse_pipeline(raw.get("postproc")),
+    cfg = _section("protocol", ProtocolConfig, protocol)
+    return Scenario(cfg, *[_section(name, model, raw.get(name), cast)
+                           for name, (model, cast) in SECTIONS.items()],
                     seed=int(raw["seed"]))
 
 
@@ -262,13 +212,22 @@ def _emit(text: str, out: Optional[str]) -> None:
 # verbs
 # ---------------------------------------------------------------------------
 
+def _simulate(scenario: Scenario, *stream: int, pipeline: bool = True):
+    """Run the session on stream ``(seed, *stream, 0)`` and, unless
+    ``pipeline`` is false, the key-distillation pipeline on
+    ``(seed, *stream, 1)``; returns ``(transcript, result or None)``."""
+    transcript = run_session(
+        scenario.protocol_config, scenario.source, scenario.channel,
+        scenario.detector, scenario.eve, derive_rng(scenario.seed, *stream, 0))
+    if not pipeline:
+        return transcript, None
+    return transcript, run_pipeline(transcript, scenario.pipeline,
+                                    derive_rng(scenario.seed, *stream, 1))
+
+
 def cmd_run(args) -> int:
     scenario = load_scenario(args.scenario, args.seed, args.pulses)
-    transcript = run_session(scenario.protocol_config, scenario.source,
-                             scenario.channel, scenario.detector,
-                             scenario.eve, derive_rng(scenario.seed, 0))
-    result = run_pipeline(transcript, scenario.pipeline,
-                          derive_rng(scenario.seed, 1))
+    transcript, result = _simulate(scenario)
     report = session_report(scenario, transcript, result)
     rates = _scenario_rates(scenario, result.qber_estimate)
     if args.format == "json":
@@ -283,10 +242,10 @@ def cmd_run(args) -> int:
 
 SWEEP_AXES = ("length_km", "mu", "epsilon")
 
-SWEEP_CSV_HEADER = (["axis", "axis_value", "seed", "sifted_fraction",
-                     "qber_sifted", "sim_key_rate_per_pulse"]
-                    + [f"{c}_{suffix}" for c in RateReport.CSV_COLUMNS
-                       for suffix in ("raw", "clamped")])
+RATE_CSV_HEADER = [f"{c}_{suffix}" for c in RateReport.CSV_COLUMNS
+                   for suffix in ("raw", "clamped")]
+SWEEP_CSV_HEADER = ["axis", "axis_value", "seed", "sifted_fraction",
+                    "qber_sifted", "sim_key_rate_per_pulse"] + RATE_CSV_HEADER
 
 
 def _apply_axis(scenario: Scenario, axis: str, value: float) -> Scenario:
@@ -318,11 +277,7 @@ def cmd_sweep(args) -> int:
     rows = [",".join(SWEEP_CSV_HEADER)]
     for i, value in enumerate(values):
         point = _apply_axis(base, args.axis, float(value))
-        transcript = run_session(point.protocol_config, point.source,
-                                 point.channel, point.detector, point.eve,
-                                 derive_rng(base.seed, i, 0))
-        result = run_pipeline(transcript, point.pipeline,
-                              derive_rng(base.seed, i, 1))
+        transcript, result = _simulate(point, i)
         rate = result.final_length / transcript.pulse_count \
             if transcript.pulse_count else 0.0
         eps = result.qber_estimate if args.axis != "epsilon" else float(value)
@@ -343,9 +298,8 @@ def cmd_rates(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"rates: {exc}") from None
     if args.format == "csv":
-        header = ",".join(f"{c}_{s}" for c in RateReport.CSV_COLUMNS
-                          for s in ("raw", "clamped"))
-        text = header + "\n" + ",".join(report.csv_row()) + "\n"
+        text = ",".join(RATE_CSV_HEADER) + "\n" + ",".join(report.csv_row()) \
+            + "\n"
     elif args.format == "json":
         text = json.dumps({"params": {"epsilon": args.epsilon, "mu": args.mu,
                                       "eta": args.eta, "p_dark": args.p_dark,
@@ -362,9 +316,7 @@ def cmd_bell(args) -> int:
     scenario = load_scenario(args.scenario, args.seed, args.pulses)
     if scenario.protocol_config.protocol != "e91":
         raise ConfigError("protocol: bell requires an e91 scenario")
-    transcript = run_session(scenario.protocol_config, scenario.source,
-                             scenario.channel, scenario.detector,
-                             scenario.eve, derive_rng(scenario.seed, 0))
+    transcript, _ = _simulate(scenario, pipeline=False)
     s_hat, stderr = bell_mod.chsh_estimate(transcript.chsh_samples,
                                            min_count=1)
     analytic = bell_mod.chsh_analytic(bell_mod.MAXIMAL_SETTINGS)

@@ -277,6 +277,12 @@ def advantage_distill(alice: BitString, bob: BitString, block: int,
 PRODUCTION_PRIME = (1 << 61) - 1
 
 
+def _bits_to_int(bits: np.ndarray) -> int:
+    """Big-endian integer value of a 0/1 array (0 when it is empty)."""
+    return int.from_bytes(np.packbits(bits).tobytes(), "big") \
+        >> (-len(bits) % 8)
+
+
 @dataclass
 class AuthConfig:
     """Shared authentication material.
@@ -315,9 +321,8 @@ class AuthConfig:
     def _field_elements(self) -> tuple[int, int]:
         bits = self.shared_password.to_array()
         w = self.tag_bits
-        x = int("".join(map(str, bits[:w])), 2) % self.prime
-        y = int("".join(map(str, bits[w: 2 * w])), 2) % self.prime
-        return x, y
+        return (_bits_to_int(bits[:w]) % self.prime,
+                _bits_to_int(bits[w: 2 * w]) % self.prime)
 
     def _pad_value(self, segment: int) -> int:
         start = segment * self.tag_bits
@@ -325,8 +330,7 @@ class AuthConfig:
         if stop > len(self.otp_pool):
             raise OtpPoolExhausted(
                 "one-time-pad pool exhausted: refill from the distilled key")
-        chunk = self.otp_pool.to_array()[start:stop]
-        return int("".join(map(str, chunk)), 2) % self.prime
+        return _bits_to_int(self.otp_pool[start:stop].to_array()) % self.prime
 
     @classmethod
     def fresh(cls, rng: np.random.Generator, prime: int = PRODUCTION_PRIME,
@@ -345,10 +349,8 @@ def _message_digits(message: BitString, cfg: AuthConfig) -> list[int]:
     if len(bits) >= cfg.prime:
         raise ValueError(
             f"message too long: {len(bits)} bits, the prime is {cfg.prime}")
-    digits = [len(bits)]
-    for i in range(0, len(bits), w):
-        chunk = bits[i: i + w]
-        digits.append(int("".join(map(str, chunk)), 2))
+    digits = [len(bits)] + [_bits_to_int(bits[i: i + w])
+                            for i in range(0, len(bits), w)]
     if len(digits) > cfg.degree - 1:
         raise ValueError(
             f"message too long: {len(digits)} digits exceeds degree-1 = "
@@ -449,9 +451,10 @@ def parity_knowledge(p: float, n: int) -> float:
 def run_pipeline(transcript, params: PipelineParams,
                  rng: np.random.Generator) -> FinalKeyResult:
     """Estimation -> abort check -> reconciliation -> privacy amplification
-    on a session transcript.  Only the QBER sample, the reconciliation
-    summary and the final-key digest are authenticated; the parities and
-    the privacy-amplification seed go out untagged."""
+    on a session transcript.  Three messages are authenticated: the QBER
+    sample, the reconciliation summary (``leaked_bits`` and ``rounds`` as
+    two 64-bit big-endian fields) and the final-key digest.  The parities
+    and the privacy-amplification seed go out untagged."""
     return run_pipeline_on_keys(transcript.sifted_alice,
                                 transcript.sifted_bob, params, rng)
 
@@ -499,8 +502,9 @@ def run_pipeline_on_keys(sifted_alice: BitString, sifted_bob: BitString,
                         max_passes=params.max_passes,
                         subset_clean_target=params.subset_clean_target,
                         log=log)
+    summary = np.array([rec.leaked_bits, rec.rounds], dtype=">u8")
     if not send("alice->bob", "reconciliation_summary",
-                BitString.from_array(np.zeros(8, dtype=np.uint8)),
+                BitString.from_array(np.unpackbits(summary.view(np.uint8))),
                 {"leaked_bits": rec.leaked_bits, "rounds": rec.rounds}):
         return auth_failed("reconciliation_summary", eps, rec.leaked_bits)
     if not rec.success:

@@ -24,6 +24,14 @@ def test_hex_encoding():
     assert BitString.from_binary_string("11110000").to_hex() == "f0"
 
 
+@given(bit_lists, st.integers(-210, 210), st.integers(-210, 210),
+       st.sampled_from([None, 1, 2, -1, 3]))
+def test_slice_matches_array_slice(bits, start, stop, step):
+    arr = np.array(bits, dtype=np.uint8)
+    got = BitString.from_array(arr)[start:stop:step]
+    assert np.array_equal(got.to_array(), arr[start:stop:step])
+
+
 def test_zeros():
     z = BitString.zeros(13)
     assert len(z) == 13 and z.hamming_weight() == 0

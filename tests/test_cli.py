@@ -1,8 +1,19 @@
+import dataclasses
+import inspect
 import json
+import re
+from functools import partial
+from pathlib import Path
 
 import pytest
 
+from qkdsim.adversary import EveStrategy
 from qkdsim.cli import (ConfigError, load_scenario, main, parse_scenario)
+from qkdsim.postproc import PipelineParams
+from qkdsim.protocols import ProtocolConfig
+from qkdsim.quantum import ChannelModel, DetectorModel, SourceModel
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -75,6 +86,90 @@ def test_bad_preset_name_is_config_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "run", path)
     assert code == 1
     assert "hal9000" in err
+
+
+def test_channel_preset_fields_may_be_overridden():
+    s = parse_scenario(dict(BASE, channel={"preset": "fiber_1550",
+                                           "length_km": 25,
+                                           "attenuation_db_per_km": 0.5}))
+    assert s.channel.attenuation_db_per_km == 0.5
+    assert s.channel.length_km == 25.0
+    assert s.channel.transmittance == pytest.approx(10 ** -1.25, rel=1e-12)
+
+
+@pytest.mark.parametrize("section, value, message", [
+    ("channel", "fiber_1550", "channel: expected an object, got 'fiber_1550'"),
+    ("postproc", [0.1], "postproc: expected an object, got [0.1]"),
+    ("source", {"kind": ["laser"]}, "source.kind: unknown kind ['laser']"),
+])
+def test_malformed_section_is_config_error(section, value, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_scenario(dict(BASE, **{section: value}))
+
+
+def test_readme_scenario_example_parses_as_documented():
+    text = README.read_text().split("### Scenario files", 1)[1]
+    example = re.search(r"```json\n(.*?)```", text, re.S).group(1)
+    s = parse_scenario(json.loads(example))
+    assert (s.protocol_config.protocol, s.protocol_config.num_pulses,
+            s.seed, s.protocol_config.basis_bias) == ("bb84", 20000, 7, 0.5)
+    assert s.source == SourceModel.laser(0.5)
+    assert s.channel == ChannelModel(length_km=25.0,
+                                     attenuation_db_per_km=0.2,
+                                     misalignment_error_prob=0.01)
+    assert s.detector == DetectorModel(efficiency=0.5, dark_prob=1e-7)
+    assert s.eve == EveStrategy("pns", block_single_prob=0.5)
+    assert s.pipeline == PipelineParams(sample_fraction=0.1,
+                                        qber_abort_threshold=0.11,
+                                        safety_bits=30,
+                                        eve_bound="two_epsilon")
+
+
+def _default_cases(model):
+    """(section fields, expected model or the model's own error) for every
+    field of ``model`` that has a default, passed at that default."""
+    if model is SourceModel:   # kind picks the constructor; it takes the rest
+        defaults = {f.name: f.default for f in dataclasses.fields(model)}
+        for name, attr in vars(SourceModel).items():
+            if isinstance(attr, classmethod):
+                ctor = getattr(SourceModel, name)
+                kwargs = {p: defaults[p]
+                          for p in inspect.signature(ctor).parameters}
+                yield dict(kwargs, kind=name), partial(ctor, **kwargs)
+        return
+    required = {"protocol": "bb84", "num_pulses": 10}
+    for f in dataclasses.fields(model):
+        if f.default is not dataclasses.MISSING:
+            kwargs = {f.name: f.default}
+            if model is ProtocolConfig:
+                kwargs.update(required)
+            yield kwargs, partial(model, **kwargs)
+
+
+@pytest.mark.parametrize("section, model, attr", [
+    (None, ProtocolConfig, "protocol_config"),
+    ("source", SourceModel, "source"),
+    ("channel", ChannelModel, "channel"),
+    ("detector", DetectorModel, "detector"),
+    ("eve", EveStrategy, "eve"),
+    ("postproc", PipelineParams, "pipeline"),
+])
+def test_every_model_field_is_accepted_at_its_default(section, model, attr):
+    cases = list(_default_cases(model))
+    named = {k for fields, _ in cases for k in fields}
+    assert {f.name for f in dataclasses.fields(model)} <= named
+    for fields, build in cases:
+        raw = json.loads(json.dumps(
+            dict(fields, seed=1) if section is None else
+            {"protocol": "bb84", "num_pulses": 10, "seed": 1,
+             section: fields}))
+        try:
+            expected = build()
+        except ValueError as exc:   # e.g. a laser at the default mu = 0
+            with pytest.raises(ConfigError, match=re.escape(f": {exc}")):
+                parse_scenario(raw)
+            continue
+        assert getattr(parse_scenario(raw), attr) == expected
 
 
 def test_comment_keys_ignored():

@@ -6,8 +6,9 @@ import pytest
 
 from qkdsim import postproc
 from qkdsim.bits import BitString, random_bits
-from qkdsim.postproc import (AuthConfig, NoSecureKey, OtpPoolExhausted,
-                             PipelineParams, PublicChannelLog, advantage_distill,
+from qkdsim.postproc import (PRODUCTION_PRIME, AuthConfig, NoSecureKey,
+                             OtpPoolExhausted, PipelineParams,
+                             PublicChannelLog, advantage_distill,
                              authenticate, bbbss_correct, estimate_qber,
                              eve_information_per_bit, parity_knowledge,
                              privacy_amplify, remove_positions,
@@ -420,6 +421,63 @@ def test_tag_does_not_verify_a_message_with_the_same_chunks():
                      (BitString([]), zeros(w))):
         assert not verify(other, authenticate(m, cfg), cfg)
         assert verify(m, authenticate(m, cfg), cfg)
+
+
+def _string_int(bits) -> int:
+    """Reference: the per-bit string conversion the codec replaced."""
+    return int("".join(map(str, bits)), 2) if len(bits) else 0
+
+
+@pytest.mark.parametrize("n", [0, 1, 59, 60, 61, 1000])
+def test_message_digits_match_string_conversion(n):
+    rng = make_rng(40 + n)
+    cfg = AuthConfig.fresh(rng)
+    bits = random_bits(n, rng).to_array()
+    w = cfg.tag_bits - 1
+    expect = [n] + [_string_int(bits[i: i + w]) for i in range(0, n, w)]
+    assert postproc._message_digits(BitString.from_array(bits), cfg) == expect
+
+
+def test_field_elements_and_pads_match_string_conversion():
+    rng = make_rng(41)
+    for prime in (PRODUCTION_PRIME, 251):
+        cfg = AuthConfig.fresh(rng, prime=prime, pool_tags=9)
+        w = cfg.tag_bits
+        password = cfg.shared_password.to_array()
+        assert cfg._field_elements() == (
+            _string_int(password[:w]) % prime,
+            _string_int(password[w: 2 * w]) % prime)
+        pool = cfg.otp_pool.to_array()
+        for segment in (0, 1, 4, 8):
+            assert cfg._pad_value(segment) == _string_int(
+                pool[segment * w: (segment + 1) * w]) % prime
+
+
+def test_reconciliation_summary_tag_covers_leaked_bits(monkeypatch):
+    real_bbbss, real_authenticate = postproc.bbbss_correct, postproc.authenticate
+    messages = []
+
+    def record(message, cfg):
+        messages.append(message)
+        return real_authenticate(message, cfg)
+
+    monkeypatch.setattr(postproc, "authenticate", record)
+    summaries = []
+    for extra_leak in (0, 1):
+        def bbbss(*args, **kwargs):
+            rec = real_bbbss(*args, **kwargs)
+            rec.leaked_bits += extra_leak
+            return rec
+
+        monkeypatch.setattr(postproc, "bbbss_correct", bbbss)
+        messages.clear()
+        rng = make_rng(28)
+        a = random_bits(5000, rng)
+        res = run_pipeline_on_keys(a, flip_fraction(a, 0.02, rng),
+                                   PipelineParams(), rng)
+        assert res.final_key is not None and len(messages) == 3
+        summaries.append(messages[1])   # qber sample, summary, key digest
+    assert summaries[0] != summaries[1]
 
 
 def test_deception_probability_field():
