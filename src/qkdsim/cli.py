@@ -216,9 +216,13 @@ def _simulate(scenario: Scenario, *stream: int, pipeline: bool = True):
     """Run the session on stream ``(seed, *stream, 0)`` and, unless
     ``pipeline`` is false, the key-distillation pipeline on
     ``(seed, *stream, 1)``; returns ``(transcript, result or None)``."""
-    transcript = run_session(
-        scenario.protocol_config, scenario.source, scenario.channel,
-        scenario.detector, scenario.eve, derive_rng(scenario.seed, *stream, 0))
+    try:
+        transcript = run_session(
+            scenario.protocol_config, scenario.source, scenario.channel,
+            scenario.detector, scenario.eve,
+            derive_rng(scenario.seed, *stream, 0))
+    except ValueError as exc:   # sections valid alone, refused together
+        raise ConfigError(str(exc)) from exc
     if not pipeline:
         return transcript, None
     return transcript, run_pipeline(transcript, scenario.pipeline,
@@ -396,10 +400,7 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, KeyError) as exc:
+    except (ConfigError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -26,16 +26,18 @@ class OtpPoolExhausted(Exception):
 
 @dataclass
 class PublicChannelLog:
-    """Ordered record of everything sent in the clear."""
+    """Ordered record of everything sent in the clear: one dict of
+    direction, purpose and payload per message.  leaked_parity_count sums
+    the parities the messages disclosed (see bbbss_correct)."""
 
     messages: list = field(default_factory=list)
     leaked_parity_count: int = 0
 
-    def post(self, direction: str, purpose: str, payload) -> None:
+    def post(self, direction: str, purpose: str, payload,
+             parities: int = 0) -> None:
         self.messages.append({"direction": direction, "purpose": purpose,
                               "payload": payload})
-        if purpose == "parity":
-            self.leaked_parity_count += 1
+        self.leaked_parity_count += parities
 
 
 # ---------------------------------------------------------------------------
@@ -84,32 +86,27 @@ class ReconciliationResult:
 
 
 def _bisect_blocks(pa: np.ndarray, pb: np.ndarray, lo: np.ndarray,
-                   hi: np.ndarray, log: Optional[PublicChannelLog]) -> int:
+                   hi: np.ndarray) -> int:
     """Binary parity search for one error in each disjoint range
     pb[lo[i]:hi[i]), all ranges in lockstep, one vectorised step per level.
-    Flips the errors found; returns the number of parities disclosed, which
-    are logged range by range.  The prefix parities stay valid throughout:
+    Flips the errors found; returns the number of parities disclosed, one
+    per live range per level.  The prefix parities stay valid throughout:
     the ranges are disjoint and the flips land after every search ends.
     """
     ca = np.pad(np.bitwise_xor.accumulate(pa), (1, 0))
     cb = np.pad(np.bitwise_xor.accumulate(pb), (1, 0))
     lo, hi = lo.copy(), hi.copy()
-    steps = [np.empty((3, 0), dtype=np.int64)]   # rows: range, lo, mid
+    disclosed = 0
     live = np.flatnonzero(hi - lo > 1)
     while live.size:
+        disclosed += live.size
         l, mid = lo[live], (lo[live] + hi[live]) // 2
-        steps.append(np.stack((live, l, mid)))
         left = (ca[mid] ^ ca[l] ^ cb[mid] ^ cb[l]).astype(bool)
         hi[live[left]] = mid[left]
         lo[live[~left]] = mid[~left]
         live = live[hi[live] - lo[live] > 1]
     pb[lo] ^= 1
-    steps = np.concatenate(steps, axis=1)
-    if log is not None:
-        ranges = steps[1:, np.argsort(steps[0], kind="stable")]
-        for r in zip(*ranges.tolist()):
-            log.post("alice->bob", "parity", {"range": r})
-    return steps.shape[1]
+    return disclosed
 
 
 def bbbss_correct(alice: BitString, bob: BitString, eps_est: float,
@@ -124,8 +121,11 @@ def bbbss_correct(alice: BitString, bob: BitString, eps_est: float,
     and doubles per pass up to n/2; the passes stop at the first n/2-sized
     one unless `max_passes` fixes their number.  A final phase bisects
     random half-size subsets whose parities differ, until
-    `subset_clean_target` consecutive subsets agree.  Every disclosed
-    parity is counted in leaked_bits.
+    `subset_clean_target` consecutive subsets agree.  Each pass posts one
+    "parity" message {"pass_block_parities": blocks, "bisect_parities": m}
+    to `log` (a private one when None), each subset round one
+    {"subset_size": s, "bisect_parities": m}, disclosing blocks + m or
+    1 + m parities.  leaked_bits is the parity count this call posted.
     """
     if len(alice) != len(bob):
         raise ValueError("keys must have equal length")
@@ -134,8 +134,9 @@ def bbbss_correct(alice: BitString, bob: BitString, eps_est: float,
         raise ValueError("cannot reconcile empty keys")
     if not 0.0 <= eps_est < 0.5:
         raise ValueError("eps_est must lie in [0, 0.5)")
+    log = log or PublicChannelLog()
+    posted_before = log.leaked_parity_count
     a, b = alice.to_array(), bob.to_array()
-    leaked = 0
     rounds = 0
 
     if initial_block is None:
@@ -154,12 +155,11 @@ def bbbss_correct(alice: BitString, bob: BitString, eps_est: float,
         starts = np.arange(0, n, k)
         par_a = np.bitwise_xor.reduceat(pa, starts)
         par_b = np.bitwise_xor.reduceat(pb, starts)
-        leaked += starts.size
-        if log is not None:
-            log.post("alice->bob", "parity",
-                     {"pass_block_parities": int(starts.size)})
         lo = starts[par_a != par_b]
-        leaked += _bisect_blocks(pa, pb, lo, np.minimum(lo + k, n), log)
+        m = _bisect_blocks(pa, pb, lo, np.minimum(lo + k, n))
+        log.post("alice->bob", "parity", {"pass_block_parities": starts.size,
+                                          "bisect_parities": m},
+                 starts.size + m)
         b[perm] = pb
         k = min(2 * k, cap)
 
@@ -171,25 +171,24 @@ def bbbss_correct(alice: BitString, bob: BitString, eps_est: float,
         subset_rounds += 1
         rounds += 1
         mask = rng.random(n) < 0.5
-        leaked += 1
-        if log is not None:
-            log.post("alice->bob", "parity", {"subset_size": int(mask.sum())})
+        m = 0
         if np.count_nonzero(a & mask) % 2 == np.count_nonzero(b & mask) % 2:
             clean += 1
-            continue
-        clean = 0
-        idxs = np.flatnonzero(mask)
-        rng.shuffle(idxs)
-        pa, pb = a[idxs], b[idxs]
-        leaked += _bisect_blocks(pa, pb, np.array([0]),
-                                 np.array([idxs.size]), log)
-        b[idxs] = pb
+        else:
+            clean = 0
+            idxs = np.flatnonzero(mask)
+            rng.shuffle(idxs)
+            pa, pb = a[idxs], b[idxs]
+            m = _bisect_blocks(pa, pb, np.array([0]), np.array([idxs.size]))
+            b[idxs] = pb
+        log.post("alice->bob", "parity", {"subset_size": int(mask.sum()),
+                                          "bisect_parities": m}, 1 + m)
 
     success = clean >= subset_clean_target
     return ReconciliationResult(
         corrected_alice=BitString.from_array(a),
         corrected_bob=BitString.from_array(b),
-        leaked_bits=leaked, rounds=rounds,
+        leaked_bits=log.leaked_parity_count - posted_before, rounds=rounds,
         residual_error_estimate=2.0 ** (-subset_clean_target),
         success=success)
 
@@ -232,8 +231,8 @@ def privacy_amplify(key: BitString, eve_known_bits: int, safety: int,
         raise NoSecureKey(
             f"no secure key extractable: n={n}, k={eve_known_bits}, s={safety}")
     seed = random_bits(n + r - 1, rng)
-    if log is not None:
-        log.post("alice->bob", "pa_seed", {"seed_hex": seed.to_hex()})
+    log = log or PublicChannelLog()
+    log.post("alice->bob", "pa_seed", {"seed_hex": seed.to_hex()})
     out = toeplitz_hash(key.to_array(), seed.to_array(), r)
     return BitString.from_array(out), seed
 

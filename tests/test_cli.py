@@ -1,12 +1,17 @@
 import dataclasses
 import inspect
 import json
+import os
 import re
+import subprocess
+import sys
+import zipfile
 from functools import partial
 from pathlib import Path
 
 import pytest
 
+import qkdsim
 from qkdsim.adversary import EveStrategy
 from qkdsim.cli import (ConfigError, load_scenario, main, parse_scenario)
 from qkdsim.postproc import PipelineParams
@@ -14,6 +19,17 @@ from qkdsim.protocols import ProtocolConfig
 from qkdsim.quantum import ChannelModel, DetectorModel, SourceModel
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PACKAGE = Path(qkdsim.__file__).resolve().parent
+BUNDLED = sorted(p.name for p in (PACKAGE / "data" / "scenarios").glob("*.cfg"))
+
+
+def run_python(code, cwd, pythonpath=None):
+    """Run code in a fresh interpreter; PYTHONPATH is replaced, not added."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    if pythonpath is not None:
+        env["PYTHONPATH"] = pythonpath
+    return subprocess.run([sys.executable, *code], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
 
 
 def run_cli(capsys, *argv):
@@ -183,6 +199,30 @@ def test_bundled_scenarios_load():
         assert s.protocol_config.num_pulses > 0
 
 
+def test_bundled_data_loads_from_a_zip_import(tmp_path):
+    # zipimport cannot import namespace packages: qkdsim.data must be a
+    # regular package for resources.files("qkdsim.data") to find it
+    assert len(BUNDLED) == 3
+    archive = tmp_path / "qkdsim.zip"
+    with zipfile.ZipFile(archive, "w") as zf:
+        for path in sorted(PACKAGE.rglob("*")):
+            if path.is_file() and "__pycache__" not in path.parts:
+                zf.write(path, path.relative_to(PACKAGE.parent))
+    script = f"""
+import sys
+sys.path.insert(0, {str(archive)!r})
+import qkdsim
+assert qkdsim.__file__.startswith({str(archive)!r}), qkdsim.__file__
+from qkdsim.cli import load_scenario
+from qkdsim.quantum import load_presets
+assert load_presets()
+for name in {BUNDLED!r}:
+    assert load_scenario("bundled:" + name).protocol_config.num_pulses > 0
+"""
+    proc = run_python(["-c", script], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # run
 # ---------------------------------------------------------------------------
@@ -199,6 +239,22 @@ def test_run_intercept_aborts_with_exit_two(capsys):
     code, out, _ = run_cli(capsys, "run", "bundled:bb84_intercept.cfg")
     assert code == 2
     assert "'estimation'" in out
+
+
+@pytest.mark.parametrize("scenario, message", [
+    ({"protocol": "decoy_bb84"}, "decoy_bb84 requires an attenuated_laser"),
+    ({"eve": {"kind": "usd_b92"}}, "usd_b92 requires the B92 state pair"),
+    ({"protocol": "e91", "eve": {"kind": "pns"}},
+     "pair protocols support eve kinds"),
+])
+def test_scenario_refused_by_runner_is_clean_error(tmp_path, scenario,
+                                                   message):
+    path = write_scenario(tmp_path, dict(BASE, num_pulses=2000, **scenario))
+    proc = run_python(["-m", "qkdsim.cli", "run", path], cwd=tmp_path,
+                      pythonpath=str(PACKAGE.parent))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: {message}")
+    assert "Traceback" not in proc.stderr
 
 
 def test_run_json_format(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -111,8 +112,20 @@ def test_bbbss_counts_every_parity_in_log():
     b = flip_fraction(a, 0.02, rng)
     log = PublicChannelLog()
     rec = bbbss_correct(a, b, 0.02, rng, log=log)
-    assert log.leaked_parity_count == len(log.messages)
-    assert rec.leaked_bits >= log.leaked_parity_count
+    assert log.leaked_parity_count == rec.leaked_bits
+
+
+def test_bbbss_leaked_bits_counts_only_its_own_parities():
+    data_rng = make_rng(10)
+    a = random_bits(3000, data_rng)
+    b = flip_fraction(a, 0.02, data_rng)
+    alone = bbbss_correct(a, b, 0.02, make_rng(11))      # private log
+    log = PublicChannelLog()
+    log.post("both", "qber_sample", {"positions": 300})
+    first = bbbss_correct(a, b, 0.02, make_rng(11), log=log)
+    second = bbbss_correct(a, b, 0.02, make_rng(11), log=log)
+    assert alone.leaked_bits == first.leaked_bits == second.leaked_bits > 0
+    assert log.leaked_parity_count == 2 * alone.leaked_bits
 
 
 def test_bbbss_validations():
@@ -195,16 +208,26 @@ def test_bbbss_lockstep_matches_scalar_reference(n, eps, initial_block, seed):
     data_rng = make_rng(seed)
     a = random_bits(n, data_rng)
     b = flip_fraction(a, eps, data_rng)
-    log, ref_log = PublicChannelLog(), PublicChannelLog()
+    log, ref_events = PublicChannelLog(), []
     rec = bbbss_correct(a, b, eps, make_rng(seed + 1000), max_passes=4,
                         initial_block=initial_block, log=log)
     ref = reference_bbbss(a, b, eps, make_rng(seed + 1000), 4, initial_block,
-                          20, ref_log)
+                          20, SimpleNamespace(
+                              post=lambda *msg: ref_events.append(msg[2])))
     assert (rec.corrected_alice, rec.corrected_bob, rec.leaked_bits,
             rec.rounds, rec.success) == ref
-    # repr also pins the payload types: tuples of Python ints
-    assert repr(log.messages) == repr(ref_log.messages)
-    assert log.leaked_parity_count == ref_log.leaked_parity_count
+    # one message per pass or subset round: its header event and a count of
+    # the range events after it; repr also pins key order and Python ints
+    groups = []
+    for payload in ref_events:
+        if "range" in payload:
+            groups[-1]["bisect_parities"] += 1
+        else:
+            groups.append({**payload, "bisect_parities": 0})
+    assert repr([m["payload"] for m in log.messages]) == repr(groups)
+    assert {(m["direction"], m["purpose"]) for m in log.messages} == {
+        ("alice->bob", "parity")}
+    assert log.leaked_parity_count == rec.leaked_bits
 
 
 def test_bbbss_passes_double_blocks_up_to_half_the_key():
@@ -503,6 +526,14 @@ def test_pipeline_distills_key_at_two_percent():
     assert not res.aborted
     assert res.final_length > 0
     assert res.final_key is not None
+    assert res.log.leaked_parity_count == res.leaked_bits
+    payloads = [m["payload"] for m in res.log.messages]
+    passes = sum("pass_block_parities" in p for p in payloads)
+    subset_rounds = sum("subset_size" in p for p in payloads)
+    rounds = next(p["rounds"] for p in payloads if "rounds" in p)
+    assert passes + subset_rounds == rounds
+    # plus the QBER sample, the summary, the PA seed and the key digest
+    assert len(payloads) == passes + subset_rounds + 4
 
 
 def test_pipeline_aborts_at_high_qber():
