@@ -21,6 +21,7 @@ import numpy as np
 from .quantum import ChannelModel, SignalState
 
 KINDS = ("none", "intercept_resend", "beam_split", "pns", "usd_b92")
+PAIR_OVERLAP = 2 ** -0.5    # |<a|b>| of the two states a 'pair' announces
 
 
 @dataclass(frozen=True)
@@ -71,14 +72,6 @@ class EveRecord:
     stored_photon: Optional[np.ndarray] = None    # bool
     conclusive: Optional[np.ndarray] = None       # bool
     known_bit: Optional[np.ndarray] = None        # int8, set after disclosure
-
-    def summary(self) -> dict:
-        out = {"pulse_count": self.pulse_count}
-        if self.stored_photon is not None:
-            out["stored_photons"] = int(self.stored_photon.sum())
-        if self.conclusive is not None:
-            out["conclusive"] = int(self.conclusive.sum())
-        return out
 
 
 @dataclass
@@ -194,7 +187,7 @@ def attack_batch(strategy: EveStrategy, n: np.ndarray, state_idx: np.ndarray,
 def resolve_known_bits(strategy: EveStrategy, record: EveRecord,
                        alice_basis: np.ndarray, alice_bits: np.ndarray,
                        announcement: str, rng: np.random.Generator,
-                       pair_overlap: float = 2 ** -0.5) -> np.ndarray:
+                       ) -> np.ndarray:
     """Post-disclosure resolution: boolean mask of pulses whose key bit Eve
     knows deterministically.
 
@@ -205,23 +198,19 @@ def resolve_known_bits(strategy: EveStrategy, record: EveRecord,
     two announced non-orthogonal states succeeds.
     """
     npulses = record.pulse_count
-    known = np.zeros(npulses, dtype=bool)
     if strategy.kind == "none":
-        pass
-    elif strategy.kind == "intercept_resend":
+        return np.zeros(npulses, dtype=bool)
+    if strategy.kind == "intercept_resend":
         known = record.measured_basis == alice_basis
-        record.known_bit = np.where(known, alice_bits, -1).astype(np.int8)
     elif strategy.kind in ("beam_split", "pns"):
         held = record.stored_photon
         if announcement == "basis":
             known = held.copy()
         elif announcement == "pair":
-            succ = rng.random(npulses) < (1.0 - pair_overlap)
-            known = held & succ
+            known = held & (rng.random(npulses) < (1.0 - PAIR_OVERLAP))
         else:
             raise ValueError(f"unknown announcement type {announcement!r}")
-        record.known_bit = np.where(known, alice_bits, -1).astype(np.int8)
-    elif strategy.kind == "usd_b92":
+    else:   # usd_b92
         known = record.conclusive.copy()
-        record.known_bit = np.where(known, alice_bits, -1).astype(np.int8)
+    record.known_bit = np.where(known, alice_bits, -1).astype(np.int8)
     return known

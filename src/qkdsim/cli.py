@@ -18,7 +18,7 @@ import sys
 from dataclasses import MISSING, dataclass, fields, replace
 from functools import partial
 from importlib import resources
-from typing import Optional
+from typing import Optional, get_type_hints
 
 import numpy as np
 
@@ -54,12 +54,9 @@ def _strip_comments(obj):
     return obj
 
 
-# scenario section -> (model, cast).  Source and channel numbers are read as
-# floats, so "mu": 1 prints as 1.0 in the rate report; the other sections
-# pass values through as written.
-SECTIONS = {"source": (SourceModel, float), "channel": (ChannelModel, float),
-            "detector": (DetectorModel, None), "eve": (EveStrategy, None),
-            "postproc": (PipelineParams, None)}
+SECTIONS = {"source": SourceModel, "channel": ChannelModel,
+            "detector": DetectorModel, "eve": EveStrategy,
+            "postproc": PipelineParams}
 PRESETS = {ChannelModel: channel_preset, DetectorModel: detector_preset}
 
 
@@ -69,11 +66,12 @@ def _refuse_unknown(raw: dict, path: str, allowed: set) -> None:
         raise ConfigError(f"{path}: unknown field(s) {sorted(extra)}")
 
 
-def _section(path: str, model, raw: Optional[dict], cast=None):
+def _section(path: str, model, raw: Optional[dict]):
     """Build ``model`` from a scenario section whose fields are the model's
-    dataclass fields.  A source's ``kind`` names the ``SourceModel``
-    constructor to call; a ``preset`` loads channel or detector presets
-    and passes every other field through as an override."""
+    dataclass fields, ``float`` ones read as floats ("mu": 1 prints 1.0).
+    A source's ``kind`` names the ``SourceModel`` constructor to call; a
+    ``preset`` loads channel or detector presets and passes every other
+    field through as an override."""
     if not isinstance(raw or {}, dict):
         raise ConfigError(f"{path}: expected an object, got {raw!r}")
     raw = dict(raw or {})
@@ -81,6 +79,8 @@ def _section(path: str, model, raw: Optional[dict], cast=None):
     if model in PRESETS:
         allowed.add("preset")
     _refuse_unknown(raw, path, allowed)
+    floats = {name for name, hint in get_type_hints(model).items()
+              if hint in (float, Optional[float])}
     factory = model
     if model is SourceModel:
         kind = raw.pop("kind", "ideal")
@@ -90,7 +90,8 @@ def _section(path: str, model, raw: Optional[dict], cast=None):
     elif "preset" in raw:
         factory = partial(PRESETS[model], raw.pop("preset"))
     try:
-        return factory(**{k: cast(v) if cast else v for k, v in raw.items()})
+        return factory(**{k: float(v) if k in floats and v is not None else v
+                          for k, v in raw.items()})
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
@@ -111,8 +112,8 @@ def parse_scenario(raw: dict) -> Scenario:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"protocol: {exc}") from None
     cfg = _section("protocol", ProtocolConfig, protocol)
-    return Scenario(cfg, *[_section(name, model, raw.get(name), cast)
-                           for name, (model, cast) in SECTIONS.items()],
+    return Scenario(cfg, *[_section(name, model, raw.get(name))
+                           for name, model in SECTIONS.items()],
                     seed=int(raw["seed"]))
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.signal import convolve
 
 from .bits import BitString, random_bits
 from .rates import binary_entropy
@@ -22,6 +22,10 @@ class NoSecureKey(Exception):
 
 class OtpPoolExhausted(Exception):
     """The tag-encryption pad ran out; refill it from distilled key."""
+
+
+class _Abort(Exception):
+    """A pipeline run ends here; args are (abort_stage, abort_reason)."""
 
 
 @dataclass
@@ -77,12 +81,14 @@ def remove_positions(key: BitString, positions: np.ndarray) -> BitString:
 
 @dataclass
 class ReconciliationResult:
+    """Corrected keys, parities disclosed and rounds run; the chance that
+    differing keys pass the final clean streak is residual_error_estimate."""
+
     corrected_alice: BitString
     corrected_bob: BitString
     leaked_bits: int
     rounds: int
     residual_error_estimate: float
-    success: bool
 
 
 def _bisect_blocks(pa: np.ndarray, pb: np.ndarray, lo: np.ndarray,
@@ -121,11 +127,15 @@ def bbbss_correct(alice: BitString, bob: BitString, eps_est: float,
     and doubles per pass up to n/2; the passes stop at the first n/2-sized
     one unless `max_passes` fixes their number.  A final phase bisects
     random half-size subsets whose parities differ, until
-    `subset_clean_target` consecutive subsets agree.  Each pass posts one
-    "parity" message {"pass_block_parities": blocks, "bisect_parities": m}
-    to `log` (a private one when None), each subset round one
-    {"subset_size": s, "bisect_parities": m}, disclosing blocks + m or
-    1 + m parities.  leaked_bits is the parity count this call posted.
+    `subset_clean_target` consecutive subsets agree.  It has no round cap
+    and still ends: a disagreeing subset holds an odd number of errors, so
+    its bisection fixes one, and E errors allow at most (E + 1) * target.
+
+    Each pass posts one "parity" message {"pass_block_parities": blocks,
+    "bisect_parities": m} to `log` (a private one when None), each subset
+    round one {"subset_size": s, "bisect_parities": m}, disclosing
+    blocks + m or 1 + m parities.  leaked_bits is the parity count this
+    call posted.
     """
     if len(alice) != len(bob):
         raise ValueError("keys must have equal length")
@@ -139,12 +149,10 @@ def bbbss_correct(alice: BitString, bob: BitString, eps_est: float,
     a, b = alice.to_array(), bob.to_array()
     rounds = 0
 
-    if initial_block is None:
-        k = max(2, int(0.73 / eps_est)) if eps_est > 0 else max(2, n // 4)
-    else:
-        k = initial_block
     cap = max(2, n // 2)
-    k = min(k, cap)
+    if initial_block is None:
+        initial_block = max(2, int(0.73 / eps_est) if eps_est > 0 else n // 4)
+    k = min(initial_block, cap)
     if max_passes is None:      # ceil(log2(cap / k)) doublings reach the cap
         max_passes = 1 + (-(-cap // k) - 1).bit_length()
 
@@ -165,10 +173,7 @@ def bbbss_correct(alice: BitString, bob: BitString, eps_est: float,
 
     # random-subset verification phase
     clean = 0
-    subset_rounds = 0
-    limit = 50 * subset_clean_target + 200
-    while clean < subset_clean_target and subset_rounds < limit:
-        subset_rounds += 1
+    while clean < subset_clean_target:
         rounds += 1
         mask = rng.random(n) < 0.5
         m = 0
@@ -184,13 +189,11 @@ def bbbss_correct(alice: BitString, bob: BitString, eps_est: float,
         log.post("alice->bob", "parity", {"subset_size": int(mask.sum()),
                                           "bisect_parities": m}, 1 + m)
 
-    success = clean >= subset_clean_target
     return ReconciliationResult(
         corrected_alice=BitString.from_array(a),
         corrected_bob=BitString.from_array(b),
         leaked_bits=log.leaked_parity_count - posted_before, rounds=rounds,
-        residual_error_estimate=2.0 ** (-subset_clean_target),
-        success=success)
+        residual_error_estimate=2.0 ** (-subset_clean_target))
 
 
 # ---------------------------------------------------------------------------
@@ -209,10 +212,7 @@ def toeplitz_hash(key: np.ndarray, seed: np.ndarray, r: int) -> np.ndarray:
     n = key.size
     if seed.size != n + r - 1:
         raise ValueError("seed must have n + r - 1 bits")
-    if n * r <= 1 << 16:
-        conv = np.convolve(seed, key)
-    else:
-        conv = fftconvolve(seed, key)
+    conv = convolve(seed, key)      # direct or FFT, whichever is cheaper
     out = np.rint(conv[n - 1: n - 1 + r]).astype(np.int64) & 1
     return out.astype(np.uint8)
 
@@ -453,7 +453,10 @@ def run_pipeline(transcript, params: PipelineParams,
     on a session transcript.  Three messages are authenticated: the QBER
     sample, the reconciliation summary (``leaked_bits`` and ``rounds`` as
     two 64-bit big-endian fields) and the final-key digest.  The parities
-    and the privacy-amplification seed go out untagged."""
+    and the privacy-amplification seed go out untagged.  Abort stages:
+    "estimation" (empty key, QBER over threshold, nothing left after the
+    sample), "authentication" (a tag fails), "privacy_amplification" (no
+    key left) and "verification" (final keys differ), with counts so far."""
     return run_pipeline_on_keys(transcript.sifted_alice,
                                 transcript.sifted_bob, params, rng)
 
@@ -465,70 +468,57 @@ def run_pipeline_on_keys(sifted_alice: BitString, sifted_bob: BitString,
     n0 = len(sifted_alice)
     auth = AuthConfig.fresh(rng, prime=params.auth_prime,
                             degree=max(64, n0 // 32), pool_tags=64)
+    eps, leaked, k = 0.0, 0, 0
 
-    def send(direction, purpose, payload_bits: BitString, payload) -> bool:
+    def send(direction, purpose, payload_bits: BitString, payload) -> None:
         tag = authenticate(payload_bits, auth)
         log.post(direction, purpose, payload)
-        return verify(payload_bits, tag, auth)
+        if not verify(payload_bits, tag, auth):
+            raise _Abort("authentication",
+                         f"{purpose} tag failed verification")
 
-    def auth_failed(purpose, eps, leaked=0, k=0):
-        return FinalKeyResult(None, 0, eps, leaked, k, "authentication",
-                              f"{purpose} tag failed verification", log)
-
-    if n0 == 0:
-        return FinalKeyResult(None, 0, 0.0, 0, 0, "estimation",
-                              "empty sifted key", log)
-
-    eps, positions = estimate_qber(sifted_alice, sifted_bob,
-                                   params.sample_fraction, rng)
-    disclosed = BitString.from_array(sifted_alice.to_array()[positions])
-    if not send("both", "qber_sample", disclosed,
-                {"positions": len(positions), "epsilon": eps}):
-        return auth_failed("qber_sample", eps)
-    alice = remove_positions(sifted_alice, positions)
-    bob = remove_positions(sifted_bob, positions)
-
-    if eps > params.qber_abort_threshold:
-        return FinalKeyResult(None, 0, eps, 0, 0, "estimation",
-                              f"error rate {eps:.4f} above threshold "
-                              f"{params.qber_abort_threshold}", log)
-    if len(alice) == 0:
-        return FinalKeyResult(None, 0, eps, 0, 0, "estimation",
-                              "nothing left after sampling", log)
-
-    eps_work = max(eps, 1.0 / max(2, len(alice)))
-    rec = bbbss_correct(alice, bob, eps_work, rng,
-                        max_passes=params.max_passes,
-                        subset_clean_target=params.subset_clean_target,
-                        log=log)
-    summary = np.array([rec.leaked_bits, rec.rounds], dtype=">u8")
-    if not send("alice->bob", "reconciliation_summary",
-                BitString.from_array(np.unpackbits(summary.view(np.uint8))),
-                {"leaked_bits": rec.leaked_bits, "rounds": rec.rounds}):
-        return auth_failed("reconciliation_summary", eps, rec.leaked_bits)
-    if not rec.success:
-        return FinalKeyResult(None, 0, eps, rec.leaked_bits, 0,
-                              "reconciliation",
-                              "reconciliation did not converge", log)
-
-    n = len(rec.corrected_alice)
-    k = math.ceil(n * eve_information_per_bit(eps, params.eve_bound))
-    k += rec.leaked_bits
     try:
-        final_a, seed = privacy_amplify(rec.corrected_alice, k,
-                                        params.safety_bits, rng, log=log)
-    except NoSecureKey as exc:
-        return FinalKeyResult(None, 0, eps, rec.leaked_bits, k,
-                              "privacy_amplification", str(exc), log)
-    final_b = BitString.from_array(
-        toeplitz_hash(rec.corrected_bob.to_array(), seed.to_array(),
-                      len(final_a)))
-    if not send("alice->bob", "final_key_digest",
-                BitString.from_array(final_a.to_array()[:32]),
-                {"final_length": len(final_a)}):
-        return auth_failed("final_key_digest", eps, rec.leaked_bits, k)
-    if final_a != final_b:
-        return FinalKeyResult(None, 0, eps, rec.leaked_bits, k,
-                              "verification", "final keys differ", log)
-    return FinalKeyResult(final_a, len(final_a), eps, rec.leaked_bits, k,
-                          None, None, log)
+        if n0 == 0:
+            raise _Abort("estimation", "empty sifted key")
+        eps, positions = estimate_qber(sifted_alice, sifted_bob,
+                                       params.sample_fraction, rng)
+        disclosed = BitString.from_array(sifted_alice.to_array()[positions])
+        send("both", "qber_sample", disclosed,
+             {"positions": len(positions), "epsilon": eps})
+        alice = remove_positions(sifted_alice, positions)
+        bob = remove_positions(sifted_bob, positions)
+        if eps > params.qber_abort_threshold:
+            raise _Abort("estimation", f"error rate {eps:.4f} above threshold "
+                                       f"{params.qber_abort_threshold}")
+        if len(alice) == 0:
+            raise _Abort("estimation", "nothing left after sampling")
+
+        rec = bbbss_correct(alice, bob, max(eps, 1.0 / max(2, len(alice))),
+                            rng, max_passes=params.max_passes,
+                            subset_clean_target=params.subset_clean_target,
+                            log=log)
+        leaked = rec.leaked_bits
+        summary = np.array([leaked, rec.rounds], dtype=">u8")
+        send("alice->bob", "reconciliation_summary",
+             BitString.from_array(np.unpackbits(summary.view(np.uint8))),
+             {"leaked_bits": leaked, "rounds": rec.rounds})
+
+        k = leaked + math.ceil(len(rec.corrected_alice) *
+                               eve_information_per_bit(eps, params.eve_bound))
+        try:
+            final_a, seed = privacy_amplify(rec.corrected_alice, k,
+                                            params.safety_bits, rng, log=log)
+        except NoSecureKey as exc:
+            raise _Abort("privacy_amplification", str(exc)) from None
+        final_b = BitString.from_array(
+            toeplitz_hash(rec.corrected_bob.to_array(), seed.to_array(),
+                          len(final_a)))
+        send("alice->bob", "final_key_digest",
+             BitString.from_array(final_a.to_array()[:32]),
+             {"final_length": len(final_a)})
+        if final_a != final_b:
+            raise _Abort("verification", "final keys differ")
+    except _Abort as abort:
+        return FinalKeyResult(None, 0, eps, leaked, k, *abort.args, log)
+    return FinalKeyResult(final_a, len(final_a), eps, leaked, k, None, None,
+                          log)

@@ -90,7 +90,7 @@ def test_criterion_5_reconciliation_quality():
         flips = (rng.random(n) < eps).astype(np.uint8)
         b = BitString.from_array(a.to_array() ^ flips)
         rec = bbbss_correct(a, b, eps, rng)
-        equal += rec.success and rec.corrected_alice == rec.corrected_bob
+        equal += rec.corrected_alice == rec.corrected_bob
         leaked.append(rec.leaked_bits)
     shannon = n * binary_entropy(eps)
     mean_leaked = float(np.mean(leaked))

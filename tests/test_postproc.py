@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from types import SimpleNamespace
@@ -77,7 +78,6 @@ def test_bbbss_zero_errors_is_identity():
     a = random_bits(2000, rng)
     rec = bbbss_correct(a, a, 0.03, rng)
     assert rec.corrected_alice == a and rec.corrected_bob == a
-    assert rec.success
     assert rec.leaked_bits > 0      # verification parities still disclosed
 
 
@@ -86,7 +86,6 @@ def test_bbbss_corrects_three_percent():
     a = random_bits(10000, rng)
     b = flip_fraction(a, 0.03, rng)
     rec = bbbss_correct(a, b, 0.03, rng)
-    assert rec.success
     assert rec.corrected_alice == rec.corrected_bob
     assert rec.corrected_alice == a        # Bob is corrected toward Alice
 
@@ -102,7 +101,6 @@ def test_bbbss_even_error_block_caught_by_later_pass():
     b_arr[11] ^= 1
     rec = bbbss_correct(a, BitString.from_array(b_arr), 0.05, rng,
                         initial_block=100)
-    assert rec.success
     assert rec.corrected_alice == rec.corrected_bob
 
 
@@ -215,7 +213,7 @@ def test_bbbss_lockstep_matches_scalar_reference(n, eps, initial_block, seed):
                           20, SimpleNamespace(
                               post=lambda *msg: ref_events.append(msg[2])))
     assert (rec.corrected_alice, rec.corrected_bob, rec.leaked_bits,
-            rec.rounds, rec.success) == ref
+            rec.rounds, True) == ref
     # one message per pass or subset round: its header event and a count of
     # the range events after it; repr also pins key order and Python ints
     groups = []
@@ -248,17 +246,34 @@ def test_bbbss_passes_double_blocks_up_to_half_the_key():
     assert pass_blocks(12) == [math.ceil(n / k) for k in sizes]
 
 
+def test_bbbss_single_pass_leaves_many_errors_and_still_converges():
+    # one pass leaves ~800 errors; the subset phase corrects one per
+    # disagreeing round, so it runs well past 50 * target + 200 rounds
+    rng = make_rng(64)
+    a = random_bits(20000, rng)
+    b = flip_fraction(a, 0.10, rng)
+    rec = bbbss_correct(a, b, 0.10, rng, max_passes=1)
+    assert rec.corrected_alice == rec.corrected_bob == a
+    assert rec.rounds > 50 * 20 + 200
+
+
+def test_pipeline_with_one_pass_distills_a_key():
+    rng = make_rng(67)
+    a = random_bits(40000, rng)
+    b = flip_fraction(a, 0.05, rng)
+    res = run_pipeline_on_keys(a, b, PipelineParams(max_passes=1), rng)
+    assert not res.aborted and res.final_length > 0
+
+
 def test_bbbss_converges_at_a_million_bits():
     # with too few passes, residual errors leave the subset phase finding
-    # them one per two O(n) rounds: superlinear, and past a few million
-    # bits it hits its round cap
+    # them one per two O(n) rounds: superlinear in n
     n, eps = 1_000_000, 0.02
     rng = make_rng(50)
     a = random_bits(n, rng)
     b = flip_fraction(a, eps, rng)
     rec = bbbss_correct(a, b, eps, rng)
     passes = 1 + math.ceil(math.log2((n // 2) / int(0.73 / eps)))
-    assert rec.success
     assert rec.corrected_alice == rec.corrected_bob == a
     assert rec.rounds - passes <= 20 + 10
 
@@ -554,7 +569,7 @@ def test_pipeline_aborts_when_eve_bound_eats_key():
     b = flip_fraction(a, 0.10, rng)
     res = run_pipeline_on_keys(a, b, PipelineParams(), rng)
     assert res.aborted
-    assert res.abort_stage in ("privacy_amplification", "reconciliation")
+    assert res.abort_stage == "privacy_amplification"
 
 
 def test_eve_bound_models():
@@ -575,6 +590,59 @@ def test_pipeline_params_rejects_bad_max_passes(bad):
 def test_pipeline_params_accepts_none_and_positive_max_passes():
     assert PipelineParams().max_passes is None
     assert PipelineParams(max_passes=1).max_passes == 1
+
+
+# case -> (n, eps, seed, params, (abort_stage, abort_reason, qber_estimate,
+# leaked_bits, eve_bound_bits, final_length, messages)), recorded before
+# the abort paths were funnelled into one exit
+ABORT_CASES = {
+    "empty": (0, 0.0, 60, PipelineParams(),
+              ("estimation", "empty sifted key", 0.0, 0, 0, 0, 0)),
+    "qber": (3000, 0.2, 61, PipelineParams(),
+             ("estimation", "error rate 0.2200 above threshold 0.11", 0.22,
+              0, 0, 0, 1)),
+    "sampling": (50, 0.02, 62, PipelineParams(sample_fraction=1.0),
+                 ("estimation", "nothing left after sampling", 0.02,
+                  0, 0, 0, 1)),
+    "privacy_amplification": (
+        600, 0.10, 25, PipelineParams(),
+        ("privacy_amplification",
+         "no secure key extractable: n=540, k=665, s=30",
+         0.06666666666666667, 593, 665, 0, 87)),
+    "verification": (3000, 0.02, 63, PipelineParams(),
+                     ("verification", "final keys differ",
+                      0.02666666666666667, 493, 637, 0, 31)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ABORT_CASES))
+def test_pipeline_abort_results(monkeypatch, case):
+    n, eps, seed, params, expected = ABORT_CASES[case]
+    if case == "verification":      # reconciliation leaves one bit wrong
+        real_bbbss = postproc.bbbss_correct
+
+        def one_bit_off(*args, **kwargs):
+            rec = real_bbbss(*args, **kwargs)
+            bob = rec.corrected_bob.to_array().copy()
+            bob[0] ^= 1
+            return dataclasses.replace(
+                rec, corrected_bob=BitString.from_array(bob))
+
+        monkeypatch.setattr(postproc, "bbbss_correct", one_bit_off)
+    rng = make_rng(seed)
+    a = random_bits(n, rng)
+    b = flip_fraction(a, eps, rng)
+    res = run_pipeline_on_keys(a, b, params, rng)
+    assert (res.abort_stage, res.abort_reason, res.qber_estimate,
+            res.leaked_bits, res.eve_bound_bits, res.final_length,
+            len(res.log.messages)) == expected
+    assert res.final_key is None
+
+
+# purpose -> (qber_estimate, leaked_bits, eve_bound_bits, messages)
+TAG_FAILURE_COUNTS = {"qber_sample": (0.023, 0, 0, 1),
+                      "reconciliation_summary": (0.023, 3173, 0, 32),
+                      "final_key_digest": (0.023, 3173, 4001, 34)}
 
 
 @pytest.mark.parametrize("failing_call, purpose", [
@@ -601,3 +669,5 @@ def test_pipeline_aborts_when_a_tag_fails_verification(monkeypatch,
     assert res.final_key is None and res.final_length == 0
     assert res.log.messages[-1]["purpose"] == purpose
     assert len(calls) == failing_call
+    assert (res.qber_estimate, res.leaked_bits, res.eve_bound_bits,
+            len(res.log.messages)) == TAG_FAILURE_COUNTS[purpose]

@@ -10,6 +10,9 @@ recorded with numpy 2.4 by the hand-written section parsers that the
 dataclass-driven section builder replaced; they pin that every output
 stayed byte-identical.  A channel preset with an ``attenuation_db_per_km``
 override is left out: the old parsers dropped that override.
+``ideal_plain_devices text`` was re-recorded once since, when every
+``float`` field came to be read as a float: ``"dark_prob": 0`` now prints
+as ``p_dark = 0.0``.
 """
 
 import hashlib
@@ -93,7 +96,7 @@ GOLDEN = {
     "heralded_fixed_basis json":
         "263c84a08a84948f8ee037b5149dac8f7f9513aff49ad7e9a3a2bf513acba93b",
     "ideal_plain_devices text":
-        "ac7da1ffd41d71e646b502c023d776de18631164dacc09b90b882c2280f8e4a8",
+        "a1a9bcd899dc48d2ca1863b931418cb850d3b37a32cdd40a2f86c55a0c0a0a04",
     "ideal_plain_devices json":
         "a772f7ed45fbb0152cddb3f0cb61de2dec68cf0e50c8c3871e828b8cc8f5436e",
     "laser_presets_pns text":
