@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.signal import convolve
 
 from .bits import BitString, random_bits
 from .rates import binary_entropy
@@ -200,21 +199,45 @@ def bbbss_correct(alice: BitString, bob: BitString, eps_est: float,
 # privacy amplification (Toeplitz universal hashing)
 # ---------------------------------------------------------------------------
 
+def _fft_length(m: int) -> int:
+    """Smallest 2^a 3^b 5^c >= m, a length numpy's FFT handles fast."""
+    best = 1 << (m - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-m // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def toeplitz_hash(key: np.ndarray, seed: np.ndarray, r: int) -> np.ndarray:
     """Multiply the r x n binary Toeplitz matrix defined by the
     (n + r - 1)-bit seed with the key vector, mod 2.
 
     T[i, j] = seed[i + n - 1 - j], so row i of the product is entry
-    i + n - 1 of the full binary convolution seed * key.
+    i + n - 1 of the linear convolution seed * key.  One real-FFT product
+    of length L >= n + r - 1 gives the circular convolution, whose
+    wrap-around only reaches entries below n - 1.  The entries are
+    integer counts, so rounding the float64 result is exact while each
+    used entry lies within 1/2 of an integer; one 0.25 or more away
+    raises FloatingPointError instead of being rounded.
     """
     key = np.asarray(key, dtype=np.float64)
     seed = np.asarray(seed, dtype=np.float64)
     n = key.size
-    if seed.size != n + r - 1:
+    if r < 0 or seed.size != n + r - 1:
         raise ValueError("seed must have n + r - 1 bits")
-    conv = convolve(seed, key)      # direct or FFT, whichever is cheaper
-    out = np.rint(conv[n - 1: n - 1 + r]).astype(np.int64) & 1
-    return out.astype(np.uint8)
+    if n == 0 or r == 0:
+        return np.zeros(r, dtype=np.uint8)
+    size = _fft_length(n + r - 1)
+    conv = np.fft.irfft(np.fft.rfft(seed, size) * np.fft.rfft(key, size),
+                        size)[n - 1: n - 1 + r]
+    counts = np.rint(conv)
+    if np.abs(conv - counts).max() >= 0.25:
+        raise FloatingPointError("Toeplitz product not exact in float64")
+    return (counts.astype(np.int64) & 1).astype(np.uint8)
 
 
 def privacy_amplify(key: BitString, eve_known_bits: int, safety: int,
@@ -510,9 +533,13 @@ def run_pipeline_on_keys(sifted_alice: BitString, sifted_bob: BitString,
                                             params.safety_bits, rng, log=log)
         except NoSecureKey as exc:
             raise _Abort("privacy_amplification", str(exc)) from None
-        final_b = BitString.from_array(
-            toeplitz_hash(rec.corrected_bob.to_array(), seed.to_array(),
-                          len(final_a)))
+        # The hash is linear: T·b = T·a ⊕ T·(a ⊕ b), and a ⊕ b is
+        # usually zero after reconciliation.
+        final_b = final_a
+        if rec.corrected_bob != rec.corrected_alice:
+            diff = rec.corrected_alice ^ rec.corrected_bob
+            final_b = final_a ^ BitString.from_array(toeplitz_hash(
+                diff.to_array(), seed.to_array(), len(final_a)))
         send("alice->bob", "final_key_digest",
              BitString.from_array(final_a.to_array()[:32]),
              {"final_length": len(final_a)})

@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy import optimize
-from scipy.special import xlogy
 
 # Highest error rates tolerated by the known two-way post-processing
 # protocols; reference constants, not computed here.
@@ -27,18 +25,26 @@ CHAU_THRESHOLD_SIX_STATE = 0.276
 # entropy and information measures
 # ---------------------------------------------------------------------------
 
+def _xlogx(x: np.ndarray) -> np.ndarray:
+    """x log x per entry, with 0 log 0 = 0.  It calls math.log, the same
+    libm log as scipy.special.xlogy(x, x), so the two agree bit for bit;
+    np.log may differ from libm in the last ulp."""
+    return np.array([v * math.log(v) if v > 0 else 0.0 if v == 0 else math.nan
+                     for v in x.ravel().tolist()]).reshape(x.shape)
+
+
 def binary_entropy(x):
     """h(x) = -x log2 x - (1-x) log2 (1-x), with h(0) = h(1) = 0."""
     arr = np.asarray(x, dtype=float)
     if np.any((arr < 0) | (arr > 1)):
         raise ValueError("binary_entropy requires x in [0,1]")
-    out = -(xlogy(arr, arr) + xlogy(1.0 - arr, 1.0 - arr)) / math.log(2.0)
+    out = -(_xlogx(arr) + _xlogx(1.0 - arr)) / math.log(2.0)
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
 def shannon_entropy(p: np.ndarray) -> float:
     p = np.asarray(p, dtype=float)
-    return float(-xlogy(p, p).sum() / math.log(2.0))
+    return float(-_xlogx(p).sum() / math.log(2.0))
 
 
 def _check_distribution(p: np.ndarray) -> np.ndarray:
@@ -115,6 +121,8 @@ def intrinsic_information(pabe: np.ndarray, search_resolution: float = 0.25,
     each refined by Nelder-Mead descent on a softmax parametrization.
     The result never exceeds I(A;B|E) since the identity is in the space.
     """
+    from scipy import optimize
+
     pabe = _check_distribution(np.asarray(pabe, dtype=float))
     ne = pabe.shape[2]
     if max(pabe.shape) > 4:
@@ -188,6 +196,8 @@ def rate_six_state(eps: float) -> float:
 def shor_preskill_cutoff(lo: float = 0.05, hi: float = 0.25,
                          tol: float = 1e-9) -> float:
     """Error rate where the 1 - 2 h(eps) rate crosses zero (about 11%)."""
+    from scipy import optimize
+
     return float(optimize.brentq(rate_shor_preskill, lo, hi, xtol=tol))
 
 
@@ -254,6 +264,8 @@ def optimize_mu(eta: float, p_dark: float, eps_model: float,
                 mu_max: float = 2.0, tol: float = 1e-6) -> MuSearchResult:
     """Golden-section maximization of the weak-pulse rate per emitted pulse
     over the mean photon number; the optimum sits near mu ~ eta."""
+    from scipy import optimize
+
     if not 0.0 < eta <= 1.0:
         raise ValueError("eta must lie in (0, 1]")
 

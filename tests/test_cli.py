@@ -223,6 +223,39 @@ for name in {BUNDLED!r}:
     assert proc.returncode == 0, proc.stderr
 
 
+def test_package_and_key_distillation_load_no_scipy(tmp_path):
+    # scipy is imported only inside the rate optimizers; a session, its
+    # pipeline and the rate cross-checks must not pull it in
+    script = """
+import sys
+import qkdsim, qkdsim.cli
+from qkdsim import (NO_EVE, PipelineParams, ProtocolConfig, SourceModel,
+                    channel_preset, decoy_estimate, derive_rng,
+                    detector_preset, evaluate_rates, gain_Qmu, run_pipeline,
+                    run_session)
+honest = run_session(ProtocolConfig("bb84", 20000), SourceModel.ideal(),
+                     channel_preset("lossless", misalignment_error_prob=0.02),
+                     detector_preset("ideal"), NO_EVE, derive_rng(1, 0, 0))
+assert not run_pipeline(honest, PipelineParams(), derive_rng(1, 0, 1)).aborted
+cfg = ProtocolConfig("decoy_bb84", 200000, signal_mu=0.8, decoy_mu=0.12,
+                     decoy_fraction=0.12)
+decoy = run_session(cfg, SourceModel.laser(0.8), channel_preset("fiber_1550",
+                    10), detector_preset("ingaas_peltier"), NO_EVE,
+                    derive_rng(1, 1, 0))
+res = run_pipeline(decoy, PipelineParams(), derive_rng(1, 1, 1))
+stats = decoy.intensity_stats
+evaluate_rates(epsilon=res.qber_estimate, mu=0.8, eta=0.1, p_dark=1e-5)
+gain_Qmu(0.12, 0.1, 1e-5)
+decoy_estimate(stats["signal"]["gain"], stats["decoy"]["gain"], 0.8, 0.12,
+               1e-5)
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
+"""
+    proc = run_python(["-c", script], cwd=tmp_path,
+                      pythonpath=str(PACKAGE.parent))
+    assert proc.returncode == 0, proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # run
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from qkdsim import postproc
 from qkdsim.bits import BitString, random_bits
@@ -282,22 +283,127 @@ def test_bbbss_converges_at_a_million_bits():
 # privacy amplification
 # ---------------------------------------------------------------------------
 
-def test_toeplitz_matches_explicit_matrix():
-    rng = make_rng(10)
-    n, r = 40, 12
+@given(st.integers(1, 300), st.integers(1, 300), st.integers(0, 2**32 - 1))
+@example(n=40, r=12, bits_seed=10)
+@example(n=1, r=1, bits_seed=0)
+@example(n=150, r=108, bits_seed=1)      # n + r - 1 = 257, prime
+@example(n=1, r=293, bits_seed=2)        # 293, prime
+@example(n=283, r=1, bits_seed=3)        # 283, prime
+@example(n=300, r=300, bits_seed=4)      # 599, prime
+def test_toeplitz_matches_explicit_matrix(n, r, bits_seed):
+    rng = np.random.default_rng(bits_seed)
     key = rng.integers(0, 2, n)
     seed = rng.integers(0, 2, n + r - 1)
     out = toeplitz_hash(key, seed, r)
-    T = np.empty((r, n), dtype=np.int64)
-    for i in range(r):
-        for j in range(n):
-            T[i, j] = seed[i + n - 1 - j]
+    T = seed[np.arange(r)[:, None] + n - 1 - np.arange(n)[None, :]]
+    assert out.dtype == np.uint8
     assert np.array_equal(out, (T @ key) % 2)
 
 
 def test_toeplitz_seed_length_validation():
     with pytest.raises(ValueError):
         toeplitz_hash(np.zeros(10), np.zeros(10), 5)
+    with pytest.raises(ValueError):
+        toeplitz_hash(np.ones(6), np.ones(3), -2)
+
+
+def test_toeplitz_hash_is_linear():
+    rng = make_rng(14)
+    for n, r in [(1, 1), (17, 5), (1000, 700), (4097, 2000)]:
+        a = rng.integers(0, 2, n, dtype=np.uint8)
+        b = rng.integers(0, 2, n, dtype=np.uint8)
+        seed = rng.integers(0, 2, n + r - 1, dtype=np.uint8)
+        assert np.array_equal(toeplitz_hash(a ^ b, seed, r),
+                              toeplitz_hash(a, seed, r)
+                              ^ toeplitz_hash(b, seed, r))
+
+
+def test_toeplitz_hash_matches_scipy_convolve_at_2e5_bits():
+    from scipy.signal import convolve
+    rng = make_rng(15)
+    n, r = 200_000, 120_000
+    key = rng.integers(0, 2, n, dtype=np.uint8)
+    seed = rng.integers(0, 2, n + r - 1, dtype=np.uint8)
+    conv = convolve(seed.astype(np.float64), key.astype(np.float64))
+    expected = np.rint(conv[n - 1: n - 1 + r]).astype(np.int64) & 1
+    assert np.array_equal(toeplitz_hash(key, seed, r), expected)
+
+
+def test_toeplitz_hash_raises_instead_of_rounding_an_inexact_product(
+        monkeypatch):
+    rng = make_rng(16)
+    n, r = 500, 300
+    key = rng.integers(0, 2, n, dtype=np.uint8)
+    seed = rng.integers(0, 2, n + r - 1, dtype=np.uint8)
+    exact = toeplitz_hash(key, seed, r)
+    real_irfft, noise = np.fft.irfft, np.random.default_rng(0)
+
+    def noisy_irfft(amplitude):
+        def irfft(a, n=None, *args, **kwargs):
+            out = real_irfft(a, n, *args, **kwargs)
+            return out + amplitude * noise.uniform(-1.0, 1.0, out.size)
+        return irfft
+
+    monkeypatch.setattr(np.fft, "irfft", noisy_irfft(0.2))
+    assert np.array_equal(toeplitz_hash(key, seed, r), exact)
+    monkeypatch.setattr(np.fft, "irfft", noisy_irfft(0.5))
+    with pytest.raises(FloatingPointError):
+        toeplitz_hash(key, seed, r)
+
+
+def test_toeplitz_hash_of_empty_key_or_output():
+    assert toeplitz_hash(np.zeros(0), np.ones(4), 5).tolist() == [0] * 5
+    assert toeplitz_hash(np.ones(6), np.ones(5), 0).size == 0
+
+
+@pytest.mark.parametrize("keys_differ", [False, True])
+def test_pipeline_bob_key_is_the_hash_of_his_corrected_key(monkeypatch,
+                                                           keys_differ):
+    seen = {}
+    real_bbbss, real_pa = postproc.bbbss_correct, postproc.privacy_amplify
+    real_hash = postproc.toeplitz_hash
+
+    def bbbss(*args, **kwargs):
+        rec = real_bbbss(*args, **kwargs)
+        if keys_differ:
+            bob = rec.corrected_bob.to_array().copy()
+            bob[[3, 40]] ^= 1
+            rec = dataclasses.replace(
+                rec, corrected_bob=BitString.from_array(bob))
+        seen["rec"] = rec
+        return rec
+
+    def pa(*args, **kwargs):
+        seen["final_a"], seen["seed"] = real_pa(*args, **kwargs)
+        return seen["final_a"], seen["seed"]
+
+    def spy_hash(key, seed, r):
+        out = real_hash(key, seed, r)
+        seen.setdefault("hashed", []).append((np.array(key), out))
+        return out
+
+    monkeypatch.setattr(postproc, "bbbss_correct", bbbss)
+    monkeypatch.setattr(postproc, "privacy_amplify", pa)
+    monkeypatch.setattr(postproc, "toeplitz_hash", spy_hash)
+    rng = make_rng(64)
+    a = random_bits(6000, rng)
+    res = run_pipeline_on_keys(a, flip_fraction(a, 0.02, rng),
+                               PipelineParams(), rng)
+    rec, final_a = seen["rec"], seen["final_a"]
+    expected_bob = real_hash(rec.corrected_bob.to_array(),
+                             seed=seen["seed"].to_array(), r=len(final_a))
+    if not keys_differ:
+        # no second hash: Bob's key is Alice's, and that is T·b
+        assert len(seen["hashed"]) == 1
+        assert res.final_key == final_a
+        assert np.array_equal(final_a.to_array(), expected_bob)
+        return
+    diff, hash_of_diff = seen["hashed"][1]
+    assert np.array_equal(
+        diff, (rec.corrected_alice ^ rec.corrected_bob).to_array())
+    assert np.array_equal(final_a.to_array() ^ hash_of_diff, expected_bob)
+    assert not np.array_equal(final_a.to_array(), expected_bob)
+    assert res.abort_stage == "verification"
 
 
 def test_privacy_amplify_identical_inputs_agree():

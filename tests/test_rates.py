@@ -39,6 +39,26 @@ def test_shannon_entropy_uniform():
     assert shannon_entropy(np.full(8, 1 / 8)) == pytest.approx(3.0)
 
 
+def test_entropies_match_the_xlogy_formula_bit_for_bit():
+    from scipy.special import xlogy
+    tiny = [0.0, 1.0, 0.5, 1e-300, 5e-324, 1e-310, 2.2250738585072014e-308,
+            1.0 - 2.0 ** -53, 2.0 ** -1074 * 3]
+    grid = np.concatenate([tiny, np.linspace(0.0, 1.0, 100_001),
+                           np.geomspace(5e-324, 1.0, 20_000),
+                           np.random.default_rng(0).random(20_000)])
+    old = -(xlogy(grid, grid) + xlogy(1.0 - grid, 1.0 - grid)) / math.log(2.0)
+    new = binary_entropy(grid)
+    assert new.dtype == np.float64
+    assert new.tobytes() == old.tobytes()
+    for x in tiny + grid[::997].tolist():
+        h = binary_entropy(x)
+        assert type(h) is float
+        assert np.float64(h).tobytes() == np.float64(
+            -(xlogy(x, x) + xlogy(1.0 - x, 1.0 - x)) / math.log(2.0)).tobytes()
+    for p in (grid[:64], grid[1000:1010], np.full(8, 1 / 8), np.eye(3) / 3):
+        assert shannon_entropy(p) == float(-xlogy(p, p).sum() / math.log(2.0))
+
+
 def test_mutual_information_cases():
     perfect = np.array([[0.5, 0.0], [0.0, 0.5]])
     assert mutual_information(perfect) == pytest.approx(1.0)
@@ -137,6 +157,19 @@ def test_six_state_cutoff_higher_than_bb84():
     root = brentq(rate_six_state, 0.05, 0.3)
     assert root == pytest.approx(0.1261930832768212, abs=1e-6)
     assert root > shor_preskill_cutoff()
+
+
+def test_scipy_backed_functions_keep_their_values():
+    # recorded while scipy was imported at module level
+    assert shor_preskill_cutoff() == 0.11002786444691716
+    assert [(r.mu, r.rate_per_pulse) for r in (
+        optimize_mu(0.1, 0.0, 0.0), optimize_mu(0.01, 1e-5, 0.02),
+        optimize_mu(1e-3, 1e-5, 0.12))] == [
+        (0.10826580342224035, 0.005313764432918034),
+        (0.007516194018558547, 4.110666226836649e-05),
+        (6.653747947496399e-07, -1.174467991069028e-06)]
+    assert [intrinsic_information(_abe(0.2, k)) for k in (0.0, 0.5, 1.0)] \
+        == [0.2780719051126374, 0.21213996048812858, 0.0]
 
 
 def test_chau_constants():
