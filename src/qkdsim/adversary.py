@@ -1,14 +1,17 @@
 """Eavesdropper strategies.
 
-Each strategy transforms pulses in flight and leaves a classical record
-from which Eve's post-disclosure knowledge is resolved after the sifting
-announcement.  Eve's own optics are noiseless and lossless (worst-case
+Each strategy transforms pulses in flight and records, per pulse, what Eve
+took from it (``eve_basis``): nothing, a held state (a stored photon or a
+conclusive unambiguous discrimination), or a measurement in one of
+Alice's bases.  Eve's own optics are noiseless and lossless (worst-case
 convention: all imperfections belong to the legitimate hardware, all
 information to Eve).
 
-``attack_batch`` applies a strategy to a whole pulse stream and is the
-one implementation of each attack; ``resolve_known_bits`` turns the record
-into Eve's knowledge once the sifting announcement is public.
+This module is the one implementation of each attack, and the one place
+that decides what Eve learns, for all seven protocols: ``attack_batch``
+attacks prepare-and-measure pulses, ``attack_pairs`` the particle flying
+to Bob, and ``resolve_known_bits`` turns either record into Eve's
+knowledge once the sifting announcement is public.
 """
 
 from __future__ import annotations
@@ -18,19 +21,23 @@ from typing import Optional
 
 import numpy as np
 
-from .quantum import ChannelModel, SignalState
+from .quantum import ChannelModel, SignalState, sample_singlet_cos
 
 KINDS = ("none", "intercept_resend", "beam_split", "pns", "usd_b92")
 PAIR_OVERLAP = 2 ** -0.5    # |<a|b>| of the two states a 'pair' announces
+
+# eve_basis values other than a basis index (>= 0)
+NOTHING = -1    # Eve learned nothing about the pulse
+HELD = -2       # Eve holds the state: a stored photon or a conclusive USD
 
 
 @dataclass(frozen=True)
 class EveStrategy:
     """Strategy selector plus parameters.
 
-    intercept_resend: basis_policy 'uniform_signal_bases' draws Eve's
-        measurement basis uniformly from the protocol's signal bases;
-        'fixed_basis' always uses `fixed_basis`.
+    intercept_resend: Eve measures in basis `fixed_basis` (an index into
+        the protocol's bases, or into Bob's angles for pair protocols);
+        None draws her basis uniformly per pulse.
     beam_split: tap_ratio in (0,1); None means tap exactly the channel
         loss (1 - transmittance) and forward the rest losslessly.
     pns: block_single_prob in [0,1] is the probability of suppressing a
@@ -42,16 +49,15 @@ class EveStrategy:
     """
 
     kind: str = "none"
-    basis_policy: str = "uniform_signal_bases"
-    fixed_basis: int = 0
+    fixed_basis: Optional[int] = None
     tap_ratio: Optional[float] = None
     block_single_prob: float = 0.0
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown strategy kind {self.kind!r}")
-        if self.basis_policy not in ("uniform_signal_bases", "fixed_basis"):
-            raise ValueError(f"unknown basis_policy {self.basis_policy!r}")
+        if self.fixed_basis is not None and self.fixed_basis < 0:
+            raise ValueError("fixed_basis must be >= 0")
         if self.tap_ratio is not None and not 0.0 < self.tap_ratio < 1.0:
             raise ValueError("tap_ratio must lie in (0,1)")
         if not 0.0 <= self.block_single_prob <= 1.0:
@@ -62,26 +68,13 @@ NO_EVE = EveStrategy("none")
 
 
 @dataclass
-class EveRecord:
-    """Per-pulse classical record.  Arrays are pulse_count long; -1 marks
-    'not applicable' in the integer fields."""
-
-    pulse_count: int
-    measured_basis: Optional[np.ndarray] = None   # int8
-    measured_bit: Optional[np.ndarray] = None     # int8
-    stored_photon: Optional[np.ndarray] = None    # bool
-    conclusive: Optional[np.ndarray] = None       # bool
-    known_bit: Optional[np.ndarray] = None        # int8, set after disclosure
-
-
-@dataclass
 class BatchAttack:
     """Result of attacking one session's pulse stream."""
 
     n: np.ndarray                # forwarded photon counts
     state_idx: np.ndarray        # forwarded state table indices
     channel_consumed: bool       # True when Eve replaced the lossy line
-    record: EveRecord
+    eve_basis: np.ndarray        # int8: NOTHING, HELD or a basis index
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +85,18 @@ def usd_success_prob(phi0: SignalState, phi1: SignalState) -> float:
     """Success probability of unambiguous discrimination between two pure
     states: 1 - |<phi0|phi1>|."""
     return 1.0 - abs(phi0.overlap(phi1))
+
+
+def _eve_choice(strategy: EveStrategy, count: int, size: int,
+                rng: np.random.Generator, dtype=np.int8) -> np.ndarray:
+    """Index of the basis Eve measures each pulse in: ``fixed_basis`` when
+    set, otherwise uniform over ``count`` bases."""
+    if strategy.fixed_basis is None:
+        return rng.integers(0, count, size=size, dtype=dtype)
+    if strategy.fixed_basis >= count:
+        raise ValueError(f"fixed_basis {strategy.fixed_basis} is out of "
+                         f"range: Eve can measure in {count} bases")
+    return np.full(size, strategy.fixed_basis, dtype=dtype)
 
 
 def attack_batch(strategy: EveStrategy, n: np.ndarray, state_idx: np.ndarray,
@@ -118,30 +123,23 @@ def attack_batch(strategy: EveStrategy, n: np.ndarray, state_idx: np.ndarray,
     transmittance < 1 - overlap); failures become vacuum.
     """
     npulses = n.shape[0]
-    rec = EveRecord(pulse_count=npulses)
+    eve_basis = np.full(npulses, NOTHING, dtype=np.int8)
 
     if strategy.kind == "none":
-        return BatchAttack(n, state_idx, False, rec)
+        return BatchAttack(n, state_idx, False, eve_basis)
 
     if strategy.kind == "intercept_resend":
-        if strategy.basis_policy == "fixed_basis":
-            eb = np.full(npulses, strategy.fixed_basis, dtype=np.int8)
-        else:
-            eb = rng.integers(0, signal_basis_count, size=npulses, dtype=np.int8)
+        eb = _eve_choice(strategy, signal_basis_count, npulses, rng)
         probs = p_one[state_idx, eb]
         k1 = rng.binomial(n, probs)
-        k0 = n - k1
         bit = np.where(k1 > 0, 1, 0).astype(np.int8)
-        both = (k0 > 0) & (k1 > 0)
+        both = (k1 > 0) & (k1 < n)
         if both.any():
             bit[both] = rng.integers(0, 2, size=int(both.sum()), dtype=np.int8)
-        bit[n == 0] = -1
         n_out = np.where(n > 0, 1, 0)
-        s_out = np.where(n > 0, eigen_idx[eb, np.maximum(bit, 0)], state_idx)
-        rec.measured_basis = eb
-        rec.measured_bit = bit
+        s_out = np.where(n > 0, eigen_idx[eb, bit], state_idx)
         return BatchAttack(n_out.astype(n.dtype), s_out.astype(state_idx.dtype),
-                           False, rec)
+                           False, eb)
 
     if strategy.kind == "beam_split":
         eta = ch.transmittance
@@ -152,8 +150,8 @@ def attack_batch(strategy: EveStrategy, n: np.ndarray, state_idx: np.ndarray,
         k_eve = rng.binomial(n, tap)
         eta_fwd = min(1.0, eta / (1.0 - tap)) if tap < 1.0 else 1.0
         n_out = rng.binomial(n - k_eve, eta_fwd)
-        rec.stored_photon = k_eve >= 1
-        return BatchAttack(n_out, state_idx, True, rec)
+        eve_basis[k_eve >= 1] = HELD
+        return BatchAttack(n_out, state_idx, True, eve_basis)
 
     if strategy.kind == "pns":
         multi = n >= 2
@@ -163,8 +161,8 @@ def attack_batch(strategy: EveStrategy, n: np.ndarray, state_idx: np.ndarray,
         if strategy.block_single_prob > 0 and single.any():
             blocked = single & (rng.random(npulses) < strategy.block_single_prob)
             n_out[blocked] = 0
-        rec.stored_photon = multi.copy()
-        return BatchAttack(n_out, state_idx, True, rec)
+        eve_basis[multi] = HELD
+        return BatchAttack(n_out, state_idx, True, eve_basis)
 
     if strategy.kind == "usd_b92":
         if b92_states is None:
@@ -174,43 +172,63 @@ def attack_batch(strategy: EveStrategy, n: np.ndarray, state_idx: np.ndarray,
         forward_prob = min(1.0, ch.transmittance / p_succ)
         forwarded = success & (rng.random(npulses) < forward_prob)
         n_out = np.where(forwarded, 1, 0).astype(n.dtype)
-        rec.conclusive = success
-        bit = np.full(npulses, -1, dtype=np.int8)
-        # B92 table convention: state 0 encodes bit 0, state 1 encodes bit 1
-        bit[success] = state_idx[success].astype(np.int8)
-        rec.measured_bit = bit
-        return BatchAttack(n_out, state_idx, True, rec)
+        eve_basis[success] = HELD
+        return BatchAttack(n_out, state_idx, True, eve_basis)
 
     raise ValueError(f"unknown strategy kind {strategy.kind!r}")
 
 
-def resolve_known_bits(strategy: EveStrategy, record: EveRecord,
-                       alice_basis: np.ndarray, alice_bits: np.ndarray,
+def attack_pairs(strategy: EveStrategy, theta_a: np.ndarray,
+                 theta_b: np.ndarray, alice_angles: np.ndarray,
+                 eve_angles: np.ndarray, rng: np.random.Generator,
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sample +/-1 outcome pairs of singlets measured at the angle arrays
+    theta_a, theta_b (degrees), with Eve on the particle flying to Bob.
+
+    Honest pairs follow the singlet law E[a b] = -cos(theta_a - theta_b).
+    Under intercept_resend Eve measures Bob's particle at one of eve_angles
+    (drawn uniformly, or ``fixed_basis``) and resends the eigenstate she
+    observed, which Bob then projects.  Returns (a, b, eve_basis): Eve's
+    angle as an index into alice_angles, or NOTHING where it is none of
+    Alice's, since only a measurement along Alice's angle fixes her bit.
+    """
+    m = theta_a.shape[0]
+    if strategy.kind == "none":
+        a, b = sample_singlet_cos(np.cos(np.radians(theta_a - theta_b)), rng,
+                                  size=m)
+        return a, b, np.full(m, NOTHING, dtype=np.int8)
+    if strategy.kind != "intercept_resend":
+        raise ValueError(f"pair protocols support eve kinds none/"
+                         f"intercept_resend, got {strategy.kind!r}")
+    a = np.where(rng.random(m) < 0.5, 1, -1).astype(np.int8)
+    eve_idx = _eve_choice(strategy, len(eve_angles), m, rng, dtype=np.int64)
+    phi = eve_angles[eve_idx]
+    p_opp = (1.0 + np.cos(np.radians(theta_a - phi))) / 2.0
+    e = np.where(rng.random(m) < p_opp, -a, a).astype(np.int8)
+    # Bob projects the resent eigenstate |phi, e>
+    p_same = np.cos(np.radians(theta_b - phi) / 2.0) ** 2
+    b = np.where(rng.random(m) < p_same, e, -e).astype(np.int8)
+    same = eve_angles[:, None] == alice_angles[None, :]
+    to_alice = np.where(same.any(axis=1), same.argmax(axis=1), NOTHING)
+    return a, b, to_alice.astype(np.int8)[eve_idx]
+
+
+def resolve_known_bits(eve_basis: np.ndarray, alice_basis: np.ndarray,
                        announcement: str, rng: np.random.Generator,
                        ) -> np.ndarray:
     """Post-disclosure resolution: boolean mask of pulses whose key bit Eve
     knows deterministically.
 
-    announcement 'basis' (BB84-style): a stored photon measured in the
-    announced basis, or an intercept measurement made in the right basis,
-    yields the bit exactly.  announcement 'pair' (SARG-style): a stored
-    photon only identifies the bit when unambiguous discrimination of the
-    two announced non-orthogonal states succeeds.
+    A measurement made in Alice's announced basis gave Eve the bit.  A held
+    state yields it after a 'basis' announcement (BB84-style: Eve measures
+    it in the announced basis); after a 'pair' announcement (SARG-style)
+    only when unambiguous discrimination of the two announced
+    non-orthogonal states succeeds, with probability 1 - PAIR_OVERLAP.
     """
-    npulses = record.pulse_count
-    if strategy.kind == "none":
-        return np.zeros(npulses, dtype=bool)
-    if strategy.kind == "intercept_resend":
-        known = record.measured_basis == alice_basis
-    elif strategy.kind in ("beam_split", "pns"):
-        held = record.stored_photon
-        if announcement == "basis":
-            known = held.copy()
-        elif announcement == "pair":
-            known = held & (rng.random(npulses) < (1.0 - PAIR_OVERLAP))
-        else:
-            raise ValueError(f"unknown announcement type {announcement!r}")
-    else:   # usd_b92
-        known = record.conclusive.copy()
-    record.known_bit = np.where(known, alice_bits, -1).astype(np.int8)
-    return known
+    held = eve_basis == HELD
+    if announcement == "pair":
+        if held.any():
+            held &= rng.random(held.shape[0]) < 1.0 - PAIR_OVERLAP
+    elif announcement != "basis":
+        raise ValueError(f"unknown announcement type {announcement!r}")
+    return (eve_basis == alice_basis) | held

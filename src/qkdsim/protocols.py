@@ -3,11 +3,16 @@ and the entanglement-based BBM92 and E91 schemes.
 
 The five prepare-and-measure protocols share one engine,
 ``_run_prepare_measure``, driven by a ``PrepareMeasureSpec`` per protocol
-(state table, basis choice, photon sampler, sift rule, announcement).
+(state table, basis choice, photon sampler, sift rule, announcement).  The
+two pair protocols share ``_run_entangled``, driven by their measurement
+angles: ``adversary.attack_pairs`` samples the singlet outcomes (with Eve
+on Bob's particle), then Bob-side loss, misalignment and dark counts
+apply, and the pairs measured at equal angles are sifted.
 Every session is deterministic given its generator and returns a
 ``SessionTranscript``.  Pulse streams are processed as whole numpy arrays
 by the batch kernels of ``quantum`` (``measure_batch``) and ``adversary``
-(``attack_batch``, ``resolve_known_bits``).
+(``attack_batch``, ``attack_pairs``, ``resolve_known_bits``); what Eve
+knows is resolved by the same ``resolve_known_bits`` for every protocol.
 """
 
 from __future__ import annotations
@@ -20,12 +25,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import adversary
-from .adversary import EveRecord, EveStrategy
+from .adversary import EveStrategy
 from .bits import BitString
 from .quantum import (ALL_BASES, DIAGONAL, NO_CLICK, RECTILINEAR, Basis,
                       ChannelModel, DetectorModel, SignalState, SourceModel,
-                      attenuate_batch, measure_batch, sample_photon_number,
-                      sample_singlet_cos)
+                      attenuate_batch, measure_batch, sample_photon_number)
 
 PROTOCOLS = ("bb84", "b92", "six_state", "sarg", "decoy_bb84", "bbm92", "e91")
 
@@ -74,10 +78,9 @@ class SessionTranscript:
     sift_mask: np.ndarray
     sifted_alice: BitString
     sifted_bob: BitString
+    eve_known_mask: np.ndarray          # pulses whose key bit Eve knows
     alice_intensities: Optional[np.ndarray] = None
     intensity_stats: Optional[dict] = None
-    eve_record: Optional[EveRecord] = None
-    eve_known_mask: Optional[np.ndarray] = None
     chsh_samples: Optional[dict] = None
 
     @property
@@ -94,7 +97,7 @@ class SessionTranscript:
     @property
     def eve_known_fraction(self) -> float:
         """Fraction of the sifted key Eve knows deterministically."""
-        if self.eve_known_mask is None or not self.sift_mask.any():
+        if not self.sift_mask.any():
             return 0.0
         return float(self.eve_known_mask[self.sift_mask].mean())
 
@@ -117,8 +120,7 @@ class SessionTranscript:
             out["alice_intensities"] = self.alice_intensities.tolist()
         if self.intensity_stats is not None:
             out["intensity_stats"] = self.intensity_stats
-        if self.eve_known_mask is not None:
-            out["eve_known_mask"] = self.eve_known_mask.astype(int).tolist()
+        out["eve_known_mask"] = self.eve_known_mask.astype(int).tolist()
         if self.chsh_samples is not None:
             out["chsh_samples"] = {"|".join(k): v.tolist()
                                    for k, v in self.chsh_samples.items()}
@@ -353,7 +355,7 @@ def _run_prepare_measure(spec: PrepareMeasureSpec, cfg: ProtocolConfig,
     sift, bob_bits, reported = spec.sift(table, sent, a_bases, b_bases,
                                          outcomes)
     clicked = outcomes != NO_CLICK
-    known = adversary.resolve_known_bits(eve, atk.record, a_bases, bits,
+    known = adversary.resolve_known_bits(atk.eve_basis, a_bases,
                                          spec.announcement, rng)
     return SessionTranscript(
         protocol=cfg.protocol, pulse_count=N,
@@ -362,41 +364,15 @@ def _run_prepare_measure(spec: PrepareMeasureSpec, cfg: ProtocolConfig,
         bob_outcomes=reported, sift_mask=sift,
         sifted_alice=BitString.from_array(bits[sift]),
         sifted_bob=BitString.from_array(bob_bits[sift].astype(np.uint8)),
+        eve_known_mask=known,
         alice_intensities=None if tags is None else tags.astype(np.int8),
         intensity_stats=(None if tags is None
-                         else _intensity_stats(cfg, tags, clicked)),
-        eve_record=atk.record, eve_known_mask=known)
+                         else _intensity_stats(cfg, tags, clicked)))
 
 
 # ---------------------------------------------------------------------------
 # entanglement-based protocols
 # ---------------------------------------------------------------------------
-
-def _pair_outcomes(theta_a, theta_b, eve: EveStrategy, eve_angles,
-                   rng) -> tuple[np.ndarray, np.ndarray]:
-    """Sample +/-1 outcome pairs per measurement-angle arrays (degrees).
-
-    Honest pairs follow the singlet law E[a b] = -cos(theta_a - theta_b).
-    Under intercept_resend Eve measures the particle flying to Bob at an
-    angle drawn uniformly from eve_angles and resends the corresponding
-    eigenstate, which Bob then projects."""
-    m = theta_a.shape[0]
-    if eve.kind == "none":
-        return sample_singlet_cos(np.cos(np.radians(theta_a - theta_b)), rng,
-                                  size=m)
-    if eve.kind == "intercept_resend":
-        a = np.where(rng.random(m) < 0.5, 1, -1).astype(np.int8)
-        phi = rng.choice(np.asarray(eve_angles, dtype=float), size=m)
-        cos_ae = np.cos(np.radians(theta_a - phi))
-        p_opp = (1.0 + cos_ae) / 2.0
-        e = np.where(rng.random(m) < p_opp, -a, a).astype(np.int8)
-        # Bob projects the resent eigenstate |phi, e>
-        p_same = np.cos(np.radians(theta_b - phi) / 2.0) ** 2
-        b = np.where(rng.random(m) < p_same, e, -e).astype(np.int8)
-        return a, b
-    raise ValueError(f"pair protocols support eve kinds none/intercept_resend,"
-                     f" got {eve.kind!r}")
-
 
 def _pair_reception(b, ch: ChannelModel, det: DetectorModel, rng):
     """Bob-side loss, misalignment flip, and dark counts for pair protocols.
@@ -449,7 +425,8 @@ def _run_entangled(cfg: ProtocolConfig, ch: ChannelModel, det: DetectorModel,
     b_idx = _biased_choice(rng, N, len(bob_angles), cfg.basis_bias)
     theta_a = alice_angles[a_idx]
     theta_b = bob_angles[b_idx]
-    a, b = _pair_outcomes(theta_a, theta_b, eve, bob_angles, rng)
+    a, b, eve_basis = adversary.attack_pairs(eve, theta_a, theta_b,
+                                             alice_angles, bob_angles, rng)
     detected, b = _pair_reception(b, ch, det, rng)
 
     sift = detected & (theta_a == theta_b)
@@ -469,6 +446,8 @@ def _run_entangled(cfg: ProtocolConfig, ch: ChannelModel, det: DetectorModel,
         bob_outcomes=outcomes, sift_mask=sift,
         sifted_alice=BitString.from_array(a_bits[sift]),
         sifted_bob=BitString.from_array(b_bits[sift].astype(np.uint8)),
+        eve_known_mask=adversary.resolve_known_bits(eve_basis, a_idx,
+                                                    "basis", rng),
         chsh_samples=chsh)
 
 

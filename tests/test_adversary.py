@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qkdsim.adversary import (EveStrategy, NO_EVE, attack_batch,
+from qkdsim.adversary import (HELD, NOTHING, EveStrategy, NO_EVE, attack_batch,
                               resolve_known_bits, usd_success_prob)
 from qkdsim.protocols import (ProtocolConfig, b92_states, b92_table,
                               bb84_table, run_session)
@@ -23,30 +23,43 @@ def test_strategy_validation():
         EveStrategy("everything")
     with pytest.raises(ValueError):
         EveStrategy("beam_split", tap_ratio=1.5)
+    with pytest.raises(ValueError, match="fixed_basis must be >= 0"):
+        EveStrategy("intercept_resend", fixed_basis=-1)
+
+
+def test_fixed_basis_beyond_the_protocol_bases_is_refused():
+    eve = EveStrategy("intercept_resend", fixed_basis=2)    # BB84 has 2
+    with pytest.raises(ValueError, match="fixed_basis 2 is out of range"):
+        attack(eve, [1], [0], rng=make_rng(14))
+    for protocol, angles in (("bbm92", 2), ("e91", 3)):
+        eve = EveStrategy("intercept_resend", fixed_basis=angles)
+        with pytest.raises(ValueError, match=f"fixed_basis {angles} is out"):
+            run_session(ProtocolConfig(protocol, 10), SourceModel.ideal(),
+                        ChannelModel(), DetectorModel(), eve, make_rng(15))
 
 
 def test_intercept_resend_same_basis_is_transparent():
-    eve = EveStrategy("intercept_resend", basis_policy="fixed_basis",
-                      fixed_basis=0)
+    eve = EveStrategy("intercept_resend", fixed_basis=0)
     atk = attack(eve, np.ones(50), np.zeros(50), rng=make_rng(1))
-    assert (atk.record.measured_bit == 0).all()
-    assert (atk.n == 1).all() and (atk.state_idx == 0).all()    # H resent
+    assert (atk.eve_basis == 0).all()
+    # Eve reads bit 0 every time and resends H
+    assert (atk.n == 1).all() and (atk.state_idx == 0).all()
 
 
 def test_intercept_resend_wrong_basis_randomizes():
-    eve = EveStrategy("intercept_resend", basis_policy="fixed_basis",
-                      fixed_basis=1)
+    eve = EveStrategy("intercept_resend", fixed_basis=1)
     atk = attack(eve, np.ones(20000), np.zeros(20000), rng=make_rng(2))
-    assert abs(atk.record.measured_bit.mean() - 0.5) < 0.02
-    # the resent photon is the diagonal eigenstate Eve observed
-    assert (atk.state_idx == 2 + atk.record.measured_bit).all()
+    assert (atk.eve_basis == 1).all()
+    # the resent photon is the diagonal eigenstate Eve observed (A or D),
+    # each half the time
+    assert np.isin(atk.state_idx, [2, 3]).all()
+    assert abs((atk.state_idx - 2).mean() - 0.5) < 0.02
 
 
 def test_intercept_resend_vacuum_passthrough():
     eve = EveStrategy("intercept_resend")
     atk = attack(eve, [0, 0, 1], [3, 1, 0], rng=make_rng(3))
     assert atk.n.tolist() == [0, 0, 1]
-    assert atk.record.measured_bit[:2].tolist() == [-1, -1]
     assert atk.state_idx[:2].tolist() == [3, 1]
 
 
@@ -59,7 +72,10 @@ def test_beam_split_preserves_bob_rate():
     assert atk.channel_consumed
     assert atk.n.mean() == pytest.approx(ch.transmittance, abs=0.005)
     # a single photon reaches either Bob or Eve's store, never both
-    assert not (atk.record.stored_photon & (atk.n > 0)).any()
+    held = atk.eve_basis == HELD
+    assert not (held & (atk.n > 0)).any()
+    assert held.mean() == pytest.approx(1.0 - ch.transmittance, abs=0.005)
+    assert (atk.eve_basis[~held] == NOTHING).all()
 
 
 def test_beam_split_rejects_excess_tap():
@@ -73,7 +89,7 @@ def test_pns_keeps_one_of_multi():
     atk = attack(EveStrategy("pns"), [3, 1, 2, 0], [0, 1, 2, 3],
                  rng=make_rng(6))
     assert atk.n.tolist() == [2, 1, 1, 0]
-    assert atk.record.stored_photon.tolist() == [True, False, True, False]
+    assert atk.eve_basis.tolist() == [HELD, NOTHING, HELD, NOTHING]
     assert atk.state_idx.tolist() == [0, 1, 2, 3] and atk.channel_consumed
 
 
@@ -97,8 +113,11 @@ def test_usd_forwards_perfect_copies_at_honest_rate():
     fwd = atk.n > 0
     assert fwd.mean() == pytest.approx(ch.transmittance, abs=0.005)
     assert (atk.n[fwd] == 1).all() and (atk.state_idx[fwd] == 0).all()
-    assert atk.record.conclusive[fwd].all()
-    assert (atk.record.measured_bit[fwd] == 0).all()
+    # every forwarded copy comes from a conclusive discrimination Eve holds
+    conclusive = atk.eve_basis == HELD
+    assert conclusive[fwd].all()
+    assert conclusive.mean() == pytest.approx(
+        usd_success_prob(*table.states[:2]), abs=0.005)
 
 
 def test_usd_rejects_foreign_state():
@@ -116,6 +135,7 @@ def test_batch_none_is_identity():
     atk = attack_batch(NO_EVE, n, idx, table.p_one, table.eigen_idx, 2,
                        ChannelModel(), make_rng(10))
     assert np.array_equal(atk.n, n) and not atk.channel_consumed
+    assert (atk.eve_basis == NOTHING).all()
 
 
 def test_batch_intercept_matches_scalar_statistics():
@@ -127,31 +147,29 @@ def test_batch_intercept_matches_scalar_statistics():
     eve = EveStrategy("intercept_resend")
     atk = attack_batch(eve, n, idx, table.p_one, table.eigen_idx, 2,
                        ChannelModel(), rng)
-    wrong_basis = atk.record.measured_basis == 1
+    wrong_basis = atk.eve_basis == 1
     assert abs(wrong_basis.mean() - 0.5) < 0.005
-    assert abs(atk.record.measured_bit[wrong_basis].mean() - 0.5) < 0.01
-    assert (atk.record.measured_bit[~wrong_basis] == 0).all()
+    # diagonal resends (A = 2, D = 3) carry a random bit, rectilinear ones H
+    assert abs((atk.state_idx[wrong_basis] - 2).mean() - 0.5) < 0.01
+    assert (atk.state_idx[~wrong_basis] == 0).all()
 
 
 def test_resolve_known_bits_intercept():
-    rec_basis = np.array([0, 1, 0, 1], dtype=np.int8)
-    alice_basis = np.array([0, 0, 1, 1], dtype=np.int8)
-    bits = np.array([1, 0, 1, 0], dtype=np.int8)
-    eve = EveStrategy("intercept_resend")
-    from qkdsim.adversary import EveRecord
-    rec = EveRecord(pulse_count=4, measured_basis=rec_basis)
-    known = resolve_known_bits(eve, rec, alice_basis, bits, "basis",
-                               make_rng(12))
-    assert known.tolist() == [True, False, False, True]
-    assert rec.known_bit.tolist() == [1, -1, -1, 0]
+    eve_basis = np.array([0, 1, 0, 1, HELD, NOTHING], dtype=np.int8)
+    alice_basis = np.array([0, 0, 1, 1, 0, 1], dtype=np.int8)
+    before = eve_basis.copy()
+    known = resolve_known_bits(eve_basis, alice_basis, "basis", make_rng(12))
+    assert known.tolist() == [True, False, False, True, True, False]
+    assert np.array_equal(eve_basis, before)    # the record is not written
 
 
 def test_resolve_known_bits_pair_announcement_throttles():
-    from qkdsim.adversary import EveRecord
     N = 100000
-    eve = EveStrategy("pns")
-    rec = EveRecord(pulse_count=N, stored_photon=np.ones(N, dtype=bool))
-    known = resolve_known_bits(eve, rec, np.zeros(N, dtype=np.int8),
-                               np.zeros(N, dtype=np.int8), "pair",
-                               make_rng(13))
+    alice_basis = np.zeros(N, dtype=np.int8)
+    known = resolve_known_bits(np.full(N, HELD, dtype=np.int8), alice_basis,
+                               "pair", make_rng(13))
     assert known.mean() == pytest.approx(1.0 - 2 ** -0.5, abs=0.005)
+    # a measurement in Alice's basis is not throttled
+    measured = resolve_known_bits(np.zeros(N, dtype=np.int8), alice_basis,
+                                  "pair", make_rng(13))
+    assert measured.all()

@@ -279,6 +279,10 @@ def test_run_intercept_aborts_with_exit_two(capsys):
     ({"eve": {"kind": "usd_b92"}}, "usd_b92 requires the B92 state pair"),
     ({"protocol": "e91", "eve": {"kind": "pns"}},
      "pair protocols support eve kinds"),
+    ({"eve": {"kind": "intercept_resend", "fixed_basis": -1}},
+     "eve: fixed_basis must be >= 0"),
+    ({"eve": {"kind": "intercept_resend", "fixed_basis": 5}},
+     "fixed_basis 5 is out of range: Eve can measure in 2 bases"),
 ])
 def test_scenario_refused_by_runner_is_clean_error(tmp_path, scenario,
                                                    message):

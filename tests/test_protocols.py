@@ -54,9 +54,10 @@ def test_bb84_intercept_resend_qber_quarter():
 
 def test_bb84_fixed_basis_eve_half_known():
     t = run("bb84", 100000, 4,
-            eve=EveStrategy("intercept_resend", basis_policy="fixed_basis"))
+            eve=EveStrategy("intercept_resend", fixed_basis=0))
     # errors only in the half of the sifted key sent in the other basis
     assert t.qber == pytest.approx(0.25, abs=0.01)
+    assert t.eve_known_fraction == pytest.approx(0.5, abs=0.01)
 
 
 def test_six_state_honest():
@@ -126,6 +127,34 @@ def test_bbm92_honest_and_attacked():
     assert t.sifted_fraction == pytest.approx(0.5, abs=0.01)
     t = run("bbm92", 100000, 15, eve=EveStrategy("intercept_resend"))
     assert t.qber == pytest.approx(0.25, abs=0.01)
+
+
+def _within_5_sigma(t, expected):
+    n = int(t.sift_mask.sum())
+    sigma = (expected * (1.0 - expected) / n) ** 0.5
+    return abs(t.eve_known_fraction - expected) < 5 * sigma
+
+
+@pytest.mark.parametrize("protocol, known", [("bbm92", 1 / 2),
+                                             ("e91", 1 / 3)])
+def test_pair_protocols_report_what_intercept_resend_learns(protocol, known):
+    # Eve measures Bob's particle at one of Bob's angles; she knows Alice's
+    # bit when that angle is Alice's: 1 of 2 for BBM92, 1 of 3 for E91
+    # (Bob's 135 degrees is none of Alice's angles)
+    t = run(protocol, 200000, 21, eve=EveStrategy("intercept_resend"))
+    assert _within_5_sigma(t, known)
+    assert run(protocol, 200000, 22).eve_known_fraction == 0.0
+
+
+def test_bbm92_honours_fixed_basis():
+    t = run("bbm92", 200000, 23,
+            eve=EveStrategy("intercept_resend", fixed_basis=1))
+    assert t.qber == pytest.approx(0.25, abs=0.01)
+    assert _within_5_sigma(t, 1 / 2)
+    # Eve's fixed angle is 90 degrees: she knows exactly Alice's 90 degree
+    # bits, and only those
+    sifted = t.sift_mask
+    assert np.array_equal(t.eve_known_mask[sifted], t.alice_bases[sifted] == 1)
 
 
 def test_e91_collects_chsh_samples():

@@ -50,8 +50,7 @@ SCENARIOS = {
                    "multi_pair_prob": 0.05},
         "channel": {"preset": "lossless"},
         "detector": {"preset": "ingaas_peltier", "efficiency": 0.3},
-        "eve": {"kind": "intercept_resend", "basis_policy": "fixed_basis",
-                "fixed_basis": 1},
+        "eve": {"kind": "intercept_resend", "fixed_basis": 1},
     },
     "decoy_beam_split": {
         "protocol": "decoy_bb84", "num_pulses": 4000, "seed": 10,
@@ -71,8 +70,7 @@ SCENARIOS = {
     },
     "sarg_uniform_intercept": {
         "protocol": "sarg", "num_pulses": 3000, "seed": 12,
-        "eve": {"kind": "intercept_resend",
-                "basis_policy": "uniform_signal_bases"},
+        "eve": {"kind": "intercept_resend", "fixed_basis": None},
         "postproc": {"qber_abort_threshold": 0.5},
     },
     "e91_defaults": {"protocol": "e91", "num_pulses": 3000, "seed": 13},
