@@ -138,6 +138,7 @@ def attack_batch(strategy: EveStrategy, n: np.ndarray, state_idx: np.ndarray,
             bit[both] = rng.integers(0, 2, size=int(both.sum()), dtype=np.int8)
         n_out = np.where(n > 0, 1, 0)
         s_out = np.where(n > 0, eigen_idx[eb, bit], state_idx)
+        eb[n == 0] = NOTHING            # a vacuum pulse tells Eve nothing
         return BatchAttack(n_out.astype(n.dtype), s_out.astype(state_idx.dtype),
                            False, eb)
 

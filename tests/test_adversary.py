@@ -61,6 +61,18 @@ def test_intercept_resend_vacuum_passthrough():
     atk = attack(eve, [0, 0, 1], [3, 1, 0], rng=make_rng(3))
     assert atk.n.tolist() == [0, 0, 1]
     assert atk.state_idx[:2].tolist() == [3, 1]
+    assert atk.eve_basis[:2].tolist() == [NOTHING, NOTHING]
+
+
+def test_intercept_resend_learns_nothing_from_a_vacuum_pulse():
+    # Eve's basis matches Alice's on both pulses, but the first one is
+    # empty: a dark count at Bob can sift its bit, and Eve never saw it
+    eve = EveStrategy("intercept_resend", fixed_basis=0)
+    atk = attack(eve, [0, 1], [1, 1], rng=make_rng(16))
+    alice_basis = np.zeros(2, dtype=np.int8)
+    known = resolve_known_bits(atk.eve_basis, alice_basis, "basis",
+                               make_rng(17))
+    assert known.tolist() == [False, True]
 
 
 def test_beam_split_preserves_bob_rate():

@@ -71,13 +71,13 @@ GOLDEN_CLI = {
 }
 
 GOLDEN_TRANSCRIPTS = {
-    "bb84": "38313d74ff7b1684b5a7fd7daa15275a989a04ad506810674e32ce183e94e791",
-    "b92": "3957ea7895f80cfced880eea37dc18af076a72a13dd064de46dac428e6b5296f",
+    "bb84": "d0c63c4745e7b7c676243cc3415e5cf311e7eae73597f59c59ba13f4901c3567",
+    "b92": "026d3f08521fdd6dfdb405c01fe8f4691cb5a8ef8b8d9e3e8c58c620a7d504db",
     "six_state":
-        "38381a1450cb81cdfb48f19bf2e3b3161ec9f1218da7d170d63840dbaf379261",
-    "sarg": "4e5e6204de938a340bc64f21f22447acf17d7fb3bf26c7447136ad75ee07736a",
+        "a71526d9ed1c4966f5261afc834db756ae8321d856c367a3b88eb17f6d337f80",
+    "sarg": "59b494d2ba2cb8a1da4fc895821d0e9483e4d60d594c62c17b25b4c2d704438e",
     "decoy_bb84":
-        "63aa1b3ca356207bafa4f5649c870c422968c43dc4dbec07c054aaf431d050de",
+        "d52e322b17b3d02311a03251a47131a99018869ce10e68f394af533bb75a6a45",
     "bbm92": "874aac065436db2ccb8c3c96ba1cc9b3da642b07735f7b024ae3a44019dea1e5",
     "e91": "a38aa8047b5ed2c9f8b5a5777a4e3a233bf0fccbed4efed38c0f1cae2fdab42c",
 }
