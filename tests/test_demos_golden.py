@@ -25,7 +25,7 @@ GOLDEN = {
     "04_bell_test.py":
         "c0da32ca1b88b58cb33e742673c8ab9435369ad0fcc99145e632441edff60ad5",
     "05_rates_and_hardware.py":
-        "a0b7f76d4f192dfd4b378c980bf68b3e34a98ac493be4350f83099aabaaa8c67",
+        "e0753d6dcd1b4bc805601d90f1b41d611383c627673e7cc17e58f3bf52cc846a",
 }
 
 

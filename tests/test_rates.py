@@ -14,6 +14,8 @@ from qkdsim.rates import (CHAU_THRESHOLD_BB84, CHAU_THRESHOLD_SIX_STATE,
                           rate_mayers, rate_shor_preskill, rate_six_state,
                           shannon_entropy, shor_preskill_cutoff,
                           usd_threshold, yield_Yn)
+from qkdsim.quantum import NO_CLICK, DetectorModel, measure_batch
+from qkdsim.rng import make_rng
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +242,7 @@ def test_usd_threshold_exact():
 # ---------------------------------------------------------------------------
 
 def test_yield_formula():
-    assert yield_Yn(0, 0.1, 1e-5) == pytest.approx(1e-5)
+    assert yield_Yn(0, 0.1, 1e-5) == pytest.approx(1 - (1 - 1e-5) ** 2)
     assert yield_Yn(1, 0.1, 0.0) == pytest.approx(0.1)
     assert yield_Yn(2, 0.1, 0.0) == pytest.approx(1 - 0.81)
 
@@ -252,12 +254,29 @@ def test_gain_matches_closed_form_without_dark_counts():
             1 - math.exp(-mu * eta), rel=1e-9)
 
 
+def test_gain_matches_detection_prob_with_dark_counts():
+    # both count a dark click on either of Bob's two detectors
+    for mu, eta, p_dark in ((0.5, 0.01, 1e-2), (0.1, 0.3, 1e-5),
+                            (1.0, 0.05, 0.2)):
+        assert gain_Qmu(mu, eta, p_dark) == pytest.approx(
+            detection_prob(mu, eta, p_dark), rel=1e-9)
+
+
+def test_vacuum_yield_matches_the_simulated_dark_click_rate():
+    N, p_dark = 200000, 0.01
+    out = measure_batch(np.zeros(N, dtype=np.int64), np.full(N, 0.5),
+                        DetectorModel(dark_prob=p_dark), make_rng(31))
+    rate = float((out != NO_CLICK).mean())
+    y0 = yield_Yn(0, 0.0, p_dark)
+    assert abs(rate - y0) < 5 * (y0 * (1 - y0) / N) ** 0.5
+
+
 def test_decoy_estimate_recovers_honest_yields():
     mu_s, mu_d, eta, p_dark = 0.5, 0.05, 0.1, 1e-5
     est = decoy_estimate(gain_Qmu(mu_s, eta, p_dark),
                          gain_Qmu(mu_d, eta, p_dark), mu_s, mu_d, p_dark)
     assert est.consistent
-    assert est.Y0 == pytest.approx(p_dark)
+    assert est.Y0 == pytest.approx(1 - (1 - p_dark) ** 2)
     assert est.Y1 == pytest.approx(yield_Yn(1, eta, p_dark), rel=0.05)
 
 

@@ -12,7 +12,9 @@ stayed byte-identical.  A channel preset with an ``attenuation_db_per_km``
 override is left out: the old parsers dropped that override.
 ``ideal_plain_devices text`` was re-recorded once since, when every
 ``float`` field came to be read as a float: ``"dark_prob": 0`` now prints
-as ``p_dark = 0.0``.
+as ``p_dark = 0.0``.  ``laser_presets_pns json`` was re-recorded when
+``rates.yield_Yn`` took the simulator's two-detector dark-count convention:
+its ``gain_Qmu`` moved in the seventh significant digit.
 """
 
 import hashlib
@@ -100,7 +102,7 @@ GOLDEN = {
     "laser_presets_pns text":
         "56ace6110b6eb22380b45310949f2a1fcc5b17409c3d4b1abb6a25d8d5683c2f",
     "laser_presets_pns json":
-        "84b45559867c59b671a56ea39acc5f9679ce8f0e4ff16e36096511d67f5a9df1",
+        "f67ebefb466faaa072550d5975187586f926b23f87762beb47b30f6bec94f259",
     "sarg_uniform_intercept text":
         "8f57468bbc3d1a7d63c4ad321725461bea747e53ed79045127d9d61a38c67e07",
     "sarg_uniform_intercept json":
