@@ -1,17 +1,12 @@
-"""Eavesdropper strategies.
+"""Eavesdropper strategies: the one implementation of each attack, and the
+one place that decides what Eve learns, for all seven protocols.
 
-Each strategy transforms pulses in flight and records, per pulse, what Eve
-took from it (``eve_basis``): nothing, a held state (a stored photon or a
-conclusive unambiguous discrimination), or a measurement in one of
-Alice's bases.  Eve's own optics are noiseless and lossless (worst-case
-convention: all imperfections belong to the legitimate hardware, all
-information to Eve).
-
-This module is the one implementation of each attack, and the one place
-that decides what Eve learns, for all seven protocols: ``attack_batch``
-attacks prepare-and-measure pulses, ``attack_pairs`` the particle flying
-to Bob, and ``resolve_known_bits`` turns either record into Eve's
-knowledge once the sifting announcement is public.
+``attack_batch`` attacks prepare-and-measure pulses and ``attack_pairs``
+the particle flying to Bob; both record per pulse what Eve took
+(``eve_basis``).  ``resolve_known_bits`` turns that record into Eve's
+knowledge once the sifting announcement is public.  Eve's own optics are
+noiseless and lossless (worst-case convention: all imperfections belong
+to the legitimate hardware, all information to Eve).
 """
 
 from __future__ import annotations
@@ -26,7 +21,6 @@ from .quantum import ChannelModel, SignalState, sample_singlet_cos
 KINDS = ("none", "intercept_resend", "beam_split", "pns", "usd_b92")
 PAIR_OVERLAP = 2 ** -0.5    # |<a|b>| of the two states a 'pair' announces
 
-# eve_basis values other than a basis index (>= 0)
 NOTHING = -1    # Eve learned nothing about the pulse
 HELD = -2       # Eve holds the state: a stored photon or a conclusive USD
 

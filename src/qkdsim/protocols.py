@@ -4,15 +4,14 @@ and the entanglement-based BBM92 and E91 schemes.
 The five prepare-and-measure protocols share one engine,
 ``_run_prepare_measure``, driven by a ``PrepareMeasureSpec`` per protocol
 (state table, basis choice, photon sampler, sift rule, announcement).  The
-two pair protocols share ``_run_entangled``, driven by their measurement
-angles: ``adversary.attack_pairs`` samples the singlet outcomes (with Eve
-on Bob's particle), then Bob-side loss, misalignment and dark counts
-apply, and the pairs measured at equal angles are sifted.
+pair protocols share ``_run_entangled``, driven by their measurement
+angles: singlet outcomes with Eve on Bob's particle, then Bob-side loss,
+misalignment and dark counts, then sifting of equal angles.
 Every session is deterministic given its generator and returns a
 ``SessionTranscript``.  Pulse streams are processed as whole numpy arrays
 by the batch kernels of ``quantum`` (``measure_batch``) and ``adversary``
-(``attack_batch``, ``attack_pairs``, ``resolve_known_bits``); what Eve
-knows is resolved by the same ``resolve_known_bits`` for every protocol.
+(``attack_batch``, ``attack_pairs``, and ``resolve_known_bits`` for every
+protocol).
 """
 
 from __future__ import annotations

@@ -27,17 +27,6 @@ def test_strategy_validation():
         EveStrategy("intercept_resend", fixed_basis=-1)
 
 
-def test_fixed_basis_beyond_the_protocol_bases_is_refused():
-    eve = EveStrategy("intercept_resend", fixed_basis=2)    # BB84 has 2
-    with pytest.raises(ValueError, match="fixed_basis 2 is out of range"):
-        attack(eve, [1], [0], rng=make_rng(14))
-    for protocol, angles in (("bbm92", 2), ("e91", 3)):
-        eve = EveStrategy("intercept_resend", fixed_basis=angles)
-        with pytest.raises(ValueError, match=f"fixed_basis {angles} is out"):
-            run_session(ProtocolConfig(protocol, 10), SourceModel.ideal(),
-                        ChannelModel(), DetectorModel(), eve, make_rng(15))
-
-
 def test_intercept_resend_same_basis_is_transparent():
     eve = EveStrategy("intercept_resend", fixed_basis=0)
     atk = attack(eve, np.ones(50), np.zeros(50), rng=make_rng(1))

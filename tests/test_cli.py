@@ -283,6 +283,9 @@ def test_run_intercept_aborts_with_exit_two(capsys):
      "eve: fixed_basis must be >= 0"),
     ({"eve": {"kind": "intercept_resend", "fixed_basis": 5}},
      "fixed_basis 5 is out of range: Eve can measure in 2 bases"),
+    ({"protocol": "e91",
+      "eve": {"kind": "intercept_resend", "fixed_basis": 3}},
+     "fixed_basis 3 is out of range: Eve can measure in 3 bases"),
 ])
 def test_scenario_refused_by_runner_is_clean_error(tmp_path, scenario,
                                                    message):

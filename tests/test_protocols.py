@@ -129,32 +129,23 @@ def test_bbm92_honest_and_attacked():
     assert t.qber == pytest.approx(0.25, abs=0.01)
 
 
-def _within_5_sigma(t, expected):
-    n = int(t.sift_mask.sum())
-    sigma = (expected * (1.0 - expected) / n) ** 0.5
-    return abs(t.eve_known_fraction - expected) < 5 * sigma
-
-
-@pytest.mark.parametrize("protocol, known", [("bbm92", 1 / 2),
-                                             ("e91", 1 / 3)])
-def test_pair_protocols_report_what_intercept_resend_learns(protocol, known):
+@pytest.mark.parametrize("protocol, fixed_basis, known, qber", [
+    ("bbm92", None, 1 / 2, 1 / 4),
+    ("e91", None, 1 / 3, 5 / 24),
+    ("bbm92", 1, 1 / 2, 1 / 4),
+])
+def test_pair_protocols_report_what_intercept_resend_learns(
+        protocol, fixed_basis, known, qber):
     # Eve measures Bob's particle at one of Bob's angles; she knows Alice's
     # bit when that angle is Alice's: 1 of 2 for BBM92, 1 of 3 for E91
-    # (Bob's 135 degrees is none of Alice's angles)
-    t = run(protocol, 200000, 21, eve=EveStrategy("intercept_resend"))
-    assert _within_5_sigma(t, known)
+    # (Bob's 135 degrees is none of Alice's angles).  A fixed angle is
+    # Alice's on half of BBM92's sifted pairs.
+    eve = EveStrategy("intercept_resend", fixed_basis=fixed_basis)
+    t = run(protocol, 200000, 21, eve=eve)
+    n = int(t.sift_mask.sum())
+    for got, expected in ((t.eve_known_fraction, known), (t.qber, qber)):
+        assert abs(got - expected) < 5 * (expected * (1 - expected) / n) ** 0.5
     assert run(protocol, 200000, 22).eve_known_fraction == 0.0
-
-
-def test_bbm92_honours_fixed_basis():
-    t = run("bbm92", 200000, 23,
-            eve=EveStrategy("intercept_resend", fixed_basis=1))
-    assert t.qber == pytest.approx(0.25, abs=0.01)
-    assert _within_5_sigma(t, 1 / 2)
-    # Eve's fixed angle is 90 degrees: she knows exactly Alice's 90 degree
-    # bits, and only those
-    sifted = t.sift_mask
-    assert np.array_equal(t.eve_known_mask[sifted], t.alice_bases[sifted] == 1)
 
 
 def test_e91_collects_chsh_samples():
