@@ -126,8 +126,9 @@ def attack_batch(strategy: EveStrategy, n: np.ndarray, state_idx: np.ndarray,
         eb = _eve_choice(strategy, signal_basis_count, npulses, rng)
         probs = p_one[state_idx, eb]
         k1 = rng.binomial(n, probs)
+        k0 = n - k1
         bit = np.where(k1 > 0, 1, 0).astype(np.int8)
-        both = (k1 > 0) & (k1 < n)
+        both = (k0 > 0) & (k1 > 0)
         if both.any():
             bit[both] = rng.integers(0, 2, size=int(both.sum()), dtype=np.int8)
         n_out = np.where(n > 0, 1, 0)

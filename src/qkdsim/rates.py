@@ -318,8 +318,8 @@ def usd_threshold(overlap: float) -> float:
 # ---------------------------------------------------------------------------
 
 def yield_Yn(n: int, eta: float, p_dark: float) -> float:
-    """Y_n = 1 - (1 - eta)^n (1 - p_dark)^2: one of Bob's two detectors fires
-    (p_dark per gate per detector, as in ``detection_prob``)."""
+    """Y_n = 1 - (1 - eta)^n (1 - p_dark)^2: at least one of Bob's two
+    detectors fires (p_dark per gate per detector, as in detection_prob)."""
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must lie in [0, 1]")
     return 1.0 - (1.0 - eta) ** n * (1.0 - p_dark) ** 2

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from qkdsim.adversary import (HELD, NOTHING, EveStrategy, NO_EVE, attack_batch,
-                              resolve_known_bits, usd_success_prob)
+from qkdsim.adversary import (HELD, NO_EVE, NOTHING, EveStrategy,
+                              attack_batch, resolve_known_bits,
+                              usd_success_prob)
 from qkdsim.protocols import (ProtocolConfig, b92_states, b92_table,
                               bb84_table, run_session)
 from qkdsim.quantum import ChannelModel, DetectorModel, SourceModel
