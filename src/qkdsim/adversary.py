@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .quantum import ChannelModel, SignalState, sample_singlet_cos
+from .quantum import ChannelModel, SignalState, sample_singlet
 
 KINDS = ("none", "intercept_resend", "beam_split", "pns", "usd_b92")
 PAIR_OVERLAP = 2 ** -0.5    # |<a|b>| of the two states a 'pair' announces
@@ -190,8 +190,8 @@ def attack_pairs(strategy: EveStrategy, theta_a: np.ndarray,
     """
     m = theta_a.shape[0]
     if strategy.kind == "none":
-        a, b = sample_singlet_cos(np.cos(np.radians(theta_a - theta_b)), rng,
-                                  size=m)
+        a, b = sample_singlet(np.cos(np.radians(theta_a - theta_b)), rng,
+                              size=m)
         return a, b, np.full(m, NOTHING, dtype=np.int8)
     if strategy.kind != "intercept_resend":
         raise ValueError(f"pair protocols support eve kinds none/"

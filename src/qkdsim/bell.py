@@ -8,8 +8,6 @@ from typing import Mapping
 
 import numpy as np
 
-from .quantum import bloch_vector
-
 SETTING_PAIRS = (("n1", "n2"), ("n1p", "n2"), ("n1", "n2p"), ("n1p", "n2p"))
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
@@ -17,36 +15,24 @@ TSIRELSON = 2.0 * math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class ChshSettings:
-    """Four measurement directions (unit 3-vectors on the great circle)."""
+    """Four measurement angles in degrees on the great circle: Alice's n1
+    and n1', Bob's n2 and n2'."""
 
-    n1: np.ndarray
-    n1p: np.ndarray
-    n2: np.ndarray
-    n2p: np.ndarray
-
-    def __post_init__(self):
-        for name in ("n1", "n1p", "n2", "n2p"):
-            v = np.asarray(getattr(self, name), dtype=float)
-            if v.shape != (3,) or abs(v @ v - 1.0) > 1e-12:
-                raise ValueError(f"{name} must be a unit 3-vector")
-            object.__setattr__(self, name, v)
-
-    @classmethod
-    def from_angles(cls, n1_deg: float, n1p_deg: float,
-                    n2_deg: float, n2p_deg: float) -> "ChshSettings":
-        return cls(bloch_vector(n1_deg), bloch_vector(n1p_deg),
-                   bloch_vector(n2_deg), bloch_vector(n2p_deg))
+    n1: float
+    n1p: float
+    n2: float
+    n2p: float
 
 
 # geometry achieving the maximal singlet value 2*sqrt(2): three 45-degree
 # separations and one 135-degree separation
-MAXIMAL_SETTINGS = ChshSettings.from_angles(90.0, 0.0, 45.0, 135.0)
+MAXIMAL_SETTINGS = ChshSettings(90.0, 0.0, 45.0, 135.0)
 
 
 def chsh_analytic(settings: ChshSettings) -> float:
     """|C(n1,n2) + C(n1',n2) + C(n1,n2') - C(n1',n2')| with the singlet
-    correlation C(n, m) = -n.m."""
-    c = lambda u, v: -float(u @ v)
+    correlation C(x, y) = -cos(x - y)."""
+    c = lambda x, y: -math.cos(math.radians(x - y))
     return abs(c(settings.n1, settings.n2) + c(settings.n1p, settings.n2)
                + c(settings.n1, settings.n2p) - c(settings.n1p, settings.n2p))
 

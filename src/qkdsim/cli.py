@@ -66,12 +66,28 @@ def _refuse_unknown(raw: dict, path: str, allowed: set) -> None:
         raise ConfigError(f"{path}: unknown field(s) {sorted(extra)}")
 
 
+def _number(path: str, name: str, value, hint):
+    """A scenario number read as its field's type hint: an ``int`` field
+    takes integral values only ("num_pulses": 3e3 is 3000), a ``float``
+    field any number ("mu": 1 prints 1.0).  Booleans and other non-numbers
+    are refused; ``null`` only where the hint is ``Optional``."""
+    kind = int if hint in (int, Optional[int]) else float
+    if value is None and hint is not kind:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+            kind is int and isinstance(value, float)
+            and not value.is_integer()):
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{path}: {name} must be {noun}, got {value!r}")
+    return kind(value)
+
+
 def _section(path: str, model, raw: Optional[dict]):
     """Build ``model`` from a scenario section whose fields are the model's
-    dataclass fields, ``float`` ones read as floats ("mu": 1 prints 1.0).
-    A source's ``kind`` names the ``SourceModel`` constructor to call; a
-    ``preset`` loads channel or detector presets and passes every other
-    field through as an override."""
+    dataclass fields, numbers read by ``_number``.  A source's ``kind``
+    names the ``SourceModel`` constructor to call; a ``preset`` loads
+    channel or detector presets and passes every other field through as an
+    override."""
     if not isinstance(raw or {}, dict):
         raise ConfigError(f"{path}: expected an object, got {raw!r}")
     raw = dict(raw or {})
@@ -79,8 +95,8 @@ def _section(path: str, model, raw: Optional[dict]):
     if model in PRESETS:
         allowed.add("preset")
     _refuse_unknown(raw, path, allowed)
-    floats = {name for name, hint in get_type_hints(model).items()
-              if hint in (float, Optional[float])}
+    numbers = {name: hint for name, hint in get_type_hints(model).items()
+               if hint in (int, Optional[int], float, Optional[float])}
     factory = model
     if model is SourceModel:
         kind = raw.pop("kind", "ideal")
@@ -89,9 +105,10 @@ def _section(path: str, model, raw: Optional[dict]):
         factory = getattr(SourceModel, kind)
     elif "preset" in raw:
         factory = partial(PRESETS[model], raw.pop("preset"))
+    kwargs = {k: _number(path, k, v, numbers[k]) if k in numbers else v
+              for k, v in raw.items()}
     try:
-        return factory(**{k: float(v) if k in floats and v is not None else v
-                          for k, v in raw.items()})
+        return factory(**kwargs)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
@@ -107,14 +124,10 @@ def parse_scenario(raw: dict) -> Scenario:
         if f.default is MISSING and f.name not in raw:
             raise ConfigError(f"{f.name}: required")
     protocol = {k: v for k, v in raw.items() if k in protocol_fields}
-    try:
-        protocol["num_pulses"] = int(protocol["num_pulses"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"protocol: {exc}") from None
     cfg = _section("protocol", ProtocolConfig, protocol)
     return Scenario(cfg, *[_section(name, model, raw.get(name))
                            for name, model in SECTIONS.items()],
-                    seed=int(raw["seed"]))
+                    seed=_number("scenario", "seed", raw["seed"], int))
 
 
 def load_scenario(path: str, seed: Optional[int] = None,

@@ -80,14 +80,12 @@ def remove_positions(key: BitString, positions: np.ndarray) -> BitString:
 
 @dataclass
 class ReconciliationResult:
-    """Corrected keys, parities disclosed and rounds run; the chance that
-    differing keys pass the final clean streak is residual_error_estimate."""
+    """Corrected keys, parities disclosed and rounds run."""
 
     corrected_alice: BitString
     corrected_bob: BitString
     leaked_bits: int
     rounds: int
-    residual_error_estimate: float
 
 
 def _bisect_blocks(pa: np.ndarray, pb: np.ndarray, lo: np.ndarray,
@@ -116,7 +114,6 @@ def _bisect_blocks(pa: np.ndarray, pb: np.ndarray, lo: np.ndarray,
 
 def bbbss_correct(alice: BitString, bob: BitString, eps_est: float,
                   rng: np.random.Generator, max_passes: Optional[int] = None,
-                  initial_block: Optional[int] = None,
                   subset_clean_target: int = 20,
                   log: Optional[PublicChannelLog] = None) -> ReconciliationResult:
     """Multi-pass block-parity reconciliation.
@@ -149,9 +146,8 @@ def bbbss_correct(alice: BitString, bob: BitString, eps_est: float,
     rounds = 0
 
     cap = max(2, n // 2)
-    if initial_block is None:
-        initial_block = max(2, int(0.73 / eps_est) if eps_est > 0 else n // 4)
-    k = min(initial_block, cap)
+    k = max(2, int(0.73 / eps_est) if eps_est > 0 else n // 4)
+    k = min(k, cap)
     if max_passes is None:      # ceil(log2(cap / k)) doublings reach the cap
         max_passes = 1 + (-(-cap // k) - 1).bit_length()
 
@@ -191,8 +187,7 @@ def bbbss_correct(alice: BitString, bob: BitString, eps_est: float,
     return ReconciliationResult(
         corrected_alice=BitString.from_array(a),
         corrected_bob=BitString.from_array(b),
-        leaked_bits=log.leaked_parity_count - posted_before, rounds=rounds,
-        residual_error_estimate=2.0 ** (-subset_clean_target))
+        leaked_bits=log.leaked_parity_count - posted_before, rounds=rounds)
 
 
 # ---------------------------------------------------------------------------
@@ -419,9 +414,16 @@ class PipelineParams:
     eve_bound: str = "two_epsilon"     # or "entropy"
     max_passes: Optional[int] = None   # None: until blocks reach n/2
     subset_clean_target: int = 20
-    auth_prime: int = PRODUCTION_PRIME
 
     def __post_init__(self):
+        if not 0.0 < self.sample_fraction <= 1.0:
+            raise ValueError("sample_fraction must lie in (0, 1]")
+        if not 0.0 <= self.qber_abort_threshold <= 0.5:
+            raise ValueError("qber_abort_threshold must lie in [0, 0.5]")
+        if self.safety_bits < 0:
+            raise ValueError("safety_bits must be >= 0")
+        if self.subset_clean_target < 1:
+            raise ValueError("subset_clean_target must be >= 1")
         if self.eve_bound not in ("two_epsilon", "entropy"):
             raise ValueError("eve_bound must be 'two_epsilon' or 'entropy'")
         if self.max_passes is not None and not (
@@ -489,8 +491,7 @@ def run_pipeline_on_keys(sifted_alice: BitString, sifted_bob: BitString,
                          rng: np.random.Generator) -> FinalKeyResult:
     log = PublicChannelLog()
     n0 = len(sifted_alice)
-    auth = AuthConfig.fresh(rng, prime=params.auth_prime,
-                            degree=max(64, n0 // 32), pool_tags=64)
+    auth = AuthConfig.fresh(rng, degree=max(64, n0 // 32), pool_tags=64)
     eps, leaked, k = 0.0, 0, 0
 
     def send(direction, purpose, payload_bits: BitString, payload) -> None:

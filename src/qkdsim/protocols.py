@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import adversary
+from . import adversary, bell
 from .adversary import EveStrategy
 from .bits import BitString
 from .quantum import (ALL_BASES, DIAGONAL, NO_CLICK, RECTILINEAR, Basis,
@@ -391,23 +391,13 @@ def _pair_reception(b, ch: ChannelModel, det: DetectorModel, rng):
     return detected, b
 
 
-# CHSH settings inside the E91 geometry: n1=90deg, n1'=0deg (Alice),
-# n2=45deg, n2'=135deg (Bob); every unprimed/mixed pair is 45deg apart and
-# the doubly primed pair 135deg apart.
-E91_CHSH_SETTINGS = {
-    ("n1", "n2"): (2, 0),
-    ("n1p", "n2"): (0, 0),
-    ("n1", "n2p"): (2, 2),
-    ("n1p", "n2p"): (0, 2),
-}
-
-# protocol -> (Alice's angles, Bob's angles, CHSH settings or None), in
-# degrees.  BBM92 measures in two conjugate bases; E91 uses three angles
-# per side.  Eve intercepts at Bob's angles.
+# protocol -> (Alice's angles, Bob's angles, whether CHSH samples are
+# collected), in degrees.  BBM92 measures in two conjugate bases; E91 uses
+# three angles per side, among them those of bell.MAXIMAL_SETTINGS.  Eve
+# intercepts at Bob's angles.
 _PAIR_SPECS = {
-    "bbm92": (np.array([0.0, 90.0]), np.array([0.0, 90.0]), None),
-    "e91": (np.array([0.0, 45.0, 90.0]), np.array([45.0, 90.0, 135.0]),
-            E91_CHSH_SETTINGS),
+    "bbm92": (np.array([0.0, 90.0]), np.array([0.0, 90.0]), False),
+    "e91": (np.array([0.0, 45.0, 90.0]), np.array([45.0, 90.0, 135.0]), True),
 }
 
 
@@ -416,9 +406,9 @@ def _run_entangled(cfg: ProtocolConfig, ch: ChannelModel, det: DetectorModel,
                    rng: np.random.Generator) -> SessionTranscript:
     """Singlet-pair session (BBM92, E91).  Matching angles give perfectly
     anti-correlated outcomes, so Bob flips his bit to align the keys.  E91
-    also collects its four CHSH setting combinations as +/-1 product
-    samples for the Bell-estimation module."""
-    alice_angles, bob_angles, chsh_settings = _PAIR_SPECS[cfg.protocol]
+    also collects the four setting pairs of ``bell.MAXIMAL_SETTINGS``, found
+    among its angles, as +/-1 product samples for CHSH estimation."""
+    alice_angles, bob_angles, with_chsh = _PAIR_SPECS[cfg.protocol]
     N = cfg.num_pulses
     a_idx = _biased_choice(rng, N, len(alice_angles), cfg.basis_bias)
     b_idx = _biased_choice(rng, N, len(bob_angles), cfg.basis_bias)
@@ -432,11 +422,13 @@ def _run_entangled(cfg: ProtocolConfig, ch: ChannelModel, det: DetectorModel,
     a_bits = ((1 - a) // 2).astype(np.int8)
     b_bits = ((1 + b) // 2).astype(np.int8)  # flip converts anti-correlation
     chsh = None
-    if chsh_settings is not None:
+    if with_chsh:
         chsh = {}
-        for label, (ai, bi) in chsh_settings.items():
+        for x, y in bell.SETTING_PAIRS:
+            ai = alice_angles.tolist().index(getattr(bell.MAXIMAL_SETTINGS, x))
+            bi = bob_angles.tolist().index(getattr(bell.MAXIMAL_SETTINGS, y))
             mask = detected & (a_idx == ai) & (b_idx == bi)
-            chsh[label] = (a[mask] * b[mask]).astype(np.int8)
+            chsh[(x, y)] = (a[mask] * b[mask]).astype(np.int8)
     outcomes = np.where(detected, b_bits, NO_CLICK).astype(np.int8)
     return SessionTranscript(
         protocol=cfg.protocol, pulse_count=N,

@@ -205,20 +205,17 @@ class DetectorModel:
     """Pair of threshold detectors behind a basis analyzer.
 
     dark_prob is per gate per logical detector.  When both detectors fire
-    the double_click_policy 'assign_random_bit' emits a uniform bit.
+    the outcome is a uniform bit.
     """
 
     efficiency: float = 1.0
     dark_prob: float = 0.0
-    double_click_policy: str = "assign_random_bit"
 
     def __post_init__(self):
         if not 0.0 <= self.efficiency <= 1.0:
             raise ValueError("efficiency must lie in [0,1]")
         if not 0.0 <= self.dark_prob < 1.0:
             raise ValueError("dark_prob must lie in [0,1)")
-        if self.double_click_policy != "assign_random_bit":
-            raise ValueError("unsupported double_click_policy")
 
 
 def load_presets() -> dict:
@@ -290,35 +287,12 @@ def measure_batch(n_photons: np.ndarray, p_one: np.ndarray,
 # singlet pairs
 # ---------------------------------------------------------------------------
 
-def bloch_vector(angle_deg: float) -> np.ndarray:
-    """Unit vector at the given angle on the measurement great circle."""
-    a = math.radians(angle_deg)
-    return np.array([math.sin(a), 0.0, math.cos(a)])
-
-
-def _check_unit(v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    if v.shape != (3,):
-        raise ValueError("measurement direction must be a 3-vector")
-    if abs(v @ v - 1.0) > 1e-9:
-        raise ValueError("measurement direction must be a unit vector")
-    return v
-
-
-def sample_singlet(n1: np.ndarray, n2: np.ndarray, rng: np.random.Generator,
-                   size: int):
-    """Sample +/-1 outcome pairs for spin measurements along n1, n2 on a
-    shared singlet.  Marginals are uniform and E[a*b] = -n1.n2, i.e. the
-    joint law P(a,b) = (1 - a b n1.n2) / 4."""
-    n1 = _check_unit(n1)
-    n2 = _check_unit(n2)
-    c = float(n1 @ n2)
-    return sample_singlet_cos(c, rng, size=size)
-
-
-def sample_singlet_cos(cos_angle, rng: np.random.Generator, size: int):
-    """`size` singlet outcome pairs given the cosine of the angle between
-    the two measurement directions (a float, or one cosine per pair)."""
+def sample_singlet(cos_angle, rng: np.random.Generator, size: int):
+    """Sample `size` +/-1 outcome pairs for spin measurements on a shared
+    singlet, given the cosine of the angle between the two measurement
+    directions (a float, or one cosine per pair).  Marginals are uniform
+    and E[a*b] = -cos_angle, i.e. the joint law
+    P(a,b) = (1 - a b cos_angle) / 4."""
     a = np.where(rng.random(size) < 0.5, 1, -1).astype(np.int8)
     p_opposite = (1.0 + cos_angle) / 2.0
     b = np.where(rng.random(size) < p_opposite, -a, a).astype(np.int8)

@@ -56,24 +56,6 @@ def _check_distribution(p: np.ndarray) -> np.ndarray:
     return np.clip(p, 0.0, None)
 
 
-@dataclass(frozen=True)
-class JointDistribution:
-    """Tripartite distribution P(a, b, e) over finite alphabets."""
-
-    p: np.ndarray
-
-    def __post_init__(self):
-        p = _check_distribution(self.p)
-        if p.ndim != 3:
-            raise ValueError("joint distribution must have three axes (A,B,E)")
-        object.__setattr__(self, "p", p)
-
-    def marginal(self, *axes: int) -> np.ndarray:
-        keep = set(axes)
-        drop = tuple(i for i in range(3) if i not in keep)
-        return self.p.sum(axis=drop)
-
-
 def mutual_information(pab: np.ndarray) -> float:
     """I(A;B) = H(A) + H(B) - H(A,B) for a bipartite distribution."""
     pab = _check_distribution(pab)
@@ -99,10 +81,12 @@ def conditional_mutual_information(pabe: np.ndarray) -> float:
 def csiszar_korner(pabe: np.ndarray) -> float:
     """Lower bound on the one-way secret-key rate:
     max(I(A;B) - I(A;E), I(A;B) - I(B;E)).  May be negative."""
-    dist = JointDistribution(np.asarray(pabe, dtype=float))
-    iab = mutual_information(dist.marginal(0, 1))
-    iae = mutual_information(dist.marginal(0, 2))
-    ibe = mutual_information(dist.marginal(1, 2))
+    pabe = _check_distribution(pabe)
+    if pabe.ndim != 3:
+        raise ValueError("joint distribution must have three axes (A,B,E)")
+    iab = mutual_information(pabe.sum(axis=2))
+    iae = mutual_information(pabe.sum(axis=1))
+    ibe = mutual_information(pabe.sum(axis=0))
     return max(iab - iae, iab - ibe)
 
 
@@ -111,14 +95,13 @@ def _apply_channel(pabe: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.einsum("abe,ef->abf", pabe, q)
 
 
-def intrinsic_information(pabe: np.ndarray, search_resolution: float = 0.25,
-                          refine: bool = True) -> float:
+def intrinsic_information(pabe: np.ndarray) -> float:
     """Upper bound on the secret-key rate: min over stochastic maps E->E'
     (|E'| = |E|) of I(A;B|E').
 
-    The search covers the identity map, all deterministic maps, a coarse
-    grid at `search_resolution` for binary E, and random stochastic maps,
-    each refined by Nelder-Mead descent on a softmax parametrization.
+    The search covers the identity map, all deterministic maps, a grid in
+    steps of 1/4 for binary E, and random stochastic maps; the best three
+    are refined by Nelder-Mead descent on a softmax parametrization.
     The result never exceeds I(A;B|E) since the identity is in the space.
     """
     from scipy import optimize
@@ -137,8 +120,8 @@ def intrinsic_information(pabe: np.ndarray, search_resolution: float = 0.25,
         q = np.zeros((ne, ne))
         q[np.arange(ne), assignment] = 1.0
         candidates.append(q)
-    if ne == 2 and search_resolution > 0:
-        grid = np.arange(0.0, 1.0 + 1e-12, search_resolution)
+    if ne == 2:
+        grid = np.arange(0.0, 1.0 + 1e-12, 0.25)
         for p0, p1 in itertools.product(grid, repeat=2):
             candidates.append(np.array([[p0, 1 - p0], [p1, 1 - p1]]))
     rng = np.random.default_rng(7)  # fixed: the search itself is deterministic
@@ -148,19 +131,18 @@ def intrinsic_information(pabe: np.ndarray, search_resolution: float = 0.25,
 
     scored = sorted(candidates, key=objective)
     best = objective(scored[0])
-    if refine:
-        for q0 in scored[:3]:
-            logits = np.log(np.clip(q0, 1e-6, None)).ravel()
+    for q0 in scored[:3]:
+        logits = np.log(np.clip(q0, 1e-6, None)).ravel()
 
-            def from_logits(x):
-                m = np.exp(x.reshape(ne, ne))
-                return m / m.sum(axis=1, keepdims=True)
+        def from_logits(x):
+            m = np.exp(x.reshape(ne, ne))
+            return m / m.sum(axis=1, keepdims=True)
 
-            res = optimize.minimize(lambda x: objective(from_logits(x)),
-                                    logits, method="Nelder-Mead",
-                                    options={"maxiter": 2000, "xatol": 1e-6,
-                                             "fatol": 1e-12})
-            best = min(best, float(res.fun))
+        res = optimize.minimize(lambda x: objective(from_logits(x)),
+                                logits, method="Nelder-Mead",
+                                options={"maxiter": 2000, "xatol": 1e-6,
+                                         "fatol": 1e-12})
+        best = min(best, float(res.fun))
     return max(0.0, best)
 
 
@@ -193,12 +175,11 @@ def rate_six_state(eps: float) -> float:
                  + (1.0 - q) * math.log2(1.0 - q))
 
 
-def shor_preskill_cutoff(lo: float = 0.05, hi: float = 0.25,
-                         tol: float = 1e-9) -> float:
+def shor_preskill_cutoff() -> float:
     """Error rate where the 1 - 2 h(eps) rate crosses zero (about 11%)."""
     from scipy import optimize
 
-    return float(optimize.brentq(rate_shor_preskill, lo, hi, xtol=tol))
+    return float(optimize.brentq(rate_shor_preskill, 0.05, 0.25, xtol=1e-9))
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +213,6 @@ def rate_gllp(eps: float, delta: float) -> float:
     ratio = eps / (1.0 - delta)
     if ratio > 1.0:
         raise ValueError("eps / (1 - delta) exceeds 1")
-    ratio = min(ratio, 1.0)
     return ((1.0 - delta) - binary_entropy(eps)
             - (1.0 - delta) * binary_entropy(ratio))
 
@@ -260,10 +240,9 @@ class MuSearchResult:
         return self.rate_per_pulse > 0.0
 
 
-def optimize_mu(eta: float, p_dark: float, eps_model: float,
-                mu_max: float = 2.0, tol: float = 1e-6) -> MuSearchResult:
+def optimize_mu(eta: float, p_dark: float, eps_model: float) -> MuSearchResult:
     """Golden-section maximization of the weak-pulse rate per emitted pulse
-    over the mean photon number; the optimum sits near mu ~ eta."""
+    over mean photon numbers up to 2; the optimum sits near mu ~ eta."""
     from scipy import optimize
 
     if not 0.0 < eta <= 1.0:
@@ -272,14 +251,14 @@ def optimize_mu(eta: float, p_dark: float, eps_model: float,
     def neg(mu):
         return -gllp_pulse_rate(mu, eta, p_dark, eps_model)
 
-    res = optimize.minimize_scalar(neg, bounds=(1e-9, mu_max),
+    res = optimize.minimize_scalar(neg, bounds=(1e-9, 2.0),
                                    method="bounded",
-                                   options={"xatol": tol})
+                                   options={"xatol": 1e-6})
     mu_star = float(res.x)
     best = -float(res.fun)
     if best <= 0.0:
         # scan a grid to confirm there is no positive rate anywhere
-        grid = np.geomspace(1e-6, mu_max, 200)
+        grid = np.geomspace(1e-6, 2.0, 200)
         vals = [gllp_pulse_rate(m, eta, p_dark, eps_model) for m in grid]
         k = int(np.argmax(vals))
         if vals[k] > best:
@@ -325,15 +304,15 @@ def yield_Yn(n: int, eta: float, p_dark: float) -> float:
     return 1.0 - (1.0 - eta) ** n * (1.0 - p_dark) ** 2
 
 
-def gain_Qmu(mu: float, eta: float, p_dark: float, n_max: int = 25) -> float:
-    """Q_mu = e^{-mu} sum_n Y_n mu^n / n!, truncated at n_max.
+def gain_Qmu(mu: float, eta: float, p_dark: float) -> float:
+    """Q_mu = e^{-mu} sum_n Y_n mu^n / n!, truncated at n = 25.
 
-    The dropped tail is below the Poisson mass beyond n_max, i.e. under
-    1e-12 for mu <= 1 at n_max >= 25.
+    The dropped tail is below the Poisson mass beyond n = 25, i.e. under
+    1e-12 for mu <= 1.
     """
     if mu <= 0:
         return yield_Yn(0, eta, p_dark)
-    ns = np.arange(0, n_max + 1)
+    ns = np.arange(0, 26)
     log_w = ns * math.log(mu) - np.array([math.lgamma(k + 1) for k in ns])
     weights = np.exp(-mu + log_w)
     yields = np.array([yield_Yn(int(k), eta, p_dark) for k in ns])

@@ -1,36 +1,28 @@
-import numpy as np
+import math
+
 import pytest
 
 from qkdsim.bell import (MAXIMAL_SETTINGS, SETTING_PAIRS, TSIRELSON,
                          ChshSettings, chsh_analytic, chsh_estimate)
-from qkdsim.quantum import bloch_vector, sample_singlet
+from qkdsim.quantum import sample_singlet
 from qkdsim.rng import make_rng
 
 
 def test_maximal_settings_hit_tsirelson():
-    assert chsh_analytic(MAXIMAL_SETTINGS) == pytest.approx(TSIRELSON)
+    assert chsh_analytic(MAXIMAL_SETTINGS) == TSIRELSON
 
 
 def test_aligned_settings_stay_classical():
-    s = ChshSettings.from_angles(0.0, 90.0, 0.0, 90.0)
+    s = ChshSettings(0.0, 90.0, 0.0, 90.0)
     assert chsh_analytic(s) <= 2.0 + 1e-12
 
 
-def test_settings_require_unit_vectors():
-    with pytest.raises(ValueError):
-        ChshSettings(np.array([1.0, 0.0]), bloch_vector(0), bloch_vector(45),
-                     bloch_vector(135))
-    with pytest.raises(ValueError):
-        ChshSettings(np.array([2.0, 0.0, 0.0]), bloch_vector(0),
-                     bloch_vector(45), bloch_vector(135))
-
-
 def _singlet_samples(settings, per_pair, rng):
-    dirs = {"n1": settings.n1, "n1p": settings.n1p,
-            "n2": settings.n2, "n2p": settings.n2p}
     samples = {}
     for pa, pb in SETTING_PAIRS:
-        a, b = sample_singlet(dirs[pa], dirs[pb], rng, size=per_pair)
+        cos = math.cos(math.radians(getattr(settings, pa)
+                                    - getattr(settings, pb)))
+        a, b = sample_singlet(cos, rng, size=per_pair)
         samples[(pa, pb)] = a * b
     return samples
 
@@ -60,5 +52,5 @@ def test_estimate_rejects_thin_pairs():
 
 def test_analytic_varies_smoothly_with_geometry():
     # rotating one analyzer away from optimal lowers S
-    s = ChshSettings.from_angles(90.0, 0.0, 25.0, 135.0)
+    s = ChshSettings(90.0, 0.0, 25.0, 135.0)
     assert chsh_analytic(s) < TSIRELSON

@@ -286,10 +286,24 @@ def test_run_intercept_aborts_with_exit_two(capsys):
     ({"protocol": "e91",
       "eve": {"kind": "intercept_resend", "fixed_basis": 3}},
      "fixed_basis 3 is out of range: Eve can measure in 3 bases"),
+    ({"postproc": {"safety_bits": 20.5}},
+     "postproc: safety_bits must be an integer, got 20.5"),
+    ({"postproc": {"safety_bits": -100}},
+     "postproc: safety_bits must be >= 0"),
+    ({"eve": {"kind": "intercept_resend", "fixed_basis": 1.5}},
+     "eve: fixed_basis must be an integer, got 1.5"),
+    ({"eve": {"kind": "intercept_resend", "fixed_basis": True}},
+     "eve: fixed_basis must be an integer, got True"),
+    ({"postproc": {"sample_fraction": 1.5}},
+     "postproc: sample_fraction must lie in (0, 1]"),
+    ({"postproc": {"sample_fraction": True}},
+     "postproc: sample_fraction must be a number, got True"),
+    ({"num_pulses": 2000.7}, "protocol: num_pulses must be an integer"),
 ])
 def test_scenario_refused_by_runner_is_clean_error(tmp_path, scenario,
                                                    message):
-    path = write_scenario(tmp_path, dict(BASE, num_pulses=2000, **scenario))
+    path = write_scenario(tmp_path, dict(BASE, **{"num_pulses": 2000,
+                                                  **scenario}))
     proc = run_python(["-m", "qkdsim.cli", "run", path], cwd=tmp_path,
                       pythonpath=str(PACKAGE.parent))
     assert proc.returncode == 1

@@ -61,13 +61,13 @@ GOLDEN_CLI = {
     "bell bb84_intercept.cfg":
         "130ed44d84417f2c3fed5525293cc91972390731bfb9463091f6b5348221daa9",
     "run e91_honest.cfg text":
-        "ecd9bd586d158ffd8731ab5ef0909bf893dc4793248413c950ed748d3751b314",
+        "3418998f9e5525a6a86a0dd0f872b67258ced5151f7a0dc9ec570161c5960a46",
     "run e91_honest.cfg json":
-        "68067378f1ad68492190cf78334aa439279a95a848d124836dd072a64b05af05",
+        "f1336558553414bae75c2a128688ba21a4f2249369960feaa5be58077b06a0a5",
     "sweep e91_honest.cfg":
         "d6dc61b2aea20cd704c879b796c070497427de38cef80b78cabd3b9a47fb6b06",
     "bell e91_honest.cfg":
-        "08169fa91669177e7ee541cd8674258a6460319ecc71ad46df275e4e46c2fd6c",
+        "da2c44a233713f5acc22c7729d1eb5b296f7290aae4430ddcaf1eee172bab3b7",
 }
 
 GOLDEN_TRANSCRIPTS = {

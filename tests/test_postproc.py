@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -92,7 +93,8 @@ def test_bbbss_corrects_three_percent():
 
 
 def test_bbbss_even_error_block_caught_by_later_pass():
-    # two errors inside what pass 1 sees as one block cancel in its parity;
+    # two errors inside what pass 1 sees as one block (of 100 bits: the
+    # estimate 0.0073 sets it) cancel in its parity;
     # the later permuted passes and the subset phase must still catch them
     rng = make_rng(7)
     n = 400
@@ -100,8 +102,7 @@ def test_bbbss_even_error_block_caught_by_later_pass():
     b_arr = a.to_array().copy()
     b_arr[10] ^= 1
     b_arr[11] ^= 1
-    rec = bbbss_correct(a, BitString.from_array(b_arr), 0.05, rng,
-                        initial_block=100)
+    rec = bbbss_correct(a, BitString.from_array(b_arr), 0.0073, rng)
     assert rec.corrected_alice == rec.corrected_bob
 
 
@@ -149,15 +150,15 @@ def _reference_bisect(pa, pb, lo, hi, log):
     return leaked
 
 
-def reference_bbbss(alice, bob, eps_est, rng, max_passes, initial_block,
-                    subset_clean_target, log):
+def reference_bbbss(alice, bob, eps_est, rng, max_passes, subset_clean_target,
+                    log):
     """Scalar reference reconciliation: one bisection at a time, block by
     block, with a fixed pass count."""
     a = alice.to_array().astype(np.int64)
     b = bob.to_array().astype(np.int64)
     n = a.size
     leaked = rounds = 0
-    k = min(initial_block or max(2, int(0.73 / eps_est)), max(2, n // 2))
+    k = min(max(2, int(0.73 / eps_est)), max(2, n // 2))
     for _ in range(max_passes):
         rounds += 1
         perm = rng.permutation(n)
@@ -193,24 +194,24 @@ def reference_bbbss(alice, bob, eps_est, rng, max_passes, initial_block,
             clean >= subset_clean_target)
 
 
-@pytest.mark.parametrize("n, eps, initial_block, seed", [
+@pytest.mark.parametrize("n, eps, eps_est, seed", [   # eps_est None: eps
     (5000, 0.03, None, 40),
     (997, 0.08, None, 41),      # blocks of 9, the last one of 7
-    (300, 0.10, 1, 42),         # blocks of one bit: no bisection
-    (301, 0.10, 2, 43),         # blocks of 2, the last one of 1
-    (302, 0.10, 3, 44),         # blocks of 3, the last one of 2
+    (301, 0.10, 0.3, 43),       # blocks of 2, the last one of 1
+    (302, 0.10, 0.2, 44),       # blocks of 3, the last one of 2
     (7, 0.20, None, 45),        # blocks of 3, 3 and 1
     (20000, 0.02, None, 46),
-    (4000, 0.05, 100, 47),
+    (4000, 0.05, 0.0073, 47),   # blocks of 100, five errors in each on average
 ])
-def test_bbbss_lockstep_matches_scalar_reference(n, eps, initial_block, seed):
+def test_bbbss_lockstep_matches_scalar_reference(n, eps, eps_est, seed):
     data_rng = make_rng(seed)
     a = random_bits(n, data_rng)
     b = flip_fraction(a, eps, data_rng)
+    eps_est = eps if eps_est is None else eps_est
     log, ref_events = PublicChannelLog(), []
-    rec = bbbss_correct(a, b, eps, make_rng(seed + 1000), max_passes=4,
-                        initial_block=initial_block, log=log)
-    ref = reference_bbbss(a, b, eps, make_rng(seed + 1000), 4, initial_block,
+    rec = bbbss_correct(a, b, eps_est, make_rng(seed + 1000), max_passes=4,
+                        log=log)
+    ref = reference_bbbss(a, b, eps_est, make_rng(seed + 1000), 4,
                           20, SimpleNamespace(
                               post=lambda *msg: ref_events.append(msg[2])))
     assert (rec.corrected_alice, rec.corrected_bob, rec.leaked_bits,
@@ -691,6 +692,21 @@ def test_pipeline_params_rejects_bad_max_passes(bad):
     with pytest.raises(ValueError,
                        match="max_passes must be None or an integer >= 1"):
         PipelineParams(max_passes=bad)
+
+
+@pytest.mark.parametrize("field, bad, message", [
+    ("sample_fraction", 0.0, "sample_fraction must lie in (0, 1]"),
+    ("sample_fraction", 1.5, "sample_fraction must lie in (0, 1]"),
+    ("qber_abort_threshold", -0.01,
+     "qber_abort_threshold must lie in [0, 0.5]"),
+    ("qber_abort_threshold", 0.51,
+     "qber_abort_threshold must lie in [0, 0.5]"),
+    ("safety_bits", -1, "safety_bits must be >= 0"),
+    ("subset_clean_target", 0, "subset_clean_target must be >= 1"),
+])
+def test_pipeline_params_rejects_out_of_range(field, bad, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        PipelineParams(**{field: bad})
 
 
 def test_pipeline_params_accepts_none_and_positive_max_passes():

@@ -6,7 +6,7 @@ import pytest
 from qkdsim.quantum import (CIRCULAR, DIAGONAL, NO_CLICK, RECTILINEAR,
                             STATE_A, STATE_H, STATE_L, STATE_V, Basis,
                             ChannelModel, DetectorModel, SignalState,
-                            SourceModel, attenuate_batch, bloch_vector,
+                            SourceModel, attenuate_batch,
                             channel_preset, detector_preset, g2, load_presets,
                             measure_batch, sample_photon_number,
                             sample_singlet)
@@ -116,14 +116,13 @@ def test_presets_load():
 def test_singlet_correlation():
     rng = make_rng(8)
     for deg in (0.0, 45.0, 90.0):
-        a, b = sample_singlet(bloch_vector(0.0), bloch_vector(deg), rng,
-                              size=200000)
+        a, b = sample_singlet(math.cos(math.radians(deg)), rng, size=200000)
         corr = float((a * b).mean())
         assert corr == pytest.approx(-math.cos(math.radians(deg)), abs=0.01)
 
 
 def test_singlet_marginals_uniform():
-    a, b = sample_singlet(bloch_vector(0.0), bloch_vector(30.0), make_rng(9),
+    a, b = sample_singlet(math.cos(math.radians(30.0)), make_rng(9),
                           size=100000)
     assert abs(a.mean()) < 0.02 and abs(b.mean()) < 0.02
 

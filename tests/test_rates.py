@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qkdsim.rates import (CHAU_THRESHOLD_BB84, CHAU_THRESHOLD_SIX_STATE,
-                          DecoyEstimate, JointDistribution, binary_entropy,
+                          DecoyEstimate, binary_entropy,
                           bound_beamsplit, bound_pns,
                           conditional_mutual_information, csiszar_korner,
                           decoy_estimate, detection_prob, evaluate_rates,
@@ -73,10 +73,10 @@ def test_mutual_information_cases():
 
 
 def test_joint_distribution_validation():
-    with pytest.raises(ValueError):
-        JointDistribution(np.full((2, 2), 0.25))
-    with pytest.raises(ValueError):
-        JointDistribution(np.full((2, 2, 2), 0.25))
+    with pytest.raises(ValueError, match="three axes"):
+        csiszar_korner(np.full((2, 2), 0.25))
+    with pytest.raises(ValueError, match="sum to 1"):
+        csiszar_korner(np.full((2, 2, 2), 0.25))
 
 
 def _abe(eps_b, eve_knows):
