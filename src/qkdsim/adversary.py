@@ -94,8 +94,7 @@ def _eve_choice(strategy: EveStrategy, count: int, size: int,
 
 
 def attack_batch(strategy: EveStrategy, n: np.ndarray, state_idx: np.ndarray,
-                 p_one: np.ndarray, eigen_idx: np.ndarray,
-                 signal_basis_count: int, ch: ChannelModel,
+                 p_one: np.ndarray, eigen_idx: np.ndarray, ch: ChannelModel,
                  rng: np.random.Generator,
                  b92_states: Optional[tuple[SignalState, SignalState]] = None,
                  ) -> BatchAttack:
@@ -123,7 +122,7 @@ def attack_batch(strategy: EveStrategy, n: np.ndarray, state_idx: np.ndarray,
         return BatchAttack(n, state_idx, False, eve_basis)
 
     if strategy.kind == "intercept_resend":
-        eb = _eve_choice(strategy, signal_basis_count, npulses, rng)
+        eb = _eve_choice(strategy, p_one.shape[1], npulses, rng)
         probs = p_one[state_idx, eb]
         k1 = rng.binomial(n, probs)
         k0 = n - k1

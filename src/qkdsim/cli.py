@@ -69,12 +69,13 @@ def _refuse_unknown(raw: dict, path: str, allowed: set) -> None:
 def _number(path: str, name: str, value, hint):
     """A scenario number read as its field's type hint: an ``int`` field
     takes integral values only ("num_pulses": 3e3 is 3000), a ``float``
-    field any number ("mu": 1 prints 1.0).  Booleans and other non-numbers
-    are refused; ``null`` only where the hint is ``Optional``."""
+    field any finite number ("mu": 1 prints 1.0).  Booleans, NaN, ±inf and
+    non-numbers are refused; ``null`` only where the hint is ``Optional``."""
     kind = int if hint in (int, Optional[int]) else float
     if value is None and hint is not kind:
         return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
+            abs(value) <= sys.float_info.max) or (
             kind is int and isinstance(value, float)
             and not value.is_integer()):
         noun = "an integer" if kind is int else "a number"
@@ -170,6 +171,14 @@ def _scenario_rates(scenario: Scenario, epsilon: float) -> RateReport:
                           p_dark=scenario.detector.dark_prob, overlap=overlap)
 
 
+def _chsh(transcript: SessionTranscript) -> tuple[float, float]:
+    """CHSH estimate; a setting pair with no samples is a scenario error."""
+    try:
+        return bell_mod.chsh_estimate(transcript.chsh_samples, min_count=1)
+    except ValueError as exc:
+        raise ConfigError(f"chsh: {exc}") from None
+
+
 def session_report(scenario: Scenario, transcript: SessionTranscript,
                    result: FinalKeyResult) -> dict:
     report = {
@@ -193,8 +202,7 @@ def session_report(scenario: Scenario, transcript: SessionTranscript,
     if transcript.intensity_stats is not None:
         report["intensity_stats"] = transcript.intensity_stats
     if transcript.chsh_samples is not None:
-        s_hat, stderr = bell_mod.chsh_estimate(transcript.chsh_samples,
-                                               min_count=1)
+        s_hat, stderr = _chsh(transcript)
         report["chsh"] = {"S": s_hat, "stderr": stderr,
                           "analytic_max": bell_mod.chsh_analytic(
                               bell_mod.MAXIMAL_SETTINGS)}
@@ -335,8 +343,7 @@ def cmd_bell(args) -> int:
     if scenario.protocol_config.protocol != "e91":
         raise ConfigError("protocol: bell requires an e91 scenario")
     transcript, _ = _simulate(scenario, pipeline=False)
-    s_hat, stderr = bell_mod.chsh_estimate(transcript.chsh_samples,
-                                           min_count=1)
+    s_hat, stderr = _chsh(transcript)
     analytic = bell_mod.chsh_analytic(bell_mod.MAXIMAL_SETTINGS)
     payload = {
         "pairs": transcript.pulse_count,

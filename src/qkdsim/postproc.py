@@ -294,38 +294,43 @@ def advantage_distill(alice: BitString, bob: BitString, block: int,
 PRODUCTION_PRIME = (1 << 61) - 1
 
 
-def _bits_to_int(bits: np.ndarray) -> int:
-    """Big-endian integer value of a 0/1 array (0 when it is empty)."""
-    return int.from_bytes(np.packbits(bits).tobytes(), "big") \
-        >> (-len(bits) % 8)
+def _chunk_values(bits: np.ndarray, w: int) -> list[int]:
+    """Big-endian values of the w-bit chunks of a 0/1 array, the last one
+    possibly shorter.  One uint64 product, so w must not exceed 64."""
+    k = -(-len(bits) // w)
+    rows = np.pad(bits.astype(np.uint64), (0, k * w - len(bits)))
+    values = rows.reshape(k, w) @ (
+        np.uint64(1) << np.arange(w - 1, -1, -1, dtype=np.uint64))
+    values[-1:] >>= np.uint64(k * w - len(bits))   # the zero padding
+    return values.tolist()
 
 
 @dataclass
 class AuthConfig:
-    """Shared authentication material.
+    """Shared authentication material, held as elements of GF(p), p < 2^64.
 
-    The password keys a polynomial hash over GF(p):
+    The key (x, y) defines a polynomial hash:
     tag(m) = y + sum_i m_i x^(i+1) for message digits m_i, at most
     degree - 1 of them: the bit length of m, then m in base-2^(bitlen(p)-1)
     chunks.  The length digit makes the encoding injective.  Each emitted
-    tag is one-time-pad encrypted with a fresh segment of otp_pool;
-    segments are never reused.  Two distinct messages hash to polynomials
-    whose difference is nonzero of degree at most degree - 1, so they
-    collide on at most degree - 1 keys x: a forger who sees one tag
-    succeeds with probability at most (degree - 1) / p.
-    """
+    tag is one-time-pad encrypted with a fresh entry of pads; entries are
+    never reused.  Two distinct messages hash to polynomials whose
+    difference is nonzero of degree at most degree - 1, so they collide on
+    at most degree - 1 keys x: a forged tag, or a tag checked against a
+    message it was not computed from, passes with probability at most
+    (degree - 1) / p."""
 
     prime: int
     degree: int
-    shared_password: BitString
-    otp_pool: BitString
+    key: tuple[int, int]
+    pads: tuple[int, ...]
     next_segment: int = 0
 
     def __post_init__(self):
         if self.degree < 2:
             raise ValueError("degree must be >= 2")
-        if len(self.shared_password) < 2 * self.tag_bits:
-            raise ValueError("password must hold at least two field elements")
+        if self.prime >= 1 << 64:
+            raise ValueError("prime must lie below 2^64")
 
     @property
     def tag_bits(self) -> int:
@@ -335,27 +340,16 @@ class AuthConfig:
     def deception_probability(self) -> float:
         return (self.degree - 1) / self.prime
 
-    def _field_elements(self) -> tuple[int, int]:
-        bits = self.shared_password.to_array()
-        w = self.tag_bits
-        return (_bits_to_int(bits[:w]) % self.prime,
-                _bits_to_int(bits[w: 2 * w]) % self.prime)
-
-    def _pad_value(self, segment: int) -> int:
-        start = segment * self.tag_bits
-        stop = start + self.tag_bits
-        if stop > len(self.otp_pool):
-            raise OtpPoolExhausted(
-                "one-time-pad pool exhausted: refill from the distilled key")
-        return _bits_to_int(self.otp_pool[start:stop].to_array()) % self.prime
-
     @classmethod
     def fresh(cls, rng: np.random.Generator, prime: int = PRODUCTION_PRIME,
               degree: int = 64, pool_tags: int = 32) -> "AuthConfig":
+        """Key and pads from uniform bitlen(p)-bit draws, reduced mod p."""
         w = prime.bit_length()
+        key = _chunk_values(random_bits(2 * w, rng).to_array(), w)
+        pads = _chunk_values(random_bits(pool_tags * w, rng).to_array(), w)
         return cls(prime=prime, degree=degree,
-                   shared_password=random_bits(2 * w, rng),
-                   otp_pool=random_bits(pool_tags * w, rng))
+                   key=(key[0] % prime, key[1] % prime),
+                   pads=tuple(pad % prime for pad in pads))
 
 
 def _message_digits(message: BitString, cfg: AuthConfig) -> list[int]:
@@ -366,8 +360,7 @@ def _message_digits(message: BitString, cfg: AuthConfig) -> list[int]:
     if len(bits) >= cfg.prime:
         raise ValueError(
             f"message too long: {len(bits)} bits, the prime is {cfg.prime}")
-    digits = [len(bits)] + [_bits_to_int(bits[i: i + w])
-                            for i in range(0, len(bits), w)]
+    digits = [len(bits)] + _chunk_values(bits, w)
     if len(digits) > cfg.degree - 1:
         raise ValueError(
             f"message too long: {len(digits)} digits exceeds degree-1 = "
@@ -376,7 +369,7 @@ def _message_digits(message: BitString, cfg: AuthConfig) -> list[int]:
 
 
 def _poly_hash(message: BitString, cfg: AuthConfig) -> int:
-    x, y = cfg._field_elements()
+    x, y = cfg.key
     acc = 0
     for digit in reversed(_message_digits(message, cfg)):  # Horner
         acc = (acc + digit) * x % cfg.prime
@@ -390,15 +383,18 @@ class AuthTag:
 
 
 def authenticate(message: BitString, cfg: AuthConfig) -> AuthTag:
-    """Tag the message and consume one one-time-pad segment."""
+    """Tag the message and consume one pad."""
     segment = cfg.next_segment
-    enc = (_poly_hash(message, cfg) + cfg._pad_value(segment)) % cfg.prime
+    if segment >= len(cfg.pads):
+        raise OtpPoolExhausted(
+            "one-time-pad pool exhausted: refill from the distilled key")
+    enc = (_poly_hash(message, cfg) + cfg.pads[segment]) % cfg.prime
     cfg.next_segment += 1
     return AuthTag(value=enc, segment=segment)
 
 
 def verify(message: BitString, tag: AuthTag, cfg: AuthConfig) -> bool:
-    expected = _poly_hash(message, cfg) + cfg._pad_value(tag.segment)
+    expected = _poly_hash(message, cfg) + cfg.pads[tag.segment]
     return expected % cfg.prime == tag.value
 
 
@@ -475,13 +471,16 @@ def parity_knowledge(p: float, n: int) -> float:
 def run_pipeline(transcript, params: PipelineParams,
                  rng: np.random.Generator) -> FinalKeyResult:
     """Estimation -> abort check -> reconciliation -> privacy amplification
-    on a session transcript.  Three messages are authenticated: the QBER
-    sample, the reconciliation summary (``leaked_bits`` and ``rounds`` as
-    two 64-bit big-endian fields) and the final-key digest.  The parities
-    and the privacy-amplification seed go out untagged.  Abort stages:
-    "estimation" (empty key, QBER over threshold, nothing left after the
-    sample), "authentication" (a tag fails), "privacy_amplification" (no
-    key left) and "verification" (final keys differ), with counts so far."""
+    -> key verification on a session transcript.  Three messages carry
+    tags: the QBER sample and the reconciliation summary (``leaked_bits``
+    and ``rounds`` as two 64-bit big-endian fields), each checked against
+    the bits it was computed from, and Alice's corrected key, checked
+    against Bob's, so keys that differ pass with probability at most
+    ``deception_probability``.  The parities and the PA seed go out
+    untagged.  Abort stages: "estimation" (empty key, QBER over threshold,
+    nothing left after the sample), "authentication" (the sample or
+    summary tag fails), "privacy_amplification" (no key left) and
+    "verification" (Bob's key fails Alice's tag), with counts so far."""
     return run_pipeline_on_keys(transcript.sifted_alice,
                                 transcript.sifted_bob, params, rng)
 
@@ -517,7 +516,7 @@ def run_pipeline_on_keys(sifted_alice: BitString, sifted_bob: BitString,
         if len(alice) == 0:
             raise _Abort("estimation", "nothing left after sampling")
 
-        rec = bbbss_correct(alice, bob, max(eps, 1.0 / max(2, len(alice))),
+        rec = bbbss_correct(alice, bob, max(eps, 1.0 / max(3, len(alice))),
                             rng, max_passes=params.max_passes,
                             subset_clean_target=params.subset_clean_target,
                             log=log)
@@ -530,22 +529,15 @@ def run_pipeline_on_keys(sifted_alice: BitString, sifted_bob: BitString,
         k = leaked + math.ceil(len(rec.corrected_alice) *
                                eve_information_per_bit(eps, params.eve_bound))
         try:
-            final_a, seed = privacy_amplify(rec.corrected_alice, k,
-                                            params.safety_bits, rng, log=log)
+            final_a, _ = privacy_amplify(rec.corrected_alice, k,
+                                         params.safety_bits, rng, log=log)
         except NoSecureKey as exc:
             raise _Abort("privacy_amplification", str(exc)) from None
-        # The hash is linear: T·b = T·a ⊕ T·(a ⊕ b), and a ⊕ b is
-        # usually zero after reconciliation.
-        final_b = final_a
-        if rec.corrected_bob != rec.corrected_alice:
-            diff = rec.corrected_alice ^ rec.corrected_bob
-            final_b = final_a ^ BitString.from_array(toeplitz_hash(
-                diff.to_array(), seed.to_array(), len(final_a)))
-        send("alice->bob", "final_key_digest",
-             BitString.from_array(final_a.to_array()[:32]),
-             {"final_length": len(final_a)})
-        if final_a != final_b:
-            raise _Abort("verification", "final keys differ")
+        tag = authenticate(rec.corrected_alice, auth)
+        log.post("alice->bob", "key_verification",
+                 {"final_length": len(final_a)})
+        if not verify(rec.corrected_bob, tag, auth):
+            raise _Abort("verification", "corrected keys differ")
     except _Abort as abort:
         return FinalKeyResult(None, 0, eps, leaked, k, *abort.args, log)
     return FinalKeyResult(final_a, len(final_a), eps, leaked, k, None, None,

@@ -338,7 +338,7 @@ def _run_prepare_measure(spec: PrepareMeasureSpec, cfg: ProtocolConfig,
     n, tags = spec.photons(cfg, src, rng)
 
     atk = adversary.attack_batch(
-        eve, n, sent, table.p_one, table.eigen_idx, num_bases, ch, rng,
+        eve, n, sent, table.p_one, table.eigen_idx, ch, rng,
         b92_states=table.states[:2] if spec.usd_pair else None)
     # channel loss (unless Eve already replaced the line), one receiver
     # misalignment flip per pulse, then detection

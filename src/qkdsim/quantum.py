@@ -190,8 +190,9 @@ class ChannelModel:
     misalignment_error_prob: float = 0.0
 
     def __post_init__(self):
-        if self.length_km < 0 or self.attenuation_db_per_km < 0:
-            raise ValueError("channel length and attenuation must be >= 0")
+        if not (0 <= self.length_km < math.inf
+                and 0 <= self.attenuation_db_per_km < math.inf):
+            raise ValueError("length and attenuation must be finite and >= 0")
         if not 0.0 <= self.misalignment_error_prob <= 0.5:
             raise ValueError("misalignment_error_prob must lie in [0, 0.5]")
 

@@ -15,7 +15,7 @@ BB84 = bb84_table()     # states H, V, A, D; bases rectilinear, diagonal
 def attack(eve, n, idx, ch=ChannelModel(), rng=None, table=BB84, **kw):
     return attack_batch(eve, np.asarray(n, dtype=np.int64),
                         np.asarray(idx, dtype=np.int64), table.p_one,
-                        table.eigen_idx, len(table.bases), ch,
+                        table.eigen_idx, ch,
                         rng if rng is not None else make_rng(0), **kw)
 
 
@@ -134,7 +134,7 @@ def test_batch_none_is_identity():
     table = bb84_table()
     n = np.ones(100, dtype=np.int64)
     idx = np.zeros(100, dtype=np.int64)
-    atk = attack_batch(NO_EVE, n, idx, table.p_one, table.eigen_idx, 2,
+    atk = attack_batch(NO_EVE, n, idx, table.p_one, table.eigen_idx,
                        ChannelModel(), make_rng(10))
     assert np.array_equal(atk.n, n) and not atk.channel_consumed
     assert (atk.eve_basis == NOTHING).all()
@@ -147,7 +147,7 @@ def test_batch_intercept_matches_scalar_statistics():
     n = np.ones(N, dtype=np.int64)
     idx = np.zeros(N, dtype=np.int64)      # all H
     eve = EveStrategy("intercept_resend")
-    atk = attack_batch(eve, n, idx, table.p_one, table.eigen_idx, 2,
+    atk = attack_batch(eve, n, idx, table.p_one, table.eigen_idx,
                        ChannelModel(), rng)
     wrong_basis = atk.eve_basis == 1
     assert abs(wrong_basis.mean() - 0.5) < 0.005

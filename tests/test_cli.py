@@ -299,6 +299,14 @@ def test_run_intercept_aborts_with_exit_two(capsys):
     ({"postproc": {"sample_fraction": True}},
      "postproc: sample_fraction must be a number, got True"),
     ({"num_pulses": 2000.7}, "protocol: num_pulses must be an integer"),
+    ({"channel": {"preset": "fiber_1550", "length_km": float("nan")}},
+     "channel: length_km must be a number, got nan"),
+    ({"channel": {"attenuation_db_per_km": float("inf")}},
+     "channel: attenuation_db_per_km must be a number, got inf"),
+    ({"source": {"kind": "laser", "mu": float("nan")}},
+     "source: mu must be a number, got nan"),
+    ({"source": {"kind": "laser", "mu": 10 ** 400}},
+     "source: mu must be a number, got 1000"),
 ])
 def test_scenario_refused_by_runner_is_clean_error(tmp_path, scenario,
                                                    message):
@@ -442,3 +450,12 @@ def test_bell_rejects_non_e91(capsys, tmp_path):
     path = write_scenario(tmp_path, BASE)
     code, _, err = run_cli(capsys, "bell", path)
     assert code == 1 and "e91" in err
+
+
+@pytest.mark.parametrize("verb, pulses", [("bell", "5"), ("run", "0")])
+def test_chsh_from_too_few_pairs_is_clean_error(capsys, verb, pulses):
+    code, _, err = run_cli(capsys, verb, "bundled:e91_honest.cfg",
+                           "--pulses", pulses)
+    assert code == 1
+    assert err.startswith("error: chsh: setting pair ('n1', 'n2') has 0 "
+                          "samples")

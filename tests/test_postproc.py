@@ -358,11 +358,10 @@ def test_toeplitz_hash_of_empty_key_or_output():
 
 
 @pytest.mark.parametrize("keys_differ", [False, True])
-def test_pipeline_bob_key_is_the_hash_of_his_corrected_key(monkeypatch,
-                                                           keys_differ):
+def test_pipeline_hashes_once_and_checks_bob_key_with_the_tag(monkeypatch,
+                                                              keys_differ):
     seen = {}
-    real_bbbss, real_pa = postproc.bbbss_correct, postproc.privacy_amplify
-    real_hash = postproc.toeplitz_hash
+    real_bbbss, real_hash = postproc.bbbss_correct, postproc.toeplitz_hash
 
     def bbbss(*args, **kwargs):
         rec = real_bbbss(*args, **kwargs)
@@ -374,37 +373,78 @@ def test_pipeline_bob_key_is_the_hash_of_his_corrected_key(monkeypatch,
         seen["rec"] = rec
         return rec
 
-    def pa(*args, **kwargs):
-        seen["final_a"], seen["seed"] = real_pa(*args, **kwargs)
-        return seen["final_a"], seen["seed"]
-
     def spy_hash(key, seed, r):
         out = real_hash(key, seed, r)
         seen.setdefault("hashed", []).append((np.array(key), out))
         return out
 
     monkeypatch.setattr(postproc, "bbbss_correct", bbbss)
-    monkeypatch.setattr(postproc, "privacy_amplify", pa)
     monkeypatch.setattr(postproc, "toeplitz_hash", spy_hash)
     rng = make_rng(64)
     a = random_bits(6000, rng)
     res = run_pipeline_on_keys(a, flip_fraction(a, 0.02, rng),
                                PipelineParams(), rng)
-    rec, final_a = seen["rec"], seen["final_a"]
-    expected_bob = real_hash(rec.corrected_bob.to_array(),
-                             seed=seen["seed"].to_array(), r=len(final_a))
+    # one Toeplitz product, of Alice's corrected key, whether or not the
+    # keys agree: Bob's final key is never computed
+    [(hashed_key, final_a)] = seen["hashed"]
+    assert np.array_equal(hashed_key, seen["rec"].corrected_alice.to_array())
+    assert res.log.messages[-1] == {
+        "direction": "alice->bob", "purpose": "key_verification",
+        "payload": {"final_length": final_a.size}}
     if not keys_differ:
-        # no second hash: Bob's key is Alice's, and that is T·b
-        assert len(seen["hashed"]) == 1
-        assert res.final_key == final_a
-        assert np.array_equal(final_a.to_array(), expected_bob)
+        assert not res.aborted
+        assert np.array_equal(res.final_key.to_array(), final_a)
         return
-    diff, hash_of_diff = seen["hashed"][1]
-    assert np.array_equal(
-        diff, (rec.corrected_alice ^ rec.corrected_bob).to_array())
-    assert np.array_equal(final_a.to_array() ^ hash_of_diff, expected_bob)
-    assert not np.array_equal(final_a.to_array(), expected_bob)
-    assert res.abort_stage == "verification"
+    assert (res.abort_stage, res.abort_reason) == ("verification",
+                                                   "corrected keys differ")
+    assert res.final_key is None
+
+
+def test_key_verification_checks_bob_corrected_key(monkeypatch):
+    seen, checked = {}, []
+    real_bbbss, real_verify = postproc.bbbss_correct, postproc.verify
+
+    def bbbss(*args, **kwargs):
+        seen["rec"] = real_bbbss(*args, **kwargs)
+        return seen["rec"]
+
+    def spy_verify(message, tag, cfg):
+        checked.append(message)
+        return real_verify(message, tag, cfg)
+
+    monkeypatch.setattr(postproc, "bbbss_correct", bbbss)
+    monkeypatch.setattr(postproc, "verify", spy_verify)
+    rng = make_rng(65)
+    a = random_bits(6000, rng)
+    res = run_pipeline_on_keys(a, flip_fraction(a, 0.02, rng),
+                               PipelineParams(), rng)
+    assert not res.aborted and len(checked) == 3
+    # the QBER sample, the summary, then Bob's own corrected key
+    assert checked[2] is seen["rec"].corrected_bob
+
+
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_residual_errors_abort_at_key_verification(seed):
+    # one pass and one clean subset round leave errors in Bob's key
+    rng = make_rng(seed)
+    a = random_bits(20000, rng)
+    res = run_pipeline_on_keys(
+        a, flip_fraction(a, 0.05, rng),
+        PipelineParams(max_passes=1, subset_clean_target=1), rng)
+    assert (res.abort_stage, res.abort_reason) == ("verification",
+                                                   "corrected keys differ")
+    assert res.log.messages[-1]["purpose"] == "key_verification"
+
+
+@pytest.mark.parametrize("n0", [2, 3])
+def test_pipeline_on_tiny_keys_ends_in_a_clean_abort(n0):
+    # the QBER sample leaves 1 or 2 bits; the reconciliation estimate
+    # floor 1/max(3, n) stays below 1/2
+    rng = make_rng(66)
+    a = random_bits(n0, rng)
+    res = run_pipeline_on_keys(a, a, PipelineParams(), rng)
+    assert res.abort_stage == "privacy_amplification"
+    assert res.final_key is None
 
 
 def test_privacy_amplify_identical_inputs_agree():
@@ -584,18 +624,38 @@ def test_message_digits_match_string_conversion(n):
 
 
 def test_field_elements_and_pads_match_string_conversion():
-    rng = make_rng(41)
     for prime in (PRODUCTION_PRIME, 251):
-        cfg = AuthConfig.fresh(rng, prime=prime, pool_tags=9)
+        cfg = AuthConfig.fresh(make_rng(41), prime=prime, pool_tags=9)
         w = cfg.tag_bits
-        password = cfg.shared_password.to_array()
-        assert cfg._field_elements() == (
-            _string_int(password[:w]) % prime,
-            _string_int(password[w: 2 * w]) % prime)
-        pool = cfg.otp_pool.to_array()
-        for segment in (0, 1, 4, 8):
-            assert cfg._pad_value(segment) == _string_int(
-                pool[segment * w: (segment + 1) * w]) % prime
+        # the same draws as fresh: two key elements, then the pads
+        rng = make_rng(41)
+        password = random_bits(2 * w, rng).to_array()
+        pool = random_bits(9 * w, rng).to_array()
+        assert cfg.key == (_string_int(password[:w]) % prime,
+                           _string_int(password[w: 2 * w]) % prime)
+        assert cfg.pads == tuple(
+            _string_int(pool[segment * w: (segment + 1) * w]) % prime
+            for segment in range(9))
+
+
+@pytest.mark.parametrize("n0", [60, 2047, 2048, 1 << 20])
+def test_key_verification_tag_fits_the_pipeline_degree(monkeypatch, n0):
+    # degree = max(64, n0 // 32) must cover the 1 + ceil(n / 60) digits of
+    # a corrected key of n < n0 bits; the margin is least at the switch
+    # from 64 to n0 // 32, and at this seed no shorter key gets a tag
+    real_authenticate = postproc.authenticate
+    tagged = []
+
+    def record(message, cfg):
+        tagged.append((len(message), cfg.degree))
+        return real_authenticate(message, cfg)
+
+    monkeypatch.setattr(postproc, "authenticate", record)
+    rng = make_rng(67)
+    a = random_bits(n0, rng)
+    res = run_pipeline_on_keys(a, a, PipelineParams(), rng)
+    assert not res.aborted and len(tagged) == 3
+    assert tagged[2] == (n0 - math.ceil(0.1 * n0), max(64, n0 // 32))
 
 
 def test_reconciliation_summary_tag_covers_leaked_bits(monkeypatch):
@@ -621,8 +681,13 @@ def test_reconciliation_summary_tag_covers_leaked_bits(monkeypatch):
         res = run_pipeline_on_keys(a, flip_fraction(a, 0.02, rng),
                                    PipelineParams(), rng)
         assert res.final_key is not None and len(messages) == 3
-        summaries.append(messages[1])   # qber sample, summary, key digest
+        summaries.append(messages[1])   # qber sample, summary, Alice's key
     assert summaries[0] != summaries[1]
+
+
+def test_prime_must_fit_the_64_bit_digit_product():
+    with pytest.raises(ValueError, match=r"prime must lie below 2\^64"):
+        AuthConfig.fresh(make_rng(24), prime=(1 << 89) - 1)
 
 
 def test_deception_probability_field():
@@ -654,7 +719,7 @@ def test_pipeline_distills_key_at_two_percent():
     subset_rounds = sum("subset_size" in p for p in payloads)
     rounds = next(p["rounds"] for p in payloads if "rounds" in p)
     assert passes + subset_rounds == rounds
-    # plus the QBER sample, the summary, the PA seed and the key digest
+    # plus the QBER sample, the summary, the PA seed and the key check
     assert len(payloads) == passes + subset_rounds + 4
 
 
@@ -732,7 +797,7 @@ ABORT_CASES = {
          "no secure key extractable: n=540, k=665, s=30",
          0.06666666666666667, 593, 665, 0, 87)),
     "verification": (3000, 0.02, 63, PipelineParams(),
-                     ("verification", "final keys differ",
+                     ("verification", "corrected keys differ",
                       0.02666666666666667, 493, 637, 0, 31)),
 }
 
@@ -761,16 +826,22 @@ def test_pipeline_abort_results(monkeypatch, case):
     assert res.final_key is None
 
 
-# purpose -> (qber_estimate, leaked_bits, eve_bound_bits, messages)
-TAG_FAILURE_COUNTS = {"qber_sample": (0.023, 0, 0, 1),
-                      "reconciliation_summary": (0.023, 3173, 0, 32),
-                      "final_key_digest": (0.023, 3173, 4001, 34)}
+# purpose -> (abort_stage, abort_reason, qber_estimate, leaked_bits,
+# eve_bound_bits, messages)
+TAG_FAILURES = {
+    "qber_sample": ("authentication", "qber_sample tag failed verification",
+                    0.023, 0, 0, 1),
+    "reconciliation_summary": (
+        "authentication", "reconciliation_summary tag failed verification",
+        0.023, 3173, 0, 32),
+    "key_verification": ("verification", "corrected keys differ",
+                         0.023, 3173, 4001, 34)}
 
 
 @pytest.mark.parametrize("failing_call, purpose", [
     (1, "qber_sample"),
     (2, "reconciliation_summary"),
-    (3, "final_key_digest"),
+    (3, "key_verification"),
 ])
 def test_pipeline_aborts_when_a_tag_fails_verification(monkeypatch,
                                                        failing_call, purpose):
@@ -786,10 +857,9 @@ def test_pipeline_aborts_when_a_tag_fails_verification(monkeypatch,
     a = random_bits(20000, rng)
     b = flip_fraction(a, 0.02, rng)
     res = run_pipeline_on_keys(a, b, PipelineParams(), rng)
-    assert res.abort_stage == "authentication"
-    assert res.abort_reason == f"{purpose} tag failed verification"
     assert res.final_key is None and res.final_length == 0
     assert res.log.messages[-1]["purpose"] == purpose
     assert len(calls) == failing_call
-    assert (res.qber_estimate, res.leaked_bits, res.eve_bound_bits,
-            len(res.log.messages)) == TAG_FAILURE_COUNTS[purpose]
+    assert (res.abort_stage, res.abort_reason, res.qber_estimate,
+            res.leaked_bits, res.eve_bound_bits,
+            len(res.log.messages)) == TAG_FAILURES[purpose]

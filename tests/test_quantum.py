@@ -63,6 +63,16 @@ def test_channel_transmittance():
     assert ChannelModel().transmittance == 1.0
 
 
+@pytest.mark.parametrize("field", ["length_km", "attenuation_db_per_km"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_channel_refuses_non_finite_values(field, value):
+    # NaN fails every comparison, so a check written as `x < 0` let it
+    # through, and a NaN transmittance (also 0 dB/km times an infinite
+    # length) made a lossless line
+    with pytest.raises(ValueError, match="must be finite and >= 0"):
+        ChannelModel(**{field: value})
+
+
 def test_transmit_loss_statistics():
     ch = ChannelModel(length_km=10.0, attenuation_db_per_km=3.0)  # T = 0.001
     survived = attenuate_batch(np.ones(100000, dtype=np.int64), ch, make_rng(4))
