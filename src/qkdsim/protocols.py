@@ -65,22 +65,17 @@ class ProtocolConfig:
 
 @dataclass
 class SessionTranscript:
-    """Full classical record of one protocol session."""
+    """What one protocol session leaves for post-processing and checks:
+    the sifted keys, which of their bits Eve knows, and counts."""
 
     protocol: str
     pulse_count: int
     detection_count: int
-    alice_bits: np.ndarray
-    alice_bases: np.ndarray
-    bob_bases: np.ndarray
-    bob_outcomes: np.ndarray            # -1 = no click / inconclusive
-    sift_mask: np.ndarray
     sifted_alice: BitString
     sifted_bob: BitString
-    eve_known_mask: np.ndarray          # pulses whose key bit Eve knows
-    alice_intensities: Optional[np.ndarray] = None
+    eve_known_mask: BitString           # bit i set: Eve knows sifted bit i
     intensity_stats: Optional[dict] = None
-    chsh_samples: Optional[dict] = None
+    chsh_samples: Optional[dict] = None   # setting pair -> +/-1 products
 
     @property
     def sifted_fraction(self) -> float:
@@ -96,9 +91,8 @@ class SessionTranscript:
     @property
     def eve_known_fraction(self) -> float:
         """Fraction of the sifted key Eve knows deterministically."""
-        if not self.sift_mask.any():
-            return 0.0
-        return float(self.eve_known_mask[self.sift_mask].mean())
+        n = len(self.eve_known_mask)
+        return self.eve_known_mask.hamming_weight() / n if n else 0.0
 
     def to_dict(self) -> dict:
         """JSON-serializable record (schema documented in the README)."""
@@ -106,23 +100,17 @@ class SessionTranscript:
             "protocol": self.protocol,
             "pulse_count": int(self.pulse_count),
             "detection_count": int(self.detection_count),
-            "alice_bits": self.alice_bits.tolist(),
-            "alice_bases": self.alice_bases.tolist(),
-            "bob_bases": self.bob_bases.tolist(),
-            "bob_outcomes": self.bob_outcomes.tolist(),
-            "sift_mask": self.sift_mask.astype(int).tolist(),
             "sifted_alice_hex": self.sifted_alice.to_hex(),
             "sifted_bob_hex": self.sifted_bob.to_hex(),
             "sifted_length": len(self.sifted_alice),
+            "eve_known_hex": self.eve_known_mask.to_hex(),
         }
-        if self.alice_intensities is not None:
-            out["alice_intensities"] = self.alice_intensities.tolist()
         if self.intensity_stats is not None:
             out["intensity_stats"] = self.intensity_stats
-        out["eve_known_mask"] = self.eve_known_mask.astype(int).tolist()
         if self.chsh_samples is not None:
-            out["chsh_samples"] = {"|".join(k): v.tolist()
-                                   for k, v in self.chsh_samples.items()}
+            out["chsh_tallies"] = {
+                "|".join(k): {"count": int(v.size), "sum": int(v.sum())}
+                for k, v in self.chsh_samples.items()}
         return out
 
     def save(self, path) -> None:
@@ -257,17 +245,17 @@ def _intensity_stats(cfg, decoy, clicked) -> dict:
 
 
 # Sift rules: (table, sent state indices, Alice's and Bob's bases, outcomes)
-# -> (sift mask, Bob's per-pulse bit, outcomes reported in the transcript).
+# -> (sift mask, Bob's per-pulse bit).
 
 def _sift_basis(table, sent, a_bases, b_bases, outcomes):
     """BB84-style: keep the clicks measured in Alice's basis."""
-    return (outcomes != NO_CLICK) & (b_bases == a_bases), outcomes, outcomes
+    return (outcomes != NO_CLICK) & (b_bases == a_bases), outcomes
 
 
 def _sift_conclusive(table, sent, a_bases, b_bases, outcomes):
     """B92: outcome 0 on test basis c is the conclusive detection of bit c
     (a projection orthogonal to the other state)."""
-    return outcomes == 0, b_bases, outcomes
+    return outcomes == 0, b_bases
 
 
 def _sift_pair(table, sent, a_bases, b_bases, outcomes):
@@ -280,8 +268,7 @@ def _sift_pair(table, sent, a_bases, b_bases, outcomes):
     orth_to_sent = measured_state == table.flip[sent]
     orth_to_partner = measured_state == table.flip[partner]
     sift = (outcomes != NO_CLICK) & (orth_to_sent | orth_to_partner)
-    bob_bits = table.bit[np.where(orth_to_sent, partner, sent)]
-    return sift, bob_bits, np.where(sift, bob_bits, NO_CLICK).astype(np.int8)
+    return sift, table.bit[np.where(orth_to_sent, partner, sent)]
 
 
 @dataclass(frozen=True)
@@ -351,22 +338,27 @@ def _run_prepare_measure(spec: PrepareMeasureSpec, cfg: ProtocolConfig,
                              table.flip[state_idx], state_idx)
     outcomes = measure_batch(n, table.p_one[state_idx, b_bases], det, rng)
 
-    sift, bob_bits, reported = spec.sift(table, sent, a_bases, b_bases,
-                                         outcomes)
+    sift, bob_bits = spec.sift(table, sent, a_bases, b_bases, outcomes)
     clicked = outcomes != NO_CLICK
-    known = adversary.resolve_known_bits(atk.eve_basis, a_bases,
-                                         spec.announcement, rng)
-    return SessionTranscript(
-        protocol=cfg.protocol, pulse_count=N,
-        detection_count=int(clicked.sum()),
-        alice_bits=bits, alice_bases=a_bases, bob_bases=b_bases,
-        bob_outcomes=reported, sift_mask=sift,
-        sifted_alice=BitString.from_array(bits[sift]),
-        sifted_bob=BitString.from_array(bob_bits[sift].astype(np.uint8)),
-        eve_known_mask=known,
-        alice_intensities=None if tags is None else tags.astype(np.int8),
+    return _transcript(
+        cfg, sift, bits, bob_bits, clicked, atk.eve_basis, a_bases,
+        spec.announcement, rng,
         intensity_stats=(None if tags is None
                          else _intensity_stats(cfg, tags, clicked)))
+
+
+def _transcript(cfg, sift, a_bits, b_bits, detected, eve_basis, a_bases,
+                announcement, rng, **tallies) -> SessionTranscript:
+    """Keep the sifted bits and what Eve knows of them.  Her knowledge is
+    resolved over every pulse, so its draws do not depend on the sift."""
+    known = adversary.resolve_known_bits(eve_basis, a_bases, announcement,
+                                         rng)
+    return SessionTranscript(
+        protocol=cfg.protocol, pulse_count=cfg.num_pulses,
+        detection_count=int(detected.sum()),
+        sifted_alice=BitString.from_array(a_bits[sift]),
+        sifted_bob=BitString.from_array(b_bits[sift]),
+        eve_known_mask=BitString.from_array(known[sift]), **tallies)
 
 
 # ---------------------------------------------------------------------------
@@ -429,17 +421,8 @@ def _run_entangled(cfg: ProtocolConfig, ch: ChannelModel, det: DetectorModel,
             bi = bob_angles.tolist().index(getattr(bell.MAXIMAL_SETTINGS, y))
             mask = detected & (a_idx == ai) & (b_idx == bi)
             chsh[(x, y)] = (a[mask] * b[mask]).astype(np.int8)
-    outcomes = np.where(detected, b_bits, NO_CLICK).astype(np.int8)
-    return SessionTranscript(
-        protocol=cfg.protocol, pulse_count=N,
-        detection_count=int(detected.sum()),
-        alice_bits=a_bits, alice_bases=a_idx, bob_bases=b_idx,
-        bob_outcomes=outcomes, sift_mask=sift,
-        sifted_alice=BitString.from_array(a_bits[sift]),
-        sifted_bob=BitString.from_array(b_bits[sift].astype(np.uint8)),
-        eve_known_mask=adversary.resolve_known_bits(eve_basis, a_idx,
-                                                    "basis", rng),
-        chsh_samples=chsh)
+    return _transcript(cfg, sift, a_bits, b_bits, detected, eve_basis, a_idx,
+                       "basis", rng, chsh_samples=chsh)
 
 
 # ---------------------------------------------------------------------------

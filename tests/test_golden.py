@@ -4,9 +4,11 @@ Two families are pinned:
 
 * the CLI's ``run`` (text and JSON), ``sweep`` and ``bell`` output for the
   three bundled scenarios, with exit code and stderr;
-* a protocol x Eve x source matrix of session transcripts: ``to_dict()``
-  (which includes ``eve_known_mask``), one digest per protocol.  A case
-  that raises is hashed as its exception type and message.
+* a protocol x Eve x source matrix of session transcripts, one digest per
+  protocol over ``to_dict()``: the sifted keys and Eve's known bits of
+  them as hex, the pulse, detection and sift counts, the decoy intensity
+  statistics and E91's CHSH count and sum per setting pair.  A case that
+  raises is hashed as its exception type and message.
 
 A refactor that keeps seeded outputs byte-identical leaves every digest
 unchanged; an intended output change re-records them here and says so in
@@ -71,15 +73,15 @@ GOLDEN_CLI = {
 }
 
 GOLDEN_TRANSCRIPTS = {
-    "bb84": "d0c63c4745e7b7c676243cc3415e5cf311e7eae73597f59c59ba13f4901c3567",
-    "b92": "026d3f08521fdd6dfdb405c01fe8f4691cb5a8ef8b8d9e3e8c58c620a7d504db",
+    "bb84": "7ccd9db8460fc817d5ba5dc115c54a50d2b43e8cfeb61dd4107859cead5ec25a",
+    "b92": "faf9cd5934b05efe9f6d5c130778d0ae7420cfd4b5fe6c154b33ce539e6e7185",
     "six_state":
-        "a71526d9ed1c4966f5261afc834db756ae8321d856c367a3b88eb17f6d337f80",
-    "sarg": "59b494d2ba2cb8a1da4fc895821d0e9483e4d60d594c62c17b25b4c2d704438e",
+        "feff9f154ab7d978a1c135147c1a87903d3066553a6050f5a9f334b1d32551d6",
+    "sarg": "860d33c391457471e7cfc5e040efe0e516dca8ea94641fc87c1f82ab98c9f5af",
     "decoy_bb84":
-        "d52e322b17b3d02311a03251a47131a99018869ce10e68f394af533bb75a6a45",
-    "bbm92": "874aac065436db2ccb8c3c96ba1cc9b3da642b07735f7b024ae3a44019dea1e5",
-    "e91": "a38aa8047b5ed2c9f8b5a5777a4e3a233bf0fccbed4efed38c0f1cae2fdab42c",
+        "31ddab04c40b66f3e46a9ecae68ed4d0536fec1d93cca7bbd1aa0bac3c5035b3",
+    "bbm92": "2081966bc1022ed7353bccd5c8b18b2229cd4c15626fa6dbc12c21021af5af9d",
+    "e91": "6a62be4bb53e3ec6162b430c73f2de489b7cdbd1e82938d2afb4a77ffd6a01b8",
 }
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qkdsim.adversary import EveStrategy, NO_EVE
+from qkdsim.bell import chsh_estimate
 from qkdsim.protocols import (ProtocolConfig, b92_states, run_session)
 from qkdsim.quantum import ChannelModel, DetectorModel, SourceModel
 from qkdsim.rng import derive_rng
@@ -142,7 +143,7 @@ def test_pair_protocols_report_what_intercept_resend_learns(
     # Alice's on half of BBM92's sifted pairs.
     eve = EveStrategy("intercept_resend", fixed_basis=fixed_basis)
     t = run(protocol, 200000, 21, eve=eve)
-    n = int(t.sift_mask.sum())
+    n = len(t.sifted_alice)
     for got, expected in ((t.eve_known_fraction, known), (t.qber, qber)):
         assert abs(got - expected) < 5 * (expected * (1 - expected) / n) ** 0.5
     assert run(protocol, 200000, 22).eve_known_fraction == 0.0
@@ -187,9 +188,45 @@ def test_transcript_roundtrips_to_json(tmp_path):
     assert loaded["sifted_alice_hex"] == t.sifted_alice.to_hex()
 
 
+def _lists(value):
+    """Every list nested anywhere in a JSON value."""
+    if isinstance(value, list):
+        return [value]
+    if isinstance(value, dict):
+        return [x for v in value.values() for x in _lists(v)]
+    return []
+
+
+@pytest.mark.parametrize("protocol, src, eve", [
+    ("e91", IDEAL, EveStrategy("intercept_resend")),
+    ("decoy_bb84", SourceModel.laser(0.8), EveStrategy("pns")),
+])
+def test_to_dict_holds_hex_keys_and_tallies_not_lists(protocol, src, eve):
+    t = run(protocol, 40000, 23, src=src, eve=eve,
+            ch=ChannelModel(length_km=10.0, attenuation_db_per_km=0.2))
+    d = json.loads(json.dumps(t.to_dict()))
+    assert _lists(d) == []
+    n = d["sifted_length"]
+    assert n == len(t.sifted_alice) > 0
+    known = np.unpackbits(np.frombuffer(bytes.fromhex(d["eve_known_hex"]),
+                                        dtype=np.uint8))
+    assert known.size == -(-n // 8) * 8 and not known[n:].any()
+    assert known[:n].mean() == t.eve_known_fraction
+    assert 0.0 < t.eve_known_fraction < 1.0
+    if protocol == "decoy_bb84":
+        assert d["intensity_stats"] == t.intensity_stats
+        assert "chsh_tallies" not in d
+        return
+    # a +/-1 sample is fixed up to order by its count and sum
+    rebuilt = {tuple(k.split("|")): np.repeat(
+        [1, -1], [(v["count"] + v["sum"]) // 2, (v["count"] - v["sum"]) // 2])
+        for k, v in d["chsh_tallies"].items()}
+    assert chsh_estimate(rebuilt) == chsh_estimate(t.chsh_samples)
+
+
 def test_determinism_same_seed():
     t1 = run("bb84", 50000, 20, eve=EveStrategy("intercept_resend"))
     t2 = run("bb84", 50000, 20, eve=EveStrategy("intercept_resend"))
     assert t1.sifted_alice == t2.sifted_alice
     assert t1.sifted_bob == t2.sifted_bob
-    assert np.array_equal(t1.bob_outcomes, t2.bob_outcomes)
+    assert t1.eve_known_mask == t2.eve_known_mask
