@@ -366,8 +366,11 @@ def _transcript(cfg, sift, a_bits, b_bits, detected, eve_basis, a_bases,
 # ---------------------------------------------------------------------------
 
 def _pair_reception(b, ch: ChannelModel, det: DetectorModel, rng):
-    """Bob-side loss, misalignment flip, and dark counts for pair protocols.
-    Returns (detected_mask, possibly flipped outcomes)."""
+    """Bob-side loss, misalignment flip, and dark counts for pair protocols,
+    with the two-detector rule of ``measure_batch``: a detected photon
+    meets a dark count of the other detector with probability dark_prob, a
+    lost one clicks on a dark count of either detector, and both give a
+    uniform bit.  Returns (detected_mask, possibly flipped outcomes)."""
     m = b.shape[0]
     eta = ch.transmittance * det.efficiency
     detected = rng.random(m) < eta
@@ -375,11 +378,12 @@ def _pair_reception(b, ch: ChannelModel, det: DetectorModel, rng):
         flip = rng.random(m) < ch.misalignment_error_prob
         b = np.where(flip, -b, b).astype(np.int8)
     if det.dark_prob > 0.0:
-        dark = ~detected & (rng.random(m) < 1.0 - (1.0 - det.dark_prob) ** 2)
-        if dark.any():
+        noisy = rng.random(m) < np.where(
+            detected, det.dark_prob, 1.0 - (1.0 - det.dark_prob) ** 2)
+        if noisy.any():
             b = b.copy()
-            b[dark] = np.where(rng.random(int(dark.sum())) < 0.5, 1, -1)
-            detected = detected | dark
+            b[noisy] = np.where(rng.random(int(noisy.sum())) < 0.5, 1, -1)
+            detected = detected | noisy
     return detected, b
 
 

@@ -80,8 +80,8 @@ GOLDEN_TRANSCRIPTS = {
     "sarg": "860d33c391457471e7cfc5e040efe0e516dca8ea94641fc87c1f82ab98c9f5af",
     "decoy_bb84":
         "31ddab04c40b66f3e46a9ecae68ed4d0536fec1d93cca7bbd1aa0bac3c5035b3",
-    "bbm92": "2081966bc1022ed7353bccd5c8b18b2229cd4c15626fa6dbc12c21021af5af9d",
-    "e91": "6a62be4bb53e3ec6162b430c73f2de489b7cdbd1e82938d2afb4a77ffd6a01b8",
+    "bbm92": "767807854530ff1cb5a87675956aedf6b2c11c485ab9d9b2e0a27d5b255ad168",
+    "e91": "242dcc958fa6e59fef46c0ee6f49f4787476c1225497f250d37b755547bc535b",
 }
 
 

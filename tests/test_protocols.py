@@ -178,6 +178,23 @@ def test_dark_counts_register_on_lost_pulses():
     assert t.qber == pytest.approx(0.5, abs=0.05)
 
 
+@pytest.mark.parametrize("protocol", ["bbm92", "e91"])
+def test_pair_dark_counts_meet_detected_photons(protocol):
+    # A detected photon meets a dark count of the other detector with
+    # probability d, and the double click gives a uniform bit; a lost
+    # photon clicks on a dark count of either detector, D = 1 - (1 - d)^2.
+    e, d, p = 0.02, 0.1, 0.5
+    dark = 1 - (1 - d) ** 2
+    t = run(protocol, 200000, 24, ch=ChannelModel(misalignment_error_prob=e),
+            det=DetectorModel(efficiency=p, dark_prob=d))
+    rate = p + (1 - p) * dark
+    qber = (p * (e + d / 2 - e * d) + (1 - p) * dark / 2) / rate
+    for got, expected, n in (
+            (t.detection_count / t.pulse_count, rate, t.pulse_count),
+            (t.qber, qber, len(t.sifted_alice))):
+        assert abs(got - expected) < 5 * (expected * (1 - expected) / n) ** 0.5
+
+
 def test_transcript_roundtrips_to_json(tmp_path):
     t = run("bb84", 2000, 19)
     path = tmp_path / "session.json"
