@@ -436,8 +436,14 @@ def _run_entangled(cfg: ProtocolConfig, ch: ChannelModel, det: DetectorModel,
 def run_session(cfg: ProtocolConfig, src: SourceModel, ch: ChannelModel,
                 det: DetectorModel, eve: EveStrategy,
                 rng: np.random.Generator) -> SessionTranscript:
-    """Run one session of cfg.protocol; pair protocols have no source."""
+    """Run one session of cfg.protocol.  Pair protocols model one singlet
+    per pulse, not multi-pair emission, so they refuse any source but the
+    ideal one."""
     if cfg.protocol in _PAIR_SPECS:
+        if src.kind != "ideal_single_photon":
+            raise ValueError(f"{cfg.protocol} takes only the ideal source: "
+                             f"multi-pair emission is not modelled, got "
+                             f"{src.kind!r}")
         return _run_entangled(cfg, ch, det, eve, rng)
     return _run_prepare_measure(_PREPARE_MEASURE[cfg.protocol], cfg, src, ch,
                                 det, eve, rng)

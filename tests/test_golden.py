@@ -80,8 +80,8 @@ GOLDEN_TRANSCRIPTS = {
     "sarg": "860d33c391457471e7cfc5e040efe0e516dca8ea94641fc87c1f82ab98c9f5af",
     "decoy_bb84":
         "31ddab04c40b66f3e46a9ecae68ed4d0536fec1d93cca7bbd1aa0bac3c5035b3",
-    "bbm92": "767807854530ff1cb5a87675956aedf6b2c11c485ab9d9b2e0a27d5b255ad168",
-    "e91": "242dcc958fa6e59fef46c0ee6f49f4787476c1225497f250d37b755547bc535b",
+    "bbm92": "98807ffbc97e4e60b6f31defae11f79fee91889d9da4e6c94f2f91e64216a5d1",
+    "e91": "7531ed94232deeb6404ec798538d27d2fa73ccab195ac1a60fc160b4ce0b3532",
 }
 
 
