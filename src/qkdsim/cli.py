@@ -301,14 +301,17 @@ def cmd_sweep(args) -> int:
     else:
         values = np.linspace(args.start, args.stop, args.steps)
     rows = [",".join(SWEEP_CSV_HEADER)]
-    for i, value in enumerate(values):
-        point = _apply_axis(base, args.axis, float(value))
+    for i, value in enumerate(values.tolist()):
+        try:
+            point = _apply_axis(base, args.axis, value)
+        except ValueError as exc:   # the value is out of the model's range
+            raise ConfigError(f"{args.axis} = {value!r}: {exc}") from None
         transcript, result = _simulate(point, i)
         rate = result.final_length / transcript.pulse_count \
             if transcript.pulse_count else 0.0
-        eps = result.qber_estimate if args.axis != "epsilon" else float(value)
+        eps = result.qber_estimate if args.axis != "epsilon" else value
         rates = _scenario_rates(point, eps)
-        row = [args.axis, repr(float(value)), str(base.seed),
+        row = [args.axis, repr(value), str(base.seed),
                repr(transcript.sifted_fraction), repr(transcript.qber),
                repr(rate)] + rates.csv_row()
         rows.append(",".join(row))

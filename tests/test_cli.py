@@ -387,6 +387,26 @@ def test_sweep_mu_requires_laser(tmp_path, capsys):
     assert code == 1 and "laser" in err
 
 
+@pytest.mark.parametrize("axis, value, source, message", [
+    ("epsilon", "0.6", {"kind": "ideal"},
+     "epsilon = 0.6: misalignment_error_prob must lie in [0, 0.5]"),
+    ("length_km", "-1", {"kind": "ideal"},
+     "length_km = -1.0: length and attenuation must be finite and >= 0"),
+    ("mu", "0", {"kind": "laser", "mu": 0.5},
+     "mu = 0.0: attenuated_laser requires mu > 0"),
+])
+def test_sweep_out_of_range_value_is_clean_error(tmp_path, axis, value,
+                                                 source, message):
+    path = write_scenario(tmp_path, dict(BASE, num_pulses=2000,
+                                         source=source))
+    proc = run_python(["-m", "qkdsim.cli", "sweep", path, "--axis", axis,
+                       "--start", value, "--stop", value, "--steps", "1"],
+                      cwd=tmp_path, pythonpath=str(PACKAGE.parent))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: {message}")
+    assert "Traceback" not in proc.stderr
+
+
 def test_sweep_invalid_steps(tmp_path, capsys):
     path = write_scenario(tmp_path, BASE)
     code, _, err = run_cli(capsys, "sweep", path, "--axis", "epsilon",
