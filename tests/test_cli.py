@@ -279,8 +279,6 @@ def test_run_intercept_aborts_with_exit_two(capsys):
     ({"eve": {"kind": "usd_b92"}}, "usd_b92 requires the B92 state pair"),
     ({"protocol": "e91", "eve": {"kind": "pns"}},
      "pair protocols support eve kinds"),
-    ({"protocol": "e91", "source": {"kind": "laser", "mu": 0.5}},
-     "e91 takes only the ideal source: multi-pair emission is not modelled"),
     ({"eve": {"kind": "intercept_resend", "fixed_basis": -1}},
      "eve: fixed_basis must be >= 0"),
     ({"eve": {"kind": "intercept_resend", "fixed_basis": 5}},
@@ -309,6 +307,8 @@ def test_run_intercept_aborts_with_exit_two(capsys):
      "source: mu must be a number, got nan"),
     ({"source": {"kind": "laser", "mu": 10 ** 400}},
      "source: mu must be a number, got 1000"),
+    ({"protocol": "e91", "source": {"kind": "laser", "mu": 0.5}},
+     "e91 takes only the ideal source: multi-pair emission is not modelled"),
 ])
 def test_scenario_refused_by_runner_is_clean_error(tmp_path, scenario,
                                                    message):

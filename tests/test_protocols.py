@@ -122,14 +122,6 @@ def test_decoy_requires_laser():
         run("decoy_bb84", 100, 13, src=IDEAL)
 
 
-@pytest.mark.parametrize("protocol", ["bbm92", "e91"])
-@pytest.mark.parametrize("src", [SourceModel.laser(0.5),
-                                 SourceModel.heralded(0.6, 0.05)])
-def test_pair_protocols_refuse_non_ideal_sources(protocol, src):
-    with pytest.raises(ValueError, match="multi-pair emission is not"):
-        run(protocol, 100, 13, src=src)
-
-
 def test_bbm92_honest_and_attacked():
     t = run("bbm92", 100000, 14)
     assert t.qber == 0.0
