@@ -1,6 +1,6 @@
 """Golden SHA-256 digests of seeded outputs.
 
-Two families are pinned:
+Three families are pinned:
 
 * the CLI's ``run`` (text and JSON), ``sweep`` and ``bell`` output for the
   three bundled scenarios, with exit code and stderr;
@@ -8,7 +8,9 @@ Two families are pinned:
   protocol over ``to_dict()``: the sifted keys and Eve's known bits of
   them as hex, the pulse, detection and sift counts, the decoy intensity
   statistics and E91's CHSH count and sum per setting pair.  A case that
-  raises is hashed as its exception type and message.
+  raises is hashed as its exception type and message;
+* the same transcripts at a size that spans several sampler chunks, so
+  that drawing in chunks is pinned to drawing whole arrays.
 
 A refactor that keeps seeded outputs byte-identical leaves every digest
 unchanged; an intended output change re-records them here and says so in
@@ -129,3 +131,56 @@ def test_transcript_matrix_matches_golden_digests():
                     h.update(b"\x01")
         got[protocol] = h.hexdigest()
     assert got == GOLDEN_TRANSCRIPTS
+
+
+# Multi-chunk matrix: 150,001 pulses span several sampler chunks
+# (quantum.CHUNK) plus a ragged tail, on a lossy, misaligned line with a
+# noisy detector so that every sampler draws.  Cells are the protocol x
+# source x Eve strategy combinations a session accepts (refused ones are
+# left out; a change in what is refused changes the digest), plus one
+# basis_bias cell.  One digest per protocol.
+CHUNK_PULSES = 150_001
+CHUNK_CHANNEL = ChannelModel(length_km=10.0, attenuation_db_per_km=0.2,
+                             misalignment_error_prob=0.03)
+CHUNK_DETECTOR = DetectorModel(0.5, 1e-3)
+CHUNK_EVES = (EveStrategy("none"), EveStrategy("intercept_resend"),
+              EveStrategy("beam_split"),
+              EveStrategy("pns", block_single_prob=0.3),
+              EveStrategy("usd_b92"))
+
+GOLDEN_MULTI_CHUNK = {
+    "bb84": "98a6a7d265132a41ad33c0d63e4a5ba979b230460258fead1f87568df2869022",
+    "b92": "7e54a06f6b0fcad09fa0f43d95d969b5c136a772c162e0570523dab15ac37b17",
+    "six_state":
+        "6a5f138ca5143409b9187012526b64db1f5f8b96c8873e25377f6ce28502523b",
+    "sarg": "34b0624e11cd8b3d882fee9452a7475bdba2fdd44776f6b9b015419697260718",
+    "decoy_bb84":
+        "ade8c5303e175bb15aa67b98864f3c650f95641f891d938f52385b1ec7edb70d",
+    "bbm92": "a905d628f055d67a4ba0455b4e67404f668d86911fea5906e19ce3aa625fe3ad",
+    "e91": "66b68705f3d056106c7c863db64cd870af63cbaa6ed63f5cda3627d5e3d230fb",
+    "bb84 basis_bias":
+        "3e0802318eed3efe445b100b743749d0897b11d43b8f7baa025454378a9f8fc3",
+}
+
+
+def _chunk_cells():
+    for protocol in PROTOCOLS:
+        for src in SOURCES:
+            for eve in CHUNK_EVES:
+                yield protocol, protocol, src, eve, None
+    yield "bb84 basis_bias", "bb84", SourceModel.laser(0.5), EVES[1], 0.7
+
+
+def test_multi_chunk_matrix_matches_golden_digests():
+    got = {}
+    for key, protocol, src, eve, bias in _chunk_cells():
+        cfg = ProtocolConfig(protocol, CHUNK_PULSES, basis_bias=bias)
+        try:
+            t = run_session(cfg, src, CHUNK_CHANNEL, CHUNK_DETECTOR, eve,
+                            derive_rng(11, 0))
+        except ValueError:
+            continue
+        h = got.setdefault(key, hashlib.sha256())
+        h.update(repr((src, eve)).encode())
+        h.update(json.dumps(t.to_dict(), sort_keys=True).encode())
+    assert {k: h.hexdigest() for k, h in got.items()} == GOLDEN_MULTI_CHUNK
