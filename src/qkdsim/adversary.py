@@ -16,7 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .quantum import ChannelModel, SignalState, sample_singlet
+from .quantum import (ChannelModel, SignalState, bernoulli, chunked,
+                      sample_singlet)
 
 KINDS = ("none", "intercept_resend", "beam_split", "pns", "usd_b92")
 PAIR_OVERLAP = 2 ** -0.5    # |<a|b>| of the two states a 'pair' announces
@@ -83,14 +84,17 @@ def usd_success_prob(phi0: SignalState, phi1: SignalState) -> float:
 
 def _eve_choice(strategy: EveStrategy, count: int, size: int,
                 rng: np.random.Generator, dtype=np.int8) -> np.ndarray:
-    """Index of the basis Eve measures each pulse in: ``fixed_basis`` when
-    set, otherwise uniform over ``count`` bases."""
+    """int8 index of the basis Eve measures each pulse in: ``fixed_basis``
+    when set, otherwise uniform over ``count`` bases, drawn as ``dtype``."""
     if strategy.fixed_basis is None:
-        return rng.integers(0, count, size=size, dtype=dtype)
+        if dtype == np.int8:    # a byte draw is never chunked (see quantum)
+            return rng.integers(0, count, size=size, dtype=np.int8)
+        return chunked(lambda s: rng.integers(
+            0, count, size=s.stop - s.start, dtype=dtype), size, np.int8)
     if strategy.fixed_basis >= count:
         raise ValueError(f"fixed_basis {strategy.fixed_basis} is out of "
                          f"range: Eve can measure in {count} bases")
-    return np.full(size, strategy.fixed_basis, dtype=dtype)
+    return np.full(size, strategy.fixed_basis, dtype=np.int8)
 
 
 def attack_batch(strategy: EveStrategy, n: np.ndarray, state_idx: np.ndarray,
@@ -123,18 +127,16 @@ def attack_batch(strategy: EveStrategy, n: np.ndarray, state_idx: np.ndarray,
 
     if strategy.kind == "intercept_resend":
         eb = _eve_choice(strategy, p_one.shape[1], npulses, rng)
-        probs = p_one[state_idx, eb]
-        k1 = rng.binomial(n, probs)
-        k0 = n - k1
-        bit = np.where(k1 > 0, 1, 0).astype(np.int8)
-        both = (k0 > 0) & (k1 > 0)
+        k1 = chunked(lambda s: rng.binomial(n[s], p_one[state_idx[s], eb[s]]),
+                     npulses, n.dtype)
+        bit = (k1 > 0).astype(np.int8)
+        both = (n > k1) & (k1 > 0)
         if both.any():
             bit[both] = rng.integers(0, 2, size=int(both.sum()), dtype=np.int8)
-        n_out = np.where(n > 0, 1, 0)
-        s_out = np.where(n > 0, eigen_idx[eb, bit], state_idx)
-        eb[n == 0] = NOTHING            # a vacuum pulse tells Eve nothing
-        return BatchAttack(n_out.astype(n.dtype), s_out.astype(state_idx.dtype),
-                           False, eb)
+        sent = n > 0
+        s_out = np.where(sent, eigen_idx[eb, bit], state_idx)
+        eb[~sent] = NOTHING             # a vacuum pulse tells Eve nothing
+        return BatchAttack(sent.astype(n.dtype), s_out, False, eb)
 
     if strategy.kind == "beam_split":
         eta = ch.transmittance
@@ -142,9 +144,10 @@ def attack_batch(strategy: EveStrategy, n: np.ndarray, state_idx: np.ndarray,
         if tap > 1.0 - eta + 1e-12:
             raise ValueError(
                 f"tap_ratio {tap} exceeds the channel loss 1 - eta = {1 - eta}")
-        k_eve = rng.binomial(n, tap)
+        k_eve = chunked(lambda s: rng.binomial(n[s], tap), npulses, n.dtype)
         eta_fwd = min(1.0, eta / (1.0 - tap)) if tap < 1.0 else 1.0
-        n_out = rng.binomial(n - k_eve, eta_fwd)
+        n_out = chunked(lambda s: rng.binomial(n[s] - k_eve[s], eta_fwd),
+                        npulses, n.dtype)
         eve_basis[k_eve >= 1] = HELD
         return BatchAttack(n_out, state_idx, True, eve_basis)
 
@@ -154,7 +157,8 @@ def attack_batch(strategy: EveStrategy, n: np.ndarray, state_idx: np.ndarray,
         n_out = n.copy()
         n_out[multi] -= 1
         if strategy.block_single_prob > 0 and single.any():
-            blocked = single & (rng.random(npulses) < strategy.block_single_prob)
+            blocked = single & bernoulli(rng, npulses,
+                                         strategy.block_single_prob)
             n_out[blocked] = 0
         eve_basis[multi] = HELD
         return BatchAttack(n_out, state_idx, True, eve_basis)
@@ -163,47 +167,51 @@ def attack_batch(strategy: EveStrategy, n: np.ndarray, state_idx: np.ndarray,
         if b92_states is None:
             raise ValueError("usd_b92 requires the B92 state pair")
         p_succ = usd_success_prob(*b92_states)
-        success = (n > 0) & (rng.random(npulses) < p_succ)
-        forward_prob = min(1.0, ch.transmittance / p_succ)
-        forwarded = success & (rng.random(npulses) < forward_prob)
-        n_out = np.where(forwarded, 1, 0).astype(n.dtype)
+        success = (n > 0) & bernoulli(rng, npulses, p_succ)
+        forwarded = success & bernoulli(rng, npulses,
+                                        min(1.0, ch.transmittance / p_succ))
+        n_out = forwarded.astype(n.dtype)
         eve_basis[success] = HELD
         return BatchAttack(n_out, state_idx, True, eve_basis)
 
     raise ValueError(f"unknown strategy kind {strategy.kind!r}")
 
 
-def attack_pairs(strategy: EveStrategy, theta_a: np.ndarray,
-                 theta_b: np.ndarray, alice_angles: np.ndarray,
-                 eve_angles: np.ndarray, rng: np.random.Generator,
+def attack_pairs(strategy: EveStrategy, a_idx: np.ndarray, b_idx: np.ndarray,
+                 alice_angles: np.ndarray, bob_angles: np.ndarray,
+                 rng: np.random.Generator,
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sample +/-1 outcome pairs of singlets measured at the angle arrays
-    theta_a, theta_b (degrees), with Eve on the particle flying to Bob.
+    """Sample +/-1 outcome pairs of singlets measured at Alice's angles
+    ``alice_angles[a_idx]`` and Bob's ``bob_angles[b_idx]`` (degrees), with
+    Eve on the particle flying to Bob.
 
     Honest pairs follow the singlet law E[a b] = -cos(theta_a - theta_b).
-    Under intercept_resend Eve measures Bob's particle at one of eve_angles
-    (drawn uniformly, or ``fixed_basis``) and resends the eigenstate she
-    observed, which Bob then projects.  Returns (a, b, eve_basis): Eve's
-    angle as an index into alice_angles, or NOTHING where it is none of
-    Alice's, since only a measurement along Alice's angle fixes her bit.
+    Under intercept_resend Eve measures Bob's particle at one of Bob's
+    angles (drawn uniformly, or ``fixed_basis``) and resends the eigenstate
+    she observed, which Bob then projects; probabilities are tables over
+    angle indices.  Returns (a, b, eve_basis): Eve's angle as an index into
+    alice_angles, or NOTHING where it is none of Alice's, since only a
+    measurement along Alice's angle fixes her bit.
     """
-    m = theta_a.shape[0]
+    m = a_idx.shape[0]
+    cos_ab = np.cos(np.radians(alice_angles[:, None] - bob_angles[None, :]))
     if strategy.kind == "none":
-        a, b = sample_singlet(np.cos(np.radians(theta_a - theta_b)), rng,
-                              size=m)
+        a, b = sample_singlet(lambda s: cos_ab[a_idx[s], b_idx[s]], rng, m)
         return a, b, np.full(m, NOTHING, dtype=np.int8)
     if strategy.kind != "intercept_resend":
         raise ValueError(f"pair protocols support eve kinds none/"
                          f"intercept_resend, got {strategy.kind!r}")
-    a = np.where(rng.random(m) < 0.5, 1, -1).astype(np.int8)
-    eve_idx = _eve_choice(strategy, len(eve_angles), m, rng, dtype=np.int64)
-    phi = eve_angles[eve_idx]
-    p_opp = (1.0 + np.cos(np.radians(theta_a - phi))) / 2.0
-    e = np.where(rng.random(m) < p_opp, -a, a).astype(np.int8)
+    a = bernoulli(rng, m, 0.5).astype(np.int8) * 2 - 1
+    eve_idx = _eve_choice(strategy, len(bob_angles), m, rng, dtype=np.int64)
+    p_opp = (1.0 + cos_ab) / 2.0
+    e = np.where(bernoulli(rng, m, lambda s: p_opp[a_idx[s], eve_idx[s]]),
+                 -a, a)
     # Bob projects the resent eigenstate |phi, e>
-    p_same = np.cos(np.radians(theta_b - phi) / 2.0) ** 2
-    b = np.where(rng.random(m) < p_same, e, -e).astype(np.int8)
-    same = eve_angles[:, None] == alice_angles[None, :]
+    p_same = np.cos(np.radians(bob_angles[:, None] - bob_angles[None, :])
+                    / 2.0) ** 2
+    b = np.where(bernoulli(rng, m, lambda s: p_same[b_idx[s], eve_idx[s]]),
+                 e, -e)
+    same = bob_angles[:, None] == alice_angles[None, :]
     to_alice = np.where(same.any(axis=1), same.argmax(axis=1), NOTHING)
     return a, b, to_alice.astype(np.int8)[eve_idx]
 
@@ -223,7 +231,7 @@ def resolve_known_bits(eve_basis: np.ndarray, alice_basis: np.ndarray,
     held = eve_basis == HELD
     if announcement == "pair":
         if held.any():
-            held &= rng.random(held.shape[0]) < 1.0 - PAIR_OVERLAP
+            held &= bernoulli(rng, held.shape[0], 1.0 - PAIR_OVERLAP)
     elif announcement != "basis":
         raise ValueError(f"unknown announcement type {announcement!r}")
     return (eve_basis == alice_basis) | held

@@ -8,10 +8,10 @@ pair protocols share ``_run_entangled``, driven by their measurement
 angles: singlet outcomes with Eve on Bob's particle, then Bob-side loss,
 misalignment and dark counts, then sifting of equal angles.
 Every session is deterministic given its generator and returns a
-``SessionTranscript``.  Pulse streams are processed as whole numpy arrays
+``SessionTranscript``.  Pulse streams are int8 and bool arrays, processed
 by the batch kernels of ``quantum`` (``measure_batch``) and ``adversary``
 (``attack_batch``, ``attack_pairs``, and ``resolve_known_bits`` for every
-protocol).
+protocol), which draw in fixed-size chunks (the chunk rule of ``quantum``).
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ from .adversary import EveStrategy
 from .bits import BitString
 from .quantum import (ALL_BASES, DIAGONAL, NO_CLICK, RECTILINEAR, Basis,
                       ChannelModel, DetectorModel, SignalState, SourceModel,
-                      attenuate_batch, measure_batch, sample_photon_number)
+                      attenuate_batch, bernoulli, chunked, measure_batch,
+                      sample_photon_number)
 
 PROTOCOLS = ("bb84", "b92", "six_state", "sarg", "decoy_bb84", "bbm92", "e91")
 
@@ -49,6 +50,10 @@ class ProtocolConfig:
             raise ValueError(f"unknown protocol {self.protocol!r}")
         if self.num_pulses < 0:
             raise ValueError("num_pulses must be >= 0")
+        if not 0 < self.signal_mu < math.inf:
+            raise ValueError("signal_mu must be finite and > 0")
+        if not 0 <= self.decoy_mu < math.inf:
+            raise ValueError("decoy_mu must be finite and >= 0")
         if self.basis_bias is not None:
             if self.protocol in ("b92", "e91"):
                 raise ValueError(f"basis_bias is not used by {self.protocol}")
@@ -147,13 +152,13 @@ class StateTable:
         for k, st in enumerate(states):
             for m, ba in enumerate(bases):
                 p_one[k, m] = ba.prob_outcome_one(st)
-        flip = np.full(K, -1, dtype=np.int64)
+        flip = np.full(K, -1, dtype=np.int8)
         for k, st in enumerate(states):
             for j, other in enumerate(states):
                 if abs(st.overlap(other)) < 1e-9:
                     flip[k] = j
                     break
-        eigen_idx = np.full((M, 2), -1, dtype=np.int64)
+        eigen_idx = np.full((M, 2), -1, dtype=np.int8)
         for m, ba in enumerate(bases):
             for o in (0, 1):
                 eig = ba.eigenstate(o)
@@ -197,7 +202,7 @@ def b92_table(overlap: float) -> StateTable:
 
 
 # SARG announcement chain: H->A, A->V, V->D, D->H (table order H,V,A,D)
-_SARG_PARTNER = np.array([2, 3, 0, 1])
+_SARG_PARTNER = np.array([2, 3, 0, 1], dtype=np.int8)
 
 
 # ---------------------------------------------------------------------------
@@ -208,14 +213,11 @@ def _biased_choice(rng, n, num_options, primary_prob):
     """Index array: option 0 with primary_prob, the rest uniform."""
     if primary_prob is None:
         return rng.integers(0, num_options, size=n, dtype=np.int8)
-    u = rng.random(n)
-    out = np.zeros(n, dtype=np.int8)
-    rest = u >= primary_prob
-    if num_options == 2:
-        out[rest] = 1
-    else:
-        out[rest] = 1 + rng.integers(0, num_options - 1, size=int(rest.sum()),
-                                     dtype=np.int8)
+    rest = ~bernoulli(rng, n, primary_prob)
+    out = rest.astype(np.int8)
+    if num_options > 2:
+        out[rest] += rng.integers(0, num_options - 1, size=int(rest.sum()),
+                                  dtype=np.int8)
     return out
 
 
@@ -230,8 +232,10 @@ def _decoy_photons(cfg, src, rng):
     photon number (signal_mu / decoy_mu).  Returns the decoy mask as tags."""
     if src.kind != "attenuated_laser":
         raise ValueError("decoy_bb84 requires an attenuated_laser source")
-    decoy = rng.random(cfg.num_pulses) < cfg.decoy_fraction
-    return rng.poisson(np.where(decoy, cfg.decoy_mu, cfg.signal_mu)), decoy
+    decoy = bernoulli(rng, cfg.num_pulses, cfg.decoy_fraction)
+    return chunked(lambda s: rng.poisson(
+        np.where(decoy[s], cfg.decoy_mu, cfg.signal_mu)),
+        cfg.num_pulses, np.int8), decoy
 
 
 def _intensity_stats(cfg, decoy, clicked) -> dict:
@@ -321,7 +325,7 @@ def _run_prepare_measure(spec: PrepareMeasureSpec, cfg: ProtocolConfig,
     else:
         a_bases = np.zeros(N, dtype=np.int8)
     b_bases = _biased_choice(rng, N, num_bases, cfg.basis_bias)
-    sent = (2 * a_bases + bits).astype(np.int64)
+    sent = 2 * a_bases + bits
     n, tags = spec.photons(cfg, src, rng)
 
     atk = adversary.attack_batch(
@@ -333,10 +337,10 @@ def _run_prepare_measure(spec: PrepareMeasureSpec, cfg: ProtocolConfig,
     if not atk.channel_consumed:
         n = attenuate_batch(n, ch, rng)
     if ch.misalignment_error_prob > 0.0:
-        flipped = (n > 0) & (rng.random(n.shape[0]) < ch.misalignment_error_prob)
-        state_idx = np.where(flipped & (table.flip[state_idx] >= 0),
-                             table.flip[state_idx], state_idx)
-    outcomes = measure_batch(n, table.p_one[state_idx, b_bases], det, rng)
+        flipped = (n > 0) & bernoulli(rng, N, ch.misalignment_error_prob)
+        flip_to = table.flip[state_idx]
+        state_idx = np.where(flipped & (flip_to >= 0), flip_to, state_idx)
+    outcomes = measure_batch(n, table.p_one, state_idx, b_bases, det, rng)
 
     sift, bob_bits = spec.sift(table, sent, a_bases, b_bases, outcomes)
     clicked = outcomes != NO_CLICK
@@ -372,17 +376,15 @@ def _pair_reception(b, ch: ChannelModel, det: DetectorModel, rng):
     lost one clicks on a dark count of either detector, and both give a
     uniform bit.  Returns (detected_mask, possibly flipped outcomes)."""
     m = b.shape[0]
-    eta = ch.transmittance * det.efficiency
-    detected = rng.random(m) < eta
+    detected = bernoulli(rng, m, ch.transmittance * det.efficiency)
     if ch.misalignment_error_prob > 0.0:
-        flip = rng.random(m) < ch.misalignment_error_prob
-        b = np.where(flip, -b, b).astype(np.int8)
+        b = np.where(bernoulli(rng, m, ch.misalignment_error_prob), -b, b)
     if det.dark_prob > 0.0:
-        noisy = rng.random(m) < np.where(
-            detected, det.dark_prob, 1.0 - (1.0 - det.dark_prob) ** 2)
+        noisy = bernoulli(rng, m, lambda s: np.where(
+            detected[s], det.dark_prob, 1.0 - (1.0 - det.dark_prob) ** 2))
         if noisy.any():
             b = b.copy()
-            b[noisy] = np.where(rng.random(int(noisy.sum())) < 0.5, 1, -1)
+            b[noisy] = bernoulli(rng, int(noisy.sum()), 0.5) * 2 - 1
             detected = detected | noisy
     return detected, b
 
@@ -408,15 +410,14 @@ def _run_entangled(cfg: ProtocolConfig, ch: ChannelModel, det: DetectorModel,
     N = cfg.num_pulses
     a_idx = _biased_choice(rng, N, len(alice_angles), cfg.basis_bias)
     b_idx = _biased_choice(rng, N, len(bob_angles), cfg.basis_bias)
-    theta_a = alice_angles[a_idx]
-    theta_b = bob_angles[b_idx]
-    a, b, eve_basis = adversary.attack_pairs(eve, theta_a, theta_b,
-                                             alice_angles, bob_angles, rng)
+    a, b, eve_basis = adversary.attack_pairs(eve, a_idx, b_idx, alice_angles,
+                                             bob_angles, rng)
     detected, b = _pair_reception(b, ch, det, rng)
 
-    sift = detected & (theta_a == theta_b)
-    a_bits = ((1 - a) // 2).astype(np.int8)
-    b_bits = ((1 + b) // 2).astype(np.int8)  # flip converts anti-correlation
+    same_angle = alice_angles[:, None] == bob_angles[None, :]
+    sift = detected & same_angle[a_idx, b_idx]
+    a_bits = (1 - a) // 2
+    b_bits = (1 + b) // 2    # the flip converts anti-correlation
     chsh = None
     if with_chsh:
         chsh = {}

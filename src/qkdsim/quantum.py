@@ -2,16 +2,23 @@
 channels, threshold detectors, and singlet-pair sampling.
 
 All parameter records are immutable dataclasses; every sampling function
-takes an explicit ``numpy.random.Generator``.  Pulses are handled as whole
-streams: ``attenuate_batch`` (channel loss) and ``measure_batch``
-(detection) act on arrays of photon counts and projection probabilities
-for the prepare-and-measure engine.  The pair protocols have a second
-copy of these rules, ``protocols._pair_reception``, which works on one
-+/-1 outcome per singlet rather than on photon counts and states.  It
-stays because it is cheaper: a prototype that sent E91 and BBM92 through
-``attack_batch`` and ``measure_batch`` slowed the ``eve_detect`` benchmark
-from 0.48 to 0.64 s per median scenario and from 8.4e6 to 6.5e6 pulses/s
-(2-core host, 12-s runs, seeds 401-402).
+takes an explicit ``numpy.random.Generator``.  ``attenuate_batch``
+(channel loss) and ``measure_batch`` (detection) act on streams of photon
+counts and state indices for the prepare-and-measure engine;
+``protocols._pair_reception`` applies the same rules to one +/-1 outcome
+per singlet.  It stays because it is cheaper: on 4e6 pulses it takes
+0.015 s (ideal devices) to 0.06 s (lossy, noisy) where ``measure_batch``
+takes 0.23 s (2-core Xeon host, best of five).
+
+Chunk rule: a large draw goes through ``chunked``, which calls the sampler
+on consecutive slices of ``CHUNK`` pulses in order, with no other draw in
+between, and narrows each slice's result (bool masks, int8 counts and
+indices).  Philox is counter-based, and ``random``, ``binomial``,
+``poisson`` and 64-bit ``integers`` consume it element by element, so the
+chunked draw equals one whole-array draw.  int8 ``integers`` drops the
+unused bytes of a 32-bit word when a call returns and would not split the
+same way; those draws (bits, bases, coin flips) are 1 B per pulse and stay
+whole-array calls.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from importlib import resources
 import numpy as np
 
 NO_CLICK = -1  # detection outcome: neither logical detector fired
+CHUNK = 1 << 16  # pulses per sampler call (see the chunk rule above)
 
 _NORM_TOL = 1e-12
 
@@ -115,8 +123,8 @@ class SourceModel:
 
     def __post_init__(self):
         if self.kind == "attenuated_laser":
-            if self.mu <= 0:
-                raise ValueError("attenuated_laser requires mu > 0")
+            if not 0 < self.mu < math.inf:
+                raise ValueError("attenuated_laser requires mu > 0 and finite")
         elif self.kind == "heralded_pdc":
             if not 0.0 <= self.herald_efficiency <= 1.0:
                 raise ValueError("herald_efficiency must lie in [0,1]")
@@ -156,18 +164,40 @@ class SourceModel:
         return 0.0
 
 
+def chunked(draw, size: int, dtype=bool) -> np.ndarray:
+    """``draw(s)`` over the consecutive ``CHUNK``-long slices ``s`` of
+    ``range(size)``, gathered into one array of ``dtype``.  Integer results
+    (non-negative) that do not fit ``dtype`` widen it to int64, never wrap."""
+    out = np.empty(size, dtype)
+    for lo in range(0, size, CHUNK):
+        s = slice(lo, min(lo + CHUNK, size))
+        part = draw(s)
+        if out.dtype.kind == "i" and part.size and \
+                part.max() > np.iinfo(out.dtype).max:
+            out = out.astype(np.int64)
+        out[s] = part
+    return out
+
+
+def bernoulli(rng: np.random.Generator, size: int, p) -> np.ndarray:
+    """Mask ``rng.random(size) < p``, drawn by ``chunked``.  ``p`` is a
+    probability, or a function of a slice of pulses giving theirs."""
+    return chunked(lambda s: rng.random(s.stop - s.start)
+                   < (p(s) if callable(p) else p), size)
+
+
 def sample_photon_number(src: SourceModel, rng: np.random.Generator,
                          size: int) -> np.ndarray:
     """Draw the photon counts of `size` pulses from the source model."""
     if src.kind == "ideal_single_photon":
-        return np.ones(size, dtype=np.int64)
+        return np.ones(size, dtype=np.int8)
     if src.kind == "attenuated_laser":
-        return rng.poisson(src.mu, size=size)
-    # heralded_pdc
-    u = rng.random(size=size)
-    p0 = 1.0 - src.herald_efficiency
-    p01 = 1.0 - src.multi_pair_prob
-    return np.where(u < p0, 0, np.where(u < p01, 1, 2)).astype(np.int64)
+        return chunked(lambda s: rng.poisson(src.mu, size=s.stop - s.start),
+                       size, np.int8)
+    # heralded_pdc: vacuum below p0, one photon below p01, else two
+    edges = (1.0 - src.herald_efficiency, 1.0 - src.multi_pair_prob)
+    return chunked(lambda s: np.searchsorted(
+        edges, rng.random(s.stop - s.start), side="right"), size, np.int8)
 
 
 def g2(src: SourceModel) -> float:
@@ -258,7 +288,8 @@ def attenuate_batch(n_photons: np.ndarray, ch: ChannelModel,
     independently with probability ``ch.transmittance``.  A lossless line
     returns the counts unchanged and draws nothing."""
     if ch.transmittance < 1.0:
-        return rng.binomial(n_photons, ch.transmittance)
+        return chunked(lambda s: rng.binomial(n_photons[s], ch.transmittance),
+                       n_photons.shape[0], n_photons.dtype)
     return n_photons
 
 
@@ -267,20 +298,24 @@ def attenuate_batch(n_photons: np.ndarray, ch: ChannelModel,
 # ---------------------------------------------------------------------------
 
 def measure_batch(n_photons: np.ndarray, p_one: np.ndarray,
+                  state_idx: np.ndarray, basis: np.ndarray,
                   det: DetectorModel, rng: np.random.Generator) -> np.ndarray:
-    """Project a stream of pulses: per-pulse photon counts and projection
-    probabilities onto outcome 1 in, outcomes {NO_CLICK, 0, 1} out.
+    """Project a stream of pulses: per-pulse photon counts, state-table
+    indices and basis indices in, with ``p_one[k, m]`` the probability of
+    outcome 1 for state k measured in basis m; outcomes {NO_CLICK, 0, 1}
+    out.
 
     Each photon is thinned by the detector efficiency and then projects
     independently; dark counts fire each logical detector independently.
     When both detectors fire the outcome is a uniform bit.
     """
-    detected = rng.binomial(n_photons, det.efficiency)
-    k1 = rng.binomial(detected, p_one)
-    k0 = detected - k1
     npulses = n_photons.shape[0]
-    fire0 = (k0 > 0) | (rng.random(npulses) < det.dark_prob)
-    fire1 = (k1 > 0) | (rng.random(npulses) < det.dark_prob)
+    detected = chunked(lambda s: rng.binomial(n_photons[s], det.efficiency),
+                       npulses, n_photons.dtype)
+    k1 = chunked(lambda s: rng.binomial(
+        detected[s], p_one[state_idx[s], basis[s]]), npulses, detected.dtype)
+    fire0 = (detected > k1) | bernoulli(rng, npulses, det.dark_prob)
+    fire1 = (k1 > 0) | bernoulli(rng, npulses, det.dark_prob)
     out = np.full(npulses, NO_CLICK, dtype=np.int8)
     out[fire0 & ~fire1] = 0
     out[fire1 & ~fire0] = 1
@@ -295,12 +330,12 @@ def measure_batch(n_photons: np.ndarray, p_one: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def sample_singlet(cos_angle, rng: np.random.Generator, size: int):
-    """Sample `size` +/-1 outcome pairs for spin measurements on a shared
-    singlet, given the cosine of the angle between the two measurement
-    directions (a float, or one cosine per pair).  Marginals are uniform
-    and E[a*b] = -cos_angle, i.e. the joint law
-    P(a,b) = (1 - a b cos_angle) / 4."""
-    a = np.where(rng.random(size) < 0.5, 1, -1).astype(np.int8)
-    p_opposite = (1.0 + cos_angle) / 2.0
-    b = np.where(rng.random(size) < p_opposite, -a, a).astype(np.int8)
+    """Sample `size` +/-1 int8 outcome pairs for spin measurements on a
+    shared singlet, given the cosine of the angle between the two
+    measurement directions: a float, or a function of a slice of pairs
+    giving theirs.  Marginals are uniform and E[a*b] = -cos_angle, i.e.
+    the joint law P(a,b) = (1 - a b cos_angle) / 4."""
+    cos = cos_angle if callable(cos_angle) else lambda s: cos_angle
+    a = bernoulli(rng, size, 0.5).astype(np.int8) * 2 - 1
+    b = np.where(bernoulli(rng, size, lambda s: (1.0 + cos(s)) / 2.0), -a, a)
     return a, b

@@ -309,6 +309,12 @@ def test_run_intercept_aborts_with_exit_two(capsys):
      "source: mu must be a number, got 1000"),
     ({"protocol": "e91", "source": {"kind": "laser", "mu": 0.5}},
      "e91 takes only the ideal source: multi-pair emission is not modelled"),
+    ({"protocol": "decoy_bb84", "signal_mu": -0.5,
+      "source": {"kind": "laser", "mu": 0.5}},
+     "protocol: signal_mu must be finite and > 0"),
+    ({"protocol": "decoy_bb84", "decoy_mu": -0.1,
+      "source": {"kind": "laser", "mu": 0.5}},
+     "protocol: decoy_mu must be finite and >= 0"),
 ])
 def test_scenario_refused_by_runner_is_clean_error(tmp_path, scenario,
                                                    message):
@@ -404,6 +410,21 @@ def test_sweep_out_of_range_value_is_clean_error(tmp_path, axis, value,
                       cwd=tmp_path, pythonpath=str(PACKAGE.parent))
     assert proc.returncode == 1
     assert proc.stderr.startswith(f"error: {message}")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("value", ["-0.5", "0", "nan", "inf"])
+def test_sweep_decoy_mu_out_of_range_is_clean_error(tmp_path, value):
+    # on decoy_bb84 the mu axis sets signal_mu
+    path = write_scenario(tmp_path, dict(
+        BASE, protocol="decoy_bb84", num_pulses=2000,
+        source={"kind": "laser", "mu": 0.5}))
+    proc = run_python(["-m", "qkdsim.cli", "sweep", path, "--axis", "mu",
+                       "--start", value, "--stop", value, "--steps", "1"],
+                      cwd=tmp_path, pythonpath=str(PACKAGE.parent))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(
+        f"error: mu = {float(value)!r}: signal_mu must be finite and > 0")
     assert "Traceback" not in proc.stderr
 
 

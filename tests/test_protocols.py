@@ -1,11 +1,14 @@
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qkdsim.adversary import EveStrategy, NO_EVE
 from qkdsim.bell import chsh_estimate
-from qkdsim.protocols import (ProtocolConfig, b92_states, run_session)
+from qkdsim.protocols import (PROTOCOLS, ProtocolConfig, b92_states,
+                              run_session)
 from qkdsim.quantum import ChannelModel, DetectorModel, SourceModel
 from qkdsim.rng import derive_rng
 
@@ -32,6 +35,49 @@ def test_config_validation():
     for protocol in ("b92", "e91"):     # choices always uniform
         with pytest.raises(ValueError, match="basis_bias is not used"):
             ProtocolConfig(protocol, 10, basis_bias=0.7)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("signal_mu", -0.5), ("signal_mu", 0.0), ("signal_mu", math.nan),
+    ("signal_mu", math.inf), ("decoy_mu", -0.1), ("decoy_mu", math.nan),
+    ("decoy_mu", math.inf)])
+def test_intensities_out_of_range_name_the_field(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        ProtocolConfig("decoy_bb84", 10, **{field: value})
+
+
+def test_vacuum_decoy_is_accepted():
+    assert ProtocolConfig("decoy_bb84", 10, decoy_mu=0.0).decoy_mu == 0.0
+
+
+def test_session_working_set_is_narrow():
+    # tracemalloc peak of one session: narrow per-pulse arrays (int8 and
+    # bool) plus chunk-sized temporaries, never a full-length float64 or
+    # int64 array.  Lossy, misaligned and noisy, so that every sampler runs.
+    N = 500_000
+    ch = ChannelModel(10.0, 0.2, 0.03)
+    det = DetectorModel(0.5, 1e-3)
+    sources = (IDEAL, SourceModel.laser(0.5), SourceModel.heralded(0.6, 0.05))
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for protocol in PROTOCOLS:
+            for src in sources:
+                for eve in (NO_EVE, EveStrategy("intercept_resend")):
+                    cfg = ProtocolConfig(protocol, N)
+                    rng = derive_rng(3, 0)
+                    tracemalloc.reset_peak()
+                    base = tracemalloc.get_traced_memory()[0]
+                    try:
+                        run_session(cfg, src, ch, det, eve, rng)
+                    except ValueError:      # a cell the session refuses
+                        continue
+                    peak = tracemalloc.get_traced_memory()[1] - base
+                    peaks[protocol, src.kind, eve.kind] = peak / N
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 2 * (4 * 3 + 1 + 2)
+    assert max(peaks.values()) <= 32, peaks
 
 
 def test_bb84_honest_statistics():

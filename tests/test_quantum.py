@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from qkdsim.quantum import (CIRCULAR, DIAGONAL, NO_CLICK, RECTILINEAR,
+from qkdsim.quantum import (CHUNK, CIRCULAR, DIAGONAL, NO_CLICK, RECTILINEAR,
                             STATE_A, STATE_H, STATE_L, STATE_V, Basis,
                             ChannelModel, DetectorModel, SignalState,
-                            SourceModel, attenuate_batch,
+                            SourceModel, attenuate_batch, chunked,
                             channel_preset, detector_preset, g2, load_presets,
                             measure_batch, sample_photon_number,
                             sample_singlet)
@@ -51,6 +51,58 @@ def test_source_sampling_matches_pmf():
     assert (draws == 1).mean() == pytest.approx(src.pmf(1), abs=0.005)
 
 
+@pytest.mark.parametrize("mu", [0.0, -1.0, math.nan, math.inf])
+def test_laser_mu_must_be_finite_and_positive(mu):
+    with pytest.raises(ValueError, match="attenuated_laser requires mu > 0"):
+        SourceModel.laser(mu)
+
+
+# a length that is not a multiple of CHUNK: two full chunks and a tail
+CHUNKED_SIZE = 2 * CHUNK + 1001
+_N = np.arange(CHUNKED_SIZE) % 9
+_P = np.linspace(0.0, 1.0, CHUNKED_SIZE)     # includes p = 0 and p = 1
+_LAM = np.linspace(0.0, 4.0, CHUNKED_SIZE)
+CHUNKABLE = {
+    "random": lambda rng, s: rng.random(s.stop - s.start),
+    "binomial": lambda rng, s: rng.binomial(_N[s], _P[s]),
+    "poisson": lambda rng, s: rng.poisson(_LAM[s]),
+    "integers int64": lambda rng, s: rng.integers(
+        0, 3, size=s.stop - s.start, dtype=np.int64),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHUNKABLE))
+def test_chunked_draw_equals_one_whole_call(name):
+    draw = CHUNKABLE[name]
+    whole_rng, chunk_rng = make_rng(21), make_rng(21)
+    whole = draw(whole_rng, slice(0, CHUNKED_SIZE))
+    parts = chunked(lambda s: draw(chunk_rng, s), CHUNKED_SIZE, whole.dtype)
+    assert np.array_equal(parts, whole)
+    # the generator ends in the same state
+    assert np.array_equal(chunk_rng.random(4), whole_rng.random(4))
+
+
+def test_chunked_widens_rather_than_wraps():
+    rng = make_rng(22)
+    counts = chunked(lambda s: rng.poisson(200.0, size=s.stop - s.start),
+                     CHUNKED_SIZE, np.int8)
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts, make_rng(22).poisson(200.0, CHUNKED_SIZE))
+
+
+def test_int8_integers_do_not_split_into_chunks():
+    # an int8 draw takes bytes from a 32-bit word and drops the word's unused
+    # bytes when the call returns, so a chunk boundary shifts the stream
+    # unless rejections happened to end that chunk on a word boundary: the
+    # reason such draws stay whole-array calls
+    rng = make_rng(21)
+    parts = chunked(lambda s: rng.integers(0, 3, size=s.stop - s.start,
+                                           dtype=np.int8),
+                    CHUNKED_SIZE, np.int8)
+    whole = make_rng(21).integers(0, 3, size=CHUNKED_SIZE, dtype=np.int8)
+    assert not np.array_equal(parts, whole)
+
+
 def test_g2_values():
     assert g2(SourceModel.ideal()) == pytest.approx(0.0)
     assert g2(SourceModel.laser(0.3)) == pytest.approx(1.0)
@@ -86,16 +138,19 @@ def test_transmit_loss_statistics():
 
 
 def test_measure_deterministic_projection():
-    p_one = np.array([RECTILINEAR.prob_outcome_one(STATE_V),
-                      RECTILINEAR.prob_outcome_one(STATE_H), 0.5])
-    outs = measure_batch(np.array([1, 1, 0]), p_one, DetectorModel(),
+    # states V, H and an unbiased one, each measured in the one basis
+    p_one = np.array([[RECTILINEAR.prob_outcome_one(STATE_V)],
+                      [RECTILINEAR.prob_outcome_one(STATE_H)], [0.5]])
+    outs = measure_batch(np.array([1, 1, 0]), p_one, np.arange(3),
+                         np.zeros(3, dtype=np.int8), DetectorModel(),
                          make_rng(5))
     assert outs.tolist() == [1, 0, NO_CLICK]
 
 
 def test_measure_conjugate_basis_uniform():
-    p_one = np.full(20000, DIAGONAL.prob_outcome_one(STATE_H))
-    outs = measure_batch(np.ones(20000, dtype=np.int64), p_one,
+    p_one = np.array([[DIAGONAL.prob_outcome_one(STATE_H)]])
+    zeros = np.zeros(20000, dtype=np.int8)
+    outs = measure_batch(np.ones(20000, dtype=np.int64), p_one, zeros, zeros,
                          DetectorModel(), make_rng(6))
     assert (outs != NO_CLICK).all()
     assert abs(outs.mean() - 0.5) < 0.02
@@ -105,8 +160,9 @@ def test_dark_count_rate_on_vacuum():
     # two logical detectors: click prob 1 - (1 - p)^2
     p_dark = 1e-3
     det = DetectorModel(dark_prob=p_dark)
-    outs = measure_batch(np.zeros(200000, dtype=np.int64),
-                         np.zeros(200000), det, make_rng(7))
+    zeros = np.zeros(200000, dtype=np.int8)
+    outs = measure_batch(zeros, np.zeros((1, 1)), zeros, zeros, det,
+                         make_rng(7))
     expect = 1.0 - (1.0 - p_dark) ** 2
     assert (outs != NO_CLICK).mean() == pytest.approx(expect, rel=0.15)
 

@@ -264,7 +264,8 @@ def test_gain_matches_detection_prob_with_dark_counts():
 
 def test_vacuum_yield_matches_the_simulated_dark_click_rate():
     N, p_dark = 200000, 0.01
-    out = measure_batch(np.zeros(N, dtype=np.int64), np.full(N, 0.5),
+    zeros = np.zeros(N, dtype=np.int8)
+    out = measure_batch(zeros, np.full((1, 1), 0.5), zeros, zeros,
                         DetectorModel(dark_prob=p_dark), make_rng(31))
     rate = float((out != NO_CLICK).mean())
     y0 = yield_Yn(0, 0.0, p_dark)
