@@ -194,7 +194,7 @@ def sample_photon_number(src: SourceModel, rng: np.random.Generator,
     if src.kind == "attenuated_laser":
         return chunked(lambda s: rng.poisson(src.mu, size=s.stop - s.start),
                        size, np.int8)
-    # heralded_pdc: vacuum below p0, one photon below p01, else two
+    # heralded_pdc: 0, 1 or 2 photons by where a uniform falls among edges
     edges = (1.0 - src.herald_efficiency, 1.0 - src.multi_pair_prob)
     return chunked(lambda s: np.searchsorted(
         edges, rng.random(s.stop - s.start), side="right"), size, np.int8)
