@@ -16,8 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .quantum import (ChannelModel, SignalState, bernoulli, chunked,
-                      sample_singlet)
+from .quantum import ChannelModel, SignalState, sample_singlet
 
 KINDS = ("none", "intercept_resend", "beam_split", "pns", "usd_b92")
 PAIR_OVERLAP = 2 ** -0.5    # |<a|b>| of the two states a 'pair' announces
@@ -64,7 +63,7 @@ NO_EVE = EveStrategy("none")
 
 @dataclass
 class BatchAttack:
-    """Result of attacking one session's pulse stream."""
+    """Result of attacking a stream of pulses."""
 
     n: np.ndarray                # forwarded photon counts
     state_idx: np.ndarray        # forwarded state table indices
@@ -84,13 +83,10 @@ def usd_success_prob(phi0: SignalState, phi1: SignalState) -> float:
 
 def _eve_choice(strategy: EveStrategy, count: int, size: int,
                 rng: np.random.Generator, dtype=np.int8) -> np.ndarray:
-    """int8 index of the basis Eve measures each pulse in: ``fixed_basis``
-    when set, otherwise uniform over ``count`` bases, drawn as ``dtype``."""
+    """Index of the basis Eve measures each pulse in: ``fixed_basis`` when
+    set, otherwise uniform over ``count`` bases, drawn as ``dtype``."""
     if strategy.fixed_basis is None:
-        if dtype == np.int8:    # a byte draw is never chunked (see quantum)
-            return rng.integers(0, count, size=size, dtype=np.int8)
-        return chunked(lambda s: rng.integers(
-            0, count, size=s.stop - s.start, dtype=dtype), size, np.int8)
+        return rng.integers(0, count, size=size, dtype=dtype)
     if strategy.fixed_basis >= count:
         raise ValueError(f"fixed_basis {strategy.fixed_basis} is out of "
                          f"range: Eve can measure in {count} bases")
@@ -102,7 +98,7 @@ def attack_batch(strategy: EveStrategy, n: np.ndarray, state_idx: np.ndarray,
                  rng: np.random.Generator,
                  b92_states: Optional[tuple[SignalState, SignalState]] = None,
                  ) -> BatchAttack:
-    """Apply a strategy to a whole pulse stream.
+    """Apply a strategy to a stream of pulses.
 
     n, state_idx:  per-pulse photon counts and state-table indices.
     p_one:         (K, M) projection probabilities onto outcome 1 for
@@ -127,8 +123,7 @@ def attack_batch(strategy: EveStrategy, n: np.ndarray, state_idx: np.ndarray,
 
     if strategy.kind == "intercept_resend":
         eb = _eve_choice(strategy, p_one.shape[1], npulses, rng)
-        k1 = chunked(lambda s: rng.binomial(n[s], p_one[state_idx[s], eb[s]]),
-                     npulses, n.dtype)
+        k1 = rng.binomial(n, p_one[state_idx, eb])
         bit = (k1 > 0).astype(np.int8)
         both = (n > k1) & (k1 > 0)
         if both.any():
@@ -144,10 +139,9 @@ def attack_batch(strategy: EveStrategy, n: np.ndarray, state_idx: np.ndarray,
         if tap > 1.0 - eta + 1e-12:
             raise ValueError(
                 f"tap_ratio {tap} exceeds the channel loss 1 - eta = {1 - eta}")
-        k_eve = chunked(lambda s: rng.binomial(n[s], tap), npulses, n.dtype)
+        k_eve = rng.binomial(n, tap)
         eta_fwd = min(1.0, eta / (1.0 - tap)) if tap < 1.0 else 1.0
-        n_out = chunked(lambda s: rng.binomial(n[s] - k_eve[s], eta_fwd),
-                        npulses, n.dtype)
+        n_out = rng.binomial(n - k_eve, eta_fwd)
         eve_basis[k_eve >= 1] = HELD
         return BatchAttack(n_out, state_idx, True, eve_basis)
 
@@ -157,8 +151,8 @@ def attack_batch(strategy: EveStrategy, n: np.ndarray, state_idx: np.ndarray,
         n_out = n.copy()
         n_out[multi] -= 1
         if strategy.block_single_prob > 0 and single.any():
-            blocked = single & bernoulli(rng, npulses,
-                                         strategy.block_single_prob)
+            blocked = single & (rng.random(npulses)
+                                < strategy.block_single_prob)
             n_out[blocked] = 0
         eve_basis[multi] = HELD
         return BatchAttack(n_out, state_idx, True, eve_basis)
@@ -167,9 +161,9 @@ def attack_batch(strategy: EveStrategy, n: np.ndarray, state_idx: np.ndarray,
         if b92_states is None:
             raise ValueError("usd_b92 requires the B92 state pair")
         p_succ = usd_success_prob(*b92_states)
-        success = (n > 0) & bernoulli(rng, npulses, p_succ)
-        forwarded = success & bernoulli(rng, npulses,
-                                        min(1.0, ch.transmittance / p_succ))
+        success = (n > 0) & (rng.random(npulses) < p_succ)
+        forwarded = success & (rng.random(npulses)
+                               < min(1.0, ch.transmittance / p_succ))
         n_out = forwarded.astype(n.dtype)
         eve_basis[success] = HELD
         return BatchAttack(n_out, state_idx, True, eve_basis)
@@ -196,21 +190,19 @@ def attack_pairs(strategy: EveStrategy, a_idx: np.ndarray, b_idx: np.ndarray,
     m = a_idx.shape[0]
     cos_ab = np.cos(np.radians(alice_angles[:, None] - bob_angles[None, :]))
     if strategy.kind == "none":
-        a, b = sample_singlet(lambda s: cos_ab[a_idx[s], b_idx[s]], rng, m)
+        a, b = sample_singlet(cos_ab[a_idx, b_idx], rng, m)
         return a, b, np.full(m, NOTHING, dtype=np.int8)
     if strategy.kind != "intercept_resend":
         raise ValueError(f"pair protocols support eve kinds none/"
                          f"intercept_resend, got {strategy.kind!r}")
-    a = bernoulli(rng, m, 0.5).astype(np.int8) * 2 - 1
+    a = (rng.random(m) < 0.5).astype(np.int8) * 2 - 1
     eve_idx = _eve_choice(strategy, len(bob_angles), m, rng, dtype=np.int64)
     p_opp = (1.0 + cos_ab) / 2.0
-    e = np.where(bernoulli(rng, m, lambda s: p_opp[a_idx[s], eve_idx[s]]),
-                 -a, a)
+    e = np.where(rng.random(m) < p_opp[a_idx, eve_idx], -a, a)
     # Bob projects the resent eigenstate |phi, e>
     p_same = np.cos(np.radians(bob_angles[:, None] - bob_angles[None, :])
                     / 2.0) ** 2
-    b = np.where(bernoulli(rng, m, lambda s: p_same[b_idx[s], eve_idx[s]]),
-                 e, -e)
+    b = np.where(rng.random(m) < p_same[b_idx, eve_idx], e, -e)
     same = bob_angles[:, None] == alice_angles[None, :]
     to_alice = np.where(same.any(axis=1), same.argmax(axis=1), NOTHING)
     return a, b, to_alice.astype(np.int8)[eve_idx]
@@ -231,7 +223,7 @@ def resolve_known_bits(eve_basis: np.ndarray, alice_basis: np.ndarray,
     held = eve_basis == HELD
     if announcement == "pair":
         if held.any():
-            held &= bernoulli(rng, held.shape[0], 1.0 - PAIR_OVERLAP)
+            held &= rng.random(held.shape[0]) < 1.0 - PAIR_OVERLAP
     elif announcement != "basis":
         raise ValueError(f"unknown announcement type {announcement!r}")
     return (eve_basis == alice_basis) | held

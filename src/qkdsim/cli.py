@@ -157,7 +157,12 @@ def load_scenario(path: str, seed: Optional[int] = None,
 # report assembly
 # ---------------------------------------------------------------------------
 
-def _scenario_rates(scenario: Scenario, epsilon: float) -> RateReport:
+def _scenario_rates(scenario: Scenario,
+                    epsilon: Optional[float]) -> RateReport:
+    """Rates at the scenario's hardware; an error rate above 0.5, which no
+    rate formula takes, leaves out the rates that depend on it."""
+    if epsilon is not None and epsilon > 0.5:
+        epsilon = None
     mu = None
     if scenario.source.kind == "attenuated_laser":
         mu = scenario.source.mu

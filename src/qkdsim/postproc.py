@@ -513,6 +513,9 @@ def run_pipeline_on_keys(sifted_alice: BitString, sifted_bob: BitString,
         if eps > params.qber_abort_threshold:
             raise _Abort("estimation", f"error rate {eps:.4f} above threshold "
                                        f"{params.qber_abort_threshold}")
+        if eps >= 0.5:      # no key at 0.5, and reconciliation needs less
+            raise _Abort("estimation",
+                         f"error rate {eps:.4f} is not below 0.5")
         if len(alice) == 0:
             raise _Abort("estimation", "nothing left after sampling")
 

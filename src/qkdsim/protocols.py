@@ -8,10 +8,15 @@ pair protocols share ``_run_entangled``, driven by their measurement
 angles: singlet outcomes with Eve on Bob's particle, then Bob-side loss,
 misalignment and dark counts, then sifting of equal angles.
 Every session is deterministic given its generator and returns a
-``SessionTranscript``.  Pulse streams are int8 and bool arrays, processed
-by the batch kernels of ``quantum`` (``measure_batch``) and ``adversary``
-(``attack_batch``, ``attack_pairs``, and ``resolve_known_bits`` for every
-protocol), which draw in fixed-size chunks (the chunk rule of ``quantum``).
+``SessionTranscript``.
+
+Slice rule: ``_run_slices`` runs a session as consecutive slices of at most
+``quantum.CHUNK`` pulses, each carried from source to sifted key (prepare,
+attack, channel and detection, sift, and Eve's knowledge by
+``adversary.resolve_known_bits``) before the next is drawn from the same
+generator.  Only the sifted bits, Eve's known bits of them and the counts
+outlive a slice, so a session's memory grows with its sifted key, not with
+its pulse count.  A session of at most ``CHUNK`` pulses is one slice.
 """
 
 from __future__ import annotations
@@ -26,9 +31,9 @@ import numpy as np
 from . import adversary, bell
 from .adversary import EveStrategy
 from .bits import BitString
-from .quantum import (ALL_BASES, DIAGONAL, NO_CLICK, RECTILINEAR, Basis,
-                      ChannelModel, DetectorModel, SignalState, SourceModel,
-                      attenuate_batch, bernoulli, chunked, measure_batch,
+from .quantum import (ALL_BASES, CHUNK, DIAGONAL, NO_CLICK, RECTILINEAR,
+                      Basis, ChannelModel, DetectorModel, SignalState,
+                      SourceModel, attenuate_batch, measure_batch,
                       sample_photon_number)
 
 PROTOCOLS = ("bb84", "b92", "six_state", "sarg", "decoy_bb84", "bbm92", "e91")
@@ -213,7 +218,7 @@ def _biased_choice(rng, n, num_options, primary_prob):
     """Index array: option 0 with primary_prob, the rest uniform."""
     if primary_prob is None:
         return rng.integers(0, num_options, size=n, dtype=np.int8)
-    rest = ~bernoulli(rng, n, primary_prob)
+    rest = rng.random(n) >= primary_prob
     out = rest.astype(np.int8)
     if num_options > 2:
         out[rest] += rng.integers(0, num_options - 1, size=int(rest.sum()),
@@ -221,28 +226,26 @@ def _biased_choice(rng, n, num_options, primary_prob):
     return out
 
 
-def _source_photons(cfg, src, rng):
-    """Photon counts drawn from the source model; no intensity tags."""
-    return sample_photon_number(src, rng, size=cfg.num_pulses), None
+def _source_photons(cfg, src, rng, m):
+    """Photon counts of m pulses drawn from the source model; no tags."""
+    return sample_photon_number(src, rng, size=m), None
 
 
-def _decoy_photons(cfg, src, rng):
+def _decoy_photons(cfg, src, rng, m):
     """Randomly interleaved decoy pulses.  The source argument fixes the
     emitter family; photon numbers are drawn per pulse from the tagged mean
     photon number (signal_mu / decoy_mu).  Returns the decoy mask as tags."""
     if src.kind != "attenuated_laser":
         raise ValueError("decoy_bb84 requires an attenuated_laser source")
-    decoy = bernoulli(rng, cfg.num_pulses, cfg.decoy_fraction)
-    return chunked(lambda s: rng.poisson(
-        np.where(decoy[s], cfg.decoy_mu, cfg.signal_mu)),
-        cfg.num_pulses, np.int8), decoy
+    decoy = rng.random(m) < cfg.decoy_fraction
+    return rng.poisson(np.where(decoy, cfg.decoy_mu, cfg.signal_mu)), decoy
 
 
-def _intensity_stats(cfg, decoy, clicked) -> dict:
+def _intensity_stats(cfg, counts) -> dict:
+    """counts: (sent, detected) of the signal and of the decoy pulses."""
     stats = {}
-    for label, mu, mask in (("signal", cfg.signal_mu, ~decoy),
-                            ("decoy", cfg.decoy_mu, decoy)):
-        sent, detected = int(mask.sum()), int(clicked[mask].sum())
+    for label, mu, (sent, detected) in zip(
+            ("signal", "decoy"), (cfg.signal_mu, cfg.decoy_mu), counts):
         stats[label] = {"mu": mu, "sent": sent, "detected": detected,
                         "gain": detected / sent if sent else 0.0}
     return stats
@@ -282,7 +285,8 @@ class PrepareMeasureSpec:
     table:        ProtocolConfig -> StateTable; state 2*basis + bit is sent.
     alice_basis:  Alice draws a basis per pulse; otherwise (B92) the bit
                   alone picks the state and her basis is recorded as 0.
-    photons:      (cfg, src, rng) -> (photon counts, intensity tags or None).
+    photons:      (cfg, src, rng, m) -> (photon counts of m pulses,
+                  intensity tags or None).
     sift:         sift rule, see ``_sift_basis``.
     announcement: what sifting discloses to Eve ('basis' or 'pair').
     usd_pair:     hand the first two table states to the attack as the B92
@@ -310,59 +314,74 @@ _PREPARE_MEASURE = {
 }
 
 
+def _run_slices(cfg: ProtocolConfig, run_slice: Callable, announcement: str,
+                rng: np.random.Generator) -> SessionTranscript:
+    """Run ``run_slice(m)`` on consecutive slices of at most ``CHUNK``
+    pulses (an empty session is one empty slice).  It returns the slice's
+    sift mask, Alice's and Bob's bits, detection mask, Eve's record and
+    Alice's bases; of these only the sifted bits, what Eve knows of them
+    after the announcement, and the detection count are kept."""
+    kept, detections = [], 0
+    for lo in range(0, max(cfg.num_pulses, 1), CHUNK):
+        sift, a_bits, b_bits, detected, eve_basis, a_bases = run_slice(
+            min(CHUNK, cfg.num_pulses - lo))
+        # resolved over every pulse, so its draws do not depend on the sift
+        known = adversary.resolve_known_bits(eve_basis, a_bases, announcement,
+                                             rng)
+        kept.append((a_bits[sift], b_bits[sift], known[sift]))
+        detections += int(detected.sum())
+    alice, bob, known = (BitString.from_array(np.concatenate(part))
+                         for part in zip(*kept))
+    return SessionTranscript(cfg.protocol, cfg.num_pulses, detections,
+                             alice, bob, known)
+
+
 def _run_prepare_measure(spec: PrepareMeasureSpec, cfg: ProtocolConfig,
                          src: SourceModel, ch: ChannelModel,
                          det: DetectorModel, eve: EveStrategy,
                          rng: np.random.Generator) -> SessionTranscript:
-    """Prepare -> attack -> channel and detection -> sift -> resolve what
-    Eve knows after the sifting announcement."""
+    """Prepare -> attack -> channel and detection -> sift, slice by slice;
+    decoy sessions also count the pulses sent and detected per intensity."""
     table = spec.table(cfg)
-    N = cfg.num_pulses
     num_bases = len(table.bases)
-    bits = rng.integers(0, 2, size=N, dtype=np.int8)
-    if spec.alice_basis:
-        a_bases = _biased_choice(rng, N, num_bases, cfg.basis_bias)
-    else:
-        a_bases = np.zeros(N, dtype=np.int8)
-    b_bases = _biased_choice(rng, N, num_bases, cfg.basis_bias)
-    sent = 2 * a_bases + bits
-    n, tags = spec.photons(cfg, src, rng)
+    intensity = []      # per slice: (sent, detected) of signal and decoy
 
-    atk = adversary.attack_batch(
-        eve, n, sent, table.p_one, table.eigen_idx, ch, rng,
-        b92_states=table.states[:2] if spec.usd_pair else None)
-    # channel loss (unless Eve already replaced the line), one receiver
-    # misalignment flip per pulse, then detection
-    n, state_idx = atk.n, atk.state_idx
-    if not atk.channel_consumed:
-        n = attenuate_batch(n, ch, rng)
-    if ch.misalignment_error_prob > 0.0:
-        flipped = (n > 0) & bernoulli(rng, N, ch.misalignment_error_prob)
-        flip_to = table.flip[state_idx]
-        state_idx = np.where(flipped & (flip_to >= 0), flip_to, state_idx)
-    outcomes = measure_batch(n, table.p_one, state_idx, b_bases, det, rng)
+    def run_slice(m):
+        bits = rng.integers(0, 2, size=m, dtype=np.int8)
+        if spec.alice_basis:
+            a_bases = _biased_choice(rng, m, num_bases, cfg.basis_bias)
+        else:
+            a_bases = np.zeros(m, dtype=np.int8)
+        b_bases = _biased_choice(rng, m, num_bases, cfg.basis_bias)
+        sent = 2 * a_bases + bits
+        n, tags = spec.photons(cfg, src, rng, m)
 
-    sift, bob_bits = spec.sift(table, sent, a_bases, b_bases, outcomes)
-    clicked = outcomes != NO_CLICK
-    return _transcript(
-        cfg, sift, bits, bob_bits, clicked, atk.eve_basis, a_bases,
-        spec.announcement, rng,
-        intensity_stats=(None if tags is None
-                         else _intensity_stats(cfg, tags, clicked)))
+        atk = adversary.attack_batch(
+            eve, n, sent, table.p_one, table.eigen_idx, ch, rng,
+            b92_states=table.states[:2] if spec.usd_pair else None)
+        # channel loss (unless Eve already replaced the line), one receiver
+        # misalignment flip per pulse, then detection
+        n, state_idx = atk.n, atk.state_idx
+        if not atk.channel_consumed:
+            n = attenuate_batch(n, ch, rng)
+        if ch.misalignment_error_prob > 0.0:
+            flipped = (n > 0) & (rng.random(m) < ch.misalignment_error_prob)
+            flip_to = table.flip[state_idx]
+            state_idx = np.where(flipped & (flip_to >= 0), flip_to, state_idx)
+        outcomes = measure_batch(n, table.p_one, state_idx, b_bases, det, rng)
 
+        sift, bob_bits = spec.sift(table, sent, a_bases, b_bases, outcomes)
+        clicked = outcomes != NO_CLICK
+        if tags is not None:
+            intensity.append([(mask.sum(), clicked[mask].sum())
+                              for mask in (~tags, tags)])
+        return sift, bits, bob_bits, clicked, atk.eve_basis, a_bases
 
-def _transcript(cfg, sift, a_bits, b_bits, detected, eve_basis, a_bases,
-                announcement, rng, **tallies) -> SessionTranscript:
-    """Keep the sifted bits and what Eve knows of them.  Her knowledge is
-    resolved over every pulse, so its draws do not depend on the sift."""
-    known = adversary.resolve_known_bits(eve_basis, a_bases, announcement,
-                                         rng)
-    return SessionTranscript(
-        protocol=cfg.protocol, pulse_count=cfg.num_pulses,
-        detection_count=int(detected.sum()),
-        sifted_alice=BitString.from_array(a_bits[sift]),
-        sifted_bob=BitString.from_array(b_bits[sift]),
-        eve_known_mask=BitString.from_array(known[sift]), **tallies)
+    t = _run_slices(cfg, run_slice, spec.announcement, rng)
+    if intensity:
+        t.intensity_stats = _intensity_stats(
+            cfg, np.sum(intensity, axis=0).tolist())
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -376,15 +395,15 @@ def _pair_reception(b, ch: ChannelModel, det: DetectorModel, rng):
     lost one clicks on a dark count of either detector, and both give a
     uniform bit.  Returns (detected_mask, possibly flipped outcomes)."""
     m = b.shape[0]
-    detected = bernoulli(rng, m, ch.transmittance * det.efficiency)
+    detected = rng.random(m) < ch.transmittance * det.efficiency
     if ch.misalignment_error_prob > 0.0:
-        b = np.where(bernoulli(rng, m, ch.misalignment_error_prob), -b, b)
+        b = np.where(rng.random(m) < ch.misalignment_error_prob, -b, b)
     if det.dark_prob > 0.0:
-        noisy = bernoulli(rng, m, lambda s: np.where(
-            detected[s], det.dark_prob, 1.0 - (1.0 - det.dark_prob) ** 2))
+        noisy = rng.random(m) < np.where(
+            detected, det.dark_prob, 1.0 - (1.0 - det.dark_prob) ** 2)
         if noisy.any():
             b = b.copy()
-            b[noisy] = bernoulli(rng, int(noisy.sum()), 0.5) * 2 - 1
+            b[noisy] = (rng.random(int(noisy.sum())) < 0.5) * 2 - 1
             detected = detected | noisy
     return detected, b
 
@@ -402,32 +421,37 @@ _PAIR_SPECS = {
 def _run_entangled(cfg: ProtocolConfig, ch: ChannelModel, det: DetectorModel,
                    eve: EveStrategy,
                    rng: np.random.Generator) -> SessionTranscript:
-    """Singlet-pair session (BBM92, E91).  Matching angles give perfectly
-    anti-correlated outcomes, so Bob flips his bit to align the keys.  E91
-    also collects the four setting pairs of ``bell.MAXIMAL_SETTINGS``, found
-    among its angles, as +/-1 product samples for CHSH estimation."""
+    """Singlet-pair session (BBM92, E91), slice by slice.  Matching angles
+    give perfectly anti-correlated outcomes, so Bob flips his bit to align
+    the keys.  E91 also collects the four setting pairs of
+    ``bell.MAXIMAL_SETTINGS``, found among its angles, as +/-1 product
+    samples for CHSH estimation."""
     alice_angles, bob_angles, with_chsh = _PAIR_SPECS[cfg.protocol]
-    N = cfg.num_pulses
-    a_idx = _biased_choice(rng, N, len(alice_angles), cfg.basis_bias)
-    b_idx = _biased_choice(rng, N, len(bob_angles), cfg.basis_bias)
-    a, b, eve_basis = adversary.attack_pairs(eve, a_idx, b_idx, alice_angles,
-                                             bob_angles, rng)
-    detected, b = _pair_reception(b, ch, det, rng)
-
     same_angle = alice_angles[:, None] == bob_angles[None, :]
-    sift = detected & same_angle[a_idx, b_idx]
-    a_bits = (1 - a) // 2
-    b_bits = (1 + b) // 2    # the flip converts anti-correlation
-    chsh = None
-    if with_chsh:
-        chsh = {}
-        for x, y in bell.SETTING_PAIRS:
-            ai = alice_angles.tolist().index(getattr(bell.MAXIMAL_SETTINGS, x))
-            bi = bob_angles.tolist().index(getattr(bell.MAXIMAL_SETTINGS, y))
+    # setting pair -> (Alice's angle index, Bob's, products per slice)
+    chsh = {(x, y): (
+        alice_angles.tolist().index(getattr(bell.MAXIMAL_SETTINGS, x)),
+        bob_angles.tolist().index(getattr(bell.MAXIMAL_SETTINGS, y)), [])
+        for x, y in (bell.SETTING_PAIRS if with_chsh else ())}
+
+    def run_slice(m):
+        a_idx = _biased_choice(rng, m, len(alice_angles), cfg.basis_bias)
+        b_idx = _biased_choice(rng, m, len(bob_angles), cfg.basis_bias)
+        a, b, eve_basis = adversary.attack_pairs(eve, a_idx, b_idx,
+                                                 alice_angles, bob_angles, rng)
+        detected, b = _pair_reception(b, ch, det, rng)
+        for ai, bi, products in chsh.values():
             mask = detected & (a_idx == ai) & (b_idx == bi)
-            chsh[(x, y)] = (a[mask] * b[mask]).astype(np.int8)
-    return _transcript(cfg, sift, a_bits, b_bits, detected, eve_basis, a_idx,
-                       "basis", rng, chsh_samples=chsh)
+            products.append((a[mask] * b[mask]).astype(np.int8))
+        sift = detected & same_angle[a_idx, b_idx]
+        # the flip of Bob's bit converts anti-correlation
+        return sift, (1 - a) // 2, (1 + b) // 2, detected, eve_basis, a_idx
+
+    t = _run_slices(cfg, run_slice, "basis", rng)
+    if with_chsh:
+        t.chsh_samples = {pair: np.concatenate(products)
+                          for pair, (_, _, products) in chsh.items()}
+    return t
 
 
 # ---------------------------------------------------------------------------

@@ -2,23 +2,16 @@
 channels, threshold detectors, and singlet-pair sampling.
 
 All parameter records are immutable dataclasses; every sampling function
-takes an explicit ``numpy.random.Generator``.  ``attenuate_batch``
+takes an explicit ``numpy.random.Generator`` and draws with plain calls
+(``rng.random(m) < p``, ``rng.binomial``, ``rng.poisson``) over the arrays
+it is given.  Sessions hand these kernels one slice of at most ``CHUNK``
+pulses at a time (the slice rule of ``protocols``).  ``attenuate_batch``
 (channel loss) and ``measure_batch`` (detection) act on streams of photon
 counts and state indices for the prepare-and-measure engine;
 ``protocols._pair_reception`` applies the same rules to one +/-1 outcome
-per singlet.  It stays because it is cheaper: on 4e6 pulses it takes
-0.015 s (ideal devices) to 0.06 s (lossy, noisy) where ``measure_batch``
-takes 0.23 s (2-core Xeon host, best of five).
-
-Chunk rule: a large draw goes through ``chunked``, which calls the sampler
-on consecutive slices of ``CHUNK`` pulses in order, with no other draw in
-between, and narrows each slice's result (bool masks, int8 counts and
-indices).  Philox is counter-based, and ``random``, ``binomial``,
-``poisson`` and 64-bit ``integers`` consume it element by element, so the
-chunked draw equals one whole-array draw.  int8 ``integers`` drops the
-unused bytes of a 32-bit word when a call returns and would not split the
-same way; those draws (bits, bases, coin flips) are 1 B per pulse and stay
-whole-array calls.
+per singlet.  It stays because it is cheaper: on one ``CHUNK`` slice it
+takes 0.7 ms (ideal devices) to 3 ms (lossy, noisy) where
+``measure_batch`` takes 8 to 9 ms (2-core Xeon host, best of five).
 """
 
 from __future__ import annotations
@@ -31,7 +24,7 @@ from importlib import resources
 import numpy as np
 
 NO_CLICK = -1  # detection outcome: neither logical detector fired
-CHUNK = 1 << 16  # pulses per sampler call (see the chunk rule above)
+CHUNK = 1 << 16  # pulses per session slice (see protocols)
 
 _NORM_TOL = 1e-12
 
@@ -164,40 +157,16 @@ class SourceModel:
         return 0.0
 
 
-def chunked(draw, size: int, dtype=bool) -> np.ndarray:
-    """``draw(s)`` over the consecutive ``CHUNK``-long slices ``s`` of
-    ``range(size)``, gathered into one array of ``dtype``.  Integer results
-    (non-negative) that do not fit ``dtype`` widen it to int64, never wrap."""
-    out = np.empty(size, dtype)
-    for lo in range(0, size, CHUNK):
-        s = slice(lo, min(lo + CHUNK, size))
-        part = draw(s)
-        if out.dtype.kind == "i" and part.size and \
-                part.max() > np.iinfo(out.dtype).max:
-            out = out.astype(np.int64)
-        out[s] = part
-    return out
-
-
-def bernoulli(rng: np.random.Generator, size: int, p) -> np.ndarray:
-    """Mask ``rng.random(size) < p``, drawn by ``chunked``.  ``p`` is a
-    probability, or a function of a slice of pulses giving theirs."""
-    return chunked(lambda s: rng.random(s.stop - s.start)
-                   < (p(s) if callable(p) else p), size)
-
-
 def sample_photon_number(src: SourceModel, rng: np.random.Generator,
                          size: int) -> np.ndarray:
     """Draw the photon counts of `size` pulses from the source model."""
     if src.kind == "ideal_single_photon":
         return np.ones(size, dtype=np.int8)
     if src.kind == "attenuated_laser":
-        return chunked(lambda s: rng.poisson(src.mu, size=s.stop - s.start),
-                       size, np.int8)
+        return rng.poisson(src.mu, size=size)
     # heralded_pdc: 0, 1 or 2 photons by where a uniform falls among edges
     edges = (1.0 - src.herald_efficiency, 1.0 - src.multi_pair_prob)
-    return chunked(lambda s: np.searchsorted(
-        edges, rng.random(s.stop - s.start), side="right"), size, np.int8)
+    return np.searchsorted(edges, rng.random(size), side="right")
 
 
 def g2(src: SourceModel) -> float:
@@ -288,8 +257,7 @@ def attenuate_batch(n_photons: np.ndarray, ch: ChannelModel,
     independently with probability ``ch.transmittance``.  A lossless line
     returns the counts unchanged and draws nothing."""
     if ch.transmittance < 1.0:
-        return chunked(lambda s: rng.binomial(n_photons[s], ch.transmittance),
-                       n_photons.shape[0], n_photons.dtype)
+        return rng.binomial(n_photons, ch.transmittance)
     return n_photons
 
 
@@ -310,12 +278,10 @@ def measure_batch(n_photons: np.ndarray, p_one: np.ndarray,
     When both detectors fire the outcome is a uniform bit.
     """
     npulses = n_photons.shape[0]
-    detected = chunked(lambda s: rng.binomial(n_photons[s], det.efficiency),
-                       npulses, n_photons.dtype)
-    k1 = chunked(lambda s: rng.binomial(
-        detected[s], p_one[state_idx[s], basis[s]]), npulses, detected.dtype)
-    fire0 = (detected > k1) | bernoulli(rng, npulses, det.dark_prob)
-    fire1 = (k1 > 0) | bernoulli(rng, npulses, det.dark_prob)
+    detected = rng.binomial(n_photons, det.efficiency)
+    k1 = rng.binomial(detected, p_one[state_idx, basis])
+    fire0 = (detected > k1) | (rng.random(npulses) < det.dark_prob)
+    fire1 = (k1 > 0) | (rng.random(npulses) < det.dark_prob)
     out = np.full(npulses, NO_CLICK, dtype=np.int8)
     out[fire0 & ~fire1] = 0
     out[fire1 & ~fire0] = 1
@@ -332,10 +298,9 @@ def measure_batch(n_photons: np.ndarray, p_one: np.ndarray,
 def sample_singlet(cos_angle, rng: np.random.Generator, size: int):
     """Sample `size` +/-1 int8 outcome pairs for spin measurements on a
     shared singlet, given the cosine of the angle between the two
-    measurement directions: a float, or a function of a slice of pairs
-    giving theirs.  Marginals are uniform and E[a*b] = -cos_angle, i.e.
-    the joint law P(a,b) = (1 - a b cos_angle) / 4."""
-    cos = cos_angle if callable(cos_angle) else lambda s: cos_angle
-    a = bernoulli(rng, size, 0.5).astype(np.int8) * 2 - 1
-    b = np.where(bernoulli(rng, size, lambda s: (1.0 + cos(s)) / 2.0), -a, a)
+    measurement directions (a float, or an array giving each pair's).
+    Marginals are uniform and E[a*b] = -cos_angle, i.e. the joint law
+    P(a,b) = (1 - a b cos_angle) / 4."""
+    a = (rng.random(size) < 0.5).astype(np.int8) * 2 - 1
+    b = np.where(rng.random(size) < (1.0 + cos_angle) / 2.0, -a, a)
     return a, b

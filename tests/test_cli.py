@@ -327,6 +327,35 @@ def test_scenario_refused_by_runner_is_clean_error(tmp_path, scenario,
     assert "Traceback" not in proc.stderr
 
 
+# every bit randomized on the line: the estimated error rate lands near 0.5
+RANDOM_LINE = dict(BASE, num_pulses=200,
+                   channel={"misalignment_error_prob": 0.5})
+
+
+def test_run_above_half_error_rate_leaves_out_epsilon_rates(tmp_path, capsys):
+    path = write_scenario(tmp_path, RANDOM_LINE)
+    code, out, _ = run_cli(capsys, "run", path, "--format", "json")
+    report = json.loads(out)
+    assert code == 2
+    assert report["qber_estimate"] > 0.5
+    assert report["abort_stage"] == "estimation"
+    assert "r_shor_preskill" not in report["rates"]
+    assert "gain_Qmu" not in report["rates"]    # ideal source: no mu
+
+
+def test_run_at_half_error_rate_aborts_at_estimation(tmp_path, capsys):
+    # a threshold of 0.5 lets an estimate of exactly 0.5 through to the
+    # pipeline's own check, not to reconciliation
+    path = write_scenario(tmp_path, dict(
+        RANDOM_LINE, seed=7, postproc={"qber_abort_threshold": 0.5}))
+    code, out, _ = run_cli(capsys, "run", path, "--format", "json")
+    report = json.loads(out)
+    assert code == 2
+    assert report["qber_estimate"] == 0.5
+    assert report["abort_stage"] == "estimation"
+    assert report["abort_reason"] == "error rate 0.5000 is not below 0.5"
+
+
 def test_run_json_format(tmp_path, capsys):
     path = write_scenario(tmp_path, BASE)
     code, out, _ = run_cli(capsys, "run", path, "--format", "json")
@@ -452,6 +481,18 @@ def test_sweep_length_axis_rate_dies_with_distance(tmp_path, capsys):
     assert clamped[-1] == 0.0   # secure-distance cutoff inside the sweep
 
 
+def test_sweep_above_half_error_rate_leaves_out_epsilon_rates(tmp_path,
+                                                              capsys):
+    path = write_scenario(tmp_path, RANDOM_LINE)
+    code, out, _ = run_cli(capsys, "sweep", path, "--axis", "length_km",
+                           "--start", "0", "--stop", "10", "--steps", "4")
+    assert code == 0
+    lines = out.strip().split("\n")
+    col = lines[0].split(",").index("r_shor_preskill_raw")
+    rates = [line.split(",")[col] for line in lines[1:]]
+    assert len(rates) == 4 and "" in rates
+
+
 # ---------------------------------------------------------------------------
 # rates
 # ---------------------------------------------------------------------------
@@ -469,6 +510,12 @@ def test_rates_zero_error(capsys):
     payload = json.loads(out)
     for key in ("r_mayers", "r_shor_preskill", "r_six_state"):
         assert payload["values"][key] == pytest.approx(1.0)
+
+
+def test_rates_epsilon_above_half_is_clean_error(capsys):
+    code, _, err = run_cli(capsys, "rates", "--epsilon", "0.6")
+    assert code == 1
+    assert err.startswith("error: rates: ")
 
 
 def test_rates_pns_flagged(capsys):

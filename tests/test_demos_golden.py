@@ -17,15 +17,15 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 GOLDEN = {
     "01_protocol_zoo.py":
-        "abb319c08482d877e7cb40afda578c33cea4c3114260b84da9bfee3c6444170f",
+        "7392c583917802cd40b2946eaf7d273df41235cc52f11b437bc2a8f73c155324",
     "02_eavesdropping.py":
-        "17db6bdeb4acff0ef706900bd68fdd6a4b3d3cadeadbe5f119b242bcb8f06bb0",
+        "d06396a3ecb496dfd7bde8be97bea936ecc519e429d3536dafe450d5b345f6bf",
     "03_key_distillation.py":
-        "9fd0072f06e73e055c718aea450808071334105795e9b4ba9eae35862296af21",
+        "b0699d0fac81816b6cf32246291a5dc50b8baaba33cd58d6ad0508c9ab0c399a",
     "04_bell_test.py":
-        "c0da32ca1b88b58cb33e742673c8ab9435369ad0fcc99145e632441edff60ad5",
+        "a291d44fe21d2364f6edb12b913ea6d4e8e1138c6211070696134509ad5f2528",
     "05_rates_and_hardware.py":
-        "e0753d6dcd1b4bc805601d90f1b41d611383c627673e7cc17e58f3bf52cc846a",
+        "13107e851e62fb8d1d9a79e623906cc59d26cb2c8d024c9af81bd19037f87d4c",
 }
 
 

@@ -9,8 +9,9 @@ Three families are pinned:
   them as hex, the pulse, detection and sift counts, the decoy intensity
   statistics and E91's CHSH count and sum per setting pair.  A case that
   raises is hashed as its exception type and message;
-* the same transcripts at a size that spans several sampler chunks, so
-  that drawing in chunks is pinned to drawing whole arrays.
+* the same transcripts at a size that spans several session slices
+  (``quantum.CHUNK`` pulses each), which pins where slices begin and end
+  and the order in which they draw.
 
 A refactor that keeps seeded outputs byte-identical leaves every digest
 unchanged; an intended output change re-records them here and says so in
@@ -65,13 +66,13 @@ GOLDEN_CLI = {
     "bell bb84_intercept.cfg":
         "130ed44d84417f2c3fed5525293cc91972390731bfb9463091f6b5348221daa9",
     "run e91_honest.cfg text":
-        "3418998f9e5525a6a86a0dd0f872b67258ced5151f7a0dc9ec570161c5960a46",
+        "73a4886d615100e3567a2f9678cb13d2f07f9c46d01e1bd010e7e07094384a3a",
     "run e91_honest.cfg json":
-        "f1336558553414bae75c2a128688ba21a4f2249369960feaa5be58077b06a0a5",
+        "ee133f9924c66d19b73217ac3c0ce6e35002f3c9c896433b0d10d3892180a597",
     "sweep e91_honest.cfg":
         "d6dc61b2aea20cd704c879b796c070497427de38cef80b78cabd3b9a47fb6b06",
     "bell e91_honest.cfg":
-        "da2c44a233713f5acc22c7729d1eb5b296f7290aae4430ddcaf1eee172bab3b7",
+        "a50a1da21a47a00bc6209ab808808ef71fa8aa6c47df239b635c6f00b5626f47",
 }
 
 GOLDEN_TRANSCRIPTS = {
@@ -133,7 +134,7 @@ def test_transcript_matrix_matches_golden_digests():
     assert got == GOLDEN_TRANSCRIPTS
 
 
-# Multi-chunk matrix: 150,001 pulses span several sampler chunks
+# Multi-chunk matrix: 150,001 pulses span two full session slices
 # (quantum.CHUNK) plus a ragged tail, on a lossy, misaligned line with a
 # noisy detector so that every sampler draws.  Cells are the protocol x
 # source x Eve strategy combinations a session accepts (refused ones are
@@ -149,17 +150,18 @@ CHUNK_EVES = (EveStrategy("none"), EveStrategy("intercept_resend"),
               EveStrategy("usd_b92"))
 
 GOLDEN_MULTI_CHUNK = {
-    "bb84": "98a6a7d265132a41ad33c0d63e4a5ba979b230460258fead1f87568df2869022",
-    "b92": "7e54a06f6b0fcad09fa0f43d95d969b5c136a772c162e0570523dab15ac37b17",
+    "bb84": "49a7729594419e641e39d0bba1a410e0c5103477722e077d5e779400b83d6163",
+    "b92": "4110c5b244876f718e9af4d1cee80406e7d3ba7dc0c89e414924355bc8e63a18",
     "six_state":
-        "6a5f138ca5143409b9187012526b64db1f5f8b96c8873e25377f6ce28502523b",
-    "sarg": "34b0624e11cd8b3d882fee9452a7475bdba2fdd44776f6b9b015419697260718",
+        "661e4a337436c6852c77e8a4ede617ac8517a484272f9f29a8ebc391325ede94",
+    "sarg": "fcb79ebdf658df9e4f33c62494b9334c4aeb6be5a47fb2b5ba2c8741cc802057",
     "decoy_bb84":
-        "ade8c5303e175bb15aa67b98864f3c650f95641f891d938f52385b1ec7edb70d",
-    "bbm92": "a905d628f055d67a4ba0455b4e67404f668d86911fea5906e19ce3aa625fe3ad",
-    "e91": "66b68705f3d056106c7c863db64cd870af63cbaa6ed63f5cda3627d5e3d230fb",
+        "0a4b0a1f9b3e6d74596dd7d799dd9ef4a3b69999eadaabc1a361f20259413bb3",
+    "bbm92":
+        "02b082a7c15ec8404cb85926f12a99c0fe073cb948a46fec41dc45be8cd319ae",
+    "e91": "d136920d1de20a4ee808921dc177d43c0105f05ab2b03255f576c3c3955297c6",
     "bb84 basis_bias":
-        "3e0802318eed3efe445b100b743749d0897b11d43b8f7baa025454378a9f8fc3",
+        "db460583f70864067b0587ac2a3682d37052866aad70281d1685201dd8e8b7a1",
 }
 
 

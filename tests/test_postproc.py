@@ -734,6 +734,17 @@ def test_pipeline_aborts_at_high_qber():
     assert res.qber_estimate == pytest.approx(0.25, abs=0.02)
 
 
+def test_pipeline_aborts_at_an_estimate_of_one_half():
+    # 0.5 passes a threshold of 0.5, but no key is distilled at that rate
+    a = BitString.from_binary_string("0101")
+    b = BitString.from_binary_string("0110")
+    params = PipelineParams(sample_fraction=1.0, qber_abort_threshold=0.5)
+    res = run_pipeline_on_keys(a, b, params, make_rng(26))
+    assert res.qber_estimate == 0.5
+    assert res.abort_stage == "estimation"
+    assert res.abort_reason == "error rate 0.5000 is not below 0.5"
+
+
 def test_pipeline_aborts_when_eve_bound_eats_key():
     rng = make_rng(25)
     n = 600

@@ -9,7 +9,8 @@ from qkdsim.adversary import EveStrategy, NO_EVE
 from qkdsim.bell import chsh_estimate
 from qkdsim.protocols import (PROTOCOLS, ProtocolConfig, b92_states,
                               run_session)
-from qkdsim.quantum import ChannelModel, DetectorModel, SourceModel
+from qkdsim.quantum import (CHUNK, ChannelModel, DetectorModel, SourceModel,
+                            channel_preset)
 from qkdsim.rng import derive_rng
 
 IDEAL = SourceModel.ideal()
@@ -51,9 +52,9 @@ def test_vacuum_decoy_is_accepted():
 
 
 def test_session_working_set_is_narrow():
-    # tracemalloc peak of one session: narrow per-pulse arrays (int8 and
-    # bool) plus chunk-sized temporaries, never a full-length float64 or
-    # int64 array.  Lossy, misaligned and noisy, so that every sampler runs.
+    # tracemalloc peak of one session: the arrays of one slice of CHUNK
+    # pulses plus the sifted key, well under a full-length float64 or int64
+    # array.  Lossy, misaligned and noisy, so that every sampler runs.
     N = 500_000
     ch = ChannelModel(10.0, 0.2, 0.03)
     det = DetectorModel(0.5, 1e-3)
@@ -78,6 +79,24 @@ def test_session_working_set_is_narrow():
         tracemalloc.stop()
     assert len(peaks) == 2 * (4 * 3 + 1 + 2)
     assert max(peaks.values()) <= 32, peaks
+
+
+def test_session_memory_is_flat_in_the_pulse_count():
+    # BB84 over 100 km of fiber keeps few sifted bits, so its tracemalloc
+    # peak is one slice's arrays: 32 slices of pulses peak within 1.25x of
+    # 4 slices, where per-pulse arrays spanning the session would peak 8x.
+    ch = channel_preset("fiber_1550", length_km=100.0)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for slices in (4, 32):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            run("bb84", slices * CHUNK, 8, src=SourceModel.laser(0.5), ch=ch)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
 def test_bb84_honest_statistics():

@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from qkdsim.quantum import (CHUNK, CIRCULAR, DIAGONAL, NO_CLICK, RECTILINEAR,
+from qkdsim.quantum import (CIRCULAR, DIAGONAL, NO_CLICK, RECTILINEAR,
                             STATE_A, STATE_H, STATE_L, STATE_V, Basis,
                             ChannelModel, DetectorModel, SignalState,
-                            SourceModel, attenuate_batch, chunked,
-                            channel_preset, detector_preset, g2, load_presets,
-                            measure_batch, sample_photon_number,
-                            sample_singlet)
+                            SourceModel, attenuate_batch, channel_preset,
+                            detector_preset, g2, load_presets, measure_batch,
+                            sample_photon_number, sample_singlet)
 from qkdsim.rng import make_rng
 
 
@@ -55,52 +54,6 @@ def test_source_sampling_matches_pmf():
 def test_laser_mu_must_be_finite_and_positive(mu):
     with pytest.raises(ValueError, match="attenuated_laser requires mu > 0"):
         SourceModel.laser(mu)
-
-
-# a length that is not a multiple of CHUNK: two full chunks and a tail
-CHUNKED_SIZE = 2 * CHUNK + 1001
-_N = np.arange(CHUNKED_SIZE) % 9
-_P = np.linspace(0.0, 1.0, CHUNKED_SIZE)     # includes p = 0 and p = 1
-_LAM = np.linspace(0.0, 4.0, CHUNKED_SIZE)
-CHUNKABLE = {
-    "random": lambda rng, s: rng.random(s.stop - s.start),
-    "binomial": lambda rng, s: rng.binomial(_N[s], _P[s]),
-    "poisson": lambda rng, s: rng.poisson(_LAM[s]),
-    "integers int64": lambda rng, s: rng.integers(
-        0, 3, size=s.stop - s.start, dtype=np.int64),
-}
-
-
-@pytest.mark.parametrize("name", sorted(CHUNKABLE))
-def test_chunked_draw_equals_one_whole_call(name):
-    draw = CHUNKABLE[name]
-    whole_rng, chunk_rng = make_rng(21), make_rng(21)
-    whole = draw(whole_rng, slice(0, CHUNKED_SIZE))
-    parts = chunked(lambda s: draw(chunk_rng, s), CHUNKED_SIZE, whole.dtype)
-    assert np.array_equal(parts, whole)
-    # the generator ends in the same state
-    assert np.array_equal(chunk_rng.random(4), whole_rng.random(4))
-
-
-def test_chunked_widens_rather_than_wraps():
-    rng = make_rng(22)
-    counts = chunked(lambda s: rng.poisson(200.0, size=s.stop - s.start),
-                     CHUNKED_SIZE, np.int8)
-    assert counts.dtype == np.int64
-    assert np.array_equal(counts, make_rng(22).poisson(200.0, CHUNKED_SIZE))
-
-
-def test_int8_integers_do_not_split_into_chunks():
-    # an int8 draw takes bytes from a 32-bit word and drops the word's unused
-    # bytes when the call returns, so a chunk boundary shifts the stream
-    # unless rejections happened to end that chunk on a word boundary: the
-    # reason such draws stay whole-array calls
-    rng = make_rng(21)
-    parts = chunked(lambda s: rng.integers(0, 3, size=s.stop - s.start,
-                                           dtype=np.int8),
-                    CHUNKED_SIZE, np.int8)
-    whole = make_rng(21).integers(0, 3, size=CHUNKED_SIZE, dtype=np.int8)
-    assert not np.array_equal(parts, whole)
 
 
 def test_g2_values():
