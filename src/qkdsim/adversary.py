@@ -16,7 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .quantum import ChannelModel, SignalState, sample_singlet
+from .quantum import (NO_CLICK, ChannelModel, SignalState, click_law,
+                      measure_batch, sample_singlet)
 
 KINDS = ("none", "intercept_resend", "beam_split", "pns", "usd_b92")
 PAIR_OVERLAP = 2 ** -0.5    # |<a|b>| of the two states a 'pair' announces
@@ -106,8 +107,9 @@ def attack_batch(strategy: EveStrategy, n: np.ndarray, state_idx: np.ndarray,
     eigen_idx:     (M, 2) table index of each basis eigenstate.
 
     intercept_resend measures every non-vacuum pulse with an ideal detector
-    (conflicting projections give a random bit) and resends one photon in
-    the observed eigenstate.  beam_split diverts each photon with the tap
+    (``measure_batch`` on a lossless, noiseless ``click_law``: conflicting
+    projections give a random bit) and resends one photon in the observed
+    eigenstate.  beam_split diverts each photon with the tap
     probability and forwards the rest over a line whose loss keeps Bob's
     total transmittance.  pns keeps one photon of every multi-photon pulse,
     forwards the rest losslessly and blocks single photons with
@@ -123,12 +125,9 @@ def attack_batch(strategy: EveStrategy, n: np.ndarray, state_idx: np.ndarray,
 
     if strategy.kind == "intercept_resend":
         eb = _eve_choice(strategy, p_one.shape[1], npulses, rng)
-        k1 = rng.binomial(n, p_one[state_idx, eb])
-        bit = (k1 > 0).astype(np.int8)
-        both = (n > k1) & (k1 > 0)
-        if both.any():
-            bit[both] = rng.integers(0, 2, size=int(both.sum()), dtype=np.int8)
-        sent = n > 0
+        law = click_law(p_one, None, 1.0, 0.0, 0.0, int(n.max(initial=0)))
+        bit = measure_batch(n, state_idx, eb, law, rng)
+        sent = bit != NO_CLICK
         s_out = np.where(sent, eigen_idx[eb, bit], state_idx)
         eb[~sent] = NOTHING             # a vacuum pulse tells Eve nothing
         return BatchAttack(sent.astype(n.dtype), s_out, False, eb)

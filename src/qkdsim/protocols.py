@@ -12,7 +12,8 @@ Every session is deterministic given its generator and returns a
 
 Slice rule: ``_run_slices`` runs a session as consecutive slices of at most
 ``quantum.CHUNK`` pulses, each carried from source to sifted key (prepare,
-attack, channel and detection, sift, and Eve's knowledge by
+attack, channel and detection as one ``quantum.measure_batch`` draw per
+pulse, sift, and Eve's knowledge by
 ``adversary.resolve_known_bits``) before the next is drawn from the same
 generator.  Only the sifted bits, Eve's known bits of them and the counts
 outlive a slice, so a session's memory grows with its sifted key, not with
@@ -33,7 +34,7 @@ from .adversary import EveStrategy
 from .bits import BitString
 from .quantum import (ALL_BASES, CHUNK, DIAGONAL, NO_CLICK, RECTILINEAR,
                       Basis, ChannelModel, DetectorModel, SignalState,
-                      SourceModel, attenuate_batch, measure_batch,
+                      SourceModel, click_law, measure_batch, photon_pmf,
                       sample_photon_number)
 
 PROTOCOLS = ("bb84", "b92", "six_state", "sarg", "decoy_bb84", "bbm92", "e91")
@@ -152,27 +153,19 @@ class StateTable:
 
     @classmethod
     def build(cls, states, bases, bit) -> "StateTable":
-        K, M = len(states), len(bases)
-        p_one = np.empty((K, M))
-        for k, st in enumerate(states):
-            for m, ba in enumerate(bases):
-                p_one[k, m] = ba.prob_outcome_one(st)
-        flip = np.full(K, -1, dtype=np.int8)
-        for k, st in enumerate(states):
-            for j, other in enumerate(states):
-                if abs(st.overlap(other)) < 1e-9:
-                    flip[k] = j
-                    break
-        eigen_idx = np.full((M, 2), -1, dtype=np.int8)
-        for m, ba in enumerate(bases):
-            for o in (0, 1):
-                eig = ba.eigenstate(o)
-                for k, st in enumerate(states):
-                    if abs(abs(st.overlap(eig)) - 1.0) < 1e-9:
-                        eigen_idx[m, o] = k
-                        break
+        def first(match):           # first state that matches, -1 if none
+            return next((k for k, st in enumerate(states) if match(st)), -1)
+
+        p_one = np.array([[ba.prob_outcome_one(st) for ba in bases]
+                          for st in states])
+        flip = [first(lambda other: abs(st.overlap(other)) < 1e-9)
+                for st in states]
+        eigen_idx = [[first(lambda st: abs(abs(st.overlap(ba.eigenstate(o)))
+                                           - 1.0) < 1e-9) for o in (0, 1)]
+                     for ba in bases]
         return cls(tuple(states), tuple(bases), np.asarray(bit, dtype=np.int8),
-                   p_one, flip, eigen_idx)
+                   p_one, np.array(flip, dtype=np.int8),
+                   np.array(eigen_idx, dtype=np.int8))
 
 
 def bb84_table() -> StateTable:
@@ -226,29 +219,37 @@ def _biased_choice(rng, n, num_options, primary_prob):
     return out
 
 
-def _source_photons(cfg, src, rng, m):
-    """Photon counts of m pulses drawn from the source model; no tags."""
-    return sample_photon_number(src, rng, size=m), None
+def _source_photons(cfg, src):
+    """Photon counts drawn from the source model; no tags."""
+    return (len(photon_pmf(src)) - 1,
+            lambda rng, m: (sample_photon_number(src, rng, size=m), None))
 
 
-def _decoy_photons(cfg, src, rng, m):
-    """Randomly interleaved decoy pulses.  The source argument fixes the
-    emitter family; photon numbers are drawn per pulse from the tagged mean
-    photon number (signal_mu / decoy_mu).  Returns the decoy mask as tags."""
+def _decoy_photons(cfg, src):
+    """Randomly interleaved decoy pulses; the source fixes the emitter
+    family.  (Intensity, photon number) is one draw from the mixture of
+    Poisson(signal_mu) and, with decoy_fraction, Poisson(decoy_mu), each
+    truncated by ``photon_pmf`` (decoy_mu = 0: vacuum).  Tags: decoy mask."""
     if src.kind != "attenuated_laser":
         raise ValueError("decoy_bb84 requires an attenuated_laser source")
-    decoy = rng.random(m) < cfg.decoy_fraction
-    return rng.poisson(np.where(decoy, cfg.decoy_mu, cfg.signal_mu)), decoy
+    signal, decoy = (photon_pmf(SourceModel.laser(mu)) if mu else np.ones(1)
+                     for mu in (cfg.signal_mu, cfg.decoy_mu))
+    edges = np.cumsum(np.concatenate(((1.0 - cfg.decoy_fraction) * signal,
+                                      cfg.decoy_fraction * decoy)))[:-1]
+    counts = np.concatenate((np.arange(len(signal)), np.arange(len(decoy))))
+
+    def draw(rng, m):
+        cell = np.searchsorted(edges, rng.random(m), side="right")
+        return counts[cell], cell >= len(signal)
+    return max(len(signal), len(decoy)) - 1, draw
 
 
 def _intensity_stats(cfg, counts) -> dict:
     """counts: (sent, detected) of the signal and of the decoy pulses."""
-    stats = {}
-    for label, mu, (sent, detected) in zip(
-            ("signal", "decoy"), (cfg.signal_mu, cfg.decoy_mu), counts):
-        stats[label] = {"mu": mu, "sent": sent, "detected": detected,
-                        "gain": detected / sent if sent else 0.0}
-    return stats
+    return {label: {"mu": mu, "sent": sent, "detected": detected,
+                     "gain": detected / sent if sent else 0.0}
+            for label, mu, (sent, detected) in zip(
+                ("signal", "decoy"), (cfg.signal_mu, cfg.decoy_mu), counts)}
 
 
 # Sift rules: (table, sent state indices, Alice's and Bob's bases, outcomes)
@@ -285,8 +286,9 @@ class PrepareMeasureSpec:
     table:        ProtocolConfig -> StateTable; state 2*basis + bit is sent.
     alice_basis:  Alice draws a basis per pulse; otherwise (B92) the bit
                   alone picks the state and her basis is recorded as 0.
-    photons:      (cfg, src, rng, m) -> (photon counts of m pulses,
-                  intensity tags or None).
+    photons:      (cfg, src) -> (largest photon count drawn, draw), with
+                  draw(rng, m) -> (photon counts of m pulses, intensity
+                  tags or None).
     sift:         sift rule, see ``_sift_basis``.
     announcement: what sifting discloses to Eve ('basis' or 'pair').
     usd_pair:     hand the first two table states to the attack as the B92
@@ -340,35 +342,30 @@ def _run_prepare_measure(spec: PrepareMeasureSpec, cfg: ProtocolConfig,
                          src: SourceModel, ch: ChannelModel,
                          det: DetectorModel, eve: EveStrategy,
                          rng: np.random.Generator) -> SessionTranscript:
-    """Prepare -> attack -> channel and detection -> sift, slice by slice;
-    decoy sessions also count the pulses sent and detected per intensity."""
+    """Prepare -> attack -> channel and detection (one draw per pulse from a
+    session's ``click_law``, with the line's loss unless Eve replaced the
+    line) -> sift, slice by slice; decoy sessions also count the pulses
+    sent and detected per intensity."""
     table = spec.table(cfg)
-    num_bases = len(table.bases)
+    n_max, draw_photons = spec.photons(cfg, src)
+    laws = {consumed: click_law(table.p_one, table.flip, det.efficiency * (
+        1.0 if consumed else ch.transmittance), ch.misalignment_error_prob,
+        det.dark_prob, n_max) for consumed in (False, True)}
     intensity = []      # per slice: (sent, detected) of signal and decoy
 
     def run_slice(m):
         bits = rng.integers(0, 2, size=m, dtype=np.int8)
-        if spec.alice_basis:
-            a_bases = _biased_choice(rng, m, num_bases, cfg.basis_bias)
-        else:
-            a_bases = np.zeros(m, dtype=np.int8)
-        b_bases = _biased_choice(rng, m, num_bases, cfg.basis_bias)
+        a_bases = (_biased_choice(rng, m, len(table.bases), cfg.basis_bias)
+                   if spec.alice_basis else np.zeros(m, dtype=np.int8))
+        b_bases = _biased_choice(rng, m, len(table.bases), cfg.basis_bias)
         sent = 2 * a_bases + bits
-        n, tags = spec.photons(cfg, src, rng, m)
+        n, tags = draw_photons(rng, m)
 
         atk = adversary.attack_batch(
             eve, n, sent, table.p_one, table.eigen_idx, ch, rng,
             b92_states=table.states[:2] if spec.usd_pair else None)
-        # channel loss (unless Eve already replaced the line), one receiver
-        # misalignment flip per pulse, then detection
-        n, state_idx = atk.n, atk.state_idx
-        if not atk.channel_consumed:
-            n = attenuate_batch(n, ch, rng)
-        if ch.misalignment_error_prob > 0.0:
-            flipped = (n > 0) & (rng.random(m) < ch.misalignment_error_prob)
-            flip_to = table.flip[state_idx]
-            state_idx = np.where(flipped & (flip_to >= 0), flip_to, state_idx)
-        outcomes = measure_batch(n, table.p_one, state_idx, b_bases, det, rng)
+        outcomes = measure_batch(atk.n, atk.state_idx, b_bases,
+                                 laws[atk.channel_consumed], rng)
 
         sift, bob_bits = spec.sift(table, sent, a_bases, b_bases, outcomes)
         clicked = outcomes != NO_CLICK
@@ -390,7 +387,7 @@ def _run_prepare_measure(spec: PrepareMeasureSpec, cfg: ProtocolConfig,
 
 def _pair_reception(b, ch: ChannelModel, det: DetectorModel, rng):
     """Bob-side loss, misalignment flip, and dark counts for pair protocols,
-    with the two-detector rule of ``measure_batch``: a detected photon
+    with the two-detector rule of ``quantum.click_law``: a detected photon
     meets a dark count of the other detector with probability dark_prob, a
     lost one clicks on a dark count of either detector, and both give a
     uniform bit.  Returns (detected_mask, possibly flipped outcomes)."""

@@ -1,17 +1,15 @@
 """Physical layer: qubit polarization states, photon sources, lossy
 channels, threshold detectors, and singlet-pair sampling.
 
-All parameter records are immutable dataclasses; every sampling function
-takes an explicit ``numpy.random.Generator`` and draws with plain calls
-(``rng.random(m) < p``, ``rng.binomial``, ``rng.poisson``) over the arrays
-it is given.  Sessions hand these kernels one slice of at most ``CHUNK``
-pulses at a time (the slice rule of ``protocols``).  ``attenuate_batch``
-(channel loss) and ``measure_batch`` (detection) act on streams of photon
-counts and state indices for the prepare-and-measure engine;
-``protocols._pair_reception`` applies the same rules to one +/-1 outcome
-per singlet.  It stays because it is cheaper: on one ``CHUNK`` slice it
-takes 0.7 ms (ideal devices) to 3 ms (lossy, noisy) where
-``measure_batch`` takes 8 to 9 ms (2-core Xeon host, best of five).
+All parameter records are immutable dataclasses; every sampler takes an
+explicit ``numpy.random.Generator`` and a slice of at most ``CHUNK`` pulses
+(see ``protocols``).  ``sample_photon_number`` inverts the cumulative
+``photon_pmf`` and ``measure_batch`` draws the whole receiver chain from a
+``click_law`` table (for Bob and an intercept-resend Eve), each with one
+uniform per pulse.  ``protocols._pair_reception`` applies the same rules to
+one +/-1 outcome per singlet: per ``CHUNK`` slice of ideal pairs it takes
+0.4 ms against the law kernel's 1.4 ms, on a lossy, noisy line 1.9-2.6
+against 1.6 ms (2-core Xeon host, best of nine).
 """
 
 from __future__ import annotations
@@ -143,29 +141,39 @@ class SourceModel:
         """Exact photon-number probability p(n)."""
         if n < 0:
             return 0.0
-        if self.kind == "ideal_single_photon":
-            return 1.0 if n == 1 else 0.0
-        if self.kind == "attenuated_laser":
-            return float(math.exp(-self.mu) * self.mu ** n / math.factorial(n))
-        # heralded_pdc
-        if n == 0:
-            return 1.0 - self.herald_efficiency
-        if n == 1:
-            return self.herald_efficiency - self.multi_pair_prob
-        if n == 2:
-            return self.multi_pair_prob
-        return 0.0
+        if self.kind == "attenuated_laser":   # in logs: no overflow at large n
+            return math.exp(n * math.log(self.mu) - self.mu
+                            - math.lgamma(n + 1))
+        h, m = self.herald_efficiency, self.multi_pair_prob
+        table = ((0.0, 1.0) if self.kind == "ideal_single_photon"
+                 else (1.0 - h, h - m, m))
+        return table[n] if n < len(table) else 0.0
+
+
+def photon_pmf(src: SourceModel) -> np.ndarray:
+    """p(n) for n = 0..n_max, n_max the first count whose remaining mass
+    sum_{n > n_max} p(n) is below 2^-53; that mass is folded into p(n_max).
+    A laser's tail is summed to mu + 10 sqrt(mu) + 40 (past it, < 1e-30),
+    and a table of more than 10^4 counts is refused."""
+    cap = (int(src.mu + 10 * math.sqrt(src.mu) + 40)
+           if src.kind == "attenuated_laser" else 2)
+    if cap > 10 ** 4:
+        raise ValueError(f"mu = {src.mu} is too large (> 10^4 photon counts)")
+    pmf = np.array([src.pmf(n) for n in range(cap + 1)])
+    rest = np.cumsum(pmf[::-1])[-2::-1]     # rest[n] = sum_{k > n} p(k)
+    n_max = int(np.count_nonzero(rest >= 2.0 ** -53))
+    pmf[n_max] = pmf[n_max:].sum()
+    return pmf[:n_max + 1]
 
 
 def sample_photon_number(src: SourceModel, rng: np.random.Generator,
                          size: int) -> np.ndarray:
-    """Draw the photon counts of `size` pulses from the source model."""
+    """Draw the photon counts of `size` pulses: the ideal source draws
+    nothing, any other inverts the cumulative ``photon_pmf`` (exact but for
+    its truncation) at one uniform per pulse."""
     if src.kind == "ideal_single_photon":
         return np.ones(size, dtype=np.int8)
-    if src.kind == "attenuated_laser":
-        return rng.poisson(src.mu, size=size)
-    # heralded_pdc: 0, 1 or 2 photons by where a uniform falls among edges
-    edges = (1.0 - src.herald_efficiency, 1.0 - src.multi_pair_prob)
+    edges = np.cumsum(photon_pmf(src))[:-1]
     return np.searchsorted(edges, rng.random(size), side="right")
 
 
@@ -177,13 +185,11 @@ def g2(src: SourceModel) -> float:
     """
     if src.kind == "attenuated_laser":
         return 1.0
-    mean = first_fact = 0.0
-    for n in range(0, 3):
-        mean += n * src.pmf(n)
-        first_fact += n * (n - 1) * src.pmf(n)
+    n, p = np.arange(3), np.array([src.pmf(k) for k in range(3)])
+    mean = float(n @ p)
     if mean == 0.0:
         raise ValueError("g2 undefined: source emits no photons")
-    return first_fact / mean ** 2
+    return float(n * (n - 1) @ p) / mean ** 2
 
 
 @dataclass(frozen=True)
@@ -230,65 +236,63 @@ def load_presets() -> dict:
     return json.loads(text)
 
 
-def detector_preset(name: str, **overrides) -> DetectorModel:
-    presets = load_presets()["detectors"]
+def _preset(model, section: str, name: str, **fields):
+    presets = load_presets()[section + "s"]
     if name not in presets:
-        raise KeyError(f"unknown detector preset {name!r}; have {sorted(presets)}")
-    params = dict(presets[name])
-    params.update(overrides)
-    return DetectorModel(**params)
+        raise KeyError(f"unknown {section} preset {name!r}; have {sorted(presets)}")
+    return model(**{**presets[name], **fields})
+
+
+def detector_preset(name: str, **overrides) -> DetectorModel:
+    return _preset(DetectorModel, "detector", name, **overrides)
 
 
 def channel_preset(name: str, length_km: float = 0.0,
                    misalignment_error_prob: float = 0.0, **overrides) -> ChannelModel:
-    presets = load_presets()["channels"]
-    if name not in presets:
-        raise KeyError(f"unknown channel preset {name!r}; have {sorted(presets)}")
-    params = dict(presets[name])
-    params.update(overrides)
-    return ChannelModel(length_km=length_km,
-                        misalignment_error_prob=misalignment_error_prob,
-                        **params)
-
-
-def attenuate_batch(n_photons: np.ndarray, ch: ChannelModel,
-                    rng: np.random.Generator) -> np.ndarray:
-    """Channel loss on a stream of pulses: each photon survives the line
-    independently with probability ``ch.transmittance``.  A lossless line
-    returns the counts unchanged and draws nothing."""
-    if ch.transmittance < 1.0:
-        return rng.binomial(n_photons, ch.transmittance)
-    return n_photons
+    return _preset(ChannelModel, "channel", name, length_km=length_km,
+                   misalignment_error_prob=misalignment_error_prob, **overrides)
 
 
 # ---------------------------------------------------------------------------
 # detection
 # ---------------------------------------------------------------------------
 
-def measure_batch(n_photons: np.ndarray, p_one: np.ndarray,
-                  state_idx: np.ndarray, basis: np.ndarray,
-                  det: DetectorModel, rng: np.random.Generator) -> np.ndarray:
-    """Project a stream of pulses: per-pulse photon counts, state-table
-    indices and basis indices in, with ``p_one[k, m]`` the probability of
-    outcome 1 for state k measured in basis m; outcomes {NO_CLICK, 0, 1}
-    out.
+def click_law(p_one: np.ndarray, flip, eta: float, misalignment: float,
+              dark_prob: float, n_max: int) -> np.ndarray:
+    """Thresholds law[0] = P(NO_CLICK), law[1] = P(NO_CLICK) + P(0), each
+    indexed [n, k, m], of n <= n_max photons in state k measured in basis m.
+    Each photon arrives with probability eta and projects onto outcome 1
+    with p = p_one[k, m]; each detector also fires on a dark count d.  With
+    s = 1 - d: none = (1 - eta)^n s^2, only0 = (1 - eta p)^n s - none,
+    only1 = (1 - eta (1 - p))^n s - none, and a double click (the rest)
+    gives a uniform bit.  Misalignment turns the whole pulse into
+    ``flip[k]`` (none where flip[k] < 0; read only if misalignment > 0)."""
+    n = np.arange(n_max + 1.0)[:, None, None]
+    s = 1.0 - dark_prob
+    none = (1.0 - eta) ** n * s * s
+    only0 = (1.0 - eta * p_one) ** n * s - none
+    only1 = (1.0 - eta * (1.0 - p_one)) ** n * s - none
+    law = np.stack([np.broadcast_to(none, only0.shape),
+                    (1.0 + none + only0 - only1) / 2.0])
+    if misalignment > 0.0:
+        has = flip >= 0
+        law[:, :, has] = ((1.0 - misalignment) * law[:, :, has]
+                          + misalignment * law[:, :, flip[has]])
+    return law
 
-    Each photon is thinned by the detector efficiency and then projects
-    independently; dark counts fire each logical detector independently.
-    When both detectors fire the outcome is a uniform bit.
-    """
-    npulses = n_photons.shape[0]
-    detected = rng.binomial(n_photons, det.efficiency)
-    k1 = rng.binomial(detected, p_one[state_idx, basis])
-    fire0 = (detected > k1) | (rng.random(npulses) < det.dark_prob)
-    fire1 = (k1 > 0) | (rng.random(npulses) < det.dark_prob)
-    out = np.full(npulses, NO_CLICK, dtype=np.int8)
-    out[fire0 & ~fire1] = 0
-    out[fire1 & ~fire0] = 1
-    both = fire0 & fire1
-    if both.any():
-        out[both] = rng.integers(0, 2, size=int(both.sum()), dtype=np.int8)
-    return out
+
+def measure_batch(n_photons: np.ndarray, state_idx: np.ndarray,
+                  basis: np.ndarray, law: np.ndarray,
+                  rng: np.random.Generator) -> np.ndarray:
+    """Outcomes {NO_CLICK, 0, 1} of pulses given by photon count, state and
+    basis index: one uniform u per pulse is NO_CLICK below its ``click_law``
+    law[0], 0 below law[1], else 1.  A count above n_max is an IndexError."""
+    _, _, num_states, num_bases = law.shape
+    idx = np.multiply(n_photons, num_states * num_bases, dtype=np.intp)
+    idx += state_idx * num_bases + basis
+    t0, t1 = law.reshape(2, -1)
+    u = rng.random(idx.shape[0])
+    return np.add(u >= t0.take(idx), u >= t1.take(idx), dtype=np.int8) - 1
 
 
 # ---------------------------------------------------------------------------

@@ -315,6 +315,8 @@ def test_run_intercept_aborts_with_exit_two(capsys):
     ({"protocol": "decoy_bb84", "decoy_mu": -0.1,
       "source": {"kind": "laser", "mu": 0.5}},
      "protocol: decoy_mu must be finite and >= 0"),
+    ({"source": {"kind": "laser", "mu": 1e5}},
+     "mu = 100000.0 is too large (> 10^4 photon counts)"),
 ])
 def test_scenario_refused_by_runner_is_clean_error(tmp_path, scenario,
                                                    message):
@@ -333,7 +335,8 @@ RANDOM_LINE = dict(BASE, num_pulses=200,
 
 
 def test_run_above_half_error_rate_leaves_out_epsilon_rates(tmp_path, capsys):
-    path = write_scenario(tmp_path, RANDOM_LINE)
+    # seed 5: an estimate of 2/3 from the 200-pulse sample
+    path = write_scenario(tmp_path, dict(RANDOM_LINE, seed=5))
     code, out, _ = run_cli(capsys, "run", path, "--format", "json")
     report = json.loads(out)
     assert code == 2
@@ -347,7 +350,7 @@ def test_run_at_half_error_rate_aborts_at_estimation(tmp_path, capsys):
     # a threshold of 0.5 lets an estimate of exactly 0.5 through to the
     # pipeline's own check, not to reconciliation
     path = write_scenario(tmp_path, dict(
-        RANDOM_LINE, seed=7, postproc={"qber_abort_threshold": 0.5}))
+        RANDOM_LINE, seed=9, postproc={"qber_abort_threshold": 0.5}))
     code, out, _ = run_cli(capsys, "run", path, "--format", "json")
     report = json.loads(out)
     assert code == 2

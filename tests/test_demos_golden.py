@@ -17,15 +17,15 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 GOLDEN = {
     "01_protocol_zoo.py":
-        "7392c583917802cd40b2946eaf7d273df41235cc52f11b437bc2a8f73c155324",
+        "68329aa5284441f0d36a4bce0917280663982865667ee3b1a1f295115d863f86",
     "02_eavesdropping.py":
-        "d06396a3ecb496dfd7bde8be97bea936ecc519e429d3536dafe450d5b345f6bf",
+        "49e726f3cd11fccb25caba728894c51eae479efc5deb4c3916b2539cfd86cb86",
     "03_key_distillation.py":
-        "b0699d0fac81816b6cf32246291a5dc50b8baaba33cd58d6ad0508c9ab0c399a",
+        "80c03de49fbdcafd75811f56ac8864d740c0ce5a692c1048b08de706f48f6a43",
     "04_bell_test.py":
         "a291d44fe21d2364f6edb12b913ea6d4e8e1138c6211070696134509ad5f2528",
     "05_rates_and_hardware.py":
-        "13107e851e62fb8d1d9a79e623906cc59d26cb2c8d024c9af81bd19037f87d4c",
+        "518a00c7666b7e2168fca731f7385e448c2e5c456b337cd40a3bc83cba5e31e2",
 }
 
 

@@ -50,19 +50,19 @@ PULSES = 1500
 
 GOLDEN_CLI = {
     "run bb84_honest.cfg text":
-        "cfdbb1471e34fb61c93ed560c7e8464519177189a4e7d804dfde78cbb8f1bc2b",
+        "af6b6c19fdd788f109ab5d57c8b27ce94872b10b99ac2956663f7d31de11e3ac",
     "run bb84_honest.cfg json":
-        "e662f3bddbb8ff7322d78d9e040fb2eaca25cd97d5d2143fff78b1e87caf1806",
+        "7e6a5dc567737477e5d5e951be6b14797fdd7b8f86dac5a48b90a319516ca28d",
     "sweep bb84_honest.cfg":
-        "8f21cfbfb5bc77dfe4faa945bee0d8d809cecf9502383d14edec1f6b31937a7d",
+        "d87b66f5bb10dc39375fbfcadc06237f4fae4d7402484e5d305516ff0e33bf9c",
     "bell bb84_honest.cfg":
         "130ed44d84417f2c3fed5525293cc91972390731bfb9463091f6b5348221daa9",
     "run bb84_intercept.cfg text":
-        "0b5c9d564447118065d23ad72427f9812f42fb0e495fa0b7b5c0fcc664b92975",
+        "77e5bd6d992b355b9bafa6c0d9fc38306125196e09ace149ebb3e4a3c8cc3799",
     "run bb84_intercept.cfg json":
-        "a815fa597e803ba0b85841bb4a0717bf701b41f7b007556f555c6b81891d4d7d",
+        "eccd46dbf1341a1b0d0b930d9d26a14a82cfe74285ebfb8cde746462ea720e61",
     "sweep bb84_intercept.cfg":
-        "4af24e38b828cb31214c960dd9e23f6ce7f8bb960f8c9062bcb446231dbc8713",
+        "405a614a838297a4781927eefca99abd7e8e729071719a555672b248bc4220a1",
     "bell bb84_intercept.cfg":
         "130ed44d84417f2c3fed5525293cc91972390731bfb9463091f6b5348221daa9",
     "run e91_honest.cfg text":
@@ -76,13 +76,13 @@ GOLDEN_CLI = {
 }
 
 GOLDEN_TRANSCRIPTS = {
-    "bb84": "7ccd9db8460fc817d5ba5dc115c54a50d2b43e8cfeb61dd4107859cead5ec25a",
-    "b92": "faf9cd5934b05efe9f6d5c130778d0ae7420cfd4b5fe6c154b33ce539e6e7185",
+    "bb84": "1ce7728524b69e9f68c5038d763984cc2b8934de202ee5d73414ada7412d5ef2",
+    "b92": "de4b6352179245258bf2592ff5b29482e75bc6e07070ad97db81848ef26b5145",
     "six_state":
-        "feff9f154ab7d978a1c135147c1a87903d3066553a6050f5a9f334b1d32551d6",
-    "sarg": "860d33c391457471e7cfc5e040efe0e516dca8ea94641fc87c1f82ab98c9f5af",
+        "9c7c07d86e08d7152ad370415e92a0c1cf15250c0ae5aeae9c75a0c72ca29acf",
+    "sarg": "1ef246970e7591c33a5cf47b3c9e8fb089f1e2fd7ece0e048fc21c82052d20f3",
     "decoy_bb84":
-        "31ddab04c40b66f3e46a9ecae68ed4d0536fec1d93cca7bbd1aa0bac3c5035b3",
+        "d30f5a8763a89f17d59421d504e34311623061ef18e27a32bbfd120ce34d5525",
     "bbm92": "98807ffbc97e4e60b6f31defae11f79fee91889d9da4e6c94f2f91e64216a5d1",
     "e91": "7531ed94232deeb6404ec798538d27d2fa73ccab195ac1a60fc160b4ce0b3532",
 }
@@ -150,18 +150,18 @@ CHUNK_EVES = (EveStrategy("none"), EveStrategy("intercept_resend"),
               EveStrategy("usd_b92"))
 
 GOLDEN_MULTI_CHUNK = {
-    "bb84": "49a7729594419e641e39d0bba1a410e0c5103477722e077d5e779400b83d6163",
-    "b92": "4110c5b244876f718e9af4d1cee80406e7d3ba7dc0c89e414924355bc8e63a18",
+    "bb84": "623cb3d234997d48e5e13006bb5a8234ea6ad497db4ffd22cec125c29059b0b9",
+    "b92": "4d56dfcac91c9378bbfab09bba79a1c1b2cb8f6fcc635270c0e4765449300ff9",
     "six_state":
-        "661e4a337436c6852c77e8a4ede617ac8517a484272f9f29a8ebc391325ede94",
-    "sarg": "fcb79ebdf658df9e4f33c62494b9334c4aeb6be5a47fb2b5ba2c8741cc802057",
+        "df098e1052cd8d91130d18f7143c8868af90425a8855bbc43baf17639dcee234",
+    "sarg": "ea937c52086001571d0b09d33b5f7b8b55261853fd40c4d797d71ee15de14b95",
     "decoy_bb84":
-        "0a4b0a1f9b3e6d74596dd7d799dd9ef4a3b69999eadaabc1a361f20259413bb3",
+        "8c08f5dde79f79b7922627bdc17a1f3584b0bac1569ab63f344c3a643797651c",
     "bbm92":
         "02b082a7c15ec8404cb85926f12a99c0fe073cb948a46fec41dc45be8cd319ae",
     "e91": "d136920d1de20a4ee808921dc177d43c0105f05ab2b03255f576c3c3955297c6",
     "bb84 basis_bias":
-        "db460583f70864067b0587ac2a3682d37052866aad70281d1685201dd8e8b7a1",
+        "18a763a79c7dca1976bbde29cb9c133b98ba7c86a1a6fc3552cab5fba0e12190",
 }
 
 

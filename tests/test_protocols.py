@@ -7,10 +7,10 @@ import pytest
 
 from qkdsim.adversary import EveStrategy, NO_EVE
 from qkdsim.bell import chsh_estimate
-from qkdsim.protocols import (PROTOCOLS, ProtocolConfig, b92_states,
-                              run_session)
+from qkdsim.protocols import (PROTOCOLS, ProtocolConfig, _decoy_photons,
+                              b92_states, run_session)
 from qkdsim.quantum import (CHUNK, ChannelModel, DetectorModel, SourceModel,
-                            channel_preset)
+                            channel_preset, photon_pmf)
 from qkdsim.rng import derive_rng
 
 IDEAL = SourceModel.ideal()
@@ -180,6 +180,29 @@ def test_decoy_bb84_gains_match_intensities():
     q_d_expect = 1 - np.exp(-0.05 * ch.transmittance)
     assert st["signal"]["gain"] == pytest.approx(q_s_expect, rel=0.05)
     assert st["decoy"]["gain"] == pytest.approx(q_d_expect, rel=0.10)
+
+
+@pytest.mark.parametrize("decoy_mu", [0.12, 0.0])
+def test_decoy_draw_matches_the_mixture(decoy_mu):
+    cfg = ProtocolConfig("decoy_bb84", 1, signal_mu=0.8, decoy_mu=decoy_mu,
+                         decoy_fraction=0.12)
+    n_max, draw = _decoy_photons(cfg, SourceModel.laser(0.8))
+    N = 400000
+    n, decoy = draw(derive_rng(17, 0), N)
+    assert n.max() <= n_max == len(photon_pmf(SourceModel.laser(0.8))) - 1
+
+    def within_5_sigma(hits, total, p):
+        return abs(hits / total - p) <= 5 * math.sqrt(p * (1 - p) / total)
+
+    assert within_5_sigma(int(decoy.sum()), N, 0.12)
+    for mu, mask in ((0.8, ~decoy), (decoy_mu, decoy)):
+        for k in range(4):
+            p = math.exp(-mu) * mu ** k / math.factorial(k)
+            hits = int((n[mask] == k).sum())
+            if p in (0.0, 1.0):         # a vacuum decoy emits nothing
+                assert hits == p * mask.sum(), (mu, k)
+            else:
+                assert within_5_sigma(hits, int(mask.sum()), p), (mu, k)
 
 
 def test_decoy_requires_laser():

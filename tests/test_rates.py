@@ -14,7 +14,8 @@ from qkdsim.rates import (CHAU_THRESHOLD_BB84, CHAU_THRESHOLD_SIX_STATE,
                           rate_mayers, rate_shor_preskill, rate_six_state,
                           shannon_entropy, shor_preskill_cutoff,
                           usd_threshold, yield_Yn)
-from qkdsim.quantum import NO_CLICK, DetectorModel, measure_batch
+from qkdsim.quantum import (NO_CLICK, SourceModel, click_law,
+                            measure_batch, photon_pmf)
 from qkdsim.rng import make_rng
 
 
@@ -265,11 +266,35 @@ def test_gain_matches_detection_prob_with_dark_counts():
 def test_vacuum_yield_matches_the_simulated_dark_click_rate():
     N, p_dark = 200000, 0.01
     zeros = np.zeros(N, dtype=np.int8)
-    out = measure_batch(zeros, np.full((1, 1), 0.5), zeros, zeros,
-                        DetectorModel(dark_prob=p_dark), make_rng(31))
+    law = click_law(np.full((1, 1), 0.5), None, 1.0, 0.0, p_dark, 0)
+    out = measure_batch(zeros, zeros, zeros, law, make_rng(31))
     rate = float((out != NO_CLICK).mean())
     y0 = yield_Yn(0, 0.0, p_dark)
     assert abs(rate - y0) < 5 * (y0 * (1 - y0) / N) ** 0.5
+
+
+# the simulator's click law against the analytic yields and gains
+ETA_DARK = [(0.0, 0.0), (0.05, 1e-5), (0.3, 1e-2), (1.0, 0.2)]
+
+
+@pytest.mark.parametrize("eta, p_dark", ETA_DARK)
+def test_click_law_yield_is_the_analytic_Yn(eta, p_dark):
+    law = click_law(np.array([[0.0, 0.5, 1.0]]), None, eta, 0.0, p_dark, 8)
+    for n in range(9):
+        for m in range(3):
+            assert 1.0 - law[0, n, 0, m] == pytest.approx(
+                yield_Yn(n, eta, p_dark), abs=1e-12)
+
+
+@pytest.mark.parametrize("eta, p_dark", ETA_DARK)
+@pytest.mark.parametrize("mu", [0.1, 0.5, 1.0])
+def test_click_law_summed_over_the_source_is_the_analytic_gain(mu, eta,
+                                                              p_dark):
+    pmf = photon_pmf(SourceModel.laser(mu))
+    law = click_law(np.full((1, 1), 0.5), None, eta, 0.0, p_dark,
+                    len(pmf) - 1)
+    gain = float(pmf @ (1.0 - law[0, :, 0, 0]))
+    assert gain == pytest.approx(gain_Qmu(mu, eta, p_dark), abs=1e-12)
 
 
 def test_decoy_estimate_recovers_honest_yields():

@@ -22,7 +22,10 @@ prime draws other random bits than the 31-bit one it had set, so its key
 differs.  ``e91_defaults`` (text and JSON) was re-recorded when the CHSH
 settings became angles: ``analytic_max`` reads 2.8284271247461903, equal
 to ``bell.TSIRELSON``, where the 3-vector dot products gave
-2.82842712474619.
+2.82842712474619.  Every case but ``e91_defaults`` was re-recorded when
+each pulse's click came to be drawn from its exact law
+(``quantum.click_law``, one uniform per pulse): the draws differ, the
+distributions do not.
 """
 
 import hashlib
@@ -86,33 +89,33 @@ SCENARIOS = {
 
 GOLDEN = {
     "b92_usd text":
-        "a5e8e0cf4dbee45e0b7808862a008407151f2c4705f48485005e950a358a0da4",
+        "a9117916d1df4679ffdb9bddb00d18634390fab5f1adf0edc570fefb06e1f86c",
     "b92_usd json":
-        "632de3e9904539225b392e08115fcc5d4d611b3e56861ba68023262bf1ba33b9",
+        "4a7a48fefa7a356564b57c0cc21c03ecb6bc6538856f7f91ce5295bcc9554931",
     "decoy_beam_split text":
-        "0afd0812ba0119f4feb5fe295be7b8d112856ecbeaa66fb412f3034d0cc10bd7",
+        "645e7a1415c352e987078fabf42f4683f63d97dbd8544524a64a7c9ec3d4412f",
     "decoy_beam_split json":
-        "d9def38ff3a0ecf47ab5315367d64c81a44b6f5b0df8407575dcaf49758aab4e",
+        "98d815e6ca2f678e34c5b41a671662d161d8861ed9b8cb47aec7a97263829042",
     "e91_defaults text":
         "d941287b3469ab106c166f8a293f5a8cf6a8f3b560e0048206881791322b5bed",
     "e91_defaults json":
         "7b7b9dd1c64ebe2f52855ce19f1c9b9e57a43334f12377521ba95049d878a877",
     "heralded_fixed_basis text":
-        "2542807d12cdaa63c2701f1cd590bb98e930961ef36708131283edf26f7bd3a8",
+        "dc04fad1b2ab8531599a8c9d6c1906bb250934fe625c1ebc3fa57ca8d1658032",
     "heralded_fixed_basis json":
-        "263c84a08a84948f8ee037b5149dac8f7f9513aff49ad7e9a3a2bf513acba93b",
+        "d5d6413b563206fba44b6a06011f5412fbc031eb03c5e1d9332d7702fe665a01",
     "ideal_plain_devices text":
-        "a87b743987e90c99d41168759c5d77c7e770a7a0f7e9097c53c98806648230c7",
+        "59d69322cb6b30a0ea087b294105af1de0acbaff7d45de15b46daed81ce8caa7",
     "ideal_plain_devices json":
-        "22b2330f73e06b15ae6d17548275dce1d229673c3926c2deed54bc8317e2ad29",
+        "511ea7759baf04fb661757bf630e35751159c161c68f8e601f5a6d15d204b9c2",
     "laser_presets_pns text":
-        "56ace6110b6eb22380b45310949f2a1fcc5b17409c3d4b1abb6a25d8d5683c2f",
+        "e944f555d947a38f7379ea8c67081f869a6db079cb9fc26890d6c2db949287b7",
     "laser_presets_pns json":
-        "f67ebefb466faaa072550d5975187586f926b23f87762beb47b30f6bec94f259",
+        "4bc9292eace329a7de1802ff2c05d685f314026ef30328a330f8d81aedd06bc6",
     "sarg_uniform_intercept text":
-        "8f57468bbc3d1a7d63c4ad321725461bea747e53ed79045127d9d61a38c67e07",
+        "38a6f0af56f9666305701bcd2ebe9a2dab6482a97a9c1c4428a313efea8e18ee",
     "sarg_uniform_intercept json":
-        "e5026d6a31423b9e76fbc7f1c93fc914864a327a3ba662f042370a31f44946c2",
+        "b94224b558d55e7b3dd1e7fdacf8482925f0efd159580896a52e3f39f3fe8ac3",
 }
 
 
