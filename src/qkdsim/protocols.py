@@ -286,9 +286,8 @@ class PrepareMeasureSpec:
     table:        ProtocolConfig -> StateTable; state 2*basis + bit is sent.
     alice_basis:  Alice draws a basis per pulse; otherwise (B92) the bit
                   alone picks the state and her basis is recorded as 0.
-    photons:      (cfg, src) -> (largest photon count drawn, draw), with
-                  draw(rng, m) -> (photon counts of m pulses, intensity
-                  tags or None).
+    photons:      (cfg, src) -> (largest photon count, draw), draw(rng, m) ->
+                  (photon counts of m pulses, intensity tags or None).
     sift:         sift rule, see ``_sift_basis``.
     announcement: what sifting discloses to Eve ('basis' or 'pair').
     usd_pair:     hand the first two table states to the attack as the B92
@@ -342,15 +341,16 @@ def _run_prepare_measure(spec: PrepareMeasureSpec, cfg: ProtocolConfig,
                          src: SourceModel, ch: ChannelModel,
                          det: DetectorModel, eve: EveStrategy,
                          rng: np.random.Generator) -> SessionTranscript:
-    """Prepare -> attack -> channel and detection (one draw per pulse from a
-    session's ``click_law``, with the line's loss unless Eve replaced the
-    line) -> sift, slice by slice; decoy sessions also count the pulses
-    sent and detected per intensity."""
+    """Prepare -> attack -> channel and detection (one ``click_law`` draw per
+    pulse; the line's loss counts unless Eve replaced it) -> sift, slice by
+    slice; decoy sessions also count pulses sent and detected per intensity."""
     table = spec.table(cfg)
     n_max, draw_photons = spec.photons(cfg, src)
-    laws = {consumed: click_law(table.p_one, table.flip, det.efficiency * (
-        1.0 if consumed else ch.transmittance), ch.misalignment_error_prob,
-        det.dark_prob, n_max) for consumed in (False, True)}
+    laws = {consumed: click_law(            # keyed by atk.channel_consumed
+        table.p_one, table.flip,
+        det.efficiency * (1.0 if consumed else ch.transmittance),
+        ch.misalignment_error_prob, det.dark_prob, n_max)
+        for consumed in (False, True)}
     intensity = []      # per slice: (sent, detected) of signal and decoy
 
     def run_slice(m):

@@ -265,8 +265,8 @@ def click_law(p_one: np.ndarray, flip, eta: float, misalignment: float,
     with p = p_one[k, m]; each detector also fires on a dark count d.  With
     s = 1 - d: none = (1 - eta)^n s^2, only0 = (1 - eta p)^n s - none,
     only1 = (1 - eta (1 - p))^n s - none, and a double click (the rest)
-    gives a uniform bit.  Misalignment turns the whole pulse into
-    ``flip[k]`` (none where flip[k] < 0; read only if misalignment > 0)."""
+    gives a uniform bit.  With probability `misalignment` the whole pulse
+    becomes state ``flip[k]`` (unless flip[k] < 0; `flip` is unread at 0)."""
     n = np.arange(n_max + 1.0)[:, None, None]
     s = 1.0 - dark_prob
     none = (1.0 - eta) ** n * s * s
