@@ -1,12 +1,13 @@
 """Eavesdropper strategies: the one implementation of each attack, and the
 one place that decides what Eve learns, for all seven protocols.
 
-``attack_batch`` attacks prepare-and-measure pulses and ``attack_pairs``
-the particle flying to Bob; both record per pulse what Eve took
-(``eve_basis``).  ``resolve_known_bits`` turns that record into Eve's
-knowledge once the sifting announcement is public.  Eve's own optics are
-noiseless and lossless (worst-case convention: all imperfections belong
-to the legitimate hardware, all information to Eve).
+``attack_batch`` attacks the pulses flying to Bob (for BBM92 and E91,
+Bob's particle, which Alice's measurement prepared; see ``protocols``)
+and records per pulse what Eve took (``eve_basis``).
+``resolve_known_bits`` turns that record into Eve's knowledge once the
+sifting announcement is public.  Eve's own optics are noiseless and
+lossless (worst-case convention: all imperfections belong to the
+legitimate hardware, all information to Eve).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .quantum import (NO_CLICK, ChannelModel, SignalState, click_law,
-                      measure_batch, sample_singlet)
+                      measure_batch)
 
 KINDS = ("none", "intercept_resend", "beam_split", "pns", "usd_b92")
 PAIR_OVERLAP = 2 ** -0.5    # |<a|b>| of the two states a 'pair' announces
@@ -83,11 +84,11 @@ def usd_success_prob(phi0: SignalState, phi1: SignalState) -> float:
 
 
 def _eve_choice(strategy: EveStrategy, count: int, size: int,
-                rng: np.random.Generator, dtype=np.int8) -> np.ndarray:
+                rng: np.random.Generator) -> np.ndarray:
     """Index of the basis Eve measures each pulse in: ``fixed_basis`` when
-    set, otherwise uniform over ``count`` bases, drawn as ``dtype``."""
+    set, otherwise uniform over ``count`` bases."""
     if strategy.fixed_basis is None:
-        return rng.integers(0, count, size=size, dtype=dtype)
+        return rng.integers(0, count, size=size, dtype=np.int8)
     if strategy.fixed_basis >= count:
         raise ValueError(f"fixed_basis {strategy.fixed_basis} is out of "
                          f"range: Eve can measure in {count} bases")
@@ -170,54 +171,20 @@ def attack_batch(strategy: EveStrategy, n: np.ndarray, state_idx: np.ndarray,
     raise ValueError(f"unknown strategy kind {strategy.kind!r}")
 
 
-def attack_pairs(strategy: EveStrategy, a_idx: np.ndarray, b_idx: np.ndarray,
-                 alice_angles: np.ndarray, bob_angles: np.ndarray,
-                 rng: np.random.Generator,
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sample +/-1 outcome pairs of singlets measured at Alice's angles
-    ``alice_angles[a_idx]`` and Bob's ``bob_angles[b_idx]`` (degrees), with
-    Eve on the particle flying to Bob.
-
-    Honest pairs follow the singlet law E[a b] = -cos(theta_a - theta_b).
-    Under intercept_resend Eve measures Bob's particle at one of Bob's
-    angles (drawn uniformly, or ``fixed_basis``) and resends the eigenstate
-    she observed, which Bob then projects; probabilities are tables over
-    angle indices.  Returns (a, b, eve_basis): Eve's angle as an index into
-    alice_angles, or NOTHING where it is none of Alice's, since only a
-    measurement along Alice's angle fixes her bit.
-    """
-    m = a_idx.shape[0]
-    cos_ab = np.cos(np.radians(alice_angles[:, None] - bob_angles[None, :]))
-    if strategy.kind == "none":
-        a, b = sample_singlet(cos_ab[a_idx, b_idx], rng, m)
-        return a, b, np.full(m, NOTHING, dtype=np.int8)
-    if strategy.kind != "intercept_resend":
-        raise ValueError(f"pair protocols support eve kinds none/"
-                         f"intercept_resend, got {strategy.kind!r}")
-    a = (rng.random(m) < 0.5).astype(np.int8) * 2 - 1
-    eve_idx = _eve_choice(strategy, len(bob_angles), m, rng, dtype=np.int64)
-    p_opp = (1.0 + cos_ab) / 2.0
-    e = np.where(rng.random(m) < p_opp[a_idx, eve_idx], -a, a)
-    # Bob projects the resent eigenstate |phi, e>
-    p_same = np.cos(np.radians(bob_angles[:, None] - bob_angles[None, :])
-                    / 2.0) ** 2
-    b = np.where(rng.random(m) < p_same[b_idx, eve_idx], e, -e)
-    same = bob_angles[:, None] == alice_angles[None, :]
-    to_alice = np.where(same.any(axis=1), same.argmax(axis=1), NOTHING)
-    return a, b, to_alice.astype(np.int8)[eve_idx]
-
-
 def resolve_known_bits(eve_basis: np.ndarray, alice_basis: np.ndarray,
                        announcement: str, rng: np.random.Generator,
                        ) -> np.ndarray:
     """Post-disclosure resolution: boolean mask of pulses whose key bit Eve
     knows deterministically.
 
-    A measurement made in Alice's announced basis gave Eve the bit.  A held
-    state yields it after a 'basis' announcement (BB84-style: Eve measures
-    it in the announced basis); after a 'pair' announcement (SARG-style)
-    only when unambiguous discrimination of the two announced
-    non-orthogonal states succeeds, with probability 1 - PAIR_OVERLAP.
+    A measurement made in Alice's announced basis gave Eve the bit.
+    ``alice_basis`` names that basis among Bob's, the ones Eve measures
+    in; an index past Bob's last means he has none that matches (E91's 0
+    degrees).  A held state yields the bit after a 'basis' announcement
+    (BB84-style: Eve measures it in the announced basis); after a 'pair'
+    announcement (SARG-style) only when unambiguous discrimination of the
+    two announced non-orthogonal states succeeds, with probability
+    1 - PAIR_OVERLAP.
     """
     held = eve_basis == HELD
     if announcement == "pair":

@@ -1,16 +1,19 @@
 """Protocol sessions: BB84, B92, six-state, SARG04, decoy-intensity BB84,
 and the entanglement-based BBM92 and E91 schemes.
 
-The five prepare-and-measure protocols share one engine,
-``_run_prepare_measure``, driven by a ``PrepareMeasureSpec`` per protocol
-(state table, basis choice, photon sampler, sift rule, announcement).  The
-pair protocols share ``_run_entangled``, driven by their measurement
-angles: singlet outcomes with Eve on Bob's particle, then Bob-side loss,
-misalignment and dark counts, then sifting of equal angles.
+All seven protocols share one engine, ``_run_prepare_measure``, driven by a
+``PrepareMeasureSpec`` per protocol (state table, basis choice, photon
+sampler, sift rule, announcement).  The pair protocols run on it by remote
+preparation: Alice's outcome of a singlet measured at spin angle theta
+leaves Bob's particle in an eigenstate of the polarization basis at
+theta / 2, so a singlet source at Alice's side is an ideal source of those
+states.  BBM92 is BB84 (Bennett, Brassard & Mermin, PRL 68, 557, 1992);
+E91 prepares the states of three angles per side (Ekert, PRL 67, 661,
+1991) and also tallies the CHSH setting pairs.
 Every session is deterministic given its generator and returns a
 ``SessionTranscript``.
 
-Slice rule: ``_run_slices`` runs a session as consecutive slices of at most
+Slice rule: a session runs as consecutive slices of at most
 ``quantum.CHUNK`` pulses, each carried from source to sifted key (prepare,
 attack, channel and detection as one ``quantum.measure_batch`` draw per
 pulse, sift, and Eve's knowledge by
@@ -199,6 +202,29 @@ def b92_table(overlap: float) -> StateTable:
     return StateTable.build(states, [basis0, basis1], bit=[0, 1, -1, -1])
 
 
+def _spin_basis(degrees: float) -> Basis:
+    """Polarization basis of a spin measurement at `degrees`: bit 0 lies at
+    half the angle, bit 1 orthogonal to it."""
+    t = math.radians(degrees / 2.0)
+    return Basis(f"spin_{degrees:g}", SignalState(math.cos(t), math.sin(t)),
+                 SignalState(-math.sin(t), math.cos(t)))
+
+
+# E91 spin angles in degrees; bell.MAXIMAL_SETTINGS is among them
+_E91_ALICE = (0.0, 45.0, 90.0)
+_E91_BOB = (45.0, 90.0, 135.0)
+
+
+def e91_table() -> StateTable:
+    """States 2*i + bit: Alice's outcome at her angle i, remotely prepared
+    at Bob's side; then the eigenstates of Bob's 135 degrees, which only
+    Eve resends.  Bob measures at his three angles."""
+    alice = [_spin_basis(a) for a in _E91_ALICE]
+    bob = [_spin_basis(b) for b in _E91_BOB]
+    states = [v for ba in alice + bob[-1:] for v in (ba.v0, ba.v1)]
+    return StateTable.build(states, bob, bit=[0, 1] * 3 + [-1, -1])
+
+
 # SARG announcement chain: H->A, A->V, V->D, D->H (table order H,V,A,D)
 _SARG_PARTNER = np.array([2, 3, 0, 1], dtype=np.int8)
 
@@ -220,9 +246,11 @@ def _biased_choice(rng, n, num_options, primary_prob):
 
 
 def _source_photons(cfg, src):
-    """Photon counts drawn from the source model; no tags."""
-    return (len(photon_pmf(src)) - 1,
-            lambda rng, m: (sample_photon_number(src, rng, size=m), None))
+    """Photon counts drawn from the source model; no tags.  The cumulative
+    pmf is built once per session, not per slice."""
+    edges = np.cumsum(photon_pmf(src))[:-1]
+    return (len(edges),
+            lambda rng, m: (sample_photon_number(src, rng, m, edges), None))
 
 
 def _decoy_photons(cfg, src):
@@ -252,8 +280,9 @@ def _intensity_stats(cfg, counts) -> dict:
                 ("signal", "decoy"), (cfg.signal_mu, cfg.decoy_mu), counts)}
 
 
-# Sift rules: (table, sent state indices, Alice's and Bob's bases, outcomes)
-# -> (sift mask, Bob's per-pulse bit).
+# Sift rules: (table, sent state indices, Alice's bases as Bob's (see
+# PrepareMeasureSpec.bob_basis), Bob's bases, outcomes) -> (sift mask, Bob's
+# per-pulse bit).
 
 def _sift_basis(table, sent, a_bases, b_bases, outcomes):
     """BB84-style: keep the clicks measured in Alice's basis."""
@@ -292,6 +321,12 @@ class PrepareMeasureSpec:
     announcement: what sifting discloses to Eve ('basis' or 'pair').
     usd_pair:     hand the first two table states to the attack as the B92
                   pair that unambiguous discrimination targets.
+    bob_basis:    int8 array: for each of Alice's bases (she has as many
+                  as Bob), Bob's basis that measures it, or one past Bob's
+                  last where none does (E91's 0 degrees); None: the
+                  identity.  Sifting and Eve's knowledge compare through it.
+    chsh:         CHSH setting pair -> (Alice's basis, Bob's basis) whose
+                  +/-1 products the session collects.
     """
 
     table: Callable[[ProtocolConfig], StateTable]
@@ -300,6 +335,8 @@ class PrepareMeasureSpec:
     sift: Callable = _sift_basis
     announcement: str = "basis"
     usd_pair: bool = False
+    bob_basis: Optional[np.ndarray] = None
+    chsh: Optional[dict] = None
 
 
 _PREPARE_MEASURE = {
@@ -312,29 +349,16 @@ _PREPARE_MEASURE = {
                                announcement="pair"),
     "decoy_bb84": PrepareMeasureSpec(lambda cfg: bb84_table(),
                                      photons=_decoy_photons),
+    "e91": PrepareMeasureSpec(
+        lambda cfg: e91_table(),
+        bob_basis=np.array([_E91_BOB.index(a) if a in _E91_BOB
+                            else len(_E91_BOB) for a in _E91_ALICE],
+                           dtype=np.int8),
+        chsh={(x, y): (_E91_ALICE.index(getattr(bell.MAXIMAL_SETTINGS, x)),
+                       _E91_BOB.index(getattr(bell.MAXIMAL_SETTINGS, y)))
+              for x, y in bell.SETTING_PAIRS}),
 }
-
-
-def _run_slices(cfg: ProtocolConfig, run_slice: Callable, announcement: str,
-                rng: np.random.Generator) -> SessionTranscript:
-    """Run ``run_slice(m)`` on consecutive slices of at most ``CHUNK``
-    pulses (an empty session is one empty slice).  It returns the slice's
-    sift mask, Alice's and Bob's bits, detection mask, Eve's record and
-    Alice's bases; of these only the sifted bits, what Eve knows of them
-    after the announcement, and the detection count are kept."""
-    kept, detections = [], 0
-    for lo in range(0, max(cfg.num_pulses, 1), CHUNK):
-        sift, a_bits, b_bits, detected, eve_basis, a_bases = run_slice(
-            min(CHUNK, cfg.num_pulses - lo))
-        # resolved over every pulse, so its draws do not depend on the sift
-        known = adversary.resolve_known_bits(eve_basis, a_bases, announcement,
-                                             rng)
-        kept.append((a_bits[sift], b_bits[sift], known[sift]))
-        detections += int(detected.sum())
-    alice, bob, known = (BitString.from_array(np.concatenate(part))
-                         for part in zip(*kept))
-    return SessionTranscript(cfg.protocol, cfg.num_pulses, detections,
-                             alice, bob, known)
+_PREPARE_MEASURE["bbm92"] = _PREPARE_MEASURE["bb84"]
 
 
 def _run_prepare_measure(spec: PrepareMeasureSpec, cfg: ProtocolConfig,
@@ -342,8 +366,9 @@ def _run_prepare_measure(spec: PrepareMeasureSpec, cfg: ProtocolConfig,
                          det: DetectorModel, eve: EveStrategy,
                          rng: np.random.Generator) -> SessionTranscript:
     """Prepare -> attack -> channel and detection (one ``click_law`` draw per
-    pulse; the line's loss counts unless Eve replaced it) -> sift, slice by
-    slice; decoy sessions also count pulses sent and detected per intensity."""
+    pulse; the line's loss counts unless Eve replaced it) -> sift -> Eve's
+    knowledge, slice by slice (see the slice rule above); decoy sessions
+    also count pulses sent and detected per intensity."""
     table = spec.table(cfg)
     n_max, draw_photons = spec.photons(cfg, src)
     laws = {consumed: click_law(            # keyed by atk.channel_consumed
@@ -351,9 +376,13 @@ def _run_prepare_measure(spec: PrepareMeasureSpec, cfg: ProtocolConfig,
         det.efficiency * (1.0 if consumed else ch.transmittance),
         ch.misalignment_error_prob, det.dark_prob, n_max)
         for consumed in (False, True)}
+    kept, detections = [], 0
     intensity = []      # per slice: (sent, detected) of signal and decoy
+    # setting pair -> (Alice's basis, Bob's, products per slice)
+    chsh = {pair: (ai, bi, []) for pair, (ai, bi) in (spec.chsh or {}).items()}
 
-    def run_slice(m):
+    for lo in range(0, max(cfg.num_pulses, 1), CHUNK):
+        m = min(CHUNK, cfg.num_pulses - lo)
         bits = rng.integers(0, 2, size=m, dtype=np.int8)
         a_bases = (_biased_choice(rng, m, len(table.bases), cfg.basis_bias)
                    if spec.alice_basis else np.zeros(m, dtype=np.int8))
@@ -367,85 +396,34 @@ def _run_prepare_measure(spec: PrepareMeasureSpec, cfg: ProtocolConfig,
         outcomes = measure_batch(atk.n, atk.state_idx, b_bases,
                                  laws[atk.channel_consumed], rng)
 
-        sift, bob_bits = spec.sift(table, sent, a_bases, b_bases, outcomes)
+        matched = (a_bases if spec.bob_basis is None    # Bob's basis that
+                   else spec.bob_basis.take(a_bases))   # fits Alice's
+        sift, bob_bits = spec.sift(table, sent, matched, b_bases, outcomes)
         clicked = outcomes != NO_CLICK
         if tags is not None:
             intensity.append([(mask.sum(), clicked[mask].sum())
                               for mask in (~tags, tags)])
-        return sift, bits, bob_bits, clicked, atk.eve_basis, a_bases
+        if chsh:
+            # Alice's a = 1 - 2 bit and Bob's b = 2 outcome - 1 (his bit
+            # before the flip that aligns the keys): a b = -1 on equal bits
+            product = (bits != outcomes).astype(np.int8) * 2 - 1
+            for ai, bi, products in chsh.values():
+                products.append(product[clicked & (a_bases == ai)
+                                        & (b_bases == bi)])
+        # resolved over every pulse, so its draws do not depend on the sift
+        known = adversary.resolve_known_bits(atk.eve_basis, matched,
+                                             spec.announcement, rng)
+        kept.append((bits[sift], bob_bits[sift], known[sift]))
+        detections += int(clicked.sum())
 
-    t = _run_slices(cfg, run_slice, spec.announcement, rng)
+    alice, bob, known = (BitString.from_array(np.concatenate(part))
+                         for part in zip(*kept))
+    t = SessionTranscript(cfg.protocol, cfg.num_pulses, detections,
+                          alice, bob, known)
     if intensity:
         t.intensity_stats = _intensity_stats(
             cfg, np.sum(intensity, axis=0).tolist())
-    return t
-
-
-# ---------------------------------------------------------------------------
-# entanglement-based protocols
-# ---------------------------------------------------------------------------
-
-def _pair_reception(b, ch: ChannelModel, det: DetectorModel, rng):
-    """Bob-side loss, misalignment flip, and dark counts for pair protocols,
-    with the two-detector rule of ``quantum.click_law``: a detected photon
-    meets a dark count of the other detector with probability dark_prob, a
-    lost one clicks on a dark count of either detector, and both give a
-    uniform bit.  Returns (detected_mask, possibly flipped outcomes)."""
-    m = b.shape[0]
-    detected = rng.random(m) < ch.transmittance * det.efficiency
-    if ch.misalignment_error_prob > 0.0:
-        b = np.where(rng.random(m) < ch.misalignment_error_prob, -b, b)
-    if det.dark_prob > 0.0:
-        noisy = rng.random(m) < np.where(
-            detected, det.dark_prob, 1.0 - (1.0 - det.dark_prob) ** 2)
-        if noisy.any():
-            b = b.copy()
-            b[noisy] = (rng.random(int(noisy.sum())) < 0.5) * 2 - 1
-            detected = detected | noisy
-    return detected, b
-
-
-# protocol -> (Alice's angles, Bob's angles, whether CHSH samples are
-# collected), in degrees.  BBM92 measures in two conjugate bases; E91 uses
-# three angles per side, among them those of bell.MAXIMAL_SETTINGS.  Eve
-# intercepts at Bob's angles.
-_PAIR_SPECS = {
-    "bbm92": (np.array([0.0, 90.0]), np.array([0.0, 90.0]), False),
-    "e91": (np.array([0.0, 45.0, 90.0]), np.array([45.0, 90.0, 135.0]), True),
-}
-
-
-def _run_entangled(cfg: ProtocolConfig, ch: ChannelModel, det: DetectorModel,
-                   eve: EveStrategy,
-                   rng: np.random.Generator) -> SessionTranscript:
-    """Singlet-pair session (BBM92, E91), slice by slice.  Matching angles
-    give perfectly anti-correlated outcomes, so Bob flips his bit to align
-    the keys.  E91 also collects the four setting pairs of
-    ``bell.MAXIMAL_SETTINGS``, found among its angles, as +/-1 product
-    samples for CHSH estimation."""
-    alice_angles, bob_angles, with_chsh = _PAIR_SPECS[cfg.protocol]
-    same_angle = alice_angles[:, None] == bob_angles[None, :]
-    # setting pair -> (Alice's angle index, Bob's, products per slice)
-    chsh = {(x, y): (
-        alice_angles.tolist().index(getattr(bell.MAXIMAL_SETTINGS, x)),
-        bob_angles.tolist().index(getattr(bell.MAXIMAL_SETTINGS, y)), [])
-        for x, y in (bell.SETTING_PAIRS if with_chsh else ())}
-
-    def run_slice(m):
-        a_idx = _biased_choice(rng, m, len(alice_angles), cfg.basis_bias)
-        b_idx = _biased_choice(rng, m, len(bob_angles), cfg.basis_bias)
-        a, b, eve_basis = adversary.attack_pairs(eve, a_idx, b_idx,
-                                                 alice_angles, bob_angles, rng)
-        detected, b = _pair_reception(b, ch, det, rng)
-        for ai, bi, products in chsh.values():
-            mask = detected & (a_idx == ai) & (b_idx == bi)
-            products.append((a[mask] * b[mask]).astype(np.int8))
-        sift = detected & same_angle[a_idx, b_idx]
-        # the flip of Bob's bit converts anti-correlation
-        return sift, (1 - a) // 2, (1 + b) // 2, detected, eve_basis, a_idx
-
-    t = _run_slices(cfg, run_slice, "basis", rng)
-    if with_chsh:
+    if chsh:
         t.chsh_samples = {pair: np.concatenate(products)
                           for pair, (_, _, products) in chsh.items()}
     return t
@@ -460,12 +438,15 @@ def run_session(cfg: ProtocolConfig, src: SourceModel, ch: ChannelModel,
                 rng: np.random.Generator) -> SessionTranscript:
     """Run one session of cfg.protocol.  Pair protocols model one singlet
     per pulse, not multi-pair emission, so they refuse any source but the
-    ideal one."""
-    if cfg.protocol in _PAIR_SPECS:
+    ideal one, and of Eve's attacks only intercept-resend of Bob's
+    particle."""
+    if cfg.protocol in ("bbm92", "e91"):
         if src.kind != "ideal_single_photon":
             raise ValueError(f"{cfg.protocol} takes only the ideal source: "
                              f"multi-pair emission is not modelled, got "
                              f"{src.kind!r}")
-        return _run_entangled(cfg, ch, det, eve, rng)
+        if eve.kind not in ("none", "intercept_resend"):
+            raise ValueError(f"pair protocols support eve kinds none/"
+                             f"intercept_resend, got {eve.kind!r}")
     return _run_prepare_measure(_PREPARE_MEASURE[cfg.protocol], cfg, src, ch,
                                 det, eve, rng)

@@ -1,15 +1,14 @@
 """Physical layer: qubit polarization states, photon sources, lossy
-channels, threshold detectors, and singlet-pair sampling.
+channels, threshold detectors, and the singlet-pair law.
 
 All parameter records are immutable dataclasses; every sampler takes an
 explicit ``numpy.random.Generator`` and a slice of at most ``CHUNK`` pulses
 (see ``protocols``).  ``sample_photon_number`` inverts the cumulative
 ``photon_pmf`` and ``measure_batch`` draws the whole receiver chain from a
 ``click_law`` table (for Bob and an intercept-resend Eve), each with one
-uniform per pulse.  ``protocols._pair_reception`` applies the same rules to
-one +/-1 outcome per singlet: per ``CHUNK`` slice of ideal pairs it takes
-0.4 ms against the law kernel's 1.4 ms, on a lossy, noisy line 1.9-2.6
-against 1.6 ms (2-core Xeon host, best of nine).
+uniform per pulse.  The pair protocols draw through the same kernels
+(see ``protocols``); ``sample_singlet`` is the singlet law itself, which
+tests compare against.
 """
 
 from __future__ import annotations
@@ -167,13 +166,15 @@ def photon_pmf(src: SourceModel) -> np.ndarray:
 
 
 def sample_photon_number(src: SourceModel, rng: np.random.Generator,
-                         size: int) -> np.ndarray:
+                         size: int, edges=None) -> np.ndarray:
     """Draw the photon counts of `size` pulses: the ideal source draws
     nothing, any other inverts the cumulative ``photon_pmf`` (exact but for
-    its truncation) at one uniform per pulse."""
+    its truncation) at one uniform per pulse.  `edges`, that cumulative pmf
+    without its last entry, is computed here unless the caller passes it."""
     if src.kind == "ideal_single_photon":
         return np.ones(size, dtype=np.int8)
-    edges = np.cumsum(photon_pmf(src))[:-1]
+    if edges is None:
+        edges = np.cumsum(photon_pmf(src))[:-1]
     return np.searchsorted(edges, rng.random(size), side="right")
 
 

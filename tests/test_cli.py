@@ -549,6 +549,7 @@ def test_bell_rejects_non_e91(capsys, tmp_path):
 def test_chsh_from_too_few_pairs_is_clean_error(capsys, verb, pulses):
     code, _, err = run_cli(capsys, verb, "bundled:e91_honest.cfg",
                            "--pulses", pulses)
-    assert code == 1
-    assert err.startswith("error: chsh: setting pair ('n1', 'n2') has 0 "
-                          "samples")
+    # which pair gets no sample depends on the seeded draws
+    assert code == 1 and "Traceback" not in err
+    assert re.match(r"error: chsh: setting pair \('n1p?', 'n2p?'\) has 0 "
+                    r"samples", err), err

@@ -17,13 +17,13 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 GOLDEN = {
     "01_protocol_zoo.py":
-        "68329aa5284441f0d36a4bce0917280663982865667ee3b1a1f295115d863f86",
+        "1593b38164e48d4cf2974c8464be120f9bed8782039ede193aa795d481c8de2c",
     "02_eavesdropping.py":
         "49e726f3cd11fccb25caba728894c51eae479efc5deb4c3916b2539cfd86cb86",
     "03_key_distillation.py":
         "80c03de49fbdcafd75811f56ac8864d740c0ce5a692c1048b08de706f48f6a43",
     "04_bell_test.py":
-        "a291d44fe21d2364f6edb12b913ea6d4e8e1138c6211070696134509ad5f2528",
+        "9e6bd03698767fc6ce559b67d1e0a475b4d4d188306cdf8c39c712d0a79aa2ee",
     "05_rates_and_hardware.py":
         "518a00c7666b7e2168fca731f7385e448c2e5c456b337cd40a3bc83cba5e31e2",
 }

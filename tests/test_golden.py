@@ -16,7 +16,10 @@ Three families are pinned:
 A refactor that keeps seeded outputs byte-identical leaves every digest
 unchanged; an intended output change re-records them here and says so in
 CHANGES.md.  The digests depend on numpy's Generator streams and were
-recorded with numpy 2.4.
+recorded with numpy 2.4.  The ``bbm92`` and ``e91`` digests and the CLI
+digests of ``e91_honest.cfg`` were re-recorded when the pair protocols
+came to run on the prepare-and-measure engine: the draws differ, the
+distributions do not.
 """
 
 import hashlib
@@ -66,13 +69,13 @@ GOLDEN_CLI = {
     "bell bb84_intercept.cfg":
         "130ed44d84417f2c3fed5525293cc91972390731bfb9463091f6b5348221daa9",
     "run e91_honest.cfg text":
-        "73a4886d615100e3567a2f9678cb13d2f07f9c46d01e1bd010e7e07094384a3a",
+        "07764ed7449d690d3453945efeeb040936427b9a7da6a355a0c8cf72dc2188eb",
     "run e91_honest.cfg json":
-        "ee133f9924c66d19b73217ac3c0ce6e35002f3c9c896433b0d10d3892180a597",
+        "d1b5954368368be85e146185fdaf10c8d0a84ef460a61440f947cac069cb609d",
     "sweep e91_honest.cfg":
-        "d6dc61b2aea20cd704c879b796c070497427de38cef80b78cabd3b9a47fb6b06",
+        "eb79e79ec99acd5a3219ec05027e08d632db8fc89cfea1956eac6b585e3ad1aa",
     "bell e91_honest.cfg":
-        "a50a1da21a47a00bc6209ab808808ef71fa8aa6c47df239b635c6f00b5626f47",
+        "db790a98ddf1d37dbccb7cc3b330eed94d49be3cb7e0156bc937e6a2d3bc8538",
 }
 
 GOLDEN_TRANSCRIPTS = {
@@ -83,8 +86,8 @@ GOLDEN_TRANSCRIPTS = {
     "sarg": "1ef246970e7591c33a5cf47b3c9e8fb089f1e2fd7ece0e048fc21c82052d20f3",
     "decoy_bb84":
         "d30f5a8763a89f17d59421d504e34311623061ef18e27a32bbfd120ce34d5525",
-    "bbm92": "98807ffbc97e4e60b6f31defae11f79fee91889d9da4e6c94f2f91e64216a5d1",
-    "e91": "7531ed94232deeb6404ec798538d27d2fa73ccab195ac1a60fc160b4ce0b3532",
+    "bbm92": "a759bc9c399c7a968cd5f82a65f6800bc06f6de6dc965be3a96b2c8fffc71f1b",
+    "e91": "e3bece0965a7fd4b461b833c0bca6496c5771f9b69678e45465eecc53e053f23",
 }
 
 
@@ -158,8 +161,8 @@ GOLDEN_MULTI_CHUNK = {
     "decoy_bb84":
         "8c08f5dde79f79b7922627bdc17a1f3584b0bac1569ab63f344c3a643797651c",
     "bbm92":
-        "02b082a7c15ec8404cb85926f12a99c0fe073cb948a46fec41dc45be8cd319ae",
-    "e91": "d136920d1de20a4ee808921dc177d43c0105f05ab2b03255f576c3c3955297c6",
+        "a9fc076b996299e0b89ca53cbf42f262a4d990444a131ee24f15764d9930cbbd",
+    "e91": "9945530e25f13705a8c357496242cf1b3bb51cb2b16f82398e5e69705d150526",
     "bb84 basis_bias":
         "18a763a79c7dca1976bbde29cb9c133b98ba7c86a1a6fc3552cab5fba0e12190",
 }

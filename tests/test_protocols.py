@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qkdsim.adversary import EveStrategy, NO_EVE
-from qkdsim.bell import chsh_estimate
+from qkdsim.bell import MAXIMAL_SETTINGS, chsh_estimate
 from qkdsim.protocols import (PROTOCOLS, ProtocolConfig, _decoy_photons,
                               b92_states, run_session)
 from qkdsim.quantum import (CHUNK, ChannelModel, DetectorModel, SourceModel,
@@ -218,6 +218,22 @@ def test_bbm92_honest_and_attacked():
     assert t.qber == pytest.approx(0.25, abs=0.01)
 
 
+@pytest.mark.parametrize("basis_bias", [None, 0.7])
+@pytest.mark.parametrize("eve", [
+    NO_EVE, EveStrategy("intercept_resend"),
+    EveStrategy("intercept_resend", fixed_basis=0),
+    EveStrategy("intercept_resend", fixed_basis=1)])
+def test_bbm92_is_bb84_from_an_ideal_source(eve, basis_bias):
+    # Alice's outcome on her half of a singlet prepares Bob's half in the
+    # BB84 state of her angle (Bennett, Brassard & Mermin 1992), so one seed
+    # gives one transcript on a lossy, misaligned line with dark counts
+    kw = dict(ch=ChannelModel(20.0, 0.2, 0.03), det=DetectorModel(0.6, 0.02),
+              eve=eve, basis_bias=basis_bias)
+    bbm92, bb84 = (run(p, 20000, 25, **kw).to_dict() for p in ("bbm92", "bb84"))
+    assert (bbm92.pop("protocol"), bb84.pop("protocol")) == ("bbm92", "bb84")
+    assert bbm92 == bb84 and bb84["sifted_length"] > 0
+
+
 @pytest.mark.parametrize("protocol, fixed_basis, known, qber", [
     ("bbm92", None, 1 / 2, 1 / 4),
     ("e91", None, 1 / 3, 5 / 24),
@@ -271,7 +287,7 @@ def test_pair_dark_counts_meet_detected_photons(protocol):
     # A detected photon meets a dark count of the other detector with
     # probability d, and the double click gives a uniform bit; a lost
     # photon clicks on a dark count of either detector, D = 1 - (1 - d)^2.
-    e, d, p = 0.02, 0.1, 0.5
+    e, d, p = 0.05, 0.1, 0.5
     dark = 1 - (1 - d) ** 2
     t = run(protocol, 200000, 24, ch=ChannelModel(misalignment_error_prob=e),
             det=DetectorModel(efficiency=p, dark_prob=d))
@@ -281,6 +297,16 @@ def test_pair_dark_counts_meet_detected_photons(protocol):
             (t.detection_count / t.pulse_count, rate, t.pulse_count),
             (t.qber, qber, len(t.sifted_alice))):
         assert abs(got - expected) < 5 * (expected * (1 - expected) / n) ** 0.5
+    if protocol == "e91":
+        # the misalignment flip scales each singlet correlation by 1 - 2e;
+        # a click with a dark count in it (all but p (1 - d) of the rate)
+        # carries a uniform bit
+        for (x, y), products in t.chsh_samples.items():
+            angle = math.radians(getattr(MAXIMAL_SETTINGS, x)
+                                 - getattr(MAXIMAL_SETTINGS, y))
+            c = -(1 - 2 * e) * math.cos(angle) * p * (1 - d) / rate
+            n = products.size
+            assert abs(products.mean() - c) < 5 * ((1 - c * c) / n) ** 0.5
 
 
 def test_transcript_roundtrips_to_json(tmp_path):

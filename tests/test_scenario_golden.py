@@ -25,7 +25,8 @@ to ``bell.TSIRELSON``, where the 3-vector dot products gave
 2.82842712474619.  Every case but ``e91_defaults`` was re-recorded when
 each pulse's click came to be drawn from its exact law
 (``quantum.click_law``, one uniform per pulse): the draws differ, the
-distributions do not.
+distributions do not.  ``e91_defaults`` was re-recorded again when E91
+came to run on the prepare-and-measure engine, for the same reason.
 """
 
 import hashlib
@@ -97,9 +98,9 @@ GOLDEN = {
     "decoy_beam_split json":
         "98d815e6ca2f678e34c5b41a671662d161d8861ed9b8cb47aec7a97263829042",
     "e91_defaults text":
-        "d941287b3469ab106c166f8a293f5a8cf6a8f3b560e0048206881791322b5bed",
+        "71c8d716d28db79807a5df48bf3de25d8ec655d95365ef58b64bf8e9be8e0065",
     "e91_defaults json":
-        "7b7b9dd1c64ebe2f52855ce19f1c9b9e57a43334f12377521ba95049d878a877",
+        "947d5e9c548b760ba93b9b80c63f0de8228f6297962e5a67188d5b4b22b36caf",
     "heralded_fixed_basis text":
         "dc04fad1b2ab8531599a8c9d6c1906bb250934fe625c1ebc3fa57ca8d1658032",
     "heralded_fixed_basis json":
