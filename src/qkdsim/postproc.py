@@ -88,50 +88,61 @@ class ReconciliationResult:
     rounds: int
 
 
-def _bisect_blocks(pa: np.ndarray, pb: np.ndarray, lo: np.ndarray,
-                   hi: np.ndarray) -> int:
-    """Binary parity search for one error in each disjoint range
-    pb[lo[i]:hi[i]), all ranges in lockstep, one vectorised step per level.
-    Flips the errors found; returns the number of parities disclosed, one
-    per live range per level.  The prefix parities stay valid throughout:
-    the ranges are disjoint and the flips land after every search ends.
+_POPCOUNT = np.array([bin(v).count("1") for v in range(256)])   # per byte
+
+
+def _bisect(errors: np.ndarray, lo: np.ndarray,
+            hi: np.ndarray) -> tuple[np.ndarray, int]:
+    """Binary parity search for one differing bit in each disjoint range
+    [lo[i], hi[i]) of slots that holds an odd number of them, all ranges in
+    lockstep, one vectorised step per level.  `errors` holds the sorted
+    slots of the differing bits, so the prefix XOR of a ^ b up to slot x is
+    the parity of their count below x.  Returns the slot found in each
+    range and the parities disclosed, one per live range per level.
     """
-    ca = np.pad(np.bitwise_xor.accumulate(pa), (1, 0))
-    cb = np.pad(np.bitwise_xor.accumulate(pb), (1, 0))
     lo, hi = lo.copy(), hi.copy()
     disclosed = 0
     live = np.flatnonzero(hi - lo > 1)
     while live.size:
         disclosed += live.size
         l, mid = lo[live], (lo[live] + hi[live]) // 2
-        left = (ca[mid] ^ ca[l] ^ cb[mid] ^ cb[l]).astype(bool)
+        left = ((np.searchsorted(errors, mid) - np.searchsorted(errors, l))
+                & 1).astype(bool)
         hi[live[left]] = mid[left]
         lo[live[~left]] = mid[~left]
         live = live[hi[live] - lo[live] > 1]
-    pb[lo] ^= 1
-    return disclosed
+    return lo, disclosed
 
 
 def bbbss_correct(alice: BitString, bob: BitString, eps_est: float,
                   rng: np.random.Generator, max_passes: Optional[int] = None,
                   subset_clean_target: int = 20,
                   log: Optional[PublicChannelLog] = None) -> ReconciliationResult:
-    """Multi-pass block-parity reconciliation.
+    """Cascade reconciliation with backtracking, then a random-subset check.
 
-    Each pass permutes the strings, compares block parities and bisects
-    all mismatched blocks in lockstep.  The block size starts near 0.73/eps
-    and doubles per pass up to n/2; the passes stop at the first n/2-sized
-    one unless `max_passes` fixes their number.  A final phase bisects
-    random half-size subsets whose parities differ, until
-    `subset_clean_target` consecutive subsets agree.  It has no round cap
-    and still ends: a disagreeing subset holds an odd number of errors, so
-    its bisection fixes one, and E errors allow at most (E + 1) * target.
+    Each pass puts bit i in slot slots[i] of a fresh random permutation,
+    compares the parities of consecutive blocks of slots and bisects every
+    block whose parities differ, all in lockstep, fixing one error in each.
+    The block size starts near 0.73/eps and doubles per pass up to n/2;
+    there are min(4, passes to reach n/2) passes unless `max_passes` fixes
+    their number.  Backtracking: a fixed bit flips the parity of its block
+    in every earlier pass, so after each bisection the newest pass that
+    has blocks with differing parities bisects them, until no pass has
+    any.  Each bisection fixes one error, so this ends.
+
+    A final phase bisects random half-size subsets whose parities differ,
+    until `subset_clean_target` consecutive subsets agree.  It has no round
+    cap and still ends: a disagreeing subset holds an odd number of errors,
+    so its bisection fixes one, and E errors allow at most
+    (E + 1) * target rounds.
 
     Each pass posts one "parity" message {"pass_block_parities": blocks,
-    "bisect_parities": m} to `log` (a private one when None), each subset
-    round one {"subset_size": s, "bisect_parities": m}, disclosing
-    blocks + m or 1 + m parities.  leaked_bits is the parity count this
-    call posted.
+    "bisect_parities": m} to `log` (a private one when None), where m
+    counts the parities of every bisection run until no pass has a block
+    left to bisect, backtracking into earlier passes included.  Each
+    subset round posts one {"subset_size": s, "bisect_parities": m}.  They
+    disclose blocks + m or 1 + m parities.  leaked_bits is the parity count
+    this call posted.
     """
     if len(alice) != len(bob):
         raise ValueError("keys must have equal length")
@@ -142,51 +153,68 @@ def bbbss_correct(alice: BitString, bob: BitString, eps_est: float,
         raise ValueError("eps_est must lie in [0, 0.5)")
     log = log or PublicChannelLog()
     posted_before = log.leaked_parity_count
-    a, b = alice.to_array(), bob.to_array()
+    errors = np.flatnonzero((alice ^ bob).to_array())   # those not yet fixed
     rounds = 0
 
     cap = max(2, n // 2)
     k = max(2, int(0.73 / eps_est) if eps_est > 0 else n // 4)
     k = min(k, cap)
     if max_passes is None:      # ceil(log2(cap / k)) doublings reach the cap
-        max_passes = 1 + (-(-cap // k) - 1).bit_length()
+        max_passes = min(4, 1 + (-(-cap // k) - 1).bit_length())
 
-    for _ in range(max_passes):
+    slots, sizes, odd = [], [], []      # per pass so far
+    for p in range(max_passes):
         rounds += 1
-        perm = rng.permutation(n)
-        pa, pb = a[perm], b[perm]
-        starts = np.arange(0, n, k)
-        par_a = np.bitwise_xor.reduceat(pa, starts)
-        par_b = np.bitwise_xor.reduceat(pb, starts)
-        lo = starts[par_a != par_b]
-        m = _bisect_blocks(pa, pb, lo, np.minimum(lo + k, n))
-        log.post("alice->bob", "parity", {"pass_block_parities": starts.size,
-                                          "bisect_parities": m},
-                 starts.size + m)
-        b[perm] = pb
-        k = min(2 * k, cap)
+        slots.append(rng.permutation(n).astype(np.int32))
+        sizes.append(min(k << p, cap))
+        blocks = -(-n // sizes[p])
+        odd.append(np.bincount(slots[p][errors] // sizes[p],
+                               minlength=blocks) & 1)
+        m = 0
+        while (q := next((r for r in range(p, -1, -1) if odd[r].any()),
+                         None)) is not None:
+            at = slots[q][errors]
+            order = np.argsort(at)
+            at = at[order]
+            lo = np.flatnonzero(odd[q]) * sizes[q]
+            found, disclosed = _bisect(at, lo, np.minimum(lo + sizes[q], n))
+            m += disclosed
+            hit = order[np.searchsorted(at, found)]
+            fixed, errors = errors[hit], np.delete(errors, hit)
+            for r in range(p + 1):
+                odd[r] ^= np.bincount(slots[r][fixed] // sizes[r],
+                                      minlength=odd[r].size) & 1
+        log.post("alice->bob", "parity", {"pass_block_parities": blocks,
+                                          "bisect_parities": m}, blocks + m)
 
-    # random-subset verification phase
+    # random-subset verification phase, on the packed difference
+    d = np.zeros(n, dtype=np.uint8)
+    d[errors] = 1
+    packed = np.packbits(d)
+    tail = (0xFF << (-n % 8)) & 0xFF    # the last byte's bits inside the key
     clean = 0
     while clean < subset_clean_target:
         rounds += 1
-        mask = rng.random(n) < 0.5
+        mask = rng.integers(0, 256, packed.size, dtype=np.uint8)
+        mask[-1] &= tail
         m = 0
-        if np.count_nonzero(a & mask) % 2 == np.count_nonzero(b & mask) % 2:
+        if not int(np.bitwise_xor.reduce(packed & mask)).bit_count() & 1:
             clean += 1
         else:
             clean = 0
-            idxs = np.flatnonzero(mask)
+            idxs = np.flatnonzero(np.unpackbits(mask, count=n))
             rng.shuffle(idxs)
-            pa, pb = a[idxs], b[idxs]
-            m = _bisect_blocks(pa, pb, np.array([0]), np.array([idxs.size]))
-            b[idxs] = pb
-        log.post("alice->bob", "parity", {"subset_size": int(mask.sum()),
-                                          "bisect_parities": m}, 1 + m)
+            [j], m = _bisect(np.flatnonzero(d[idxs]), np.array([0]),
+                             np.array([idxs.size]))
+            d[idxs[j]] = 0
+            packed = np.packbits(d)
+        log.post("alice->bob", "parity",
+                 {"subset_size": int(np.bincount(mask, minlength=256)
+                                     @ _POPCOUNT),
+                  "bisect_parities": m}, 1 + m)
 
     return ReconciliationResult(
-        corrected_alice=BitString.from_array(a),
-        corrected_bob=BitString.from_array(b),
+        corrected_alice=alice, corrected_bob=alice ^ BitString.from_array(d),
         leaked_bits=log.leaked_parity_count - posted_before, rounds=rounds)
 
 
@@ -408,7 +436,7 @@ class PipelineParams:
     qber_abort_threshold: float = 0.11
     safety_bits: int = 30
     eve_bound: str = "two_epsilon"     # or "entropy"
-    max_passes: Optional[int] = None   # None: until blocks reach n/2
+    max_passes: Optional[int] = None   # None: min(4, passes to reach n/2)
     subset_clean_target: int = 20
 
     def __post_init__(self):

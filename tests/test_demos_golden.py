@@ -3,6 +3,9 @@
 Every demo is seeded, so its output is a fixed function of the library.
 The digests were recorded with numpy 2.4; a change that alters any of
 them changes a printed figure and must be re-recorded on purpose.
+``03_key_distillation.py`` was re-recorded when reconciliation became
+Cascade with backtracking: 7409 parities disclosed instead of 8043, and
+longer keys.
 """
 
 import contextlib
@@ -21,7 +24,7 @@ GOLDEN = {
     "02_eavesdropping.py":
         "49e726f3cd11fccb25caba728894c51eae479efc5deb4c3916b2539cfd86cb86",
     "03_key_distillation.py":
-        "80c03de49fbdcafd75811f56ac8864d740c0ce5a692c1048b08de706f48f6a43",
+        "a62580cae0e438f9a61c37c919e4af21934b6e548d5877708d4e47bf1bfbebef",
     "04_bell_test.py":
         "9e6bd03698767fc6ce559b67d1e0a475b4d4d188306cdf8c39c712d0a79aa2ee",
     "05_rates_and_hardware.py":

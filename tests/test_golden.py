@@ -19,7 +19,11 @@ CHANGES.md.  The digests depend on numpy's Generator streams and were
 recorded with numpy 2.4.  The ``bbm92`` and ``e91`` digests and the CLI
 digests of ``e91_honest.cfg`` were re-recorded when the pair protocols
 came to run on the prepare-and-measure engine: the draws differ, the
-distributions do not.
+distributions do not.  The CLI digests of every ``run`` that reconciles
+(``bb84_honest.cfg`` and ``e91_honest.cfg``, text and JSON) and of
+``sweep bb84_honest.cfg`` were re-recorded when reconciliation became
+Cascade with backtracking: fewer parities are disclosed, so keys are
+longer, and the subset masks are drawn as packed bytes.
 """
 
 import hashlib
@@ -53,11 +57,11 @@ PULSES = 1500
 
 GOLDEN_CLI = {
     "run bb84_honest.cfg text":
-        "af6b6c19fdd788f109ab5d57c8b27ce94872b10b99ac2956663f7d31de11e3ac",
+        "a9af3a9f0fe12e31895dbd217f35cd7f5e044bfed4c92702216d55e6ebde0679",
     "run bb84_honest.cfg json":
-        "7e6a5dc567737477e5d5e951be6b14797fdd7b8f86dac5a48b90a319516ca28d",
+        "532fbd525e85dc7769335f0b92ddcddafaab678116989b46b0e78493a24fc09c",
     "sweep bb84_honest.cfg":
-        "d87b66f5bb10dc39375fbfcadc06237f4fae4d7402484e5d305516ff0e33bf9c",
+        "8f7a061a11bc52382dd64965f0aa5e6bc6c7e13b1c0c130f07e1b0047d1be9b2",
     "bell bb84_honest.cfg":
         "130ed44d84417f2c3fed5525293cc91972390731bfb9463091f6b5348221daa9",
     "run bb84_intercept.cfg text":
@@ -69,9 +73,9 @@ GOLDEN_CLI = {
     "bell bb84_intercept.cfg":
         "130ed44d84417f2c3fed5525293cc91972390731bfb9463091f6b5348221daa9",
     "run e91_honest.cfg text":
-        "07764ed7449d690d3453945efeeb040936427b9a7da6a355a0c8cf72dc2188eb",
+        "4d9eaff384c9ef766a4b66aa1e0bdcaeddb06347b38845cb49de81838e6a27ef",
     "run e91_honest.cfg json":
-        "d1b5954368368be85e146185fdaf10c8d0a84ef460a61440f947cac069cb609d",
+        "9ce282f6010fd98c0c03d8da699b9b391459b64dae5bf20fbd1e6f6e747902de",
     "sweep e91_honest.cfg":
         "eb79e79ec99acd5a3219ec05027e08d632db8fc89cfea1956eac6b585e3ad1aa",
     "bell e91_honest.cfg":

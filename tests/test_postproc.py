@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import math
@@ -17,6 +18,7 @@ from qkdsim.postproc import (PRODUCTION_PRIME, AuthConfig, NoSecureKey,
                              eve_information_per_bit, parity_knowledge,
                              privacy_amplify, remove_positions,
                              run_pipeline_on_keys, toeplitz_hash, verify)
+from qkdsim.rates import binary_entropy
 from qkdsim.rng import make_rng
 
 
@@ -136,49 +138,67 @@ def test_bbbss_validations():
         bbbss_correct(BitString([1, 0]), BitString([1, 0]), 0.7, rng)
 
 
-def _reference_bisect(pa, pb, lo, hi, log):
-    leaked = 0
+def _reference_bisect(a, b, bits, log):
+    """Bisect the bits `bits` (key indices, in search order), whose
+    parities differ, one half at a time; flip Bob's bit found."""
+    leaked, lo, hi = 0, 0, len(bits)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         leaked += 1
         log.post("alice->bob", "parity", {"range": (lo, mid)})
-        if pa[lo:mid].sum() % 2 != pb[lo:mid].sum() % 2:
+        if a[bits[lo:mid]].sum() % 2 != b[bits[lo:mid]].sum() % 2:
             hi = mid
         else:
             lo = mid
-    pb[lo] ^= 1
+    b[bits[lo]] ^= 1
     return leaked
 
 
-def reference_bbbss(alice, bob, eps_est, rng, max_passes, subset_clean_target,
-                    log):
-    """Scalar reference reconciliation: one bisection at a time, block by
-    block, with a fixed pass count."""
+def reference_cascade(alice, bob, eps_est, rng, max_passes,
+                      subset_clean_target, log):
+    """Scalar reference Cascade: one bisection at a time, block by block.
+
+    Each pass's blocks hold the bits in slot order (bit i sits in slot
+    perm[i] of the pass's permutation).  When the queue of blocks runs dry,
+    the parities of every block of every pass so far are compared afresh,
+    and the queue refills with the differing blocks of the newest pass that
+    has any.  Returns the keys, parities disclosed, rounds, whether the
+    subset phase ended, and the (newest pass, pass bisected) of each refill.
+    """
     a = alice.to_array().astype(np.int64)
     b = bob.to_array().astype(np.int64)
     n = a.size
     leaked = rounds = 0
-    k = min(max(2, int(0.73 / eps_est)), max(2, n // 2))
-    for _ in range(max_passes):
+    cap = max(2, n // 2)
+    k = min(max(2, int(0.73 / eps_est)), cap)
+    passes, refills = [], []
+    for p in range(max_passes):
         rounds += 1
-        perm = rng.permutation(n)
-        pa, pb = a[perm], b[perm]
-        starts = np.arange(0, n, k)
-        mismatched = (np.add.reduceat(pa, starts) % 2
-                      != np.add.reduceat(pb, starts) % 2)
-        leaked += starts.size
-        log.post("alice->bob", "parity", {"pass_block_parities": starts.size})
-        for blk in np.flatnonzero(mismatched):
-            lo = int(starts[blk])
-            leaked += _reference_bisect(pa, pb, lo, min(lo + k, n), log)
-        b[perm] = pb
-        k = min(2 * k, max(2, n // 2))
+        in_slot = np.argsort(rng.permutation(n))
+        size = min(k << p, cap)
+        passes.append([in_slot[s:s + size] for s in range(0, n, size)])
+        leaked += len(passes[p])
+        log.post("alice->bob", "parity",
+                 {"pass_block_parities": len(passes[p])})
+        queue = collections.deque()
+        while True:
+            if not queue:
+                differing = [[blk for blk in blocks
+                              if a[blk].sum() % 2 != b[blk].sum() % 2]
+                             for blocks in passes]
+                pending = [q for q in range(p + 1) if differing[q]]
+                if not pending:
+                    break
+                refills.append((p, pending[-1]))
+                queue.extend(differing[pending[-1]])
+            leaked += _reference_bisect(a, b, queue.popleft(), log)
     clean = subset_rounds = 0
     while (clean < subset_clean_target
            and subset_rounds < 50 * subset_clean_target + 200):
         subset_rounds += 1
         rounds += 1
-        mask = rng.random(n) < 0.5
+        mask_bytes = rng.integers(0, 256, -(-n // 8), dtype=np.uint8)
+        mask = np.unpackbits(mask_bytes)[:n].astype(bool)
         leaked += 1
         log.post("alice->bob", "parity", {"subset_size": int(mask.sum())})
         if a[mask].sum() % 2 == b[mask].sum() % 2:
@@ -187,33 +207,40 @@ def reference_bbbss(alice, bob, eps_est, rng, max_passes, subset_clean_target,
         clean = 0
         idxs = np.flatnonzero(mask)
         rng.shuffle(idxs)
-        pa, pb = a[idxs], b[idxs]
-        leaked += _reference_bisect(pa, pb, 0, idxs.size, log)
-        b[idxs] = pb
+        leaked += _reference_bisect(a, b, idxs, log)
     return (BitString.from_array(a), BitString.from_array(b), leaked, rounds,
-            clean >= subset_clean_target)
+            clean >= subset_clean_target), refills
 
 
-@pytest.mark.parametrize("n, eps, eps_est, seed", [   # eps_est None: eps
-    (5000, 0.03, None, 40),
-    (997, 0.08, None, 41),      # blocks of 9, the last one of 7
-    (301, 0.10, 0.3, 43),       # blocks of 2, the last one of 1
-    (302, 0.10, 0.2, 44),       # blocks of 3, the last one of 2
-    (7, 0.20, None, 45),        # blocks of 3, 3 and 1
-    (20000, 0.02, None, 46),
-    (4000, 0.05, 0.0073, 47),   # blocks of 100, five errors in each on average
-])
-def test_bbbss_lockstep_matches_scalar_reference(n, eps, eps_est, seed):
-    data_rng = make_rng(seed)
-    a = random_bits(n, data_rng)
-    b = flip_fraction(a, eps, data_rng)
-    eps_est = eps if eps_est is None else eps_est
+def backtracking_keys(n, eps_est, seed):
+    """Keys that differ in four bits x, y, w and v, placed with the first
+    two permutations make_rng(seed) draws: pass 1 holds x with y and w with
+    v, two blocks of even parity; pass 2 holds x alone, v alone and y with
+    w.  Pass 2 fixes x and v, which leaves pass 1's two blocks odd, so only
+    a re-bisection of pass 1 (backtracking) fixes y and w."""
+    rng = make_rng(seed)
+    k = int(0.73 / eps_est)
+    blk1, blk2 = rng.permutation(n) // k, rng.permutation(n) // (2 * k)
+    y = 0
+    w = np.flatnonzero((blk2 == blk2[y]) & (blk1 != blk1[y]))[0]
+    x = np.flatnonzero((blk1 == blk1[y]) & (blk2 != blk2[y]))[0]
+    v = np.flatnonzero((blk1 == blk1[w]) & (blk2 != blk2[y])
+                       & (blk2 != blk2[x]))[0]
+    a = random_bits(n, rng)
+    b = a.to_array().copy()
+    b[[x, y, w, v]] ^= 1
+    return a, BitString.from_array(b)
+
+
+def assert_matches_reference(a, b, eps_est, seed, passes):
+    """bbbss_correct and reference_cascade agree on the keys, the counts
+    and every log payload; returns the reference's refills."""
     log, ref_events = PublicChannelLog(), []
-    rec = bbbss_correct(a, b, eps_est, make_rng(seed + 1000), max_passes=4,
+    rec = bbbss_correct(a, b, eps_est, make_rng(seed), max_passes=passes,
                         log=log)
-    ref = reference_bbbss(a, b, eps_est, make_rng(seed + 1000), 4,
-                          20, SimpleNamespace(
-                              post=lambda *msg: ref_events.append(msg[2])))
+    ref, refills = reference_cascade(
+        a, b, eps_est, make_rng(seed), passes, 20,
+        SimpleNamespace(post=lambda *msg: ref_events.append(msg[2])))
     assert (rec.corrected_alice, rec.corrected_bob, rec.leaked_bits,
             rec.rounds, True) == ref
     # one message per pass or subset round: its header event and a count of
@@ -228,24 +255,60 @@ def test_bbbss_lockstep_matches_scalar_reference(n, eps, eps_est, seed):
     assert {(m["direction"], m["purpose"]) for m in log.messages} == {
         ("alice->bob", "parity")}
     assert log.leaked_parity_count == rec.leaked_bits
+    return refills
+
+
+@pytest.mark.parametrize("n, eps, eps_est, seed", [   # eps_est None: eps
+    (5000, 0.03, None, 40),
+    (997, 0.08, None, 41),      # blocks of 9, the last one of 7
+    (301, 0.10, 0.3, 43),       # blocks of 2, the last one of 1
+    (302, 0.10, 0.2, 44),       # blocks of 3, the last one of 2
+    (7, 0.20, None, 45),        # blocks of 3, 3 and 1
+    (20000, 0.02, None, 46),
+    (4000, 0.05, 0.0073, 47),   # blocks of 100, five errors in each on average
+    (1000, None, 0.0145, 51),   # eps None: backtracking_keys, blocks of 50
+])
+def test_bbbss_lockstep_matches_scalar_reference(n, eps, eps_est, seed):
+    if eps is None:
+        a, b = backtracking_keys(n, eps_est, seed + 1000)
+    else:
+        data_rng = make_rng(seed)
+        a = random_bits(n, data_rng)
+        b = flip_fraction(a, eps, data_rng)
+    eps_est = eps if eps_est is None else eps_est
+    refills = assert_matches_reference(a, b, eps_est, seed + 1000, 4)
+    if eps is None:     # pass 2 (index 1) sends the search back to pass 1
+        assert (1, 0) in refills
+
+
+def test_bbbss_subset_phase_matches_scalar_reference():
+    # one pass leaves errors, which the subset rounds bisect one at a time
+    data_rng = make_rng(52)
+    a = random_bits(2000, data_rng)
+    assert_matches_reference(a, flip_fraction(a, 0.05, data_rng), 0.05,
+                             1052, 1)
 
 
 def test_bbbss_passes_double_blocks_up_to_half_the_key():
-    n, eps = 10000, 0.03                # first block 24, cap 5000
-    rng = make_rng(48)
-    a = random_bits(n, rng)
-    b = flip_fraction(a, eps, rng)
-    sizes = [min(24 << i, n // 2) for i in range(12)]
+    # blocks start at 24 (0.73 / 0.03) and double up to n/2; by default at
+    # most four passes run, fewer when the blocks reach n/2 sooner
 
-    def pass_blocks(max_passes):
+    def pass_blocks(n, max_passes):
+        rng = make_rng(48)
+        a = random_bits(n, rng)
+        b = flip_fraction(a, 0.03, rng)
         log = PublicChannelLog()
-        bbbss_correct(a, b, eps, make_rng(49), max_passes=max_passes, log=log)
+        bbbss_correct(a, b, 0.03, make_rng(49), max_passes=max_passes, log=log)
         return [m["payload"]["pass_block_parities"] for m in log.messages
                 if "pass_block_parities" in m["payload"]]
 
-    assert pass_blocks(None) == [math.ceil(n / k) for k in sizes[:9]]
-    assert pass_blocks(3) == [math.ceil(n / k) for k in sizes[:3]]
-    assert pass_blocks(12) == [math.ceil(n / k) for k in sizes]
+    n = 10000                           # nine passes would reach n/2
+    sizes = [min(24 << i, n // 2) for i in range(12)]
+    assert pass_blocks(n, None) == [math.ceil(n / k) for k in sizes[:4]]
+    assert pass_blocks(n, 3) == [math.ceil(n / k) for k in sizes[:3]]
+    assert pass_blocks(n, 12) == [math.ceil(n / k) for k in sizes]
+    assert pass_blocks(100, None) == [5, 3, 2]      # blocks 24, 48, 50
+    assert pass_blocks(40, None) == [2]             # blocks 20: already n/2
 
 
 def test_bbbss_single_pass_leaves_many_errors_and_still_converges():
@@ -268,16 +331,21 @@ def test_pipeline_with_one_pass_distills_a_key():
 
 
 def test_bbbss_converges_at_a_million_bits():
-    # with too few passes, residual errors leave the subset phase finding
-    # them one per two O(n) rounds: superlinear in n
+    # four passes at any n, disclosing at most 1.2 times the Shannon limit;
+    # residual errors would leave the subset phase finding them one per two
+    # O(n) rounds
     n, eps = 1_000_000, 0.02
     rng = make_rng(50)
     a = random_bits(n, rng)
     b = flip_fraction(a, eps, rng)
-    rec = bbbss_correct(a, b, eps, rng)
-    passes = 1 + math.ceil(math.log2((n // 2) / int(0.73 / eps)))
+    errors = a.hamming_distance(b)
+    log = PublicChannelLog()
+    rec = bbbss_correct(a, b, eps, rng, log=log)
+    passes = sum("pass_block_parities" in m["payload"] for m in log.messages)
     assert rec.corrected_alice == rec.corrected_bob == a
+    assert passes == 4
     assert rec.rounds - passes <= 20 + 10
+    assert rec.leaked_bits <= 1.2 * n * binary_entropy(errors / n)
 
 
 # ---------------------------------------------------------------------------
@@ -747,7 +815,7 @@ def test_pipeline_aborts_at_an_estimate_of_one_half():
 
 def test_pipeline_aborts_when_eve_bound_eats_key():
     rng = make_rng(25)
-    n = 600
+    n = 200
     a = random_bits(n, rng)
     b = flip_fraction(a, 0.10, rng)
     res = run_pipeline_on_keys(a, b, PipelineParams(), rng)
@@ -803,13 +871,13 @@ ABORT_CASES = {
                  ("estimation", "nothing left after sampling", 0.02,
                   0, 0, 0, 1)),
     "privacy_amplification": (
-        600, 0.10, 25, PipelineParams(),
+        200, 0.10, 25, PipelineParams(),
         ("privacy_amplification",
-         "no secure key extractable: n=540, k=665, s=30",
-         0.06666666666666667, 593, 665, 0, 87)),
+         "no secure key extractable: n=180, k=166, s=30",
+         0.1, 130, 166, 0, 26)),
     "verification": (3000, 0.02, 63, PipelineParams(),
                      ("verification", "corrected keys differ",
-                      0.02666666666666667, 493, 637, 0, 31)),
+                      0.02666666666666667, 473, 617, 0, 28)),
 }
 
 
@@ -844,9 +912,9 @@ TAG_FAILURES = {
                     0.023, 0, 0, 1),
     "reconciliation_summary": (
         "authentication", "reconciliation_summary tag failed verification",
-        0.023, 3173, 0, 32),
+        0.023, 3025, 0, 26),
     "key_verification": ("verification", "corrected keys differ",
-                         0.023, 3173, 4001, 34)}
+                         0.023, 3025, 3853, 28)}
 
 
 @pytest.mark.parametrize("failing_call, purpose", [
