@@ -24,7 +24,7 @@ KINDS = ("none", "intercept_resend", "beam_split", "pns", "usd_b92")
 PAIR_OVERLAP = 2 ** -0.5    # |<a|b>| of the two states a 'pair' announces
 
 NOTHING = -1    # Eve learned nothing about the pulse
-HELD = -2       # Eve holds the state: a stored photon or a conclusive USD
+HELD = -2       # Eve holds the state: a stored photon or a conclusive result
 
 
 @dataclass(frozen=True)
@@ -96,27 +96,30 @@ def _eve_choice(strategy: EveStrategy, count: int, size: int,
 
 
 def attack_batch(strategy: EveStrategy, n: np.ndarray, state_idx: np.ndarray,
-                 p_one: np.ndarray, eigen_idx: np.ndarray, ch: ChannelModel,
-                 rng: np.random.Generator,
-                 b92_states: Optional[tuple[SignalState, SignalState]] = None,
+                 table, ch: ChannelModel, rng: np.random.Generator,
                  ) -> BatchAttack:
     """Apply a strategy to a stream of pulses.
 
-    n, state_idx:  per-pulse photon counts and state-table indices.
-    p_one:         (K, M) projection probabilities onto outcome 1 for
-                   table state k measured in basis m.
-    eigen_idx:     (M, 2) table index of each basis eigenstate.
+    n, state_idx:  per-pulse photon counts and indices into `table`, the
+                   session's ``protocols.StateTable``: Eve measures in its
+                   bases and resends its states; Alice sends those with a
+                   key bit.
 
     intercept_resend measures every non-vacuum pulse with an ideal detector
     (``measure_batch`` on a lossless, noiseless ``click_law``: conflicting
     projections give a random bit) and resends one photon in the observed
-    eigenstate.  beam_split diverts each photon with the tap
-    probability and forwards the rest over a line whose loss keeps Bob's
-    total transmittance.  pns keeps one photon of every multi-photon pulse,
-    forwards the rest losslessly and blocks single photons with
-    block_single_prob.  usd_b92 forwards a perfect copy of each conclusive
-    discrimination, throttled to the honest detection rate (possible while
-    transmittance < 1 - overlap); failures become vacuum.
+    eigenstate.  An outcome that rules out all but one state Alice sends
+    (B92's conclusive result) gives Eve the bit whatever is announced, so
+    it is recorded as HELD; for a multi-photon pulse a double click's coin
+    can hide such an outcome, so there the record is a lower bound.
+    beam_split diverts each photon with the tap probability and forwards
+    the rest over a line whose loss keeps Bob's total transmittance.  pns
+    keeps one photon of every multi-photon pulse, forwards the rest
+    losslessly and blocks single photons with block_single_prob.  usd_b92
+    discriminates the two states Alice sends (it refuses a table with any
+    other count) and forwards a perfect copy of each conclusive result,
+    throttled to the honest detection rate (possible while transmittance
+    < 1 - overlap); failures become vacuum.
     """
     npulses = n.shape[0]
     eve_basis = np.full(npulses, NOTHING, dtype=np.int8)
@@ -125,11 +128,17 @@ def attack_batch(strategy: EveStrategy, n: np.ndarray, state_idx: np.ndarray,
         return BatchAttack(n, state_idx, False, eve_basis)
 
     if strategy.kind == "intercept_resend":
-        eb = _eve_choice(strategy, p_one.shape[1], npulses, rng)
-        law = click_law(p_one, None, 1.0, 0.0, 0.0, int(n.max(initial=0)))
+        eb = _eve_choice(strategy, len(table.bases), npulses, rng)
+        law = click_law(table.p_one, None, 1.0, 0.0, 0.0,
+                        int(n.max(initial=0)))
         bit = measure_batch(n, state_idx, eb, law, rng)
         sent = bit != NO_CLICK
-        s_out = np.where(sent, eigen_idx[eb, bit], state_idx)
+        s_out = np.where(sent, table.eigen_idx[eb, bit], state_idx)
+        # [basis, outcome] that only one of the states Alice sends can give
+        p = table.p_one[table.bit >= 0]
+        conclusive = (np.stack([1 - p, p], -1) > 1e-9).sum(axis=0) == 1
+        if conclusive.any():
+            eb[conclusive[eb, bit]] = HELD
         eb[~sent] = NOTHING             # a vacuum pulse tells Eve nothing
         return BatchAttack(sent.astype(n.dtype), s_out, False, eb)
 
@@ -158,9 +167,10 @@ def attack_batch(strategy: EveStrategy, n: np.ndarray, state_idx: np.ndarray,
         return BatchAttack(n_out, state_idx, True, eve_basis)
 
     if strategy.kind == "usd_b92":
-        if b92_states is None:
+        pair = [st for st, b in zip(table.states, table.bit) if b >= 0]
+        if len(pair) != 2:
             raise ValueError("usd_b92 requires the B92 state pair")
-        p_succ = usd_success_prob(*b92_states)
+        p_succ = usd_success_prob(*pair)
         success = (n > 0) & (rng.random(npulses) < p_succ)
         forwarded = success & (rng.random(npulses)
                                < min(1.0, ch.transmittance / p_succ))
@@ -179,9 +189,10 @@ def resolve_known_bits(eve_basis: np.ndarray, alice_basis: np.ndarray,
 
     A measurement made in Alice's announced basis gave Eve the bit.
     ``alice_basis`` names that basis among Bob's, the ones Eve measures
-    in; an index past Bob's last means he has none that matches (E91's 0
-    degrees).  A held state yields the bit after a 'basis' announcement
-    (BB84-style: Eve measures it in the announced basis); after a 'pair'
+    in; an index past Bob's last means he has none that matches (B92; E91's
+    0 degrees).  A held state yields the bit after a 'basis' announcement
+    (BB84-style: Eve measures it in the announced basis, or her result was
+    conclusive already); after a 'pair'
     announcement (SARG-style) only when unambiguous discrimination of the
     two announced non-orthogonal states succeeds, with probability
     1 - PAIR_OVERLAP.

@@ -2,8 +2,9 @@
 and the entanglement-based BBM92 and E91 schemes.
 
 All seven protocols share one engine, ``_run_prepare_measure``, driven by a
-``PrepareMeasureSpec`` per protocol (state table, basis choice, photon
-sampler, sift rule, announcement).  The pair protocols run on it by remote
+``PrepareMeasureSpec`` per protocol (state table, photon pmf, sift rule,
+announcement); Alice's, Bob's and Eve's bases are read from the
+``StateTable`` alone.  The pair protocols run on it by remote
 preparation: Alice's outcome of a singlet measured at spin angle theta
 leaves Bob's particle in an eigenstate of the polarization basis at
 theta / 2, so a singlet source at Alice's side is an ideal source of those
@@ -245,31 +246,18 @@ def _biased_choice(rng, n, num_options, primary_prob):
     return out
 
 
-def _source_photons(cfg, src):
-    """Photon counts drawn from the source model; no tags.  The cumulative
-    pmf is built once per session, not per slice."""
-    edges = np.cumsum(photon_pmf(src))[:-1]
-    return (len(edges),
-            lambda rng, m: (sample_photon_number(src, rng, m, edges), None))
-
-
 def _decoy_photons(cfg, src):
     """Randomly interleaved decoy pulses; the source fixes the emitter
-    family.  (Intensity, photon number) is one draw from the mixture of
+    family.  (Intensity, photon number) is one cell of the mixture of
     Poisson(signal_mu) and, with decoy_fraction, Poisson(decoy_mu), each
-    truncated by ``photon_pmf`` (decoy_mu = 0: vacuum).  Tags: decoy mask."""
+    truncated by ``photon_pmf`` (decoy_mu = 0: vacuum), laid end to end:
+    the decoy's cells start after the signal's."""
     if src.kind != "attenuated_laser":
         raise ValueError("decoy_bb84 requires an attenuated_laser source")
     signal, decoy = (photon_pmf(SourceModel.laser(mu)) if mu else np.ones(1)
                      for mu in (cfg.signal_mu, cfg.decoy_mu))
-    edges = np.cumsum(np.concatenate(((1.0 - cfg.decoy_fraction) * signal,
-                                      cfg.decoy_fraction * decoy)))[:-1]
-    counts = np.concatenate((np.arange(len(signal)), np.arange(len(decoy))))
-
-    def draw(rng, m):
-        cell = np.searchsorted(edges, rng.random(m), side="right")
-        return counts[cell], cell >= len(signal)
-    return max(len(signal), len(decoy)) - 1, draw
+    return (np.concatenate(((1.0 - cfg.decoy_fraction) * signal,
+                            cfg.decoy_fraction * decoy)), len(signal))
 
 
 def _intensity_stats(cfg, counts) -> dict:
@@ -280,8 +268,8 @@ def _intensity_stats(cfg, counts) -> dict:
                 ("signal", "decoy"), (cfg.signal_mu, cfg.decoy_mu), counts)}
 
 
-# Sift rules: (table, sent state indices, Alice's bases as Bob's (see
-# PrepareMeasureSpec.bob_basis), Bob's bases, outcomes) -> (sift mask, Bob's
+# Sift rules: (table, sent state indices, Bob's basis that fits Alice's
+# (see ``_fitting_bases``), Bob's bases, outcomes) -> (sift mask, Bob's
 # per-pulse bit).
 
 def _sift_basis(table, sent, a_bases, b_bases, outcomes):
@@ -312,30 +300,23 @@ def _sift_pair(table, sent, a_bases, b_bases, outcomes):
 class PrepareMeasureSpec:
     """What distinguishes one prepare-and-measure protocol from another.
 
-    table:        ProtocolConfig -> StateTable; state 2*basis + bit is sent.
-    alice_basis:  Alice draws a basis per pulse; otherwise (B92) the bit
-                  alone picks the state and her basis is recorded as 0.
-    photons:      (cfg, src) -> (largest photon count, draw), draw(rng, m) ->
-                  (photon counts of m pulses, intensity tags or None).
+    table:        ProtocolConfig -> StateTable, all that says what is sent
+                  and measured: Alice sends state 2*basis + bit, with half
+                  as many bases as states that carry a key bit (B92: one,
+                  so the bit alone picks the state); Bob measures in its
+                  bases, ``_fitting_bases`` naming his that fits each of hers.
+    photons:      (cfg, src) -> (pmf over cells, first decoy cell or None);
+                  cell c holds c photons, a decoy cell c - first decoy cell.
     sift:         sift rule, see ``_sift_basis``.
     announcement: what sifting discloses to Eve ('basis' or 'pair').
-    usd_pair:     hand the first two table states to the attack as the B92
-                  pair that unambiguous discrimination targets.
-    bob_basis:    int8 array: for each of Alice's bases (she has as many
-                  as Bob), Bob's basis that measures it, or one past Bob's
-                  last where none does (E91's 0 degrees); None: the
-                  identity.  Sifting and Eve's knowledge compare through it.
     chsh:         CHSH setting pair -> (Alice's basis, Bob's basis) whose
                   +/-1 products the session collects.
     """
 
     table: Callable[[ProtocolConfig], StateTable]
-    alice_basis: bool = True
-    photons: Callable = _source_photons
+    photons: Callable = lambda cfg, src: (photon_pmf(src), None)
     sift: Callable = _sift_basis
     announcement: str = "basis"
-    usd_pair: bool = False
-    bob_basis: Optional[np.ndarray] = None
     chsh: Optional[dict] = None
 
 
@@ -343,22 +324,28 @@ _PREPARE_MEASURE = {
     "bb84": PrepareMeasureSpec(lambda cfg: bb84_table()),
     "six_state": PrepareMeasureSpec(lambda cfg: six_state_table()),
     "b92": PrepareMeasureSpec(lambda cfg: b92_table(cfg.b92_overlap),
-                              alice_basis=False, sift=_sift_conclusive,
-                              usd_pair=True),
+                              sift=_sift_conclusive),
     "sarg": PrepareMeasureSpec(lambda cfg: bb84_table(), sift=_sift_pair,
                                announcement="pair"),
     "decoy_bb84": PrepareMeasureSpec(lambda cfg: bb84_table(),
                                      photons=_decoy_photons),
     "e91": PrepareMeasureSpec(
         lambda cfg: e91_table(),
-        bob_basis=np.array([_E91_BOB.index(a) if a in _E91_BOB
-                            else len(_E91_BOB) for a in _E91_ALICE],
-                           dtype=np.int8),
         chsh={(x, y): (_E91_ALICE.index(getattr(bell.MAXIMAL_SETTINGS, x)),
                        _E91_BOB.index(getattr(bell.MAXIMAL_SETTINGS, y)))
               for x, y in bell.SETTING_PAIRS}),
 }
 _PREPARE_MEASURE["bbm92"] = _PREPARE_MEASURE["bb84"]
+
+
+def _fitting_bases(table: StateTable) -> np.ndarray:
+    """For each of Alice's bases i, Bob's basis whose eigenstates are her
+    states (2i, 2i+1), or one past his last where none is (B92; E91's 0
+    degrees).  Sifting and Eve's knowledge compare through it."""
+    pairs = np.arange(np.count_nonzero(table.bit >= 0)).reshape(-1, 1, 2)
+    hit = (table.eigen_idx == pairs).all(axis=-1)      # [Alice's, Bob's]
+    return np.where(hit.any(axis=1), hit.argmax(axis=1),
+                    len(table.bases)).astype(np.int8)
 
 
 def _run_prepare_measure(spec: PrepareMeasureSpec, cfg: ProtocolConfig,
@@ -370,11 +357,12 @@ def _run_prepare_measure(spec: PrepareMeasureSpec, cfg: ProtocolConfig,
     knowledge, slice by slice (see the slice rule above); decoy sessions
     also count pulses sent and detected per intensity."""
     table = spec.table(cfg)
-    n_max, draw_photons = spec.photons(cfg, src)
+    fitting = _fitting_bases(table)
+    pmf, first_decoy = spec.photons(cfg, src)
     laws = {consumed: click_law(            # keyed by atk.channel_consumed
         table.p_one, table.flip,
         det.efficiency * (1.0 if consumed else ch.transmittance),
-        ch.misalignment_error_prob, det.dark_prob, n_max)
+        ch.misalignment_error_prob, det.dark_prob, len(pmf) - 1)
         for consumed in (False, True)}
     kept, detections = [], 0
     intensity = []      # per slice: (sent, detected) of signal and decoy
@@ -384,20 +372,18 @@ def _run_prepare_measure(spec: PrepareMeasureSpec, cfg: ProtocolConfig,
     for lo in range(0, max(cfg.num_pulses, 1), CHUNK):
         m = min(CHUNK, cfg.num_pulses - lo)
         bits = rng.integers(0, 2, size=m, dtype=np.int8)
-        a_bases = (_biased_choice(rng, m, len(table.bases), cfg.basis_bias)
-                   if spec.alice_basis else np.zeros(m, dtype=np.int8))
+        a_bases = _biased_choice(rng, m, len(fitting), cfg.basis_bias)
         b_bases = _biased_choice(rng, m, len(table.bases), cfg.basis_bias)
         sent = 2 * a_bases + bits
-        n, tags = draw_photons(rng, m)
+        cells = sample_photon_number(pmf, rng, m)
+        tags = None if first_decoy is None else cells >= first_decoy
+        n = cells if tags is None else cells - first_decoy * tags
 
-        atk = adversary.attack_batch(
-            eve, n, sent, table.p_one, table.eigen_idx, ch, rng,
-            b92_states=table.states[:2] if spec.usd_pair else None)
+        atk = adversary.attack_batch(eve, n, sent, table, ch, rng)
         outcomes = measure_batch(atk.n, atk.state_idx, b_bases,
                                  laws[atk.channel_consumed], rng)
 
-        matched = (a_bases if spec.bob_basis is None    # Bob's basis that
-                   else spec.bob_basis.take(a_bases))   # fits Alice's
+        matched = fitting.take(a_bases)     # Bob's basis that fits Alice's
         sift, bob_bits = spec.sift(table, sent, matched, b_bases, outcomes)
         clicked = outcomes != NO_CLICK
         if tags is not None:

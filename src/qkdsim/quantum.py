@@ -165,17 +165,17 @@ def photon_pmf(src: SourceModel) -> np.ndarray:
     return pmf[:n_max + 1]
 
 
-def sample_photon_number(src: SourceModel, rng: np.random.Generator,
-                         size: int, edges=None) -> np.ndarray:
-    """Draw the photon counts of `size` pulses: the ideal source draws
-    nothing, any other inverts the cumulative ``photon_pmf`` (exact but for
-    its truncation) at one uniform per pulse.  `edges`, that cumulative pmf
-    without its last entry, is computed here unless the caller passes it."""
-    if src.kind == "ideal_single_photon":
-        return np.ones(size, dtype=np.int8)
-    if edges is None:
-        edges = np.cumsum(photon_pmf(src))[:-1]
-    return np.searchsorted(edges, rng.random(size), side="right")
+def sample_photon_number(pmf: np.ndarray, rng: np.random.Generator,
+                         size: int) -> np.ndarray:
+    """Draw the cells of `size` pulses from `pmf` (a ``photon_pmf``, or a
+    mixture of them laid end to end): one uniform per pulse inverts the
+    cumulative pmf, and nothing is drawn when one cell holds all the mass
+    (the ideal source)."""
+    cells = np.flatnonzero(pmf)
+    if cells.size == 1:
+        return np.full(size, cells[0], dtype=np.int8)
+    return np.searchsorted(np.cumsum(pmf)[:-1], rng.random(size),
+                           side="right")
 
 
 def g2(src: SourceModel) -> float:

@@ -16,7 +16,7 @@ from qkdsim.cli import main as cli_main
 from qkdsim.postproc import advantage_distill, bbbss_correct, parity_knowledge
 from qkdsim.protocols import ProtocolConfig, run_session
 from qkdsim.quantum import (ChannelModel, DetectorModel, SourceModel,
-                            sample_photon_number)
+                            photon_pmf, sample_photon_number)
 from qkdsim.rates import (binary_entropy, decoy_estimate, optimize_mu,
                           gllp_pulse_rate, shor_preskill_cutoff,
                           usd_threshold, yield_Yn)
@@ -58,8 +58,8 @@ def test_criterion_2_six_state_statistics():
 
 
 def test_criterion_3_poisson_photon_statistics():
-    draws = sample_photon_number(SourceModel.laser(0.1), make_rng(104),
-                                 size=1000000)
+    draws = sample_photon_number(photon_pmf(SourceModel.laser(0.1)),
+                                 make_rng(104), size=1000000)
     p0 = (draws == 0).mean()
     p1 = (draws == 1).mean()
     pm = (draws >= 2).mean()

@@ -12,11 +12,10 @@ from qkdsim.rng import make_rng
 BB84 = bb84_table()     # states H, V, A, D; bases rectilinear, diagonal
 
 
-def attack(eve, n, idx, ch=ChannelModel(), rng=None, table=BB84, **kw):
+def attack(eve, n, idx, ch=ChannelModel(), rng=None, table=BB84):
     return attack_batch(eve, np.asarray(n, dtype=np.int64),
-                        np.asarray(idx, dtype=np.int64), table.p_one,
-                        table.eigen_idx, ch,
-                        rng if rng is not None else make_rng(0), **kw)
+                        np.asarray(idx, dtype=np.int64), table, ch,
+                        rng if rng is not None else make_rng(0))
 
 
 def test_strategy_validation():
@@ -65,6 +64,24 @@ def test_intercept_resend_learns_nothing_from_a_vacuum_pulse():
     assert known.tolist() == [False, True]
 
 
+def test_intercept_resend_holds_a_conclusive_b92_result():
+    # in basis 0 (phi1-perp, phi1) outcome 0 rules out phi1: Eve holds the
+    # bit of that pulse, resent as phi1-perp (state 3); outcome 1 fits
+    # both states Alice sends and tells her nothing
+    table = b92_table(2 ** -0.5)
+    eve = EveStrategy("intercept_resend", fixed_basis=0)
+    atk = attack(eve, np.ones(20000), np.zeros(20000), rng=make_rng(18),
+                 table=table)
+    held = atk.eve_basis == HELD
+    assert np.array_equal(held, atk.state_idx == 3)
+    assert (atk.eve_basis[~held] == 0).all()
+    assert (atk.state_idx[~held] == 1).all()
+    assert held.mean() == pytest.approx(0.5, abs=0.02)
+    # no BB84 outcome rules out three of the four states
+    bb84 = attack(eve, np.ones(200), np.arange(200) % 4, rng=make_rng(19))
+    assert (bb84.eve_basis == 0).all()
+
+
 def test_beam_split_preserves_bob_rate():
     # tap = channel loss, forward losslessly: Bob sees the honest statistics
     ch = ChannelModel(length_km=30.0, attenuation_db_per_km=0.2)  # T ~ 0.25
@@ -111,7 +128,7 @@ def test_usd_forwards_perfect_copies_at_honest_rate():
     ch = ChannelModel(length_km=10.0, attenuation_db_per_km=0.7)  # T ~ 0.2
     trials = 100000
     atk = attack(EveStrategy("usd_b92"), np.ones(trials), np.zeros(trials),
-                 ch, make_rng(8), table=table, b92_states=table.states[:2])
+                 ch, make_rng(8), table=table)
     fwd = atk.n > 0
     assert fwd.mean() == pytest.approx(ch.transmittance, abs=0.005)
     assert (atk.n[fwd] == 1).all() and (atk.state_idx[fwd] == 0).all()
@@ -134,8 +151,7 @@ def test_batch_none_is_identity():
     table = bb84_table()
     n = np.ones(100, dtype=np.int64)
     idx = np.zeros(100, dtype=np.int64)
-    atk = attack_batch(NO_EVE, n, idx, table.p_one, table.eigen_idx,
-                       ChannelModel(), make_rng(10))
+    atk = attack_batch(NO_EVE, n, idx, table, ChannelModel(), make_rng(10))
     assert np.array_equal(atk.n, n) and not atk.channel_consumed
     assert (atk.eve_basis == NOTHING).all()
 
@@ -147,8 +163,7 @@ def test_batch_intercept_matches_scalar_statistics():
     n = np.ones(N, dtype=np.int64)
     idx = np.zeros(N, dtype=np.int64)      # all H
     eve = EveStrategy("intercept_resend")
-    atk = attack_batch(eve, n, idx, table.p_one, table.eigen_idx,
-                       ChannelModel(), rng)
+    atk = attack_batch(eve, n, idx, table, ChannelModel(), rng)
     wrong_basis = atk.eve_basis == 1
     assert abs(wrong_basis.mean() - 0.5) < 0.005
     # diagonal resends (A = 2, D = 3) carry a random bit, rectilinear ones H

@@ -23,7 +23,10 @@ distributions do not.  The CLI digests of every ``run`` that reconciles
 (``bb84_honest.cfg`` and ``e91_honest.cfg``, text and JSON) and of
 ``sweep bb84_honest.cfg`` were re-recorded when reconciliation became
 Cascade with backtracking: fewer parities are disclosed, so keys are
-longer, and the subset masks are drawn as packed bytes.
+longer, and the subset masks are drawn as packed bytes.  The ``b92``
+digests of both transcript matrices were re-recorded when Eve's B92
+intercept-resend knowledge came to be her conclusive results, not her
+basis label: only ``eve_known_hex`` moved.
 """
 
 import hashlib
@@ -84,7 +87,7 @@ GOLDEN_CLI = {
 
 GOLDEN_TRANSCRIPTS = {
     "bb84": "1ce7728524b69e9f68c5038d763984cc2b8934de202ee5d73414ada7412d5ef2",
-    "b92": "de4b6352179245258bf2592ff5b29482e75bc6e07070ad97db81848ef26b5145",
+    "b92": "721e93c98c7b7b4e8deb07f4a5101d4b00421d07aa5f2b0a1f3e5c8c74f47b06",
     "six_state":
         "9c7c07d86e08d7152ad370415e92a0c1cf15250c0ae5aeae9c75a0c72ca29acf",
     "sarg": "1ef246970e7591c33a5cf47b3c9e8fb089f1e2fd7ece0e048fc21c82052d20f3",
@@ -158,7 +161,7 @@ CHUNK_EVES = (EveStrategy("none"), EveStrategy("intercept_resend"),
 
 GOLDEN_MULTI_CHUNK = {
     "bb84": "623cb3d234997d48e5e13006bb5a8234ea6ad497db4ffd22cec125c29059b0b9",
-    "b92": "4d56dfcac91c9378bbfab09bba79a1c1b2cb8f6fcc635270c0e4765449300ff9",
+    "b92": "e6f9eb7924ecc45660bfe739dfa2bec7dc5b53a85ffdfeda52ca368cf6e9ce7e",
     "six_state":
         "df098e1052cd8d91130d18f7143c8868af90425a8855bbc43baf17639dcee234",
     "sarg": "ea937c52086001571d0b09d33b5f7b8b55261853fd40c4d797d71ee15de14b95",

@@ -7,10 +7,11 @@ import pytest
 
 from qkdsim.adversary import EveStrategy, NO_EVE
 from qkdsim.bell import MAXIMAL_SETTINGS, chsh_estimate
-from qkdsim.protocols import (PROTOCOLS, ProtocolConfig, _decoy_photons,
-                              b92_states, run_session)
+from qkdsim.protocols import (_PREPARE_MEASURE, PROTOCOLS, ProtocolConfig,
+                              _decoy_photons, _fitting_bases, b92_states,
+                              run_session)
 from qkdsim.quantum import (CHUNK, ChannelModel, DetectorModel, SourceModel,
-                            channel_preset, photon_pmf)
+                            channel_preset, photon_pmf, sample_photon_number)
 from qkdsim.rng import derive_rng
 
 IDEAL = SourceModel.ideal()
@@ -155,6 +156,28 @@ def test_b92_intercept_resend_introduces_errors():
     assert t.qber > 0.1
 
 
+@pytest.mark.parametrize("fixed_basis", [None, 0, 1])
+def test_b92_intercept_resend_knowledge_is_the_conclusive_half(fixed_basis):
+    # Eve knows a bit only from a conclusive result, whichever basis she
+    # measures in: half the sifted bits, at QBER 1/3
+    eve = EveStrategy("intercept_resend", fixed_basis=fixed_basis)
+    t = run("b92", 200000, 19, eve=eve)
+    n = len(t.sifted_alice)
+    for value, p in ((t.eve_known_fraction, 1 / 2), (t.qber, 1 / 3)):
+        assert abs(value - p) <= 5 * math.sqrt(p * (1 - p) / n), (value, p)
+
+
+@pytest.mark.parametrize("protocol, fitting", [
+    ("bb84", [0, 1]), ("six_state", [0, 1, 2]), ("sarg", [0, 1]),
+    ("decoy_bb84", [0, 1]), ("bbm92", [0, 1]),
+    ("e91", [3, 0, 1]),     # Bob has no 0 degrees
+    ("b92", [2])])          # no basis of Bob's has phi0, phi1 as eigenstates
+def test_bob_basis_fitting_each_of_alices_is_read_from_the_table(protocol,
+                                                                 fitting):
+    table = _PREPARE_MEASURE[protocol].table(ProtocolConfig(protocol, 1))
+    assert _fitting_bases(table).tolist() == fitting
+
+
 def test_sarg_honest():
     t = run("sarg", 200000, 10)
     assert t.sifted_fraction == pytest.approx(0.25, abs=0.01)
@@ -186,9 +209,12 @@ def test_decoy_bb84_gains_match_intensities():
 def test_decoy_draw_matches_the_mixture(decoy_mu):
     cfg = ProtocolConfig("decoy_bb84", 1, signal_mu=0.8, decoy_mu=decoy_mu,
                          decoy_fraction=0.12)
-    n_max, draw = _decoy_photons(cfg, SourceModel.laser(0.8))
+    pmf, first_decoy = _decoy_photons(cfg, SourceModel.laser(0.8))
+    n_max = max(first_decoy, len(pmf) - first_decoy) - 1
     N = 400000
-    n, decoy = draw(derive_rng(17, 0), N)
+    cells = sample_photon_number(pmf, derive_rng(17, 0), N)
+    decoy = cells >= first_decoy
+    n = cells - first_decoy * decoy
     assert n.max() <= n_max == len(photon_pmf(SourceModel.laser(0.8))) - 1
 
     def within_5_sigma(hits, total, p):

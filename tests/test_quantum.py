@@ -46,7 +46,7 @@ def test_source_pmf_poisson():
 
 def test_source_sampling_matches_pmf():
     src = SourceModel.laser(0.5)
-    draws = sample_photon_number(src, make_rng(3), size=200000)
+    draws = sample_photon_number(photon_pmf(src), make_rng(3), size=200000)
     assert (draws == 0).mean() == pytest.approx(src.pmf(0), abs=0.005)
     assert (draws == 1).mean() == pytest.approx(src.pmf(1), abs=0.005)
 
@@ -59,7 +59,7 @@ def within_5_sigma(hits, N, p):
                                  SourceModel.heralded(0.6, 0.05)])
 def test_photon_number_frequencies_match_pmf(src):
     N = 200000
-    draws = sample_photon_number(src, make_rng(14), size=N)
+    draws = sample_photon_number(photon_pmf(src), make_rng(14), size=N)
     for n in range(4):
         assert within_5_sigma(int((draws == n).sum()), N, src.pmf(n)), n
 
@@ -77,8 +77,18 @@ def test_photon_pmf_truncated_tail_is_below_the_bound(src):
     assert n_max == 0 or tail + src.pmf(n_max) >= 2.0 ** -53
     assert pmf[:-1].tolist() == [src.pmf(n) for n in range(n_max)]
     assert pmf[-1] == pytest.approx(src.pmf(n_max) + tail, rel=1e-12)
-    draws = sample_photon_number(src, make_rng(15), size=100000)
+    draws = sample_photon_number(pmf, make_rng(15), size=100000)
     assert draws.min() >= 0 and draws.max() <= n_max
+
+
+@pytest.mark.parametrize("pmf", [photon_pmf(SourceModel.ideal()),
+                                 photon_pmf(SourceModel.heralded(0.0, 0.0)),
+                                 np.array([0.0, 0.0, 1.0])])
+def test_a_one_cell_pmf_draws_nothing(pmf):
+    rng = make_rng(18)
+    draws = sample_photon_number(pmf, rng, size=1000)
+    assert np.array_equal(rng.random(8), make_rng(18).random(8))
+    assert (draws == np.flatnonzero(pmf)[0]).all() and draws.shape == (1000,)
 
 
 def test_photon_pmf_refuses_a_table_beyond_ten_thousand_counts():
