@@ -1,6 +1,9 @@
-"""Classical post-processing over an authenticated public channel:
-error-rate estimation, interactive parity reconciliation, privacy
-amplification, advantage distillation, and message authentication.
+"""Classical post-processing: error-rate estimation, interactive parity
+reconciliation, privacy amplification, advantage distillation, and
+message authentication.  The pipeline assumes an authenticated public
+channel (ROADMAP item 5) and checks one tag, on the corrected keys
+(``deception_probability``).  Privacy amplification charges Eve the
+leaked parities plus ceil(n h(eps)) for n reconciled bits at error eps.
 """
 
 from __future__ import annotations
@@ -435,7 +438,6 @@ class PipelineParams:
     sample_fraction: float = 0.1
     qber_abort_threshold: float = 0.11
     safety_bits: int = 30
-    eve_bound: str = "two_epsilon"     # or "entropy"
     max_passes: Optional[int] = None   # None: min(4, passes to reach n/2)
     subset_clean_target: int = 20
 
@@ -448,8 +450,6 @@ class PipelineParams:
             raise ValueError("safety_bits must be >= 0")
         if self.subset_clean_target < 1:
             raise ValueError("subset_clean_target must be >= 1")
-        if self.eve_bound not in ("two_epsilon", "entropy"):
-            raise ValueError("eve_bound must be 'two_epsilon' or 'entropy'")
         if self.max_passes is not None and not (
                 type(self.max_passes) is int and self.max_passes >= 1):
             raise ValueError("max_passes must be None or an integer >= 1, "
@@ -472,17 +472,6 @@ class FinalKeyResult:
         return self.abort_stage is not None
 
 
-def eve_information_per_bit(epsilon: float, model: str) -> float:
-    """Eve's assumed information per sifted bit as a function of the error
-    rate: 2*eps for the simulated individual attacks, h(eps) for the
-    entropy-based accounting."""
-    if model == "two_epsilon":
-        return min(1.0, 2.0 * epsilon)
-    if model == "entropy":
-        return binary_entropy(min(0.5, epsilon))
-    raise ValueError(f"unknown eve bound model {model!r}")
-
-
 def parity_knowledge(p: float, n: int) -> float:
     """Probability of knowing the XOR of n independent bits when each bit
     is known with probability p.  Equals (1 + eps^n) / 2 for eps = 2p - 1:
@@ -499,16 +488,17 @@ def parity_knowledge(p: float, n: int) -> float:
 def run_pipeline(transcript, params: PipelineParams,
                  rng: np.random.Generator) -> FinalKeyResult:
     """Estimation -> abort check -> reconciliation -> privacy amplification
-    -> key verification on a session transcript.  Three messages carry
-    tags: the QBER sample and the reconciliation summary (``leaked_bits``
-    and ``rounds`` as two 64-bit big-endian fields), each checked against
-    the bits it was computed from, and Alice's corrected key, checked
-    against Bob's, so keys that differ pass with probability at most
-    ``deception_probability``.  The parities and the PA seed go out
-    untagged.  Abort stages: "estimation" (empty key, QBER over threshold,
-    nothing left after the sample), "authentication" (the sample or
-    summary tag fails), "privacy_amplification" (no key left) and
-    "verification" (Bob's key fails Alice's tag), with counts so far."""
+    -> key verification on a session transcript.  The public channel is
+    assumed authenticated: the QBER sample, parities, reconciliation
+    summary and PA seed go out untagged.  One tag is checked, Alice's
+    tag of her corrected key against Bob's corrected key, so keys that
+    differ pass with probability at most ``deception_probability``.  PA
+    keeps n - leaked - ceil(n h(eps)) - safety_bits of the n reconciled
+    bits at the estimated error rate eps; ``eve_bound_bits`` is
+    leaked + ceil(n h(eps)).  Abort stages: "estimation" (empty key, QBER
+    over threshold, nothing left after the sample),
+    "privacy_amplification" (no key left) and "verification" (Bob's key
+    fails Alice's tag), with counts so far."""
     return run_pipeline_on_keys(transcript.sifted_alice,
                                 transcript.sifted_bob, params, rng)
 
@@ -518,24 +508,16 @@ def run_pipeline_on_keys(sifted_alice: BitString, sifted_bob: BitString,
                          rng: np.random.Generator) -> FinalKeyResult:
     log = PublicChannelLog()
     n0 = len(sifted_alice)
+    # one tag, 64 pads: the PA seed is drawn after them, so fewer moves keys
     auth = AuthConfig.fresh(rng, degree=max(64, n0 // 32), pool_tags=64)
     eps, leaked, k = 0.0, 0, 0
-
-    def send(direction, purpose, payload_bits: BitString, payload) -> None:
-        tag = authenticate(payload_bits, auth)
-        log.post(direction, purpose, payload)
-        if not verify(payload_bits, tag, auth):
-            raise _Abort("authentication",
-                         f"{purpose} tag failed verification")
-
     try:
         if n0 == 0:
             raise _Abort("estimation", "empty sifted key")
         eps, positions = estimate_qber(sifted_alice, sifted_bob,
                                        params.sample_fraction, rng)
-        disclosed = BitString.from_array(sifted_alice.to_array()[positions])
-        send("both", "qber_sample", disclosed,
-             {"positions": len(positions), "epsilon": eps})
+        log.post("both", "qber_sample",
+                 {"positions": len(positions), "epsilon": eps})
         alice = remove_positions(sifted_alice, positions)
         bob = remove_positions(sifted_bob, positions)
         if eps > params.qber_abort_threshold:
@@ -552,13 +534,10 @@ def run_pipeline_on_keys(sifted_alice: BitString, sifted_bob: BitString,
                             subset_clean_target=params.subset_clean_target,
                             log=log)
         leaked = rec.leaked_bits
-        summary = np.array([leaked, rec.rounds], dtype=">u8")
-        send("alice->bob", "reconciliation_summary",
-             BitString.from_array(np.unpackbits(summary.view(np.uint8))),
-             {"leaked_bits": leaked, "rounds": rec.rounds})
+        log.post("alice->bob", "reconciliation_summary",
+                 {"leaked_bits": leaked, "rounds": rec.rounds})
 
-        k = leaked + math.ceil(len(rec.corrected_alice) *
-                               eve_information_per_bit(eps, params.eve_bound))
+        k = leaked + math.ceil(len(rec.corrected_alice) * binary_entropy(eps))
         try:
             final_a, _ = privacy_amplify(rec.corrected_alice, k,
                                          params.safety_bits, rng, log=log)

@@ -226,7 +226,9 @@ def e91_table() -> StateTable:
     return StateTable.build(states, bob, bit=[0, 1] * 3 + [-1, -1])
 
 
-# SARG announcement chain: H->A, A->V, V->D, D->H (table order H,V,A,D)
+# SARG partner of each state (table order H, V, A, D): H with A, V with D.
+# Each pair carries equal bits, so the announced pair reveals the bit
+# (ROADMAP item 1).
 _SARG_PARTNER = np.array([2, 3, 0, 1], dtype=np.int8)
 
 

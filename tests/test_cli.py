@@ -75,6 +75,8 @@ def test_unknown_field_reports_path():
         parse_scenario(dict(BASE, typo_field=1))
     with pytest.raises(ConfigError, match="detector"):
         parse_scenario(dict(BASE, detector={"preset": "ideal", "gain": 2}))
+    with pytest.raises(ConfigError, match="postproc"):
+        parse_scenario(dict(BASE, postproc={"eve_bound": "entropy"}))
 
 
 def test_bad_max_passes_is_config_error(tmp_path, capsys):
@@ -137,8 +139,7 @@ def test_readme_scenario_example_parses_as_documented():
     assert s.eve == EveStrategy("pns", block_single_prob=0.5)
     assert s.pipeline == PipelineParams(sample_fraction=0.1,
                                         qber_abort_threshold=0.11,
-                                        safety_bits=30,
-                                        eve_bound="two_epsilon")
+                                        safety_bits=30)
 
 
 def _default_cases(model):

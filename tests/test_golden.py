@@ -26,7 +26,11 @@ Cascade with backtracking: fewer parities are disclosed, so keys are
 longer, and the subset masks are drawn as packed bytes.  The ``b92``
 digests of both transcript matrices were re-recorded when Eve's B92
 intercept-resend knowledge came to be her conclusive results, not her
-basis label: only ``eve_known_hex`` moved.
+basis label: only ``eve_known_hex`` moved.  The CLI digests of ``run
+bb84_honest.cfg`` (text and JSON) and ``sweep bb84_honest.cfg`` were
+re-recorded when privacy amplification came to charge Eve ceil(n h(eps))
+instead of 2 eps per bit: the keys are shorter.  ``e91_honest.cfg`` runs
+at an error rate of 0, where both charges are 0.
 """
 
 import hashlib
@@ -60,11 +64,11 @@ PULSES = 1500
 
 GOLDEN_CLI = {
     "run bb84_honest.cfg text":
-        "a9af3a9f0fe12e31895dbd217f35cd7f5e044bfed4c92702216d55e6ebde0679",
+        "a3fc2cb01168a350211b949641c5bb43eb9097e014c7d703f7eeea0bdddc373d",
     "run bb84_honest.cfg json":
-        "532fbd525e85dc7769335f0b92ddcddafaab678116989b46b0e78493a24fc09c",
+        "6e81d8b869e11538546eac4164172db4d3ca1b4ab44518ee7e03cc41bdf72019",
     "sweep bb84_honest.cfg":
-        "8f7a061a11bc52382dd64965f0aa5e6bc6c7e13b1c0c130f07e1b0047d1be9b2",
+        "a9004aebaaa23f1c43ce2da3393f9ca2b00ec51c89e56979aa4e219b8722d48e",
     "bell bb84_honest.cfg":
         "130ed44d84417f2c3fed5525293cc91972390731bfb9463091f6b5348221daa9",
     "run bb84_intercept.cfg text":

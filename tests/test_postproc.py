@@ -15,9 +15,9 @@ from qkdsim.postproc import (PRODUCTION_PRIME, AuthConfig, NoSecureKey,
                              OtpPoolExhausted, PipelineParams,
                              PublicChannelLog, advantage_distill,
                              authenticate, bbbss_correct, estimate_qber,
-                             eve_information_per_bit, parity_knowledge,
-                             privacy_amplify, remove_positions,
-                             run_pipeline_on_keys, toeplitz_hash, verify)
+                             parity_knowledge, privacy_amplify,
+                             remove_positions, run_pipeline_on_keys,
+                             toeplitz_hash, verify)
 from qkdsim.rates import binary_entropy
 from qkdsim.rng import make_rng
 
@@ -486,9 +486,9 @@ def test_key_verification_checks_bob_corrected_key(monkeypatch):
     a = random_bits(6000, rng)
     res = run_pipeline_on_keys(a, flip_fraction(a, 0.02, rng),
                                PipelineParams(), rng)
-    assert not res.aborted and len(checked) == 3
-    # the QBER sample, the summary, then Bob's own corrected key
-    assert checked[2] is seen["rec"].corrected_bob
+    # the one tag, checked against Bob's own corrected key
+    assert not res.aborted and len(checked) == 1
+    assert checked[0] is seen["rec"].corrected_bob
 
 
 @pytest.mark.parametrize("seed", range(1, 11))
@@ -722,35 +722,8 @@ def test_key_verification_tag_fits_the_pipeline_degree(monkeypatch, n0):
     rng = make_rng(67)
     a = random_bits(n0, rng)
     res = run_pipeline_on_keys(a, a, PipelineParams(), rng)
-    assert not res.aborted and len(tagged) == 3
-    assert tagged[2] == (n0 - math.ceil(0.1 * n0), max(64, n0 // 32))
-
-
-def test_reconciliation_summary_tag_covers_leaked_bits(monkeypatch):
-    real_bbbss, real_authenticate = postproc.bbbss_correct, postproc.authenticate
-    messages = []
-
-    def record(message, cfg):
-        messages.append(message)
-        return real_authenticate(message, cfg)
-
-    monkeypatch.setattr(postproc, "authenticate", record)
-    summaries = []
-    for extra_leak in (0, 1):
-        def bbbss(*args, **kwargs):
-            rec = real_bbbss(*args, **kwargs)
-            rec.leaked_bits += extra_leak
-            return rec
-
-        monkeypatch.setattr(postproc, "bbbss_correct", bbbss)
-        messages.clear()
-        rng = make_rng(28)
-        a = random_bits(5000, rng)
-        res = run_pipeline_on_keys(a, flip_fraction(a, 0.02, rng),
-                                   PipelineParams(), rng)
-        assert res.final_key is not None and len(messages) == 3
-        summaries.append(messages[1])   # qber sample, summary, Alice's key
-    assert summaries[0] != summaries[1]
+    assert not res.aborted
+    assert tagged == [(n0 - math.ceil(0.1 * n0), max(64, n0 // 32))]
 
 
 def test_prime_must_fit_the_64_bit_digit_product():
@@ -823,12 +796,19 @@ def test_pipeline_aborts_when_eve_bound_eats_key():
     assert res.abort_stage == "privacy_amplification"
 
 
-def test_eve_bound_models():
-    assert eve_information_per_bit(0.1, "two_epsilon") == pytest.approx(0.2)
-    assert eve_information_per_bit(0.1, "entropy") == pytest.approx(
-        -(0.1 * math.log2(0.1)) - 0.9 * math.log2(0.9))
-    with pytest.raises(ValueError):
-        eve_information_per_bit(0.1, "optimism")
+@pytest.mark.parametrize("n, eps, seed", [
+    (5000, 0.0, 29), (5000, 0.02, 30), (20000, 0.05, 31), (100000, 0.08, 32),
+])
+def test_privacy_amplification_charges_leaked_plus_n_h_eps(n, eps, seed):
+    rng = make_rng(seed)
+    a = random_bits(n, rng)
+    res = run_pipeline_on_keys(a, flip_fraction(a, eps, rng),
+                               PipelineParams(), rng)
+    assert not res.aborted
+    m = n - math.ceil(0.1 * n)      # the reconciled length
+    assert res.eve_bound_bits == res.leaked_bits + math.ceil(
+        m * binary_entropy(res.qber_estimate))
+    assert res.final_length == m - res.eve_bound_bits - 30
 
 
 @pytest.mark.parametrize("bad", [0, -1, 2.5, "4", True])
@@ -860,7 +840,8 @@ def test_pipeline_params_accepts_none_and_positive_max_passes():
 
 # case -> (n, eps, seed, params, (abort_stage, abort_reason, qber_estimate,
 # leaked_bits, eve_bound_bits, final_length, messages)), recorded before
-# the abort paths were funnelled into one exit
+# the abort paths were funnelled into one exit; eve_bound_bits follows the
+# leaked + ceil(n h(eps)) rule
 ABORT_CASES = {
     "empty": (0, 0.0, 60, PipelineParams(),
               ("estimation", "empty sifted key", 0.0, 0, 0, 0, 0)),
@@ -873,11 +854,11 @@ ABORT_CASES = {
     "privacy_amplification": (
         200, 0.10, 25, PipelineParams(),
         ("privacy_amplification",
-         "no secure key extractable: n=180, k=166, s=30",
-         0.1, 130, 166, 0, 26)),
+         "no secure key extractable: n=180, k=215, s=30",
+         0.1, 130, 215, 0, 26)),
     "verification": (3000, 0.02, 63, PipelineParams(),
                      ("verification", "corrected keys differ",
-                      0.02666666666666667, 473, 617, 0, 28)),
+                      0.02666666666666667, 473, 952, 0, 28)),
 }
 
 
@@ -908,19 +889,12 @@ def test_pipeline_abort_results(monkeypatch, case):
 # purpose -> (abort_stage, abort_reason, qber_estimate, leaked_bits,
 # eve_bound_bits, messages)
 TAG_FAILURES = {
-    "qber_sample": ("authentication", "qber_sample tag failed verification",
-                    0.023, 0, 0, 1),
-    "reconciliation_summary": (
-        "authentication", "reconciliation_summary tag failed verification",
-        0.023, 3025, 0, 26),
     "key_verification": ("verification", "corrected keys differ",
-                         0.023, 3025, 3853, 28)}
+                         0.023, 3025, 5869, 28)}
 
 
 @pytest.mark.parametrize("failing_call, purpose", [
-    (1, "qber_sample"),
-    (2, "reconciliation_summary"),
-    (3, "key_verification"),
+    (1, "key_verification"),
 ])
 def test_pipeline_aborts_when_a_tag_fails_verification(monkeypatch,
                                                        failing_call, purpose):

@@ -49,8 +49,8 @@ SCENARIOS = {
         "detector": {"efficiency": 1, "dark_prob": 0},
         "eve": {"kind": "none"},
         "postproc": {"sample_fraction": 0.15, "qber_abort_threshold": 0.11,
-                     "safety_bits": 20, "eve_bound": "entropy",
-                     "max_passes": 6, "subset_clean_target": 15},
+                     "safety_bits": 20, "max_passes": 6,
+                     "subset_clean_target": 15},
     },
     "laser_presets_pns": {
         "protocol": "bb84", "num_pulses": 3e3, "seed": 8.0,
@@ -74,7 +74,7 @@ SCENARIOS = {
         "source": {"kind": "laser", "mu": 0.6},
         "channel": {"preset": "fiber_1300", "length_km": 5},
         "eve": {"kind": "beam_split", "tap_ratio": 0.3},
-        "postproc": {"eve_bound": "two_epsilon", "max_passes": None},
+        "postproc": {"max_passes": None},
     },
     "b92_usd": {
         "protocol": "b92", "num_pulses": 3000, "seed": 11,
