@@ -133,12 +133,14 @@ def attack_batch(strategy: EveStrategy, n: np.ndarray, state_idx: np.ndarray,
                         int(n.max(initial=0)))
         bit = measure_batch(n, state_idx, eb, law, rng)
         sent = bit != NO_CLICK
-        s_out = np.where(sent, table.eigen_idx[eb, bit], state_idx)
+        # flat [basis, outcome] index; a vacuum pulse's is discarded below
+        seen = 2 * eb + np.maximum(bit, 0)
+        s_out = np.where(sent, table.eigen_idx.ravel().take(seen), state_idx)
         # [basis, outcome] that only one of the states Alice sends can give
         p = table.p_one[table.bit >= 0]
         conclusive = (np.stack([1 - p, p], -1) > 1e-9).sum(axis=0) == 1
         if conclusive.any():
-            eb[conclusive[eb, bit]] = HELD
+            eb[conclusive.ravel().take(seen)] = HELD
         eb[~sent] = NOTHING             # a vacuum pulse tells Eve nothing
         return BatchAttack(sent.astype(n.dtype), s_out, False, eb)
 

@@ -74,7 +74,7 @@ def estimate_qber(alice: BitString, bob: BitString, sample_fraction: float,
 def remove_positions(key: BitString, positions: np.ndarray) -> BitString:
     keep = np.ones(len(key), dtype=bool)
     keep[positions] = False
-    return BitString.from_array(key.to_array()[keep])
+    return BitString.from_array(np.compress(keep, key.to_array()))
 
 
 # ---------------------------------------------------------------------------
@@ -496,9 +496,9 @@ def run_pipeline(transcript, params: PipelineParams,
     keeps n - leaked - ceil(n h(eps)) - safety_bits of the n reconciled
     bits at the estimated error rate eps; ``eve_bound_bits`` is
     leaked + ceil(n h(eps)).  Abort stages: "estimation" (empty key, QBER
-    over threshold, nothing left after the sample),
-    "privacy_amplification" (no key left) and "verification" (Bob's key
-    fails Alice's tag), with counts so far."""
+    over threshold, nothing left after the sample; all before the sample
+    is dropped), "privacy_amplification" (no key left) and "verification"
+    (Bob's key fails Alice's tag), with counts so far."""
     return run_pipeline_on_keys(transcript.sifted_alice,
                                 transcript.sifted_bob, params, rng)
 
@@ -518,16 +518,16 @@ def run_pipeline_on_keys(sifted_alice: BitString, sifted_bob: BitString,
                                        params.sample_fraction, rng)
         log.post("both", "qber_sample",
                  {"positions": len(positions), "epsilon": eps})
-        alice = remove_positions(sifted_alice, positions)
-        bob = remove_positions(sifted_bob, positions)
         if eps > params.qber_abort_threshold:
             raise _Abort("estimation", f"error rate {eps:.4f} above threshold "
                                        f"{params.qber_abort_threshold}")
         if eps >= 0.5:      # no key at 0.5, and reconciliation needs less
             raise _Abort("estimation",
                          f"error rate {eps:.4f} is not below 0.5")
-        if len(alice) == 0:
+        if len(positions) == n0:
             raise _Abort("estimation", "nothing left after sampling")
+        alice = remove_positions(sifted_alice, positions)
+        bob = remove_positions(sifted_bob, positions)
 
         rec = bbbss_correct(alice, bob, max(eps, 1.0 / max(3, len(alice))),
                             rng, max_passes=params.max_passes,

@@ -19,9 +19,11 @@ Slice rule: a session runs as consecutive slices of at most
 attack, channel and detection as one ``quantum.measure_batch`` draw per
 pulse, sift, and Eve's knowledge by
 ``adversary.resolve_known_bits``) before the next is drawn from the same
-generator.  Only the sifted bits, Eve's known bits of them and the counts
-outlive a slice, so a session's memory grows with its sifted key, not with
-its pulse count.  A session of at most ``CHUNK`` pulses is one slice.
+generator.  A slice keeps the sifted pulses' bits, Bob's bits and Eve's
+known mask through one index gather (``np.flatnonzero`` of the sift, then
+``take``); only these and the counts outlive it, so a session's memory
+grows with its sifted key, not with its pulse count.  A session of at most
+``CHUNK`` pulses is one slice.
 """
 
 from __future__ import annotations
@@ -243,8 +245,9 @@ def _biased_choice(rng, n, num_options, primary_prob):
     rest = rng.random(n) >= primary_prob
     out = rest.astype(np.int8)
     if num_options > 2:
-        out[rest] += rng.integers(0, num_options - 1, size=int(rest.sum()),
-                                  dtype=np.int8)
+        idx = np.flatnonzero(rest)
+        out[idx] += rng.integers(0, num_options - 1, size=idx.size,
+                                 dtype=np.int8)
     return out
 
 
@@ -290,7 +293,8 @@ def _sift_pair(table, sent, a_bases, b_bases, outcomes):
     state, fixed partner); Bob is conclusive when his measured eigenstate is
     orthogonal to one announced state, which identifies the other as
     Alice's."""
-    measured_state = table.eigen_idx[b_bases, np.maximum(outcomes, 0)]
+    measured_state = table.eigen_idx.ravel().take(
+        2 * b_bases + np.maximum(outcomes, 0))
     partner = _SARG_PARTNER[sent]
     orth_to_sent = measured_state == table.flip[sent]
     orth_to_partner = measured_state == table.flip[partner]
@@ -388,21 +392,25 @@ def _run_prepare_measure(spec: PrepareMeasureSpec, cfg: ProtocolConfig,
         matched = fitting.take(a_bases)     # Bob's basis that fits Alice's
         sift, bob_bits = spec.sift(table, sent, matched, b_bases, outcomes)
         clicked = outcomes != NO_CLICK
+        clicks = int(np.count_nonzero(clicked))
         if tags is not None:
-            intensity.append([(mask.sum(), clicked[mask].sum())
-                              for mask in (~tags, tags)])
+            decoys = np.count_nonzero(tags)
+            decoy_clicks = np.count_nonzero(clicked & tags)
+            intensity.append([(m - decoys, clicks - decoy_clicks),
+                              (decoys, decoy_clicks)])
         if chsh:
             # Alice's a = 1 - 2 bit and Bob's b = 2 outcome - 1 (his bit
             # before the flip that aligns the keys): a b = -1 on equal bits
             product = (bits != outcomes).astype(np.int8) * 2 - 1
             for ai, bi, products in chsh.values():
-                products.append(product[clicked & (a_bases == ai)
-                                        & (b_bases == bi)])
+                products.append(np.compress(
+                    clicked & (a_bases == ai) & (b_bases == bi), product))
         # resolved over every pulse, so its draws do not depend on the sift
         known = adversary.resolve_known_bits(atk.eve_basis, matched,
                                              spec.announcement, rng)
-        kept.append((bits[sift], bob_bits[sift], known[sift]))
-        detections += int(clicked.sum())
+        keep = np.flatnonzero(sift)
+        kept.append((bits.take(keep), bob_bits.take(keep), known.take(keep)))
+        detections += clicks
 
     alice, bob, known = (BitString.from_array(np.concatenate(part))
                          for part in zip(*kept))

@@ -5,8 +5,11 @@ from qkdsim.adversary import (HELD, NO_EVE, NOTHING, EveStrategy,
                               attack_batch, resolve_known_bits,
                               usd_success_prob)
 from qkdsim.protocols import (ProtocolConfig, b92_states, b92_table,
-                              bb84_table, run_session)
-from qkdsim.quantum import ChannelModel, DetectorModel, SourceModel
+                              bb84_table, e91_table, run_session,
+                              six_state_table)
+from qkdsim.quantum import (NO_CLICK, ChannelModel, DetectorModel,
+                            SourceModel, click_law, measure_batch,
+                            photon_pmf, sample_photon_number)
 from qkdsim.rng import make_rng
 
 BB84 = bb84_table()     # states H, V, A, D; bases rectilinear, diagonal
@@ -80,6 +83,30 @@ def test_intercept_resend_holds_a_conclusive_b92_result():
     # no BB84 outcome rules out three of the four states
     bb84 = attack(eve, np.ones(200), np.arange(200) % 4, rng=make_rng(19))
     assert (bb84.eve_basis == 0).all()
+
+
+@pytest.mark.parametrize("table", [bb84_table(), six_state_table(),
+                                   b92_table(2 ** -0.5), e91_table()],
+                         ids=["bb84", "six_state", "b92", "e91"])
+def test_intercept_resend_forwards_the_observed_eigenstate(table):
+    # a laser at mu = 0.5 sends vacuum, single- and multi-photon pulses;
+    # the reference replays Eve's two draws and reads eigen_idx[basis, bit]
+    N = 20000
+    n = sample_photon_number(photon_pmf(SourceModel.laser(0.5)),
+                             make_rng(20), N)
+    sent = make_rng(21).integers(0, np.count_nonzero(table.bit >= 0), N)
+    atk = attack(EveStrategy("intercept_resend"), n, sent, rng=make_rng(22),
+                 table=table)
+    rng = make_rng(22)
+    eb = rng.integers(0, len(table.bases), size=N, dtype=np.int8)
+    law = click_law(table.p_one, None, 1.0, 0.0, 0.0, int(n.max()))
+    bit = measure_batch(n, sent, eb, law, rng)
+    clicked = bit != NO_CLICK
+    assert (n == 0).any() and (n > 1).any()
+    assert np.array_equal(clicked, n > 0) and np.array_equal(atk.n, clicked)
+    assert np.array_equal(atk.state_idx, np.where(
+        clicked, table.eigen_idx[eb, np.maximum(bit, 0)], sent))
+    assert (atk.eve_basis[~clicked] == NOTHING).all()
 
 
 def test_beam_split_preserves_bob_rate():

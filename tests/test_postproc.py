@@ -886,6 +886,27 @@ def test_pipeline_abort_results(monkeypatch, case):
     assert res.final_key is None
 
 
+@pytest.mark.parametrize("case, calls", [("qber", 0), ("sampling", 0),
+                                         ("key", 2)])
+def test_estimation_aborts_before_the_sample_is_dropped(monkeypatch, case,
+                                                        calls):
+    counted = []
+    real_remove = postproc.remove_positions
+
+    def counting_remove(key, positions):
+        counted.append(len(key))
+        return real_remove(key, positions)
+
+    monkeypatch.setattr(postproc, "remove_positions", counting_remove)
+    n, eps, seed, params, _ = ABORT_CASES.get(
+        case, (3000, 0.02, 64, PipelineParams(), None))
+    rng = make_rng(seed)
+    a = random_bits(n, rng)
+    res = run_pipeline_on_keys(a, flip_fraction(a, eps, rng), params, rng)
+    assert (res.abort_stage, len(counted)) == (
+        "estimation" if calls == 0 else None, calls)
+
+
 # purpose -> (abort_stage, abort_reason, qber_estimate, leaked_bits,
 # eve_bound_bits, messages)
 TAG_FAILURES = {
