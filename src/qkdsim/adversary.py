@@ -3,11 +3,14 @@ one place that decides what Eve learns, for all seven protocols.
 
 ``attack_batch`` attacks the pulses flying to Bob (for BBM92 and E91,
 Bob's particle, which Alice's measurement prepared; see ``protocols``)
-and records per pulse what Eve took (``eve_basis``).
-``resolve_known_bits`` turns that record into Eve's knowledge once the
-sifting announcement is public.  Eve's own optics are noiseless and
-lossless (worst-case convention: all imperfections belong to the
-legitimate hardware, all information to Eve).
+and records per pulse what Eve took (``eve_seen``): the basis and outcome
+of her measurement, or a photon she holds.  ``resolve_known_bits`` turns
+that record into Eve's knowledge once the sifting announcement is public,
+by the readout table that also sifts Bob's results
+(``protocols._readout``): a measurement reveals the bit when only one
+announced candidate for Alice's state can give its outcome.  Eve's own
+optics are noiseless and lossless (worst-case convention: all
+imperfections belong to the legitimate hardware, all information to Eve).
 """
 
 from __future__ import annotations
@@ -21,10 +24,10 @@ from .quantum import (NO_CLICK, ChannelModel, SignalState, click_law,
                       measure_batch)
 
 KINDS = ("none", "intercept_resend", "beam_split", "pns", "usd_b92")
-PAIR_OVERLAP = 2 ** -0.5    # |<a|b>| of the two states a 'pair' announces
+PAIR_OVERLAP = 2 ** -0.5    # |<a|b>| of the two states SARG announces
 
 NOTHING = -1    # Eve learned nothing about the pulse
-HELD = -2       # Eve holds the state: a stored photon or a conclusive result
+HELD = -2       # Eve holds the state: a stored photon or a USD result
 
 
 @dataclass(frozen=True)
@@ -70,7 +73,8 @@ class BatchAttack:
     n: np.ndarray                # forwarded photon counts
     state_idx: np.ndarray        # forwarded state table indices
     channel_consumed: bool       # True when Eve replaced the lossy line
-    eve_basis: np.ndarray        # int8: NOTHING, HELD or a basis index
+    eve_seen: np.ndarray         # int8: NOTHING, HELD or the readout
+                                 # index 3 * basis + outcome + 1
 
 
 # ---------------------------------------------------------------------------
@@ -107,11 +111,11 @@ def attack_batch(strategy: EveStrategy, n: np.ndarray, state_idx: np.ndarray,
 
     intercept_resend measures every non-vacuum pulse with an ideal detector
     (``measure_batch`` on a lossless, noiseless ``click_law``: conflicting
-    projections give a random bit) and resends one photon in the observed
-    eigenstate.  An outcome that rules out all but one state Alice sends
-    (B92's conclusive result) gives Eve the bit whatever is announced, so
-    it is recorded as HELD; for a multi-photon pulse a double click's coin
-    can hide such an outcome, so there the record is a lower bound.
+    projections give a random bit), resends one photon in the observed
+    eigenstate and records the basis and outcome (a vacuum pulse's is
+    NO_CLICK, which reveals nothing).  For a multi-photon pulse a double
+    click's coin can hide an outcome that would reveal the bit, so there
+    the record is a lower bound on what Eve learns.
     beam_split diverts each photon with the tap probability and forwards
     the rest over a line whose loss keeps Bob's total transmittance.  pns
     keeps one photon of every multi-photon pulse, forwards the rest
@@ -119,13 +123,14 @@ def attack_batch(strategy: EveStrategy, n: np.ndarray, state_idx: np.ndarray,
     discriminates the two states Alice sends (it refuses a table with any
     other count) and forwards a perfect copy of each conclusive result,
     throttled to the honest detection rate (possible while transmittance
-    < 1 - overlap); failures become vacuum.
+    < 1 - overlap); failures become vacuum.  These three mark HELD the
+    pulses whose state Eve holds.
     """
     npulses = n.shape[0]
-    eve_basis = np.full(npulses, NOTHING, dtype=np.int8)
+    eve_seen = np.full(npulses, NOTHING, dtype=np.int8)
 
     if strategy.kind == "none":
-        return BatchAttack(n, state_idx, False, eve_basis)
+        return BatchAttack(n, state_idx, False, eve_seen)
 
     if strategy.kind == "intercept_resend":
         eb = _eve_choice(strategy, len(table.bases), npulses, rng)
@@ -133,16 +138,10 @@ def attack_batch(strategy: EveStrategy, n: np.ndarray, state_idx: np.ndarray,
                         int(n.max(initial=0)))
         bit = measure_batch(n, state_idx, eb, law, rng)
         sent = bit != NO_CLICK
-        # flat [basis, outcome] index; a vacuum pulse's is discarded below
-        seen = 2 * eb + np.maximum(bit, 0)
-        s_out = np.where(sent, table.eigen_idx.ravel().take(seen), state_idx)
-        # [basis, outcome] that only one of the states Alice sends can give
-        p = table.p_one[table.bit >= 0]
-        conclusive = (np.stack([1 - p, p], -1) > 1e-9).sum(axis=0) == 1
-        if conclusive.any():
-            eb[conclusive.ravel().take(seen)] = HELD
-        eb[~sent] = NOTHING             # a vacuum pulse tells Eve nothing
-        return BatchAttack(sent.astype(n.dtype), s_out, False, eb)
+        s_out = np.where(sent, table.eigen_idx.ravel().take(
+            2 * eb + np.maximum(bit, 0)), state_idx)
+        return BatchAttack(sent.astype(n.dtype), s_out, False,
+                           3 * eb + bit + 1)
 
     if strategy.kind == "beam_split":
         eta = ch.transmittance
@@ -153,8 +152,8 @@ def attack_batch(strategy: EveStrategy, n: np.ndarray, state_idx: np.ndarray,
         k_eve = rng.binomial(n, tap)
         eta_fwd = min(1.0, eta / (1.0 - tap)) if tap < 1.0 else 1.0
         n_out = rng.binomial(n - k_eve, eta_fwd)
-        eve_basis[k_eve >= 1] = HELD
-        return BatchAttack(n_out, state_idx, True, eve_basis)
+        eve_seen[k_eve >= 1] = HELD
+        return BatchAttack(n_out, state_idx, True, eve_seen)
 
     if strategy.kind == "pns":
         multi = n >= 2
@@ -165,8 +164,8 @@ def attack_batch(strategy: EveStrategy, n: np.ndarray, state_idx: np.ndarray,
             blocked = single & (rng.random(npulses)
                                 < strategy.block_single_prob)
             n_out[blocked] = 0
-        eve_basis[multi] = HELD
-        return BatchAttack(n_out, state_idx, True, eve_basis)
+        eve_seen[multi] = HELD
+        return BatchAttack(n_out, state_idx, True, eve_seen)
 
     if strategy.kind == "usd_b92":
         pair = [st for st, b in zip(table.states, table.bit) if b >= 0]
@@ -177,32 +176,31 @@ def attack_batch(strategy: EveStrategy, n: np.ndarray, state_idx: np.ndarray,
         forwarded = success & (rng.random(npulses)
                                < min(1.0, ch.transmittance / p_succ))
         n_out = forwarded.astype(n.dtype)
-        eve_basis[success] = HELD
-        return BatchAttack(n_out, state_idx, True, eve_basis)
+        eve_seen[success] = HELD
+        return BatchAttack(n_out, state_idx, True, eve_seen)
 
     raise ValueError(f"unknown strategy kind {strategy.kind!r}")
 
 
-def resolve_known_bits(eve_basis: np.ndarray, alice_basis: np.ndarray,
-                       announcement: str, rng: np.random.Generator,
-                       ) -> np.ndarray:
+def resolve_known_bits(eve_seen: np.ndarray, announced: np.ndarray,
+                       readout: np.ndarray, pair: bool,
+                       rng: np.random.Generator) -> np.ndarray:
     """Post-disclosure resolution: boolean mask of pulses whose key bit Eve
     knows deterministically.
 
-    A measurement made in Alice's announced basis gave Eve the bit.
-    ``alice_basis`` names that basis among Bob's, the ones Eve measures
-    in; an index past Bob's last means he has none that matches (B92; E91's
-    0 degrees).  A held state yields the bit after a 'basis' announcement
-    (BB84-style: Eve measures it in the announced basis, or her result was
-    conclusive already); after a 'pair'
-    announcement (SARG-style) only when unambiguous discrimination of the
-    two announced non-orthogonal states succeeds, with probability
+    ``readout`` is the session's ``protocols._readout`` and ``announced``
+    each pulse's row of it: a measurement of Eve's gave her the bit when
+    its readout is a bit.  A held photon yields the bit after a basis
+    announcement (Eve measures it in that basis); after a ``pair``
+    announcement (SARG) only when unambiguous discrimination of the two
+    announced non-orthogonal states succeeds, with probability
     1 - PAIR_OVERLAP.
     """
-    held = eve_basis == HELD
-    if announcement == "pair":
-        if held.any():
-            held &= rng.random(held.shape[0]) < 1.0 - PAIR_OVERLAP
-    elif announcement != "basis":
-        raise ValueError(f"unknown announcement type {announcement!r}")
-    return (eve_basis == alice_basis) | held
+    known = eve_seen == HELD
+    if pair and known.any():
+        known &= rng.random(known.shape[0]) < 1.0 - PAIR_OVERLAP
+    if eve_seen.max(initial=NOTHING) >= 0:      # Eve measured some pulses
+        # NOTHING and HELD read basis 0's no-click entry, which is -1
+        known |= readout.take(announced * readout[0].size
+                              + np.maximum(eve_seen, 0)) >= 0
+    return known

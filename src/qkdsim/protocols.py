@@ -2,9 +2,12 @@
 and the entanglement-based BBM92 and E91 schemes.
 
 All seven protocols share one engine, ``_run_prepare_measure``, driven by a
-``PrepareMeasureSpec`` per protocol (state table, photon pmf, sift rule,
-announcement); Alice's, Bob's and Eve's bases are read from the
-``StateTable`` alone.  The pair protocols run on it by remote
+``PrepareMeasureSpec`` per protocol (state table, photon pmf, announced
+pairs); Alice's, Bob's and Eve's bases are read from the ``StateTable``
+alone.  One readout table (``_readout``) decides what a measurement
+reveals, for Bob's sift and Eve's knowledge alike: a result counts when,
+after the public announcement, only one candidate for Alice's state can
+give it.  The pair protocols run on the engine by remote
 preparation: Alice's outcome of a singlet measured at spin angle theta
 leaves Bob's particle in an eigenstate of the polarization basis at
 theta / 2, so a singlet source at Alice's side is an ideal source of those
@@ -17,7 +20,7 @@ Every session is deterministic given its generator and returns a
 Slice rule: a session runs as consecutive slices of at most
 ``quantum.CHUNK`` pulses, each carried from source to sifted key (prepare,
 attack, channel and detection as one ``quantum.measure_batch`` draw per
-pulse, sift, and Eve's knowledge by
+pulse, sift by one gather from the readout table, and Eve's knowledge by
 ``adversary.resolve_known_bits``) before the next is drawn from the same
 generator.  A slice keeps the sifted pulses' bits, Bob's bits and Eve's
 known mask through one index gather (``np.flatnonzero`` of the sift, then
@@ -228,10 +231,10 @@ def e91_table() -> StateTable:
     return StateTable.build(states, bob, bit=[0, 1] * 3 + [-1, -1])
 
 
-# SARG partner of each state (table order H, V, A, D): H with A, V with D.
-# Each pair carries equal bits, so the announced pair reveals the bit
-# (ROADMAP item 1).
-_SARG_PARTNER = np.array([2, 3, 0, 1], dtype=np.int8)
+# SARG's announced pair for each state (table order H, V, A, D): H with A,
+# V with D.  Each pair carries equal bits, so the announced pair reveals
+# the bit (ROADMAP item 1).
+_SARG_PAIRS = np.array([[0, 2], [1, 3], [2, 0], [3, 1]])
 
 
 # ---------------------------------------------------------------------------
@@ -273,66 +276,51 @@ def _intensity_stats(cfg, counts) -> dict:
                 ("signal", "decoy"), (cfg.signal_mu, cfg.decoy_mu), counts)}
 
 
-# Sift rules: (table, sent state indices, Bob's basis that fits Alice's
-# (see ``_fitting_bases``), Bob's bases, outcomes) -> (sift mask, Bob's
-# per-pulse bit).
-
-def _sift_basis(table, sent, a_bases, b_bases, outcomes):
-    """BB84-style: keep the clicks measured in Alice's basis."""
-    return (outcomes != NO_CLICK) & (b_bases == a_bases), outcomes
-
-
-def _sift_conclusive(table, sent, a_bases, b_bases, outcomes):
-    """B92: outcome 0 on test basis c is the conclusive detection of bit c
-    (a projection orthogonal to the other state)."""
-    return outcomes == 0, b_bases
-
-
-def _sift_pair(table, sent, a_bases, b_bases, outcomes):
-    """SARG pair announcement: Alice announces the non-orthogonal pair (sent
-    state, fixed partner); Bob is conclusive when his measured eigenstate is
-    orthogonal to one announced state, which identifies the other as
-    Alice's."""
-    measured_state = table.eigen_idx.ravel().take(
-        2 * b_bases + np.maximum(outcomes, 0))
-    partner = _SARG_PARTNER[sent]
-    orth_to_sent = measured_state == table.flip[sent]
-    orth_to_partner = measured_state == table.flip[partner]
-    sift = (outcomes != NO_CLICK) & (orth_to_sent | orth_to_partner)
-    return sift, table.bit[np.where(orth_to_sent, partner, sent)]
+def _readout(table: StateTable, pairs: np.ndarray) -> np.ndarray:
+    """What a measurement reveals once Alice has announced the candidates
+    for her state: readout[a, m, 1 + o] is the key bit of the only state of
+    ``pairs[a]`` that can give outcome o in basis m, or -1 when both can;
+    readout[a, m, 0], on no click, is -1.  Bob keeps a pulse, and Eve
+    learns its bit, when the readout of their basis and outcome is a bit;
+    both read it at the flat index a * readout[0].size + 3 m + 1 + o."""
+    p = table.p_one[pairs]                          # [a, candidate, m]
+    can = np.stack([1.0 - p, p], axis=-1) > 1e-9    # [a, candidate, m, o]
+    bit = (can * table.bit[pairs][:, :, None, None]).sum(axis=1)
+    out = np.where(can.sum(axis=1) == 1, bit, -1)
+    return np.pad(out, [(0, 0), (0, 0), (1, 0)],
+                  constant_values=-1).astype(np.int8)
 
 
 @dataclass(frozen=True)
 class PrepareMeasureSpec:
     """What distinguishes one prepare-and-measure protocol from another.
 
-    table:        ProtocolConfig -> StateTable, all that says what is sent
-                  and measured: Alice sends state 2*basis + bit, with half
-                  as many bases as states that carry a key bit (B92: one,
-                  so the bit alone picks the state); Bob measures in its
-                  bases, ``_fitting_bases`` naming his that fits each of hers.
-    photons:      (cfg, src) -> (pmf over cells, first decoy cell or None);
-                  cell c holds c photons, a decoy cell c - first decoy cell.
-    sift:         sift rule, see ``_sift_basis``.
-    announcement: what sifting discloses to Eve ('basis' or 'pair').
-    chsh:         CHSH setting pair -> (Alice's basis, Bob's basis) whose
-                  +/-1 products the session collects.
+    table:   ProtocolConfig -> StateTable, all that says what is sent and
+             measured: Alice sends state 2*basis + bit, with half as many
+             bases as states that carry a key bit (B92: one, so the bit
+             alone picks the state); Bob measures in its bases.
+    photons: (cfg, src) -> (pmf over cells, first decoy cell or None);
+             cell c holds c photons, a decoy cell c - first decoy cell.
+    pairs:   None: Alice announces her basis i, whose states (2i, 2i+1)
+             are the candidates ``_readout`` tells apart.  Otherwise row k
+             is the pair of non-orthogonal states she announces for state
+             k (SARG); a photon Eve holds then yields its bit only through
+             unambiguous discrimination (``adversary.PAIR_OVERLAP``).
+    chsh:    CHSH setting pair -> (Alice's basis, Bob's basis) whose +/-1
+             products the session collects.
     """
 
     table: Callable[[ProtocolConfig], StateTable]
     photons: Callable = lambda cfg, src: (photon_pmf(src), None)
-    sift: Callable = _sift_basis
-    announcement: str = "basis"
+    pairs: Optional[np.ndarray] = None
     chsh: Optional[dict] = None
 
 
 _PREPARE_MEASURE = {
     "bb84": PrepareMeasureSpec(lambda cfg: bb84_table()),
     "six_state": PrepareMeasureSpec(lambda cfg: six_state_table()),
-    "b92": PrepareMeasureSpec(lambda cfg: b92_table(cfg.b92_overlap),
-                              sift=_sift_conclusive),
-    "sarg": PrepareMeasureSpec(lambda cfg: bb84_table(), sift=_sift_pair,
-                               announcement="pair"),
+    "b92": PrepareMeasureSpec(lambda cfg: b92_table(cfg.b92_overlap)),
+    "sarg": PrepareMeasureSpec(lambda cfg: bb84_table(), pairs=_SARG_PAIRS),
     "decoy_bb84": PrepareMeasureSpec(lambda cfg: bb84_table(),
                                      photons=_decoy_photons),
     "e91": PrepareMeasureSpec(
@@ -344,16 +332,6 @@ _PREPARE_MEASURE = {
 _PREPARE_MEASURE["bbm92"] = _PREPARE_MEASURE["bb84"]
 
 
-def _fitting_bases(table: StateTable) -> np.ndarray:
-    """For each of Alice's bases i, Bob's basis whose eigenstates are her
-    states (2i, 2i+1), or one past his last where none is (B92; E91's 0
-    degrees).  Sifting and Eve's knowledge compare through it."""
-    pairs = np.arange(np.count_nonzero(table.bit >= 0)).reshape(-1, 1, 2)
-    hit = (table.eigen_idx == pairs).all(axis=-1)      # [Alice's, Bob's]
-    return np.where(hit.any(axis=1), hit.argmax(axis=1),
-                    len(table.bases)).astype(np.int8)
-
-
 def _run_prepare_measure(spec: PrepareMeasureSpec, cfg: ProtocolConfig,
                          src: SourceModel, ch: ChannelModel,
                          det: DetectorModel, eve: EveStrategy,
@@ -363,7 +341,11 @@ def _run_prepare_measure(spec: PrepareMeasureSpec, cfg: ProtocolConfig,
     knowledge, slice by slice (see the slice rule above); decoy sessions
     also count pulses sent and detected per intensity."""
     table = spec.table(cfg)
-    fitting = _fitting_bases(table)
+    alice_bases = np.count_nonzero(table.bit >= 0) // 2
+    pair = spec.pairs is not None       # Alice announces a pair, not a basis
+    readout = _readout(table, spec.pairs if pair else
+                       np.arange(2 * alice_bases).reshape(-1, 2))
+    row = readout[0].size               # readout entries per announcement
     pmf, first_decoy = spec.photons(cfg, src)
     laws = {consumed: click_law(            # keyed by atk.channel_consumed
         table.p_one, table.flip,
@@ -378,7 +360,7 @@ def _run_prepare_measure(spec: PrepareMeasureSpec, cfg: ProtocolConfig,
     for lo in range(0, max(cfg.num_pulses, 1), CHUNK):
         m = min(CHUNK, cfg.num_pulses - lo)
         bits = rng.integers(0, 2, size=m, dtype=np.int8)
-        a_bases = _biased_choice(rng, m, len(fitting), cfg.basis_bias)
+        a_bases = _biased_choice(rng, m, alice_bases, cfg.basis_bias)
         b_bases = _biased_choice(rng, m, len(table.bases), cfg.basis_bias)
         sent = 2 * a_bases + bits
         cells = sample_photon_number(pmf, rng, m)
@@ -389,8 +371,8 @@ def _run_prepare_measure(spec: PrepareMeasureSpec, cfg: ProtocolConfig,
         outcomes = measure_batch(atk.n, atk.state_idx, b_bases,
                                  laws[atk.channel_consumed], rng)
 
-        matched = fitting.take(a_bases)     # Bob's basis that fits Alice's
-        sift, bob_bits = spec.sift(table, sent, matched, b_bases, outcomes)
+        announced = sent if pair else a_bases
+        bob_bits = readout.take(announced * row + 3 * b_bases + outcomes + 1)
         clicked = outcomes != NO_CLICK
         clicks = int(np.count_nonzero(clicked))
         if tags is not None:
@@ -406,9 +388,9 @@ def _run_prepare_measure(spec: PrepareMeasureSpec, cfg: ProtocolConfig,
                 products.append(np.compress(
                     clicked & (a_bases == ai) & (b_bases == bi), product))
         # resolved over every pulse, so its draws do not depend on the sift
-        known = adversary.resolve_known_bits(atk.eve_basis, matched,
-                                             spec.announcement, rng)
-        keep = np.flatnonzero(sift)
+        known = adversary.resolve_known_bits(atk.eve_seen, announced,
+                                             readout, pair, rng)
+        keep = np.flatnonzero(bob_bits >= 0)
         kept.append((bits.take(keep), bob_bits.take(keep), known.take(keep)))
         detections += clicks
 

@@ -241,8 +241,9 @@ class MuSearchResult:
 
 
 def optimize_mu(eta: float, p_dark: float, eps_model: float) -> MuSearchResult:
-    """Golden-section maximization of the weak-pulse rate per emitted pulse
-    over mean photon numbers up to 2; the optimum sits near mu ~ eta."""
+    """Maximize the weak-pulse rate per emitted pulse over mean photon
+    numbers up to 2 by scipy's bounded Brent method (golden-section steps
+    with parabolic interpolation); the optimum sits near mu ~ eta."""
     from scipy import optimize
 
     if not 0.0 < eta <= 1.0:
@@ -305,18 +306,11 @@ def yield_Yn(n: int, eta: float, p_dark: float) -> float:
 
 
 def gain_Qmu(mu: float, eta: float, p_dark: float) -> float:
-    """Q_mu = e^{-mu} sum_n Y_n mu^n / n!, truncated at n = 25.
-
-    The dropped tail is below the Poisson mass beyond n = 25, i.e. under
-    1e-12 for mu <= 1.
-    """
-    if mu <= 0:
-        return yield_Yn(0, eta, p_dark)
-    ns = np.arange(0, 26)
-    log_w = ns * math.log(mu) - np.array([math.lgamma(k + 1) for k in ns])
-    weights = np.exp(-mu + log_w)
-    yields = np.array([yield_Yn(int(k), eta, p_dark) for k in ns])
-    return float((weights * yields).sum())
+    """Q_mu = e^{-mu} sum_n Y_n mu^n / n!, which sums to
+    ``detection_prob(mu, eta, p_dark)``; mu <= 0 gives Y_0."""
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError("eta must lie in [0, 1]")
+    return detection_prob(max(mu, 0.0), eta, p_dark)
 
 
 @dataclass(frozen=True)

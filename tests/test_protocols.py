@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import tracemalloc
@@ -7,9 +8,9 @@ import pytest
 
 from qkdsim.adversary import EveStrategy, NO_EVE
 from qkdsim.bell import MAXIMAL_SETTINGS, chsh_estimate
-from qkdsim.protocols import (_PREPARE_MEASURE, PROTOCOLS, ProtocolConfig,
-                              _decoy_photons, _fitting_bases, b92_states,
-                              run_session)
+from qkdsim.protocols import (_PREPARE_MEASURE, _SARG_PAIRS, PROTOCOLS,
+                              ProtocolConfig, _decoy_photons, _readout,
+                              b92_states, run_session)
 from qkdsim.quantum import (CHUNK, ChannelModel, DetectorModel, SourceModel,
                             channel_preset, photon_pmf, sample_photon_number)
 from qkdsim.rng import derive_rng
@@ -167,6 +168,10 @@ def test_b92_intercept_resend_knowledge_is_the_conclusive_half(fixed_basis):
         assert abs(value - p) <= 5 * math.sqrt(p * (1 - p) / n), (value, p)
 
 
+def _table(protocol):
+    return _PREPARE_MEASURE[protocol].table(ProtocolConfig(protocol, 1))
+
+
 @pytest.mark.parametrize("protocol, fitting", [
     ("bb84", [0, 1]), ("six_state", [0, 1, 2]), ("sarg", [0, 1]),
     ("decoy_bb84", [0, 1]), ("bbm92", [0, 1]),
@@ -174,8 +179,59 @@ def test_b92_intercept_resend_knowledge_is_the_conclusive_half(fixed_basis):
     ("b92", [2])])          # no basis of Bob's has phi0, phi1 as eigenstates
 def test_bob_basis_fitting_each_of_alices_is_read_from_the_table(protocol,
                                                                  fitting):
-    table = _PREPARE_MEASURE[protocol].table(ProtocolConfig(protocol, 1))
-    assert _fitting_bases(table).tolist() == fitting
+    # Bob's basis fits Alice's i when, her pair (2i, 2i+1) announced, each
+    # of its outcomes reads as its own bit
+    table = _table(protocol)
+    readout = _readout(table, np.arange(2 * len(fitting)).reshape(-1, 2))
+    fits = (readout[:, :, 1:] == [0, 1]).all(axis=-1)    # [Alice's, Bob's]
+    assert [int(row.argmax()) if row.any() else len(table.bases)
+            for row in fits] == fitting
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_readout_matches_a_brute_force_over_every_candidate_pair(protocol):
+    # independently of p_one: a candidate can give an outcome when its
+    # state overlaps the outcome's eigenstate
+    table = _table(protocol)
+    sent = np.flatnonzero(table.bit >= 0)
+    for pair in itertools.permutations(sent, 2):
+        got = _readout(table, np.array([pair]))[0]
+        for m, basis in enumerate(table.bases):
+            assert got[m, 0] == -1                  # no click
+            for o in (0, 1):
+                can = [abs(basis.eigenstate(o).overlap(table.states[k])) ** 2
+                       > 1e-9 for k in pair]
+                want = -1 if sum(can) != 1 else table.bit[
+                    pair[can.index(True)]]
+                assert got[m, 1 + o] == want, (pair, m, o)
+
+
+def _deleted_sift_rule(protocol, table, a, m, o):
+    """Bob's bit under the per-protocol sift rules the readout replaced,
+    or -1 where they discard: announcement a is Alice's basis (SARG: her
+    state), m Bob's basis, o his outcome."""
+    if protocol == "b92":               # outcome 0 on test basis c: bit c
+        return m if o == 0 else -1
+    if protocol == "sarg":              # measured state orthogonal to one
+        measured = table.eigen_idx[m, o]        # of the announced pair
+        partner = _SARG_PAIRS[a, 1]
+        if measured == table.flip[a]:
+            return table.bit[partner]
+        return table.bit[a] if measured == table.flip[partner] else -1
+    # Bob's basis holds Alice's pair: his outcome is her bit
+    return o if table.eigen_idx[m].tolist() == [2 * a, 2 * a + 1] else -1
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_readout_reproduces_the_sift_rules_it_replaced(protocol):
+    table, pairs = _table(protocol), _PREPARE_MEASURE[protocol].pairs
+    if pairs is None:
+        pairs = np.arange(np.count_nonzero(table.bit >= 0)).reshape(-1, 2)
+    readout = _readout(table, pairs)
+    for a, m, o in itertools.product(range(len(pairs)),
+                                     range(len(table.bases)), (0, 1)):
+        assert readout[a, m, 1 + o] == _deleted_sift_rule(
+            protocol, table, a, m, o), (a, m, o)
 
 
 def test_sarg_honest():

@@ -263,6 +263,15 @@ def test_gain_matches_detection_prob_with_dark_counts():
             detection_prob(mu, eta, p_dark), rel=1e-9)
 
 
+@pytest.mark.parametrize("mu", [0.12, 0.8, 5, 20, 40])
+def test_gain_is_the_whole_poisson_sum_of_the_yields(mu):
+    # summed over the full photon_pmf, not cut at a fixed photon number
+    pmf = photon_pmf(SourceModel.laser(mu))
+    for eta, p_dark in ((0.1, 0.0), (0.1, 1e-5), (0.02, 0.01)):
+        series = sum(p * yield_Yn(n, eta, p_dark) for n, p in enumerate(pmf))
+        assert gain_Qmu(mu, eta, p_dark) == pytest.approx(series, abs=1e-12)
+
+
 def test_vacuum_yield_matches_the_simulated_dark_click_rate():
     N, p_dark = 200000, 0.01
     zeros = np.zeros(N, dtype=np.int8)

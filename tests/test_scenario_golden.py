@@ -31,6 +31,12 @@ Every case that emits a key (all but ``heralded_fixed_basis``) was
 re-recorded when reconciliation became Cascade with backtracking: it
 discloses fewer parities, or as many on an error-free key, and draws its
 subset masks as packed bytes, so the keys differ.
+``decoy_beam_split json`` and ``laser_presets_pns json`` were re-recorded
+when ``rates.gain_Qmu`` became the closed form of its Poisson sum, not a
+sum cut at n = 25: their ``gain_Qmu`` moved in the last digit.
+``sarg_uniform_intercept`` (text and JSON) was re-recorded when Bob's sift
+and Eve's knowledge came to share one readout table: only its
+``eve_known_fraction`` moved, 0.339 to 0.494.
 """
 
 import hashlib
@@ -100,7 +106,7 @@ GOLDEN = {
     "decoy_beam_split text":
         "188de2803b20a589d958b33433c162da48ee3f80bfa12dab51c9412770fac34d",
     "decoy_beam_split json":
-        "67595223c2e9ac9ea4dde57c73e677cd8246182ec13651b727e2527f409d9aa9",
+        "175628422f1a2865a1c992a2d110c640d4e4573b428f8f2da199ad6c0aba6f88",
     "e91_defaults text":
         "8922b14e3e465b18f3882c2ba33befa5124d6083b5d449663ef70119de159c6c",
     "e91_defaults json":
@@ -116,11 +122,11 @@ GOLDEN = {
     "laser_presets_pns text":
         "6f8433bbc76af02633e399a6955d1004f8678e9d63cfe50da43cea6167390c2e",
     "laser_presets_pns json":
-        "60371edebc48b6cd7fd44878ec3fb2979c0f5c18b85b649d8760bcf4939eeca8",
+        "8243b8c1913db76925fe83b9ce9452bcdb8a4092059a8959fca7d0dc3dfc3ae1",
     "sarg_uniform_intercept text":
-        "4b26cf475140c950eac53b522991c200c7517983fd69d79f18430b836dfd5bf6",
+        "d6a2739b5ed80f78bf2455123a3afc555df765897a61ca7d25fa46841e74322c",
     "sarg_uniform_intercept json":
-        "dd56321348033a86da077c7d3b8c5b13983b74da9906f6caf953cf8dbf298b41",
+        "8f04ebbfb4f39f82d8da0f063d4b0d98b2184d9067f8fe513d2e531a6d32dcdc",
 }
 
 
