@@ -139,7 +139,7 @@ def attack_batch(strategy: EveStrategy, n: np.ndarray, state_idx: np.ndarray,
         bit = measure_batch(n, state_idx, eb, law, rng)
         sent = bit != NO_CLICK
         s_out = np.where(sent, table.eigen_idx.ravel().take(
-            2 * eb + np.maximum(bit, 0)), state_idx)
+            (2 * eb + np.maximum(bit, 0)).astype(np.intp)), state_idx)
         return BatchAttack(sent.astype(n.dtype), s_out, False,
                            3 * eb + bit + 1)
 
@@ -201,6 +201,6 @@ def resolve_known_bits(eve_seen: np.ndarray, announced: np.ndarray,
         known &= rng.random(known.shape[0]) < 1.0 - PAIR_OVERLAP
     if eve_seen.max(initial=NOTHING) >= 0:      # Eve measured some pulses
         # NOTHING and HELD read basis 0's no-click entry, which is -1
-        known |= readout.take(announced * readout[0].size
-                              + np.maximum(eve_seen, 0)) >= 0
+        known |= readout.take((announced * readout[0].size
+                               + np.maximum(eve_seen, 0)).astype(np.intp)) >= 0
     return known

@@ -365,14 +365,16 @@ def _run_prepare_measure(spec: PrepareMeasureSpec, cfg: ProtocolConfig,
         sent = 2 * a_bases + bits
         cells = sample_photon_number(pmf, rng, m)
         tags = None if first_decoy is None else cells >= first_decoy
-        n = cells if tags is None else cells - first_decoy * tags
+        n = cells if tags is None else cells - first_decoy * tags.astype(
+            cells.dtype)
 
         atk = adversary.attack_batch(eve, n, sent, table, ch, rng)
         outcomes = measure_batch(atk.n, atk.state_idx, b_bases,
                                  laws[atk.channel_consumed], rng)
 
         announced = sent if pair else a_bases
-        bob_bits = readout.take(announced * row + 3 * b_bases + outcomes + 1)
+        bob_bits = readout.take(
+            (announced * row + 3 * b_bases + outcomes + 1).astype(np.intp))
         clicked = outcomes != NO_CLICK
         clicks = int(np.count_nonzero(clicked))
         if tags is not None:

@@ -4,9 +4,10 @@ channels, threshold detectors, and the singlet-pair law.
 All parameter records are immutable dataclasses; every sampler takes an
 explicit ``numpy.random.Generator`` and a slice of at most ``CHUNK`` pulses
 (see ``protocols``).  ``sample_photon_number`` inverts the cumulative
-``photon_pmf`` and ``measure_batch`` draws the whole receiver chain from a
-``click_law`` table (for Bob and an intercept-resend Eve), each with one
-uniform per pulse.  The pair protocols draw through the same kernels
+``photon_pmf`` through a guide table, to the cell a binary search gives,
+and ``measure_batch`` draws the whole receiver chain from a ``click_law``
+table (for Bob and an intercept-resend Eve), each with one uniform per
+pulse.  The pair protocols draw through the same kernels
 (see ``protocols``); ``sample_singlet`` is the singlet law itself, which
 tests compare against.
 """
@@ -22,6 +23,7 @@ import numpy as np
 
 NO_CLICK = -1  # detection outcome: neither logical detector fired
 CHUNK = 1 << 16  # pulses per session slice (see protocols)
+_GUIDE = 1 << 10  # guide-table buckets of sample_photon_number
 
 _NORM_TOL = 1e-12
 
@@ -168,14 +170,27 @@ def photon_pmf(src: SourceModel) -> np.ndarray:
 def sample_photon_number(pmf: np.ndarray, rng: np.random.Generator,
                          size: int) -> np.ndarray:
     """Draw the cells of `size` pulses from `pmf` (a ``photon_pmf``, or a
-    mixture of them laid end to end): one uniform per pulse inverts the
-    cumulative pmf, and nothing is drawn when one cell holds all the mass
-    (the ideal source)."""
+    mixture of them laid end to end) as int8, or int16 past 128 cells: one
+    uniform u per pulse inverts the cumulative pmf, and nothing is drawn
+    when one cell holds all the mass (the ideal source).  A guide table
+    (Chen & Asau, 1974) gives the cell of u's bucket floor(u _GUIDE), exact
+    in float64, when no edge of the cumulative pmf lies inside the bucket,
+    and binary-searches u otherwise: each u gets a binary search's cell."""
     cells = np.flatnonzero(pmf)
+    dtype = np.int8 if len(pmf) <= 128 else np.int16
     if cells.size == 1:
-        return np.full(size, cells[0], dtype=np.int8)
-    return np.searchsorted(np.cumsum(pmf)[:-1], rng.random(size),
-                           side="right")
+        return np.full(size, cells[0], dtype=dtype)
+    edges = np.cumsum(pmf)[:-1]
+    bounds = np.arange(_GUIDE + 1) / _GUIDE
+    first = np.searchsorted(edges, bounds[:-1], side="right")
+    # bucket j's cell, or -1 when an edge lies inside (j, j + 1) / _GUIDE
+    guide = np.where(first == np.searchsorted(edges, bounds[1:]),
+                     first, -1).astype(dtype)
+    u = rng.random(size)
+    out = guide.take((u * _GUIDE).astype(np.intp))
+    split = np.flatnonzero(out < 0)
+    out[split] = np.searchsorted(edges, u.take(split), side="right")
+    return out
 
 
 def g2(src: SourceModel) -> float:

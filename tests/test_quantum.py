@@ -4,13 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from qkdsim.quantum import (CIRCULAR, DIAGONAL, NO_CLICK, RECTILINEAR,
+from qkdsim.protocols import ProtocolConfig, _decoy_photons
+from qkdsim.quantum import (CHUNK, CIRCULAR, DIAGONAL, NO_CLICK, RECTILINEAR,
                             STATE_A, STATE_H, STATE_L, STATE_V, Basis,
                             ChannelModel, DetectorModel, SignalState,
                             SourceModel, channel_preset, click_law,
                             detector_preset, g2, load_presets, measure_batch,
                             photon_pmf, sample_photon_number, sample_singlet)
-from qkdsim.rng import make_rng
+from qkdsim.rng import derive_rng, make_rng
 
 
 def test_state_overlaps():
@@ -89,6 +90,35 @@ def test_a_one_cell_pmf_draws_nothing(pmf):
     draws = sample_photon_number(pmf, rng, size=1000)
     assert np.array_equal(rng.random(8), make_rng(18).random(8))
     assert (draws == np.flatnonzero(pmf)[0]).all() and draws.shape == (1000,)
+
+
+@pytest.mark.parametrize("size", [0, 1, 2 * CHUNK + 1])
+@pytest.mark.parametrize("pmf", [
+    *(_decoy_photons(ProtocolConfig("decoy_bb84", 1, decoy_mu=mu),
+                     SourceModel.laser(0.8))[0] for mu in (0.12, 0.0)),
+    photon_pmf(SourceModel.laser(0.5)), photon_pmf(SourceModel.laser(120)),
+    photon_pmf(SourceModel.heralded(0.6, 0.05)),
+    photon_pmf(SourceModel.heralded(0.6, 0.0)),    # a zero-mass cell
+    np.array([0.25, 0.25, 0.5])])       # edges on guide-bucket boundaries
+def test_photon_draw_is_the_binary_search_of_every_uniform(pmf, size):
+    rng, ref = derive_rng(20, 0), derive_rng(20, 0)
+    draws = sample_photon_number(pmf, rng, size)
+    expected = np.searchsorted(np.cumsum(pmf)[:-1], ref.random(size),
+                               side="right")
+    assert draws.shape == expected.shape and (draws == expected).all()
+    assert np.array_equal(rng.random(4), ref.random(4))
+
+
+@pytest.mark.parametrize("cells, dtype", [
+    (2, np.int8), (128, np.int8), (129, np.int16),
+    (2 * (10 ** 4 + 1), np.int16)])     # two photon_pmf at their cap
+@pytest.mark.parametrize("held", [(0, -1), (-1,)])
+def test_photon_counts_are_narrow_and_never_wrap(cells, dtype, held):
+    pmf = np.zeros(cells)
+    pmf[list(held)] = 1.0 / len(held)
+    draws = sample_photon_number(pmf, make_rng(19), size=1000)
+    assert draws.dtype == dtype
+    assert set(draws.tolist()) == {c % cells for c in held}
 
 
 def test_photon_pmf_refuses_a_table_beyond_ten_thousand_counts():
