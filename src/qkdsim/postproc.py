@@ -117,15 +117,37 @@ def _bisect(errors: np.ndarray, lo: np.ndarray,
     return lo, disclosed
 
 
+def _interleaver(n: int, rng: np.random.Generator) -> tuple[int, int]:
+    """A pass's public slot map i -> (a i + b) mod n: a uniform unit a of
+    the integers mod n, then a uniform offset b, so the map is a bijection
+    of [0, n)."""
+    while math.gcd(a := int(rng.integers(n)), n) != 1:
+        pass
+    return a, int(rng.integers(n))
+
+
+def _slots(bits: np.ndarray, a: int, b: int, n: int) -> np.ndarray:
+    """The slots of key positions `bits` (uint64) under i -> (a i + b) mod n.
+    Exact for n <= 2^32, where a i + b <= n (n - 1) < 2^64."""
+    return ((np.uint64(a) * bits + np.uint64(b))
+            % np.uint64(n)).astype(np.intp)
+
+
 def bbbss_correct(alice: BitString, bob: BitString, eps_est: float,
                   rng: np.random.Generator, max_passes: Optional[int] = None,
                   subset_clean_target: int = 20,
                   log: Optional[PublicChannelLog] = None) -> ReconciliationResult:
     """Cascade reconciliation with backtracking, then a random-subset check.
 
-    Each pass puts bit i in slot slots[i] of a fresh random permutation,
-    compares the parities of consecutive blocks of slots and bisects every
-    block whose parities differ, all in lockstep, fixing one error in each.
+    Each pass puts bit i in slot (a i + b) mod n, with a public multiplier
+    a drawn uniformly among the units mod n and an offset b drawn
+    uniformly (`_interleaver`).  It compares the parities of consecutive
+    blocks of slots and bisects every block whose parities differ, all in
+    lockstep, fixing one error in each.  A slot is computed only where it
+    is read, at the errors not yet fixed and the bits each bisection
+    fixes, so the passes cost time in the error count, not in n; no
+    n-length array is kept per pass.  n may be at most 2^32.
+
     The block size starts near 0.73/eps and doubles per pass up to n/2;
     there are min(4, passes to reach n/2) passes unless `max_passes` fixes
     their number.  Backtracking: a fixed bit flips the parity of its block
@@ -152,11 +174,15 @@ def bbbss_correct(alice: BitString, bob: BitString, eps_est: float,
     n = len(alice)
     if n == 0:
         raise ValueError("cannot reconcile empty keys")
+    if n > 2**32:
+        raise ValueError(f"cannot reconcile keys longer than 2^32 bits "
+                         f"(n = {n}): the slot arithmetic is uint64")
     if not 0.0 <= eps_est < 0.5:
         raise ValueError("eps_est must lie in [0, 0.5)")
     log = log or PublicChannelLog()
     posted_before = log.leaked_parity_count
-    errors = np.flatnonzero((alice ^ bob).to_array())   # those not yet fixed
+    # the errors not yet fixed
+    errors = np.flatnonzero((alice ^ bob).to_array()).astype(np.uint64)
     rounds = 0
 
     cap = max(2, n // 2)
@@ -165,18 +191,18 @@ def bbbss_correct(alice: BitString, bob: BitString, eps_est: float,
     if max_passes is None:      # ceil(log2(cap / k)) doublings reach the cap
         max_passes = min(4, 1 + (-(-cap // k) - 1).bit_length())
 
-    slots, sizes, odd = [], [], []      # per pass so far
+    maps, sizes, odd = [], [], []       # per pass so far
     for p in range(max_passes):
         rounds += 1
-        slots.append(rng.permutation(n).astype(np.int32))
+        maps.append(_interleaver(n, rng))
         sizes.append(min(k << p, cap))
         blocks = -(-n // sizes[p])
-        odd.append(np.bincount(slots[p][errors] // sizes[p],
+        odd.append(np.bincount(_slots(errors, *maps[p], n) // sizes[p],
                                minlength=blocks) & 1)
         m = 0
         while (q := next((r for r in range(p, -1, -1) if odd[r].any()),
                          None)) is not None:
-            at = slots[q][errors]
+            at = _slots(errors, *maps[q], n)
             order = np.argsort(at)
             at = at[order]
             lo = np.flatnonzero(odd[q]) * sizes[q]
@@ -185,7 +211,7 @@ def bbbss_correct(alice: BitString, bob: BitString, eps_est: float,
             hit = order[np.searchsorted(at, found)]
             fixed, errors = errors[hit], np.delete(errors, hit)
             for r in range(p + 1):
-                odd[r] ^= np.bincount(slots[r][fixed] // sizes[r],
+                odd[r] ^= np.bincount(_slots(fixed, *maps[r], n) // sizes[r],
                                       minlength=odd[r].size) & 1
         log.post("alice->bob", "parity", {"pass_block_parities": blocks,
                                           "bisect_parities": m}, blocks + m)

@@ -35,7 +35,11 @@ both transcript matrices were re-recorded when Bob's sift and Eve's
 knowledge came to share one readout table: SARG's Eve is credited with a
 bit when her outcome rules out one state of the announced pair, not when
 her basis is Alice's.  Only ``eve_known_hex`` of its intercept-resend
-cells moved.
+cells moved.  The CLI digests of every ``run`` that reconciles and of
+``sweep bb84_honest.cfg`` were re-recorded when each Cascade pass came to
+place the bits with an affine slot map instead of a random permutation:
+the sessions and QBER estimates are the same, the parities and keys
+differ (``bb84_honest.cfg`` 1428 → 1437 parities, key 6392 → 6383 bits).
 """
 
 import hashlib
@@ -69,11 +73,11 @@ PULSES = 1500
 
 GOLDEN_CLI = {
     "run bb84_honest.cfg text":
-        "a3fc2cb01168a350211b949641c5bb43eb9097e014c7d703f7eeea0bdddc373d",
+        "33967e98b86b5bbfb814492c016cda7c98432f909130256e2c848dd967db7d64",
     "run bb84_honest.cfg json":
-        "6e81d8b869e11538546eac4164172db4d3ca1b4ab44518ee7e03cc41bdf72019",
+        "65f4fa1ece3743f86b1b172bec0a31dd6d31c205f10ba9450e82c6aceb3aa65f",
     "sweep bb84_honest.cfg":
-        "a9004aebaaa23f1c43ce2da3393f9ca2b00ec51c89e56979aa4e219b8722d48e",
+        "0dd1be5d7aec628cc0598da78a30f79567cd9670837798c43d7ca10d25294270",
     "bell bb84_honest.cfg":
         "130ed44d84417f2c3fed5525293cc91972390731bfb9463091f6b5348221daa9",
     "run bb84_intercept.cfg text":
@@ -85,9 +89,9 @@ GOLDEN_CLI = {
     "bell bb84_intercept.cfg":
         "130ed44d84417f2c3fed5525293cc91972390731bfb9463091f6b5348221daa9",
     "run e91_honest.cfg text":
-        "4d9eaff384c9ef766a4b66aa1e0bdcaeddb06347b38845cb49de81838e6a27ef",
+        "a63879bb5231c12f5d6924869d71be7153ebf608d1de171c1bb2a9883a85749b",
     "run e91_honest.cfg json":
-        "9ce282f6010fd98c0c03d8da699b9b391459b64dae5bf20fbd1e6f6e747902de",
+        "e9913f74ef33975bf07fde285f8665a63af75ab1c0a1eba66ee6c2d46dde2226",
     "sweep e91_honest.cfg":
         "eb79e79ec99acd5a3219ec05027e08d632db8fc89cfea1956eac6b585e3ad1aa",
     "bell e91_honest.cfg":

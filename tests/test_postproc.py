@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import math
 import re
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -154,12 +155,22 @@ def _reference_bisect(a, b, bits, log):
     return leaked
 
 
+def affine_slots(n, rng):
+    """The slot of each bit under one pass's public map i -> (a i + b) mod n:
+    a drawn until it is a unit mod n, then b."""
+    a = int(rng.integers(n))
+    while math.gcd(a, n) != 1:
+        a = int(rng.integers(n))
+    b = int(rng.integers(n))
+    return np.array([(a * i + b) % n for i in range(n)])
+
+
 def reference_cascade(alice, bob, eps_est, rng, max_passes,
                       subset_clean_target, log):
     """Scalar reference Cascade: one bisection at a time, block by block.
 
     Each pass's blocks hold the bits in slot order (bit i sits in slot
-    perm[i] of the pass's permutation).  When the queue of blocks runs dry,
+    (a i + b) mod n of the pass's map).  When the queue of blocks runs dry,
     the parities of every block of every pass so far are compared afresh,
     and the queue refills with the differing blocks of the newest pass that
     has any.  Returns the keys, parities disclosed, rounds, whether the
@@ -174,7 +185,7 @@ def reference_cascade(alice, bob, eps_est, rng, max_passes,
     passes, refills = [], []
     for p in range(max_passes):
         rounds += 1
-        in_slot = np.argsort(rng.permutation(n))
+        in_slot = np.argsort(affine_slots(n, rng))
         size = min(k << p, cap)
         passes.append([in_slot[s:s + size] for s in range(0, n, size)])
         leaked += len(passes[p])
@@ -214,13 +225,13 @@ def reference_cascade(alice, bob, eps_est, rng, max_passes,
 
 def backtracking_keys(n, eps_est, seed):
     """Keys that differ in four bits x, y, w and v, placed with the first
-    two permutations make_rng(seed) draws: pass 1 holds x with y and w with
+    two slot maps make_rng(seed) draws: pass 1 holds x with y and w with
     v, two blocks of even parity; pass 2 holds x alone, v alone and y with
     w.  Pass 2 fixes x and v, which leaves pass 1's two blocks odd, so only
     a re-bisection of pass 1 (backtracking) fixes y and w."""
     rng = make_rng(seed)
     k = int(0.73 / eps_est)
-    blk1, blk2 = rng.permutation(n) // k, rng.permutation(n) // (2 * k)
+    blk1, blk2 = affine_slots(n, rng) // k, affine_slots(n, rng) // (2 * k)
     y = 0
     w = np.flatnonzero((blk2 == blk2[y]) & (blk1 != blk1[y]))[0]
     x = np.flatnonzero((blk1 == blk1[y]) & (blk2 != blk2[y]))[0]
@@ -346,6 +357,48 @@ def test_bbbss_converges_at_a_million_bits():
     assert passes == 4
     assert rec.rounds - passes <= 20 + 10
     assert rec.leaked_bits <= 1.2 * n * binary_entropy(errors / n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 997, 1000, 30030, 2**16,
+                               2**16 + 1])
+def test_slot_map_is_a_bijection_with_a_unit_multiplier(n):
+    # n = 1 and n = 2 have one unit each, so the draw loop must end there too
+    rng = make_rng(n)
+    for _ in range(3):
+        a, b = postproc._interleaver(n, rng)
+        assert 0 <= a < n and 0 <= b < n and math.gcd(a, n) == 1
+        slots = postproc._slots(np.arange(n, dtype=np.uint64), a, b, n)
+        assert np.array_equal(np.sort(slots), np.arange(n))
+
+
+def test_slot_arithmetic_is_exact_at_two_to_the_32_bits():
+    n = 2**32
+    a, b = n - 3, n - 1
+    bits = np.array([0, 1, n // 2 + 1, n - 2, n - 1], dtype=np.uint64)
+    assert postproc._slots(bits, a, b, n).tolist() == [
+        (a * int(i) + b) % n for i in bits]
+
+
+def test_bbbss_refuses_keys_longer_than_two_to_the_32_bits():
+    big = BitString._from_packed(np.zeros(1, np.uint8), 2**32 + 1)
+    with pytest.raises(ValueError, match=r"longer than 2\^32 bits"):
+        bbbss_correct(big, big, 0.02, make_rng(1))
+
+
+def test_bbbss_traced_peak_stays_below_four_bytes_per_bit():
+    # no n-length array per pass: four stored permutations took 24 B per bit
+    n, eps = 1_000_000, 0.02
+    rng = make_rng(50)
+    a = random_bits(n, rng)
+    b = flip_fraction(a, eps, rng)
+    tracemalloc.start()
+    try:
+        rec = bbbss_correct(a, b, eps, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rec.corrected_bob == a
+    assert peak < 4 * n
 
 
 # ---------------------------------------------------------------------------
@@ -854,11 +907,11 @@ ABORT_CASES = {
     "privacy_amplification": (
         200, 0.10, 25, PipelineParams(),
         ("privacy_amplification",
-         "no secure key extractable: n=180, k=215, s=30",
-         0.1, 130, 215, 0, 26)),
+         "no secure key extractable: n=180, k=218, s=30",
+         0.1, 133, 218, 0, 26)),
     "verification": (3000, 0.02, 63, PipelineParams(),
                      ("verification", "corrected keys differ",
-                      0.02666666666666667, 473, 952, 0, 28)),
+                      0.02666666666666667, 471, 950, 0, 28)),
 }
 
 
@@ -911,7 +964,7 @@ def test_estimation_aborts_before_the_sample_is_dropped(monkeypatch, case,
 # eve_bound_bits, messages)
 TAG_FAILURES = {
     "key_verification": ("verification", "corrected keys differ",
-                         0.023, 3025, 5869, 28)}
+                         0.023, 3010, 5854, 28)}
 
 
 @pytest.mark.parametrize("failing_call, purpose", [

@@ -37,6 +37,11 @@ sum cut at n = 25: their ``gain_Qmu`` moved in the last digit.
 ``sarg_uniform_intercept`` (text and JSON) was re-recorded when Bob's sift
 and Eve's knowledge came to share one readout table: only its
 ``eve_known_fraction`` moved, 0.339 to 0.494.
+Every case that emits a key was re-recorded when each Cascade pass came to
+place the bits with an affine slot map instead of a random permutation:
+sessions and QBER estimates are unchanged, the parities and keys are not
+(``ideal_plain_devices`` 146 → 147 parities, ``laser_presets_pns``
+49 → 51; the error-free cases only draw other subset masks).
 """
 
 import hashlib
@@ -100,33 +105,33 @@ SCENARIOS = {
 
 GOLDEN = {
     "b92_usd text":
-        "1cb18eb5687f130534fb2d72ecee296ddc792f1b1fa0abb43b0541f4a94b00ad",
+        "a6a982d9b67ba6ebc7cef21fa4c05275dfb56ff1bd477d6619db1bb13db57aec",
     "b92_usd json":
-        "2723d63255cf66745757ac17acd362e487772dcd07baca46bbe7a415708859b5",
+        "895d92ee37509f6dc87a12b6c37e616ebfb66d7ce95351c32baa0b445184b70d",
     "decoy_beam_split text":
-        "188de2803b20a589d958b33433c162da48ee3f80bfa12dab51c9412770fac34d",
+        "85ed14e564ef9ae7098619e39535df81f202750ee37a91c425c99c65d9eca97e",
     "decoy_beam_split json":
-        "175628422f1a2865a1c992a2d110c640d4e4573b428f8f2da199ad6c0aba6f88",
+        "9244a57fa7d707213c35c3b4879d5a1a77d502035fcf85062e99ef62b0cf0ac8",
     "e91_defaults text":
-        "8922b14e3e465b18f3882c2ba33befa5124d6083b5d449663ef70119de159c6c",
+        "504076505273163cbe72ff0782202990ecb3a7d7329b627d59e3696f317b583c",
     "e91_defaults json":
-        "b51173395834da8e48a818d1de0e233caafa54475c4571d28f268bac13576fdd",
+        "5504f2664d8218a6564f97ffc1e31758051e7226cdd50aff99b64b5c974f5e7a",
     "heralded_fixed_basis text":
         "dc04fad1b2ab8531599a8c9d6c1906bb250934fe625c1ebc3fa57ca8d1658032",
     "heralded_fixed_basis json":
         "d5d6413b563206fba44b6a06011f5412fbc031eb03c5e1d9332d7702fe665a01",
     "ideal_plain_devices text":
-        "f2be034ca6381ff1ee3bab7704b4ddf9f41ba9c62a6a0c0a4789642a0db42e52",
+        "8a662bd0d7cddd90d2eabf0cecde1c013f04c243d6dabb744130ac2d86953250",
     "ideal_plain_devices json":
-        "ff3aac6652b15448490d68fcedf196916252ab2bb3a40abc9f3e09baf282e163",
+        "567cfef697f3f648ad423a9588c0022bb64467558107b906cbd746fd4a5319ab",
     "laser_presets_pns text":
-        "6f8433bbc76af02633e399a6955d1004f8678e9d63cfe50da43cea6167390c2e",
+        "a1a0dfb022d4de4213af93c2d81bcdb50a388441588359037a833573d38e8e1a",
     "laser_presets_pns json":
-        "8243b8c1913db76925fe83b9ce9452bcdb8a4092059a8959fca7d0dc3dfc3ae1",
+        "c6204e28313567faec5293d67582ee1a9df9404492f8a5112d963af05e946a58",
     "sarg_uniform_intercept text":
-        "d6a2739b5ed80f78bf2455123a3afc555df765897a61ca7d25fa46841e74322c",
+        "de1b15f3a6f0fb15589847b5cca59bc2dba96baa202777a3f500e81f44d131ad",
     "sarg_uniform_intercept json":
-        "8f04ebbfb4f39f82d8da0f063d4b0d98b2184d9067f8fe513d2e531a6d32dcdc",
+        "2fe37a345d325b4bdb71e36f6c315a15e5478afc01ea82c2ca388ccc0a0776d8",
 }
 
 
