@@ -1,13 +1,13 @@
 """Deterministic quantum key distribution simulator and rate calculator.
 
-Subpackages by concern: bits (packed bit strings and the one-time pad),
+Modules by concern: bits (packed bit strings; one-time pad: message ^ key),
 quantum (signal states, sources, channels, detectors), protocols (session
 runners), adversary (attack strategies), postproc (reconciliation, privacy
 amplification, authentication), rates (closed-form key rates and bounds),
 bell (CHSH estimation), cli (scenario runner).
 """
 
-from .bits import BitString, random_bits, vernam_decrypt, vernam_encrypt, xor
+from .bits import BitString, random_bits
 from .rng import derive_rng, make_rng
 from .quantum import (ChannelModel, DetectorModel, SourceModel,
                       channel_preset, detector_preset, load_presets)
@@ -28,7 +28,7 @@ from .bell import (MAXIMAL_SETTINGS, TSIRELSON, ChshSettings, chsh_analytic,
 __version__ = "1.0.0"
 
 __all__ = [
-    "BitString", "random_bits", "vernam_encrypt", "vernam_decrypt", "xor",
+    "BitString", "random_bits",
     "make_rng", "derive_rng",
     "SourceModel", "ChannelModel", "DetectorModel",
     "load_presets", "detector_preset", "channel_preset",

@@ -7,7 +7,7 @@ Values are immutable: every operation returns a new instance.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -42,14 +42,6 @@ class BitString:
         arr = np.asarray(arr, dtype=np.uint8)
         return cls._from_packed(np.packbits(arr), int(arr.size))
 
-    @classmethod
-    def zeros(cls, n: int) -> "BitString":
-        return cls.from_array(np.zeros(n, dtype=np.uint8))
-
-    @classmethod
-    def from_binary_string(cls, text: str) -> "BitString":
-        return cls.from_array(np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0"))
-
     # -- views -------------------------------------------------------------
 
     def to_array(self) -> np.ndarray:
@@ -70,12 +62,7 @@ class BitString:
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            start, stop, step = i.indices(self._length)
-            if step != 1:
-                return BitString.from_array(self.to_array()[i])
-            lo = start >> 3   # unpack only the bytes the slice covers
-            bits = np.unpackbits(self._packed[lo:(stop + 7) >> 3])
-            return BitString.from_array(bits[start - 8 * lo: stop - 8 * lo])
+            return BitString.from_array(self.to_array()[i])
         i = int(i)
         if i < 0:
             i += self._length
@@ -105,53 +92,11 @@ class BitString:
                 f"length mismatch: {self._length} != {other._length}")
         return BitString._from_packed(self._packed ^ other._packed, self._length)
 
-    def parity(self, positions: Sequence[int] | np.ndarray | None = None) -> int:
-        """Mod-2 sum of the selected bits (all bits when positions is None)."""
-        bits = self.to_array()
-        if positions is None:
-            return int(bits.sum() & 1)
-        idx = np.asarray(positions, dtype=np.intp)
-        if idx.size == 0:
-            return 0
-        if idx.min() < 0 or idx.max() >= self._length:
-            raise IndexError("parity position out of range")
-        return int(bits[idx].sum() & 1)
-
-    def permute(self, perm: Sequence[int] | np.ndarray) -> "BitString":
-        """Return t with t[perm[i]] = self[i]; perm must be a bijection."""
-        perm = np.asarray(perm, dtype=np.intp)
-        if perm.size != self._length:
-            raise ValueError("permutation length mismatch")
-        out = np.empty(self._length, dtype=np.uint8)
-        counts = np.zeros(self._length, dtype=np.uint8)
-        if self._length:
-            if perm.min() < 0 or perm.max() >= self._length:
-                raise ValueError("permutation image out of range")
-            np.add.at(counts, perm, 1)
-            if counts.max() > 1:
-                raise ValueError("mapping is not a bijection")
-        out[perm] = self.to_array()
-        return BitString.from_array(out)
-
     def hamming_weight(self) -> int:
         return int(self.to_array().sum())
 
     def hamming_distance(self, other: "BitString") -> int:
         return (self ^ other).hamming_weight()
-
-
-def xor(a: BitString, b: BitString) -> BitString:
-    return a ^ b
-
-
-def vernam_encrypt(message: BitString, key: BitString) -> BitString:
-    """One-time-pad encryption: bitwise addition modulo 2."""
-    return message ^ key
-
-
-def vernam_decrypt(cipher: BitString, key: BitString) -> BitString:
-    """Identical to encryption; double modulo-2 addition is the identity."""
-    return cipher ^ key
 
 
 def random_bits(n: int, rng: np.random.Generator) -> BitString:

@@ -83,6 +83,10 @@ def _number(path: str, name: str, value, hint):
     return kind(value)
 
 
+def _message(exc: Exception) -> str:   # str() of a KeyError quotes it
+    return exc.args[0] if isinstance(exc, KeyError) and exc.args else str(exc)
+
+
 def _section(path: str, model, raw: Optional[dict]):
     """Build ``model`` from a scenario section whose fields are the model's
     dataclass fields, numbers read by ``_number``.  A source's ``kind``
@@ -111,7 +115,7 @@ def _section(path: str, model, raw: Optional[dict]):
     try:
         return factory(**kwargs)
     except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+        raise ConfigError(f"{path}: {_message(exc)}") from None
 
 
 def parse_scenario(raw: dict) -> Scenario:
@@ -430,7 +434,7 @@ def main(argv: Optional[list] = None) -> int:
     try:
         return args.func(args)
     except (ConfigError, OSError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_message(exc)}", file=sys.stderr)
         return 1
 
 

@@ -472,6 +472,9 @@ class PipelineParams:
             raise ValueError("sample_fraction must lie in (0, 1]")
         if not 0.0 <= self.qber_abort_threshold <= 0.5:
             raise ValueError("qber_abort_threshold must lie in [0, 0.5]")
+        for name in ("safety_bits", "subset_clean_target"):
+            if type(value := getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.safety_bits < 0:
             raise ValueError("safety_bits must be >= 0")
         if self.subset_clean_target < 1:

@@ -63,6 +63,9 @@ class ProtocolConfig:
     def __post_init__(self):
         if self.protocol not in PROTOCOLS:
             raise ValueError(f"unknown protocol {self.protocol!r}")
+        if type(self.num_pulses) is not int:
+            raise ValueError(
+                f"num_pulses must be an integer, got {self.num_pulses!r}")
         if self.num_pulses < 0:
             raise ValueError("num_pulses must be >= 0")
         if not 0 < self.signal_mu < math.inf:

@@ -193,21 +193,6 @@ def sample_photon_number(pmf: np.ndarray, rng: np.random.Generator,
     return out
 
 
-def g2(src: SourceModel) -> float:
-    """Second-order autocorrelation <n(n-1)> / <n>^2 of the source.
-
-    Equals 1 for any Poissonian source and reduces to the familiar
-    approximation 2 p(2) / p(1)^2 when p(1) dominates the distribution.
-    """
-    if src.kind == "attenuated_laser":
-        return 1.0
-    n, p = np.arange(3), np.array([src.pmf(k) for k in range(3)])
-    mean = float(n @ p)
-    if mean == 0.0:
-        raise ValueError("g2 undefined: source emits no photons")
-    return float(n * (n - 1) @ p) / mean ** 2
-
-
 @dataclass(frozen=True)
 class ChannelModel:
     """Lossy, slightly misaligned transmission line."""

@@ -235,10 +235,6 @@ class MuSearchResult:
     mu: float
     rate_per_pulse: float
 
-    @property
-    def positive(self) -> bool:
-        return self.rate_per_pulse > 0.0
-
 
 def optimize_mu(eta: float, p_dark: float, eps_model: float) -> MuSearchResult:
     """Maximize the weak-pulse rate per emitted pulse over mean photon
@@ -353,7 +349,7 @@ def decoy_estimate(Q_signal: float, Q_decoy: float, mu_s: float, mu_d: float,
 @dataclass
 class RateReport:
     """Every applicable closed-form rate/bound at one parameter point.
-    Raw values may be negative ('no secure key'); clamped values floor at 0."""
+    Raw values may be negative ('no secure key'); reports clamp them at 0."""
 
     epsilon: Optional[float] = None
     mu: Optional[float] = None
@@ -361,10 +357,6 @@ class RateReport:
     p_dark: float = 0.0
     overlap: Optional[float] = None
     values: dict = field(default_factory=dict)
-
-    @property
-    def clamped(self) -> dict:
-        return {k: max(0.0, v) for k, v in self.values.items()}
 
     CSV_COLUMNS = ("r_mayers", "r_shor_preskill", "r_six_state", "r_gllp",
                    "r_gllp_per_pulse", "bound_beamsplit", "bound_pns",

@@ -101,7 +101,7 @@ def test_bbbss_even_error_block_caught_by_later_pass():
     # the later permuted passes and the subset phase must still catch them
     rng = make_rng(7)
     n = 400
-    a = BitString.zeros(n)
+    a = BitString.from_array(np.zeros(n))
     b_arr = a.to_array().copy()
     b_arr[10] ^= 1
     b_arr[11] ^= 1
@@ -830,8 +830,8 @@ def test_pipeline_aborts_at_high_qber():
 
 def test_pipeline_aborts_at_an_estimate_of_one_half():
     # 0.5 passes a threshold of 0.5, but no key is distilled at that rate
-    a = BitString.from_binary_string("0101")
-    b = BitString.from_binary_string("0110")
+    a = BitString([0, 1, 0, 1])
+    b = BitString([0, 1, 1, 0])
     params = PipelineParams(sample_fraction=1.0, qber_abort_threshold=0.5)
     res = run_pipeline_on_keys(a, b, params, make_rng(26))
     assert res.qber_estimate == 0.5
@@ -880,6 +880,13 @@ def test_pipeline_params_rejects_bad_max_passes(bad):
      "qber_abort_threshold must lie in [0, 0.5]"),
     ("safety_bits", -1, "safety_bits must be >= 0"),
     ("subset_clean_target", 0, "subset_clean_target must be >= 1"),
+    ("safety_bits", 20.5, "safety_bits must be an integer, got 20.5"),
+    ("safety_bits", 30.0, "safety_bits must be an integer, got 30.0"),
+    ("safety_bits", True, "safety_bits must be an integer, got True"),
+    ("subset_clean_target", 2.5,
+     "subset_clean_target must be an integer, got 2.5"),
+    ("subset_clean_target", True,
+     "subset_clean_target must be an integer, got True"),
 ])
 def test_pipeline_params_rejects_out_of_range(field, bad, message):
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -31,6 +31,9 @@ def test_config_validation():
         ProtocolConfig("bb85", 10)
     with pytest.raises(ValueError):
         ProtocolConfig("bb84", -1)
+    for bad in (1e4, 2.5, "10", True):
+        with pytest.raises(ValueError, match="num_pulses must be an integer"):
+            ProtocolConfig("bb84", bad)
     with pytest.raises(ValueError):
         ProtocolConfig("b92", 10, b92_overlap=1.5)
     with pytest.raises(ValueError):

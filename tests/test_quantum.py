@@ -9,7 +9,7 @@ from qkdsim.quantum import (CHUNK, CIRCULAR, DIAGONAL, NO_CLICK, RECTILINEAR,
                             STATE_A, STATE_H, STATE_L, STATE_V, Basis,
                             ChannelModel, DetectorModel, SignalState,
                             SourceModel, channel_preset, click_law,
-                            detector_preset, g2, load_presets, measure_batch,
+                            detector_preset, load_presets, measure_batch,
                             photon_pmf, sample_photon_number, sample_singlet)
 from qkdsim.rng import derive_rng, make_rng
 
@@ -130,12 +130,6 @@ def test_photon_pmf_refuses_a_table_beyond_ten_thousand_counts():
 def test_laser_mu_must_be_finite_and_positive(mu):
     with pytest.raises(ValueError, match="attenuated_laser requires mu > 0"):
         SourceModel.laser(mu)
-
-
-def test_g2_values():
-    assert g2(SourceModel.ideal()) == pytest.approx(0.0)
-    assert g2(SourceModel.laser(0.3)) == pytest.approx(1.0)
-    assert g2(SourceModel.heralded(0.6, 0.01)) < 1.0
 
 
 def test_channel_transmittance():

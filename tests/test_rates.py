@@ -209,13 +209,13 @@ def test_gllp_pulse_rate_eta_squared_scaling():
 def test_optimize_mu_tracks_eta():
     for eta in (1e-3, 1e-2, 1e-1):
         res = optimize_mu(eta, 0.0, 0.0)
-        assert res.positive
+        assert res.rate_per_pulse > 0.0
         assert eta / 2 < res.mu < eta * 2
 
 
 def test_optimize_mu_reports_no_positive_rate_above_cutoff():
     res = optimize_mu(1e-3, 1e-5, 0.12)
-    assert not res.positive
+    assert res.rate_per_pulse <= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +341,7 @@ def test_evaluate_rates_zero_error_ideal():
 def test_evaluate_rates_flags_no_secure_key():
     report = evaluate_rates(mu=0.5, eta=0.1)
     assert report.values["bound_pns"] < 0.0
-    assert report.clamped["bound_pns"] == 0.0
+    assert max(0.0, report.values["bound_pns"]) == 0.0
     assert "[no secure key]" in report.to_text()
 
 
