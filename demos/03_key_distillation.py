@@ -13,29 +13,27 @@ import numpy as np
 from qkdsim.adversary import EveStrategy
 from qkdsim.bits import BitString, random_bits
 from qkdsim.postproc import (PipelineParams, advantage_distill,
-                             run_pipeline, run_pipeline_on_keys)
-from qkdsim.protocols import ProtocolConfig, run_session
-from qkdsim.quantum import ChannelModel, DetectorModel, SourceModel
-from qkdsim.rng import derive_rng, make_rng
+                             run_pipeline_on_keys)
+from qkdsim.protocols import ProtocolConfig
+from qkdsim.quantum import ChannelModel
+from qkdsim.rng import make_rng
+from qkdsim.scenario import Scenario, simulate
 
 
 def main():
     cfg = ProtocolConfig("bb84", 100000)
     ch = ChannelModel(misalignment_error_prob=0.02)
-    t = run_session(cfg, SourceModel.ideal(), ch, DetectorModel(),
-                    EveStrategy("none"), derive_rng(31, 0))
+    t, res = simulate(Scenario(cfg, 31, channel=ch))
     print(f"session: {len(t.sifted_alice)} sifted bits, "
           f"QBER {t.qber:.4f}")
-    res = run_pipeline(t, PipelineParams(), derive_rng(31, 1))
     print(f"pipeline: estimated QBER {res.qber_estimate:.4f}, "
           f"{res.leaked_bits} parity bits disclosed, Eve charged "
           f"{res.eve_bound_bits} bits")
     print(f"final key: {res.final_length} bits, starts "
           f"{res.final_key.to_hex()[:16]}...")
 
-    t = run_session(cfg, SourceModel.ideal(), ch, DetectorModel(),
-                    EveStrategy("intercept_resend"), derive_rng(32, 0))
-    res = run_pipeline(t, PipelineParams(), derive_rng(32, 1))
+    _, res = simulate(Scenario(cfg, 32, channel=ch,
+                               eve=EveStrategy("intercept_resend")))
     print(f"\nunder attack: estimated QBER {res.qber_estimate:.4f} "
           f"-> abort at {res.abort_stage} ({res.abort_reason})")
 

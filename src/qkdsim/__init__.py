@@ -3,8 +3,8 @@
 Modules by concern: bits (packed bit strings; one-time pad: message ^ key),
 quantum (signal states, sources, channels, detectors), protocols (session
 runners), adversary (attack strategies), postproc (reconciliation, privacy
-amplification, authentication), rates (closed-form key rates and bounds),
-bell (CHSH estimation), cli (scenario runner).
+amplification, authentication), rates (closed-form key rates and bounds), bell
+(CHSH estimation), scenario (scenario record and runs), cli (command line).
 """
 
 from .bits import BitString, random_bits

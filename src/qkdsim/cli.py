@@ -1,4 +1,4 @@
-"""Scenario runner.
+"""The ``qkdsim`` command: argument parsing, verbs and reports.
 
 Verbs:
   run    <scenario>  full session plus key-distillation pipeline
@@ -7,7 +7,7 @@ Verbs:
   bell   <scenario>  CHSH estimate from an entanglement scenario
 
 Exit codes: 0 success with key, 2 protocol abort, 1 usage or config error.
-Scenario files are JSON; keys starting with "_" are ignored (comments).
+Scenario files are read by ``qkdsim.scenario``.
 """
 
 from __future__ import annotations
@@ -15,170 +15,23 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import MISSING, dataclass, fields, replace
-from functools import partial
-from importlib import resources
-from typing import Optional, get_type_hints
+from dataclasses import replace
+from typing import Optional
 
 import numpy as np
 
 from . import bell as bell_mod
-from .adversary import EveStrategy
-from .postproc import FinalKeyResult, PipelineParams, run_pipeline
-from .protocols import ProtocolConfig, SessionTranscript, run_session
-from .quantum import (ChannelModel, DetectorModel, SourceModel,
-                      channel_preset, detector_preset)
+from .postproc import FinalKeyResult
+from .protocols import SessionTranscript
+from .quantum import SourceModel
 from .rates import RateReport, evaluate_rates
-from .rng import derive_rng
-
-
-class ConfigError(Exception):
-    """Scenario validation failure; the message carries the field path."""
-
-
-@dataclass
-class Scenario:
-    protocol_config: ProtocolConfig
-    source: SourceModel
-    channel: ChannelModel
-    detector: DetectorModel
-    eve: EveStrategy
-    pipeline: PipelineParams
-    seed: int
-
-
-def _strip_comments(obj):
-    if isinstance(obj, dict):
-        return {k: _strip_comments(v) for k, v in obj.items()
-                if not k.startswith("_")}
-    return obj
-
-
-SECTIONS = {"source": SourceModel, "channel": ChannelModel,
-            "detector": DetectorModel, "eve": EveStrategy,
-            "postproc": PipelineParams}
-PRESETS = {ChannelModel: channel_preset, DetectorModel: detector_preset}
-
-
-def _refuse_unknown(raw: dict, path: str, allowed: set) -> None:
-    extra = set(raw) - allowed
-    if extra:
-        raise ConfigError(f"{path}: unknown field(s) {sorted(extra)}")
-
-
-def _number(path: str, name: str, value, hint):
-    """A scenario number read as its field's type hint: an ``int`` field
-    takes integral values only ("num_pulses": 3e3 is 3000), a ``float``
-    field any finite number ("mu": 1 prints 1.0).  Booleans, NaN, ±inf and
-    non-numbers are refused; ``null`` only where the hint is ``Optional``."""
-    kind = int if hint in (int, Optional[int]) else float
-    if value is None and hint is not kind:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
-            abs(value) <= sys.float_info.max) or (
-            kind is int and isinstance(value, float)
-            and not value.is_integer()):
-        noun = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{path}: {name} must be {noun}, got {value!r}")
-    return kind(value)
-
-
-def _message(exc: Exception) -> str:   # str() of a KeyError quotes it
-    return exc.args[0] if isinstance(exc, KeyError) and exc.args else str(exc)
-
-
-def _section(path: str, model, raw: Optional[dict]):
-    """Build ``model`` from a scenario section whose fields are the model's
-    dataclass fields, numbers read by ``_number``.  A source's ``kind``
-    names the ``SourceModel`` constructor to call; a ``preset`` loads
-    channel or detector presets and passes every other field through as an
-    override."""
-    if not isinstance(raw or {}, dict):
-        raise ConfigError(f"{path}: expected an object, got {raw!r}")
-    raw = dict(raw or {})
-    allowed = {f.name for f in fields(model)}
-    if model in PRESETS:
-        allowed.add("preset")
-    _refuse_unknown(raw, path, allowed)
-    numbers = {name: hint for name, hint in get_type_hints(model).items()
-               if hint in (int, Optional[int], float, Optional[float])}
-    factory = model
-    if model is SourceModel:
-        kind = raw.pop("kind", "ideal")
-        if not isinstance(vars(SourceModel).get(str(kind)), classmethod):
-            raise ConfigError(f"source.kind: unknown kind {kind!r}")
-        factory = getattr(SourceModel, kind)
-    elif "preset" in raw:
-        factory = partial(PRESETS[model], raw.pop("preset"))
-    kwargs = {k: _number(path, k, v, numbers[k]) if k in numbers else v
-              for k, v in raw.items()}
-    try:
-        return factory(**kwargs)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {_message(exc)}") from None
-
-
-def parse_scenario(raw: dict) -> Scenario:
-    raw = _strip_comments(raw)
-    protocol_fields = {f.name for f in fields(ProtocolConfig)}
-    _refuse_unknown(raw, "scenario",
-                    protocol_fields | set(SECTIONS) | {"seed"})
-    if "seed" not in raw:
-        raise ConfigError("seed: required (no ambient randomness)")
-    for f in fields(ProtocolConfig):
-        if f.default is MISSING and f.name not in raw:
-            raise ConfigError(f"{f.name}: required")
-    protocol = {k: v for k, v in raw.items() if k in protocol_fields}
-    cfg = _section("protocol", ProtocolConfig, protocol)
-    return Scenario(cfg, *[_section(name, model, raw.get(name))
-                           for name, model in SECTIONS.items()],
-                    seed=_number("scenario", "seed", raw["seed"], int))
-
-
-def load_scenario(path: str, seed: Optional[int] = None,
-                  pulses: Optional[int] = None) -> Scenario:
-    if path.startswith("bundled:"):
-        name = path.split(":", 1)[1]
-        text = resources.files("qkdsim.data").joinpath(
-            f"scenarios/{name}").read_text()
-    else:
-        with open(path) as fh:
-            text = fh.read()
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON ({exc})") from None
-    scenario = parse_scenario(raw)
-    if seed is not None:
-        scenario.seed = seed
-    if pulses is not None:
-        scenario.protocol_config = replace(scenario.protocol_config,
-                                           num_pulses=pulses)
-    return scenario
+from .scenario import (ConfigError, Scenario, _message, load_scenario,
+                       scenario_rates, simulate)
 
 
 # ---------------------------------------------------------------------------
 # report assembly
 # ---------------------------------------------------------------------------
-
-def _scenario_rates(scenario: Scenario,
-                    epsilon: Optional[float]) -> RateReport:
-    """Rates at the scenario's hardware; an error rate above 0.5, which no
-    rate formula takes, leaves out the rates that depend on it."""
-    if epsilon is not None and epsilon > 0.5:
-        epsilon = None
-    mu = None
-    if scenario.source.kind == "attenuated_laser":
-        mu = scenario.source.mu
-    if scenario.protocol_config.protocol == "decoy_bb84":
-        mu = scenario.protocol_config.signal_mu
-    overlap = None
-    if scenario.protocol_config.protocol == "b92":
-        overlap = scenario.protocol_config.b92_overlap
-    eta = scenario.channel.transmittance * scenario.detector.efficiency
-    return evaluate_rates(epsilon=epsilon, mu=mu, eta=eta,
-                          p_dark=scenario.detector.dark_prob, overlap=overlap)
-
 
 def _chsh(transcript: SessionTranscript) -> tuple[float, float]:
     """CHSH estimate; a setting pair with no samples is a scenario error."""
@@ -243,28 +96,11 @@ def _emit(text: str, out: Optional[str]) -> None:
 # verbs
 # ---------------------------------------------------------------------------
 
-def _simulate(scenario: Scenario, *stream: int, pipeline: bool = True):
-    """Run the session on stream ``(seed, *stream, 0)`` and, unless
-    ``pipeline`` is false, the key-distillation pipeline on
-    ``(seed, *stream, 1)``; returns ``(transcript, result or None)``."""
-    try:
-        transcript = run_session(
-            scenario.protocol_config, scenario.source, scenario.channel,
-            scenario.detector, scenario.eve,
-            derive_rng(scenario.seed, *stream, 0))
-    except ValueError as exc:   # sections valid alone, refused together
-        raise ConfigError(str(exc)) from exc
-    if not pipeline:
-        return transcript, None
-    return transcript, run_pipeline(transcript, scenario.pipeline,
-                                    derive_rng(scenario.seed, *stream, 1))
-
-
 def cmd_run(args) -> int:
     scenario = load_scenario(args.scenario, args.seed, args.pulses)
-    transcript, result = _simulate(scenario)
+    transcript, result = simulate(scenario)
     report = session_report(scenario, transcript, result)
-    rates = _scenario_rates(scenario, result.qber_estimate)
+    rates = scenario_rates(scenario, result.qber_estimate)
     if args.format == "json":
         payload = dict(report)
         payload["rates"] = rates.values
@@ -315,11 +151,11 @@ def cmd_sweep(args) -> int:
             point = _apply_axis(base, args.axis, value)
         except ValueError as exc:   # the value is out of the model's range
             raise ConfigError(f"{args.axis} = {value!r}: {exc}") from None
-        transcript, result = _simulate(point, i)
+        transcript, result = simulate(point, i)
         rate = result.final_length / transcript.pulse_count \
             if transcript.pulse_count else 0.0
         eps = result.qber_estimate if args.axis != "epsilon" else value
-        rates = _scenario_rates(point, eps)
+        rates = scenario_rates(point, eps)
         row = [args.axis, repr(value), str(base.seed),
                repr(transcript.sifted_fraction), repr(transcript.qber),
                repr(rate)] + rates.csv_row()
@@ -354,7 +190,7 @@ def cmd_bell(args) -> int:
     scenario = load_scenario(args.scenario, args.seed, args.pulses)
     if scenario.protocol_config.protocol != "e91":
         raise ConfigError("protocol: bell requires an e91 scenario")
-    transcript, _ = _simulate(scenario, pipeline=False)
+    transcript, _ = simulate(scenario, pipeline=False)
     s_hat, stderr = _chsh(transcript)
     analytic = bell_mod.chsh_analytic(bell_mod.MAXIMAL_SETTINGS)
     payload = {

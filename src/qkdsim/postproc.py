@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Optional
 
 import numpy as np
@@ -468,6 +469,10 @@ class PipelineParams:
     subset_clean_target: int = 20
 
     def __post_init__(self):
+        for name in ("sample_fraction", "qber_abort_threshold"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if not 0.0 < self.sample_fraction <= 1.0:
             raise ValueError("sample_fraction must lie in (0, 1]")
         if not 0.0 <= self.qber_abort_threshold <= 0.5:

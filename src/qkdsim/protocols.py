@@ -34,6 +34,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import Callable, Optional
 
 import numpy as np
@@ -68,6 +69,12 @@ class ProtocolConfig:
                 f"num_pulses must be an integer, got {self.num_pulses!r}")
         if self.num_pulses < 0:
             raise ValueError("num_pulses must be >= 0")
+        for name in ("basis_bias", "b92_overlap", "signal_mu", "decoy_mu",
+                     "decoy_fraction"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real) and not (
+                    name == "basis_bias" and value is None):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if not 0 < self.signal_mu < math.inf:
             raise ValueError("signal_mu must be finite and > 0")
         if not 0 <= self.decoy_mu < math.inf:

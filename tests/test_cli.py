@@ -13,10 +13,13 @@ import pytest
 
 import qkdsim
 from qkdsim.adversary import EveStrategy
-from qkdsim.cli import (ConfigError, load_scenario, main, parse_scenario)
-from qkdsim.postproc import PipelineParams
-from qkdsim.protocols import ProtocolConfig
+from qkdsim.cli import main
+from qkdsim.postproc import PipelineParams, run_pipeline
+from qkdsim.protocols import ProtocolConfig, run_session
 from qkdsim.quantum import ChannelModel, DetectorModel, SourceModel
+from qkdsim.rng import derive_rng
+from qkdsim.scenario import (ConfigError, Scenario, load_scenario,
+                             parse_scenario, simulate)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 PACKAGE = Path(qkdsim.__file__).resolve().parent
@@ -63,11 +66,38 @@ def test_parse_minimal_scenario():
     s = parse_scenario({"protocol": "bb84", "num_pulses": 10, "seed": 1})
     assert s.protocol_config.protocol == "bb84"
     assert s.seed == 1
+    # a section left out of the file is the record's default
+    assert s == Scenario(ProtocolConfig("bb84", 10), 1)
 
 
 def test_seed_is_mandatory():
     with pytest.raises(ConfigError, match="seed"):
         parse_scenario({"protocol": "bb84", "num_pulses": 10})
+    with pytest.raises(ConfigError, match=re.escape(
+            "scenario: seed must be a non-negative integer, got -1")):
+        parse_scenario(dict(BASE, seed=-1))
+    for bad in (-1, 1.0, True, None):
+        with pytest.raises(ValueError,
+                           match="^seed must be a non-negative integer"):
+            Scenario(ProtocolConfig("bb84", 10), bad)
+
+
+def test_simulate_runs_the_session_and_pipeline_streams():
+    # stream rule: the session on (seed, *stream, 0), the pipeline on
+    # (seed, *stream, 1)
+    sc = parse_scenario(BASE)
+    transcript, result = simulate(sc, 3)
+    expected = run_session(sc.protocol_config, sc.source, sc.channel,
+                           sc.detector, sc.eve, derive_rng(sc.seed, 3, 0))
+    key = run_pipeline(expected, sc.pipeline,
+                       derive_rng(sc.seed, 3, 1)).final_key
+    assert transcript.to_dict() == expected.to_dict()
+    assert key is not None and result.final_key == key
+    alone, none = simulate(sc, pipeline=False)
+    assert none is None
+    assert alone.to_dict() == run_session(
+        sc.protocol_config, sc.source, sc.channel, sc.detector, sc.eve,
+        derive_rng(sc.seed, 0)).to_dict()
 
 
 def test_unknown_field_reports_path():
@@ -120,10 +150,13 @@ def test_channel_preset_fields_may_be_overridden():
     ("channel", "fiber_1550", "channel: expected an object, got 'fiber_1550'"),
     ("postproc", [0.1], "postproc: expected an object, got [0.1]"),
     ("source", {"kind": ["laser"]}, "source.kind: unknown kind ['laser']"),
+    (None, 5, "scenario: expected an object, got 5"),     # the whole file
+    (None, "seed", "scenario: expected an object, got 'seed'"),
 ])
 def test_malformed_section_is_config_error(section, value, message):
+    raw = value if section is None else dict(BASE, **{section: value})
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
-        parse_scenario(dict(BASE, **{section: value}))
+        parse_scenario(raw)
 
 
 def test_readme_scenario_example_parses_as_documented():
@@ -215,7 +248,7 @@ import sys
 sys.path.insert(0, {str(archive)!r})
 import qkdsim
 assert qkdsim.__file__.startswith({str(archive)!r}), qkdsim.__file__
-from qkdsim.cli import load_scenario
+from qkdsim.scenario import load_scenario
 from qkdsim.quantum import load_presets
 assert load_presets()
 for name in {BUNDLED!r}:
@@ -231,20 +264,18 @@ def test_package_and_key_distillation_load_no_scipy(tmp_path):
     script = """
 import sys
 import qkdsim, qkdsim.cli
-from qkdsim import (NO_EVE, PipelineParams, ProtocolConfig, SourceModel,
-                    channel_preset, decoy_estimate, derive_rng,
-                    detector_preset, evaluate_rates, gain_Qmu, run_pipeline,
-                    run_session)
-honest = run_session(ProtocolConfig("bb84", 20000), SourceModel.ideal(),
-                     channel_preset("lossless", misalignment_error_prob=0.02),
-                     detector_preset("ideal"), NO_EVE, derive_rng(1, 0, 0))
-assert not run_pipeline(honest, PipelineParams(), derive_rng(1, 0, 1)).aborted
+from qkdsim import (ProtocolConfig, SourceModel, channel_preset,
+                    decoy_estimate, detector_preset, evaluate_rates, gain_Qmu)
+from qkdsim.scenario import Scenario, simulate
+honest = Scenario(ProtocolConfig("bb84", 20000), 1, channel=channel_preset(
+    "lossless", misalignment_error_prob=0.02),
+    detector=detector_preset("ideal"))
+assert not simulate(honest, 0)[1].aborted
 cfg = ProtocolConfig("decoy_bb84", 200000, signal_mu=0.8, decoy_mu=0.12,
                      decoy_fraction=0.12)
-decoy = run_session(cfg, SourceModel.laser(0.8), channel_preset("fiber_1550",
-                    10), detector_preset("ingaas_peltier"), NO_EVE,
-                    derive_rng(1, 1, 0))
-res = run_pipeline(decoy, PipelineParams(), derive_rng(1, 1, 1))
+decoy, res = simulate(Scenario(cfg, 1, SourceModel.laser(0.8),
+                               channel_preset("fiber_1550", 10),
+                               detector_preset("ingaas_peltier")), 1)
 stats = decoy.intensity_stats
 evaluate_rates(epsilon=res.qber_estimate, mu=0.8, eta=0.1, p_dark=1e-5)
 gain_Qmu(0.12, 0.1, 1e-5)
@@ -319,6 +350,7 @@ def test_run_intercept_aborts_with_exit_two(capsys):
      "protocol: decoy_mu must be finite and >= 0"),
     ({"source": {"kind": "laser", "mu": 1e5}},
      "mu = 100000.0 is too large (> 10^4 photon counts)"),
+    ({"seed": -1}, "scenario: seed must be a non-negative integer, got -1"),
 ])
 def test_scenario_refused_by_runner_is_clean_error(tmp_path, scenario,
                                                    message):
@@ -383,6 +415,18 @@ def test_run_pulses_override(tmp_path, capsys):
     path = write_scenario(tmp_path, BASE)
     code, out, _ = run_cli(capsys, "run", path, "--pulses", "1234")
     assert "pulses = 1234" in out
+
+
+@pytest.mark.parametrize("flag, message", [
+    ("--pulses", "protocol: num_pulses must be >= 0"),
+    ("--seed", "scenario: seed must be a non-negative integer, got -3"),
+])
+def test_negative_override_is_clean_error(tmp_path, flag, message):
+    path = write_scenario(tmp_path, BASE)
+    proc = run_python(["-m", "qkdsim.cli", "run", path, flag, "-3"],
+                      cwd=tmp_path, pythonpath=str(PACKAGE.parent))
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == f"error: {message}\n"
 
 
 def test_run_out_writes_file(tmp_path, capsys):

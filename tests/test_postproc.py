@@ -887,6 +887,12 @@ def test_pipeline_params_rejects_bad_max_passes(bad):
      "subset_clean_target must be an integer, got 2.5"),
     ("subset_clean_target", True,
      "subset_clean_target must be an integer, got True"),
+    ("sample_fraction", True, "sample_fraction must be a number, got True"),
+    ("sample_fraction", "0.1", "sample_fraction must be a number, got '0.1'"),
+    ("qber_abort_threshold", False,
+     "qber_abort_threshold must be a number, got False"),
+    ("qber_abort_threshold", None,
+     "qber_abort_threshold must be a number, got None"),
 ])
 def test_pipeline_params_rejects_out_of_range(field, bad, message):
     with pytest.raises(ValueError, match=re.escape(message)):

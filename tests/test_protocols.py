@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -41,6 +42,14 @@ def test_config_validation():
     for protocol in ("b92", "e91"):     # choices always uniform
         with pytest.raises(ValueError, match="basis_bias is not used"):
             ProtocolConfig(protocol, 10, basis_bias=0.7)
+    for field in ("signal_mu", "decoy_mu", "decoy_fraction", "b92_overlap",
+                  "basis_bias"):
+        for bad in (True, False, "0.8", None):
+            if field == "basis_bias" and bad is None:
+                continue     # None: the protocol's default, uniform
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{field} must be a number, got {bad!r}")):
+                ProtocolConfig("decoy_bb84", 10, **{field: bad})
 
 
 @pytest.mark.parametrize("field, value", [
