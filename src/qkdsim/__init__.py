@@ -18,10 +18,9 @@ from .postproc import (FinalKeyResult, PipelineParams, advantage_distill,
                        privacy_amplify, run_pipeline, toeplitz_hash, verify)
 from .rates import (RateReport, binary_entropy, csiszar_korner,
                     decoy_estimate, evaluate_rates, gain_Qmu,
-                    intrinsic_information, mutual_information, optimize_mu,
-                    rate_gllp, rate_mayers, rate_shor_preskill,
-                    rate_six_state, shor_preskill_cutoff, usd_threshold,
-                    yield_Yn)
+                    mutual_information, optimize_mu, rate_gllp, rate_mayers,
+                    rate_shor_preskill, rate_six_state, shor_preskill_cutoff,
+                    usd_threshold, yield_Yn)
 from .bell import (MAXIMAL_SETTINGS, TSIRELSON, ChshSettings, chsh_analytic,
                    chsh_estimate)
 
@@ -38,7 +37,7 @@ __all__ = [
     "privacy_amplify", "toeplitz_hash", "advantage_distill",
     "authenticate", "verify", "run_pipeline",
     "RateReport", "evaluate_rates", "binary_entropy", "mutual_information",
-    "csiszar_korner", "intrinsic_information", "rate_mayers",
+    "csiszar_korner", "rate_mayers",
     "rate_shor_preskill", "rate_six_state", "shor_preskill_cutoff",
     "rate_gllp", "optimize_mu", "usd_threshold", "yield_Yn", "gain_Qmu",
     "decoy_estimate",

@@ -20,8 +20,8 @@ from typing import Optional
 
 import numpy as np
 
-from .quantum import (NO_CLICK, ChannelModel, SignalState, click_law,
-                      measure_batch)
+from .quantum import (NO_CLICK, ChannelModel, SignalState, check_numbers,
+                      click_law, measure_batch)
 
 KINDS = ("none", "intercept_resend", "beam_split", "pns", "usd_b92")
 PAIR_OVERLAP = 2 ** -0.5    # |<a|b>| of the two states SARG announces
@@ -55,6 +55,7 @@ class EveStrategy:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown strategy kind {self.kind!r}")
+        check_numbers(self)
         if self.fixed_basis is not None and self.fixed_basis < 0:
             raise ValueError("fixed_basis must be >= 0")
         if self.tap_ratio is not None and not 0.0 < self.tap_ratio < 1.0:

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from numbers import Real
 from typing import Optional
 
 import numpy as np
 
 from .bits import BitString, random_bits
+from .quantum import check_numbers
 from .rates import binary_entropy
 
 
@@ -469,25 +469,19 @@ class PipelineParams:
     subset_clean_target: int = 20
 
     def __post_init__(self):
-        for name in ("sample_fraction", "qber_abort_threshold"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Real):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-        if not 0.0 < self.sample_fraction <= 1.0:
-            raise ValueError("sample_fraction must lie in (0, 1]")
-        if not 0.0 <= self.qber_abort_threshold <= 0.5:
-            raise ValueError("qber_abort_threshold must lie in [0, 0.5]")
-        for name in ("safety_bits", "subset_clean_target"):
-            if type(value := getattr(self, name)) is not int:
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.safety_bits < 0:
-            raise ValueError("safety_bits must be >= 0")
-        if self.subset_clean_target < 1:
-            raise ValueError("subset_clean_target must be >= 1")
         if self.max_passes is not None and not (
                 type(self.max_passes) is int and self.max_passes >= 1):
             raise ValueError("max_passes must be None or an integer >= 1, "
                              f"got {self.max_passes!r}")
+        check_numbers(self)
+        if not 0.0 < self.sample_fraction <= 1.0:
+            raise ValueError("sample_fraction must lie in (0, 1]")
+        if not 0.0 <= self.qber_abort_threshold <= 0.5:
+            raise ValueError("qber_abort_threshold must lie in [0, 0.5]")
+        if self.safety_bits < 0:
+            raise ValueError("safety_bits must be >= 0")
+        if self.subset_clean_target < 1:
+            raise ValueError("subset_clean_target must be >= 1")
 
 
 @dataclass

@@ -34,7 +34,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from numbers import Real
 from typing import Callable, Optional
 
 import numpy as np
@@ -44,8 +43,8 @@ from .adversary import EveStrategy
 from .bits import BitString
 from .quantum import (ALL_BASES, CHUNK, DIAGONAL, NO_CLICK, RECTILINEAR,
                       Basis, ChannelModel, DetectorModel, SignalState,
-                      SourceModel, click_law, measure_batch, photon_pmf,
-                      sample_photon_number)
+                      SourceModel, check_numbers, click_law, measure_batch,
+                      photon_pmf, sample_photon_number)
 
 PROTOCOLS = ("bb84", "b92", "six_state", "sarg", "decoy_bb84", "bbm92", "e91")
 
@@ -64,17 +63,9 @@ class ProtocolConfig:
     def __post_init__(self):
         if self.protocol not in PROTOCOLS:
             raise ValueError(f"unknown protocol {self.protocol!r}")
-        if type(self.num_pulses) is not int:
-            raise ValueError(
-                f"num_pulses must be an integer, got {self.num_pulses!r}")
+        check_numbers(self)
         if self.num_pulses < 0:
             raise ValueError("num_pulses must be >= 0")
-        for name in ("basis_bias", "b92_overlap", "signal_mu", "decoy_mu",
-                     "decoy_fraction"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Real) and not (
-                    name == "basis_bias" and value is None):
-                raise ValueError(f"{name} must be a number, got {value!r}")
         if not 0 < self.signal_mu < math.inf:
             raise ValueError("signal_mu must be finite and > 0")
         if not 0 <= self.decoy_mu < math.inf:

@@ -14,10 +14,14 @@ tests compare against.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
 from importlib import resources
+from numbers import Real
+from types import MappingProxyType
+from typing import Mapping, Optional, get_type_hints
 
 import numpy as np
 
@@ -26,6 +30,30 @@ CHUNK = 1 << 16  # pulses per session slice (see protocols)
 _GUIDE = 1 << 10  # guide-table buckets of sample_photon_number
 
 _NORM_TOL = 1e-12
+
+
+@functools.cache
+def number_fields(cls) -> Mapping:
+    """Each ``int`` or ``float`` field of the dataclass ``cls``, by its type
+    hint, read-only: name -> (int or float, whether it is ``Optional``)."""
+    return MappingProxyType({
+        name: (kind, hint != kind) for name, hint in get_type_hints(cls).items()
+        for kind in (int, float) if hint in (kind, Optional[kind])})
+
+
+def check_numbers(record) -> None:
+    """Refuse, with a ValueError naming the field, a bool or a non-number in
+    a ``float`` field of the dataclass ``record`` and anything but an
+    ``int`` in an ``int`` field; ``None`` passes in an ``Optional`` one."""
+    for name, (kind, optional) in number_fields(type(record)).items():
+        value = getattr(record, name)
+        if value is None and optional:
+            continue
+        if kind is int and type(value) is not int:
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if kind is float and (isinstance(value, bool)
+                              or not isinstance(value, Real)):
+            raise ValueError(f"{name} must be a number, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +142,7 @@ class SourceModel:
     multi_pair_prob: float = 0.0
 
     def __post_init__(self):
+        check_numbers(self)
         if self.kind == "attenuated_laser":
             if not 0 < self.mu < math.inf:
                 raise ValueError("attenuated_laser requires mu > 0 and finite")
@@ -202,6 +231,7 @@ class ChannelModel:
     misalignment_error_prob: float = 0.0
 
     def __post_init__(self):
+        check_numbers(self)
         if not (0 <= self.length_km < math.inf
                 and 0 <= self.attenuation_db_per_km < math.inf):
             raise ValueError("length and attenuation must be finite and >= 0")
@@ -225,6 +255,7 @@ class DetectorModel:
     dark_prob: float = 0.0
 
     def __post_init__(self):
+        check_numbers(self)
         if not 0.0 <= self.efficiency <= 1.0:
             raise ValueError("efficiency must lie in [0,1]")
         if not 0.0 <= self.dark_prob < 1.0:

@@ -2,13 +2,12 @@
 formulas, attack bounds, decoy-intensity yield estimation, and mean-photon-
 number optimization.
 
-Everything here is a pure, deterministic function of its inputs; the
-simulation modules are validated against these closed forms.
+Everything here is a pure, deterministic function of its inputs, on numpy
+alone; the simulation modules are validated against these closed forms.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -66,18 +65,6 @@ def mutual_information(pab: np.ndarray) -> float:
     return max(0.0, ha + hb - shannon_entropy(pab))
 
 
-def conditional_mutual_information(pabe: np.ndarray) -> float:
-    """I(A;B|E) = sum_e p(e) I(A;B | E=e)."""
-    pabe = _check_distribution(pabe)
-    pe = pabe.sum(axis=(0, 1))
-    total = 0.0
-    for e in range(pabe.shape[2]):
-        if pe[e] <= 0.0:
-            continue
-        total += pe[e] * mutual_information(pabe[:, :, e] / pe[e])
-    return total
-
-
 def csiszar_korner(pabe: np.ndarray) -> float:
     """Lower bound on the one-way secret-key rate:
     max(I(A;B) - I(A;E), I(A;B) - I(B;E)).  May be negative."""
@@ -88,62 +75,6 @@ def csiszar_korner(pabe: np.ndarray) -> float:
     iae = mutual_information(pabe.sum(axis=1))
     ibe = mutual_information(pabe.sum(axis=0))
     return max(iab - iae, iab - ibe)
-
-
-def _apply_channel(pabe: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Process Eve's variable through the stochastic map q[e, e_bar]."""
-    return np.einsum("abe,ef->abf", pabe, q)
-
-
-def intrinsic_information(pabe: np.ndarray) -> float:
-    """Upper bound on the secret-key rate: min over stochastic maps E->E'
-    (|E'| = |E|) of I(A;B|E').
-
-    The search covers the identity map, all deterministic maps, a grid in
-    steps of 1/4 for binary E, and random stochastic maps; the best three
-    are refined by Nelder-Mead descent on a softmax parametrization.
-    The result never exceeds I(A;B|E) since the identity is in the space.
-    """
-    from scipy import optimize
-
-    pabe = _check_distribution(np.asarray(pabe, dtype=float))
-    ne = pabe.shape[2]
-    if max(pabe.shape) > 4:
-        raise ValueError("intrinsic_information supports alphabets up to size 4")
-
-    def objective(q):
-        return conditional_mutual_information(_apply_channel(pabe, q))
-
-    candidates = [np.eye(ne)]
-    candidates.append(np.full((ne, ne), 1.0 / ne))
-    for assignment in itertools.product(range(ne), repeat=ne):
-        q = np.zeros((ne, ne))
-        q[np.arange(ne), assignment] = 1.0
-        candidates.append(q)
-    if ne == 2:
-        grid = np.arange(0.0, 1.0 + 1e-12, 0.25)
-        for p0, p1 in itertools.product(grid, repeat=2):
-            candidates.append(np.array([[p0, 1 - p0], [p1, 1 - p1]]))
-    rng = np.random.default_rng(7)  # fixed: the search itself is deterministic
-    for _ in range(8):
-        q = rng.random((ne, ne))
-        candidates.append(q / q.sum(axis=1, keepdims=True))
-
-    scored = sorted(candidates, key=objective)
-    best = objective(scored[0])
-    for q0 in scored[:3]:
-        logits = np.log(np.clip(q0, 1e-6, None)).ravel()
-
-        def from_logits(x):
-            m = np.exp(x.reshape(ne, ne))
-            return m / m.sum(axis=1, keepdims=True)
-
-        res = optimize.minimize(lambda x: objective(from_logits(x)),
-                                logits, method="Nelder-Mead",
-                                options={"maxiter": 2000, "xatol": 1e-6,
-                                         "fatol": 1e-12})
-        best = min(best, float(res.fun))
-    return max(0.0, best)
 
 
 # ---------------------------------------------------------------------------
@@ -176,10 +107,14 @@ def rate_six_state(eps: float) -> float:
 
 
 def shor_preskill_cutoff() -> float:
-    """Error rate where the 1 - 2 h(eps) rate crosses zero (about 11%)."""
-    from scipy import optimize
-
-    return float(optimize.brentq(rate_shor_preskill, 0.05, 0.25, xtol=1e-9))
+    """Error rate where the 1 - 2 h(eps) rate crosses zero (about 11%):
+    bisection of [0.05, 0.25], on which the rate falls monotonically,
+    down to a width of 1e-12."""
+    lo, hi = 0.05, 0.25
+    while hi - lo > 1e-12:
+        mid = (lo + hi) / 2.0
+        lo, hi = (mid, hi) if rate_shor_preskill(mid) > 0.0 else (lo, mid)
+    return (lo + hi) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +127,9 @@ def detection_prob(mu: float, eta: float, p_dark: float) -> float:
     return 1.0 - (1.0 - p_dark) ** 2 * math.exp(-mu * eta)
 
 def multiphoton_prob(mu: float) -> float:
-    """Poisson probability of emitting two or more photons."""
-    return 1.0 - math.exp(-mu) - mu * math.exp(-mu)
+    """Poisson probability of emitting two or more photons, without the
+    cancellation of 1 - e^-mu - mu e^-mu at small mu."""
+    return -math.expm1(-mu) - mu * math.exp(-mu)
 
 
 def multiphoton_fraction(mu: float, eta: float, p_dark: float) -> float:
@@ -238,28 +174,32 @@ class MuSearchResult:
 
 def optimize_mu(eta: float, p_dark: float, eps_model: float) -> MuSearchResult:
     """Maximize the weak-pulse rate per emitted pulse over mean photon
-    numbers up to 2 by scipy's bounded Brent method (golden-section steps
-    with parabolic interpolation); the optimum sits near mu ~ eta."""
-    from scipy import optimize
-
+    numbers in [1e-9, 2]; the optimum sits near mu ~ eta.  The best point
+    of a 200-point geometric grid is refined by golden-section search
+    between its two grid neighbours, down to a relative width of 1e-9."""
     if not 0.0 < eta <= 1.0:
         raise ValueError("eta must lie in (0, 1]")
 
-    def neg(mu):
-        return -gllp_pulse_rate(mu, eta, p_dark, eps_model)
+    def rate(mu):
+        return gllp_pulse_rate(mu, eta, p_dark, eps_model)
 
-    res = optimize.minimize_scalar(neg, bounds=(1e-9, 2.0),
-                                   method="bounded",
-                                   options={"xatol": 1e-6})
-    mu_star = float(res.x)
-    best = -float(res.fun)
-    if best <= 0.0:
-        # scan a grid to confirm there is no positive rate anywhere
-        grid = np.geomspace(1e-6, 2.0, 200)
-        vals = [gllp_pulse_rate(m, eta, p_dark, eps_model) for m in grid]
-        k = int(np.argmax(vals))
-        if vals[k] > best:
-            mu_star, best = float(grid[k]), float(vals[k])
+    step = (math.sqrt(5.0) - 1.0) / 2.0     # the golden-section ratio
+    grid = np.geomspace(1e-9, 2.0, 200).tolist()
+    vals = [rate(mu) for mu in grid]
+    k = int(np.argmax(vals))
+    lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
+    a, b = hi - step * (hi - lo), lo + step * (hi - lo)
+    ra, rb = rate(a), rate(b)
+    while hi - lo > 1e-9 * hi:
+        if ra >= rb:    # a maximum lies in [lo, b]
+            hi, b, rb = b, a, ra
+            a = hi - step * (hi - lo)
+            ra = rate(a)
+        else:           # in [a, hi]
+            lo, a, ra = a, b, rb
+            b = lo + step * (hi - lo)
+            rb = rate(b)
+    best, mu_star = max((vals[k], grid[k]), (ra, a), (rb, b))
     return MuSearchResult(mu_star, best)
 
 

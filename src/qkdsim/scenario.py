@@ -11,13 +11,13 @@ import sys
 from dataclasses import MISSING, dataclass, fields, replace
 from functools import partial
 from importlib import resources
-from typing import Optional, get_type_hints
+from typing import Optional
 
 from .adversary import NO_EVE, EveStrategy
 from .postproc import PipelineParams, run_pipeline
 from .protocols import ProtocolConfig, run_session
 from .quantum import (ChannelModel, DetectorModel, SourceModel,
-                      channel_preset, detector_preset)
+                      channel_preset, detector_preset, number_fields)
 from .rates import RateReport, evaluate_rates
 from .rng import derive_rng
 
@@ -62,13 +62,12 @@ def _refuse_unknown(raw: dict, path: str, allowed: set) -> None:
         raise ConfigError(f"{path}: unknown field(s) {sorted(extra)}")
 
 
-def _number(path: str, name: str, value, hint):
-    """A scenario number read as its field's type hint: an ``int`` field
-    takes integral values only ("num_pulses": 3e3 is 3000), a ``float``
-    field any finite number ("mu": 1 prints 1.0).  Booleans, NaN, ±inf and
-    non-numbers are refused; ``null`` only where the hint is ``Optional``."""
-    kind = int if hint in (int, Optional[int]) else float
-    if value is None and hint is not kind:
+def _number(path: str, name: str, value, kind, optional=False):
+    """A scenario number read as its field's kind: an ``int`` field takes
+    integral values only ("num_pulses": 3e3 is 3000), a ``float`` field
+    any finite number ("mu": 1 prints 1.0).  Booleans, NaN, ±inf and
+    non-numbers are refused; ``null`` only where the field is Optional."""
+    if value is None and optional:
         return None
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
             abs(value) <= sys.float_info.max) or (
@@ -104,8 +103,7 @@ def _section(path: str, model, raw: Optional[dict]):
     if model in PRESETS:
         allowed.add("preset")
     _refuse_unknown(raw, path, allowed)
-    numbers = {name: hint for name, hint in get_type_hints(model).items()
-               if hint in (int, Optional[int], float, Optional[float])}
+    numbers = number_fields(model)
     factory = model
     if model is SourceModel:
         kind = raw.pop("kind", "ideal")
@@ -114,7 +112,7 @@ def _section(path: str, model, raw: Optional[dict]):
         factory = getattr(SourceModel, kind)
     elif "preset" in raw:
         factory = partial(PRESETS[model], raw.pop("preset"))
-    kwargs = {k: _number(path, k, v, numbers[k]) if k in numbers else v
+    kwargs = {k: _number(path, k, v, *numbers[k]) if k in numbers else v
               for k, v in raw.items()}
     return _build(path, factory, **kwargs)
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,18 @@ def test_strategy_validation():
         EveStrategy("beam_split", tap_ratio=1.5)
     with pytest.raises(ValueError, match="fixed_basis must be >= 0"):
         EveStrategy("intercept_resend", fixed_basis=-1)
+    # a bool or a non-number in a float field, a non-int in an int field
+    for kind, field, bad, noun in (
+            ("pns", "block_single_prob", True, "a number"),
+            ("pns", "block_single_prob", "0.5", "a number"),
+            ("beam_split", "tap_ratio", False, "a number"),
+            ("beam_split", "tap_ratio", "0.3", "a number"),
+            ("intercept_resend", "fixed_basis", 1.5, "an integer"),
+            ("intercept_resend", "fixed_basis", True, "an integer"),
+            ("intercept_resend", "fixed_basis", "1", "an integer")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{field} must be {noun}, got {bad!r}")):
+            EveStrategy(kind, **{field: bad})
 
 
 def test_intercept_resend_same_basis_is_transparent():

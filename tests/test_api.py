@@ -13,7 +13,6 @@ WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 WAITING = {
     "sample_singlet": 3,
     "csiszar_korner": 10,
-    "intrinsic_information": 10,
     "parity_knowledge": 11,
     "CHAU_THRESHOLD_BB84": 11,
     "CHAU_THRESHOLD_SIX_STATE": 11,

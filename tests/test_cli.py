@@ -259,10 +259,19 @@ for name in {BUNDLED!r}:
 
 
 def test_package_and_key_distillation_load_no_scipy(tmp_path):
-    # scipy is imported only inside the rate optimizers; a session, its
-    # pipeline and the rate cross-checks must not pull it in
+    # scipy is a test-only reference: the package, every demo and every
+    # CLI verb run with its import refused
+    demos = [str(p) for p in sorted((README.parent / "demos").glob("*.py"))]
+    assert demos
     script = """
-import sys
+import contextlib, importlib.abc, io, runpy, sys
+
+class RefuseScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"scipy is refused here: {name}")
+
+sys.meta_path.insert(0, RefuseScipy())
 import qkdsim, qkdsim.cli
 from qkdsim import (ProtocolConfig, SourceModel, channel_preset,
                     decoy_estimate, detector_preset, evaluate_rates, gain_Qmu)
@@ -281,9 +290,18 @@ evaluate_rates(epsilon=res.qber_estimate, mu=0.8, eta=0.1, p_dark=1e-5)
 gain_Qmu(0.12, 0.1, 1e-5)
 decoy_estimate(stats["signal"]["gain"], stats["decoy"]["gain"], 0.8, 0.12,
                1e-5)
+with contextlib.redirect_stdout(io.StringIO()):
+    for demo in %r:
+        runpy.run_path(demo, run_name="__main__")
+    for argv in (["run", "bundled:bb84_honest.cfg"],
+                 ["sweep", "bundled:bb84_honest.cfg", "--axis", "length_km",
+                  "--start", "0", "--stop", "20", "--steps", "2"],
+                 ["rates", "--epsilon", "0.02", "--mu", "0.5", "--eta", "0.1"],
+                 ["bell", "bundled:e91_honest.cfg"]):
+        assert qkdsim.cli.main(argv) == 0, argv
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 assert not loaded, loaded
-"""
+""" % demos
     proc = run_python(["-c", script], cwd=tmp_path,
                       pythonpath=str(PACKAGE.parent))
     assert proc.returncode == 0, proc.stderr
@@ -572,6 +590,10 @@ def test_rates_pns_flagged(capsys):
     assert code == 0
     line = next(l for l in out.split("\n") if "bound_pns" in l)
     assert "[no secure key]" in line
+    # at mu = 1e-9 the multi-photon fraction stays in [0, 1)
+    code, _, err = run_cli(capsys, "rates", "--epsilon", "0.02", "--mu",
+                           "1e-9", "--eta", "0.1")
+    assert code == 0 and err == ""
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -130,6 +131,30 @@ def test_photon_pmf_refuses_a_table_beyond_ten_thousand_counts():
 def test_laser_mu_must_be_finite_and_positive(mu):
     with pytest.raises(ValueError, match="attenuated_laser requires mu > 0"):
         SourceModel.laser(mu)
+
+
+# model.field -> the model built with a bad value in that field
+DEVICE_FIELDS = {
+    "laser.mu": SourceModel.laser,
+    "heralded.herald_efficiency": lambda bad: SourceModel.heralded(bad, 0.0),
+    "heralded.multi_pair_prob": lambda bad: SourceModel.heralded(0.5, bad),
+    "channel.length_km": lambda bad: ChannelModel(length_km=bad),
+    "channel.attenuation_db_per_km":
+        lambda bad: ChannelModel(attenuation_db_per_km=bad),
+    "channel.misalignment_error_prob":
+        lambda bad: ChannelModel(misalignment_error_prob=bad),
+    "detector.efficiency": lambda bad: DetectorModel(efficiency=bad),
+    "detector.dark_prob": lambda bad: DetectorModel(dark_prob=bad),
+}
+
+
+@pytest.mark.parametrize("field", sorted(DEVICE_FIELDS))
+@pytest.mark.parametrize("bad", [True, False, "0.5", None])
+def test_device_models_refuse_bools_and_non_numbers(field, bad):
+    name = field.split(".")[1]
+    with pytest.raises(ValueError, match=re.escape(
+            f"{name} must be a number, got {bad!r}")):
+        DEVICE_FIELDS[field](bad)
 
 
 def test_channel_transmittance():

@@ -5,10 +5,9 @@ import pytest
 
 from qkdsim.rates import (CHAU_THRESHOLD_BB84, CHAU_THRESHOLD_SIX_STATE,
                           DecoyEstimate, binary_entropy,
-                          bound_beamsplit, bound_pns,
-                          conditional_mutual_information, csiszar_korner,
+                          bound_beamsplit, bound_pns, csiszar_korner,
                           decoy_estimate, detection_prob, evaluate_rates,
-                          gain_Qmu, gllp_pulse_rate, intrinsic_information,
+                          gain_Qmu, gllp_pulse_rate,
                           multiphoton_fraction, multiphoton_prob,
                           mutual_information, optimize_mu, rate_gllp,
                           rate_mayers, rate_shor_preskill, rate_six_state,
@@ -103,29 +102,6 @@ def test_csiszar_korner_eve_full_copy():
     assert csiszar_korner(p) <= 0.0
 
 
-def test_intrinsic_bounded_by_conditional_mi():
-    for knows in (0.0, 0.5, 1.0):
-        p = _abe(0.2, knows)
-        assert intrinsic_information(p) <= \
-            conditional_mutual_information(p) + 1e-9
-
-
-def test_intrinsic_eve_blind_equals_mi():
-    p = _abe(0.1, 0.0)
-    assert intrinsic_information(p) == pytest.approx(
-        1 - binary_entropy(0.1), abs=1e-6)
-
-
-def test_intrinsic_eve_copy_is_zero():
-    p = _abe(0.0, 1.0)
-    assert intrinsic_information(p) == pytest.approx(0.0, abs=1e-9)
-
-
-def test_intrinsic_rejects_large_alphabets():
-    with pytest.raises(ValueError):
-        intrinsic_information(np.full((5, 5, 5), 1 / 125))
-
-
 # ---------------------------------------------------------------------------
 # single-photon rate formulas
 # ---------------------------------------------------------------------------
@@ -154,6 +130,12 @@ def test_shor_preskill_cutoff_near_eleven_percent():
     assert rate_shor_preskill(cutoff) == pytest.approx(0.0, abs=1e-9)
 
 
+def test_shor_preskill_cutoff_matches_brentq():
+    from scipy.optimize import brentq
+    root = brentq(rate_shor_preskill, 0.05, 0.25, xtol=1e-13)
+    assert shor_preskill_cutoff() == pytest.approx(root, abs=1e-11)
+
+
 def test_six_state_cutoff_higher_than_bb84():
     # root of the six-state rate sits near 12.6%
     from scipy.optimize import brentq
@@ -162,17 +144,28 @@ def test_six_state_cutoff_higher_than_bb84():
     assert root > shor_preskill_cutoff()
 
 
-def test_scipy_backed_functions_keep_their_values():
-    # recorded while scipy was imported at module level
-    assert shor_preskill_cutoff() == 0.11002786444691716
-    assert [(r.mu, r.rate_per_pulse) for r in (
-        optimize_mu(0.1, 0.0, 0.0), optimize_mu(0.01, 1e-5, 0.02),
-        optimize_mu(1e-3, 1e-5, 0.12))] == [
-        (0.10826580342224035, 0.005313764432918034),
-        (0.007516194018558547, 4.110666226836649e-05),
-        (6.653747947496399e-07, -1.174467991069028e-06)]
-    assert [intrinsic_information(_abe(0.2, k)) for k in (0.0, 0.5, 1.0)] \
-        == [0.2780719051126374, 0.21213996048812858, 0.0]
+MU_SEARCH_POINTS = [(0.1, 0.0, 0.0), (0.01, 1e-5, 0.02), (1e-3, 1e-5, 0.12)]
+
+
+def test_rate_searches_keep_their_values():
+    # recorded when the cutoff became a bisection and optimize_mu a grid
+    # refined by golden-section search
+    assert shor_preskill_cutoff() == 0.11002786443823423
+    found = [optimize_mu(*point) for point in MU_SEARCH_POINTS]
+    assert [(r.mu, r.rate_per_pulse) for r in found] == [
+        (0.11045149992085562, 0.00531569362598433),
+        (0.007516225935803424, 4.1106662268904345e-05),
+        (1.0000000004965547e-09, -1.1744287980365266e-06)]
+    # never below bounded Brent at the same point, nor below the rates
+    # recorded from it (with a grid scan where it found none positive)
+    from scipy.optimize import minimize_scalar
+    brent_recorded = [0.005313764432918034, 4.110666226836649e-05,
+                      -1.174467991069028e-06]
+    for point, res, recorded in zip(MU_SEARCH_POINTS, found, brent_recorded):
+        brent = minimize_scalar(lambda mu: -gllp_pulse_rate(mu, *point),
+                                bounds=(1e-9, 2.0), method="bounded",
+                                options={"xatol": 1e-6})
+        assert res.rate_per_pulse >= max(-brent.fun, recorded)
 
 
 def test_chau_constants():
@@ -188,6 +181,12 @@ def test_detection_and_multiphoton_probs():
     assert detection_prob(0.1, 0.1, 0.0) == pytest.approx(1 - math.exp(-0.01))
     assert multiphoton_prob(0.1) == pytest.approx(
         1 - math.exp(-0.1) * 1.1)
+    # the Poisson tail summed term by term; 1 - e^-mu - mu e^-mu cancels
+    # to -2.7e-17 at mu = 1e-9
+    for mu, rel in ((1e-12, 1e-4), (1e-9, 1e-6), (1e-8, 1e-6)):
+        tail = math.exp(-mu) * math.fsum(mu ** n / math.factorial(n)
+                                         for n in range(2, 6))
+        assert multiphoton_prob(mu) == pytest.approx(tail, rel=rel, abs=0.0)
     frac = multiphoton_fraction(0.1, 0.1, 1e-5)
     assert frac == pytest.approx(0.46929343805787727, rel=1e-6)
 
@@ -207,10 +206,13 @@ def test_gllp_pulse_rate_eta_squared_scaling():
 
 
 def test_optimize_mu_tracks_eta():
+    # without errors and dark counts the rate is (1 + mu) e^-mu - e^-mu eta,
+    # whose maximum solves mu e^-mu = eta e^-mu eta
     for eta in (1e-3, 1e-2, 1e-1):
         res = optimize_mu(eta, 0.0, 0.0)
         assert res.rate_per_pulse > 0.0
-        assert eta / 2 < res.mu < eta * 2
+        assert res.mu * math.exp(-res.mu) == pytest.approx(
+            eta * math.exp(-res.mu * eta), rel=1e-6)
 
 
 def test_optimize_mu_reports_no_positive_rate_above_cutoff():

@@ -42,6 +42,10 @@ place the bits with an affine slot map instead of a random permutation:
 sessions and QBER estimates are unchanged, the parities and keys are not
 (``ideal_plain_devices`` 146 → 147 parities, ``laser_presets_pns``
 49 → 51; the error-free cases only draw other subset masks).
+``decoy_beam_split json`` was re-recorded when ``rates.multiphoton_prob``
+came to compute the Poisson tail without cancellation (``expm1``): its
+``r_gllp`` and ``r_gllp_per_pulse`` moved in the last digit
+(…705 → …707, …857 → …8578).
 """
 
 import hashlib
@@ -111,7 +115,7 @@ GOLDEN = {
     "decoy_beam_split text":
         "85ed14e564ef9ae7098619e39535df81f202750ee37a91c425c99c65d9eca97e",
     "decoy_beam_split json":
-        "9244a57fa7d707213c35c3b4879d5a1a77d502035fcf85062e99ef62b0cf0ac8",
+        "cc89d357d97e1569e800c56d5f9b742ae9df881e5b2332157c694bba6eb66c51",
     "e91_defaults text":
         "504076505273163cbe72ff0782202990ecb3a7d7329b627d59e3696f317b583c",
     "e91_defaults json":
