@@ -16,7 +16,7 @@ from qkdsim.postproc import (PipelineParams, advantage_distill,
                              run_pipeline_on_keys)
 from qkdsim.protocols import ProtocolConfig
 from qkdsim.quantum import ChannelModel
-from qkdsim.rng import make_rng
+from qkdsim.rng import derive_rng
 from qkdsim.scenario import Scenario, simulate
 
 
@@ -39,7 +39,7 @@ def main():
 
     # 20% errors: far beyond one-way reconciliation, but a repeat-code
     # filter trades length for a much cleaner pair of strings
-    rng = make_rng(33)
+    rng = derive_rng(33)
     n = 90000
     a = random_bits(n, rng)
     flips = (rng.random(n) < 0.20).astype(np.uint8)

@@ -13,9 +13,9 @@ from qkdsim.adversary import EveStrategy, NO_EVE
 from qkdsim.protocols import ProtocolConfig, run_session
 from qkdsim.quantum import (ChannelModel, DetectorModel, SourceModel,
                             channel_preset, detector_preset)
-from qkdsim.rates import (decoy_estimate, detection_prob, gllp_pulse_rate, optimize_mu,
-                          rate_shor_preskill, shor_preskill_cutoff,
-                          yield_Yn)
+from qkdsim.rates import (decoy_estimate, gain_Qmu, gllp_pulse_rate,
+                          optimize_mu, rate_shor_preskill,
+                          shor_preskill_cutoff, yield_Yn)
 from qkdsim.rng import derive_rng
 
 
@@ -37,7 +37,7 @@ def main():
         eta = ch.transmittance * det.efficiency
         mu = max(eta, 1e-6)
         p_signal = 1.0 - np.exp(-mu * eta)
-        p_click = detection_prob(mu, eta, det.dark_prob)
+        p_click = gain_Qmu(mu, eta, det.dark_prob)
         # misalignment errors on real clicks, coin flips on dark clicks
         eps = (0.02 * p_signal + 0.5 * (p_click - p_signal)) / p_click
         r = gllp_pulse_rate(mu, eta, det.dark_prob, eps) if eps < 0.5 else -1.0

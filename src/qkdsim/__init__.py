@@ -8,7 +8,7 @@ amplification, authentication), rates (closed-form key rates and bounds), bell
 """
 
 from .bits import BitString, random_bits
-from .rng import derive_rng, make_rng
+from .rng import derive_rng
 from .quantum import (ChannelModel, DetectorModel, SourceModel,
                       channel_preset, detector_preset, load_presets)
 from .adversary import NO_EVE, EveStrategy
@@ -28,7 +28,7 @@ __version__ = "1.0.0"
 
 __all__ = [
     "BitString", "random_bits",
-    "make_rng", "derive_rng",
+    "derive_rng",
     "SourceModel", "ChannelModel", "DetectorModel",
     "load_presets", "detector_preset", "channel_preset",
     "EveStrategy", "NO_EVE",

@@ -221,10 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Quantum key distribution simulator and rate calculator")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, scenario=True):
-        if scenario:
-            p.add_argument("scenario",
-                           help="scenario file path, or bundled:<name>")
+    def common(p):
+        p.add_argument("scenario", help="scenario file path, or bundled:<name>")
         p.add_argument("--seed", type=int, default=None,
                        help="override the scenario seed")
         p.add_argument("--pulses", type=int, default=None,

@@ -121,11 +121,6 @@ def shor_preskill_cutoff() -> float:
 # weak-pulse (multi-photon-penalized) rates
 # ---------------------------------------------------------------------------
 
-def detection_prob(mu: float, eta: float, p_dark: float) -> float:
-    """Probability that at least one of Bob's two gated detectors fires for
-    a Poissonian pulse of mean mu over total transmittance eta."""
-    return 1.0 - (1.0 - p_dark) ** 2 * math.exp(-mu * eta)
-
 def multiphoton_prob(mu: float) -> float:
     """Poisson probability of emitting two or more photons, without the
     cancellation of 1 - e^-mu - mu e^-mu at small mu."""
@@ -135,7 +130,7 @@ def multiphoton_prob(mu: float) -> float:
 def multiphoton_fraction(mu: float, eta: float, p_dark: float) -> float:
     """Delta = p_multi / p_exp: the fraction of Bob's detections that could
     stem from multi-photon emissions."""
-    p_exp = detection_prob(mu, eta, p_dark)
+    p_exp = gain_Qmu(mu, eta, p_dark)
     if p_exp <= 0.0:
         raise ValueError("detection probability is zero")
     return min(1.0, multiphoton_prob(mu) / p_exp)
@@ -156,7 +151,7 @@ def rate_gllp(eps: float, delta: float) -> float:
 def gllp_pulse_rate(mu: float, eta: float, p_dark: float, eps: float) -> float:
     """Secret bits per emitted pulse: detection probability times the
     per-sifted-bit weak-pulse rate."""
-    p_exp = detection_prob(mu, eta, p_dark)
+    p_exp = gain_Qmu(mu, eta, p_dark)
     delta = multiphoton_fraction(mu, eta, p_dark)
     if delta >= 1.0:
         return -binary_entropy(eps) * p_exp
@@ -215,10 +210,12 @@ def bound_beamsplit(mu: float, eta: float) -> float:
 
 
 def bound_pns(mu: float, eta: float) -> float:
-    """R <= (1 + mu) e^{-mu} - e^{-mu eta}; negative means no secure key."""
+    """R <= (1 + mu) e^{-mu} - e^{-mu eta}; negative means no secure key.
+    Computed as (1 - e^{-mu eta}) - p_multi, which does not cancel at
+    small mu."""
     if mu <= 0 or not 0.0 < eta <= 1.0:
         raise ValueError("bound_pns requires mu > 0 and eta in (0,1]")
-    return (1.0 + mu) * math.exp(-mu) - math.exp(-mu * eta)
+    return -math.expm1(-mu * eta) - multiphoton_prob(mu)
 
 
 def usd_threshold(overlap: float) -> float:
@@ -235,18 +232,22 @@ def usd_threshold(overlap: float) -> float:
 
 def yield_Yn(n: int, eta: float, p_dark: float) -> float:
     """Y_n = 1 - (1 - eta)^n (1 - p_dark)^2: at least one of Bob's two
-    detectors fires (p_dark per gate per detector, as in detection_prob)."""
+    detectors fires (p_dark per gate per detector, as in gain_Qmu)."""
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must lie in [0, 1]")
     return 1.0 - (1.0 - eta) ** n * (1.0 - p_dark) ** 2
 
 
 def gain_Qmu(mu: float, eta: float, p_dark: float) -> float:
-    """Q_mu = e^{-mu} sum_n Y_n mu^n / n!, which sums to
-    ``detection_prob(mu, eta, p_dark)``; mu <= 0 gives Y_0."""
+    """Q_mu = e^{-mu} sum_n Y_n mu^n / n! = 1 - (1 - p_dark)^2 e^{-mu eta}:
+    the probability that at least one of Bob's two gated detectors fires
+    for a Poissonian pulse of mean mu over total transmittance eta.  An
+    expm1 form keeps it exact at small mu eta; mu <= 0 gives Y_0."""
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must lie in [0, 1]")
-    return detection_prob(max(mu, 0.0), eta, p_dark)
+    if not 0.0 <= p_dark < 1.0:
+        raise ValueError("p_dark must lie in [0, 1)")
+    return -math.expm1(2.0 * math.log1p(-p_dark) - max(mu, 0.0) * eta)
 
 
 @dataclass(frozen=True)

@@ -12,16 +12,12 @@ from __future__ import annotations
 import numpy as np
 
 
-def make_rng(seed: int) -> np.random.Generator:
-    """Return the master generator for a given integer seed."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-
-
 def derive_rng(seed: int, *indices: int) -> np.random.Generator:
     """Return an independent child stream for (seed, index path).
 
     Equal arguments always produce bit-identical streams; distinct index
-    paths produce statistically independent ones.
+    paths produce statistically independent ones.  ``derive_rng(seed)``,
+    with no index, is the seed's master stream.
     """
     seq = np.random.SeedSequence([int(seed), *[int(i) for i in indices]])
     return np.random.Generator(np.random.Philox(seq))

@@ -20,7 +20,7 @@ from qkdsim.quantum import (ChannelModel, DetectorModel, SourceModel,
 from qkdsim.rates import (binary_entropy, decoy_estimate, optimize_mu,
                           gllp_pulse_rate, shor_preskill_cutoff,
                           usd_threshold, yield_Yn)
-from qkdsim.rng import derive_rng, make_rng
+from qkdsim.rng import derive_rng
 
 IDEAL = SourceModel.ideal()
 CLEAN = ChannelModel()
@@ -59,7 +59,7 @@ def test_criterion_2_six_state_statistics():
 
 def test_criterion_3_poisson_photon_statistics():
     draws = sample_photon_number(photon_pmf(SourceModel.laser(0.1)),
-                                 make_rng(104), size=1000000)
+                                 derive_rng(104), size=1000000)
     p0 = (draws == 0).mean()
     p1 = (draws == 1).mean()
     pm = (draws >= 2).mean()
@@ -115,7 +115,7 @@ def test_criterion_6_parity_knowledge_decay():
 
 
 def test_criterion_7_advantage_distillation_matches_enumeration():
-    rng = make_rng(108)
+    rng = derive_rng(108)
     all_ok = True
     details = []
     for eps, N in itertools.product((0.25, 0.4), (2, 3, 5)):

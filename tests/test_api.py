@@ -71,6 +71,14 @@ def test_every_name_has_a_caller_or_waits():
     assert orphans == [], "no caller outside the tests"
 
 
+def test_every_public_name_resolves():
+    # what ``from qkdsim import *`` binds: every name in ``__all__``
+    import qkdsim
+    namespace = {}
+    exec("from qkdsim import *", namespace)
+    assert sorted(set(qkdsim.__all__) - set(namespace)) == []
+
+
 def test_waiting_list_is_current():
     callers = _callers()
     gone = sorted(n for n in WAITING if n not in callers)

@@ -5,7 +5,7 @@ import pytest
 from qkdsim.bell import (MAXIMAL_SETTINGS, SETTING_PAIRS, TSIRELSON,
                          ChshSettings, chsh_analytic, chsh_estimate)
 from qkdsim.quantum import sample_singlet
-from qkdsim.rng import make_rng
+from qkdsim.rng import derive_rng
 
 
 def test_maximal_settings_hit_tsirelson():
@@ -28,7 +28,7 @@ def _singlet_samples(settings, per_pair, rng):
 
 
 def test_estimate_recovers_analytic_value():
-    rng = make_rng(1)
+    rng = derive_rng(1)
     samples = _singlet_samples(MAXIMAL_SETTINGS, 200000, rng)
     s_hat, stderr = chsh_estimate(samples)
     assert abs(s_hat - TSIRELSON) < 4 * stderr
@@ -36,14 +36,14 @@ def test_estimate_recovers_analytic_value():
 
 
 def test_estimate_stderr_scales_inverse_sqrt():
-    rng = make_rng(2)
+    rng = derive_rng(2)
     _, se_small = chsh_estimate(_singlet_samples(MAXIMAL_SETTINGS, 1000, rng))
     _, se_big = chsh_estimate(_singlet_samples(MAXIMAL_SETTINGS, 100000, rng))
     assert se_big < se_small / 5
 
 
 def test_estimate_rejects_thin_pairs():
-    rng = make_rng(3)
+    rng = derive_rng(3)
     samples = _singlet_samples(MAXIMAL_SETTINGS, 150, rng)
     samples[("n1p", "n2p")] = samples[("n1p", "n2p")][:10]
     with pytest.raises(ValueError, match="n1p"):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qkdsim.bits import BitString, random_bits
-from qkdsim.rng import make_rng
+from qkdsim.rng import derive_rng
 
 bit_lists = st.lists(st.integers(0, 1), min_size=0, max_size=200)
 nonempty_bits = st.lists(st.integers(0, 1), min_size=1, max_size=200)
@@ -70,10 +70,10 @@ def test_hamming():
 @given(nonempty_bits, st.integers(0, 2 ** 31))
 def test_vernam_roundtrip(bits, seed):
     m = BitString(bits)
-    k = random_bits(len(bits), make_rng(seed))
+    k = random_bits(len(bits), derive_rng(seed))
     assert (m ^ k) ^ k == m
 
 
 def test_random_bits_balanced():
-    bits = random_bits(100000, make_rng(5))
+    bits = random_bits(100000, derive_rng(5))
     assert abs(bits.hamming_weight() / 100000 - 0.5) < 0.01

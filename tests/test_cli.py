@@ -600,11 +600,22 @@ def test_rates_pns_flagged(capsys):
 # bell
 # ---------------------------------------------------------------------------
 
-def test_bell_verb_reports_violation(capsys):
+def test_bell_verb_reports_violation(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "bell", "bundled:e91_honest.cfg",
                            "--pulses", "40000")
     assert code == 0
     assert "violates_classical = True" in out
+    code, out, _ = run_cli(capsys, "bell", "bundled:e91_honest.cfg",
+                           "--format", "json")
+    report = json.loads(out)
+    assert code == 0 and report["violates_classical"]
+    assert report["analytic_singlet"] == report["tsirelson"]
+    # intercept-resend leaves a classical correlation: exit 0, no violation
+    path = write_scenario(tmp_path, {"protocol": "e91", "num_pulses": 20000,
+                                     "seed": 1,
+                                     "eve": {"kind": "intercept_resend"}})
+    code, out, _ = run_cli(capsys, "bell", path, "--format", "json")
+    assert code == 0 and not json.loads(out)["violates_classical"]
 
 
 def test_bell_rejects_non_e91(capsys, tmp_path):

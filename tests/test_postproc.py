@@ -20,7 +20,7 @@ from qkdsim.postproc import (PRODUCTION_PRIME, AuthConfig, NoSecureKey,
                              remove_positions, run_pipeline_on_keys,
                              toeplitz_hash, verify)
 from qkdsim.rates import binary_entropy
-from qkdsim.rng import make_rng
+from qkdsim.rng import derive_rng
 
 
 def flip_fraction(bits, eps, rng):
@@ -33,7 +33,7 @@ def flip_fraction(bits, eps, rng):
 # ---------------------------------------------------------------------------
 
 def test_estimate_identical_strings():
-    rng = make_rng(1)
+    rng = derive_rng(1)
     a = random_bits(1000, rng)
     eps, pos = estimate_qber(a, a, 0.2, rng)
     assert eps == 0.0
@@ -41,7 +41,7 @@ def test_estimate_identical_strings():
 
 
 def test_estimate_quarter_flips():
-    rng = make_rng(2)
+    rng = derive_rng(2)
     n = 100000
     a = random_bits(n, rng)
     b_arr = a.to_array().copy()
@@ -51,7 +51,7 @@ def test_estimate_quarter_flips():
 
 
 def test_estimate_full_census_exact():
-    rng = make_rng(3)
+    rng = derive_rng(3)
     a = random_bits(1000, rng)
     b = flip_fraction(a, 0.1, rng)
     true_eps = a.hamming_distance(b) / 1000
@@ -61,7 +61,7 @@ def test_estimate_full_census_exact():
 
 
 def test_estimate_validations():
-    rng = make_rng(4)
+    rng = derive_rng(4)
     with pytest.raises(ValueError):
         estimate_qber(BitString([1]), BitString([1, 0]), 0.5, rng)
     with pytest.raises(ValueError):
@@ -79,7 +79,7 @@ def test_remove_positions():
 # ---------------------------------------------------------------------------
 
 def test_bbbss_zero_errors_is_identity():
-    rng = make_rng(5)
+    rng = derive_rng(5)
     a = random_bits(2000, rng)
     rec = bbbss_correct(a, a, 0.03, rng)
     assert rec.corrected_alice == a and rec.corrected_bob == a
@@ -87,7 +87,7 @@ def test_bbbss_zero_errors_is_identity():
 
 
 def test_bbbss_corrects_three_percent():
-    rng = make_rng(6)
+    rng = derive_rng(6)
     a = random_bits(10000, rng)
     b = flip_fraction(a, 0.03, rng)
     rec = bbbss_correct(a, b, 0.03, rng)
@@ -99,7 +99,7 @@ def test_bbbss_even_error_block_caught_by_later_pass():
     # two errors inside what pass 1 sees as one block (of 100 bits: the
     # estimate 0.0073 sets it) cancel in its parity;
     # the later permuted passes and the subset phase must still catch them
-    rng = make_rng(7)
+    rng = derive_rng(7)
     n = 400
     a = BitString.from_array(np.zeros(n))
     b_arr = a.to_array().copy()
@@ -110,7 +110,7 @@ def test_bbbss_even_error_block_caught_by_later_pass():
 
 
 def test_bbbss_counts_every_parity_in_log():
-    rng = make_rng(8)
+    rng = derive_rng(8)
     a = random_bits(3000, rng)
     b = flip_fraction(a, 0.02, rng)
     log = PublicChannelLog()
@@ -119,20 +119,20 @@ def test_bbbss_counts_every_parity_in_log():
 
 
 def test_bbbss_leaked_bits_counts_only_its_own_parities():
-    data_rng = make_rng(10)
+    data_rng = derive_rng(10)
     a = random_bits(3000, data_rng)
     b = flip_fraction(a, 0.02, data_rng)
-    alone = bbbss_correct(a, b, 0.02, make_rng(11))      # private log
+    alone = bbbss_correct(a, b, 0.02, derive_rng(11))      # private log
     log = PublicChannelLog()
     log.post("both", "qber_sample", {"positions": 300})
-    first = bbbss_correct(a, b, 0.02, make_rng(11), log=log)
-    second = bbbss_correct(a, b, 0.02, make_rng(11), log=log)
+    first = bbbss_correct(a, b, 0.02, derive_rng(11), log=log)
+    second = bbbss_correct(a, b, 0.02, derive_rng(11), log=log)
     assert alone.leaked_bits == first.leaked_bits == second.leaked_bits > 0
     assert log.leaked_parity_count == 2 * alone.leaked_bits
 
 
 def test_bbbss_validations():
-    rng = make_rng(9)
+    rng = derive_rng(9)
     with pytest.raises(ValueError):
         bbbss_correct(BitString([1]), BitString([1, 0]), 0.03, rng)
     with pytest.raises(ValueError):
@@ -225,11 +225,11 @@ def reference_cascade(alice, bob, eps_est, rng, max_passes,
 
 def backtracking_keys(n, eps_est, seed):
     """Keys that differ in four bits x, y, w and v, placed with the first
-    two slot maps make_rng(seed) draws: pass 1 holds x with y and w with
+    two slot maps derive_rng(seed) draws: pass 1 holds x with y and w with
     v, two blocks of even parity; pass 2 holds x alone, v alone and y with
     w.  Pass 2 fixes x and v, which leaves pass 1's two blocks odd, so only
     a re-bisection of pass 1 (backtracking) fixes y and w."""
-    rng = make_rng(seed)
+    rng = derive_rng(seed)
     k = int(0.73 / eps_est)
     blk1, blk2 = affine_slots(n, rng) // k, affine_slots(n, rng) // (2 * k)
     y = 0
@@ -247,10 +247,10 @@ def assert_matches_reference(a, b, eps_est, seed, passes):
     """bbbss_correct and reference_cascade agree on the keys, the counts
     and every log payload; returns the reference's refills."""
     log, ref_events = PublicChannelLog(), []
-    rec = bbbss_correct(a, b, eps_est, make_rng(seed), max_passes=passes,
+    rec = bbbss_correct(a, b, eps_est, derive_rng(seed), max_passes=passes,
                         log=log)
     ref, refills = reference_cascade(
-        a, b, eps_est, make_rng(seed), passes, 20,
+        a, b, eps_est, derive_rng(seed), passes, 20,
         SimpleNamespace(post=lambda *msg: ref_events.append(msg[2])))
     assert (rec.corrected_alice, rec.corrected_bob, rec.leaked_bits,
             rec.rounds, True) == ref
@@ -283,7 +283,7 @@ def test_bbbss_lockstep_matches_scalar_reference(n, eps, eps_est, seed):
     if eps is None:
         a, b = backtracking_keys(n, eps_est, seed + 1000)
     else:
-        data_rng = make_rng(seed)
+        data_rng = derive_rng(seed)
         a = random_bits(n, data_rng)
         b = flip_fraction(a, eps, data_rng)
     eps_est = eps if eps_est is None else eps_est
@@ -294,7 +294,7 @@ def test_bbbss_lockstep_matches_scalar_reference(n, eps, eps_est, seed):
 
 def test_bbbss_subset_phase_matches_scalar_reference():
     # one pass leaves errors, which the subset rounds bisect one at a time
-    data_rng = make_rng(52)
+    data_rng = derive_rng(52)
     a = random_bits(2000, data_rng)
     assert_matches_reference(a, flip_fraction(a, 0.05, data_rng), 0.05,
                              1052, 1)
@@ -305,11 +305,12 @@ def test_bbbss_passes_double_blocks_up_to_half_the_key():
     # most four passes run, fewer when the blocks reach n/2 sooner
 
     def pass_blocks(n, max_passes):
-        rng = make_rng(48)
+        rng = derive_rng(48)
         a = random_bits(n, rng)
         b = flip_fraction(a, 0.03, rng)
         log = PublicChannelLog()
-        bbbss_correct(a, b, 0.03, make_rng(49), max_passes=max_passes, log=log)
+        bbbss_correct(a, b, 0.03, derive_rng(49), max_passes=max_passes,
+                      log=log)
         return [m["payload"]["pass_block_parities"] for m in log.messages
                 if "pass_block_parities" in m["payload"]]
 
@@ -325,7 +326,7 @@ def test_bbbss_passes_double_blocks_up_to_half_the_key():
 def test_bbbss_single_pass_leaves_many_errors_and_still_converges():
     # one pass leaves ~800 errors; the subset phase corrects one per
     # disagreeing round, so it runs well past 50 * target + 200 rounds
-    rng = make_rng(64)
+    rng = derive_rng(64)
     a = random_bits(20000, rng)
     b = flip_fraction(a, 0.10, rng)
     rec = bbbss_correct(a, b, 0.10, rng, max_passes=1)
@@ -334,7 +335,7 @@ def test_bbbss_single_pass_leaves_many_errors_and_still_converges():
 
 
 def test_pipeline_with_one_pass_distills_a_key():
-    rng = make_rng(67)
+    rng = derive_rng(67)
     a = random_bits(40000, rng)
     b = flip_fraction(a, 0.05, rng)
     res = run_pipeline_on_keys(a, b, PipelineParams(max_passes=1), rng)
@@ -346,7 +347,7 @@ def test_bbbss_converges_at_a_million_bits():
     # residual errors would leave the subset phase finding them one per two
     # O(n) rounds
     n, eps = 1_000_000, 0.02
-    rng = make_rng(50)
+    rng = derive_rng(50)
     a = random_bits(n, rng)
     b = flip_fraction(a, eps, rng)
     errors = a.hamming_distance(b)
@@ -363,7 +364,7 @@ def test_bbbss_converges_at_a_million_bits():
                                2**16 + 1])
 def test_slot_map_is_a_bijection_with_a_unit_multiplier(n):
     # n = 1 and n = 2 have one unit each, so the draw loop must end there too
-    rng = make_rng(n)
+    rng = derive_rng(n)
     for _ in range(3):
         a, b = postproc._interleaver(n, rng)
         assert 0 <= a < n and 0 <= b < n and math.gcd(a, n) == 1
@@ -382,13 +383,13 @@ def test_slot_arithmetic_is_exact_at_two_to_the_32_bits():
 def test_bbbss_refuses_keys_longer_than_two_to_the_32_bits():
     big = BitString._from_packed(np.zeros(1, np.uint8), 2**32 + 1)
     with pytest.raises(ValueError, match=r"longer than 2\^32 bits"):
-        bbbss_correct(big, big, 0.02, make_rng(1))
+        bbbss_correct(big, big, 0.02, derive_rng(1))
 
 
 def test_bbbss_traced_peak_stays_below_four_bytes_per_bit():
     # no n-length array per pass: four stored permutations took 24 B per bit
     n, eps = 1_000_000, 0.02
-    rng = make_rng(50)
+    rng = derive_rng(50)
     a = random_bits(n, rng)
     b = flip_fraction(a, eps, rng)
     tracemalloc.start()
@@ -430,7 +431,7 @@ def test_toeplitz_seed_length_validation():
 
 
 def test_toeplitz_hash_is_linear():
-    rng = make_rng(14)
+    rng = derive_rng(14)
     for n, r in [(1, 1), (17, 5), (1000, 700), (4097, 2000)]:
         a = rng.integers(0, 2, n, dtype=np.uint8)
         b = rng.integers(0, 2, n, dtype=np.uint8)
@@ -442,7 +443,7 @@ def test_toeplitz_hash_is_linear():
 
 def test_toeplitz_hash_matches_scipy_convolve_at_2e5_bits():
     from scipy.signal import convolve
-    rng = make_rng(15)
+    rng = derive_rng(15)
     n, r = 200_000, 120_000
     key = rng.integers(0, 2, n, dtype=np.uint8)
     seed = rng.integers(0, 2, n + r - 1, dtype=np.uint8)
@@ -453,7 +454,7 @@ def test_toeplitz_hash_matches_scipy_convolve_at_2e5_bits():
 
 def test_toeplitz_hash_raises_instead_of_rounding_an_inexact_product(
         monkeypatch):
-    rng = make_rng(16)
+    rng = derive_rng(16)
     n, r = 500, 300
     key = rng.integers(0, 2, n, dtype=np.uint8)
     seed = rng.integers(0, 2, n + r - 1, dtype=np.uint8)
@@ -501,7 +502,7 @@ def test_pipeline_hashes_once_and_checks_bob_key_with_the_tag(monkeypatch,
 
     monkeypatch.setattr(postproc, "bbbss_correct", bbbss)
     monkeypatch.setattr(postproc, "toeplitz_hash", spy_hash)
-    rng = make_rng(64)
+    rng = derive_rng(64)
     a = random_bits(6000, rng)
     res = run_pipeline_on_keys(a, flip_fraction(a, 0.02, rng),
                                PipelineParams(), rng)
@@ -535,7 +536,7 @@ def test_key_verification_checks_bob_corrected_key(monkeypatch):
 
     monkeypatch.setattr(postproc, "bbbss_correct", bbbss)
     monkeypatch.setattr(postproc, "verify", spy_verify)
-    rng = make_rng(65)
+    rng = derive_rng(65)
     a = random_bits(6000, rng)
     res = run_pipeline_on_keys(a, flip_fraction(a, 0.02, rng),
                                PipelineParams(), rng)
@@ -547,7 +548,7 @@ def test_key_verification_checks_bob_corrected_key(monkeypatch):
 @pytest.mark.parametrize("seed", range(1, 11))
 def test_residual_errors_abort_at_key_verification(seed):
     # one pass and one clean subset round leave errors in Bob's key
-    rng = make_rng(seed)
+    rng = derive_rng(seed)
     a = random_bits(20000, rng)
     res = run_pipeline_on_keys(
         a, flip_fraction(a, 0.05, rng),
@@ -561,7 +562,7 @@ def test_residual_errors_abort_at_key_verification(seed):
 def test_pipeline_on_tiny_keys_ends_in_a_clean_abort(n0):
     # the QBER sample leaves 1 or 2 bits; the reconciliation estimate
     # floor 1/max(3, n) stays below 1/2
-    rng = make_rng(66)
+    rng = derive_rng(66)
     a = random_bits(n0, rng)
     res = run_pipeline_on_keys(a, a, PipelineParams(), rng)
     assert res.abort_stage == "privacy_amplification"
@@ -569,7 +570,7 @@ def test_pipeline_on_tiny_keys_ends_in_a_clean_abort(n0):
 
 
 def test_privacy_amplify_identical_inputs_agree():
-    rng = make_rng(11)
+    rng = derive_rng(11)
     key = random_bits(5000, rng)
     out, seed = privacy_amplify(key, 2000, 30, rng)
     assert len(out) == 5000 - 2000 - 30
@@ -578,7 +579,7 @@ def test_privacy_amplify_identical_inputs_agree():
 
 
 def test_privacy_amplify_decorrelates_single_bit_difference():
-    rng = make_rng(12)
+    rng = derive_rng(12)
     n, r = 200, 50
     key_a = random_bits(n, rng)
     arr_b = key_a.to_array().copy()
@@ -594,7 +595,7 @@ def test_privacy_amplify_decorrelates_single_bit_difference():
 
 
 def test_privacy_amplify_aborts_when_nothing_left():
-    rng = make_rng(13)
+    rng = derive_rng(13)
     key = random_bits(100, rng)
     with pytest.raises(NoSecureKey):
         privacy_amplify(key, 90, 30, rng)
@@ -622,7 +623,7 @@ def test_parity_knowledge_enumeration():
 # ---------------------------------------------------------------------------
 
 def test_distill_error_free_accepts_everything():
-    rng = make_rng(14)
+    rng = derive_rng(14)
     a = random_bits(999, rng)
     new_a, new_b, accepted = advantage_distill(a, a, 3, rng)
     assert accepted.all()
@@ -631,7 +632,7 @@ def test_distill_error_free_accepts_everything():
 
 
 def test_distill_matches_enumeration():
-    rng = make_rng(15)
+    rng = derive_rng(15)
     eps, N = 0.25, 3
     nblocks = 100000
     a = random_bits(nblocks * N, rng)
@@ -645,7 +646,7 @@ def test_distill_matches_enumeration():
 
 
 def test_distill_validations():
-    rng = make_rng(16)
+    rng = derive_rng(16)
     with pytest.raises(ValueError):
         advantage_distill(BitString([1, 0]), BitString([1, 0]), 1, rng)
 
@@ -655,7 +656,7 @@ def test_distill_validations():
 # ---------------------------------------------------------------------------
 
 def test_authenticate_roundtrip():
-    rng = make_rng(17)
+    rng = derive_rng(17)
     cfg = AuthConfig.fresh(rng)
     for _ in range(20):
         m = random_bits(300, rng)
@@ -663,7 +664,7 @@ def test_authenticate_roundtrip():
 
 
 def test_tampered_message_rejected():
-    rng = make_rng(18)
+    rng = derive_rng(18)
     rejected = 0
     trials = 2000
     for _ in range(trials):
@@ -679,7 +680,7 @@ def test_tampered_message_rejected():
 
 def test_forged_tags_accept_at_inverse_prime():
     from qkdsim.postproc import AuthTag
-    rng = make_rng(19)
+    rng = derive_rng(19)
     p = 251
     trials = 100000
     accepts = 0
@@ -695,7 +696,7 @@ def test_forged_tags_accept_at_inverse_prime():
 
 
 def test_otp_pool_exhaustion_signals_refill():
-    rng = make_rng(20)
+    rng = derive_rng(20)
     cfg = AuthConfig.fresh(rng, pool_tags=2)
     m = random_bits(64, rng)
     authenticate(m, cfg)
@@ -705,7 +706,7 @@ def test_otp_pool_exhaustion_signals_refill():
 
 
 def test_message_cardinality_bound_enforced():
-    rng = make_rng(21)
+    rng = derive_rng(21)
     cfg = AuthConfig.fresh(rng, degree=2)
     with pytest.raises(ValueError):
         authenticate(random_bits(200, rng), cfg)
@@ -717,7 +718,7 @@ def test_message_cardinality_bound_enforced():
 
 
 def test_tag_does_not_verify_a_message_with_the_same_chunks():
-    rng = make_rng(23)
+    rng = derive_rng(23)
     cfg = AuthConfig.fresh(rng)
     w = cfg.tag_bits - 1
     zeros = lambda k: BitString.from_array(np.zeros(k, dtype=np.uint8))
@@ -736,7 +737,7 @@ def _string_int(bits) -> int:
 
 @pytest.mark.parametrize("n", [0, 1, 59, 60, 61, 1000])
 def test_message_digits_match_string_conversion(n):
-    rng = make_rng(40 + n)
+    rng = derive_rng(40 + n)
     cfg = AuthConfig.fresh(rng)
     bits = random_bits(n, rng).to_array()
     w = cfg.tag_bits - 1
@@ -746,10 +747,10 @@ def test_message_digits_match_string_conversion(n):
 
 def test_field_elements_and_pads_match_string_conversion():
     for prime in (PRODUCTION_PRIME, 251):
-        cfg = AuthConfig.fresh(make_rng(41), prime=prime, pool_tags=9)
+        cfg = AuthConfig.fresh(derive_rng(41), prime=prime, pool_tags=9)
         w = cfg.tag_bits
         # the same draws as fresh: two key elements, then the pads
-        rng = make_rng(41)
+        rng = derive_rng(41)
         password = random_bits(2 * w, rng).to_array()
         pool = random_bits(9 * w, rng).to_array()
         assert cfg.key == (_string_int(password[:w]) % prime,
@@ -772,7 +773,7 @@ def test_key_verification_tag_fits_the_pipeline_degree(monkeypatch, n0):
         return real_authenticate(message, cfg)
 
     monkeypatch.setattr(postproc, "authenticate", record)
-    rng = make_rng(67)
+    rng = derive_rng(67)
     a = random_bits(n0, rng)
     res = run_pipeline_on_keys(a, a, PipelineParams(), rng)
     assert not res.aborted
@@ -781,11 +782,11 @@ def test_key_verification_tag_fits_the_pipeline_degree(monkeypatch, n0):
 
 def test_prime_must_fit_the_64_bit_digit_product():
     with pytest.raises(ValueError, match=r"prime must lie below 2\^64"):
-        AuthConfig.fresh(make_rng(24), prime=(1 << 89) - 1)
+        AuthConfig.fresh(derive_rng(24), prime=(1 << 89) - 1)
 
 
 def test_deception_probability_field():
-    rng = make_rng(22)
+    rng = derive_rng(22)
     # two distinct messages of at most degree - 1 digits collide on at most
     # degree - 1 of the p hash keys
     assert AuthConfig.fresh(rng, prime=251).deception_probability == \
@@ -799,7 +800,7 @@ def test_deception_probability_field():
 # ---------------------------------------------------------------------------
 
 def test_pipeline_distills_key_at_two_percent():
-    rng = make_rng(23)
+    rng = derive_rng(23)
     n = 100000
     a = random_bits(n, rng)
     b = flip_fraction(a, 0.02, rng)
@@ -818,7 +819,7 @@ def test_pipeline_distills_key_at_two_percent():
 
 
 def test_pipeline_aborts_at_high_qber():
-    rng = make_rng(24)
+    rng = derive_rng(24)
     n = 20000
     a = random_bits(n, rng)
     b = flip_fraction(a, 0.25, rng)
@@ -833,14 +834,14 @@ def test_pipeline_aborts_at_an_estimate_of_one_half():
     a = BitString([0, 1, 0, 1])
     b = BitString([0, 1, 1, 0])
     params = PipelineParams(sample_fraction=1.0, qber_abort_threshold=0.5)
-    res = run_pipeline_on_keys(a, b, params, make_rng(26))
+    res = run_pipeline_on_keys(a, b, params, derive_rng(26))
     assert res.qber_estimate == 0.5
     assert res.abort_stage == "estimation"
     assert res.abort_reason == "error rate 0.5000 is not below 0.5"
 
 
 def test_pipeline_aborts_when_eve_bound_eats_key():
-    rng = make_rng(25)
+    rng = derive_rng(25)
     n = 200
     a = random_bits(n, rng)
     b = flip_fraction(a, 0.10, rng)
@@ -853,7 +854,7 @@ def test_pipeline_aborts_when_eve_bound_eats_key():
     (5000, 0.0, 29), (5000, 0.02, 30), (20000, 0.05, 31), (100000, 0.08, 32),
 ])
 def test_privacy_amplification_charges_leaked_plus_n_h_eps(n, eps, seed):
-    rng = make_rng(seed)
+    rng = derive_rng(seed)
     a = random_bits(n, rng)
     res = run_pipeline_on_keys(a, flip_fraction(a, eps, rng),
                                PipelineParams(), rng)
@@ -942,7 +943,7 @@ def test_pipeline_abort_results(monkeypatch, case):
                 rec, corrected_bob=BitString.from_array(bob))
 
         monkeypatch.setattr(postproc, "bbbss_correct", one_bit_off)
-    rng = make_rng(seed)
+    rng = derive_rng(seed)
     a = random_bits(n, rng)
     b = flip_fraction(a, eps, rng)
     res = run_pipeline_on_keys(a, b, params, rng)
@@ -966,7 +967,7 @@ def test_estimation_aborts_before_the_sample_is_dropped(monkeypatch, case,
     monkeypatch.setattr(postproc, "remove_positions", counting_remove)
     n, eps, seed, params, _ = ABORT_CASES.get(
         case, (3000, 0.02, 64, PipelineParams(), None))
-    rng = make_rng(seed)
+    rng = derive_rng(seed)
     a = random_bits(n, rng)
     res = run_pipeline_on_keys(a, flip_fraction(a, eps, rng), params, rng)
     assert (res.abort_stage, len(counted)) == (
@@ -993,7 +994,7 @@ def test_pipeline_aborts_when_a_tag_fails_verification(monkeypatch,
         return len(calls) != failing_call and real_verify(message, tag, cfg)
 
     monkeypatch.setattr(postproc, "verify", failing_verify)
-    rng = make_rng(27)
+    rng = derive_rng(27)
     a = random_bits(20000, rng)
     b = flip_fraction(a, 0.02, rng)
     res = run_pipeline_on_keys(a, b, PipelineParams(), rng)

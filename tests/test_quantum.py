@@ -12,7 +12,7 @@ from qkdsim.quantum import (CHUNK, CIRCULAR, DIAGONAL, NO_CLICK, RECTILINEAR,
                             SourceModel, channel_preset, click_law,
                             detector_preset, load_presets, measure_batch,
                             photon_pmf, sample_photon_number, sample_singlet)
-from qkdsim.rng import derive_rng, make_rng
+from qkdsim.rng import derive_rng
 
 
 def test_state_overlaps():
@@ -48,7 +48,7 @@ def test_source_pmf_poisson():
 
 def test_source_sampling_matches_pmf():
     src = SourceModel.laser(0.5)
-    draws = sample_photon_number(photon_pmf(src), make_rng(3), size=200000)
+    draws = sample_photon_number(photon_pmf(src), derive_rng(3), size=200000)
     assert (draws == 0).mean() == pytest.approx(src.pmf(0), abs=0.005)
     assert (draws == 1).mean() == pytest.approx(src.pmf(1), abs=0.005)
 
@@ -61,7 +61,7 @@ def within_5_sigma(hits, N, p):
                                  SourceModel.heralded(0.6, 0.05)])
 def test_photon_number_frequencies_match_pmf(src):
     N = 200000
-    draws = sample_photon_number(photon_pmf(src), make_rng(14), size=N)
+    draws = sample_photon_number(photon_pmf(src), derive_rng(14), size=N)
     for n in range(4):
         assert within_5_sigma(int((draws == n).sum()), N, src.pmf(n)), n
 
@@ -79,7 +79,7 @@ def test_photon_pmf_truncated_tail_is_below_the_bound(src):
     assert n_max == 0 or tail + src.pmf(n_max) >= 2.0 ** -53
     assert pmf[:-1].tolist() == [src.pmf(n) for n in range(n_max)]
     assert pmf[-1] == pytest.approx(src.pmf(n_max) + tail, rel=1e-12)
-    draws = sample_photon_number(pmf, make_rng(15), size=100000)
+    draws = sample_photon_number(pmf, derive_rng(15), size=100000)
     assert draws.min() >= 0 and draws.max() <= n_max
 
 
@@ -87,9 +87,9 @@ def test_photon_pmf_truncated_tail_is_below_the_bound(src):
                                  photon_pmf(SourceModel.heralded(0.0, 0.0)),
                                  np.array([0.0, 0.0, 1.0])])
 def test_a_one_cell_pmf_draws_nothing(pmf):
-    rng = make_rng(18)
+    rng = derive_rng(18)
     draws = sample_photon_number(pmf, rng, size=1000)
-    assert np.array_equal(rng.random(8), make_rng(18).random(8))
+    assert np.array_equal(rng.random(8), derive_rng(18).random(8))
     assert (draws == np.flatnonzero(pmf)[0]).all() and draws.shape == (1000,)
 
 
@@ -117,7 +117,7 @@ def test_photon_draw_is_the_binary_search_of_every_uniform(pmf, size):
 def test_photon_counts_are_narrow_and_never_wrap(cells, dtype, held):
     pmf = np.zeros(cells)
     pmf[list(held)] = 1.0 / len(held)
-    draws = sample_photon_number(pmf, make_rng(19), size=1000)
+    draws = sample_photon_number(pmf, derive_rng(19), size=1000)
     assert draws.dtype == dtype
     assert set(draws.tolist()) == {c % cells for c in held}
 
@@ -185,7 +185,8 @@ def test_loss_through_the_click_law():
     N = 100000
     zeros = np.zeros(N, dtype=np.int8)
     outs = measure_batch(np.ones(N, dtype=np.int64), zeros, zeros,
-                         ideal_law([[0.0]], eta=ch.transmittance), make_rng(4))
+                         ideal_law([[0.0]], eta=ch.transmittance),
+                         derive_rng(4))
     assert within_5_sigma(int((outs != NO_CLICK).sum()), N, ch.transmittance)
     # a lossless line has eta = 1: a photon never goes unseen
     lossless = ideal_law([[0.0]], eta=ChannelModel().transmittance)
@@ -198,7 +199,7 @@ def test_measure_deterministic_projection():
              [RECTILINEAR.prob_outcome_one(STATE_H)], [0.5]]
     outs = measure_batch(np.array([1, 1, 0]), np.arange(3),
                          np.zeros(3, dtype=np.int8), ideal_law(p_one),
-                         make_rng(5))
+                         derive_rng(5))
     assert outs.tolist() == [1, 0, NO_CLICK]
 
 
@@ -206,7 +207,7 @@ def test_measure_conjugate_basis_uniform():
     p_one = [[DIAGONAL.prob_outcome_one(STATE_H)]]
     zeros = np.zeros(20000, dtype=np.int8)
     outs = measure_batch(np.ones(20000, dtype=np.int64), zeros, zeros,
-                         ideal_law(p_one), make_rng(6))
+                         ideal_law(p_one), derive_rng(6))
     assert (outs != NO_CLICK).all()
     assert abs(outs.mean() - 0.5) < 0.02
 
@@ -217,7 +218,7 @@ def test_dark_count_rate_on_vacuum():
     zeros = np.zeros(200000, dtype=np.int8)
     outs = measure_batch(zeros, zeros, zeros,
                          ideal_law([[0.0]], n_max=0, dark_prob=p_dark),
-                         make_rng(7))
+                         derive_rng(7))
     expect = 1.0 - (1.0 - p_dark) ** 2
     assert (outs != NO_CLICK).mean() == pytest.approx(expect, rel=0.15)
 
@@ -226,7 +227,7 @@ def test_measure_refuses_a_count_beyond_the_law():
     zeros = np.zeros(1, dtype=np.int8)
     with pytest.raises(IndexError):
         measure_batch(np.array([2]), zeros, zeros, ideal_law([[0.5]]),
-                      make_rng(8))
+                      derive_rng(8))
 
 
 # a generic table: three states, two bases; states 0 and 1 are each
@@ -277,7 +278,7 @@ def test_click_law_matches_the_photon_level_enumeration(eta, e, d):
 def test_measure_frequencies_match_the_law_cell_by_cell():
     law = click_law(P_ONE, FLIP, 0.4, 0.05, 0.02, n_max=3)
     N = 20000
-    rng = make_rng(16)
+    rng = derive_rng(16)
     for n, k, m in itertools.product(range(4), range(3), range(2)):
         outs = measure_batch(np.full(N, n), np.full(N, k, dtype=np.int8),
                              np.full(N, m, dtype=np.int8), law, rng)
@@ -300,7 +301,7 @@ def test_presets_load():
 
 
 def test_singlet_correlation():
-    rng = make_rng(8)
+    rng = derive_rng(8)
     for deg in (0.0, 45.0, 90.0):
         a, b = sample_singlet(math.cos(math.radians(deg)), rng, size=200000)
         corr = float((a * b).mean())
@@ -308,7 +309,7 @@ def test_singlet_correlation():
 
 
 def test_singlet_marginals_uniform():
-    a, b = sample_singlet(math.cos(math.radians(30.0)), make_rng(9),
+    a, b = sample_singlet(math.cos(math.radians(30.0)), derive_rng(9),
                           size=100000)
     assert abs(a.mean()) < 0.02 and abs(b.mean()) < 0.02
 

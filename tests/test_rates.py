@@ -6,7 +6,7 @@ import pytest
 from qkdsim.rates import (CHAU_THRESHOLD_BB84, CHAU_THRESHOLD_SIX_STATE,
                           DecoyEstimate, binary_entropy,
                           bound_beamsplit, bound_pns, csiszar_korner,
-                          decoy_estimate, detection_prob, evaluate_rates,
+                          decoy_estimate, evaluate_rates,
                           gain_Qmu, gllp_pulse_rate,
                           multiphoton_fraction, multiphoton_prob,
                           mutual_information, optimize_mu, rate_gllp,
@@ -15,7 +15,7 @@ from qkdsim.rates import (CHAU_THRESHOLD_BB84, CHAU_THRESHOLD_SIX_STATE,
                           usd_threshold, yield_Yn)
 from qkdsim.quantum import (NO_CLICK, SourceModel, click_law,
                             measure_batch, photon_pmf)
-from qkdsim.rng import make_rng
+from qkdsim.rng import derive_rng
 
 
 # ---------------------------------------------------------------------------
@@ -149,13 +149,15 @@ MU_SEARCH_POINTS = [(0.1, 0.0, 0.0), (0.01, 1e-5, 0.02), (1e-3, 1e-5, 0.12)]
 
 def test_rate_searches_keep_their_values():
     # recorded when the cutoff became a bisection and optimize_mu a grid
-    # refined by golden-section search
+    # refined by golden-section search; the optimize_mu tuples re-recorded,
+    # moved in the last digits, when the gain came to be computed as
+    # -expm1(2 log1p(-p_dark) - mu eta)
     assert shor_preskill_cutoff() == 0.11002786443823423
     found = [optimize_mu(*point) for point in MU_SEARCH_POINTS]
     assert [(r.mu, r.rate_per_pulse) for r in found] == [
-        (0.11045149992085562, 0.00531569362598433),
-        (0.007516225935803424, 4.1106662268904345e-05),
-        (1.0000000004965547e-09, -1.1744287980365266e-06)]
+        (0.11045150657623912, 0.005315693625984283),
+        (0.0075162240413404165, 4.1106662268914184e-05),
+        (1.0000000004965547e-09, -1.174428798042482e-06)]
     # never below bounded Brent at the same point, nor below the rates
     # recorded from it (with a grid scan where it found none positive)
     from scipy.optimize import minimize_scalar
@@ -178,7 +180,7 @@ def test_chau_constants():
 # ---------------------------------------------------------------------------
 
 def test_detection_and_multiphoton_probs():
-    assert detection_prob(0.1, 0.1, 0.0) == pytest.approx(1 - math.exp(-0.01))
+    assert gain_Qmu(0.1, 0.1, 0.0) == pytest.approx(1 - math.exp(-0.01))
     assert multiphoton_prob(0.1) == pytest.approx(
         1 - math.exp(-0.1) * 1.1)
     # the Poisson tail summed term by term; 1 - e^-mu - mu e^-mu cancels
@@ -187,6 +189,20 @@ def test_detection_and_multiphoton_probs():
         tail = math.exp(-mu) * math.fsum(mu ** n / math.factorial(n)
                                          for n in range(2, 6))
         assert multiphoton_prob(mu) == pytest.approx(tail, rel=rel, abs=0.0)
+    # the gain and the PNS bound, ~1e-12 at mu = 1e-9, eta = 1e-3: the forms
+    # 1 - e^-mu eta and (1 + mu) e^-mu - e^-mu eta cancel to 2e-5 there
+    mu, eta = 1e-9, 1e-3
+    pmf = [math.exp(-mu) * mu ** n / math.factorial(n) for n in range(6)]
+    lost = [n * math.log1p(-eta) for n in range(6)]     # log (1 - eta)^n
+    for p_dark in (0.0, 1e-12):
+        gain = math.fsum(p * -math.expm1(x + 2 * math.log1p(-p_dark))
+                         for p, x in zip(pmf, lost))
+        assert gain_Qmu(mu, eta, p_dark) == pytest.approx(gain, rel=1e-12,
+                                                          abs=0.0)
+    # (1 + mu) e^-mu - e^-mu eta = P(1) eta - sum_{n >= 2} P(n) (1 - eta)^n
+    pns = pmf[1] * eta - math.fsum(p * math.exp(x)
+                                   for p, x in zip(pmf[2:], lost[2:]))
+    assert bound_pns(mu, eta) == pytest.approx(pns, rel=1e-12, abs=0.0)
     frac = multiphoton_fraction(0.1, 0.1, 1e-5)
     assert frac == pytest.approx(0.46929343805787727, rel=1e-6)
 
@@ -257,12 +273,10 @@ def test_gain_matches_closed_form_without_dark_counts():
             1 - math.exp(-mu * eta), rel=1e-9)
 
 
-def test_gain_matches_detection_prob_with_dark_counts():
-    # both count a dark click on either of Bob's two detectors
-    for mu, eta, p_dark in ((0.5, 0.01, 1e-2), (0.1, 0.3, 1e-5),
-                            (1.0, 0.05, 0.2)):
-        assert gain_Qmu(mu, eta, p_dark) == pytest.approx(
-            detection_prob(mu, eta, p_dark), rel=1e-9)
+def test_gain_refuses_dark_probability_outside_unit_interval():
+    for p_dark in (-0.1, 1.0, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="p_dark must lie in"):
+            gain_Qmu(0.5, 0.1, p_dark)
 
 
 @pytest.mark.parametrize("mu", [0.12, 0.8, 5, 20, 40])
@@ -278,7 +292,7 @@ def test_vacuum_yield_matches_the_simulated_dark_click_rate():
     N, p_dark = 200000, 0.01
     zeros = np.zeros(N, dtype=np.int8)
     law = click_law(np.full((1, 1), 0.5), None, 1.0, 0.0, p_dark, 0)
-    out = measure_batch(zeros, zeros, zeros, law, make_rng(31))
+    out = measure_batch(zeros, zeros, zeros, law, derive_rng(31))
     rate = float((out != NO_CLICK).mean())
     y0 = yield_Yn(0, 0.0, p_dark)
     assert abs(rate - y0) < 5 * (y0 * (1 - y0) / N) ** 0.5

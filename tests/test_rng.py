@@ -1,16 +1,17 @@
 import numpy as np
 
-from qkdsim.rng import derive_rng, make_rng
+from qkdsim.rng import derive_rng
 
 
 def test_same_seed_same_stream():
-    a = make_rng(123).random(100)
-    b = make_rng(123).random(100)
+    a = derive_rng(123).random(100)
+    b = derive_rng(123).random(100)
     assert np.array_equal(a, b)
 
 
 def test_different_seeds_differ():
-    assert not np.array_equal(make_rng(1).random(10), make_rng(2).random(10))
+    assert not np.array_equal(derive_rng(1).random(10),
+                              derive_rng(2).random(10))
 
 
 def test_derived_streams_deterministic():

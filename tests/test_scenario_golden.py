@@ -46,6 +46,12 @@ sessions and QBER estimates are unchanged, the parities and keys are not
 came to compute the Poisson tail without cancellation (``expm1``): its
 ``r_gllp`` and ``r_gllp_per_pulse`` moved in the last digit
 (…705 → …707, …857 → …8578).
+``decoy_beam_split json`` and ``laser_presets_pns json`` were re-recorded
+when ``rates.gain_Qmu`` came to compute 1 - (1 - p_dark)^2 e^-mu eta as
+``-expm1(2 log1p(-p_dark) - mu eta)`` and ``rates.bound_pns`` as
+``-expm1(-mu eta) - multiphoton_prob(mu)``: their ``gain_Qmu`` and
+``bound_pns`` (and ``decoy_beam_split``'s ``r_gllp_per_pulse``) moved in
+the last one or two digits.
 """
 
 import hashlib
@@ -115,7 +121,7 @@ GOLDEN = {
     "decoy_beam_split text":
         "85ed14e564ef9ae7098619e39535df81f202750ee37a91c425c99c65d9eca97e",
     "decoy_beam_split json":
-        "cc89d357d97e1569e800c56d5f9b742ae9df881e5b2332157c694bba6eb66c51",
+        "ba327ec8c14a1e88dfc113dea641d04ebfc655a4a91b0f03c8e09cb8e39801f4",
     "e91_defaults text":
         "504076505273163cbe72ff0782202990ecb3a7d7329b627d59e3696f317b583c",
     "e91_defaults json":
@@ -131,7 +137,7 @@ GOLDEN = {
     "laser_presets_pns text":
         "a1a0dfb022d4de4213af93c2d81bcdb50a388441588359037a833573d38e8e1a",
     "laser_presets_pns json":
-        "c6204e28313567faec5293d67582ee1a9df9404492f8a5112d963af05e946a58",
+        "39cd4820599462720c5d478afc86f97161327601f86cb3e470adcfa0967eb0eb",
     "sarg_uniform_intercept text":
         "de1b15f3a6f0fb15589847b5cca59bc2dba96baa202777a3f500e81f44d131ad",
     "sarg_uniform_intercept json":
