@@ -4,13 +4,13 @@ one place that decides what Eve learns, for all seven protocols.
 ``attack_batch`` attacks the pulses flying to Bob (for BBM92 and E91,
 Bob's particle, which Alice's measurement prepared; see ``protocols``)
 and records per pulse what Eve took (``eve_seen``): the basis and outcome
-of her measurement, or a photon she holds.  ``resolve_known_bits`` turns
-that record into Eve's knowledge once the sifting announcement is public,
-by the readout table that also sifts Bob's results
-(``protocols._readout``): a measurement reveals the bit when only one
-announced candidate for Alice's state can give its outcome.  Eve's own
-optics are noiseless and lossless (worst-case convention: all
-imperfections belong to the legitimate hardware, all information to Eve).
+of her measurement, or the photons she holds.  ``resolve_known_bits``
+turns that record into Eve's knowledge once the sifting announcement is
+public, by the readout table that also sifts Bob's results
+(``protocols._readout``) and the overlap of the announced candidates for
+Alice's state.  Eve's own optics are noiseless and lossless (worst-case
+convention: all imperfections belong to the legitimate hardware, all
+information to Eve).
 """
 
 from __future__ import annotations
@@ -20,19 +20,18 @@ from typing import Optional
 
 import numpy as np
 
-from .quantum import (NO_CLICK, ChannelModel, SignalState, check_numbers,
-                      click_law, measure_batch)
+from .quantum import (NO_CLICK, ChannelModel, check_numbers, click_law,
+                      measure_batch)
 
 KINDS = ("none", "intercept_resend", "beam_split", "pns", "usd_b92")
-PAIR_OVERLAP = 2 ** -0.5    # |<a|b>| of the two states SARG announces
 
 NOTHING = -1    # Eve learned nothing about the pulse
-HELD = -2       # Eve holds the state: a stored photon or a USD result
+HELD = -2       # Eve holds one photon of the pulse; HELD + 1 - k: k photons
 
 
 @dataclass(frozen=True)
 class EveStrategy:
-    """Strategy selector plus parameters.
+    """Strategy selector plus parameters, each read by one kind alone.
 
     intercept_resend: Eve measures in basis `fixed_basis` (an index into
         the protocol's bases, or into Bob's angles for pair protocols);
@@ -56,6 +55,12 @@ class EveStrategy:
         if self.kind not in KINDS:
             raise ValueError(f"unknown strategy kind {self.kind!r}")
         check_numbers(self)
+        for field, reader in (("fixed_basis", "intercept_resend"),
+                              ("tap_ratio", "beam_split"),
+                              ("block_single_prob", "pns")):
+            if self.kind != reader and (getattr(self, field)
+                                        != getattr(EveStrategy, field)):
+                raise ValueError(f"{field} is not used by {self.kind}")
         if self.fixed_basis is not None and self.fixed_basis < 0:
             raise ValueError("fixed_basis must be >= 0")
         if self.tap_ratio is not None and not 0.0 < self.tap_ratio < 1.0:
@@ -74,31 +79,13 @@ class BatchAttack:
     n: np.ndarray                # forwarded photon counts
     state_idx: np.ndarray        # forwarded state table indices
     channel_consumed: bool       # True when Eve replaced the lossy line
-    eve_seen: np.ndarray         # int8: NOTHING, HELD or the readout
-                                 # index 3 * basis + outcome + 1
+    eve_seen: np.ndarray         # NOTHING, HELD + 1 - k for k held photons,
+                                 # or the readout index 3 * basis + o + 1
 
 
 # ---------------------------------------------------------------------------
 # session-level transforms
 # ---------------------------------------------------------------------------
-
-def usd_success_prob(phi0: SignalState, phi1: SignalState) -> float:
-    """Success probability of unambiguous discrimination between two pure
-    states: 1 - |<phi0|phi1>|."""
-    return 1.0 - abs(phi0.overlap(phi1))
-
-
-def _eve_choice(strategy: EveStrategy, count: int, size: int,
-                rng: np.random.Generator) -> np.ndarray:
-    """Index of the basis Eve measures each pulse in: ``fixed_basis`` when
-    set, otherwise uniform over ``count`` bases."""
-    if strategy.fixed_basis is None:
-        return rng.integers(0, count, size=size, dtype=np.int8)
-    if strategy.fixed_basis >= count:
-        raise ValueError(f"fixed_basis {strategy.fixed_basis} is out of "
-                         f"range: Eve can measure in {count} bases")
-    return np.full(size, strategy.fixed_basis, dtype=np.int8)
-
 
 def attack_batch(strategy: EveStrategy, n: np.ndarray, state_idx: np.ndarray,
                  table, ch: ChannelModel, rng: np.random.Generator,
@@ -117,24 +104,29 @@ def attack_batch(strategy: EveStrategy, n: np.ndarray, state_idx: np.ndarray,
     NO_CLICK, which reveals nothing).  For a multi-photon pulse a double
     click's coin can hide an outcome that would reveal the bit, so there
     the record is a lower bound on what Eve learns.
-    beam_split diverts each photon with the tap probability and forwards
-    the rest over a line whose loss keeps Bob's total transmittance.  pns
-    keeps one photon of every multi-photon pulse, forwards the rest
-    losslessly and blocks single photons with block_single_prob.  usd_b92
-    discriminates the two states Alice sends (it refuses a table with any
-    other count) and forwards a perfect copy of each conclusive result,
-    throttled to the honest detection rate (possible while transmittance
-    < 1 - overlap); failures become vacuum.  These three mark HELD the
-    pulses whose state Eve holds.
+    beam_split diverts each photon with the tap probability (recording the
+    k it holds) and forwards the rest over a line whose loss keeps Bob's
+    total transmittance.  pns holds one photon of every multi-photon pulse,
+    forwards the rest losslessly and blocks single photons with
+    block_single_prob.  usd_b92 discriminates the two states Alice sends
+    (it refuses a table with any other count) and forwards a perfect copy
+    of each conclusive result, recorded as outcome 0 of Bob's test basis
+    for its bit, throttled to the honest detection rate (possible while
+    transmittance < 1 - overlap); failures become vacuum.
     """
     npulses = n.shape[0]
-    eve_seen = np.full(npulses, NOTHING, dtype=np.int8)
+    eve_seen = np.full(npulses, NOTHING, dtype=n.dtype)
 
     if strategy.kind == "none":
         return BatchAttack(n, state_idx, False, eve_seen)
 
     if strategy.kind == "intercept_resend":
-        eb = _eve_choice(strategy, len(table.bases), npulses, rng)
+        count, fixed = len(table.bases), strategy.fixed_basis
+        if fixed is not None and fixed >= count:
+            raise ValueError(f"fixed_basis {fixed} is out of range: Eve can "
+                             f"measure in {count} bases")
+        eb = (rng.integers(0, count, size=npulses, dtype=np.int8)
+              if fixed is None else np.full(npulses, fixed, dtype=np.int8))
         law = click_law(table.p_one, None, 1.0, 0.0, 0.0,
                         int(n.max(initial=0)))
         bit = measure_batch(n, state_idx, eb, law, rng)
@@ -153,7 +145,8 @@ def attack_batch(strategy: EveStrategy, n: np.ndarray, state_idx: np.ndarray,
         k_eve = rng.binomial(n, tap)
         eta_fwd = min(1.0, eta / (1.0 - tap)) if tap < 1.0 else 1.0
         n_out = rng.binomial(n - k_eve, eta_fwd)
-        eve_seen[k_eve >= 1] = HELD
+        held = k_eve >= 1
+        eve_seen[held] = HELD + 1 - k_eve[held]
         return BatchAttack(n_out, state_idx, True, eve_seen)
 
     if strategy.kind == "pns":
@@ -169,39 +162,41 @@ def attack_batch(strategy: EveStrategy, n: np.ndarray, state_idx: np.ndarray,
         return BatchAttack(n_out, state_idx, True, eve_seen)
 
     if strategy.kind == "usd_b92":
-        pair = [st for st, b in zip(table.states, table.bit) if b >= 0]
-        if len(pair) != 2:
+        sends = np.flatnonzero(table.bit >= 0)
+        if sends.size != 2:
             raise ValueError("usd_b92 requires the B92 state pair")
-        p_succ = usd_success_prob(*pair)
+        p_succ = 1.0 - table.overlap[sends[0], sends[1]]
         success = (n > 0) & (rng.random(npulses) < p_succ)
         forwarded = success & (rng.random(npulses)
                                < min(1.0, ch.transmittance / p_succ))
         n_out = forwarded.astype(n.dtype)
-        eve_seen[success] = HELD
+        eve_seen[success] = 3 * table.bit[state_idx[success]] + 1
         return BatchAttack(n_out, state_idx, True, eve_seen)
 
     raise ValueError(f"unknown strategy kind {strategy.kind!r}")
 
 
 def resolve_known_bits(eve_seen: np.ndarray, announced: np.ndarray,
-                       readout: np.ndarray, pair: bool,
+                       readout: np.ndarray, overlap: np.ndarray,
                        rng: np.random.Generator) -> np.ndarray:
     """Post-disclosure resolution: boolean mask of pulses whose key bit Eve
     knows deterministically.
 
-    ``readout`` is the session's ``protocols._readout`` and ``announced``
-    each pulse's row of it: a measurement of Eve's gave her the bit when
-    its readout is a bit.  A held photon yields the bit after a basis
-    announcement (Eve measures it in that basis); after a ``pair``
-    announcement (SARG) only when unambiguous discrimination of the two
-    announced non-orthogonal states succeeds, with probability
-    1 - PAIR_OVERLAP.
+    ``readout`` is the session's ``protocols._readout``, ``announced``
+    each pulse's row of it and ``overlap`` |<a|b>| of each row's two
+    candidates: a measurement of Eve's gave her the bit when its readout is
+    a bit; k held photons give it when unambiguous discrimination of the
+    candidates succeeds on them, with probability 1 - overlap^k (Ivanovic
+    1987; Dieks 1988; Peres 1988), always after a basis announcement.  The
+    uniforms are drawn only when Eve holds photons and candidates overlap.
     """
-    known = eve_seen == HELD
-    if pair and known.any():
-        known &= rng.random(known.shape[0]) < 1.0 - PAIR_OVERLAP
+    known = eve_seen <= HELD            # Eve holds HELD + 1 - eve_seen photons
+    if overlap.any() and known.any():
+        k = np.where(known, HELD + 1 - eve_seen, 0)     # overlap^0 = 1
+        known &= rng.random(known.shape[0]) < 1.0 - overlap.take(
+            announced.astype(np.intp)) ** k
     if eve_seen.max(initial=NOTHING) >= 0:      # Eve measured some pulses
-        # NOTHING and HELD read basis 0's no-click entry, which is -1
+        # NOTHING and held records read basis 0's no-click entry, -1
         known |= readout.take((announced * readout[0].size
                                + np.maximum(eve_seen, 0)).astype(np.intp)) >= 0
     return known

@@ -148,6 +148,7 @@ class StateTable:
     """Finite set of signal states and measurement bases for one session.
 
     p_one[k, m]  = probability of outcome 1 measuring state k in basis m.
+    overlap[k, l] = |<k|l>|.
     flip[k]      = index of the state orthogonal to state k (misalignment
                    target), -1 if absent from the table.
     eigen_idx[m, o] = table index of basis m's outcome-o eigenstate.
@@ -158,23 +159,25 @@ class StateTable:
     bases: tuple
     bit: np.ndarray
     p_one: np.ndarray
+    overlap: np.ndarray
     flip: np.ndarray
     eigen_idx: np.ndarray
 
     @classmethod
     def build(cls, states, bases, bit) -> "StateTable":
-        def first(match):           # first state that matches, -1 if none
-            return next((k for k, st in enumerate(states) if match(st)), -1)
+        def first(hits):            # index of the first hit, -1 if none
+            return next(iter(np.flatnonzero(hits)), -1)
 
         p_one = np.array([[ba.prob_outcome_one(st) for ba in bases]
                           for st in states])
-        flip = [first(lambda other: abs(st.overlap(other)) < 1e-9)
-                for st in states]
-        eigen_idx = [[first(lambda st: abs(abs(st.overlap(ba.eigenstate(o)))
-                                           - 1.0) < 1e-9) for o in (0, 1)]
-                     for ba in bases]
+        overlap = np.array([[abs(st.overlap(other)) for other in states]
+                            for st in states])
+        flip = [first(row < 1e-9) for row in overlap]
+        # basis m's outcome-o eigenstate gives o with certainty
+        eigen_idx = [[first(abs(p_one[:, m] - o) < 1e-9) for o in (0, 1)]
+                     for m in range(len(bases))]
         return cls(tuple(states), tuple(bases), np.asarray(bit, dtype=np.int8),
-                   p_one, np.array(flip, dtype=np.int8),
+                   p_one, overlap, np.array(flip, dtype=np.int8),
                    np.array(eigen_idx, dtype=np.int8))
 
 
@@ -305,8 +308,8 @@ class PrepareMeasureSpec:
     pairs:   None: Alice announces her basis i, whose states (2i, 2i+1)
              are the candidates ``_readout`` tells apart.  Otherwise row k
              is the pair of non-orthogonal states she announces for state
-             k (SARG); a photon Eve holds then yields its bit only through
-             unambiguous discrimination (``adversary.PAIR_OVERLAP``).
+             k (SARG).  A photon Eve holds yields the bit by the overlap of
+             the row's two candidates (``adversary.resolve_known_bits``).
     chsh:    CHSH setting pair -> (Alice's basis, Bob's basis) whose +/-1
              products the session collects.
     """
@@ -343,10 +346,11 @@ def _run_prepare_measure(spec: PrepareMeasureSpec, cfg: ProtocolConfig,
     also count pulses sent and detected per intensity."""
     table = spec.table(cfg)
     alice_bases = np.count_nonzero(table.bit >= 0) // 2
-    pair = spec.pairs is not None       # Alice announces a pair, not a basis
-    readout = _readout(table, spec.pairs if pair else
-                       np.arange(2 * alice_bases).reshape(-1, 2))
+    pairs = (np.arange(2 * alice_bases).reshape(-1, 2) if spec.pairs is None
+             else spec.pairs)               # each announcement's candidates
+    readout = _readout(table, pairs)
     row = readout[0].size               # readout entries per announcement
+    row_overlap = table.overlap[pairs[:, 0], pairs[:, 1]]
     pmf, first_decoy = spec.photons(cfg, src)
     laws = {consumed: click_law(            # keyed by atk.channel_consumed
         table.p_one, table.flip,
@@ -373,7 +377,7 @@ def _run_prepare_measure(spec: PrepareMeasureSpec, cfg: ProtocolConfig,
         outcomes = measure_batch(atk.n, atk.state_idx, b_bases,
                                  laws[atk.channel_consumed], rng)
 
-        announced = sent if pair else a_bases
+        announced = a_bases if spec.pairs is None else sent
         bob_bits = readout.take(
             (announced * row + 3 * b_bases + outcomes + 1).astype(np.intp))
         clicked = outcomes != NO_CLICK
@@ -392,7 +396,7 @@ def _run_prepare_measure(spec: PrepareMeasureSpec, cfg: ProtocolConfig,
                     clicked & (a_bases == ai) & (b_bases == bi), product))
         # resolved over every pulse, so its draws do not depend on the sift
         known = adversary.resolve_known_bits(atk.eve_seen, announced,
-                                             readout, pair, rng)
+                                             readout, row_overlap, rng)
         keep = np.flatnonzero(bob_bits >= 0)
         kept.append((bits.take(keep), bob_bits.take(keep), known.take(keep)))
         detections += clicks

@@ -109,9 +109,6 @@ class Basis:
         """Projection probability onto v1 for a single photon in `state`."""
         return float(abs(self.v1.overlap(state)) ** 2)
 
-    def eigenstate(self, bit: int) -> SignalState:
-        return self.v1 if bit else self.v0
-
 
 RECTILINEAR = Basis("rectilinear", STATE_H, STATE_V)
 DIAGONAL = Basis("diagonal", STATE_A, STATE_D)

@@ -235,6 +235,8 @@ def yield_Yn(n: int, eta: float, p_dark: float) -> float:
     detectors fires (p_dark per gate per detector, as in gain_Qmu)."""
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must lie in [0, 1]")
+    if not 0.0 <= p_dark < 1.0:
+        raise ValueError("p_dark must lie in [0, 1)")
     return 1.0 - (1.0 - eta) ** n * (1.0 - p_dark) ** 2
 
 

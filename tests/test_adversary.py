@@ -1,14 +1,14 @@
+import math
 import re
 
 import numpy as np
 import pytest
 
 from qkdsim.adversary import (HELD, NO_EVE, NOTHING, EveStrategy,
-                              attack_batch, resolve_known_bits,
-                              usd_success_prob)
+                              attack_batch, resolve_known_bits)
 from qkdsim.protocols import (_SARG_PAIRS, ProtocolConfig, _readout,
-                              b92_states, b92_table, bb84_table, e91_table,
-                              run_session, six_state_table)
+                              b92_table, bb84_table, e91_table, run_session,
+                              six_state_table)
 from qkdsim.quantum import (NO_CLICK, ChannelModel, DetectorModel,
                             SourceModel, click_law, measure_batch,
                             photon_pmf, sample_photon_number)
@@ -16,6 +16,8 @@ from qkdsim.rng import derive_rng
 
 BB84 = bb84_table()     # states H, V, A, D; bases rectilinear, diagonal
 BASIS_READOUT = _readout(BB84, np.array([[0, 1], [2, 3]]))  # by Alice's basis
+BASIS_OVERLAP = np.zeros(2)     # a basis's two states are orthogonal
+SARG_OVERLAP = BB84.overlap[_SARG_PAIRS[:, 0], _SARG_PAIRS[:, 1]]
 
 
 def seen(basis, outcome):
@@ -36,6 +38,18 @@ def test_strategy_validation():
         EveStrategy("beam_split", tap_ratio=1.5)
     with pytest.raises(ValueError, match="fixed_basis must be >= 0"):
         EveStrategy("intercept_resend", fixed_basis=-1)
+    # each parameter is read by one kind, and every other kind refuses it
+    for kind, fields, unused in (
+            ("pns", {"tap_ratio": 0.3, "fixed_basis": 1}, "fixed_basis"),
+            ("none", {"block_single_prob": 0.5}, "block_single_prob"),
+            ("beam_split", {"fixed_basis": 0}, "fixed_basis"),
+            ("intercept_resend", {"tap_ratio": 0.3}, "tap_ratio"),
+            ("usd_b92", {"block_single_prob": 1.0}, "block_single_prob")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{unused} is not used by {kind}")):
+            EveStrategy(kind, **fields)
+    for kind in ("none", "intercept_resend", "beam_split", "usd_b92"):
+        assert EveStrategy(kind, block_single_prob=0.0) == EveStrategy(kind)
     # a bool or a non-number in a float field, a non-int in an int field
     for kind, field, bad, noun in (
             ("pns", "block_single_prob", True, "a number"),
@@ -84,7 +98,7 @@ def test_intercept_resend_learns_nothing_from_a_vacuum_pulse():
     atk = attack(eve, [0, 1], [1, 1], rng=derive_rng(16))
     alice_basis = np.zeros(2, dtype=np.int8)
     known = resolve_known_bits(atk.eve_seen, alice_basis, BASIS_READOUT,
-                               False, derive_rng(17))
+                               BASIS_OVERLAP, derive_rng(17))
     assert known.tolist() == [False, True]
 
 
@@ -97,8 +111,8 @@ def test_intercept_resend_holds_a_conclusive_b92_result():
     atk = attack(eve, np.ones(20000), np.zeros(20000), rng=derive_rng(18),
                  table=table)
     known = resolve_known_bits(atk.eve_seen, np.zeros(20000, dtype=np.int8),
-                               _readout(table, np.array([[0, 1]])), False,
-                               derive_rng(0))
+                               _readout(table, np.array([[0, 1]])),
+                               table.overlap[[0], [1]], derive_rng(0))
     assert np.array_equal(known, atk.state_idx == 3)
     assert np.array_equal(atk.eve_seen, seen(0, np.where(known, 0, 1)))
     assert (atk.state_idx[~known] == 1).all()
@@ -106,7 +120,8 @@ def test_intercept_resend_holds_a_conclusive_b92_result():
     # no BB84 outcome rules out a state of the other basis
     bb84 = attack(eve, np.ones(200), np.arange(200) % 4, rng=derive_rng(19))
     assert not resolve_known_bits(bb84.eve_seen, np.ones(200, dtype=np.int8),
-                                  BASIS_READOUT, False, derive_rng(0)).any()
+                                  BASIS_READOUT, BASIS_OVERLAP,
+                                  derive_rng(0)).any()
 
 
 @pytest.mark.parametrize("table", [bb84_table(), six_state_table(),
@@ -148,6 +163,21 @@ def test_beam_split_preserves_bob_rate():
     assert (atk.eve_seen[~held] == NOTHING).all()
 
 
+def test_beam_split_records_the_photons_it_holds():
+    # a laser at mu = 2 sends pulses of many photons; the reference replays
+    # Eve's tap draw: k photons held are recorded as HELD + 1 - k
+    ch = ChannelModel(length_km=30.0, attenuation_db_per_km=0.2)
+    n = sample_photon_number(photon_pmf(SourceModel.laser(2.0)),
+                             derive_rng(23), 20000)
+    atk = attack_batch(EveStrategy("beam_split"), n, np.zeros_like(n), BB84,
+                       ch, derive_rng(24))
+    k = derive_rng(24).binomial(n, 1.0 - ch.transmittance)
+    assert atk.eve_seen.dtype == n.dtype and (k >= 3).any()
+    assert np.array_equal(atk.eve_seen, np.where(k >= 1, HELD + 1 - k,
+                                                 NOTHING))
+    assert (atk.n <= n - k).all()
+
+
 def test_beam_split_rejects_excess_tap():
     ch = ChannelModel()  # lossless: no tap budget at all
     eve = EveStrategy("beam_split", tap_ratio=0.3)
@@ -170,8 +200,10 @@ def test_pns_blocks_singles():
 
 
 def test_usd_success_prob():
-    phi0, phi1 = b92_states(2 ** -0.5)
-    assert usd_success_prob(phi0, phi1) == pytest.approx(1.0 - 2 ** -0.5)
+    # unambiguous discrimination succeeds with 1 - |<phi0|phi1>|, read
+    # from the state table
+    for ov in (2 ** -0.5, 0.5, 0.9):
+        assert b92_table(ov).overlap[0, 1] == pytest.approx(ov)
 
 
 def test_usd_forwards_perfect_copies_at_honest_rate():
@@ -183,11 +215,14 @@ def test_usd_forwards_perfect_copies_at_honest_rate():
     fwd = atk.n > 0
     assert fwd.mean() == pytest.approx(ch.transmittance, abs=0.005)
     assert (atk.n[fwd] == 1).all() and (atk.state_idx[fwd] == 0).all()
-    # every forwarded copy comes from a conclusive discrimination Eve holds
-    conclusive = atk.eve_seen == HELD
+    # every forwarded copy comes from a conclusive discrimination, recorded
+    # as outcome 0 of Bob's test basis for bit 0
+    conclusive = atk.eve_seen >= 0
     assert conclusive[fwd].all()
-    assert conclusive.mean() == pytest.approx(
-        usd_success_prob(*table.states[:2]), abs=0.005)
+    assert (atk.eve_seen[conclusive] == seen(0, 0)).all()
+    assert (atk.eve_seen[~conclusive] == NOTHING).all()
+    assert conclusive.mean() == pytest.approx(1.0 - table.overlap[0, 1],
+                                              abs=0.005)
 
 
 def test_usd_rejects_foreign_state():
@@ -227,8 +262,8 @@ def test_resolve_known_bits_intercept():
                          HELD, NOTHING], dtype=np.int8)
     alice_basis = np.array([0, 0, 1, 1, 0, 1], dtype=np.int8)
     before = eve_seen.copy()
-    known = resolve_known_bits(eve_seen, alice_basis, BASIS_READOUT, False,
-                               derive_rng(12))
+    known = resolve_known_bits(eve_seen, alice_basis, BASIS_READOUT,
+                               BASIS_OVERLAP, derive_rng(12))
     assert known.tolist() == [True, False, False, True, True, False]
     assert np.array_equal(eve_seen, before)     # the record is not written
 
@@ -238,9 +273,35 @@ def test_resolve_known_bits_pair_announcement_throttles():
     sent = np.zeros(N, dtype=np.int8)       # H, announced with A
     readout = _readout(BB84, _SARG_PAIRS)
     known = resolve_known_bits(np.full(N, HELD, dtype=np.int8), sent,
-                               readout, True, derive_rng(13))
+                               readout, SARG_OVERLAP, derive_rng(13))
     assert known.mean() == pytest.approx(1.0 - 2 ** -0.5, abs=0.005)
     # D rules out A: a measurement that reveals the bit is not throttled
     measured = resolve_known_bits(np.full(N, seen(1, 1), dtype=np.int8),
-                                  sent, readout, True, derive_rng(13))
+                                  sent, readout, SARG_OVERLAP, derive_rng(13))
     assert measured.all()
+
+
+@pytest.mark.parametrize("ov", [2 ** -0.5, 0.5])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_resolve_known_bits_held_photons_yield_one_minus_overlap_to_the_k(
+        ov, k):
+    # unambiguous discrimination on k copies of one of two states with
+    # overlap ov succeeds with 1 - ov^k (B92's one row)
+    N = 100000
+    table = b92_table(ov)
+    known = resolve_known_bits(
+        np.full(N, HELD + 1 - k, dtype=np.int8), np.zeros(N, dtype=np.int8),
+        _readout(table, np.array([[0, 1]])), table.overlap[[0], [1]],
+        derive_rng(25))
+    p = 1.0 - ov ** k
+    assert abs(known.mean() - p) <= 5 * math.sqrt(p * (1 - p) / N)
+
+
+def test_resolve_known_bits_basis_announcement_draws_nothing():
+    # a held photon of an announced basis gives the bit, with no uniform
+    rng = derive_rng(26)
+    eve_seen = np.array([HELD, HELD - 1, NOTHING, HELD - 3], dtype=np.int8)
+    known = resolve_known_bits(eve_seen, np.array([0, 1, 0, 1], np.int8),
+                               BASIS_READOUT, BASIS_OVERLAP, rng)
+    assert known.tolist() == [True, True, False, True]
+    assert rng.random() == derive_rng(26).random()

@@ -2,12 +2,10 @@
 tests, or waits in ``WAITING`` for the ROADMAP item that gives it one."""
 
 import ast
-import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "qkdsim"
-WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 
 # name -> ROADMAP item that gives it a caller
 WAITING = {
@@ -56,13 +54,9 @@ def _used() -> set:
     return names
 
 
-def _named_in_workflow(name: str) -> bool:
-    return re.search(rf"\b{re.escape(name)}\b", WORKFLOW.read_text()) is not None
-
-
 def _callers() -> dict:
     used = _used()
-    return {n: n in used or _named_in_workflow(n) for n in _defined()}
+    return {n: n in used for n in _defined()}
 
 
 def test_every_name_has_a_caller_or_waits():

@@ -369,6 +369,8 @@ def test_run_intercept_aborts_with_exit_two(capsys):
     ({"source": {"kind": "laser", "mu": 1e5}},
      "mu = 100000.0 is too large (> 10^4 photon counts)"),
     ({"seed": -1}, "scenario: seed must be a non-negative integer, got -1"),
+    ({"eve": {"kind": "pns", "tap_ratio": 0.3}},
+     "eve: tap_ratio is not used by pns"),
 ])
 def test_scenario_refused_by_runner_is_clean_error(tmp_path, scenario,
                                                    message):

@@ -211,8 +211,9 @@ def test_readout_matches_a_brute_force_over_every_candidate_pair(protocol):
         for m, basis in enumerate(table.bases):
             assert got[m, 0] == -1                  # no click
             for o in (0, 1):
-                can = [abs(basis.eigenstate(o).overlap(table.states[k])) ** 2
-                       > 1e-9 for k in pair]
+                eigen = (basis.v0, basis.v1)[o]
+                can = [abs(eigen.overlap(table.states[k])) ** 2 > 1e-9
+                       for k in pair]
                 want = -1 if sum(can) != 1 else table.bit[
                     pair[can.index(True)]]
                 assert got[m, 1 + o] == want, (pair, m, o)
@@ -259,6 +260,20 @@ def test_sarg_pns_knows_less_than_bb84():
     t_bb = run("bb84", 200000, 11, src=src, ch=ch, eve=eve)
     t_sg = run("sarg", 200000, 11, src=src, ch=ch, eve=eve)
     assert t_sg.eve_known_fraction < t_bb.eve_known_fraction
+
+
+@pytest.mark.parametrize("protocol, ov", [
+    ("b92", 2 ** -0.5), ("b92", 0.5), ("sarg", 2 ** -0.5)])
+def test_full_pns_knowledge_is_one_minus_the_overlap(protocol, ov):
+    # every single photon is blocked, so every sifted pulse carried a photon
+    # that Eve holds; it yields the bit only when unambiguous discrimination
+    # of the two announced candidates succeeds
+    cfg = {"b92_overlap": ov} if protocol == "b92" else {}
+    t = run(protocol, 200000, 27, src=SourceModel.laser(0.5),
+            eve=EveStrategy("pns", block_single_prob=1.0), **cfg)
+    n, p = len(t.sifted_alice), 1.0 - ov
+    assert n > 2000
+    assert abs(t.eve_known_fraction - p) <= 5 * math.sqrt(p * (1 - p) / n)
 
 
 def test_decoy_bb84_gains_match_intensities():

@@ -317,5 +317,5 @@ def test_singlet_marginals_uniform():
 def test_custom_basis_eigenstate_roundtrip():
     basis = Basis("tilted", SignalState(math.cos(0.3), math.sin(0.3)),
                   SignalState(-math.sin(0.3), math.cos(0.3)))
-    assert basis.prob_outcome_one(basis.eigenstate(1)) == pytest.approx(1.0)
-    assert basis.prob_outcome_one(basis.eigenstate(0)) == pytest.approx(0.0)
+    assert basis.prob_outcome_one(basis.v1) == pytest.approx(1.0)
+    assert basis.prob_outcome_one(basis.v0) == pytest.approx(0.0)

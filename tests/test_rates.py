@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -277,6 +278,13 @@ def test_gain_refuses_dark_probability_outside_unit_interval():
     for p_dark in (-0.1, 1.0, 1.5, float("nan")):
         with pytest.raises(ValueError, match="p_dark must lie in"):
             gain_Qmu(0.5, 0.1, p_dark)
+    # the yields, and the decoy estimate built on them, refuse it too
+    for call in (lambda: yield_Yn(0, 0.1, 1.5),
+                 lambda: yield_Yn(2, 0.1, float("nan")),
+                 lambda: decoy_estimate(0.3, 0.05, 0.5, 0.1, 1.5)):
+        with pytest.raises(ValueError, match=re.escape(
+                "p_dark must lie in [0, 1)")):
+            call()
 
 
 @pytest.mark.parametrize("mu", [0.12, 0.8, 5, 20, 40])
