@@ -4,7 +4,8 @@ one place that decides what Eve learns, for all seven protocols.
 ``attack_batch`` attacks the pulses flying to Bob (for BBM92 and E91,
 Bob's particle, which Alice's measurement prepared; see ``protocols``)
 and records per pulse what Eve took (``eve_seen``): the basis and outcome
-of her measurement, or the photons she holds.  ``resolve_known_bits``
+of her measurement, or the photons she holds; Bob's photons go on over a
+line whose loss only his ``quantum.click_law`` draws.  ``resolve_known_bits``
 turns that record into Eve's knowledge once the sifting announcement is
 public, by the readout table that also sifts Bob's results
 (``protocols._readout``) and the overlap of the announced candidates for
@@ -42,8 +43,8 @@ class EveStrategy:
         single-photon pulse; multi-photon pulses always lose one photon
         to Eve and continue losslessly.
     usd_b92: unambiguous discrimination of the two B92 states; successes
-        are forwarded as perfect copies, throttled to mimic the honest
-        channel's detection rate.
+        are forwarded as perfect copies over a line that keeps the
+        honest channel's detection rate.
     """
 
     kind: str = "none"
@@ -78,7 +79,7 @@ class BatchAttack:
 
     n: np.ndarray                # forwarded photon counts
     state_idx: np.ndarray        # forwarded state table indices
-    channel_consumed: bool       # True when Eve replaced the lossy line
+    transmittance: float         # of the line the forwarded photons cross
     eve_seen: np.ndarray         # NOTHING, HELD + 1 - k for k held photons,
                                  # or the readout index 3 * basis + o + 1
 
@@ -105,20 +106,21 @@ def attack_batch(strategy: EveStrategy, n: np.ndarray, state_idx: np.ndarray,
     click's coin can hide an outcome that would reveal the bit, so there
     the record is a lower bound on what Eve learns.
     beam_split diverts each photon with the tap probability (recording the
-    k it holds) and forwards the rest over a line whose loss keeps Bob's
-    total transmittance.  pns holds one photon of every multi-photon pulse,
-    forwards the rest losslessly and blocks single photons with
-    block_single_prob.  usd_b92 discriminates the two states Alice sends
-    (it refuses a table with any other count) and forwards a perfect copy
-    of each conclusive result, recorded as outcome 0 of Bob's test basis
-    for its bit, throttled to the honest detection rate (possible while
-    transmittance < 1 - overlap); failures become vacuum.
+    k it holds) and forwards the rest over a line of transmittance
+    eta / (1 - tap), keeping Bob's eta.  pns holds one photon of every
+    multi-photon pulse, forwards the rest losslessly and blocks single
+    photons with block_single_prob.  usd_b92 discriminates the two states
+    Alice sends (it refuses a table with any other count) and forwards a
+    perfect copy of each conclusive result, recorded as outcome 0 of Bob's
+    test basis for its bit, over a line that keeps the honest detection
+    rate (transmittance eta / (1 - overlap), while below 1); failures
+    become vacuum.  Bob's ``click_law`` draws the returned line's loss.
     """
-    npulses = n.shape[0]
+    npulses, eta = n.shape[0], ch.transmittance
     eve_seen = np.full(npulses, NOTHING, dtype=n.dtype)
 
     if strategy.kind == "none":
-        return BatchAttack(n, state_idx, False, eve_seen)
+        return BatchAttack(n, state_idx, eta, eve_seen)
 
     if strategy.kind == "intercept_resend":
         count, fixed = len(table.bases), strategy.fixed_basis
@@ -133,21 +135,18 @@ def attack_batch(strategy: EveStrategy, n: np.ndarray, state_idx: np.ndarray,
         sent = bit != NO_CLICK
         s_out = np.where(sent, table.eigen_idx.ravel().take(
             (2 * eb + np.maximum(bit, 0)).astype(np.intp)), state_idx)
-        return BatchAttack(sent.astype(n.dtype), s_out, False,
-                           3 * eb + bit + 1)
+        return BatchAttack(sent.astype(n.dtype), s_out, eta, 3 * eb + bit + 1)
 
     if strategy.kind == "beam_split":
-        eta = ch.transmittance
         tap = strategy.tap_ratio if strategy.tap_ratio is not None else 1.0 - eta
         if tap > 1.0 - eta + 1e-12:
             raise ValueError(
                 f"tap_ratio {tap} exceeds the channel loss 1 - eta = {1 - eta}")
         k_eve = rng.binomial(n, tap)
-        eta_fwd = min(1.0, eta / (1.0 - tap)) if tap < 1.0 else 1.0
-        n_out = rng.binomial(n - k_eve, eta_fwd)
         held = k_eve >= 1
         eve_seen[held] = HELD + 1 - k_eve[held]
-        return BatchAttack(n_out, state_idx, True, eve_seen)
+        eta_fwd = min(1.0, eta / (1.0 - tap)) if tap < 1.0 else 1.0
+        return BatchAttack(n - k_eve, state_idx, eta_fwd, eve_seen)
 
     if strategy.kind == "pns":
         multi = n >= 2
@@ -159,7 +158,7 @@ def attack_batch(strategy: EveStrategy, n: np.ndarray, state_idx: np.ndarray,
                                 < strategy.block_single_prob)
             n_out[blocked] = 0
         eve_seen[multi] = HELD
-        return BatchAttack(n_out, state_idx, True, eve_seen)
+        return BatchAttack(n_out, state_idx, 1.0, eve_seen)
 
     if strategy.kind == "usd_b92":
         sends = np.flatnonzero(table.bit >= 0)
@@ -167,11 +166,9 @@ def attack_batch(strategy: EveStrategy, n: np.ndarray, state_idx: np.ndarray,
             raise ValueError("usd_b92 requires the B92 state pair")
         p_succ = 1.0 - table.overlap[sends[0], sends[1]]
         success = (n > 0) & (rng.random(npulses) < p_succ)
-        forwarded = success & (rng.random(npulses)
-                               < min(1.0, ch.transmittance / p_succ))
-        n_out = forwarded.astype(n.dtype)
         eve_seen[success] = 3 * table.bit[state_idx[success]] + 1
-        return BatchAttack(n_out, state_idx, True, eve_seen)
+        return BatchAttack(success.astype(n.dtype), state_idx,
+                           min(1.0, eta / p_succ), eve_seen)
 
     raise ValueError(f"unknown strategy kind {strategy.kind!r}")
 

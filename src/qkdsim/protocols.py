@@ -341,9 +341,9 @@ def _run_prepare_measure(spec: PrepareMeasureSpec, cfg: ProtocolConfig,
                          det: DetectorModel, eve: EveStrategy,
                          rng: np.random.Generator) -> SessionTranscript:
     """Prepare -> attack -> channel and detection (one ``click_law`` draw per
-    pulse; the line's loss counts unless Eve replaced it) -> sift -> Eve's
-    knowledge, slice by slice (see the slice rule above); decoy sessions
-    also count pulses sent and detected per intensity."""
+    pulse, over the line the attack hands Bob's photons to) -> sift ->
+    Eve's knowledge, slice by slice (see the slice rule above); decoy
+    sessions also count pulses sent and detected per intensity."""
     table = spec.table(cfg)
     alice_bases = np.count_nonzero(table.bit >= 0) // 2
     pairs = (np.arange(2 * alice_bases).reshape(-1, 2) if spec.pairs is None
@@ -352,11 +352,7 @@ def _run_prepare_measure(spec: PrepareMeasureSpec, cfg: ProtocolConfig,
     row = readout[0].size               # readout entries per announcement
     row_overlap = table.overlap[pairs[:, 0], pairs[:, 1]]
     pmf, first_decoy = spec.photons(cfg, src)
-    laws = {consumed: click_law(            # keyed by atk.channel_consumed
-        table.p_one, table.flip,
-        det.efficiency * (1.0 if consumed else ch.transmittance),
-        ch.misalignment_error_prob, det.dark_prob, len(pmf) - 1)
-        for consumed in (False, True)}
+    laws = {}   # Bob's click law, by the transmittance of the line to him
     kept, detections = [], 0
     intensity = []      # per slice: (sent, detected) of signal and decoy
     # setting pair -> (Alice's basis, Bob's, products per slice)
@@ -374,8 +370,12 @@ def _run_prepare_measure(spec: PrepareMeasureSpec, cfg: ProtocolConfig,
             cells.dtype)
 
         atk = adversary.attack_batch(eve, n, sent, table, ch, rng)
+        if atk.transmittance not in laws:
+            laws[atk.transmittance] = click_law(
+                table.p_one, table.flip, det.efficiency * atk.transmittance,
+                ch.misalignment_error_prob, det.dark_prob, len(pmf) - 1)
         outcomes = measure_batch(atk.n, atk.state_idx, b_bases,
-                                 laws[atk.channel_consumed], rng)
+                                 laws[atk.transmittance], rng)
 
         announced = a_bases if spec.pairs is None else sent
         bob_bits = readout.take(

@@ -15,6 +15,7 @@ from qkdsim.quantum import (NO_CLICK, ChannelModel, DetectorModel,
 from qkdsim.rng import derive_rng
 
 BB84 = bb84_table()     # states H, V, A, D; bases rectilinear, diagonal
+B92 = b92_table(2 ** -0.5)
 BASIS_READOUT = _readout(BB84, np.array([[0, 1], [2, 3]]))  # by Alice's basis
 BASIS_OVERLAP = np.zeros(2)     # a basis's two states are orthogonal
 SARG_OVERLAP = BB84.overlap[_SARG_PAIRS[:, 0], _SARG_PAIRS[:, 1]]
@@ -149,13 +150,20 @@ def test_intercept_resend_forwards_the_observed_eigenstate(table):
 
 
 def test_beam_split_preserves_bob_rate():
-    # tap = channel loss, forward losslessly: Bob sees the honest statistics
+    # tap = channel loss, forward over a lossless line: Bob sees the honest
+    # statistics
     ch = ChannelModel(length_km=30.0, attenuation_db_per_km=0.2)  # T ~ 0.25
     eve = EveStrategy("beam_split")
     trials = 100000
     atk = attack(eve, np.ones(trials), np.zeros(trials), ch, derive_rng(4))
-    assert atk.channel_consumed
+    assert atk.transmittance == pytest.approx(1.0)
     assert atk.n.mean() == pytest.approx(ch.transmittance, abs=0.005)
+    # a smaller tap leaves Bob's photons a lossy line of eta / (1 - tap)
+    partial = attack(EveStrategy("beam_split", tap_ratio=0.5), np.ones(trials),
+                     np.zeros(trials), ch, derive_rng(4))
+    assert partial.transmittance == 2 * ch.transmittance
+    assert partial.n.mean() * partial.transmittance == pytest.approx(
+        ch.transmittance, abs=0.005)
     # a single photon reaches either Bob or Eve's store, never both
     held = atk.eve_seen == HELD
     assert not (held & (atk.n > 0)).any()
@@ -175,7 +183,37 @@ def test_beam_split_records_the_photons_it_holds():
     assert atk.eve_seen.dtype == n.dtype and (k >= 3).any()
     assert np.array_equal(atk.eve_seen, np.where(k >= 1, HELD + 1 - k,
                                                  NOTHING))
-    assert (atk.n <= n - k).all()
+    # every photon Eve does not hold goes on; the line draws its loss
+    assert np.array_equal(atk.n, n - k) and atk.transmittance == 1.0
+
+
+@pytest.mark.parametrize("src", [SourceModel.laser(0.5),
+                                 SourceModel.heralded(0.6, 0.05)],
+                         ids=["laser", "heralded"])
+@pytest.mark.parametrize("eve, table, loss", [
+    (EveStrategy("beam_split", tap_ratio=0.5), BB84, 0.5),
+    (EveStrategy("usd_b92"), B92, B92.overlap[0, 1])],
+    ids=["beam_split", "usd_b92"])
+def test_click_law_draws_the_loss_of_the_line_an_attack_hands_on(
+        eve, table, loss, src):
+    # the line keeps Bob's rate: f = eta / (1 - tap) for beam splitting,
+    # eta / P_succ = eta / (1 - overlap) for USD
+    ch = ChannelModel(length_km=30.0, attenuation_db_per_km=0.2,
+                      misalignment_error_prob=0.03)
+    f = attack(eve, [1], [0], ch, table=table).transmittance
+    assert f == ch.transmittance / (1.0 - loss) < 1.0
+    # m photons thinned by f and detected at efficiency e click as m photons
+    # detected at f e: the Bin(m, f) mixture of the law at e is the law at
+    # f e, misalignment and dark counts included, for every m <= n_max
+    e, n_max = 0.8, len(photon_pmf(src)) - 1
+    args = (ch.misalignment_error_prob, 1e-3, n_max)
+    direct = click_law(table.p_one, table.flip, f * e, *args)
+    per_photon = click_law(table.p_one, table.flip, e, *args)
+    assert n_max >= 2
+    for m in range(n_max + 1):
+        mixture = sum(math.comb(m, j) * f ** j * (1.0 - f) ** (m - j)
+                      * per_photon[:, j] for j in range(m + 1))
+        np.testing.assert_allclose(direct[:, m], mixture, rtol=0, atol=1e-12)
 
 
 def test_beam_split_rejects_excess_tap():
@@ -190,7 +228,8 @@ def test_pns_keeps_one_of_multi():
                  rng=derive_rng(6))
     assert atk.n.tolist() == [2, 1, 1, 0]
     assert atk.eve_seen.tolist() == [HELD, NOTHING, HELD, NOTHING]
-    assert atk.state_idx.tolist() == [0, 1, 2, 3] and atk.channel_consumed
+    assert atk.state_idx.tolist() == [0, 1, 2, 3]
+    assert atk.transmittance == 1.0     # the rest cross a lossless line
 
 
 def test_pns_blocks_singles():
@@ -213,12 +252,16 @@ def test_usd_forwards_perfect_copies_at_honest_rate():
     atk = attack(EveStrategy("usd_b92"), np.ones(trials), np.zeros(trials),
                  ch, derive_rng(8), table=table)
     fwd = atk.n > 0
-    assert fwd.mean() == pytest.approx(ch.transmittance, abs=0.005)
+    # every success goes on, over a line that keeps Bob's honest rate
+    p_succ = 1.0 - table.overlap[0, 1]
+    assert atk.transmittance == ch.transmittance / p_succ
+    assert fwd.mean() * atk.transmittance == pytest.approx(ch.transmittance,
+                                                           abs=0.005)
     assert (atk.n[fwd] == 1).all() and (atk.state_idx[fwd] == 0).all()
     # every forwarded copy comes from a conclusive discrimination, recorded
     # as outcome 0 of Bob's test basis for bit 0
     conclusive = atk.eve_seen >= 0
-    assert conclusive[fwd].all()
+    assert np.array_equal(conclusive, fwd)
     assert (atk.eve_seen[conclusive] == seen(0, 0)).all()
     assert (atk.eve_seen[~conclusive] == NOTHING).all()
     assert conclusive.mean() == pytest.approx(1.0 - table.overlap[0, 1],
@@ -238,7 +281,10 @@ def test_batch_none_is_identity():
     n = np.ones(100, dtype=np.int64)
     idx = np.zeros(100, dtype=np.int64)
     atk = attack_batch(NO_EVE, n, idx, table, ChannelModel(), derive_rng(10))
-    assert np.array_equal(atk.n, n) and not atk.channel_consumed
+    assert np.array_equal(atk.n, n) and atk.transmittance == 1.0
+    lossy = ChannelModel(length_km=30.0, attenuation_db_per_km=0.2)
+    assert attack_batch(NO_EVE, n, idx, table, lossy, derive_rng(10)
+                        ).transmittance == lossy.transmittance
     assert (atk.eve_seen == NOTHING).all()
 
 

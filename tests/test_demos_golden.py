@@ -21,13 +21,15 @@ from pathlib import Path
 
 import pytest
 
+from digest_table import print_table
+
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 GOLDEN = {
     "01_protocol_zoo.py":
         "1593b38164e48d4cf2974c8464be120f9bed8782039ede193aa795d481c8de2c",
     "02_eavesdropping.py":
-        "49e726f3cd11fccb25caba728894c51eae479efc5deb4c3916b2539cfd86cb86",
+        "00a55c0c206858f8ea1adca743d7cc5c4923a7c97417eca0a2115c3ed98dc05b",
     "03_key_distillation.py":
         "89de28df05750ccdc408f6c7ec3719062b89db779cf894f86fe23057891cc645",
     "04_bell_test.py":
@@ -41,9 +43,18 @@ def test_every_demo_has_a_digest():
     assert sorted(p.name for p in DEMOS.glob("*.py")) == sorted(GOLDEN)
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_demo_output_matches_golden_digest(name):
+def demo_digest(name) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         runpy.run_path(str(DEMOS / name), run_name="__main__")
-    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == GOLDEN[name]
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_demo_output_matches_golden_digest(name):
+    assert demo_digest(name) == GOLDEN[name]
+
+
+if __name__ == "__main__":
+    print_table("GOLDEN", {p.name: demo_digest(p.name)
+                           for p in sorted(DEMOS.glob("*.py"))})

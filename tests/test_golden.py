@@ -53,8 +53,8 @@ draw advances the stream.
 import hashlib
 import json
 
+from digest_table import cli_digest, print_table
 from qkdsim.adversary import EveStrategy
-from qkdsim.cli import main
 from qkdsim.protocols import PROTOCOLS, ProtocolConfig, run_session
 from qkdsim.quantum import ChannelModel, DetectorModel, SourceModel
 from qkdsim.rng import derive_rng
@@ -107,23 +107,17 @@ GOLDEN_CLI = {
 }
 
 GOLDEN_TRANSCRIPTS = {
-    "bb84": "1ce7728524b69e9f68c5038d763984cc2b8934de202ee5d73414ada7412d5ef2",
-    "b92": "4c3f51186ae97847dc1541257c3c2635ebf21811c9ba617baa8cbd01528ef911",
+    "bb84": "9e91f5eb8deadc620468313a05fc1e3d9236f1fa66fdb02edca0fbca3cfdd851",
+    "b92": "4949ab000a07a64e569bdb8a91ca5ea973a1de5c6419a0053748a2ea7a3ac340",
     "six_state":
-        "9c7c07d86e08d7152ad370415e92a0c1cf15250c0ae5aeae9c75a0c72ca29acf",
-    "sarg": "162bded2b4ed1309e2227329de9b17c1096aa85f322b428e2a55d26dde74ed8b",
+        "357580b2b9e02fd83cb45751b49c9691c2e50de82d27db8bbd44062cfb7e070a",
+    "sarg": "1aed4dec3bb23694544108b53027845f14d47176b074cfdef8bbe295d3bd062a",
     "decoy_bb84":
-        "d30f5a8763a89f17d59421d504e34311623061ef18e27a32bbfd120ce34d5525",
-    "bbm92": "a759bc9c399c7a968cd5f82a65f6800bc06f6de6dc965be3a96b2c8fffc71f1b",
+        "3e491d0ba9c1d510b7681c7eb59bd9907e22c2aba08b8cd76bbbe09dbe85c607",
+    "bbm92":
+        "a759bc9c399c7a968cd5f82a65f6800bc06f6de6dc965be3a96b2c8fffc71f1b",
     "e91": "e3bece0965a7fd4b461b833c0bca6496c5771f9b69678e45465eecc53e053f23",
 }
-
-
-def _cli_digest(capsys, argv):
-    code = main(argv)
-    out = capsys.readouterr()
-    blob = f"{code}\n{out.out}\n--stderr--\n{out.err}"
-    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def _cli_cases():
@@ -146,12 +140,11 @@ def _transcript_blob(protocol, eve, src, bias) -> bytes:
     return json.dumps(t.to_dict(), sort_keys=True).encode()
 
 
-def test_cli_outputs_match_golden_digests(capsys):
-    got = {label: _cli_digest(capsys, argv) for label, argv in _cli_cases()}
-    assert got == GOLDEN_CLI
+def cli_digests() -> dict:
+    return {label: cli_digest(argv) for label, argv in _cli_cases()}
 
 
-def test_transcript_matrix_matches_golden_digests():
+def transcript_digests() -> dict:
     got = {}
     for protocol in PROTOCOLS:
         h = hashlib.sha256()
@@ -162,7 +155,15 @@ def test_transcript_matrix_matches_golden_digests():
                     h.update(_transcript_blob(protocol, eve, src, bias))
                     h.update(b"\x01")
         got[protocol] = h.hexdigest()
-    assert got == GOLDEN_TRANSCRIPTS
+    return got
+
+
+def test_cli_outputs_match_golden_digests():
+    assert cli_digests() == GOLDEN_CLI
+
+
+def test_transcript_matrix_matches_golden_digests():
+    assert transcript_digests() == GOLDEN_TRANSCRIPTS
 
 
 # Multi-chunk matrix: 150,001 pulses span two full session slices
@@ -181,13 +182,13 @@ CHUNK_EVES = (EveStrategy("none"), EveStrategy("intercept_resend"),
               EveStrategy("usd_b92"))
 
 GOLDEN_MULTI_CHUNK = {
-    "bb84": "623cb3d234997d48e5e13006bb5a8234ea6ad497db4ffd22cec125c29059b0b9",
-    "b92": "243fb8c2d76b290700b39cb4cd48d6d9e4007654a466edb667f159a7077b8ace",
+    "bb84": "fd0369ae654b3a84d1a037ab7fd9ef936259427a02ec309943d34726843e1540",
+    "b92": "1a639e134acd081e2c25e7c2a400118760bfceac8691545e7f53a168d982ed1d",
     "six_state":
-        "df098e1052cd8d91130d18f7143c8868af90425a8855bbc43baf17639dcee234",
-    "sarg": "53755c08cee349290e3b58c982dc95253f9b1a26eadebb33e3b5e4ae6123904d",
+        "e786aa7f3a1199bbf28b4369f9ed617a3bd23f4f2f742ce6599ce951cd223da2",
+    "sarg": "b674d64b6debb23e883eda048bd3d6fa1ceddccceb393b4990b3cc02ef423287",
     "decoy_bb84":
-        "8c08f5dde79f79b7922627bdc17a1f3584b0bac1569ab63f344c3a643797651c",
+        "5b534be3b025481d95854b2aba839d4051c5f208f0addafbef39451b975cbb38",
     "bbm92":
         "a9fc076b996299e0b89ca53cbf42f262a4d990444a131ee24f15764d9930cbbd",
     "e91": "9945530e25f13705a8c357496242cf1b3bb51cb2b16f82398e5e69705d150526",
@@ -204,7 +205,7 @@ def _chunk_cells():
     yield "bb84 basis_bias", "bb84", SourceModel.laser(0.5), EVES[1], 0.7
 
 
-def test_multi_chunk_matrix_matches_golden_digests():
+def multi_chunk_digests() -> dict:
     got = {}
     for key, protocol, src, eve, bias in _chunk_cells():
         cfg = ProtocolConfig(protocol, CHUNK_PULSES, basis_bias=bias)
@@ -216,4 +217,14 @@ def test_multi_chunk_matrix_matches_golden_digests():
         h = got.setdefault(key, hashlib.sha256())
         h.update(repr((src, eve)).encode())
         h.update(json.dumps(t.to_dict(), sort_keys=True).encode())
-    assert {k: h.hexdigest() for k, h in got.items()} == GOLDEN_MULTI_CHUNK
+    return {k: h.hexdigest() for k, h in got.items()}
+
+
+def test_multi_chunk_matrix_matches_golden_digests():
+    assert multi_chunk_digests() == GOLDEN_MULTI_CHUNK
+
+
+if __name__ == "__main__":
+    print_table("GOLDEN_CLI", cli_digests())
+    print_table("GOLDEN_TRANSCRIPTS", transcript_digests())
+    print_table("GOLDEN_MULTI_CHUNK", multi_chunk_digests())

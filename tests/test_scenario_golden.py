@@ -54,12 +54,13 @@ when ``rates.gain_Qmu`` came to compute 1 - (1 - p_dark)^2 e^-mu eta as
 the last one or two digits.
 """
 
-import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 
-from qkdsim.cli import main
+from digest_table import cli_digest, print_table
 
 SCENARIOS = {
     "ideal_plain_devices": {
@@ -115,13 +116,13 @@ SCENARIOS = {
 
 GOLDEN = {
     "b92_usd text":
-        "a6a982d9b67ba6ebc7cef21fa4c05275dfb56ff1bd477d6619db1bb13db57aec",
+        "e2f0841046ff6a6b38caed20e662103b6d5c7e374e0e374d0fdd281a6a8710fb",
     "b92_usd json":
-        "895d92ee37509f6dc87a12b6c37e616ebfb66d7ce95351c32baa0b445184b70d",
+        "dee6e22ada951670f53587994ecebac95d0ea90fb29232ec1e197cc44af40b94",
     "decoy_beam_split text":
-        "85ed14e564ef9ae7098619e39535df81f202750ee37a91c425c99c65d9eca97e",
+        "77486c9f47b5feca01e49a370565f77e1b5f2bd2d775c1b4b6c0d08b8a8fdceb",
     "decoy_beam_split json":
-        "ba327ec8c14a1e88dfc113dea641d04ebfc655a4a91b0f03c8e09cb8e39801f4",
+        "b4e4e6582b17c1af9db9bce1fbdd7cd5b60acd1770b1dcb381732fb3f9f127d7",
     "e91_defaults text":
         "504076505273163cbe72ff0782202990ecb3a7d7329b627d59e3696f317b583c",
     "e91_defaults json":
@@ -145,12 +146,20 @@ GOLDEN = {
 }
 
 
+def run_digest(name, fmt) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"{name}.cfg"
+        path.write_text(json.dumps(SCENARIOS[name]))
+        return cli_digest(["run", str(path), "--format", fmt])
+
+
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 @pytest.mark.parametrize("fmt", ["text", "json"])
-def test_run_output_matches_golden_digest(name, fmt, tmp_path, capsys):
-    path = tmp_path / f"{name}.cfg"
-    path.write_text(json.dumps(SCENARIOS[name]))
-    code = main(["run", str(path), "--format", fmt])
-    out = capsys.readouterr()
-    blob = f"{code}\n{out.out}\n--stderr--\n{out.err}"
-    assert hashlib.sha256(blob.encode()).hexdigest() == GOLDEN[f"{name} {fmt}"]
+def test_run_output_matches_golden_digest(name, fmt):
+    assert run_digest(name, fmt) == GOLDEN[f"{name} {fmt}"]
+
+
+if __name__ == "__main__":
+    print_table("GOLDEN", {f"{name} {fmt}": run_digest(name, fmt)
+                           for name in sorted(SCENARIOS)
+                           for fmt in ("text", "json")})
