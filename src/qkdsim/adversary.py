@@ -21,8 +21,8 @@ from typing import Optional
 
 import numpy as np
 
-from .quantum import (NO_CLICK, ChannelModel, check_numbers, click_law,
-                      measure_batch)
+from .quantum import (NO_CLICK, ChannelModel, check_numbers, check_unused,
+                      click_law, measure_batch)
 
 KINDS = ("none", "intercept_resend", "beam_split", "pns", "usd_b92")
 
@@ -56,12 +56,8 @@ class EveStrategy:
         if self.kind not in KINDS:
             raise ValueError(f"unknown strategy kind {self.kind!r}")
         check_numbers(self)
-        for field, reader in (("fixed_basis", "intercept_resend"),
-                              ("tap_ratio", "beam_split"),
-                              ("block_single_prob", "pns")):
-            if self.kind != reader and (getattr(self, field)
-                                        != getattr(EveStrategy, field)):
-                raise ValueError(f"{field} is not used by {self.kind}")
+        check_unused(self, self.kind, fixed_basis=("intercept_resend",),
+                     tap_ratio=("beam_split",), block_single_prob=("pns",))
         if self.fixed_basis is not None and self.fixed_basis < 0:
             raise ValueError("fixed_basis must be >= 0")
         if self.tap_ratio is not None and not 0.0 < self.tap_ratio < 1.0:

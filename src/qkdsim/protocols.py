@@ -43,8 +43,8 @@ from .adversary import EveStrategy
 from .bits import BitString
 from .quantum import (ALL_BASES, CHUNK, DIAGONAL, NO_CLICK, RECTILINEAR,
                       Basis, ChannelModel, DetectorModel, SignalState,
-                      SourceModel, check_numbers, click_law, measure_batch,
-                      photon_pmf, sample_photon_number)
+                      SourceModel, check_numbers, check_unused, click_law,
+                      measure_batch, photon_pmf, sample_photon_number)
 
 PROTOCOLS = ("bb84", "b92", "six_state", "sarg", "decoy_bb84", "bbm92", "e91")
 
@@ -55,8 +55,8 @@ class ProtocolConfig:
     num_pulses: int
     basis_bias: Optional[float] = None      # prob of the primary basis;
                                             # not used by b92 and e91
-    b92_overlap: float = 2 ** -0.5          # |<phi0|phi1>|
-    signal_mu: float = 0.8
+    b92_overlap: float = 2 ** -0.5          # |<phi0|phi1>|, b92 only
+    signal_mu: float = 0.8                  # these three: decoy_bb84 only
     decoy_mu: float = 0.12
     decoy_fraction: float = 0.12
 
@@ -64,17 +64,18 @@ class ProtocolConfig:
         if self.protocol not in PROTOCOLS:
             raise ValueError(f"unknown protocol {self.protocol!r}")
         check_numbers(self)
+        check_unused(self, self.protocol,
+                     basis_bias=set(PROTOCOLS) - {"b92", "e91"},
+                     b92_overlap=("b92",), signal_mu=("decoy_bb84",),
+                     decoy_mu=("decoy_bb84",), decoy_fraction=("decoy_bb84",))
         if self.num_pulses < 0:
             raise ValueError("num_pulses must be >= 0")
         if not 0 < self.signal_mu < math.inf:
             raise ValueError("signal_mu must be finite and > 0")
         if not 0 <= self.decoy_mu < math.inf:
             raise ValueError("decoy_mu must be finite and >= 0")
-        if self.basis_bias is not None:
-            if self.protocol in ("b92", "e91"):
-                raise ValueError(f"basis_bias is not used by {self.protocol}")
-            if not 0.0 < self.basis_bias < 1.0:
-                raise ValueError("basis_bias must lie in (0,1)")
+        if self.basis_bias is not None and not 0.0 < self.basis_bias < 1.0:
+            raise ValueError("basis_bias must lie in (0,1)")
         if self.protocol == "b92" and not 0.0 < self.b92_overlap < 1.0:
             raise ValueError("b92 overlap must lie in (0,1)")
         if self.protocol == "decoy_bb84":

@@ -56,6 +56,16 @@ def check_numbers(record) -> None:
             raise ValueError(f"{name} must be a number, got {value!r}")
 
 
+def check_unused(record, kind: str, **readers) -> None:
+    """Refuse, with a ValueError naming the field, a field of the dataclass
+    ``record`` that differs from its default while ``kind`` is not among
+    the kinds that read it, ``readers[field]``."""
+    for name, kinds in readers.items():
+        if kind not in kinds and (getattr(record, name)
+                                  != getattr(type(record), name)):
+            raise ValueError(f"{name} is not used by {kind}")
+
+
 # ---------------------------------------------------------------------------
 # states and bases
 # ---------------------------------------------------------------------------
@@ -139,7 +149,13 @@ class SourceModel:
     multi_pair_prob: float = 0.0
 
     def __post_init__(self):
+        if self.kind not in ("ideal_single_photon", "attenuated_laser",
+                             "heralded_pdc"):
+            raise ValueError(f"unknown source kind {self.kind!r}")
         check_numbers(self)
+        check_unused(self, self.kind, mu=("attenuated_laser",),
+                     herald_efficiency=("heralded_pdc",),
+                     multi_pair_prob=("heralded_pdc",))
         if self.kind == "attenuated_laser":
             if not 0 < self.mu < math.inf:
                 raise ValueError("attenuated_laser requires mu > 0 and finite")
@@ -148,8 +164,6 @@ class SourceModel:
                 raise ValueError("herald_efficiency must lie in [0,1]")
             if not 0.0 <= self.multi_pair_prob <= self.herald_efficiency:
                 raise ValueError("multi_pair_prob must lie in [0, herald_efficiency]")
-        elif self.kind != "ideal_single_photon":
-            raise ValueError(f"unknown source kind {self.kind!r}")
 
     @classmethod
     def ideal(cls) -> "SourceModel":

@@ -35,7 +35,7 @@ def _xlogx(x: np.ndarray) -> np.ndarray:
 def binary_entropy(x):
     """h(x) = -x log2 x - (1-x) log2 (1-x), with h(0) = h(1) = 0."""
     arr = np.asarray(x, dtype=float)
-    if np.any((arr < 0) | (arr > 1)):
+    if not np.all((arr >= 0) & (arr <= 1)):
         raise ValueError("binary_entropy requires x in [0,1]")
     out = -(_xlogx(arr) + _xlogx(1.0 - arr)) / math.log(2.0)
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
@@ -48,9 +48,9 @@ def shannon_entropy(p: np.ndarray) -> float:
 
 def _check_distribution(p: np.ndarray) -> np.ndarray:
     p = np.asarray(p, dtype=float)
-    if np.any(p < -1e-15):
+    if not np.all(p >= -1e-15):
         raise ValueError("probabilities must be non-negative")
-    if abs(p.sum() - 1.0) > 1e-9:
+    if not abs(p.sum() - 1.0) <= 1e-9:
         raise ValueError(f"probabilities must sum to 1, got {p.sum()}")
     return np.clip(p, 0.0, None)
 
@@ -124,6 +124,8 @@ def shor_preskill_cutoff() -> float:
 def multiphoton_prob(mu: float) -> float:
     """Poisson probability of emitting two or more photons, without the
     cancellation of 1 - e^-mu - mu e^-mu at small mu."""
+    if not 0.0 <= mu < math.inf:
+        raise ValueError("mu must be finite and >= 0")
     return -math.expm1(-mu) - mu * math.exp(-mu)
 
 
@@ -174,6 +176,8 @@ def optimize_mu(eta: float, p_dark: float, eps_model: float) -> MuSearchResult:
     between its two grid neighbours, down to a relative width of 1e-9."""
     if not 0.0 < eta <= 1.0:
         raise ValueError("eta must lie in (0, 1]")
+    if not 0.0 <= eps_model <= 1.0:
+        raise ValueError("eps_model must lie in [0, 1]")
 
     def rate(mu):
         return gllp_pulse_rate(mu, eta, p_dark, eps_model)
@@ -204,8 +208,9 @@ def optimize_mu(eta: float, p_dark: float, eps_model: float) -> MuSearchResult:
 
 def bound_beamsplit(mu: float, eta: float) -> float:
     """R <= (1 - e^{-mu eta})(1 - e^{-mu (1 - eta)})."""
-    if mu <= 0 or not 0.0 < eta <= 1.0:
-        raise ValueError("bound_beamsplit requires mu > 0 and eta in (0,1]")
+    if not (0 < mu < math.inf and 0.0 < eta <= 1.0):
+        raise ValueError("bound_beamsplit requires a finite mu > 0 and eta "
+                         "in (0,1]")
     return (1.0 - math.exp(-mu * eta)) * (1.0 - math.exp(-mu * (1.0 - eta)))
 
 
@@ -213,8 +218,8 @@ def bound_pns(mu: float, eta: float) -> float:
     """R <= (1 + mu) e^{-mu} - e^{-mu eta}; negative means no secure key.
     Computed as (1 - e^{-mu eta}) - p_multi, which does not cancel at
     small mu."""
-    if mu <= 0 or not 0.0 < eta <= 1.0:
-        raise ValueError("bound_pns requires mu > 0 and eta in (0,1]")
+    if not (0 < mu < math.inf and 0.0 < eta <= 1.0):
+        raise ValueError("bound_pns requires a finite mu > 0 and eta in (0,1]")
     return -math.expm1(-mu * eta) - multiphoton_prob(mu)
 
 
@@ -233,6 +238,8 @@ def usd_threshold(overlap: float) -> float:
 def yield_Yn(n: int, eta: float, p_dark: float) -> float:
     """Y_n = 1 - (1 - eta)^n (1 - p_dark)^2: at least one of Bob's two
     detectors fires (p_dark per gate per detector, as in gain_Qmu)."""
+    if not 0 <= n < math.inf:
+        raise ValueError("photon number n must be finite and >= 0")
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must lie in [0, 1]")
     if not 0.0 <= p_dark < 1.0:
@@ -245,6 +252,8 @@ def gain_Qmu(mu: float, eta: float, p_dark: float) -> float:
     the probability that at least one of Bob's two gated detectors fires
     for a Poissonian pulse of mean mu over total transmittance eta.  An
     expm1 form keeps it exact at small mu eta; mu <= 0 gives Y_0."""
+    if not mu < math.inf:
+        raise ValueError("mu must be finite")
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must lie in [0, 1]")
     if not 0.0 <= p_dark < 1.0:
@@ -267,8 +276,12 @@ def decoy_estimate(Q_signal: float, Q_decoy: float, mu_s: float, mu_d: float,
     bound that cancels the two-photon term exactly and bounds the n >= 3
     terms by monotone yields, so the honest-channel estimate is accurate to
     a few percent while any photon-number-selective attack shifts it far
-    outside its statistical error.
+    outside its statistical error.  Both intensities must be finite and
+    > 0: a vacuum decoy needs another estimate.
     """
+    for name, mu in (("mu_s", mu_s), ("mu_d", mu_d)):
+        if not 0 < mu < math.inf:
+            raise ValueError(f"{name} must be finite and > 0, got {mu!r}")
     if mu_s == mu_d:
         raise ValueError("signal and decoy intensities must differ")
     if not (0.0 < Q_signal < 1.0 and 0.0 < Q_decoy < 1.0):

@@ -45,7 +45,10 @@ def test_strategy_validation():
             ("none", {"block_single_prob": 0.5}, "block_single_prob"),
             ("beam_split", {"fixed_basis": 0}, "fixed_basis"),
             ("intercept_resend", {"tap_ratio": 0.3}, "tap_ratio"),
-            ("usd_b92", {"block_single_prob": 1.0}, "block_single_prob")):
+            ("usd_b92", {"block_single_prob": 1.0}, "block_single_prob"),
+            ("usd_b92", {"tap_ratio": 0.3}, "tap_ratio"),
+            ("beam_split", {"tap_ratio": 0.3, "block_single_prob": 0.1},
+             "block_single_prob")):
         with pytest.raises(ValueError, match=re.escape(
                 f"{unused} is not used by {kind}")):
             EveStrategy(kind, **fields)

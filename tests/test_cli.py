@@ -371,6 +371,10 @@ def test_run_intercept_aborts_with_exit_two(capsys):
     ({"seed": -1}, "scenario: seed must be a non-negative integer, got -1"),
     ({"eve": {"kind": "pns", "tap_ratio": 0.3}},
      "eve: tap_ratio is not used by pns"),
+    ({"protocol": "bb84", "b92_overlap": 0.5},
+     "protocol: b92_overlap is not used by bb84"),
+    ({"protocol": "b92", "decoy_fraction": 0.3},
+     "protocol: decoy_fraction is not used by b92"),
 ])
 def test_scenario_refused_by_runner_is_clean_error(tmp_path, scenario,
                                                    message):
@@ -585,6 +589,13 @@ def test_rates_epsilon_above_half_is_clean_error(capsys):
     code, _, err = run_cli(capsys, "rates", "--epsilon", "0.6")
     assert code == 1
     assert err.startswith("error: rates: ")
+    # a NaN or infinite mean photon number is refused the same way
+    for argv in (("--mu", "nan", "--eta", "0.1"),
+                 ("--mu", "inf", "--eta", "0.1", "--epsilon", "0.02"),
+                 ("--epsilon", "nan")):
+        code, out, err = run_cli(capsys, "rates", *argv)
+        assert code == 1 and out == "", argv
+        assert err.startswith("error: rates: ") and "Traceback" not in err
 
 
 def test_rates_pns_flagged(capsys):

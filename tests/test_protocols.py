@@ -42,6 +42,19 @@ def test_config_validation():
     for protocol in ("b92", "e91"):     # choices always uniform
         with pytest.raises(ValueError, match="basis_bias is not used"):
             ProtocolConfig(protocol, 10, basis_bias=0.7)
+    # each protocol-keyed field is read by its protocols alone
+    for protocol, fields, unused in (
+            ("bb84", {"decoy_mu": 0.3, "b92_overlap": 0.2}, "b92_overlap"),
+            ("bb84", {"decoy_mu": 0.3}, "decoy_mu"),
+            ("b92", {"signal_mu": 0.5}, "signal_mu"),
+            ("sarg", {"decoy_fraction": 0.3}, "decoy_fraction"),
+            ("decoy_bb84", {"b92_overlap": 0.5}, "b92_overlap")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{unused} is not used by {protocol}")):
+            ProtocolConfig(protocol, 10, **fields)
+    # a field left at its default passes, whoever reads it
+    assert ProtocolConfig("bb84", 10, b92_overlap=2 ** -0.5, signal_mu=0.8,
+                          decoy_mu=0.12) == ProtocolConfig("bb84", 10)
     for field in ("signal_mu", "decoy_mu", "decoy_fraction", "b92_overlap",
                   "basis_bias"):
         for bad in (True, False, "0.8", None):

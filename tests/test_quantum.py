@@ -133,6 +133,19 @@ def test_laser_mu_must_be_finite_and_positive(mu):
         SourceModel.laser(mu)
 
 
+def test_source_refuses_a_field_its_kind_does_not_read():
+    for kind, fields, unused in (
+            ("attenuated_laser", {"mu": 0.5, "herald_efficiency": 0.3},
+             "herald_efficiency"),
+            ("heralded_pdc", {"herald_efficiency": 0.6, "mu": 0.5}, "mu"),
+            ("ideal_single_photon", {"multi_pair_prob": 0.1},
+             "multi_pair_prob")):
+        with pytest.raises(ValueError, match=f"{unused} is not used by {kind}"):
+            SourceModel(kind, **fields)
+    assert SourceModel("attenuated_laser", mu=0.5, herald_efficiency=0.0,
+                       multi_pair_prob=0.0) == SourceModel.laser(0.5)
+
+
 # model.field -> the model built with a bad value in that field
 DEVICE_FIELDS = {
     "laser.mu": SourceModel.laser,

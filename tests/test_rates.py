@@ -285,6 +285,26 @@ def test_gain_refuses_dark_probability_outside_unit_interval():
         with pytest.raises(ValueError, match=re.escape(
                 "p_dark must lie in [0, 1)")):
             call()
+    # every range check refuses NaN, and a mean photon number refuses
+    # infinity
+    nan, inf = float("nan"), float("inf")
+    for call, message in (
+            (lambda: gain_Qmu(nan, 0.1, 0.0), "mu must be finite"),
+            (lambda: gain_Qmu(inf, 0.1, 0.0), "mu must be finite"),
+            (lambda: multiphoton_prob(-1.0), "mu must be finite and >= 0"),
+            (lambda: multiphoton_prob(nan), "mu must be finite and >= 0"),
+            (lambda: bound_beamsplit(nan, 0.1), "requires a finite mu > 0"),
+            (lambda: bound_pns(inf, 0.1), "requires a finite mu > 0"),
+            (lambda: binary_entropy(nan), "requires x in [0,1]"),
+            (lambda: binary_entropy([0.1, nan]), "requires x in [0,1]"),
+            (lambda: optimize_mu(0.1, 0.0, nan),
+             "eps_model must lie in [0, 1]"),
+            (lambda: yield_Yn(-1, 0.5, 0.0), "n must be finite and >= 0"),
+            (lambda: yield_Yn(nan, 0.5, 0.0), "n must be finite and >= 0"),
+            (lambda: mutual_information([[nan, 0.5], [0.5, 0.0]]),
+             "must be non-negative")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
 
 
 @pytest.mark.parametrize("mu", [0.12, 0.8, 5, 20, 40])
@@ -349,6 +369,13 @@ def test_decoy_estimate_flags_nonsense():
     est = decoy_estimate(0.9, 0.001, 0.5, 0.05, 0.0)
     assert isinstance(est, DecoyEstimate)
     assert not est.consistent
+    # a vacuum or non-finite intensity has no two-intensity estimate
+    for args, name in (((0.3, 0.001, 0.8, 0.0, 1e-5), "mu_d"),
+                       ((0.3, 0.001, 0.0, 0.1, 1e-5), "mu_s"),
+                       ((0.3, 0.001, float("inf"), 0.1, 1e-5), "mu_s"),
+                       ((0.3, 0.001, 0.8, float("nan"), 1e-5), "mu_d")):
+        with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
+            decoy_estimate(*args)
 
 
 # ---------------------------------------------------------------------------
