@@ -285,8 +285,14 @@ def toeplitz_hash(key: np.ndarray, seed: np.ndarray, r: int) -> np.ndarray:
     if n == 0 or r == 0:
         return np.zeros(r, dtype=np.uint8)
     size = _fft_length(n + r - 1)
-    conv = np.fft.irfft(np.fft.rfft(seed, size) * np.fft.rfft(key, size),
-                        size)[n - 1: n - 1 + r]
+    # the product is formed in the seed's spectrum, and every array is
+    # dropped once used: the peak holds two spectra, not three
+    spectrum = np.fft.rfft(seed, size)
+    del seed
+    spectrum *= np.fft.rfft(key, size)
+    del key
+    conv = np.fft.irfft(spectrum, size)[n - 1: n - 1 + r]
+    del spectrum
     counts = np.rint(conv)
     if np.abs(conv - counts).max() >= 0.25:
         raise FloatingPointError("Toeplitz product not exact in float64")
