@@ -55,8 +55,8 @@ class ProtocolConfig:
     num_pulses: int
     basis_bias: Optional[float] = None      # prob of the primary basis;
                                             # not used by b92 and e91
-    b92_overlap: float = 2 ** -0.5          # |<phi0|phi1>|, b92 only
-    signal_mu: float = 0.8                  # these three: decoy_bb84 only
+    b92_overlap: float = 2 ** -0.5          # |<phi0|phi1>|
+    signal_mu: float = 0.8
     decoy_mu: float = 0.12
     decoy_fraction: float = 0.12
 

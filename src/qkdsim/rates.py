@@ -343,7 +343,10 @@ class RateReport:
 def evaluate_rates(epsilon: Optional[float] = None, mu: Optional[float] = None,
                    eta: Optional[float] = None, p_dark: float = 0.0,
                    overlap: Optional[float] = None) -> RateReport:
-    """Evaluate every formula whose inputs were supplied."""
+    """Evaluate every formula whose inputs were supplied.  p_dark is
+    checked even when no formula reads it, since the report prints it."""
+    if not 0.0 <= p_dark < 1.0:
+        raise ValueError("p_dark must lie in [0, 1)")
     report = RateReport(epsilon=epsilon, mu=mu, eta=eta, p_dark=p_dark,
                         overlap=overlap)
     vals = report.values

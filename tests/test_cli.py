@@ -589,10 +589,11 @@ def test_rates_epsilon_above_half_is_clean_error(capsys):
     code, _, err = run_cli(capsys, "rates", "--epsilon", "0.6")
     assert code == 1
     assert err.startswith("error: rates: ")
-    # a NaN or infinite mean photon number is refused the same way
+    # NaN, and an infinite mean photon number, are refused the same way
     for argv in (("--mu", "nan", "--eta", "0.1"),
                  ("--mu", "inf", "--eta", "0.1", "--epsilon", "0.02"),
-                 ("--epsilon", "nan")):
+                 ("--epsilon", "nan"),
+                 ("--epsilon", "0.02", "--p-dark", "nan")):
         code, out, err = run_cli(capsys, "rates", *argv)
         assert code == 1 and out == "", argv
         assert err.startswith("error: rates: ") and "Traceback" not in err

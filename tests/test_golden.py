@@ -47,7 +47,16 @@ SARG's.  In the small matrix only ``eve_known_hex`` moved: of B92's
 beam-split and PNS cells, and of SARG's beam-split cell with a laser
 source, where Eve can hold k >= 2 photons.  In the multi-chunk matrix the
 same cells moved; B92's later slices move as a whole, because the new
-draw advances the stream.
+draw advances the stream.  The ``bb84``, ``b92``, ``six_state``, ``sarg``
+and ``decoy_bb84`` digests of both transcript matrices were re-recorded
+when line loss came to be drawn once, in Bob's ``click_law``: beam
+splitting forwards every photon it does not tap, and USD every conclusive
+result, over a line whose transmittance keeps Bob's rate.  The law is the
+same, but each such cell draws one array fewer, so only the
+``beam_split`` and ``usd_b92`` cells moved.
+
+Run as a script (``python tests/test_golden.py``), this file prints its
+three tables recomputed, ready to paste over the ones below.
 """
 
 import hashlib

@@ -52,6 +52,13 @@ when ``rates.gain_Qmu`` came to compute 1 - (1 - p_dark)^2 e^-mu eta as
 ``-expm1(-mu eta) - multiphoton_prob(mu)``: their ``gain_Qmu`` and
 ``bound_pns`` (and ``decoy_beam_split``'s ``r_gllp_per_pulse``) moved in
 the last one or two digits.
+``b92_usd`` and ``decoy_beam_split`` (text and JSON) were re-recorded when
+line loss came to be drawn once, in Bob's ``click_law``: the attacks no
+longer draw a forward binomial or a throttle uniform, so their sessions
+draw other streams from the same law (``b92_usd`` 326 → 297 detections,
+``decoy_beam_split`` 1121 → 1141).
+
+Run as a script, this file prints ``GOLDEN`` recomputed.
 """
 
 import json
