@@ -100,7 +100,13 @@ class BitString:
 
 
 def random_bits(n: int, rng: np.random.Generator) -> BitString:
-    """n independent uniform bits from the given generator."""
+    """n independent uniform bits from the given generator.
+
+    The bits are drawn as packed bytes, eight to a byte of the stream; the
+    pad bits of the last byte are zeroed, as ``packbits`` leaves them.
+    """
     if n < 0:
         raise ValueError("n must be non-negative")
-    return BitString.from_array(rng.integers(0, 2, size=n, dtype=np.uint8))
+    packed = rng.integers(0, 256, -(-n // 8), dtype=np.uint8)
+    packed[-1:] &= (0xFF << (-n % 8)) & 0xFF
+    return BitString._from_packed(packed, n)

@@ -40,7 +40,7 @@ import numpy as np
 
 from . import adversary, bell
 from .adversary import EveStrategy
-from .bits import BitString
+from .bits import BitString, random_bits
 from .quantum import (ALL_BASES, CHUNK, DIAGONAL, NO_CLICK, RECTILINEAR,
                       Basis, ChannelModel, DetectorModel, SignalState,
                       SourceModel, check_numbers, check_unused, click_law,
@@ -361,7 +361,7 @@ def _run_prepare_measure(spec: PrepareMeasureSpec, cfg: ProtocolConfig,
 
     for lo in range(0, max(cfg.num_pulses, 1), CHUNK):
         m = min(CHUNK, cfg.num_pulses - lo)
-        bits = rng.integers(0, 2, size=m, dtype=np.int8)
+        bits = random_bits(m, rng).to_array().view(np.int8)
         a_bases = _biased_choice(rng, m, alice_bases, cfg.basis_bias)
         b_bases = _biased_choice(rng, m, len(table.bases), cfg.basis_bias)
         sent = 2 * a_bases + bits

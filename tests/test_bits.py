@@ -75,5 +75,23 @@ def test_vernam_roundtrip(bits, seed):
 
 
 def test_random_bits_balanced():
-    bits = random_bits(100000, derive_rng(5))
-    assert abs(bits.hamming_weight() / 100000 - 0.5) < 0.01
+    n = 100000
+    bits = random_bits(n, derive_rng(5))
+    assert abs(bits.hamming_weight() / n - 0.5) < 5 * (0.25 / n) ** 0.5
+
+
+@pytest.mark.parametrize("n", [*range(18), 2 ** 16 + 3])
+def test_random_bits_pad_bits_are_zero(n):
+    # equality, hashing and to_hex read the packed bytes, pad bits included
+    bits = random_bits(n, derive_rng(n))
+    assert len(bits) == n
+    assert bits == BitString.from_array(bits.to_array())
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 1000, 2 ** 16 + 3])
+def test_random_bits_draws_a_byte_per_eight_bits(n):
+    rng, ref = derive_rng(4, n), derive_rng(4, n)
+    bits = random_bits(n, rng)
+    packed = ref.integers(0, 256, -(-n // 8), dtype=np.uint8)
+    assert np.array_equal(bits.to_array(), np.unpackbits(packed)[:n])
+    assert np.array_equal(rng.random(4), ref.random(4))

@@ -393,8 +393,8 @@ RANDOM_LINE = dict(BASE, num_pulses=200,
 
 
 def test_run_above_half_error_rate_leaves_out_epsilon_rates(tmp_path, capsys):
-    # seed 5: an estimate of 2/3 from the 200-pulse sample
-    path = write_scenario(tmp_path, dict(RANDOM_LINE, seed=5))
+    # seed 0: an estimate of 7/11 from the 200-pulse sample
+    path = write_scenario(tmp_path, dict(RANDOM_LINE, seed=0))
     code, out, _ = run_cli(capsys, "run", path, "--format", "json")
     report = json.loads(out)
     assert code == 2
@@ -408,7 +408,7 @@ def test_run_at_half_error_rate_aborts_at_estimation(tmp_path, capsys):
     # a threshold of 0.5 lets an estimate of exactly 0.5 through to the
     # pipeline's own check, not to reconciliation
     path = write_scenario(tmp_path, dict(
-        RANDOM_LINE, seed=9, postproc={"qber_abort_threshold": 0.5}))
+        RANDOM_LINE, seed=12, postproc={"qber_abort_threshold": 0.5}))
     code, out, _ = run_cli(capsys, "run", path, "--format", "json")
     report = json.loads(out)
     assert code == 2

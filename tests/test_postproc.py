@@ -913,19 +913,19 @@ ABORT_CASES = {
     "empty": (0, 0.0, 60, PipelineParams(),
               ("estimation", "empty sifted key", 0.0, 0, 0, 0, 0)),
     "qber": (3000, 0.2, 61, PipelineParams(),
-             ("estimation", "error rate 0.2200 above threshold 0.11", 0.22,
+             ("estimation", "error rate 0.1700 above threshold 0.11", 0.17,
               0, 0, 0, 1)),
     "sampling": (50, 0.02, 62, PipelineParams(sample_fraction=1.0),
-                 ("estimation", "nothing left after sampling", 0.02,
+                 ("estimation", "nothing left after sampling", 0.0,
                   0, 0, 0, 1)),
     "privacy_amplification": (
         200, 0.10, 25, PipelineParams(),
         ("privacy_amplification",
-         "no secure key extractable: n=180, k=218, s=30",
-         0.1, 133, 218, 0, 26)),
+         "no secure key extractable: n=180, k=203, s=30",
+         0.1, 118, 203, 0, 26)),
     "verification": (3000, 0.02, 63, PipelineParams(),
                      ("verification", "corrected keys differ",
-                      0.02666666666666667, 471, 950, 0, 28)),
+                      0.006666666666666667, 454, 611, 0, 28)),
 }
 
 
@@ -978,7 +978,7 @@ def test_estimation_aborts_before_the_sample_is_dropped(monkeypatch, case,
 # eve_bound_bits, messages)
 TAG_FAILURES = {
     "key_verification": ("verification", "corrected keys differ",
-                         0.023, 3010, 5854, 28)}
+                         0.0135, 2774, 4632, 28)}
 
 
 @pytest.mark.parametrize("failing_call, purpose", [
