@@ -16,11 +16,10 @@ from .protocols import ProtocolConfig, SessionTranscript, run_session
 from .postproc import (FinalKeyResult, PipelineParams, advantage_distill,
                        authenticate, bbbss_correct, estimate_qber,
                        privacy_amplify, run_pipeline, toeplitz_hash, verify)
-from .rates import (RateReport, binary_entropy, csiszar_korner,
-                    decoy_estimate, evaluate_rates, gain_Qmu,
-                    mutual_information, optimize_mu, rate_gllp, rate_mayers,
-                    rate_shor_preskill, rate_six_state, shor_preskill_cutoff,
-                    usd_threshold, yield_Yn)
+from .rates import (RateReport, binary_entropy, decoy_estimate,
+                    evaluate_rates, gain_Qmu, optimize_mu, rate_gllp,
+                    rate_mayers, rate_shor_preskill, rate_six_state,
+                    shor_preskill_cutoff, usd_threshold, yield_Yn)
 from .bell import (MAXIMAL_SETTINGS, TSIRELSON, ChshSettings, chsh_analytic,
                    chsh_estimate)
 
@@ -36,8 +35,7 @@ __all__ = [
     "PipelineParams", "FinalKeyResult", "estimate_qber", "bbbss_correct",
     "privacy_amplify", "toeplitz_hash", "advantage_distill",
     "authenticate", "verify", "run_pipeline",
-    "RateReport", "evaluate_rates", "binary_entropy", "mutual_information",
-    "csiszar_korner", "rate_mayers",
+    "RateReport", "evaluate_rates", "binary_entropy", "rate_mayers",
     "rate_shor_preskill", "rate_six_state", "shor_preskill_cutoff",
     "rate_gllp", "optimize_mu", "usd_threshold", "yield_Yn", "gain_Qmu",
     "decoy_estimate",

@@ -506,19 +506,6 @@ class FinalKeyResult:
         return self.abort_stage is not None
 
 
-def parity_knowledge(p: float, n: int) -> float:
-    """Probability of knowing the XOR of n independent bits when each bit
-    is known with probability p.  Equals (1 + eps^n) / 2 for eps = 2p - 1:
-    the guess is right iff an even number of the n bits is wrong.
-    """
-    if not 0.5 <= p <= 1.0:
-        raise ValueError("per-bit knowledge must lie in [0.5, 1]")
-    if n < 1:
-        raise ValueError("n must be positive")
-    eps = 2.0 * p - 1.0
-    return 0.5 * (1.0 + eps ** n)
-
-
 def run_pipeline(transcript, params: PipelineParams,
                  rng: np.random.Generator) -> FinalKeyResult:
     """Estimation -> abort check -> reconciliation -> privacy amplification

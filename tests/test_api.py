@@ -1,20 +1,12 @@
 """Every module-level name in ``src/qkdsim`` has a caller outside the
-tests, or waits in ``WAITING`` for the ROADMAP item that gives it one."""
+tests: the library, the demos or the benchmark.  Code only the tests
+call lives in the tests."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "qkdsim"
-
-# name -> ROADMAP item that gives it a caller
-WAITING = {
-    "sample_singlet": 3,
-    "csiszar_korner": 10,
-    "parity_knowledge": 11,
-    "CHAU_THRESHOLD_BB84": 11,
-    "CHAU_THRESHOLD_SIX_STATE": 11,
-}
 
 
 def _modules():
@@ -54,14 +46,8 @@ def _used() -> set:
     return names
 
 
-def _callers() -> dict:
-    used = _used()
-    return {n: n in used for n in _defined()}
-
-
-def test_every_name_has_a_caller_or_waits():
-    orphans = sorted(n for n, called in _callers().items()
-                     if not called and n not in WAITING)
+def test_every_name_has_a_caller():
+    orphans = sorted(_defined() - _used())
     assert orphans == [], "no caller outside the tests"
 
 
@@ -72,9 +58,3 @@ def test_every_public_name_resolves():
     exec("from qkdsim import *", namespace)
     assert sorted(set(qkdsim.__all__) - set(namespace)) == []
 
-
-def test_waiting_list_is_current():
-    callers = _callers()
-    gone = sorted(n for n in WAITING if n not in callers)
-    called = sorted(n for n in WAITING if callers.get(n))
-    assert gone == [] and called == [], (gone, called)

@@ -4,8 +4,8 @@ import pytest
 
 from qkdsim.bell import (MAXIMAL_SETTINGS, SETTING_PAIRS, TSIRELSON,
                          ChshSettings, chsh_analytic, chsh_estimate)
-from qkdsim.quantum import sample_singlet
 from qkdsim.rng import derive_rng
+from reference import sample_singlet
 
 
 def test_maximal_settings_hit_tsirelson():

@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import itertools
 import json
 import os
 import re
@@ -15,7 +16,7 @@ import qkdsim
 from qkdsim.adversary import EveStrategy
 from qkdsim.cli import main
 from qkdsim.postproc import PipelineParams, run_pipeline
-from qkdsim.protocols import ProtocolConfig, run_session
+from qkdsim.protocols import PROTOCOLS, ProtocolConfig, run_session
 from qkdsim.quantum import ChannelModel, DetectorModel, SourceModel
 from qkdsim.rng import derive_rng
 from qkdsim.scenario import (ConfigError, Scenario, load_scenario,
@@ -417,6 +418,42 @@ def test_run_at_half_error_rate_aborts_at_estimation(tmp_path, capsys):
     assert report["abort_reason"] == "error rate 0.5000 is not below 0.5"
 
 
+def test_run_on_a_line_that_delivers_no_light_aborts(tmp_path, capsys):
+    # eta = 0: the attack bounds take their eta -> 0 limits, and the
+    # weak-pulse rates, which need a detection, are left out
+    path = write_scenario(tmp_path, dict(
+        BASE, num_pulses=200, source={"kind": "laser", "mu": 0.5},
+        detector={"efficiency": 0}))
+    code, out, err = run_cli(capsys, "run", path, "--format", "json")
+    report = json.loads(out)
+    assert code == 2 and err == ""
+    assert report["abort_stage"] == "estimation"
+    assert report["rates"]["gain_Qmu"] == 0.0
+    assert report["rates"]["bound_beamsplit"] == 0.0
+    assert "r_gllp_per_pulse" not in report["rates"]
+
+
+CLI_SOURCES = ({"kind": "ideal"}, {"kind": "laser", "mu": 0.5},
+               {"kind": "heralded", "herald_efficiency": 0.6,
+                "multi_pair_prob": 0.05})
+CLI_LINES = ({}, {"detector": {"efficiency": 0}},
+             {"channel": {"preset": "fiber_1550", "length_km": 20000}})
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_every_scenario_ends_in_an_exit_code(tmp_path, capsys, protocol):
+    # each source on an honest lossless line, behind a detector of
+    # efficiency 0, and over a fiber whose transmittance underflows to 0
+    for source, line in itertools.product(CLI_SOURCES, CLI_LINES):
+        path = write_scenario(tmp_path, dict(
+            BASE, protocol=protocol, num_pulses=200, source=source, **line))
+        for argv in (["run", path],
+                     ["sweep", path, "--axis", "length_km", "--start", "0",
+                      "--stop", "20000", "--steps", "3"]):
+            assert main(argv) in (0, 1, 2), (argv, source, line)
+    capsys.readouterr()
+
+
 def test_run_json_format(tmp_path, capsys):
     path = write_scenario(tmp_path, BASE)
     code, out, _ = run_cli(capsys, "run", path, "--format", "json")
@@ -589,11 +626,14 @@ def test_rates_epsilon_above_half_is_clean_error(capsys):
     code, _, err = run_cli(capsys, "rates", "--epsilon", "0.6")
     assert code == 1
     assert err.startswith("error: rates: ")
-    # NaN, and an infinite mean photon number, are refused the same way
+    # NaN, an infinite or non-positive mean photon number and a
+    # transmittance outside [0, 1] are refused the same way, with or
+    # without a formula that reads them
     for argv in (("--mu", "nan", "--eta", "0.1"),
                  ("--mu", "inf", "--eta", "0.1", "--epsilon", "0.02"),
                  ("--epsilon", "nan"),
-                 ("--epsilon", "0.02", "--p-dark", "nan")):
+                 ("--epsilon", "0.02", "--p-dark", "nan"),
+                 ("--eta", "7"), ("--mu", "-5"), ("--mu", "nan")):
         code, out, err = run_cli(capsys, "rates", *argv)
         assert code == 1 and out == "", argv
         assert err.startswith("error: rates: ") and "Traceback" not in err
@@ -607,6 +647,10 @@ def test_rates_pns_flagged(capsys):
     # at mu = 1e-9 the multi-photon fraction stays in [0, 1)
     code, _, err = run_cli(capsys, "rates", "--epsilon", "0.02", "--mu",
                            "1e-9", "--eta", "0.1")
+    assert code == 0 and err == ""
+    # and on a line that delivers no light
+    code, _, err = run_cli(capsys, "rates", "--epsilon", "0.02", "--mu",
+                           "0.5", "--eta", "0")
     assert code == 0 and err == ""
 
 

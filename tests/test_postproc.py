@@ -16,11 +16,11 @@ from qkdsim.postproc import (PRODUCTION_PRIME, AuthConfig, NoSecureKey,
                              OtpPoolExhausted, PipelineParams,
                              PublicChannelLog, advantage_distill,
                              authenticate, bbbss_correct, estimate_qber,
-                             parity_knowledge, privacy_amplify,
-                             remove_positions, run_pipeline_on_keys,
-                             toeplitz_hash, verify)
+                             privacy_amplify, remove_positions,
+                             run_pipeline_on_keys, toeplitz_hash, verify)
 from qkdsim.rates import binary_entropy
 from qkdsim.rng import derive_rng
+from reference import parity_knowledge
 
 
 def flip_fraction(bits, eps, rng):

@@ -11,8 +11,9 @@ from qkdsim.quantum import (CHUNK, CIRCULAR, DIAGONAL, NO_CLICK, RECTILINEAR,
                             ChannelModel, DetectorModel, SignalState,
                             SourceModel, channel_preset, click_law,
                             detector_preset, load_presets, measure_batch,
-                            photon_pmf, sample_photon_number, sample_singlet)
+                            photon_pmf, sample_photon_number)
 from qkdsim.rng import derive_rng
+from reference import sample_singlet
 
 
 def test_state_overlaps():

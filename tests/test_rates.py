@@ -4,16 +4,13 @@ import re
 import numpy as np
 import pytest
 
-from qkdsim.rates import (CHAU_THRESHOLD_BB84, CHAU_THRESHOLD_SIX_STATE,
-                          DecoyEstimate, binary_entropy,
-                          bound_beamsplit, bound_pns, csiszar_korner,
-                          decoy_estimate, evaluate_rates,
-                          gain_Qmu, gllp_pulse_rate,
+from qkdsim.rates import (DecoyEstimate, _xlogx, binary_entropy,
+                          bound_beamsplit, bound_pns, decoy_estimate,
+                          evaluate_rates, gain_Qmu, gllp_pulse_rate,
                           multiphoton_fraction, multiphoton_prob,
-                          mutual_information, optimize_mu, rate_gllp,
-                          rate_mayers, rate_shor_preskill, rate_six_state,
-                          shannon_entropy, shor_preskill_cutoff,
-                          usd_threshold, yield_Yn)
+                          optimize_mu, rate_gllp, rate_mayers,
+                          rate_shor_preskill, rate_six_state,
+                          shor_preskill_cutoff, usd_threshold, yield_Yn)
 from qkdsim.quantum import (NO_CLICK, SourceModel, click_law,
                             measure_batch, photon_pmf)
 from qkdsim.rng import derive_rng
@@ -22,6 +19,45 @@ from qkdsim.rng import derive_rng
 # ---------------------------------------------------------------------------
 # entropies and information measures
 # ---------------------------------------------------------------------------
+
+# Shannon entropy, mutual information and the Csiszar-Korner one-way rate
+# of a joint distribution, which no library code calls
+
+def shannon_entropy(p: np.ndarray) -> float:
+    p = np.asarray(p, dtype=float)
+    return float(-_xlogx(p).sum() / math.log(2.0))
+
+
+def _check_distribution(p: np.ndarray) -> np.ndarray:
+    p = np.asarray(p, dtype=float)
+    if not np.all(p >= -1e-15):
+        raise ValueError("probabilities must be non-negative")
+    if not abs(p.sum() - 1.0) <= 1e-9:
+        raise ValueError(f"probabilities must sum to 1, got {p.sum()}")
+    return np.clip(p, 0.0, None)
+
+
+def mutual_information(pab: np.ndarray) -> float:
+    """I(A;B) = H(A) + H(B) - H(A,B) for a bipartite distribution."""
+    pab = _check_distribution(pab)
+    if pab.ndim != 2:
+        raise ValueError("mutual_information expects a 2-axis distribution")
+    ha = shannon_entropy(pab.sum(axis=1))
+    hb = shannon_entropy(pab.sum(axis=0))
+    return max(0.0, ha + hb - shannon_entropy(pab))
+
+
+def csiszar_korner(pabe: np.ndarray) -> float:
+    """Lower bound on the one-way secret-key rate:
+    max(I(A;B) - I(A;E), I(A;B) - I(B;E)).  May be negative."""
+    pabe = _check_distribution(pabe)
+    if pabe.ndim != 3:
+        raise ValueError("joint distribution must have three axes (A,B,E)")
+    iab = mutual_information(pabe.sum(axis=2))
+    iae = mutual_information(pabe.sum(axis=1))
+    ibe = mutual_information(pabe.sum(axis=0))
+    return max(iab - iae, iab - ibe)
+
 
 def test_binary_entropy_values():
     assert binary_entropy(0.0) == 0.0
@@ -171,11 +207,6 @@ def test_rate_searches_keep_their_values():
         assert res.rate_per_pulse >= max(-brent.fun, recorded)
 
 
-def test_chau_constants():
-    assert CHAU_THRESHOLD_BB84 == 0.20
-    assert CHAU_THRESHOLD_SIX_STATE == 0.276
-
-
 # ---------------------------------------------------------------------------
 # weak-pulse (multi-photon-penalized) rates
 # ---------------------------------------------------------------------------
@@ -248,6 +279,21 @@ def test_bound_beamsplit_value():
 def test_bound_pns_sign_flip():
     assert bound_pns(0.5, 0.1) == pytest.approx(-0.04143343493176388)
     assert bound_pns(0.05, 0.9) > 0.0
+
+
+def test_bounds_on_a_line_that_delivers_no_light():
+    # eta = 0: Eve's beam splitter holds every photon, and each
+    # multi-photon pulse counts against the PNS bound
+    for mu in (1e-9, 0.5, 5.0):
+        assert bound_beamsplit(mu, 0.0) == 0.0
+        assert bound_pns(mu, 0.0) == -multiphoton_prob(mu)
+    report = evaluate_rates(epsilon=0.02, mu=0.5, eta=0.0)
+    assert report.values["gain_Qmu"] == 0.0
+    assert "r_gllp" not in report.values
+    assert "r_gllp_per_pulse" not in report.values
+    # dark counts alone give a detection, and so a weak-pulse rate
+    dark = evaluate_rates(epsilon=0.02, mu=0.5, eta=0.0, p_dark=1e-5)
+    assert dark.values["r_gllp_per_pulse"] < 0.0
 
 
 def test_usd_threshold_exact():
