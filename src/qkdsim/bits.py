@@ -99,8 +99,8 @@ class BitString:
         return (self ^ other).hamming_weight()
 
 
-def random_bits(n: int, rng: np.random.Generator) -> BitString:
-    """n independent uniform bits from the given generator.
+def random_packed(n: int, rng: np.random.Generator) -> np.ndarray:
+    """n independent uniform bits from the given generator, packed.
 
     The bits are drawn as packed bytes, eight to a byte of the stream; the
     pad bits of the last byte are zeroed, as ``packbits`` leaves them.
@@ -109,4 +109,10 @@ def random_bits(n: int, rng: np.random.Generator) -> BitString:
         raise ValueError("n must be non-negative")
     packed = rng.integers(0, 256, -(-n // 8), dtype=np.uint8)
     packed[-1:] &= (0xFF << (-n % 8)) & 0xFF
-    return BitString._from_packed(packed, n)
+    return packed
+
+
+def random_bits(n: int, rng: np.random.Generator) -> BitString:
+    """n independent uniform bits from the given generator, drawn by
+    ``random_packed``."""
+    return BitString._from_packed(random_packed(n, rng), n)

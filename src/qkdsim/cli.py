@@ -141,7 +141,7 @@ def cmd_sweep(args) -> int:
     base = load_scenario(args.scenario, args.seed, args.pulses)
     if args.steps < 1:
         raise ConfigError("steps: must be >= 1")
-    if args.steps == 1:
+    if args.steps == 1:     # linspace(inf, inf, 1) is [nan], not [inf]
         values = np.array([args.start])
     else:
         values = np.linspace(args.start, args.stop, args.steps)

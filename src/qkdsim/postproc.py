@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bits import BitString, random_bits
+from .bits import BitString, random_bits, random_packed
 from .quantum import check_numbers
 from .rates import binary_entropy
 
@@ -93,6 +93,7 @@ class ReconciliationResult:
 
 
 _POPCOUNT = np.array([bin(v).count("1") for v in range(256)])   # per byte
+SUBSET_CLEAN_TARGET = 20    # agreeing subsets in a row that end the check
 
 
 def _bisect(errors: np.ndarray, lo: np.ndarray,
@@ -135,8 +136,7 @@ def _slots(bits: np.ndarray, a: int, b: int, n: int) -> np.ndarray:
 
 
 def bbbss_correct(alice: BitString, bob: BitString, eps_est: float,
-                  rng: np.random.Generator, max_passes: Optional[int] = None,
-                  subset_clean_target: int = 20,
+                  rng: np.random.Generator,
                   log: Optional[PublicChannelLog] = None) -> ReconciliationResult:
     """Cascade reconciliation with backtracking, then a random-subset check.
 
@@ -149,18 +149,18 @@ def bbbss_correct(alice: BitString, bob: BitString, eps_est: float,
     fixes, so the passes cost time in the error count, not in n; no
     n-length array is kept per pass.  n may be at most 2^32.
 
-    The block size starts near 0.73/eps and doubles per pass up to n/2;
-    there are min(4, passes to reach n/2) passes unless `max_passes` fixes
-    their number.  Backtracking: a fixed bit flips the parity of its block
-    in every earlier pass, so after each bisection the newest pass that
-    has blocks with differing parities bisects them, until no pass has
-    any.  Each bisection fixes one error, so this ends.
+    The block size starts near 0.73/eps and doubles per pass up to n/2,
+    for min(4, passes to reach n/2) passes.  Backtracking: a fixed bit
+    flips the parity of its block in every earlier pass, so after each
+    bisection the newest pass that has blocks with differing parities
+    bisects them, until no pass has any.  Each bisection fixes one error,
+    so this ends.
 
     A final phase bisects random half-size subsets whose parities differ,
-    until `subset_clean_target` consecutive subsets agree.  It has no round
+    until SUBSET_CLEAN_TARGET consecutive subsets agree.  It has no round
     cap and still ends: a disagreeing subset holds an odd number of errors,
     so its bisection fixes one, and E errors allow at most
-    (E + 1) * target rounds.
+    (E + 1) * SUBSET_CLEAN_TARGET rounds.
 
     Each pass posts one "parity" message {"pass_block_parities": blocks,
     "bisect_parities": m} to `log` (a private one when None), where m
@@ -189,11 +189,11 @@ def bbbss_correct(alice: BitString, bob: BitString, eps_est: float,
     cap = max(2, n // 2)
     k = max(2, int(0.73 / eps_est) if eps_est > 0 else n // 4)
     k = min(k, cap)
-    if max_passes is None:      # ceil(log2(cap / k)) doublings reach the cap
-        max_passes = min(4, 1 + (-(-cap // k) - 1).bit_length())
+    # ceil(log2(cap / k)) doublings reach the cap
+    passes = min(4, 1 + (-(-cap // k) - 1).bit_length())
 
     maps, sizes, odd = [], [], []       # per pass so far
-    for p in range(max_passes):
+    for p in range(passes):
         rounds += 1
         maps.append(_interleaver(n, rng))
         sizes.append(min(k << p, cap))
@@ -221,12 +221,10 @@ def bbbss_correct(alice: BitString, bob: BitString, eps_est: float,
     d = np.zeros(n, dtype=np.uint8)
     d[errors] = 1
     packed = np.packbits(d)
-    tail = (0xFF << (-n % 8)) & 0xFF    # the last byte's bits inside the key
     clean = 0
-    while clean < subset_clean_target:
+    while clean < SUBSET_CLEAN_TARGET:
         rounds += 1
-        mask = rng.integers(0, 256, packed.size, dtype=np.uint8)
-        mask[-1] &= tail
+        mask = random_packed(n, rng)
         m = 0
         if not int(np.bitwise_xor.reduce(packed & mask)).bit_count() & 1:
             clean += 1
@@ -471,14 +469,8 @@ class PipelineParams:
     sample_fraction: float = 0.1
     qber_abort_threshold: float = 0.11
     safety_bits: int = 30
-    max_passes: Optional[int] = None   # None: min(4, passes to reach n/2)
-    subset_clean_target: int = 20
 
     def __post_init__(self):
-        if self.max_passes is not None and not (
-                type(self.max_passes) is int and self.max_passes >= 1):
-            raise ValueError("max_passes must be None or an integer >= 1, "
-                             f"got {self.max_passes!r}")
         check_numbers(self)
         if not 0.0 < self.sample_fraction <= 1.0:
             raise ValueError("sample_fraction must lie in (0, 1]")
@@ -486,15 +478,13 @@ class PipelineParams:
             raise ValueError("qber_abort_threshold must lie in [0, 0.5]")
         if self.safety_bits < 0:
             raise ValueError("safety_bits must be >= 0")
-        if self.subset_clean_target < 1:
-            raise ValueError("subset_clean_target must be >= 1")
 
 
 @dataclass
 class FinalKeyResult:
     final_key: Optional[BitString]
     final_length: int
-    qber_estimate: float
+    qber_estimate: Optional[float]      # None: no sample was drawn
     leaked_bits: int
     eve_bound_bits: int
     abort_stage: Optional[str]
@@ -516,10 +506,11 @@ def run_pipeline(transcript, params: PipelineParams,
     differ pass with probability at most ``deception_probability``.  PA
     keeps n - leaked - ceil(n h(eps)) - safety_bits of the n reconciled
     bits at the estimated error rate eps; ``eve_bound_bits`` is
-    leaked + ceil(n h(eps)).  Abort stages: "estimation" (empty key, QBER
-    over threshold, nothing left after the sample; all before the sample
-    is dropped), "privacy_amplification" (no key left) and "verification"
-    (Bob's key fails Alice's tag), with counts so far."""
+    leaked + ceil(n h(eps)).  Abort stages: "estimation" (empty key, with
+    no sample and so a ``qber_estimate`` of None; QBER over threshold;
+    nothing left after the sample; all before the sample is dropped),
+    "privacy_amplification" (no key left) and "verification" (Bob's key
+    fails Alice's tag), with counts so far."""
     return run_pipeline_on_keys(transcript.sifted_alice,
                                 transcript.sifted_bob, params, rng)
 
@@ -531,7 +522,7 @@ def run_pipeline_on_keys(sifted_alice: BitString, sifted_bob: BitString,
     n0 = len(sifted_alice)
     # one tag, 64 pads: the PA seed is drawn after them, so fewer moves keys
     auth = AuthConfig.fresh(rng, degree=max(64, n0 // 32), pool_tags=64)
-    eps, leaked, k = 0.0, 0, 0
+    eps, leaked, k = None, 0, 0
     try:
         if n0 == 0:
             raise _Abort("estimation", "empty sifted key")
@@ -551,9 +542,7 @@ def run_pipeline_on_keys(sifted_alice: BitString, sifted_bob: BitString,
         bob = remove_positions(sifted_bob, positions)
 
         rec = bbbss_correct(alice, bob, max(eps, 1.0 / max(3, len(alice))),
-                            rng, max_passes=params.max_passes,
-                            subset_clean_target=params.subset_clean_target,
-                            log=log)
+                            rng, log=log)
         leaked = rec.leaked_bits
         log.post("alice->bob", "reconciliation_summary",
                  {"leaked_bits": leaked, "rounds": rec.rounds})

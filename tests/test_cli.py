@@ -111,15 +111,14 @@ def test_unknown_field_reports_path():
 
 
 def test_bad_max_passes_is_config_error(tmp_path, capsys):
-    message = "postproc: max_passes must be None or an integer >= 1, got 0"
-    with pytest.raises(ConfigError, match=f"^{message}$"):
-        parse_scenario(dict(BASE, postproc={"max_passes": 0}))
-    path = write_scenario(tmp_path, dict(BASE, postproc={"max_passes": 0}))
-    code, _, err = run_cli(capsys, "run", path)
-    assert code == 1
-    assert message in err
-    assert parse_scenario(dict(BASE, postproc={"max_passes": None})) \
-        .pipeline.max_passes is None
+    # Cascade runs one schedule: a scenario that sets its pass count or the
+    # stop of its subset phase is refused
+    for field in ("max_passes", "subset_clean_target"):
+        message = f"postproc: unknown field(s) ['{field}']"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_scenario(dict(BASE, postproc={field: None}))
+        path = write_scenario(tmp_path, dict(BASE, postproc={field: 4}))
+        assert run_cli(capsys, "run", path) == (1, "", f"error: {message}\n")
 
 
 def test_unused_basis_bias_is_config_error(tmp_path, capsys):
@@ -175,6 +174,19 @@ def test_readme_scenario_example_parses_as_documented():
     assert s.pipeline == PipelineParams(sample_fraction=0.1,
                                         qber_abort_threshold=0.11,
                                         safety_bits=30)
+
+
+def test_readme_library_example_posts_the_documented_log(capsys):
+    text = README.read_text()
+    example = re.search(r"## Library example\n\n```python\n(.*?)```", text,
+                        re.S).group(1)
+    namespace = {}
+    exec(example, namespace)
+    log = namespace["result"].log
+    claim = re.search(r"The example above\s+posts (\d+) messages for "
+                      r"([\d,]+) parities", text)
+    assert (len(log.messages), log.leaked_parity_count) == (
+        int(claim[1]), int(claim[2].replace(",", "")))
 
 
 def _default_cases(model):
@@ -419,15 +431,18 @@ def test_run_at_half_error_rate_aborts_at_estimation(tmp_path, capsys):
 
 
 def test_run_on_a_line_that_delivers_no_light_aborts(tmp_path, capsys):
-    # eta = 0: the attack bounds take their eta -> 0 limits, and the
-    # weak-pulse rates, which need a detection, are left out
+    # eta = 0: no bit is sifted, so there is no error-rate estimate and no
+    # rate that needs one; the attack bounds take their eta -> 0 limits,
+    # and the weak-pulse rates, which need a detection, are left out
     path = write_scenario(tmp_path, dict(
         BASE, num_pulses=200, source={"kind": "laser", "mu": 0.5},
         detector={"efficiency": 0}))
     code, out, err = run_cli(capsys, "run", path, "--format", "json")
     report = json.loads(out)
     assert code == 2 and err == ""
-    assert report["abort_stage"] == "estimation"
+    assert (report["abort_stage"], report["qber_estimate"]) == (
+        "estimation", None)
+    assert "r_shor_preskill" not in report["rates"]
     assert report["rates"]["gain_Qmu"] == 0.0
     assert report["rates"]["bound_beamsplit"] == 0.0
     assert "r_gllp_per_pulse" not in report["rates"]
@@ -443,15 +458,23 @@ CLI_LINES = ({}, {"detector": {"efficiency": 0}},
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_every_scenario_ends_in_an_exit_code(tmp_path, capsys, protocol):
     # each source on an honest lossless line, behind a detector of
-    # efficiency 0, and over a fiber whose transmittance underflows to 0
+    # efficiency 0, and over a fiber whose transmittance underflows to 0;
+    # a line that delivers no light sifts no bit, so no error rate is
+    # estimated and no rate that needs one is reported
     for source, line in itertools.product(CLI_SOURCES, CLI_LINES):
         path = write_scenario(tmp_path, dict(
             BASE, protocol=protocol, num_pulses=200, source=source, **line))
-        for argv in (["run", path],
-                     ["sweep", path, "--axis", "length_km", "--start", "0",
-                      "--stop", "20000", "--steps", "3"]):
-            assert main(argv) in (0, 1, 2), (argv, source, line)
-    capsys.readouterr()
+        code = main(["run", path, "--format", "json"])
+        assert code in (0, 1, 2), (source, line)
+        if line and code == 2:
+            report = json.loads(capsys.readouterr().out)
+            assert (report["abort_reason"], report["qber_estimate"]) == (
+                "empty sifted key", None)
+            assert not {"r_mayers", "r_shor_preskill", "r_six_state",
+                        "r_gllp", "r_gllp_per_pulse"} & set(report["rates"])
+        assert main(["sweep", path, "--axis", "length_km", "--start", "0",
+                     "--stop", "20000", "--steps", "3"]) in (0, 1, 2)
+        capsys.readouterr()
 
 
 def test_run_json_format(tmp_path, capsys):
@@ -586,9 +609,11 @@ def test_sweep_length_axis_rate_dies_with_distance(tmp_path, capsys):
     lines = out.strip().split("\n")
     header = lines[0].split(",")
     col = header.index("r_gllp_per_pulse_clamped")
-    clamped = [float(line.split(",")[col]) for line in lines[1:]]
-    assert clamped[0] > 0.0
-    assert clamped[-1] == 0.0   # secure-distance cutoff inside the sweep
+    clamped = [line.split(",")[col] for line in lines[1:]]
+    assert float(clamped[0]) > 0.0
+    assert float(clamped[1]) == 0.0     # secure-distance cutoff at 50 km
+    # from 100 km on no bit is sifted: no error rate, so no rate that needs one
+    assert clamped[2:] == ["", "", ""]
 
 
 def test_sweep_above_half_error_rate_leaves_out_epsilon_rates(tmp_path,

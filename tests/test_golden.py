@@ -14,57 +14,15 @@ Three families are pinned:
   and the order in which they draw.
 
 A refactor that keeps seeded outputs byte-identical leaves every digest
-unchanged; an intended output change re-records them here and says so in
-CHANGES.md.  The digests depend on numpy's Generator streams and were
-recorded with numpy 2.4.  The ``bbm92`` and ``e91`` digests and the CLI
-digests of ``e91_honest.cfg`` were re-recorded when the pair protocols
-came to run on the prepare-and-measure engine: the draws differ, the
-distributions do not.  The CLI digests of every ``run`` that reconciles
-(``bb84_honest.cfg`` and ``e91_honest.cfg``, text and JSON) and of
-``sweep bb84_honest.cfg`` were re-recorded when reconciliation became
-Cascade with backtracking: fewer parities are disclosed, so keys are
-longer, and the subset masks are drawn as packed bytes.  The ``b92``
-digests of both transcript matrices were re-recorded when Eve's B92
-intercept-resend knowledge came to be her conclusive results, not her
-basis label: only ``eve_known_hex`` moved.  The CLI digests of ``run
-bb84_honest.cfg`` (text and JSON) and ``sweep bb84_honest.cfg`` were
-re-recorded when privacy amplification came to charge Eve ceil(n h(eps))
-instead of 2 eps per bit: the keys are shorter.  ``e91_honest.cfg`` runs
-at an error rate of 0, where both charges are 0.  The ``sarg`` digests of
-both transcript matrices were re-recorded when Bob's sift and Eve's
-knowledge came to share one readout table: SARG's Eve is credited with a
-bit when her outcome rules out one state of the announced pair, not when
-her basis is Alice's.  Only ``eve_known_hex`` of its intercept-resend
-cells moved.  The CLI digests of every ``run`` that reconciles and of
-``sweep bb84_honest.cfg`` were re-recorded when each Cascade pass came to
-place the bits with an affine slot map instead of a random permutation:
-the sessions and QBER estimates are the same, the parities and keys
-differ (``bb84_honest.cfg`` 1428 → 1437 parities, key 6392 → 6383 bits).
-The ``b92`` and ``sarg`` digests of both transcript matrices were
-re-recorded when k photons Eve holds came to yield the bit with
-probability 1 - overlap^k of the announced candidates, B92's as well as
-SARG's.  In the small matrix only ``eve_known_hex`` moved: of B92's
-beam-split and PNS cells, and of SARG's beam-split cell with a laser
-source, where Eve can hold k >= 2 photons.  In the multi-chunk matrix the
-same cells moved; B92's later slices move as a whole, because the new
-draw advances the stream.  The ``bb84``, ``b92``, ``six_state``, ``sarg``
-and ``decoy_bb84`` digests of both transcript matrices were re-recorded
-when line loss came to be drawn once, in Bob's ``click_law``: beam
-splitting forwards every photon it does not tap, and USD every conclusive
-result, over a line whose transmittance keeps Bob's rate.  The law is the
-same, but each such cell draws one array fewer, so only the
-``beam_split`` and ``usd_b92`` cells moved.  Every digest but ``bell
-bb84_honest.cfg`` and ``bell bb84_intercept.cfg`` (refusals, which draw
-nothing) was re-recorded when ``derive_rng`` came to seed PCG64DXSM
-through numpy's ``SeedSequence`` spawn tree instead of Philox through the
-index path as entropy, and ``random_bits`` (Alice's key bits included) to
-draw eight bits to a byte of the stream: every draw differs, the
-distributions do not (``run bb84_honest.cfg``: QBER estimate 0.0179 →
-0.0289, key 6383 → 5687 bits; ``bell e91_honest.cfg``: S = 2.8316 →
-2.8228, standard error 0.0134).
+unchanged.  The digests depend on numpy's Generator streams and were
+recorded with numpy 2.4.  ``bell bb84_honest.cfg`` and ``bell
+bb84_intercept.cfg`` are refusals, which draw nothing, so no change of a
+stream moves them.
 
-Run as a script (``python tests/test_golden.py``), this file prints its
-three tables recomputed, ready to paste over the ones below.
+An intended output change re-records the digests it moves and names them
+in CHANGES.md.  Run as a script (``python tests/test_golden.py``), this
+file prints its three tables recomputed, ready to paste over the ones
+below.
 """
 
 import hashlib

@@ -165,15 +165,15 @@ def affine_slots(n, rng):
     return np.array([(a * i + b) % n for i in range(n)])
 
 
-def reference_cascade(alice, bob, eps_est, rng, max_passes,
-                      subset_clean_target, log):
+def reference_cascade(alice, bob, eps_est, rng, log):
     """Scalar reference Cascade: one bisection at a time, block by block.
 
-    Each pass's blocks hold the bits in slot order (bit i sits in slot
-    (a i + b) mod n of the pass's map).  When the queue of blocks runs dry,
-    the parities of every block of every pass so far are compared afresh,
-    and the queue refills with the differing blocks of the newest pass that
-    has any.  Returns the keys, parities disclosed, rounds, whether the
+    Blocks of 0.73/eps_est bits double each pass, up to n/2; the passes
+    stop after four, or after the first whose blocks are n/2.  Each pass's
+    blocks hold the bits in slot order (bit i sits in slot (a i + b) mod n
+    of the pass's map).  When the queue of blocks runs dry, the parities of
+    every block of every pass so far are compared afresh, and the queue
+    refills with the differing blocks of the newest pass that has any.  Returns the keys, parities disclosed, rounds, whether the
     subset phase ended, and the (newest pass, pass bisected) of each refill.
     """
     a = alice.to_array().astype(np.int64)
@@ -181,12 +181,13 @@ def reference_cascade(alice, bob, eps_est, rng, max_passes,
     n = a.size
     leaked = rounds = 0
     cap = max(2, n // 2)
-    k = min(max(2, int(0.73 / eps_est)), cap)
+    sizes = [min(max(2, int(0.73 / eps_est)), cap)]
+    while len(sizes) < 4 and sizes[-1] < cap:
+        sizes.append(min(2 * sizes[-1], cap))
     passes, refills = [], []
-    for p in range(max_passes):
+    for p, size in enumerate(sizes):
         rounds += 1
         in_slot = np.argsort(affine_slots(n, rng))
-        size = min(k << p, cap)
         passes.append([in_slot[s:s + size] for s in range(0, n, size)])
         leaked += len(passes[p])
         log.post("alice->bob", "parity",
@@ -204,8 +205,7 @@ def reference_cascade(alice, bob, eps_est, rng, max_passes,
                 queue.extend(differing[pending[-1]])
             leaked += _reference_bisect(a, b, queue.popleft(), log)
     clean = subset_rounds = 0
-    while (clean < subset_clean_target
-           and subset_rounds < 50 * subset_clean_target + 200):
+    while clean < 20 and subset_rounds < 1200:
         subset_rounds += 1
         rounds += 1
         mask_bytes = rng.integers(0, 256, -(-n // 8), dtype=np.uint8)
@@ -220,7 +220,7 @@ def reference_cascade(alice, bob, eps_est, rng, max_passes,
         rng.shuffle(idxs)
         leaked += _reference_bisect(a, b, idxs, log)
     return (BitString.from_array(a), BitString.from_array(b), leaked, rounds,
-            clean >= subset_clean_target), refills
+            clean >= 20), refills
 
 
 def backtracking_keys(n, eps_est, seed):
@@ -245,12 +245,12 @@ def backtracking_keys(n, eps_est, seed):
 
 def assert_matches_reference(a, b, eps_est, seed, passes):
     """bbbss_correct and reference_cascade agree on the keys, the counts
-    and every log payload; returns the reference's refills."""
+    and every log payload, and run `passes` passes; returns the
+    reference's refills."""
     log, ref_events = PublicChannelLog(), []
-    rec = bbbss_correct(a, b, eps_est, derive_rng(seed), max_passes=passes,
-                        log=log)
+    rec = bbbss_correct(a, b, eps_est, derive_rng(seed), log=log)
     ref, refills = reference_cascade(
-        a, b, eps_est, derive_rng(seed), passes, 20,
+        a, b, eps_est, derive_rng(seed),
         SimpleNamespace(post=lambda *msg: ref_events.append(msg[2])))
     assert (rec.corrected_alice, rec.corrected_bob, rec.leaked_bits,
             rec.rounds, True) == ref
@@ -266,6 +266,8 @@ def assert_matches_reference(a, b, eps_est, seed, passes):
     assert {(m["direction"], m["purpose"]) for m in log.messages} == {
         ("alice->bob", "parity")}
     assert log.leaked_parity_count == rec.leaked_bits
+    assert sum("pass_block_parities" in m["payload"]
+               for m in log.messages) == passes
     return refills
 
 
@@ -274,7 +276,9 @@ def assert_matches_reference(a, b, eps_est, seed, passes):
     (997, 0.08, None, 41),      # blocks of 9, the last one of 7
     (301, 0.10, 0.3, 43),       # blocks of 2, the last one of 1
     (302, 0.10, 0.2, 44),       # blocks of 3, the last one of 2
-    (7, 0.20, None, 45),        # blocks of 3, 3 and 1
+    (7, 0.20, None, 45),        # blocks of 3, 3 and 1: one pass, at n/2
+    (100, 0.03, None, 53),      # three passes: blocks of 24, 48 and 50
+    (100, 0.05, 0.02, 54),      # two passes: blocks of 36 and 50
     (20000, 0.02, None, 46),
     (4000, 0.05, 0.0073, 47),   # blocks of 100, five errors in each on average
     (1000, None, 0.0145, 51),   # eps None: backtracking_keys, blocks of 50
@@ -287,58 +291,66 @@ def test_bbbss_lockstep_matches_scalar_reference(n, eps, eps_est, seed):
         a = random_bits(n, data_rng)
         b = flip_fraction(a, eps, data_rng)
     eps_est = eps if eps_est is None else eps_est
-    refills = assert_matches_reference(a, b, eps_est, seed + 1000, 4)
+    refills = assert_matches_reference(a, b, eps_est, seed + 1000,
+                                       {45: 1, 53: 3, 54: 2}.get(seed, 4))
     if eps is None:     # pass 2 (index 1) sends the search back to pass 1
         assert (1, 0) in refills
 
 
 def test_bbbss_subset_phase_matches_scalar_reference():
-    # one pass leaves errors, which the subset rounds bisect one at a time
+    # an estimate 40 times too low starts the blocks at n/2: one pass of two
+    # blocks leaves errors, which the subset rounds bisect one at a time
     data_rng = derive_rng(52)
     a = random_bits(2000, data_rng)
-    assert_matches_reference(a, flip_fraction(a, 0.05, data_rng), 0.05,
+    assert_matches_reference(a, flip_fraction(a, 0.02, data_rng), 0.0005,
                              1052, 1)
 
 
 def test_bbbss_passes_double_blocks_up_to_half_the_key():
-    # blocks start at 24 (0.73 / 0.03) and double up to n/2; by default at
-    # most four passes run, fewer when the blocks reach n/2 sooner
+    # blocks start at 24 (0.73 / 0.03) and double up to n/2; at most four
+    # passes run, fewer when the blocks reach n/2 sooner
 
-    def pass_blocks(n, max_passes):
+    def pass_blocks(n):
         rng = derive_rng(48)
         a = random_bits(n, rng)
         b = flip_fraction(a, 0.03, rng)
         log = PublicChannelLog()
-        bbbss_correct(a, b, 0.03, derive_rng(49), max_passes=max_passes,
-                      log=log)
+        bbbss_correct(a, b, 0.03, derive_rng(49), log=log)
         return [m["payload"]["pass_block_parities"] for m in log.messages
                 if "pass_block_parities" in m["payload"]]
 
     n = 10000                           # nine passes would reach n/2
-    sizes = [min(24 << i, n // 2) for i in range(12)]
-    assert pass_blocks(n, None) == [math.ceil(n / k) for k in sizes[:4]]
-    assert pass_blocks(n, 3) == [math.ceil(n / k) for k in sizes[:3]]
-    assert pass_blocks(n, 12) == [math.ceil(n / k) for k in sizes]
-    assert pass_blocks(100, None) == [5, 3, 2]      # blocks 24, 48, 50
-    assert pass_blocks(40, None) == [2]             # blocks 20: already n/2
+    assert pass_blocks(n) == [math.ceil(n / (24 << i)) for i in range(4)]
+    assert pass_blocks(100) == [5, 3, 2]        # blocks 24, 48, 50
+    assert pass_blocks(40) == [2]               # blocks 20: already n/2
 
 
 def test_bbbss_single_pass_leaves_many_errors_and_still_converges():
-    # one pass leaves ~800 errors; the subset phase corrects one per
-    # disagreeing round, so it runs well past 50 * target + 200 rounds
+    # an estimate of 1e-5 against 10% errors starts the blocks at n/2, so
+    # one pass of two blocks leaves ~2000 errors; the subset phase corrects
+    # one per disagreeing round, so it runs some 4000 rounds, with no cap
     rng = derive_rng(64)
     a = random_bits(20000, rng)
     b = flip_fraction(a, 0.10, rng)
-    rec = bbbss_correct(a, b, 0.10, rng, max_passes=1)
+    log = PublicChannelLog()
+    rec = bbbss_correct(a, b, 1e-5, rng, log=log)
     assert rec.corrected_alice == rec.corrected_bob == a
-    assert rec.rounds > 50 * 20 + 200
+    assert sum("pass_block_parities" in m["payload"]
+               for m in log.messages) == 1
+    assert rec.rounds > 1200
 
 
 def test_pipeline_with_one_pass_distills_a_key():
+    # a 4-bit sample finds none of the 1% errors, so reconciliation runs at
+    # the estimate floor 1/n: one pass, then the subset phase fixes the rest
     rng = derive_rng(67)
     a = random_bits(40000, rng)
-    b = flip_fraction(a, 0.05, rng)
-    res = run_pipeline_on_keys(a, b, PipelineParams(max_passes=1), rng)
+    b = flip_fraction(a, 0.01, rng)
+    res = run_pipeline_on_keys(a, b, PipelineParams(sample_fraction=1e-4),
+                               rng)
+    assert res.qber_estimate == 0.0
+    assert sum("pass_block_parities" in m["payload"]
+               for m in res.log.messages) == 1
     assert not res.aborted and res.final_length > 0
 
 
@@ -546,13 +558,23 @@ def test_key_verification_checks_bob_corrected_key(monkeypatch):
 
 
 @pytest.mark.parametrize("seed", range(1, 11))
-def test_residual_errors_abort_at_key_verification(seed):
-    # one pass and one clean subset round leave errors in Bob's key
+def test_residual_errors_abort_at_key_verification(monkeypatch, seed):
+    # reconciliation leaves one error in Bob's key, at a position drawn per
+    # seed; the real tag check refuses it
+    real_bbbss = postproc.bbbss_correct
+
+    def one_error_left(*args, **kwargs):
+        rec = real_bbbss(*args, **kwargs)
+        bob = rec.corrected_bob.to_array().copy()
+        bob[derive_rng(seed, 1).integers(bob.size)] ^= 1
+        return dataclasses.replace(
+            rec, corrected_bob=BitString.from_array(bob))
+
+    monkeypatch.setattr(postproc, "bbbss_correct", one_error_left)
     rng = derive_rng(seed)
     a = random_bits(20000, rng)
-    res = run_pipeline_on_keys(
-        a, flip_fraction(a, 0.05, rng),
-        PipelineParams(max_passes=1, subset_clean_target=1), rng)
+    res = run_pipeline_on_keys(a, flip_fraction(a, 0.05, rng),
+                               PipelineParams(), rng)
     assert (res.abort_stage, res.abort_reason) == ("verification",
                                                    "corrected keys differ")
     assert res.log.messages[-1]["purpose"] == "key_verification"
@@ -865,13 +887,6 @@ def test_privacy_amplification_charges_leaked_plus_n_h_eps(n, eps, seed):
     assert res.final_length == m - res.eve_bound_bits - 30
 
 
-@pytest.mark.parametrize("bad", [0, -1, 2.5, "4", True])
-def test_pipeline_params_rejects_bad_max_passes(bad):
-    with pytest.raises(ValueError,
-                       match="max_passes must be None or an integer >= 1"):
-        PipelineParams(max_passes=bad)
-
-
 @pytest.mark.parametrize("field, bad, message", [
     ("sample_fraction", 0.0, "sample_fraction must lie in (0, 1]"),
     ("sample_fraction", 1.5, "sample_fraction must lie in (0, 1]"),
@@ -880,14 +895,9 @@ def test_pipeline_params_rejects_bad_max_passes(bad):
     ("qber_abort_threshold", 0.51,
      "qber_abort_threshold must lie in [0, 0.5]"),
     ("safety_bits", -1, "safety_bits must be >= 0"),
-    ("subset_clean_target", 0, "subset_clean_target must be >= 1"),
     ("safety_bits", 20.5, "safety_bits must be an integer, got 20.5"),
     ("safety_bits", 30.0, "safety_bits must be an integer, got 30.0"),
     ("safety_bits", True, "safety_bits must be an integer, got True"),
-    ("subset_clean_target", 2.5,
-     "subset_clean_target must be an integer, got 2.5"),
-    ("subset_clean_target", True,
-     "subset_clean_target must be an integer, got True"),
     ("sample_fraction", True, "sample_fraction must be a number, got True"),
     ("sample_fraction", "0.1", "sample_fraction must be a number, got '0.1'"),
     ("qber_abort_threshold", False,
@@ -900,18 +910,13 @@ def test_pipeline_params_rejects_out_of_range(field, bad, message):
         PipelineParams(**{field: bad})
 
 
-def test_pipeline_params_accepts_none_and_positive_max_passes():
-    assert PipelineParams().max_passes is None
-    assert PipelineParams(max_passes=1).max_passes == 1
-
-
 # case -> (n, eps, seed, params, (abort_stage, abort_reason, qber_estimate,
 # leaked_bits, eve_bound_bits, final_length, messages)), recorded before
 # the abort paths were funnelled into one exit; eve_bound_bits follows the
 # leaked + ceil(n h(eps)) rule
 ABORT_CASES = {
     "empty": (0, 0.0, 60, PipelineParams(),
-              ("estimation", "empty sifted key", 0.0, 0, 0, 0, 0)),
+              ("estimation", "empty sifted key", None, 0, 0, 0, 0)),
     "qber": (3000, 0.2, 61, PipelineParams(),
              ("estimation", "error rate 0.1700 above threshold 0.11", 0.17,
               0, 0, 0, 1)),

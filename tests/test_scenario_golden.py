@@ -5,66 +5,18 @@ The cases cover each source kind; channel and detector with and without a
 preset, with detector overrides; every ``eve`` and ``postproc`` field; and
 integer-valued numbers where floats are usual (``"length_km": 25``,
 ``"mu": 1``, ``"efficiency": 1``, ``"num_pulses": 3e3``).  Text and JSON
-output, exit code and stderr are hashed together.  The digests were
-recorded with numpy 2.4 by the hand-written section parsers that the
-dataclass-driven section builder replaced; they pin that every output
-stayed byte-identical.  A channel preset with an ``attenuation_db_per_km``
-override is left out: the old parsers dropped that override.
-``ideal_plain_devices text`` was re-recorded once since, when every
-``float`` field came to be read as a float: ``"dark_prob": 0`` now prints
-as ``p_dark = 0.0``.  ``laser_presets_pns json`` was re-recorded when
-``rates.yield_Yn`` took the simulator's two-detector dark-count convention:
-its ``gain_Qmu`` moved in the seventh significant digit.
-``ideal_plain_devices`` (text and JSON) was re-recorded when the
-``detector.double_click_policy`` and ``postproc.auth_prime`` fields were
-removed: its input dropped both, and the default 61-bit authentication
-prime draws other random bits than the 31-bit one it had set, so its key
-differs.  ``e91_defaults`` (text and JSON) was re-recorded when the CHSH
-settings became angles: ``analytic_max`` reads 2.8284271247461903, equal
-to ``bell.TSIRELSON``, where the 3-vector dot products gave
-2.82842712474619.  Every case but ``e91_defaults`` was re-recorded when
-each pulse's click came to be drawn from its exact law
-(``quantum.click_law``, one uniform per pulse): the draws differ, the
-distributions do not.  ``e91_defaults`` was re-recorded again when E91
-came to run on the prepare-and-measure engine, for the same reason.
-Every case that emits a key (all but ``heralded_fixed_basis``) was
-re-recorded when reconciliation became Cascade with backtracking: it
-discloses fewer parities, or as many on an error-free key, and draws its
-subset masks as packed bytes, so the keys differ.
-``decoy_beam_split json`` and ``laser_presets_pns json`` were re-recorded
-when ``rates.gain_Qmu`` became the closed form of its Poisson sum, not a
-sum cut at n = 25: their ``gain_Qmu`` moved in the last digit.
-``sarg_uniform_intercept`` (text and JSON) was re-recorded when Bob's sift
-and Eve's knowledge came to share one readout table: only its
-``eve_known_fraction`` moved, 0.339 to 0.494.
-Every case that emits a key was re-recorded when each Cascade pass came to
-place the bits with an affine slot map instead of a random permutation:
-sessions and QBER estimates are unchanged, the parities and keys are not
-(``ideal_plain_devices`` 146 → 147 parities, ``laser_presets_pns``
-49 → 51; the error-free cases only draw other subset masks).
-``decoy_beam_split json`` was re-recorded when ``rates.multiphoton_prob``
-came to compute the Poisson tail without cancellation (``expm1``): its
-``r_gllp`` and ``r_gllp_per_pulse`` moved in the last digit
-(…705 → …707, …857 → …8578).
-``decoy_beam_split json`` and ``laser_presets_pns json`` were re-recorded
-when ``rates.gain_Qmu`` came to compute 1 - (1 - p_dark)^2 e^-mu eta as
-``-expm1(2 log1p(-p_dark) - mu eta)`` and ``rates.bound_pns`` as
-``-expm1(-mu eta) - multiphoton_prob(mu)``: their ``gain_Qmu`` and
-``bound_pns`` (and ``decoy_beam_split``'s ``r_gllp_per_pulse``) moved in
-the last one or two digits.
-``b92_usd`` and ``decoy_beam_split`` (text and JSON) were re-recorded when
-line loss came to be drawn once, in Bob's ``click_law``: the attacks no
-longer draw a forward binomial or a throttle uniform, so their sessions
-draw other streams from the same law (``b92_usd`` 326 → 297 detections,
-``decoy_beam_split`` 1121 → 1141).
-Every case was re-recorded when ``derive_rng`` came to seed PCG64DXSM
-through numpy's ``SeedSequence`` spawn tree instead of Philox, and
-``random_bits`` to draw eight bits to a byte of the stream: the draws
-differ, the distributions do not (``heralded_fixed_basis`` still aborts at
-estimation, at 0.381 instead of 0.524; ``ideal_plain_devices`` key 595 →
-584 bits).
+output, exit code and stderr are hashed together, so a refactor that keeps
+seeded outputs byte-identical leaves every digest unchanged.  The digests
+depend on numpy's Generator streams and were recorded with numpy 2.4.
 
-Run as a script, this file prints ``GOLDEN`` recomputed.
+A channel preset with an ``attenuation_db_per_km`` override is left out:
+the hand-written section parsers these digests were first recorded by
+dropped that override, so no digest of it could pin that the code that
+replaced them kept every output.
+
+An intended output change re-records the digests it moves and names them
+in CHANGES.md.  Run as a script (``python tests/test_scenario_golden.py``),
+this file prints ``GOLDEN`` recomputed, ready to paste over the one below.
 """
 
 import json
@@ -84,8 +36,7 @@ SCENARIOS = {
         "detector": {"efficiency": 1, "dark_prob": 0},
         "eve": {"kind": "none"},
         "postproc": {"sample_fraction": 0.15, "qber_abort_threshold": 0.11,
-                     "safety_bits": 20, "max_passes": 6,
-                     "subset_clean_target": 15},
+                     "safety_bits": 20},
     },
     "laser_presets_pns": {
         "protocol": "bb84", "num_pulses": 3e3, "seed": 8.0,
@@ -109,7 +60,6 @@ SCENARIOS = {
         "source": {"kind": "laser", "mu": 0.6},
         "channel": {"preset": "fiber_1300", "length_km": 5},
         "eve": {"kind": "beam_split", "tap_ratio": 0.3},
-        "postproc": {"max_passes": None},
     },
     "b92_usd": {
         "protocol": "b92", "num_pulses": 3000, "seed": 11,
@@ -145,9 +95,9 @@ GOLDEN = {
     "heralded_fixed_basis json":
         "91cfefcc318c9ba0f98e694116be42b86c0439283aea0d45fc0768833ca4d6dc",
     "ideal_plain_devices text":
-        "ca614c94ad85e46f3c21ccecf8b0a92875841b4c926dea9f9a72b67d182273e2",
+        "156ec9130d31866de339088f90ee273f8dcddbfc2addef3128bbfd398244ccfa",
     "ideal_plain_devices json":
-        "13232c47ea075f34161d82b9a0b2f341a65a7a61de777d5c616f54711ccca9dd",
+        "37b94290180f6fdff4bf6c29cb3c648e19418d01eab31c90aafcb25e35711135",
     "laser_presets_pns text":
         "2c416fe4e6bbf1a10d613b69cfef8c170b522a60aeace54bafc21b9446397412",
     "laser_presets_pns json":
