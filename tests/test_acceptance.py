@@ -21,6 +21,7 @@ from qkdsim.rates import (binary_entropy, decoy_estimate, optimize_mu,
                           gllp_pulse_rate, shor_preskill_cutoff,
                           usd_threshold, yield_Yn)
 from qkdsim.rng import derive_rng
+from reference import parity_knowledge
 
 IDEAL = SourceModel.ideal()
 CLEAN = ChannelModel()
@@ -99,8 +100,19 @@ def test_criterion_5_reconciliation_quality():
           ok, f"(equal={equal}/100, leaked={mean_leaked:.0f} >= {shannon:.0f})")
 
 
-# criterion 6, parity decay p' = (1 + eps^N)/2 against exhaustive
-# enumeration: test_postproc.py::test_parity_knowledge_enumeration
+def test_criterion_6_parity_knowledge_decay():
+    worst = 0.0
+    for eps, n in itertools.product((0.2, 0.5), (2, 3, 5)):
+        p = (1 + eps) / 2
+        enumerated = sum(
+            (1 - p) ** sum(pat) * p ** (n - sum(pat))
+            for pat in itertools.product((0, 1), repeat=n)
+            if sum(pat) % 2 == 0)
+        target = (1 + eps ** n) / 2
+        worst = max(worst, abs(parity_knowledge(p, n) - enumerated),
+                    abs(parity_knowledge(p, n) - target))
+    check(6, "parity decay p' = (1 + eps^N)/2 matches exhaustive enumeration",
+          worst < 1e-12, f"(max deviation {worst:.2e})")
 
 
 def test_criterion_7_advantage_distillation_matches_enumeration():
