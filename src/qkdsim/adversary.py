@@ -1,17 +1,18 @@
 """Eavesdropper strategies: the one implementation of each attack, and the
 one place that decides what Eve learns, for all seven protocols.
 
-``attack_batch`` attacks the pulses flying to Bob (for BBM92 and E91,
-Bob's particle, which Alice's measurement prepared; see ``protocols``)
-and records per pulse what Eve took (``eve_seen``): the basis and outcome
-of her measurement, or the photons she holds; Bob's photons go on over a
-line whose loss only his ``quantum.click_law`` draws.  ``resolve_known_bits``
-turns that record into Eve's knowledge once the sifting announcement is
-public, by the readout table that also sifts Bob's results
-(``protocols._readout``) and the overlap of the announced candidates for
-Alice's state.  Eve's own optics are noiseless and lossless (worst-case
-convention: all imperfections belong to the legitimate hardware, all
-information to Eve).
+An attack on the pulses flying to Bob (for BBM92 and E91, Bob's particle,
+which Alice's measurement prepared; see ``protocols``) has two parts.
+``attack_batch``, on every pulse, needs no state: the photons forwarded,
+the line they cross (whose loss only Bob's ``quantum.click_law`` draws)
+and the photons Eve holds.  ``resend_batch``, on the pulses Bob detects,
+forwards their states and records Eve's measurements.  What Eve took
+(``eve_seen``) becomes her knowledge in ``resolve_known_bits`` once the
+sifting announcement is public, by the readout table that also sifts
+Bob's results (``protocols._readout``) and the overlap of the announced
+candidates for Alice's state.  Eve's own optics are noiseless and lossless
+(worst-case convention: all imperfections belong to the legitimate
+hardware, all information to Eve).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from typing import Optional
 
 import numpy as np
 
+from .bits import random_index
 from .quantum import (NO_CLICK, ChannelModel, check_numbers, check_unused,
                       click_law, measure_batch)
 
@@ -71,67 +73,44 @@ NO_EVE = EveStrategy("none")
 
 @dataclass
 class BatchAttack:
-    """Result of attacking a stream of pulses."""
+    """The photon part of an attack on a stream of pulses."""
 
     n: np.ndarray                # forwarded photon counts
-    state_idx: np.ndarray        # forwarded state table indices
     transmittance: float         # of the line the forwarded photons cross
-    eve_seen: np.ndarray         # NOTHING, HELD + 1 - k for k held photons,
-                                 # or the readout index 3 * basis + o + 1
+    eve_seen: np.ndarray         # NOTHING, or HELD + 1 - k for k held photons
 
 
 # ---------------------------------------------------------------------------
 # session-level transforms
 # ---------------------------------------------------------------------------
 
-def attack_batch(strategy: EveStrategy, n: np.ndarray, state_idx: np.ndarray,
-                 table, ch: ChannelModel, rng: np.random.Generator,
-                 ) -> BatchAttack:
-    """Apply a strategy to a stream of pulses.
-
-    n, state_idx:  per-pulse photon counts and indices into `table`, the
-                   session's ``protocols.StateTable``: Eve measures in its
-                   bases and resends its states; Alice sends those with a
-                   key bit.
-
-    intercept_resend measures every non-vacuum pulse with an ideal detector
-    (``measure_batch`` on a lossless, noiseless ``click_law``: conflicting
-    projections give a random bit), resends one photon in the observed
-    eigenstate and records the basis and outcome (a vacuum pulse's is
-    NO_CLICK, which reveals nothing).  For a multi-photon pulse a double
-    click's coin can hide an outcome that would reveal the bit, so there
-    the record is a lower bound on what Eve learns.
+def attack_batch(strategy: EveStrategy, n: np.ndarray, table,
+                 ch: ChannelModel, rng: np.random.Generator) -> BatchAttack:
+    """The photon part of a strategy on pulses of n photons, for the
+    session's ``protocols.StateTable``.  intercept_resend forwards one
+    photon of every non-vacuum pulse: Eve's ideal detector always fires.
     beam_split diverts each photon with the tap probability (recording the
     k it holds) and forwards the rest over a line of transmittance
     eta / (1 - tap), keeping Bob's eta.  pns holds one photon of every
     multi-photon pulse, forwards the rest losslessly and blocks single
     photons with block_single_prob.  usd_b92 discriminates the two states
-    Alice sends (it refuses a table with any other count) and forwards a
-    perfect copy of each conclusive result, recorded as outcome 0 of Bob's
-    test basis for its bit, over a line that keeps the honest detection
-    rate (transmittance eta / (1 - overlap), while below 1); failures
-    become vacuum.  Bob's ``click_law`` draws the returned line's loss.
+    Alice sends (it refuses a table with any other count), succeeding on a
+    non-vacuum pulse with 1 - overlap, and forwards one photon of each
+    success over a line that keeps the honest detection rate
+    (transmittance eta / (1 - overlap), while below 1).
     """
     npulses, eta = n.shape[0], ch.transmittance
     eve_seen = np.full(npulses, NOTHING, dtype=n.dtype)
 
     if strategy.kind == "none":
-        return BatchAttack(n, state_idx, eta, eve_seen)
+        return BatchAttack(n, eta, eve_seen)
 
     if strategy.kind == "intercept_resend":
         count, fixed = len(table.bases), strategy.fixed_basis
         if fixed is not None and fixed >= count:
             raise ValueError(f"fixed_basis {fixed} is out of range: Eve can "
                              f"measure in {count} bases")
-        eb = (rng.integers(0, count, size=npulses, dtype=np.int8)
-              if fixed is None else np.full(npulses, fixed, dtype=np.int8))
-        law = click_law(table.p_one, None, 1.0, 0.0, 0.0,
-                        int(n.max(initial=0)))
-        bit = measure_batch(n, state_idx, eb, law, rng)
-        sent = bit != NO_CLICK
-        s_out = np.where(sent, table.eigen_idx.ravel().take(
-            (2 * eb + np.maximum(bit, 0)).astype(np.intp)), state_idx)
-        return BatchAttack(sent.astype(n.dtype), s_out, eta, 3 * eb + bit + 1)
+        return BatchAttack((n > 0).astype(n.dtype), eta, eve_seen)
 
     if strategy.kind == "beam_split":
         tap = strategy.tap_ratio if strategy.tap_ratio is not None else 1.0 - eta
@@ -142,7 +121,7 @@ def attack_batch(strategy: EveStrategy, n: np.ndarray, state_idx: np.ndarray,
         held = k_eve >= 1
         eve_seen[held] = HELD + 1 - k_eve[held]
         eta_fwd = min(1.0, eta / (1.0 - tap)) if tap < 1.0 else 1.0
-        return BatchAttack(n - k_eve, state_idx, eta_fwd, eve_seen)
+        return BatchAttack(n - k_eve, eta_fwd, eve_seen)
 
     if strategy.kind == "pns":
         multi = n >= 2
@@ -154,7 +133,7 @@ def attack_batch(strategy: EveStrategy, n: np.ndarray, state_idx: np.ndarray,
                                 < strategy.block_single_prob)
             n_out[blocked] = 0
         eve_seen[multi] = HELD
-        return BatchAttack(n_out, state_idx, 1.0, eve_seen)
+        return BatchAttack(n_out, 1.0, eve_seen)
 
     if strategy.kind == "usd_b92":
         sends = np.flatnonzero(table.bit >= 0)
@@ -162,11 +141,41 @@ def attack_batch(strategy: EveStrategy, n: np.ndarray, state_idx: np.ndarray,
             raise ValueError("usd_b92 requires the B92 state pair")
         p_succ = 1.0 - table.overlap[sends[0], sends[1]]
         success = (n > 0) & (rng.random(npulses) < p_succ)
-        eve_seen[success] = 3 * table.bit[state_idx[success]] + 1
-        return BatchAttack(success.astype(n.dtype), state_idx,
-                           min(1.0, eta / p_succ), eve_seen)
+        return BatchAttack(success.astype(n.dtype), min(1.0, eta / p_succ),
+                           eve_seen)
 
     raise ValueError(f"unknown strategy kind {strategy.kind!r}")
+
+
+def resend_batch(strategy: EveStrategy, n: np.ndarray, fwd: np.ndarray,
+                 eve_seen: np.ndarray, state_idx: np.ndarray, table,
+                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The state part of a strategy on the pulses Bob detects, of n photons
+    in state_idx, of which ``attack_batch`` forwarded fwd and recorded
+    eve_seen: the states forwarded and Eve's record.  intercept_resend
+    measures in her (uniform or fixed) basis with an ideal detector
+    (``measure_batch`` on a lossless, noiseless ``click_law``: conflicting
+    projections give a random bit), forwards the observed eigenstate and
+    records the readout index 3 * basis + o + 1 (a vacuum pulse's o is
+    NO_CLICK, which reveals nothing).  For a multi-photon pulse a double
+    click's coin can hide an outcome that would reveal the bit, so there
+    the record is a lower bound on what Eve learns.  usd_b92 forwards a
+    perfect copy of each success, recorded as outcome 0 of Bob's test basis
+    for its bit.
+    """
+    if strategy.kind == "intercept_resend":
+        count, fixed = len(table.bases), strategy.fixed_basis
+        eb = (random_index(n.shape[0], count, rng) if fixed is None
+              else np.full(n.shape[0], fixed, dtype=np.int8))
+        law = click_law(table.p_one, None, 1, 0, 0, int(n.max(initial=0)))
+        bit = measure_batch(n, state_idx, eb, law, rng.random(n.shape[0]))
+        s_out = np.where(bit != NO_CLICK, table.eigen_idx.ravel().take(
+            (2 * eb + np.maximum(bit, 0)).astype(np.intp)), state_idx)
+        return s_out, 3 * eb + bit + 1
+    if strategy.kind == "usd_b92":
+        return state_idx, np.where(fwd > 0, 3 * table.bit.take(state_idx) + 1,
+                                   eve_seen)
+    return state_idx, eve_seen
 
 
 def resolve_known_bits(eve_seen: np.ndarray, announced: np.ndarray,

@@ -116,3 +116,10 @@ def random_bits(n: int, rng: np.random.Generator) -> BitString:
     """n independent uniform bits from the given generator, drawn by
     ``random_packed``."""
     return BitString._from_packed(random_packed(n, rng), n)
+
+
+def random_index(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    """n uniform int8 indices into range(k); one packed bit each if k = 2."""
+    if k == 2:
+        return np.unpackbits(random_packed(n, rng), count=n).view(np.int8)
+    return rng.integers(0, k, size=n, dtype=np.int8)

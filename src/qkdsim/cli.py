@@ -144,6 +144,10 @@ def cmd_sweep(args) -> int:
     if args.steps == 1:     # linspace(inf, inf, 1) is [nan], not [inf]
         values = np.array([args.start])
     else:
+        for name in ("start", "stop"):
+            if not np.isfinite(getattr(args, name)):
+                raise ConfigError(f"--{name}: must be finite with --steps "
+                                  f">= 2, got {getattr(args, name)!r}")
         values = np.linspace(args.start, args.stop, args.steps)
     rows = [",".join(SWEEP_CSV_HEADER)]
     for i, value in enumerate(values.tolist()):
@@ -157,7 +161,8 @@ def cmd_sweep(args) -> int:
         eps = result.qber_estimate if args.axis != "epsilon" else value
         rates = scenario_rates(point, eps)
         row = [args.axis, repr(value), str(base.seed),
-               repr(transcript.sifted_fraction), repr(transcript.qber),
+               repr(transcript.sifted_fraction),
+               "" if transcript.qber is None else repr(transcript.qber),
                repr(rate)] + rates.csv_row()
         rows.append(",".join(row))
     _emit("\n".join(rows) + "\n", args.out)

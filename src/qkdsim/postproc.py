@@ -339,7 +339,7 @@ def advantage_distill(alice: BitString, bob: BitString, block: int,
     nblocks = len(alice) // block
     a = alice.to_array()[: nblocks * block].reshape(nblocks, block)
     b = bob.to_array()[: nblocks * block].reshape(nblocks, block)
-    c = rng.integers(0, 2, size=nblocks, dtype=np.uint8)
+    c = random_bits(nblocks, rng).to_array()
     announced = a ^ c[:, None]
     residue = announced ^ b
     accepted = (residue == residue[:, :1]).all(axis=1)

@@ -18,15 +18,16 @@ Every session is deterministic given its generator and returns a
 ``SessionTranscript``.
 
 Slice rule: a session runs as consecutive slices of at most
-``quantum.CHUNK`` pulses, each carried from source to sifted key (prepare,
-attack, channel and detection as one ``quantum.measure_batch`` draw per
-pulse, sift by one gather from the readout table, and Eve's knowledge by
-``adversary.resolve_known_bits``) before the next is drawn from the same
-generator.  A slice keeps the sifted pulses' bits, Bob's bits and Eve's
-known mask through one index gather (``np.flatnonzero`` of the sift, then
-``take``); only these and the counts outlive it, so a session's memory
-grows with its sifted key, not with its pulse count.  A session of at most
-``CHUNK`` pulses is one slice.
+``quantum.CHUNK`` pulses, each carried from source to sifted key before
+the next is drawn from the same generator.  Every pulse draws its photon
+cell, the attack's photon part and one uniform u, and clicks when
+u >= ``click_law``'s law[0] at its forwarded count, which no state or
+basis changes.  The clicked pulses alone draw Alice's bit and basis,
+Bob's basis and the attack's state part, and read Bob's outcome from the
+same u, uniform above law[0].  Their sift is one gather from the readout
+table; the sifted pulses' bits, Bob's bits and Eve's known mask, kept
+through one gather, and the counts alone outlive the slice, so memory
+grows with the sifted key, not the pulse count.
 """
 
 from __future__ import annotations
@@ -40,11 +41,11 @@ import numpy as np
 
 from . import adversary, bell
 from .adversary import EveStrategy
-from .bits import BitString, random_bits
-from .quantum import (ALL_BASES, CHUNK, DIAGONAL, NO_CLICK, RECTILINEAR,
-                      Basis, ChannelModel, DetectorModel, SignalState,
-                      SourceModel, check_numbers, check_unused, click_law,
-                      measure_batch, photon_pmf, sample_photon_number)
+from .bits import BitString, random_index
+from .quantum import (ALL_BASES, CHUNK, DIAGONAL, RECTILINEAR, Basis,
+                      ChannelModel, DetectorModel, SignalState, SourceModel,
+                      check_numbers, check_unused, click_law, measure_batch,
+                      photon_pmf, sample_photon_number)
 
 PROTOCOLS = ("bb84", "b92", "six_state", "sarg", "decoy_bb84", "bbm92", "e91")
 
@@ -104,17 +105,17 @@ class SessionTranscript:
         return len(self.sifted_alice) / self.pulse_count if self.pulse_count else 0.0
 
     @property
-    def qber(self) -> float:
+    def qber(self) -> Optional[float]:
+        """Error rate of the sifted key; None when it is empty."""
         n = len(self.sifted_alice)
-        if n == 0:
-            return 0.0
-        return self.sifted_alice.hamming_distance(self.sifted_bob) / n
+        return (self.sifted_alice.hamming_distance(self.sifted_bob) / n
+                if n else None)
 
     @property
-    def eve_known_fraction(self) -> float:
-        """Fraction of the sifted key Eve knows deterministically."""
+    def eve_known_fraction(self) -> Optional[float]:
+        """Fraction of the sifted key Eve knows exactly; None if empty."""
         n = len(self.eve_known_mask)
-        return self.eve_known_mask.hamming_weight() / n if n else 0.0
+        return self.eve_known_mask.hamming_weight() / n if n else None
 
     def to_dict(self) -> dict:
         """JSON-serializable record (schema documented in the README)."""
@@ -249,7 +250,7 @@ _SARG_PAIRS = np.array([[0, 2], [1, 3], [2, 0], [3, 1]])
 def _biased_choice(rng, n, num_options, primary_prob):
     """Index array: option 0 with primary_prob, the rest uniform."""
     if primary_prob is None:
-        return rng.integers(0, num_options, size=n, dtype=np.int8)
+        return random_index(n, num_options, rng)
     rest = rng.random(n) >= primary_prob
     out = rest.astype(np.int8)
     if num_options > 2:
@@ -341,10 +342,11 @@ def _run_prepare_measure(spec: PrepareMeasureSpec, cfg: ProtocolConfig,
                          src: SourceModel, ch: ChannelModel,
                          det: DetectorModel, eve: EveStrategy,
                          rng: np.random.Generator) -> SessionTranscript:
-    """Prepare -> attack -> channel and detection (one ``click_law`` draw per
-    pulse, over the line the attack hands Bob's photons to) -> sift ->
-    Eve's knowledge, slice by slice (see the slice rule above); decoy
-    sessions also count pulses sent and detected per intensity."""
+    """Photon counts and the attack's photon part -> Bob's click, over the
+    line the attack hands his photons to -> for the clicked pulses, states,
+    the attack's state part, Bob's outcome, sift and Eve's knowledge, slice
+    by slice (see the slice rule above); decoy sessions also count pulses
+    sent and detected per intensity."""
     table = spec.table(cfg)
     alice_bases = np.count_nonzero(table.bit >= 0) // 2
     pairs = (np.arange(2 * alice_bases).reshape(-1, 2) if spec.pairs is None
@@ -359,48 +361,58 @@ def _run_prepare_measure(spec: PrepareMeasureSpec, cfg: ProtocolConfig,
     # setting pair -> (Alice's basis, Bob's, products per slice)
     chsh = {pair: (ai, bi, []) for pair, (ai, bi) in (spec.chsh or {}).items()}
 
+    # one slice's uniforms, counts and no-click thresholds, reused: freed
+    # arrays this size go back to the OS and fault in again when redrawn
+    work = np.empty(CHUNK), np.empty(CHUNK, np.intp), np.empty(CHUNK)
     for lo in range(0, max(cfg.num_pulses, 1), CHUNK):
         m = min(CHUNK, cfg.num_pulses - lo)
-        bits = random_bits(m, rng).to_array().view(np.int8)
-        a_bases = _biased_choice(rng, m, alice_bases, cfg.basis_bias)
-        b_bases = _biased_choice(rng, m, len(table.bases), cfg.basis_bias)
-        sent = 2 * a_bases + bits
         cells = sample_photon_number(pmf, rng, m)
         tags = None if first_decoy is None else cells >= first_decoy
         n = cells if tags is None else cells - first_decoy * tags.astype(
             cells.dtype)
-
-        atk = adversary.attack_batch(eve, n, sent, table, ch, rng)
+        atk = adversary.attack_batch(eve, n, table, ch, rng)
         if atk.transmittance not in laws:
             laws[atk.transmittance] = click_law(
                 table.p_one, table.flip, det.efficiency * atk.transmittance,
                 ch.misalignment_error_prob, det.dark_prob, len(pmf) - 1)
-        outcomes = measure_batch(atk.n, atk.state_idx, b_bases,
-                                 laws[atk.transmittance], rng)
+        law = laws[atk.transmittance]
+        u, idx, no_click = (w[:m] for w in work)
+        rng.random(out=u)
+        idx[:] = atk.n
+        clicked = u >= law[0, :, 0, 0].take(idx, out=no_click)
+        c = int(np.count_nonzero(clicked))
+        hit = np.flatnonzero(clicked) if c < m else slice(None)
+        n, fwd, held, u = (x[hit] for x in (n, atk.n, atk.eve_seen, u))
+        bits = random_index(c, 2, rng)
+        a_bases = _biased_choice(rng, c, alice_bases, cfg.basis_bias)
+        b_bases = _biased_choice(rng, c, len(table.bases), cfg.basis_bias)
+        sent = 2 * a_bases + bits
+        state, eve_seen = adversary.resend_batch(eve, n, fwd, held, sent,
+                                                 table, rng)
+        outcomes = measure_batch(fwd, state, b_bases, law, u)
 
         announced = a_bases if spec.pairs is None else sent
         bob_bits = readout.take(
             (announced * row + 3 * b_bases + outcomes + 1).astype(np.intp))
-        clicked = outcomes != NO_CLICK
-        clicks = int(np.count_nonzero(clicked))
         if tags is not None:
             decoys = np.count_nonzero(tags)
-            decoy_clicks = np.count_nonzero(clicked & tags)
-            intensity.append([(m - decoys, clicks - decoy_clicks),
+            decoy_clicks = np.count_nonzero(tags & clicked)
+            intensity.append([(m - decoys, c - decoy_clicks),
                               (decoys, decoy_clicks)])
         if chsh:
             # Alice's a = 1 - 2 bit and Bob's b = 2 outcome - 1 (his bit
             # before the flip that aligns the keys): a b = -1 on equal bits
             product = (bits != outcomes).astype(np.int8) * 2 - 1
+            setting = a_bases * len(table.bases) + b_bases
             for ai, bi, products in chsh.values():
                 products.append(np.compress(
-                    clicked & (a_bases == ai) & (b_bases == bi), product))
-        # resolved over every pulse, so its draws do not depend on the sift
-        known = adversary.resolve_known_bits(atk.eve_seen, announced,
+                    setting == ai * len(table.bases) + bi, product))
+        # resolved over every click, so its draws do not depend on the sift
+        known = adversary.resolve_known_bits(eve_seen, announced,
                                              readout, row_overlap, rng)
         keep = np.flatnonzero(bob_bits >= 0)
         kept.append((bits.take(keep), bob_bits.take(keep), known.take(keep)))
-        detections += clicks
+        detections += c
 
     alice, bob, known = (BitString.from_array(np.concatenate(part))
                          for part in zip(*kept))

@@ -5,7 +5,7 @@ All parameter records are immutable dataclasses; every sampler takes an
 explicit ``numpy.random.Generator`` and a slice of at most ``CHUNK`` pulses
 (see ``protocols``).  ``sample_photon_number`` inverts the cumulative
 ``photon_pmf`` through a guide table, to the cell a binary search gives,
-and ``measure_batch`` draws the whole receiver chain from a ``click_law``
+and ``measure_batch`` reads the whole receiver chain from a ``click_law``
 table (for Bob and an intercept-resend Eve), each with one uniform per
 pulse.  The pair protocols draw through the same kernels
 (see ``protocols``).
@@ -26,7 +26,7 @@ import numpy as np
 
 NO_CLICK = -1  # detection outcome: neither logical detector fired
 CHUNK = 1 << 16  # pulses per session slice (see protocols)
-_GUIDE = 1 << 10  # guide-table buckets of sample_photon_number
+_GUIDE_BITS, _GUIDE = 10, 1 << 10  # buckets of sample_photon_number
 
 _NORM_TOL = 1e-12
 
@@ -211,10 +211,12 @@ def sample_photon_number(pmf: np.ndarray, rng: np.random.Generator,
     """Draw the cells of `size` pulses from `pmf` (a ``photon_pmf``, or a
     mixture of them laid end to end) as int8, or int16 past 128 cells: one
     uniform u per pulse inverts the cumulative pmf, and nothing is drawn
-    when one cell holds all the mass (the ideal source).  A guide table
-    (Chen & Asau, 1974) gives the cell of u's bucket floor(u _GUIDE), exact
-    in float64, when no edge of the cumulative pmf lies inside the bucket,
-    and binary-searches u otherwise: each u gets a binary search's cell."""
+    when one cell holds all the mass (the ideal source).  u is the top 53
+    bits of a 64-bit draw over 2^53 (``rng.random()`` on a PCG64 engine),
+    so its bucket floor(u _GUIDE) is the top bits.  A guide table (Chen &
+    Asau, 1974) gives the bucket's cell when no edge of the cumulative pmf
+    lies inside it, and binary-searches u otherwise: each u gets a binary
+    search's cell."""
     cells = np.flatnonzero(pmf)
     dtype = np.int8 if len(pmf) <= 128 else np.int16
     if cells.size == 1:
@@ -225,10 +227,11 @@ def sample_photon_number(pmf: np.ndarray, rng: np.random.Generator,
     # bucket j's cell, or -1 when an edge lies inside (j, j + 1) / _GUIDE
     guide = np.where(first == np.searchsorted(edges, bounds[1:]),
                      first, -1).astype(dtype)
-    u = rng.random(size)
-    out = guide.take((u * _GUIDE).astype(np.intp))
+    raw = rng.integers(0, 1 << 64, size, dtype=np.uint64)
+    out = guide.take((raw >> (64 - _GUIDE_BITS)).view(np.int64))
     split = np.flatnonzero(out < 0)
-    out[split] = np.searchsorted(edges, u.take(split), side="right")
+    out[split] = np.searchsorted(edges, (raw.take(split) >> 11) * 2.0 ** -53,
+                                 side="right")
     return out
 
 
@@ -308,7 +311,9 @@ def click_law(p_one: np.ndarray, flip, eta: float, misalignment: float,
     s = 1 - d: none = (1 - eta)^n s^2, only0 = (1 - eta p)^n s - none,
     only1 = (1 - eta (1 - p))^n s - none, and a double click (the rest)
     gives a uniform bit.  With probability `misalignment` the whole pulse
-    becomes state ``flip[k]`` (unless flip[k] < 0; `flip` is unread at 0)."""
+    becomes state ``flip[k]`` (unless flip[k] < 0; `flip` is unread at 0).
+    law[0] is the same for every state and basis, exactly: a session draws
+    a pulse's click before its state (see ``protocols``)."""
     n = np.arange(n_max + 1.0)[:, None, None]
     s = 1.0 - dark_prob
     none = (1.0 - eta) ** n * s * s
@@ -317,22 +322,21 @@ def click_law(p_one: np.ndarray, flip, eta: float, misalignment: float,
     law = np.stack([np.broadcast_to(none, only0.shape),
                     (1.0 + none + only0 - only1) / 2.0])
     if misalignment > 0.0:
-        has = flip >= 0
-        law[:, :, has] = ((1.0 - misalignment) * law[:, :, has]
-                          + misalignment * law[:, :, flip[has]])
+        has, zero = flip >= 0, law[1]
+        zero[:, has] = ((1.0 - misalignment) * zero[:, has]
+                        + misalignment * zero[:, flip[has]])
     return law
 
 
 def measure_batch(n_photons: np.ndarray, state_idx: np.ndarray,
                   basis: np.ndarray, law: np.ndarray,
-                  rng: np.random.Generator) -> np.ndarray:
+                  u: np.ndarray) -> np.ndarray:
     """Outcomes {NO_CLICK, 0, 1} of pulses given by photon count, state and
-    basis index: one uniform u per pulse is NO_CLICK below its ``click_law``
-    law[0], 0 below law[1], else 1.  A count above n_max is an IndexError."""
+    basis index and one uniform u each: u is NO_CLICK below its
+    ``click_law`` law[0], 0 below law[1], else 1.  A count above n_max is
+    an IndexError."""
     _, _, num_states, num_bases = law.shape
     idx = np.multiply(n_photons, num_states * num_bases, dtype=np.intp)
     idx += state_idx * num_bases + basis
     t0, t1 = law.reshape(2, -1)
-    u = rng.random(idx.shape[0])
     return np.add(u >= t0.take(idx), u >= t1.take(idx), dtype=np.int8) - 1
-

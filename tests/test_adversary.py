@@ -1,11 +1,13 @@
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from qkdsim.adversary import (HELD, NO_EVE, NOTHING, EveStrategy,
-                              attack_batch, resolve_known_bits)
+                              attack_batch, resend_batch, resolve_known_bits)
+from qkdsim.bits import random_index
 from qkdsim.protocols import (_SARG_PAIRS, ProtocolConfig, _readout,
                               b92_table, bb84_table, e91_table, run_session,
                               six_state_table)
@@ -27,9 +29,15 @@ def seen(basis, outcome):
 
 
 def attack(eve, n, idx, ch=ChannelModel(), rng=None, table=BB84):
-    return attack_batch(eve, np.asarray(n, dtype=np.int64),
-                        np.asarray(idx, dtype=np.int64), table, ch,
-                        rng if rng is not None else derive_rng(0))
+    """Both parts of an attack on every pulse, as if Bob detected each one:
+    the forwarded counts and states, the line and Eve's record."""
+    rng = rng if rng is not None else derive_rng(0)
+    n = np.asarray(n, dtype=np.int64)
+    atk = attack_batch(eve, n, table, ch, rng)
+    state, eve_seen = resend_batch(eve, n, atk.n, atk.eve_seen,
+                                   np.asarray(idx, dtype=np.int64), table, rng)
+    return SimpleNamespace(n=atk.n, state_idx=state, eve_seen=eve_seen,
+                           transmittance=atk.transmittance)
 
 
 def test_strategy_validation():
@@ -141,9 +149,9 @@ def test_intercept_resend_forwards_the_observed_eigenstate(table):
     atk = attack(EveStrategy("intercept_resend"), n, sent, rng=derive_rng(22),
                  table=table)
     rng = derive_rng(22)
-    eb = rng.integers(0, len(table.bases), size=N, dtype=np.int8)
+    eb = random_index(N, len(table.bases), rng)
     law = click_law(table.p_one, None, 1.0, 0.0, 0.0, int(n.max()))
-    bit = measure_batch(n, sent, eb, law, rng)
+    bit = measure_batch(n, sent, eb, law, rng.random(N))
     clicked = bit != NO_CLICK
     assert (n == 0).any() and (n > 1).any()
     assert np.array_equal(clicked, n > 0) and np.array_equal(atk.n, clicked)
@@ -180,8 +188,8 @@ def test_beam_split_records_the_photons_it_holds():
     ch = ChannelModel(length_km=30.0, attenuation_db_per_km=0.2)
     n = sample_photon_number(photon_pmf(SourceModel.laser(2.0)),
                              derive_rng(23), 20000)
-    atk = attack_batch(EveStrategy("beam_split"), n, np.zeros_like(n), BB84,
-                       ch, derive_rng(24))
+    atk = attack_batch(EveStrategy("beam_split"), n, BB84, ch,
+                       derive_rng(24))
     k = derive_rng(24).binomial(n, 1.0 - ch.transmittance)
     assert atk.eve_seen.dtype == n.dtype and (k >= 3).any()
     assert np.array_equal(atk.eve_seen, np.where(k >= 1, HELD + 1 - k,
@@ -283,10 +291,11 @@ def test_batch_none_is_identity():
     table = bb84_table()
     n = np.ones(100, dtype=np.int64)
     idx = np.zeros(100, dtype=np.int64)
-    atk = attack_batch(NO_EVE, n, idx, table, ChannelModel(), derive_rng(10))
+    atk = attack(NO_EVE, n, idx, rng=derive_rng(10), table=table)
     assert np.array_equal(atk.n, n) and atk.transmittance == 1.0
+    assert np.array_equal(atk.state_idx, idx)
     lossy = ChannelModel(length_km=30.0, attenuation_db_per_km=0.2)
-    assert attack_batch(NO_EVE, n, idx, table, lossy, derive_rng(10)
+    assert attack_batch(NO_EVE, n, table, lossy, derive_rng(10)
                         ).transmittance == lossy.transmittance
     assert (atk.eve_seen == NOTHING).all()
 
@@ -298,7 +307,7 @@ def test_batch_intercept_matches_scalar_statistics():
     n = np.ones(N, dtype=np.int64)
     idx = np.zeros(N, dtype=np.int64)      # all H
     eve = EveStrategy("intercept_resend")
-    atk = attack_batch(eve, n, idx, table, ChannelModel(), rng)
+    atk = attack(eve, n, idx, rng=rng, table=table)
     wrong_basis = atk.eve_seen // 3 == 1
     assert abs(wrong_basis.mean() - 0.5) < 0.005
     # diagonal resends (A = 2, D = 3) carry a random bit, rectilinear ones H

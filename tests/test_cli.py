@@ -406,8 +406,8 @@ RANDOM_LINE = dict(BASE, num_pulses=200,
 
 
 def test_run_above_half_error_rate_leaves_out_epsilon_rates(tmp_path, capsys):
-    # seed 0: an estimate of 7/11 from the 200-pulse sample
-    path = write_scenario(tmp_path, dict(RANDOM_LINE, seed=0))
+    # seed 1: an estimate of 6/11 from the 200-pulse sample
+    path = write_scenario(tmp_path, dict(RANDOM_LINE, seed=1))
     code, out, _ = run_cli(capsys, "run", path, "--format", "json")
     report = json.loads(out)
     assert code == 2
@@ -421,7 +421,7 @@ def test_run_at_half_error_rate_aborts_at_estimation(tmp_path, capsys):
     # a threshold of 0.5 lets an estimate of exactly 0.5 through to the
     # pipeline's own check, not to reconciliation
     path = write_scenario(tmp_path, dict(
-        RANDOM_LINE, seed=12, postproc={"qber_abort_threshold": 0.5}))
+        RANDOM_LINE, seed=0, postproc={"qber_abort_threshold": 0.5}))
     code, out, _ = run_cli(capsys, "run", path, "--format", "json")
     report = json.loads(out)
     assert code == 2
@@ -442,6 +442,8 @@ def test_run_on_a_line_that_delivers_no_light_aborts(tmp_path, capsys):
     assert code == 2 and err == ""
     assert (report["abort_stage"], report["qber_estimate"]) == (
         "estimation", None)
+    assert (report["qber_sifted"], report["eve_known_fraction"]) == (
+        None, None)
     assert "r_shor_preskill" not in report["rates"]
     assert report["rates"]["gain_Qmu"] == 0.0
     assert report["rates"]["bound_beamsplit"] == 0.0
@@ -468,8 +470,9 @@ def test_every_scenario_ends_in_an_exit_code(tmp_path, capsys, protocol):
         assert code in (0, 1, 2), (source, line)
         if line and code == 2:
             report = json.loads(capsys.readouterr().out)
-            assert (report["abort_reason"], report["qber_estimate"]) == (
-                "empty sifted key", None)
+            assert (report["abort_reason"], report["qber_estimate"],
+                    report["qber_sifted"], report["eve_known_fraction"]) == (
+                "empty sifted key", None, None, None)
             assert not {"r_mayers", "r_shor_preskill", "r_six_state",
                         "r_gllp", "r_gllp_per_pulse"} & set(report["rates"])
         assert main(["sweep", path, "--axis", "length_km", "--start", "0",
@@ -590,6 +593,24 @@ def test_sweep_decoy_mu_out_of_range_is_clean_error(tmp_path, value):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("start, stop, message", [
+    ("0", "inf", "--stop: must be finite with --steps >= 2, got inf"),
+    ("-inf", "10", "--start: must be finite with --steps >= 2, got -inf"),
+    ("nan", "10", "--start: must be finite with --steps >= 2, got nan"),
+    ("0", "nan", "--stop: must be finite with --steps >= 2, got nan")])
+def test_sweep_refuses_a_bound_that_is_not_finite(tmp_path, start, stop,
+                                                  message):
+    # np.linspace would turn the span into NaN, with a RuntimeWarning, and
+    # the error would name a value the user never gave
+    path = write_scenario(tmp_path, dict(BASE, num_pulses=200))
+    proc = run_python(["-W", "error", "-m", "qkdsim.cli", "sweep", path,
+                       "--axis", "length_km", f"--start={start}",
+                       f"--stop={stop}", "--steps", "3"],
+                      cwd=tmp_path, pythonpath=str(PACKAGE.parent))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"error: {message}\n"
+
+
 def test_sweep_invalid_steps(tmp_path, capsys):
     path = write_scenario(tmp_path, BASE)
     code, _, err = run_cli(capsys, "sweep", path, "--axis", "epsilon",
@@ -612,8 +633,12 @@ def test_sweep_length_axis_rate_dies_with_distance(tmp_path, capsys):
     clamped = [line.split(",")[col] for line in lines[1:]]
     assert float(clamped[0]) > 0.0
     assert float(clamped[1]) == 0.0     # secure-distance cutoff at 50 km
-    # from 100 km on no bit is sifted: no error rate, so no rate that needs one
+    # from 100 km on no bit is sifted: no error rate, so no rate that needs
+    # one, and no sifted error rate either
     assert clamped[2:] == ["", "", ""]
+    qber = [line.split(",")[header.index("qber_sifted")]
+            for line in lines[1:]]
+    assert qber[2:] == ["", "", ""] and float(qber[0]) >= 0.0
 
 
 def test_sweep_above_half_error_rate_leaves_out_epsilon_rates(tmp_path,

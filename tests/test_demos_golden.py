@@ -39,15 +39,15 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 GOLDEN = {
     "01_protocol_zoo.py":
-        "040d7cfb136f27ea85b827e960090965a25d17ba00ddeac6bced5acdc898eebc",
+        "2d42ad7d6d6fd01d5e3336e862dac89c1a4c9738418d18b2de02edeef84814c1",
     "02_eavesdropping.py":
-        "15bfabc697bd0633e23506bed9c64c75404c092285140fa47eec69160eae4625",
+        "51fe6229b391558d645d72104c971662abd5251a47550b9f4b07c54da5b2dff0",
     "03_key_distillation.py":
-        "aa3db3ae41a7737fbffe1dbacd5b50869380d00f18d55c73d4bd37539f21f3d6",
+        "d4e22cbd815b52cbac98da8b805753e6237f4fe6e30dedb199130d1eeca2b58f",
     "04_bell_test.py":
-        "41bc5befbc6f2167dec18fffa85ae85195223f3c77ce7e53036175360387f386",
+        "57c894c702e696082f5b37658eeca83ab987ca0b62a93671f7b4df097720a42e",
     "05_rates_and_hardware.py":
-        "bbaa076920c81f6a06adc9f022d542a47ea1124bfbd16fb6609d73bb6ca075e7",
+        "502384889d85e92e4742e57ba926e3d86deaf1782fe2a5b99f6fd81fdcc34951",
 }
 
 

@@ -56,42 +56,42 @@ PULSES = 1500
 
 GOLDEN_CLI = {
     "run bb84_honest.cfg text":
-        "e531969c9eac5de4a0d17c1980237db5aacd68d3a139762bd96c0f47aed4c0b7",
+        "9cb7a50dc839346a67c7bf322f07b3248ff4e530c79a5856b6297a812abb4fd8",
     "run bb84_honest.cfg json":
-        "9a5a4e4efa89435ad5615b5ed405e12e1c33e620846fe461925f6c8db1ab6062",
+        "b79542181b240fb0c5ff53f555a95d0833f79426ebd6b4902757f3ab2feea857",
     "sweep bb84_honest.cfg":
-        "9e1ec37e28ee6baa3e7a93c512a9c35f5488a702aec2d02357f12380b9bae6d0",
+        "cb35c517f89e6417e24d94e4e8a5f1997d0955ede8fb08ac3c5a5e14446a23e2",
     "bell bb84_honest.cfg":
         "130ed44d84417f2c3fed5525293cc91972390731bfb9463091f6b5348221daa9",
     "run bb84_intercept.cfg text":
-        "b3a21a31f6767d63c59169421b5359c60708b1e1270f46fcc69d3a1a1080b7b5",
+        "72c3e59a8eb84c207c8df0a8a6dba1dad381c812aa3cd1a504021ea72e23013e",
     "run bb84_intercept.cfg json":
-        "0fca74038a7aac704b0cd31b8b38b69e6cb66f8c428e35540339b35de12ccb36",
+        "3f354842bab3f82b73c328e3f62a0d41c3187d6dde5c5423fa0109fbaa8802db",
     "sweep bb84_intercept.cfg":
-        "f6449da4ea308051317702fd724aab6c06af59d6f43fb0d64577d73fd1efd4c1",
+        "b7686462e3d452b7bba0e5fbbbda8eb7ce6f97bbf5ed7d2ae66a0f8343a2bb27",
     "bell bb84_intercept.cfg":
         "130ed44d84417f2c3fed5525293cc91972390731bfb9463091f6b5348221daa9",
     "run e91_honest.cfg text":
-        "0581e3607c985a8922cb381ab6486b1455df993f16ed218d9233b58f64ff0eea",
+        "8fbaabedd65e7a8ab376522a7bcbf3027702379139438f3bf7f647d674a2135c",
     "run e91_honest.cfg json":
-        "fb0da88fba9f61520b8779bd266d9f00c56e17e8106830e5b4ed335d8ffcc924",
+        "a92d21f00de03efa4768f180b7bcc332a04d853fce9bdb0cbcd87b992e0efd45",
     "sweep e91_honest.cfg":
-        "fbd7442ddea73d9abf08859c9640f6782f182b1739b4fa78c6c46cf57590e3cd",
+        "bb19ea53e95b23f432085c5402b63fc9afaa8a65bfe28801280963520d1c3603",
     "bell e91_honest.cfg":
-        "f05e8a94372d37f984d96c106dcd803987caab16e3347ac3a8324a5abebbf467",
+        "d0ab1ae11fb7d385e5b6dc80004c6bc94cb0e72c25c83eb8bfd42701e126651a",
 }
 
 GOLDEN_TRANSCRIPTS = {
-    "bb84": "028fa8a2cab748368bb4391e6b03b9da2f2669649e2f084e7dbddd42c82d1d0d",
-    "b92": "1c2f6ecb0b500f37150da4ed1363a596cb355099f83d7fd9a61dda1c9da34500",
+    "bb84": "258cd578bb84e62d9cf5e4ebaa8faab18e85421029f556dc594017e3f3290f2e",
+    "b92": "a280b02158a5aca8c4a55f7cb8f2b1301716ac6568504bee9f1637b667c11017",
     "six_state":
-        "cda3c44add32239aab4866664ae477d910d7c66d8f3ba9f6abae46c391526494",
-    "sarg": "40a7865554234649eef43f4146eb7f372f6278d5b309d9918b0729b4ddb259b5",
+        "27296bc1a931f0ef624e589a51db18c0dcb2a99fdb37f9252f648a2c918ddb0b",
+    "sarg": "6201e9869747d4e567b270c78541ef0ca0c19d0162967d59e136e940e3341211",
     "decoy_bb84":
-        "c4eee5aaa67107a328a2cf8791176575e001dffc9abbaf4e24aa1d034e562046",
+        "1207d57a22fc16b40db7c9cd501ee442af7cea3002e2af53d69dcd41f11a405e",
     "bbm92":
-        "9c38af04662c970e9211dac8e715c8877ab3c9d44dc3478a172bbaa110db70f4",
-    "e91": "7118d22d401457c5a036844891797286cb83c4ccbd5cb29cd5e29323dffe8180",
+        "39c2f60b2f5e6ce931ab8ef6bde143a7ebe0a9232160914984f6b52115d64707",
+    "e91": "519e8a51e4a1668400892bf76f93bf88b026dbcff3ddbfa2f5557e2ea935f719",
 }
 
 
@@ -157,18 +157,18 @@ CHUNK_EVES = (EveStrategy("none"), EveStrategy("intercept_resend"),
               EveStrategy("usd_b92"))
 
 GOLDEN_MULTI_CHUNK = {
-    "bb84": "db378a6f191325a82822d93830d89088808b6022a4964fd3cd5bc39da69a56ef",
-    "b92": "3148bc2bbbbe8405942ccac5f5ef2bd39fe1bca1faf497e4ab98c60ead416250",
+    "bb84": "e00add3f3ae6a984cdd273668ef670a3bbbdf21e53a51210bf5aaf982431424d",
+    "b92": "d33730c4179a4172aadb23298d666d770697b8de54fd63cc8e3956a526816a9b",
     "six_state":
-        "e16429bdc1bc9f626b5471ba4ed9e0404467570866a27f4857289a9ff5a77e25",
-    "sarg": "4b1faba2fb89829a089c05ef229b884739522c8568cec55a7028228847c3d96f",
+        "6510aabc74615b33c825ea9a81bd1af6f1dc0f86abeca740dd985fa9fa3a0c2c",
+    "sarg": "1a761ad60a9f218f354f57492cffc283ebbf70a08d38a0123090435dbf9e65d0",
     "decoy_bb84":
-        "eb3e0bfcec3a0181c88a0b32a685ae5b5c1aa4a85b6d4f2c885a9f05976aaf29",
+        "b32c2775fcad2f745af559d8e552f826dc8eb8708665b6e3aefcbd86602db50f",
     "bbm92":
-        "456ec6850ee6844587d4e6ed1e3a28f4f2b1bf1f577a8c32fe6843dc9ee3e1c1",
-    "e91": "716adb308762d48e441be2c930ff9f833be2fc1699da77716a5295d6f7e3b699",
+        "08841e3df06b165e1ddbcc12df30e03f876d4aef44d1e025ac0998ad9d26beab",
+    "e91": "0c10ea6a8c2f3290a21074fd3dfef94867b8c4e1b0c20739baf63f54101f45f1",
     "bb84 basis_bias":
-        "5842a14956ecd079138d731135ceaa26bee7621a0d64c74c2f55975b7e55b204",
+        "7883248fa9a76b2cfed45b2a60d861bbf49fbf50d3d87503836ff83dd49c6434",
 }
 
 

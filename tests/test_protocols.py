@@ -15,6 +15,7 @@ from qkdsim.protocols import (_PREPARE_MEASURE, _SARG_PAIRS, PROTOCOLS,
 from qkdsim.quantum import (CHUNK, ChannelModel, DetectorModel, SourceModel,
                             channel_preset, photon_pmf, sample_photon_number)
 from qkdsim.rng import derive_rng
+from reference import per_pulse_session
 
 IDEAL = SourceModel.ideal()
 CLEAN = ChannelModel()
@@ -395,9 +396,10 @@ def test_channel_loss_reduces_detections():
 
 
 def test_dark_counts_register_on_lost_pulses():
+    # ~3,000 sifted bits: the QBER band below is 5.5 sigma wide
     ch = ChannelModel(length_km=100.0, attenuation_db_per_km=0.5)  # T = 1e-5
     det = DetectorModel(dark_prob=1e-3)
-    t = run("bb84", 200000, 18, ch=ch, det=det)
+    t = run("bb84", 3 * 10**6, 18, ch=ch, det=det)
     rate = t.detection_count / t.pulse_count
     assert rate == pytest.approx(1 - (1 - 1e-3) ** 2, rel=0.2)
     # dark-count keys are random: QBER near one half
@@ -483,3 +485,58 @@ def test_determinism_same_seed():
     assert t1.sifted_alice == t2.sifted_alice
     assert t1.sifted_bob == t2.sifted_bob
     assert t1.eve_known_mask == t2.eve_known_mask
+
+
+def _engine_cells():
+    """Every protocol, source and attack a session accepts, from the ideal,
+    laser (mu = 0.5) and heralded (0.6, 0.05) sources and the attacks
+    none, intercept-resend, beam split, PNS blocking half the single
+    photons, and USD."""
+    sources = {"ideal": IDEAL, "laser": SourceModel.laser(0.5),
+               "heralded": SourceModel.heralded(0.6, 0.05)}
+    eves = {"none": NO_EVE, "intercept": EveStrategy("intercept_resend"),
+            "beam_split": EveStrategy("beam_split"),
+            "pns": EveStrategy("pns", block_single_prob=0.5),
+            "usd": EveStrategy("usd_b92")}
+    for protocol in PROTOCOLS:
+        src_names = {"bbm92": ["ideal"], "e91": ["ideal"],
+                     "decoy_bb84": ["laser"]}.get(protocol, list(sources))
+        eve_names = (["none", "intercept"] if protocol in ("bbm92", "e91")
+                     else ["none", "intercept", "beam_split", "pns"]
+                     + ["usd"] * (protocol == "b92"))
+        for src_name, eve_name in itertools.product(src_names, eve_names):
+            yield pytest.param(protocol, sources[src_name], eves[eve_name],
+                               id=f"{protocol}-{src_name}-{eve_name}")
+
+
+def _counts(t):
+    """The per-pulse event counts of a transcript."""
+    out = {"detections": t.detection_count,
+           "sifted": len(t.sifted_alice),
+           "errors": t.sifted_alice.hamming_distance(t.sifted_bob),
+           "eve_known": t.eve_known_mask.hamming_weight()}
+    for label, stats in (t.intensity_stats or {}).items():
+        out[f"{label}_detected"] = stats["detected"]
+    return out
+
+
+@pytest.mark.parametrize("protocol, src, eve", list(_engine_cells()))
+def test_click_first_engine_matches_the_per_pulse_reference(protocol, src,
+                                                            eve):
+    # Drawing each pulse's click before its state changes the draw order,
+    # not the law: on a lossy, noisy line every count of the library's
+    # session agrees with the per-pulse engine's within 5 sigma.  Each
+    # count sums one event over independent pulses, so the variance of a
+    # difference of two is at most their sum.
+    cfg = ProtocolConfig(protocol, 200_000)
+    ch = ChannelModel(length_km=25.0, attenuation_db_per_km=0.2,
+                      misalignment_error_prob=0.03)
+    det = DetectorModel(efficiency=0.5, dark_prob=1e-3)
+    new = _counts(run_session(cfg, src, ch, det, eve, derive_rng(40, 0)))
+    ref = _counts(per_pulse_session(cfg, src, ch, det, eve,
+                                    derive_rng(40, 1)))
+    assert new.keys() == ref.keys()
+    assert new["detections"] > 2000
+    for name in new:
+        spread = math.sqrt(new[name] + ref[name]) or 1.0
+        assert abs(new[name] - ref[name]) < 5 * spread, (name, new, ref)

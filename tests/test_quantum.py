@@ -200,7 +200,7 @@ def test_loss_through_the_click_law():
     zeros = np.zeros(N, dtype=np.int8)
     outs = measure_batch(np.ones(N, dtype=np.int64), zeros, zeros,
                          ideal_law([[0.0]], eta=ch.transmittance),
-                         derive_rng(4))
+                         derive_rng(4).random(N))
     assert within_5_sigma(int((outs != NO_CLICK).sum()), N, ch.transmittance)
     # a lossless line has eta = 1: a photon never goes unseen
     lossless = ideal_law([[0.0]], eta=ChannelModel().transmittance)
@@ -213,7 +213,7 @@ def test_measure_deterministic_projection():
              [RECTILINEAR.prob_outcome_one(STATE_H)], [0.5]]
     outs = measure_batch(np.array([1, 1, 0]), np.arange(3),
                          np.zeros(3, dtype=np.int8), ideal_law(p_one),
-                         derive_rng(5))
+                         derive_rng(5).random(3))
     assert outs.tolist() == [1, 0, NO_CLICK]
 
 
@@ -221,7 +221,7 @@ def test_measure_conjugate_basis_uniform():
     p_one = [[DIAGONAL.prob_outcome_one(STATE_H)]]
     zeros = np.zeros(20000, dtype=np.int8)
     outs = measure_batch(np.ones(20000, dtype=np.int64), zeros, zeros,
-                         ideal_law(p_one), derive_rng(6))
+                         ideal_law(p_one), derive_rng(6).random(20000))
     assert (outs != NO_CLICK).all()
     assert abs(outs.mean() - 0.5) < 0.02
 
@@ -232,7 +232,7 @@ def test_dark_count_rate_on_vacuum():
     zeros = np.zeros(200000, dtype=np.int8)
     outs = measure_batch(zeros, zeros, zeros,
                          ideal_law([[0.0]], n_max=0, dark_prob=p_dark),
-                         derive_rng(7))
+                         derive_rng(7).random(200000))
     expect = 1.0 - (1.0 - p_dark) ** 2
     assert (outs != NO_CLICK).mean() == pytest.approx(expect, rel=0.15)
 
@@ -241,7 +241,7 @@ def test_measure_refuses_a_count_beyond_the_law():
     zeros = np.zeros(1, dtype=np.int8)
     with pytest.raises(IndexError):
         measure_batch(np.array([2]), zeros, zeros, ideal_law([[0.5]]),
-                      derive_rng(8))
+                      derive_rng(8).random(1))
 
 
 # a generic table: three states, two bases; states 0 and 1 are each
@@ -289,13 +289,30 @@ def test_click_law_matches_the_photon_level_enumeration(eta, e, d):
         assert none + zero + one == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_click_law_no_click_is_the_same_for_every_state_and_basis(seed):
+    # sessions draw a pulse's click before its state and basis: P(NO_CLICK)
+    # at n photons must not depend on either, misalignment and dark
+    # counts included
+    rng = derive_rng(41, seed)
+    states, bases = rng.integers(2, 7), rng.integers(1, 4)
+    p_one = rng.random((states, bases))
+    flip = rng.integers(-1, states, size=states).astype(np.int8)
+    law = click_law(p_one, flip, rng.random(), 0.5 * rng.random(),
+                    0.5 * rng.random(), n_max=5)
+    assert (flip >= 0).any()
+    np.testing.assert_array_equal(
+        law[0], np.broadcast_to(law[0, :, :1, :1], law[0].shape))
+
+
 def test_measure_frequencies_match_the_law_cell_by_cell():
     law = click_law(P_ONE, FLIP, 0.4, 0.05, 0.02, n_max=3)
     N = 20000
     rng = derive_rng(16)
     for n, k, m in itertools.product(range(4), range(3), range(2)):
         outs = measure_batch(np.full(N, n), np.full(N, k, dtype=np.int8),
-                             np.full(N, m, dtype=np.int8), law, rng)
+                             np.full(N, m, dtype=np.int8), law,
+                             rng.random(N))
         t0, t1 = law[:, n, k, m]
         for outcome, p in ((NO_CLICK, t0), (0, t1 - t0), (1, 1.0 - t1)):
             hits = int((outs == outcome).sum())

@@ -366,7 +366,7 @@ def test_vacuum_yield_matches_the_simulated_dark_click_rate():
     N, p_dark = 200000, 0.01
     zeros = np.zeros(N, dtype=np.int8)
     law = click_law(np.full((1, 1), 0.5), None, 1.0, 0.0, p_dark, 0)
-    out = measure_batch(zeros, zeros, zeros, law, derive_rng(31))
+    out = measure_batch(zeros, zeros, zeros, law, derive_rng(31).random(N))
     rate = float((out != NO_CLICK).mean())
     y0 = yield_Yn(0, 0.0, p_dark)
     assert abs(rate - y0) < 5 * (y0 * (1 - y0) / N) ** 0.5

@@ -79,33 +79,33 @@ SCENARIOS = {
 
 GOLDEN = {
     "b92_usd text":
-        "0cfb519fecf1bca00e19d038ced6b2b527d3b2530f92853d6ff5a340e1ef8f6e",
+        "abb1e87ad3da60576df191abf07acaf97cc24dbf8f62216fdf941b037a2370e5",
     "b92_usd json":
-        "a8ce6a5f9cd60326135f3e3a9c8dd7502c04a7ec632567f26968bec091f83626",
+        "17136c754a9da356fd92a90f25e7f54200d466c5d78e221e59560bcbe4ba48b4",
     "decoy_beam_split text":
-        "13ce0758cd69ce91e1c6cbca55886d2902c9e2be4305a845bb7af5aaa9c1d68a",
+        "04cd6cb4d2f4a0c711c580bd616f9829d50adf45dde29168c825bfa48f6e1c11",
     "decoy_beam_split json":
-        "7c16acc6b26375f6ab82d0f7b7cefc8b764759820193324d6e4e4b8024a246ef",
+        "331d7818e9c4c1b0ed0a52cafc265bed02b48880a84784996aeb3644a2c6a38e",
     "e91_defaults text":
-        "fd3c75aca55086b62d068ead94735e671af665957ceb18d7f4e8a62e8c182ba7",
+        "3835f4705d953cc1f462779c4d0810303e6b52ed363c8c40a35cee358f2f18c1",
     "e91_defaults json":
-        "c857223cffc6956bef139df9d93f94d4cf64bc6b9913b2c6e2220c8d49cd476d",
+        "9c9b1661dac06974251c753465c7d8828b436848b4ecdc638331dc663b95f901",
     "heralded_fixed_basis text":
-        "37b32612573db7cb430c5f8cc6e2ea742f1413f9b51cae71a82d500a962e9279",
+        "6d37f6fee9c070d86ec3321200c182bf03cedbd3ef896c8c750075662ff11d65",
     "heralded_fixed_basis json":
-        "91cfefcc318c9ba0f98e694116be42b86c0439283aea0d45fc0768833ca4d6dc",
+        "4618c40e547eebc74d851f1b2267b8d0cfd27b3b77389b004c23d3a1797a4e8a",
     "ideal_plain_devices text":
-        "156ec9130d31866de339088f90ee273f8dcddbfc2addef3128bbfd398244ccfa",
+        "d8a13e0ef8bddabb197829cd1133320fe347f136a537abb820f122ef6696972f",
     "ideal_plain_devices json":
-        "37b94290180f6fdff4bf6c29cb3c648e19418d01eab31c90aafcb25e35711135",
+        "e2e2cb5308a8b6c553ae725949f2a8420f51861244fff91aebe69c8aa9f3117e",
     "laser_presets_pns text":
-        "2c416fe4e6bbf1a10d613b69cfef8c170b522a60aeace54bafc21b9446397412",
+        "791b0384a902bef69bf196f817456d7fde29740ff9b742727188b15cc86b0d5a",
     "laser_presets_pns json":
-        "a2fd0f94ea782a7fdd50e9c94b5d874bbb4eb1b15ded55f45796b2c7e8859876",
+        "0ae9e10dc4096018987d89e407c87a622eb210cde43e47a6b1e4451e940fcd59",
     "sarg_uniform_intercept text":
-        "0e3dec24a8db66b6c6526f10d50e27238f71a5376b10207ed67c162e0551b425",
+        "911ff63d319311c954751fc3c811ab4d7420053d7bd52070b64d6efb6e25401b",
     "sarg_uniform_intercept json":
-        "236bade77b28c6547c0e8f4b87da7d798b689efc88a4ac7d6127b4a0a6769e33",
+        "ed9b357230f9c658ad42dac759cc0e495847c6c1da057579fdf49a73cc293f25",
 }
 
 
