@@ -11,7 +11,9 @@ Three families are pinned:
   raises is hashed as its exception type and message;
 * the same transcripts at a size that spans several session slices
   (``quantum.CHUNK`` pulses each), which pins where slices begin and end
-  and the order in which they draw.
+  and the order in which they draw;
+* transcripts on a lossless, noiseless line from the ideal source, where
+  every pulse clicks, so no change to how clicks are drawn may move them.
 
 A refactor that keeps seeded outputs byte-identical leaves every digest
 unchanged.  The digests depend on numpy's Generator streams and were
@@ -199,7 +201,48 @@ def test_multi_chunk_matrix_matches_golden_digests():
     assert multi_chunk_digests() == GOLDEN_MULTI_CHUNK
 
 
+# Lossless-ideal matrix: every protocol that takes the ideal source, under
+# no attack and intercept-resend in a uniform and a fixed basis, over a
+# lossless, noiseless line at a size that spans two full session slices
+# plus a ragged tail.  Every pulse clicks, so the click count and Bob's
+# outcome draw nothing beyond what a line with no loss needs: these
+# digests stay put through any change to how lossy lines are sampled.
+LOSSLESS_EVES = EVES[:3]
+
+GOLDEN_LOSSLESS_IDEAL = {
+    "bb84": "0954c75ef0cc37de8432d14d2656f3404708adf420d2637ff5846560c3cda6e6",
+    "b92": "9674109d49aaa98b3276227a7616ad85e726966516dcdb959fe792f36c7ee092",
+    "six_state":
+        "5cfe04e20966ff6714fb5d872811f169f56574bbb1915fa9374a09650f116d7e",
+    "sarg": "c912bdd3d1043992268dcebd1c703f512be32c508c5a18644f6808314fd9d760",
+    "bbm92":
+        "35d293c788e4a5fa25cdcf277365af45c547533b1c5ddcbe9451834adb00407a",
+    "e91": "ca11e476c873ba29185dc33ce484eca099364708b5e6f27dcd870b6a95e5fbfd",
+}
+
+
+def lossless_ideal_digests() -> dict:
+    got = {}
+    for protocol in PROTOCOLS:
+        if protocol == "decoy_bb84":        # takes only a laser
+            continue
+        h = hashlib.sha256()
+        for bias in (None, 0.7) if protocol in BIASED else (None,):
+            for eve in LOSSLESS_EVES:
+                cfg = ProtocolConfig(protocol, CHUNK_PULSES, basis_bias=bias)
+                t = run_session(cfg, SourceModel.ideal(), ChannelModel(),
+                                DetectorModel(), eve, derive_rng(13, 0))
+                h.update(json.dumps(t.to_dict(), sort_keys=True).encode())
+        got[protocol] = h.hexdigest()
+    return got
+
+
+def test_lossless_ideal_matrix_matches_golden_digests():
+    assert lossless_ideal_digests() == GOLDEN_LOSSLESS_IDEAL
+
+
 if __name__ == "__main__":
     print_table("GOLDEN_CLI", cli_digests())
     print_table("GOLDEN_TRANSCRIPTS", transcript_digests())
     print_table("GOLDEN_MULTI_CHUNK", multi_chunk_digests())
+    print_table("GOLDEN_LOSSLESS_IDEAL", lossless_ideal_digests())
