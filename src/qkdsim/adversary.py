@@ -3,10 +3,12 @@ one place that decides what Eve learns, for all seven protocols.
 
 An attack on the pulses flying to Bob (for BBM92 and E91, Bob's particle,
 which Alice's measurement prepared; see ``protocols``) has two parts.
-``attack_batch``, on every pulse, needs no state: the photons forwarded,
-the line they cross (whose loss only Bob's ``quantum.click_law`` draws)
-and the photons Eve holds.  ``resend_batch``, on the pulses Bob detects,
-forwards their states and records Eve's measurements.  What Eve took
+``attack_batch`` needs no state and draws nothing: it is the law, once
+per session, of the photons forwarded and the photons Eve holds for each
+source cell, with the line they cross (whose loss only Bob's
+``quantum.click_law`` draws); the session draws the clicked pulses' cells
+from it.  ``resend_batch``, on the pulses Bob detects, forwards their
+states and records Eve's measurements.  What Eve took
 (``eve_seen``) becomes her knowledge in ``resolve_known_bits`` once the
 sifting announcement is public, by the readout table that also sifts
 Bob's results (``protocols._readout``) and the overlap of the announced
@@ -17,6 +19,7 @@ hardware, all information to Eve).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -73,24 +76,52 @@ NO_EVE = EveStrategy("none")
 
 @dataclass
 class BatchAttack:
-    """The photon part of an attack on a stream of pulses."""
+    """The photon part of an attack, as a law over joint cells: cell i sends
+    source cell ``cell[i]``, forwards n[i] photons and leaves Eve the
+    record ``eve_seen[i]``, with probability ``prob[i]``."""
 
+    cell: np.ndarray             # source cells
     n: np.ndarray                # forwarded photon counts
-    transmittance: float         # of the line the forwarded photons cross
     eve_seen: np.ndarray         # NOTHING, or HELD + 1 - k for k held photons
+    prob: np.ndarray             # P(source cell, forwarded count, record)
+    transmittance: float         # of the line the forwarded photons cross
 
 
 # ---------------------------------------------------------------------------
 # session-level transforms
 # ---------------------------------------------------------------------------
 
-def attack_batch(strategy: EveStrategy, n: np.ndarray, table,
-                 ch: ChannelModel, rng: np.random.Generator) -> BatchAttack:
-    """The photon part of a strategy on pulses of n photons, for the
-    session's ``protocols.StateTable``.  intercept_resend forwards one
-    photon of every non-vacuum pulse: Eve's ideal detector always fires.
-    beam_split diverts each photon with the tap probability (recording the
-    k it holds) and forwards the rest over a line of transmittance
+def _held_counts(m: int, tap: float) -> tuple[np.ndarray, np.ndarray]:
+    """Binomial(m, tap) as (k, p(k)), each tail below 2^-53 folded into its
+    last kept k as ``quantum.photon_pmf`` folds its tail.  The log pmf is a
+    sum of ratios p(k + 1) / p(k) over mean +- (10 sd + 40), past which
+    each tail is below 1e-21."""
+    if not 0.0 < tap < 1.0:
+        return np.array([round(m * tap)]), np.ones(1)
+    w = int(10 * math.sqrt(m * tap * (1 - tap)) + 40)
+    k = np.arange(max(0, int(m * tap) - w), min(m, int(m * tap) + w) + 1)
+    log_p = np.concatenate(([0.0], np.cumsum(np.log(
+        (m - k[:-1]) / (k[:-1] + 1.0) * tap / (1 - tap)))))
+    p = np.exp(log_p - log_p.max())
+    p /= p.sum()
+    lo, hi = np.flatnonzero((np.cumsum(p) >= 2.0 ** -53) & (
+        np.cumsum(p[::-1])[::-1] >= 2.0 ** -53))[[0, -1]]
+    out = p[lo:hi + 1].copy()
+    out[0] += p[:lo].sum()
+    out[-1] += p[hi + 1:].sum()
+    return k[lo:hi + 1], out
+
+
+def attack_batch(strategy: EveStrategy, n: np.ndarray, pmf: np.ndarray,
+                 table, ch: ChannelModel) -> BatchAttack:
+    """The photon part of a strategy as a law, for source cells of n[c]
+    photons sent with probability pmf[c] and the session's
+    ``protocols.StateTable``; nothing is drawn, cells of probability 0 are
+    left out, and the integer arrays take n's dtype, which must hold
+    -len(pmf).  intercept_resend forwards one photon of every
+    non-vacuum pulse: Eve's ideal detector always fires.  beam_split holds
+    k ~ Binomial(n, tap) photons (``_held_counts``), recorded as
+    HELD + 1 - k, and forwards the rest over a line of transmittance
     eta / (1 - tap), keeping Bob's eta.  pns holds one photon of every
     multi-photon pulse, forwards the rest losslessly and blocks single
     photons with block_single_prob.  usd_b92 discriminates the two states
@@ -99,52 +130,42 @@ def attack_batch(strategy: EveStrategy, n: np.ndarray, table,
     success over a line that keeps the honest detection rate
     (transmittance eta / (1 - overlap), while below 1).
     """
-    npulses, eta = n.shape[0], ch.transmittance
-    eve_seen = np.full(npulses, NOTHING, dtype=n.dtype)
-
-    if strategy.kind == "none":
-        return BatchAttack(n, eta, eve_seen)
-
-    if strategy.kind == "intercept_resend":
+    eta, kind, dtype = ch.transmittance, strategy.kind, n.dtype
+    cell = np.arange(len(pmf))
+    seen = np.full(len(pmf), NOTHING)
+    q = 0.0         # each cell's share whose photons Eve stops
+    if kind == "intercept_resend":
         count, fixed = len(table.bases), strategy.fixed_basis
         if fixed is not None and fixed >= count:
             raise ValueError(f"fixed_basis {fixed} is out of range: Eve can "
                              f"measure in {count} bases")
-        return BatchAttack((n > 0).astype(n.dtype), eta, eve_seen)
-
-    if strategy.kind == "beam_split":
+        n = np.minimum(n, 1)
+    elif kind == "beam_split":
         tap = strategy.tap_ratio if strategy.tap_ratio is not None else 1.0 - eta
         if tap > 1.0 - eta + 1e-12:
             raise ValueError(
                 f"tap_ratio {tap} exceeds the channel loss 1 - eta = {1 - eta}")
-        k_eve = rng.binomial(n, tap)
-        held = k_eve >= 1
-        eve_seen[held] = HELD + 1 - k_eve[held]
-        eta_fwd = min(1.0, eta / (1.0 - tap)) if tap < 1.0 else 1.0
-        return BatchAttack(n - k_eve, eta_fwd, eve_seen)
-
-    if strategy.kind == "pns":
-        multi = n >= 2
-        single = n == 1
-        n_out = n.copy()
-        n_out[multi] -= 1
-        if strategy.block_single_prob > 0 and single.any():
-            blocked = single & (rng.random(npulses)
-                                < strategy.block_single_prob)
-            n_out[blocked] = 0
-        eve_seen[multi] = HELD
-        return BatchAttack(n_out, 1.0, eve_seen)
-
-    if strategy.kind == "usd_b92":
+        cell, k, p = (np.concatenate(x) for x in zip(*(
+            (np.full(k.size, c), k, pmf[c] * p) for c in np.flatnonzero(pmf)
+            for k, p in [_held_counts(n[c], tap)])))
+        eta = min(1.0, eta / (1.0 - tap)) if tap < 1.0 else 1.0
+        n, seen, pmf = n[cell] - k, np.where(k > 0, HELD + 1 - k, NOTHING), p
+    elif kind == "pns":
+        q = strategy.block_single_prob * (n == 1)
+        n, seen, eta = n - (n >= 2), np.where(n >= 2, HELD, NOTHING), 1.0
+    elif kind == "usd_b92":
         sends = np.flatnonzero(table.bit >= 0)
         if sends.size != 2:
             raise ValueError("usd_b92 requires the B92 state pair")
         p_succ = 1.0 - table.overlap[sends[0], sends[1]]
-        success = (n > 0) & (rng.random(npulses) < p_succ)
-        return BatchAttack(success.astype(n.dtype), min(1.0, eta / p_succ),
-                           eve_seen)
-
-    raise ValueError(f"unknown strategy kind {strategy.kind!r}")
+        q = 1.0 - p_succ * (n > 0)
+        n, eta = np.minimum(n, 1), min(1.0, eta / p_succ)
+    # each cell goes on with 1 - q, or is stopped with q: nothing forwarded
+    cells = (np.tile(cell, 2), np.concatenate((n, 0 * n)),
+             np.tile(seen, 2), np.concatenate((pmf * (1 - q), pmf * q)))
+    keep = np.flatnonzero(cells[-1] > 0)
+    return BatchAttack(*(x.take(keep).astype(dtype) for x in cells[:3]),
+                       cells[-1].take(keep), eta)
 
 
 def resend_batch(strategy: EveStrategy, n: np.ndarray, fwd: np.ndarray,

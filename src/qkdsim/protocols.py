@@ -17,17 +17,23 @@ E91 prepares the states of three angles per side (Ekert, PRL 67, 661,
 Every session is deterministic given its generator and returns a
 ``SessionTranscript``.
 
-Slice rule: a session runs as consecutive slices of at most
-``quantum.CHUNK`` pulses, each carried from source to sifted key before
-the next is drawn from the same generator.  Every pulse draws its photon
-cell, the attack's photon part and one uniform u, and clicks when
-u >= ``click_law``'s law[0] at its forwarded count, which no state or
-basis changes.  The clicked pulses alone draw Alice's bit and basis,
-Bob's basis and the attack's state part, and read Bob's outcome from the
-same u, uniform above law[0].  Their sift is one gather from the readout
+Slice rule: pulses are independent and identically distributed, so a
+session draws how many click, C ~ Binomial(N, P(click)) (C = N, with no
+draw, when P(click) is 1), from the attack's law of each source cell's
+forwarded photons and Eve's record (``adversary.attack_batch``) weighted
+by ``click_law``'s 1 - law[0] at the forwarded count, which no state or
+basis changes.  The clicked pulses alone are drawn, in consecutive slices
+of at most ``quantum.CHUNK``, each carried from source to sifted key
+before the next is drawn from the same generator: their joint cells from
+the law given a click, one uniform u each, Alice's bit and basis, Bob's
+basis, the attack's state part, and Bob's outcome from u and the
+thresholds given a click.  Their sift is one gather from the readout
 table; the sifted pulses' bits, Bob's bits and Eve's known mask, kept
 through one gather, and the counts alone outlive the slice, so memory
-grows with the sifted key, not the pulse count.
+grows with the sifted key and time with the clicks, not the pulse count.
+A decoy session counts each intensity's detections from the clicked
+cells, and its pulses sent as those plus its share of the N - C that did
+not click, drawn by the intensities' shares of the no-click mass.
 """
 
 from __future__ import annotations
@@ -342,11 +348,11 @@ def _run_prepare_measure(spec: PrepareMeasureSpec, cfg: ProtocolConfig,
                          src: SourceModel, ch: ChannelModel,
                          det: DetectorModel, eve: EveStrategy,
                          rng: np.random.Generator) -> SessionTranscript:
-    """Photon counts and the attack's photon part -> Bob's click, over the
-    line the attack hands his photons to -> for the clicked pulses, states,
-    the attack's state part, Bob's outcome, sift and Eve's knowledge, slice
-    by slice (see the slice rule above); decoy sessions also count pulses
-    sent and detected per intensity."""
+    """The attack's photon law, weighted by Bob's click over the line the
+    attack hands his photons to -> how many pulses click -> for the clicked
+    pulses, slice by slice (see the slice rule above), their cells, states,
+    the attack's state part, Bob's outcome, sift and Eve's knowledge; decoy
+    sessions also count pulses sent and detected per intensity."""
     table = spec.table(cfg)
     alice_bases = np.count_nonzero(table.bit >= 0) // 2
     pairs = (np.arange(2 * alice_bases).reshape(-1, 2) if spec.pairs is None
@@ -355,50 +361,53 @@ def _run_prepare_measure(spec: PrepareMeasureSpec, cfg: ProtocolConfig,
     row = readout[0].size               # readout entries per announcement
     row_overlap = table.overlap[pairs[:, 0], pairs[:, 1]]
     pmf, first_decoy = spec.photons(cfg, src)
-    laws = {}   # Bob's click law, by the transmittance of the line to him
-    kept, detections = [], 0
-    intensity = []      # per slice: (sent, detected) of signal and decoy
+    # each source cell's photon count, in the dtype of the law's records
+    photons = np.arange(len(pmf), dtype=np.min_scalar_type(-len(pmf)))
+    if first_decoy is not None:
+        photons[first_decoy:] -= first_decoy
+    atk = adversary.attack_batch(eve, photons, pmf, table, ch)
+    law = click_law(table.p_one, table.flip,
+                    det.efficiency * atk.transmittance,
+                    ch.misalignment_error_prob, det.dark_prob, atk.n.max())
+    # Bob's thresholds given a click: never NO_CLICK, 0 below P(0 | click)
+    given = np.zeros_like(law)
+    np.divide(law[1] - law[0], 1.0 - law[0], out=given[1], where=law[0] < 1)
+    lost = atk.prob * law[0, :, 0, 0].take(atk.n)   # P(cell, no click)
+    weight = atk.prob - lost                         # P(cell, click)
+    p_click = min(1.0, weight.sum() / atk.prob.sum())
+    clicks = (cfg.num_pulses if p_click == 1.0
+              else int(rng.binomial(cfg.num_pulses, p_click)))
+    # each joint cell's photons sent, forwarded and Eve's record, packed
+    # into one word, so that a slice gathers all three with one take
+    records = np.zeros((len(atk.prob), 4), photons.dtype)
+    records[:, :3] = np.stack([photons.take(atk.cell), atk.n, atk.eve_seen], 1)
+    records = records.view(f"i{4 * photons.itemsize}").ravel()
+    # a session with no click still ends with empty keys and tallies
+    kept, decoy_clicks = [(np.zeros(0, np.int8),) * 3], 0
     # setting pair -> (Alice's basis, Bob's, products per slice)
-    chsh = {pair: (ai, bi, []) for pair, (ai, bi) in (spec.chsh or {}).items()}
+    chsh = {pair: (ai, bi, [np.zeros(0, np.int8)])
+            for pair, (ai, bi) in (spec.chsh or {}).items()}
 
-    # one slice's uniforms, counts and no-click thresholds, reused: freed
-    # arrays this size go back to the OS and fault in again when redrawn
-    work = np.empty(CHUNK), np.empty(CHUNK, np.intp), np.empty(CHUNK)
-    for lo in range(0, max(cfg.num_pulses, 1), CHUNK):
-        m = min(CHUNK, cfg.num_pulses - lo)
-        cells = sample_photon_number(pmf, rng, m)
-        tags = None if first_decoy is None else cells >= first_decoy
-        n = cells if tags is None else cells - first_decoy * tags.astype(
-            cells.dtype)
-        atk = adversary.attack_batch(eve, n, table, ch, rng)
-        if atk.transmittance not in laws:
-            laws[atk.transmittance] = click_law(
-                table.p_one, table.flip, det.efficiency * atk.transmittance,
-                ch.misalignment_error_prob, det.dark_prob, len(pmf) - 1)
-        law = laws[atk.transmittance]
-        u, idx, no_click = (w[:m] for w in work)
-        rng.random(out=u)
-        idx[:] = atk.n
-        clicked = u >= law[0, :, 0, 0].take(idx, out=no_click)
-        c = int(np.count_nonzero(clicked))
-        hit = np.flatnonzero(clicked) if c < m else slice(None)
-        n, fwd, held, u = (x[hit] for x in (n, atk.n, atk.eve_seen, u))
-        bits = random_index(c, 2, rng)
-        a_bases = _biased_choice(rng, c, alice_bases, cfg.basis_bias)
-        b_bases = _biased_choice(rng, c, len(table.bases), cfg.basis_bias)
+    for lo in range(0, clicks, CHUNK):
+        m = min(CHUNK, clicks - lo)
+        cells = sample_photon_number(weight / p_click, rng, m)
+        u = rng.random(m)
+        n, fwd, held = records.take(cells).view(photons.dtype).reshape(
+            m, 4).T[:3]
+        bits = random_index(m, 2, rng)
+        a_bases = _biased_choice(rng, m, alice_bases, cfg.basis_bias)
+        b_bases = _biased_choice(rng, m, len(table.bases), cfg.basis_bias)
         sent = 2 * a_bases + bits
         state, eve_seen = adversary.resend_batch(eve, n, fwd, held, sent,
                                                  table, rng)
-        outcomes = measure_batch(fwd, state, b_bases, law, u)
+        outcomes = measure_batch(fwd, state, b_bases, given, u)
 
         announced = a_bases if spec.pairs is None else sent
         bob_bits = readout.take(
             (announced * row + 3 * b_bases + outcomes + 1).astype(np.intp))
-        if tags is not None:
-            decoys = np.count_nonzero(tags)
-            decoy_clicks = np.count_nonzero(tags & clicked)
-            intensity.append([(m - decoys, c - decoy_clicks),
-                              (decoys, decoy_clicks)])
+        if first_decoy is not None:
+            decoy_clicks += int(np.count_nonzero(atk.cell.take(cells)
+                                                 >= first_decoy))
         if chsh:
             # Alice's a = 1 - 2 bit and Bob's b = 2 outcome - 1 (his bit
             # before the flip that aligns the keys): a b = -1 on equal bits
@@ -412,15 +421,18 @@ def _run_prepare_measure(spec: PrepareMeasureSpec, cfg: ProtocolConfig,
                                              readout, row_overlap, rng)
         keep = np.flatnonzero(bob_bits >= 0)
         kept.append((bits.take(keep), bob_bits.take(keep), known.take(keep)))
-        detections += c
 
     alice, bob, known = (BitString.from_array(np.concatenate(part))
                          for part in zip(*kept))
-    t = SessionTranscript(cfg.protocol, cfg.num_pulses, detections,
+    t = SessionTranscript(cfg.protocol, cfg.num_pulses, clicks,
                           alice, bob, known)
-    if intensity:
-        t.intensity_stats = _intensity_stats(
-            cfg, np.sum(intensity, axis=0).tolist())
+    if first_decoy is not None:
+        decoys = decoy_clicks + (int(rng.binomial(
+            cfg.num_pulses - clicks, lost[atk.cell >= first_decoy].sum()
+            / lost.sum())) if clicks < cfg.num_pulses else 0)
+        t.intensity_stats = _intensity_stats(cfg, [
+            (cfg.num_pulses - decoys, clicks - decoy_clicks),
+            (decoys, decoy_clicks)])
     if chsh:
         t.chsh_samples = {pair: np.concatenate(products)
                           for pair, (_, _, products) in chsh.items()}

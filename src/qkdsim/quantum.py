@@ -2,12 +2,13 @@
 channels and threshold detectors.
 
 All parameter records are immutable dataclasses; every sampler takes an
-explicit ``numpy.random.Generator`` and a slice of at most ``CHUNK`` pulses
-(see ``protocols``).  ``sample_photon_number`` inverts the cumulative
-``photon_pmf`` through a guide table, to the cell a binary search gives,
-and ``measure_batch`` reads the whole receiver chain from a ``click_law``
-table (for Bob and an intercept-resend Eve), each with one uniform per
-pulse.  The pair protocols draw through the same kernels
+explicit ``numpy.random.Generator`` and a slice of at most ``CHUNK``
+detected pulses (see ``protocols``).  ``sample_photon_number`` inverts a
+cumulative pmf (a ``photon_pmf``, or a session's law of joint cells given
+a click) through a guide table, to the cell a binary search gives, and
+``measure_batch`` reads the whole receiver chain from a ``click_law``
+table (for Bob, given his click, and an intercept-resend Eve), each with
+one uniform per pulse.  The pair protocols draw through the same kernels
 (see ``protocols``).
 """
 
@@ -25,7 +26,7 @@ from typing import Mapping, Optional, get_type_hints
 import numpy as np
 
 NO_CLICK = -1  # detection outcome: neither logical detector fired
-CHUNK = 1 << 16  # pulses per session slice (see protocols)
+CHUNK = 1 << 16  # detected pulses per session slice (see protocols)
 _GUIDE_BITS, _GUIDE = 10, 1 << 10  # buckets of sample_photon_number
 
 _NORM_TOL = 1e-12
@@ -209,16 +210,17 @@ def photon_pmf(src: SourceModel) -> np.ndarray:
 def sample_photon_number(pmf: np.ndarray, rng: np.random.Generator,
                          size: int) -> np.ndarray:
     """Draw the cells of `size` pulses from `pmf` (a ``photon_pmf``, or a
-    mixture of them laid end to end) as int8, or int16 past 128 cells: one
-    uniform u per pulse inverts the cumulative pmf, and nothing is drawn
-    when one cell holds all the mass (the ideal source).  u is the top 53
+    session's law of joint cells given a click) in the smallest signed
+    integer type that holds -len(pmf): one uniform u per pulse inverts the
+    cumulative pmf, and nothing is drawn when one cell holds all the mass
+    (the ideal source on a line where every pulse clicks).  u is the top 53
     bits of a 64-bit draw over 2^53 (``rng.random()`` on a PCG64 engine),
     so its bucket floor(u _GUIDE) is the top bits.  A guide table (Chen &
     Asau, 1974) gives the bucket's cell when no edge of the cumulative pmf
     lies inside it, and binary-searches u otherwise: each u gets a binary
     search's cell."""
     cells = np.flatnonzero(pmf)
-    dtype = np.int8 if len(pmf) <= 128 else np.int16
+    dtype = np.min_scalar_type(-len(pmf))
     if cells.size == 1:
         return np.full(size, cells[0], dtype=dtype)
     edges = np.cumsum(pmf)[:-1]
@@ -313,7 +315,9 @@ def click_law(p_one: np.ndarray, flip, eta: float, misalignment: float,
     gives a uniform bit.  With probability `misalignment` the whole pulse
     becomes state ``flip[k]`` (unless flip[k] < 0; `flip` is unread at 0).
     law[0] is the same for every state and basis, exactly: a session draws
-    a pulse's click before its state (see ``protocols``)."""
+    how many pulses click from law[0] alone, before any state, and reads
+    each clicked pulse's outcome from the law given a click (see
+    ``protocols``)."""
     n = np.arange(n_max + 1.0)[:, None, None]
     s = 1.0 - dark_prob
     none = (1.0 - eta) ** n * s * s

@@ -30,14 +30,23 @@ def seen(basis, outcome):
 
 def attack(eve, n, idx, ch=ChannelModel(), rng=None, table=BB84):
     """Both parts of an attack on every pulse, as if Bob detected each one:
-    the forwarded counts and states, the line and Eve's record."""
+    each pulse's photon part drawn from ``attack_batch``'s law given its
+    count (nothing is drawn where one cell holds that count's mass), then
+    the forwarded states, the line and Eve's record."""
     rng = rng if rng is not None else derive_rng(0)
     n = np.asarray(n, dtype=np.int64)
-    atk = attack_batch(eve, n, table, ch, rng)
-    state, eve_seen = resend_batch(eve, n, atk.n, atk.eve_seen,
+    law = attack_batch(eve, np.arange(n.max() + 1), np.ones(n.max() + 1),
+                       table, ch)
+    fwd, held = np.empty_like(n), np.empty_like(n)
+    for count in np.unique(n):
+        at = np.flatnonzero(n == count)
+        cells = np.flatnonzero(law.cell == count)
+        pick = cells[sample_photon_number(law.prob[cells], rng, at.size)]
+        fwd[at], held[at] = law.n[pick], law.eve_seen[pick]
+    state, eve_seen = resend_batch(eve, n, fwd, held,
                                    np.asarray(idx, dtype=np.int64), table, rng)
-    return SimpleNamespace(n=atk.n, state_idx=state, eve_seen=eve_seen,
-                           transmittance=atk.transmittance)
+    return SimpleNamespace(n=fwd, state_idx=state, eve_seen=eve_seen,
+                           transmittance=law.transmittance)
 
 
 def test_strategy_validation():
@@ -183,19 +192,101 @@ def test_beam_split_preserves_bob_rate():
 
 
 def test_beam_split_records_the_photons_it_holds():
-    # a laser at mu = 2 sends pulses of many photons; the reference replays
-    # Eve's tap draw: k photons held are recorded as HELD + 1 - k
+    # k photons held are recorded as HELD + 1 - k; every photon Eve does
+    # not hold goes on, and the line draws its loss
     ch = ChannelModel(length_km=30.0, attenuation_db_per_km=0.2)
-    n = sample_photon_number(photon_pmf(SourceModel.laser(2.0)),
-                             derive_rng(23), 20000)
-    atk = attack_batch(EveStrategy("beam_split"), n, BB84, ch,
-                       derive_rng(24))
-    k = derive_rng(24).binomial(n, 1.0 - ch.transmittance)
-    assert atk.eve_seen.dtype == n.dtype and (k >= 3).any()
-    assert np.array_equal(atk.eve_seen, np.where(k >= 1, HELD + 1 - k,
+    pmf = photon_pmf(SourceModel.laser(2.0))
+    law = attack_batch(EveStrategy("beam_split"), np.arange(pmf.size), pmf,
+                       BB84, ch)
+    k = law.cell - law.n
+    assert (k >= 3).any() and law.transmittance == 1.0
+    assert np.array_equal(law.eve_seen, np.where(k >= 1, HELD + 1 - k,
                                                  NOTHING))
-    # every photon Eve does not hold goes on; the line draws its loss
-    assert np.array_equal(atk.n, n - k) and atk.transmittance == 1.0
+
+
+def _strategy_cases():
+    lossy = ChannelModel(length_km=30.0, attenuation_db_per_km=0.2)
+    for src in (SourceModel.laser(0.5), SourceModel.laser(3.0),
+                SourceModel.heralded(0.6, 0.05)):
+        for eve, table in ((NO_EVE, BB84), (EveStrategy("intercept_resend"),
+                                            BB84),
+                           (EveStrategy("beam_split"), BB84),
+                           (EveStrategy("beam_split", tap_ratio=0.5), BB84),
+                           (EveStrategy("pns"), BB84),
+                           (EveStrategy("pns", block_single_prob=0.3), BB84),
+                           (EveStrategy("usd_b92"), B92)):
+            yield pytest.param(eve, table, src, lossy,
+                               id=f"{eve.kind}-{src.kind}-{src.mu}")
+
+
+@pytest.mark.parametrize("eve, table, src, ch", list(_strategy_cases()))
+def test_attack_law_sums_back_to_the_source_pmf(eve, table, src, ch):
+    pmf = photon_pmf(src)
+    law = attack_batch(eve, np.arange(pmf.size), pmf, table, ch)
+    assert (law.prob > 0).all()
+    np.testing.assert_allclose(np.bincount(law.cell, law.prob, pmf.size),
+                               pmf, rtol=0, atol=1e-12)
+    # photons are forwarded or held, never made
+    held = np.where(law.eve_seen <= HELD, HELD + 1 - law.eve_seen, 0)
+    assert (law.n + held <= law.cell).all() and (law.n >= 0).all()
+
+
+@pytest.mark.parametrize("tap", [None, 0.3])
+def test_beam_split_holds_a_binomial_count(tap):
+    ch = ChannelModel(length_km=30.0, attenuation_db_per_km=0.2)
+    t = tap if tap is not None else 1.0 - ch.transmittance
+    pmf = photon_pmf(SourceModel.laser(3.0))
+    law = attack_batch(EveStrategy("beam_split", tap_ratio=tap),
+                       np.arange(pmf.size), pmf, BB84, ch)
+    for m in range(pmf.size):
+        row = law.cell == m
+        got = np.zeros(m + 1)
+        got[law.cell[row] - law.n[row]] = law.prob[row] / pmf[m]
+        binomial = [math.comb(m, k) * t ** k * (1 - t) ** (m - k)
+                    for k in range(m + 1)]
+        np.testing.assert_allclose(got, binomial, rtol=0, atol=1e-12)
+
+
+def test_beam_split_table_stays_small_at_the_largest_counts():
+    # at mu = 1000 the full (n, k) table would hold ~8e5 cells; each held
+    # count's tails below 2^-53 are folded, so a row spans at most ~16.5 sd
+    # and the table grows as n_max^1.5, not n_max^2
+    ch = ChannelModel(length_km=15.0, attenuation_db_per_km=0.2)
+    pmf = photon_pmf(SourceModel.laser(1000.0))
+    tap = 1.0 - ch.transmittance
+    law = attack_batch(EveStrategy("beam_split"), np.arange(pmf.size), pmf,
+                       BB84, ch)
+    rows = np.bincount(law.cell)
+    sd = np.sqrt(np.arange(rows.size) * tap * (1 - tap))
+    assert (rows <= 17 * sd + 3).all()
+    assert law.prob.size < pmf.size * (pmf.size + 1) // 2 // 3
+    np.testing.assert_allclose(np.bincount(law.cell, law.prob, pmf.size),
+                               pmf, rtol=0, atol=1e-12)
+
+
+def test_pns_and_usd_laws_match_their_docstrings():
+    pmf = photon_pmf(SourceModel.laser(1.0))
+    cells = np.arange(pmf.size)
+    # pns: one photon of every n >= 2 held, singles blocked with b
+    pns = attack_batch(EveStrategy("pns", block_single_prob=0.3), cells, pmf,
+                       BB84, ChannelModel(length_km=20.0,
+                                          attenuation_db_per_km=0.2))
+    assert pns.transmittance == 1.0
+    expect = {(0, 0, NOTHING): pmf[0], (1, 1, NOTHING): 0.7 * pmf[1],
+              (1, 0, NOTHING): 0.3 * pmf[1]}
+    expect.update({(m, m - 1, HELD): pmf[m] for m in range(2, pmf.size)})
+    assert dict(zip(zip(pns.cell.tolist(), pns.n.tolist(),
+                        pns.eve_seen.tolist()), pns.prob.tolist())) == expect
+    # usd: a non-vacuum pulse forwards one photon with 1 - overlap
+    ch = ChannelModel(length_km=10.0, attenuation_db_per_km=0.7)
+    usd = attack_batch(EveStrategy("usd_b92"), cells, pmf, B92, ch)
+    p = 1.0 - B92.overlap[0, 1]
+    assert usd.transmittance == ch.transmittance / p
+    assert (usd.eve_seen == NOTHING).all()
+    fwd = np.bincount(usd.cell, usd.prob * usd.n, pmf.size)
+    np.testing.assert_allclose(fwd, np.where(cells > 0, p * pmf, 0.0),
+                               rtol=1e-15, atol=0)
+    assert set(usd.n.tolist()) == {0, 1}
 
 
 @pytest.mark.parametrize("src", [SourceModel.laser(0.5),
@@ -295,8 +386,8 @@ def test_batch_none_is_identity():
     assert np.array_equal(atk.n, n) and atk.transmittance == 1.0
     assert np.array_equal(atk.state_idx, idx)
     lossy = ChannelModel(length_km=30.0, attenuation_db_per_km=0.2)
-    assert attack_batch(NO_EVE, n, table, lossy, derive_rng(10)
-                        ).transmittance == lossy.transmittance
+    assert attack_batch(NO_EVE, np.arange(2), np.array([0.0, 1.0]), table,
+                        lossy).transmittance == lossy.transmittance
     assert (atk.eve_seen == NOTHING).all()
 
 

@@ -39,15 +39,15 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 GOLDEN = {
     "01_protocol_zoo.py":
-        "2d42ad7d6d6fd01d5e3336e862dac89c1a4c9738418d18b2de02edeef84814c1",
+        "5ca0c6730f81670dee4b9d2749ce3a2dcd09d66b3fcc4087b2917ccdc6b5476f",
     "02_eavesdropping.py":
-        "51fe6229b391558d645d72104c971662abd5251a47550b9f4b07c54da5b2dff0",
+        "21aed1ebd2c5cfe6b58895e0676df4cb334701af722025bbeb64c24d1c6548fd",
     "03_key_distillation.py":
         "d4e22cbd815b52cbac98da8b805753e6237f4fe6e30dedb199130d1eeca2b58f",
     "04_bell_test.py":
         "57c894c702e696082f5b37658eeca83ab987ca0b62a93671f7b4df097720a42e",
     "05_rates_and_hardware.py":
-        "502384889d85e92e4742e57ba926e3d86deaf1782fe2a5b99f6fd81fdcc34951",
+        "d9845c5a4a067b56c82ba3ec8f95e43a6e509f919ebef9dff2fd5fdf9f52e9bf",
 }
 
 

@@ -84,16 +84,16 @@ GOLDEN_CLI = {
 }
 
 GOLDEN_TRANSCRIPTS = {
-    "bb84": "258cd578bb84e62d9cf5e4ebaa8faab18e85421029f556dc594017e3f3290f2e",
-    "b92": "a280b02158a5aca8c4a55f7cb8f2b1301716ac6568504bee9f1637b667c11017",
+    "bb84": "c37ffd422ba8745087d4eb5f022009e5a65472cf4026a1493301fc52eb887d9f",
+    "b92": "b13820e564aa3c8d7be86cef3af77c78b6fc4197d2c476283206795b07e8b250",
     "six_state":
-        "27296bc1a931f0ef624e589a51db18c0dcb2a99fdb37f9252f648a2c918ddb0b",
-    "sarg": "6201e9869747d4e567b270c78541ef0ca0c19d0162967d59e136e940e3341211",
+        "16a4ed6c2ee5a8981d539ce7e5313433b70b15cd2faf935becf8192b21ad74f8",
+    "sarg": "8552ba7978719a62285d1af1665d22fcf06e4e307ae4bab602a0a3e8539e6cbe",
     "decoy_bb84":
-        "1207d57a22fc16b40db7c9cd501ee442af7cea3002e2af53d69dcd41f11a405e",
+        "c4c5e1d710afba499a45464247258c3c099a96ef7814fe4386a1ee7668b38174",
     "bbm92":
-        "39c2f60b2f5e6ce931ab8ef6bde143a7ebe0a9232160914984f6b52115d64707",
-    "e91": "519e8a51e4a1668400892bf76f93bf88b026dbcff3ddbfa2f5557e2ea935f719",
+        "2a60a182a9de984f4d959680d6b0e018d27baf8202dbd0b2d11f5fe9ca75e503",
+    "e91": "5b5c1a3fd90613c2fe267d762e80d2cd5b53434a1783e0fe5c42c5aaf553be05",
 }
 
 
@@ -159,18 +159,18 @@ CHUNK_EVES = (EveStrategy("none"), EveStrategy("intercept_resend"),
               EveStrategy("usd_b92"))
 
 GOLDEN_MULTI_CHUNK = {
-    "bb84": "e00add3f3ae6a984cdd273668ef670a3bbbdf21e53a51210bf5aaf982431424d",
-    "b92": "d33730c4179a4172aadb23298d666d770697b8de54fd63cc8e3956a526816a9b",
+    "bb84": "7f6710411f17cb36b438bf628b2a22a9e1ee00a5bdc0183224768da7e83ecf65",
+    "b92": "cf0a96b4e1207736351b353a350ae534ebc9027cb787435ebac635ef75bdc763",
     "six_state":
-        "6510aabc74615b33c825ea9a81bd1af6f1dc0f86abeca740dd985fa9fa3a0c2c",
-    "sarg": "1a761ad60a9f218f354f57492cffc283ebbf70a08d38a0123090435dbf9e65d0",
+        "aba897006a7b2a75ebc4639541ef2f2a9447bc76b82e7bdc67b953f443e5c5ac",
+    "sarg": "7e2f80e4d9185f284345a8cb8ed7fbd524a25e8cc4a0d00902d6d9c438ce367d",
     "decoy_bb84":
-        "b32c2775fcad2f745af559d8e552f826dc8eb8708665b6e3aefcbd86602db50f",
+        "46e44e4a241488b4b7a18e494a0949c0ab17dcc496db2ebe6a4257f4d7897e05",
     "bbm92":
-        "08841e3df06b165e1ddbcc12df30e03f876d4aef44d1e025ac0998ad9d26beab",
-    "e91": "0c10ea6a8c2f3290a21074fd3dfef94867b8c4e1b0c20739baf63f54101f45f1",
+        "b2a11b2fa5713e35fd1b3e33b0d1a5da623cb0eed6cc3fe9925a048855c96a4d",
+    "e91": "9ffa667e180bb48e3585a033893af391dd186ea08c36d66920e1dde69d59e7ea",
     "bb84 basis_bias":
-        "7883248fa9a76b2cfed45b2a60d861bbf49fbf50d3d87503836ff83dd49c6434",
+        "780ef0d64a70b16af2c4564873607803853c16480774f4c736f0fea1f677e245",
 }
 
 

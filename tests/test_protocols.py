@@ -13,7 +13,9 @@ from qkdsim.protocols import (_PREPARE_MEASURE, _SARG_PAIRS, PROTOCOLS,
                               ProtocolConfig, _decoy_photons, _readout,
                               b92_states, run_session)
 from qkdsim.quantum import (CHUNK, ChannelModel, DetectorModel, SourceModel,
-                            channel_preset, photon_pmf, sample_photon_number)
+                            channel_preset, detector_preset, photon_pmf,
+                            sample_photon_number)
+from qkdsim.rates import gain_Qmu
 from qkdsim.rng import derive_rng
 from reference import per_pulse_session
 
@@ -110,18 +112,25 @@ def test_session_working_set_is_narrow():
 
 
 def test_session_memory_is_flat_in_the_pulse_count():
-    # BB84 over 100 km of fiber keeps few sifted bits, so its tracemalloc
-    # peak is one slice's arrays: 32 slices of pulses peak within 1.25x of
-    # 4 slices, where per-pulse arrays spanning the session would peak 8x.
+    # A session holds one slice of CHUNK clicks at a time, plus the kept
+    # arrays: Alice's and Bob's sifted bits and Eve's known mask, 3 B per
+    # sifted bit.  BB84 over 100 km of fiber, sized to 4 and to 32 slices
+    # of clicks: with the kept arrays taken off, 32 slices peak within
+    # 1.25x of 4, where arrays spanning the clicks would peak 8x.
     ch = channel_preset("fiber_1550", length_km=100.0)
+    src = SourceModel.laser(0.5)
+    p_click = 1.0 - math.exp(-0.5 * ch.transmittance)
     peaks = []
     tracemalloc.start()
     try:
         for slices in (4, 32):
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            run("bb84", slices * CHUNK, 8, src=SourceModel.laser(0.5), ch=ch)
-            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            t = run("bb84", int((slices - 0.5) * CHUNK / p_click), 8,
+                    src=src, ch=ch)
+            peak = tracemalloc.get_traced_memory()[1] - base
+            assert -(-t.detection_count // CHUNK) == slices
+            peaks.append(peak - 3 * len(t.sifted_alice))
     finally:
         tracemalloc.stop()
     assert peaks[1] <= 1.25 * peaks[0], peaks
@@ -326,6 +335,48 @@ def test_decoy_draw_matches_the_mixture(decoy_mu):
                 assert hits == p * mask.sum(), (mu, k)
             else:
                 assert within_5_sigma(hits, int(mask.sum()), p), (mu, k)
+
+
+def test_a_1e10_pulse_decoy_session_costs_what_it_detects():
+    # 1e10 pulses over 200 km of fiber click ~3e5 times: the session draws
+    # how many click and samples only those, so it runs in a few slices.
+    # Every pulse is counted as sent at one intensity, and each
+    # intensity's detections are Binomial(sent, Q_mu).
+    N = 10 ** 10
+    ch = channel_preset("fiber_1550", length_km=200.0)
+    det = detector_preset("ingaas_peltier")
+    t = run("decoy_bb84", N, 21, src=SourceModel.laser(0.8), ch=ch, det=det)
+    st = t.intensity_stats
+    assert st["signal"]["sent"] + st["decoy"]["sent"] == N
+    assert (st["signal"]["detected"] + st["decoy"]["detected"]
+            == t.detection_count > 10 ** 5)
+    assert abs(st["decoy"]["sent"] - 0.12 * N) < 5 * math.sqrt(
+        N * 0.12 * 0.88)
+    for stats in st.values():
+        q = gain_Qmu(stats["mu"], ch.transmittance * det.efficiency,
+                     det.dark_prob)
+        sent = stats["sent"]
+        assert abs(stats["detected"] - sent * q) < 5 * math.sqrt(
+            sent * q * (1 - q)), stats
+
+
+@pytest.mark.parametrize("protocol", ["decoy_bb84", "e91"])
+def test_a_session_where_nothing_clicks_ends_cleanly(protocol):
+    # no light reaches Bob and his detectors have no dark counts: empty
+    # keys, an empty CHSH tally per setting pair, and every pulse counted
+    # as sent at one intensity
+    t = run(protocol, 5000, 22, src=SourceModel.laser(0.5)
+            if protocol == "decoy_bb84" else IDEAL,
+            det=DetectorModel(efficiency=0.0))
+    assert t.detection_count == 0 and len(t.sifted_alice) == 0
+    if protocol == "e91":
+        assert len(t.chsh_samples) == 4
+        assert all(v.size == 0 for v in t.chsh_samples.values())
+    else:
+        st = t.intensity_stats
+        assert st["signal"]["sent"] + st["decoy"]["sent"] == 5000
+        assert st["signal"]["detected"] == st["decoy"]["detected"] == 0
+        assert st["decoy"]["sent"] > 0 and st["signal"]["sent"] > 0
 
 
 def test_decoy_requires_laser():

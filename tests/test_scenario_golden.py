@@ -79,29 +79,29 @@ SCENARIOS = {
 
 GOLDEN = {
     "b92_usd text":
-        "abb1e87ad3da60576df191abf07acaf97cc24dbf8f62216fdf941b037a2370e5",
+        "d38e682e291526df1049a97730b918c5792b99ce248ee5b1d3aec2e3b94c6a8e",
     "b92_usd json":
-        "17136c754a9da356fd92a90f25e7f54200d466c5d78e221e59560bcbe4ba48b4",
+        "a37343fc8a79500b38515dad7d986fafbb863c85fe5c18480725c4f625ab204c",
     "decoy_beam_split text":
-        "04cd6cb4d2f4a0c711c580bd616f9829d50adf45dde29168c825bfa48f6e1c11",
+        "39a10ded2dbb9a17b55c6dcbbbbda26b1a8dee7519e42e134a353b8596d0b9a3",
     "decoy_beam_split json":
-        "331d7818e9c4c1b0ed0a52cafc265bed02b48880a84784996aeb3644a2c6a38e",
+        "45fae80e2bb185c7f809c50d8fcae6471071b938de9971a8f3ac362e98fa5f7c",
     "e91_defaults text":
         "3835f4705d953cc1f462779c4d0810303e6b52ed363c8c40a35cee358f2f18c1",
     "e91_defaults json":
         "9c9b1661dac06974251c753465c7d8828b436848b4ecdc638331dc663b95f901",
     "heralded_fixed_basis text":
-        "6d37f6fee9c070d86ec3321200c182bf03cedbd3ef896c8c750075662ff11d65",
+        "e8cdbefdbb09c3a6fb6fc6b79c21e619a6a5817f33f2d81d4b1d0019488961d4",
     "heralded_fixed_basis json":
-        "4618c40e547eebc74d851f1b2267b8d0cfd27b3b77389b004c23d3a1797a4e8a",
+        "af759e10a3a33883d3cc0fcfbc6b40c34a6d7f33b2d45b99620f2534528f40fd",
     "ideal_plain_devices text":
-        "d8a13e0ef8bddabb197829cd1133320fe347f136a537abb820f122ef6696972f",
+        "93a701168fe6080dd2586021ca178a625f11ee3c138f52db3d544082c1d75fc7",
     "ideal_plain_devices json":
-        "e2e2cb5308a8b6c553ae725949f2a8420f51861244fff91aebe69c8aa9f3117e",
+        "6bee9064140b0d4a262723163d9dbaefd069348f29699ee95333b9f1fd5781df",
     "laser_presets_pns text":
-        "791b0384a902bef69bf196f817456d7fde29740ff9b742727188b15cc86b0d5a",
+        "2339950527f8ac37982508e27162a5f68f4b28056b770b7249619cd9265774b2",
     "laser_presets_pns json":
-        "0ae9e10dc4096018987d89e407c87a622eb210cde43e47a6b1e4451e940fcd59",
+        "32facfbbf5c606b4afe24050a769773e5b464cf63b1b1e458e6fff57fe27b38f",
     "sarg_uniform_intercept text":
         "911ff63d319311c954751fc3c811ab4d7420053d7bd52070b64d6efb6e25401b",
     "sarg_uniform_intercept json":
