@@ -301,19 +301,25 @@ def privacy_amplify(key: BitString, eve_known_bits: int, safety: int,
                     rng: np.random.Generator,
                     log: Optional[PublicChannelLog] = None,
                     ) -> tuple[BitString, BitString]:
-    """Compress an n-bit reconciled key to r = n - k - s bits with a
-    randomly seeded Toeplitz hash.  The seed is public; returns
-    (final_key, seed).  Raises NoSecureKey when r <= 0.
+    """Compress an n-bit reconciled key to r = n - k - s bits with the hash
+    H_S = (I_r | T_S) of a random (n - 1)-bit seed S: key[:r] XOR T_S
+    key[r:], T_S the r x (n - r) Toeplitz matrix of S (``toeplitz_hash``).
+    The family is universal_2.  Take x = (x1, x2) != 0: if x2 = 0, then
+    H_S x = x1 != 0; otherwise T_S x2 is uniform (Krawczyk, CRYPTO 1994),
+    so P[H_S x = 0] = 2^-r, and the leftover hash lemma applies unchanged.
+    The seed is public; returns (final_key, seed).  Raises NoSecureKey
+    when r <= 0.
     """
     n = len(key)
     r = n - eve_known_bits - safety
     if r <= 0:
         raise NoSecureKey(
             f"no secure key extractable: n={n}, k={eve_known_bits}, s={safety}")
-    seed = random_bits(n + r - 1, rng)
+    seed = random_bits(n - 1, rng)
     log = log or PublicChannelLog()
     log.post("alice->bob", "pa_seed", {"seed_hex": seed.to_hex()})
-    out = toeplitz_hash(key.to_array(), seed.to_array(), r)
+    bits = key.to_array()
+    out = bits[:r] ^ toeplitz_hash(bits[r:], seed.to_array(), r)
     return BitString.from_array(out), seed
 
 

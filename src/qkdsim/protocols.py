@@ -18,22 +18,19 @@ Every session is deterministic given its generator and returns a
 ``SessionTranscript``.
 
 Slice rule: pulses are independent and identically distributed, so a
-session draws how many click, C ~ Binomial(N, P(click)) (C = N, with no
-draw, when P(click) is 1), from the attack's law of each source cell's
-forwarded photons and Eve's record (``adversary.attack_batch``) weighted
+session draws how many click once, C ~ Binomial(N, P(click)) (C = N, with
+no draw, when P(click) is 1), from the attack's law of each source cell's
+forwarded photons and Eve's record (``adversary.attack_batch``), weighted
 by ``click_law``'s 1 - law[0] at the forwarded count, which no state or
-basis changes.  The clicked pulses alone are drawn, in consecutive slices
-of at most ``quantum.CHUNK``, each carried from source to sifted key
-before the next is drawn from the same generator: their joint cells from
-the law given a click, one uniform u each, Alice's bit and basis, Bob's
-basis, the attack's state part, and Bob's outcome from u and the
-thresholds given a click.  Their sift is one gather from the readout
-table; the sifted pulses' bits, Bob's bits and Eve's known mask, kept
-through one gather, and the counts alone outlive the slice, so memory
-grows with the sifted key and time with the clicks, not the pulse count.
-A decoy session counts each intensity's detections from the clicked
-cells, and its pulses sent as those plus its share of the N - C that did
-not click, drawn by the intensities' shares of the no-click mass.
+basis changes.  The clicks alone are drawn, in slices of at most
+``quantum.CHUNK``, each carried from source to sifted key before the next:
+joint cells from the law given a click, one uniform u each, Alice's bit
+and basis, Bob's basis, the attack's state part, and Bob's outcome from u
+and the thresholds given a click.  The sifted bits, Bob's bits and Eve's
+known mask, kept through one gather, and the counts alone outlive the
+slice, so memory grows with the sifted key and time with the clicks, not
+the pulse count.  Decoy sessions count detections from the clicked cells,
+and split the N - C other pulses by each intensity's no-click mass.
 """
 
 from __future__ import annotations

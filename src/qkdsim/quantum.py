@@ -4,11 +4,10 @@ channels and threshold detectors.
 All parameter records are immutable dataclasses; every sampler takes an
 explicit ``numpy.random.Generator`` and a slice of at most ``CHUNK``
 detected pulses (see ``protocols``).  ``sample_photon_number`` inverts a
-cumulative pmf (a ``photon_pmf``, or a session's law of joint cells given
-a click) through a guide table, to the cell a binary search gives, and
-``measure_batch`` reads the whole receiver chain from a ``click_law``
-table (for Bob, given his click, and an intercept-resend Eve), each with
-one uniform per pulse.  The pair protocols draw through the same kernels
+cumulative pmf (a session's law given a click) through a guide table, to
+the cell a binary search gives, and ``measure_batch`` reads the receiver
+chain from a ``click_law`` table (for Bob given his click, and for an
+intercept-resend Eve), each with one uniform per pulse.  The pair protocols draw through the same kernels
 (see ``protocols``).
 """
 
@@ -210,10 +209,9 @@ def photon_pmf(src: SourceModel) -> np.ndarray:
 def sample_photon_number(pmf: np.ndarray, rng: np.random.Generator,
                          size: int) -> np.ndarray:
     """Draw the cells of `size` pulses from `pmf` (a ``photon_pmf``, or a
-    session's law of joint cells given a click) in the smallest signed
-    integer type that holds -len(pmf): one uniform u per pulse inverts the
-    cumulative pmf, and nothing is drawn when one cell holds all the mass
-    (the ideal source on a line where every pulse clicks).  u is the top 53
+    session's law given a click) in the smallest signed type that holds
+    -len(pmf): one uniform u per pulse inverts the cumulative pmf, and
+    nothing is drawn when one cell holds all the mass.  u is the top 53
     bits of a 64-bit draw over 2^53 (``rng.random()`` on a PCG64 engine),
     so its bucket floor(u _GUIDE) is the top bits.  A guide table (Chen &
     Asau, 1974) gives the bucket's cell when no edge of the cumulative pmf
@@ -315,9 +313,8 @@ def click_law(p_one: np.ndarray, flip, eta: float, misalignment: float,
     gives a uniform bit.  With probability `misalignment` the whole pulse
     becomes state ``flip[k]`` (unless flip[k] < 0; `flip` is unread at 0).
     law[0] is the same for every state and basis, exactly: a session draws
-    how many pulses click from law[0] alone, before any state, and reads
-    each clicked pulse's outcome from the law given a click (see
-    ``protocols``)."""
+    its click count from law[0] before any state, and each clicked pulse's
+    outcome from the law given a click (see ``protocols``)."""
     n = np.arange(n_max + 1.0)[:, None, None]
     s = 1.0 - dark_prob
     none = (1.0 - eta) ** n * s * s

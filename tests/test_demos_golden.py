@@ -43,7 +43,7 @@ GOLDEN = {
     "02_eavesdropping.py":
         "21aed1ebd2c5cfe6b58895e0676df4cb334701af722025bbeb64c24d1c6548fd",
     "03_key_distillation.py":
-        "d4e22cbd815b52cbac98da8b805753e6237f4fe6e30dedb199130d1eeca2b58f",
+        "4a7abd53d40ff50f7cad40b6ac7da66ea525a250ca67f57916f9563738e79408",
     "04_bell_test.py":
         "57c894c702e696082f5b37658eeca83ab987ca0b62a93671f7b4df097720a42e",
     "05_rates_and_hardware.py":

@@ -58,9 +58,9 @@ PULSES = 1500
 
 GOLDEN_CLI = {
     "run bb84_honest.cfg text":
-        "9cb7a50dc839346a67c7bf322f07b3248ff4e530c79a5856b6297a812abb4fd8",
+        "ad350f298e80464d3dc786e9e392985f2943fa89cde4b42de3d3b7dc0866017d",
     "run bb84_honest.cfg json":
-        "b79542181b240fb0c5ff53f555a95d0833f79426ebd6b4902757f3ab2feea857",
+        "3dcbe53f3805015d5f4c7dcb52dc1627d409be992b4a835187cfe2b43f82832e",
     "sweep bb84_honest.cfg":
         "cb35c517f89e6417e24d94e4e8a5f1997d0955ede8fb08ac3c5a5e14446a23e2",
     "bell bb84_honest.cfg":
@@ -74,9 +74,9 @@ GOLDEN_CLI = {
     "bell bb84_intercept.cfg":
         "130ed44d84417f2c3fed5525293cc91972390731bfb9463091f6b5348221daa9",
     "run e91_honest.cfg text":
-        "8fbaabedd65e7a8ab376522a7bcbf3027702379139438f3bf7f647d674a2135c",
+        "c9e6e565c32105cfabfa61e0b6a7c6cece98bb45bd5e6991e8ef54b691984016",
     "run e91_honest.cfg json":
-        "a92d21f00de03efa4768f180b7bcc332a04d853fce9bdb0cbcd87b992e0efd45",
+        "c4f113f861100e0841da5abcdba88b699b74d543a308eb6e23e325dd4dffecdc",
     "sweep e91_honest.cfg":
         "bb19ea53e95b23f432085c5402b63fc9afaa8a65bfe28801280963520d1c3603",
     "bell e91_honest.cfg":

@@ -518,16 +518,20 @@ def test_pipeline_hashes_once_and_checks_bob_key_with_the_tag(monkeypatch,
     a = random_bits(6000, rng)
     res = run_pipeline_on_keys(a, flip_fraction(a, 0.02, rng),
                                PipelineParams(), rng)
-    # one Toeplitz product, of Alice's corrected key, whether or not the
-    # keys agree: Bob's final key is never computed
-    [(hashed_key, final_a)] = seen["hashed"]
-    assert np.array_equal(hashed_key, seen["rec"].corrected_alice.to_array())
+    # one Toeplitz product, of the tail of Alice's corrected key past the
+    # final length, whether or not the keys agree: Bob's final key is
+    # never computed
+    [(hashed_key, product)] = seen["hashed"]
+    corrected = seen["rec"].corrected_alice.to_array()
+    r = product.size
+    assert np.array_equal(hashed_key, corrected[r:])
     assert res.log.messages[-1] == {
         "direction": "alice->bob", "purpose": "key_verification",
-        "payload": {"final_length": final_a.size}}
+        "payload": {"final_length": r}}
     if not keys_differ:
         assert not res.aborted
-        assert np.array_equal(res.final_key.to_array(), final_a)
+        assert np.array_equal(res.final_key.to_array(),
+                              corrected[:r] ^ product)
         return
     assert (res.abort_stage, res.abort_reason) == ("verification",
                                                    "corrected keys differ")
@@ -595,9 +599,43 @@ def test_privacy_amplify_identical_inputs_agree():
     rng = derive_rng(11)
     key = random_bits(5000, rng)
     out, seed = privacy_amplify(key, 2000, 30, rng)
-    assert len(out) == 5000 - 2000 - 30
-    again = toeplitz_hash(key.to_array(), seed.to_array(), len(out))
+    r = 5000 - 2000 - 30
+    assert len(out) == r and len(seed) == 5000 - 1
+    bits = key.to_array()
+    again = bits[:r] ^ toeplitz_hash(bits[r:], seed.to_array(), r)
     assert np.array_equal(out.to_array(), again)
+
+
+@pytest.mark.parametrize("n, r", [(17, 5), (64, 40), (300, 299), (301, 1)])
+def test_privacy_amplify_is_identity_beside_toeplitz_by_brute_force(n, r):
+    # H_S = (I_r | T_S), T_S[i, j] = S[i + n - r - 1 - j] of the (n - 1)-bit
+    # seed, built densely and multiplied mod 2
+    rng = derive_rng(14, n)
+    key = random_bits(n, rng)
+    out, seed = privacy_amplify(key, n - r, 0, rng)
+    s = seed.to_array().astype(np.int64)
+    T = s[np.arange(r)[:, None] + n - r - 1 - np.arange(n - r)[None, :]]
+    H = np.concatenate([np.eye(r, dtype=np.int64), T], axis=1)
+    assert np.array_equal(out.to_array(), H @ key.to_array() % 2)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_privacy_amplify_family_is_universal(r):
+    # P[H_S x = 0] = 2^-r over the seed for every x = (x1, x2) != 0:
+    # within 5 sigma for an x2 != 0 beside x1 = 0 and beside x1 != 0, and
+    # never for x2 = 0
+    n, trials = 12, 3000
+    rng = derive_rng(15, r)
+    p = 2.0 ** -r
+    tail = np.eye(1, n - r, 4, dtype=np.uint8)[0]
+    for x1, x2, prob in ((np.zeros(r, np.uint8), tail, p),
+                         (np.ones(r, np.uint8), tail, p),
+                         (np.ones(r, np.uint8), 0 * tail, 0.0)):
+        x = BitString.from_array(np.concatenate([x1, x2]))
+        zeros = sum(privacy_amplify(x, n - r, 0, rng)[0].hamming_weight() == 0
+                    for _ in range(trials))
+        assert abs(zeros / trials - prob) <= 5 * math.sqrt(
+            prob * (1 - prob) / trials)
 
 
 def test_privacy_amplify_decorrelates_single_bit_difference():

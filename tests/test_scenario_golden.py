@@ -79,33 +79,33 @@ SCENARIOS = {
 
 GOLDEN = {
     "b92_usd text":
-        "d38e682e291526df1049a97730b918c5792b99ce248ee5b1d3aec2e3b94c6a8e",
+        "6264c1626b259ca212d9619ef03afb3a652c4249eb195e64261ac08cc999ff0a",
     "b92_usd json":
-        "a37343fc8a79500b38515dad7d986fafbb863c85fe5c18480725c4f625ab204c",
+        "24354f3ed3819ff76601a93bf7f9bf2a50e739b810bbee92dd8da388596aa254",
     "decoy_beam_split text":
-        "39a10ded2dbb9a17b55c6dcbbbbda26b1a8dee7519e42e134a353b8596d0b9a3",
+        "ee1f54f90e90292510868dd875261e2d88e255ede52c13420fc100f555d667ed",
     "decoy_beam_split json":
-        "45fae80e2bb185c7f809c50d8fcae6471071b938de9971a8f3ac362e98fa5f7c",
+        "08fdca3d8493a244eb1ab68e571841a89df309adf175eaa8997b93bba8304e23",
     "e91_defaults text":
-        "3835f4705d953cc1f462779c4d0810303e6b52ed363c8c40a35cee358f2f18c1",
+        "fe401ea0518e65adf12218307957804c79b551b8e08ee7560ea388ea4f50d7f1",
     "e91_defaults json":
-        "9c9b1661dac06974251c753465c7d8828b436848b4ecdc638331dc663b95f901",
+        "b4746ce9bd7828a419b158b298f58992953a5b817d1542acca369d22fbe6a438",
     "heralded_fixed_basis text":
         "e8cdbefdbb09c3a6fb6fc6b79c21e619a6a5817f33f2d81d4b1d0019488961d4",
     "heralded_fixed_basis json":
         "af759e10a3a33883d3cc0fcfbc6b40c34a6d7f33b2d45b99620f2534528f40fd",
     "ideal_plain_devices text":
-        "93a701168fe6080dd2586021ca178a625f11ee3c138f52db3d544082c1d75fc7",
+        "3cd1b8f8cb14be64a0dc5666224d85d4bdfbb725b67559a1964887a1e8615840",
     "ideal_plain_devices json":
-        "6bee9064140b0d4a262723163d9dbaefd069348f29699ee95333b9f1fd5781df",
+        "dda97a9022273a8f359723003c81afd484cf5fc5c76c0e83289d6436cf8fe82a",
     "laser_presets_pns text":
-        "2339950527f8ac37982508e27162a5f68f4b28056b770b7249619cd9265774b2",
+        "0555c0949313882a73d0139aa7e478ff41a2ede45a365e2939f1c0c084692d07",
     "laser_presets_pns json":
-        "32facfbbf5c606b4afe24050a769773e5b464cf63b1b1e458e6fff57fe27b38f",
+        "e7595e0f16b74292c104975debec13cf263b855e6362244d7f54bf647a08d5bd",
     "sarg_uniform_intercept text":
-        "911ff63d319311c954751fc3c811ab4d7420053d7bd52070b64d6efb6e25401b",
+        "c85678e2e0be21666f8ce2bd480ddecd8482b941a34152e600a95f8c29485694",
     "sarg_uniform_intercept json":
-        "ed9b357230f9c658ad42dac759cc0e495847c6c1da057579fdf49a73cc293f25",
+        "e4919390c56475c30ddd53f15dac868855982bf744ad394c8442413145e953de",
 }
 
 
