@@ -358,7 +358,7 @@ def _run_prepare_measure(spec: PrepareMeasureSpec, cfg: ProtocolConfig,
     row = readout[0].size               # readout entries per announcement
     row_overlap = table.overlap[pairs[:, 0], pairs[:, 1]]
     pmf, first_decoy = spec.photons(cfg, src)
-    # each source cell's photon count, in the dtype of the law's records
+    # each source cell's photon count, in a dtype that holds Eve's records
     photons = np.arange(len(pmf), dtype=np.min_scalar_type(-len(pmf)))
     if first_decoy is not None:
         photons[first_decoy:] -= first_decoy
@@ -374,11 +374,7 @@ def _run_prepare_measure(spec: PrepareMeasureSpec, cfg: ProtocolConfig,
     p_click = min(1.0, weight.sum() / atk.prob.sum())
     clicks = (cfg.num_pulses if p_click == 1.0
               else int(rng.binomial(cfg.num_pulses, p_click)))
-    # each joint cell's photons sent, forwarded and Eve's record, packed
-    # into one word, so that a slice gathers all three with one take
-    records = np.zeros((len(atk.prob), 4), photons.dtype)
-    records[:, :3] = np.stack([photons.take(atk.cell), atk.n, atk.eve_seen], 1)
-    records = records.view(f"i{4 * photons.itemsize}").ravel()
+    sent_n = photons.take(atk.cell)
     # a session with no click still ends with empty keys and tallies
     kept, decoy_clicks = [(np.zeros(0, np.int8),) * 3], 0
     # setting pair -> (Alice's basis, Bob's, products per slice)
@@ -389,8 +385,7 @@ def _run_prepare_measure(spec: PrepareMeasureSpec, cfg: ProtocolConfig,
         m = min(CHUNK, clicks - lo)
         cells = sample_photon_number(weight / p_click, rng, m)
         u = rng.random(m)
-        n, fwd, held = records.take(cells).view(photons.dtype).reshape(
-            m, 4).T[:3]
+        n, fwd, held = (x.take(cells) for x in (sent_n, atk.n, atk.eve_seen))
         bits = random_index(m, 2, rng)
         a_bases = _biased_choice(rng, m, alice_bases, cfg.basis_bias)
         b_bases = _biased_choice(rng, m, len(table.bases), cfg.basis_bias)

@@ -7,8 +7,8 @@ detected pulses (see ``protocols``).  ``sample_photon_number`` inverts a
 cumulative pmf (a session's law given a click) through a guide table, to
 the cell a binary search gives, and ``measure_batch`` reads the receiver
 chain from a ``click_law`` table (for Bob given his click, and for an
-intercept-resend Eve), each with one uniform per pulse.  The pair protocols draw through the same kernels
-(see ``protocols``).
+intercept-resend Eve), each with one uniform per pulse.  The pair
+protocols draw through the same kernels (see ``protocols``).
 """
 
 from __future__ import annotations

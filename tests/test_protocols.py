@@ -360,6 +360,17 @@ def test_a_1e10_pulse_decoy_session_costs_what_it_detects():
             sent * q * (1 - q)), stats
 
 
+def test_a_decoy_session_where_every_pulse_clicks_counts_each_sent():
+    # intensities so high that no pulse is empty, over a lossless line to
+    # ideal detectors: every pulse clicks, so none is left to split
+    t = run("decoy_bb84", 5000, 23, src=SourceModel.laser(0.8),
+            signal_mu=1000.0, decoy_mu=900.0)
+    st = t.intensity_stats
+    assert t.detection_count == 5000
+    assert st["signal"]["sent"] + st["decoy"]["sent"] == 5000
+    assert all(s["sent"] == s["detected"] > 0 for s in st.values())
+
+
 @pytest.mark.parametrize("protocol", ["decoy_bb84", "e91"])
 def test_a_session_where_nothing_clicks_ends_cleanly(protocol):
     # no light reaches Bob and his detectors have no dark counts: empty
