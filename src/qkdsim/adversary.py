@@ -27,7 +27,7 @@ import numpy as np
 
 from .bits import random_index
 from .quantum import (NO_CLICK, ChannelModel, check_numbers, check_unused,
-                      click_law, measure_batch)
+                      click_law, fold_tails, measure_batch)
 
 KINDS = ("none", "intercept_resend", "beam_split", "pns", "usd_b92")
 
@@ -92,10 +92,9 @@ class BatchAttack:
 # ---------------------------------------------------------------------------
 
 def _held_counts(m: int, tap: float) -> tuple[np.ndarray, np.ndarray]:
-    """Binomial(m, tap) as (k, p(k)), each tail below 2^-53 folded into its
-    last kept k as ``quantum.photon_pmf`` folds its tail.  The log pmf is a
-    sum of ratios p(k + 1) / p(k) over mean +- (10 sd + 40), past which
-    each tail is below 1e-21."""
+    """Binomial(m, tap) as (k, p(k)), its tails folded by ``fold_tails``:
+    a sum of log ratios p(k + 1) / p(k) over mean +- (10 sd + 40), past
+    which each tail is below 1e-21."""
     if not 0.0 < tap < 1.0:
         return np.array([round(m * tap)]), np.ones(1)
     w = int(10 * math.sqrt(m * tap * (1 - tap)) + 40)
@@ -103,13 +102,8 @@ def _held_counts(m: int, tap: float) -> tuple[np.ndarray, np.ndarray]:
     log_p = np.concatenate(([0.0], np.cumsum(np.log(
         (m - k[:-1]) / (k[:-1] + 1.0) * tap / (1 - tap)))))
     p = np.exp(log_p - log_p.max())
-    p /= p.sum()
-    lo, hi = np.flatnonzero((np.cumsum(p) >= 2.0 ** -53) & (
-        np.cumsum(p[::-1])[::-1] >= 2.0 ** -53))[[0, -1]]
-    out = p[lo:hi + 1].copy()
-    out[0] += p[:lo].sum()
-    out[-1] += p[hi + 1:].sum()
-    return k[lo:hi + 1], out
+    lo, p = fold_tails(p / p.sum())
+    return k[lo:lo + p.size], p
 
 
 def attack_batch(strategy: EveStrategy, n: np.ndarray, pmf: np.ndarray,
@@ -118,17 +112,17 @@ def attack_batch(strategy: EveStrategy, n: np.ndarray, pmf: np.ndarray,
     photons sent with probability pmf[c] and the session's
     ``protocols.StateTable``; nothing is drawn, cells of probability 0 are
     left out, and the integer arrays take n's dtype, which must hold
-    -len(pmf).  intercept_resend forwards one photon of every
-    non-vacuum pulse: Eve's ideal detector always fires.  beam_split holds
-    k ~ Binomial(n, tap) photons (``_held_counts``), recorded as
-    HELD + 1 - k, and forwards the rest over a line of transmittance
-    eta / (1 - tap), keeping Bob's eta.  pns holds one photon of every
-    multi-photon pulse, forwards the rest losslessly and blocks single
-    photons with block_single_prob.  usd_b92 discriminates the two states
-    Alice sends (it refuses a table with any other count), succeeding on a
-    non-vacuum pulse with 1 - overlap, and forwards one photon of each
-    success over a line that keeps the honest detection rate
-    (transmittance eta / (1 - overlap), while below 1).
+    -len(pmf).  intercept_resend forwards one photon of every non-vacuum
+    pulse: Eve's ideal detector always fires.  beam_split holds
+    k ~ Binomial(n, tap) photons (``_held_counts``), one row per source
+    cell, recorded as HELD + 1 - k, and forwards the rest over a line of
+    transmittance eta / (1 - tap), keeping Bob's eta.  pns holds one
+    photon of every multi-photon pulse, forwards the rest losslessly and
+    blocks single photons with block_single_prob.  usd_b92 discriminates
+    the two states Alice sends (it refuses a table with any other count),
+    succeeding on a non-vacuum pulse with 1 - overlap, and forwards one
+    photon of each success over a line that keeps the honest detection
+    rate (transmittance eta / (1 - overlap), while below 1).
     """
     eta, kind, dtype = ch.transmittance, strategy.kind, n.dtype
     cell = np.arange(len(pmf))
@@ -145,11 +139,14 @@ def attack_batch(strategy: EveStrategy, n: np.ndarray, pmf: np.ndarray,
         if tap > 1.0 - eta + 1e-12:
             raise ValueError(
                 f"tap_ratio {tap} exceeds the channel loss 1 - eta = {1 - eta}")
-        cell, k, p = (np.concatenate(x) for x in zip(*(
-            (np.full(k.size, c), k, pmf[c] * p) for c in np.flatnonzero(pmf)
-            for k, p in [_held_counts(n[c], tap)])))
+        rows = []
+        for c in np.flatnonzero(pmf):
+            k, p = _held_counts(n[c], tap)
+            rows.append((np.full(k.size, c, dtype), k.astype(dtype),
+                         pmf[c] * p))
+        cell, k, pmf = (np.concatenate(x) for x in zip(*rows))
         eta = min(1.0, eta / (1.0 - tap)) if tap < 1.0 else 1.0
-        n, seen, pmf = n[cell] - k, np.where(k > 0, HELD + 1 - k, NOTHING), p
+        n, seen = n[cell] - k, np.where(k > 0, HELD + 1 - k, NOTHING)
     elif kind == "pns":
         q = strategy.block_single_prob * (n == 1)
         n, seen, eta = n - (n >= 2), np.where(n >= 2, HELD, NOTHING), 1.0
@@ -160,12 +157,14 @@ def attack_batch(strategy: EveStrategy, n: np.ndarray, pmf: np.ndarray,
         p_succ = 1.0 - table.overlap[sends[0], sends[1]]
         q = 1.0 - p_succ * (n > 0)
         n, eta = np.minimum(n, 1), min(1.0, eta / p_succ)
-    # each cell goes on with 1 - q, or is stopped with q: nothing forwarded
-    cells = (np.tile(cell, 2), np.concatenate((n, 0 * n)),
-             np.tile(seen, 2), np.concatenate((pmf * (1 - q), pmf * q)))
-    keep = np.flatnonzero(cells[-1] > 0)
-    return BatchAttack(*(x.take(keep).astype(dtype) for x in cells[:3]),
-                       cells[-1].take(keep), eta)
+    # each cell goes on with 1 - q; a stopped copy of it follows where
+    # q > 0 (pns's blocked singles, usd's failures), forwarding nothing
+    go, stop = pmf * (1 - q) > 0, pmf * q > 0
+    return BatchAttack(np.concatenate((cell[go], cell[stop])).astype(dtype),
+                       np.concatenate((n[go], 0 * n[stop])).astype(dtype),
+                       np.concatenate((seen[go], seen[stop])).astype(dtype),
+                       np.concatenate(((pmf * (1 - q))[go],
+                                       (pmf * q)[stop])), eta)
 
 
 def resend_batch(strategy: EveStrategy, n: np.ndarray, fwd: np.ndarray,

@@ -17,20 +17,19 @@ E91 prepares the states of three angles per side (Ekert, PRL 67, 661,
 Every session is deterministic given its generator and returns a
 ``SessionTranscript``.
 
-Slice rule: pulses are independent and identically distributed, so a
-session draws how many click once, C ~ Binomial(N, P(click)) (C = N, with
-no draw, when P(click) is 1), from the attack's law of each source cell's
-forwarded photons and Eve's record (``adversary.attack_batch``), weighted
-by ``click_law``'s 1 - law[0] at the forwarded count, which no state or
-basis changes.  The clicks alone are drawn, in slices of at most
-``quantum.CHUNK``, each carried from source to sifted key before the next:
-joint cells from the law given a click, one uniform u each, Alice's bit
-and basis, Bob's basis, the attack's state part, and Bob's outcome from u
-and the thresholds given a click.  The sifted bits, Bob's bits and Eve's
-known mask, kept through one gather, and the counts alone outlive the
-slice, so memory grows with the sifted key and time with the clicks, not
-the pulse count.  Decoy sessions count detections from the clicked cells,
-and split the N - C other pulses by each intensity's no-click mass.
+Slice rule: pulses are i.i.d., so a session draws how many click once,
+C ~ Binomial(N, P(click)) (C = N, with no draw, when P(click) is 1), from
+the attack's law of each source cell's forwarded photons and Eve's record
+(``adversary.attack_batch``) weighted by ``click_law``'s 1 - law[0] at
+the forwarded count, which no state or basis changes.  Only the clicks are
+drawn, in slices of at most ``quantum.CHUNK``, each carried from source
+to sifted key before the next: joint cells from the law given a click, a
+uniform u each, Alice's bit and basis, Bob's basis, the attack's state
+part, and Bob's outcome from u and the thresholds given a click.  Only
+the sifted bits, Bob's bits and Eve's known mask (one gather) and the
+counts outlive a slice: memory grows with the sifted key and time with
+the clicks.  Decoy sessions count detections from the clicked cells, and
+split the N - C other pulses by each intensity's no-click mass.
 """
 
 from __future__ import annotations
@@ -374,6 +373,7 @@ def _run_prepare_measure(spec: PrepareMeasureSpec, cfg: ProtocolConfig,
     p_click = min(1.0, weight.sum() / atk.prob.sum())
     clicks = (cfg.num_pulses if p_click == 1.0
               else int(rng.binomial(cfg.num_pulses, p_click)))
+    weight /= p_click or 1.0        # P(cell | click); unread at no click
     sent_n = photons.take(atk.cell)
     # a session with no click still ends with empty keys and tallies
     kept, decoy_clicks = [(np.zeros(0, np.int8),) * 3], 0
@@ -383,7 +383,7 @@ def _run_prepare_measure(spec: PrepareMeasureSpec, cfg: ProtocolConfig,
 
     for lo in range(0, clicks, CHUNK):
         m = min(CHUNK, clicks - lo)
-        cells = sample_photon_number(weight / p_click, rng, m)
+        cells = sample_photon_number(weight, rng, m)
         u = rng.random(m)
         n, fwd, held = (x.take(cells) for x in (sent_n, atk.n, atk.eve_seen))
         bits = random_index(m, 2, rng)

@@ -190,20 +190,29 @@ class SourceModel:
         return table[n] if n < len(table) else 0.0
 
 
+def fold_tails(p: np.ndarray) -> tuple[int, np.ndarray]:
+    """(lo, p[lo:hi + 1]), each tail folded into its last kept cell: lo is
+    the last cell with sum_{k < lo} p(k) < 2^-53, and hi the first with
+    sum_{k > hi} p(k) < 2^-53."""
+    lo, hi = np.flatnonzero((np.cumsum(p) >= 2.0 ** -53) & (
+        np.cumsum(p[::-1])[::-1] >= 2.0 ** -53))[[0, -1]]
+    out = p[lo:hi + 1].copy()
+    out[-1] = p[hi:].sum()
+    out[0] += p[:lo].sum()
+    return int(lo), out
+
+
 def photon_pmf(src: SourceModel) -> np.ndarray:
-    """p(n) for n = 0..n_max, n_max the first count whose remaining mass
-    sum_{n > n_max} p(n) is below 2^-53; that mass is folded into p(n_max).
-    A laser's tail is summed to mu + 10 sqrt(mu) + 40 (past it, < 1e-30),
-    and a table of more than 10^4 counts is refused."""
+    """p(n) for n = 0..n_max, each tail below 2^-53 folded (``fold_tails``;
+    the counts below the left one read 0).  A laser's tail is summed to
+    mu + 10 sqrt(mu) + 40 (past it, < 1e-30), and a table of more than
+    10^4 counts is refused."""
     cap = (int(src.mu + 10 * math.sqrt(src.mu) + 40)
            if src.kind == "attenuated_laser" else 2)
     if cap > 10 ** 4:
         raise ValueError(f"mu = {src.mu} is too large (> 10^4 photon counts)")
-    pmf = np.array([src.pmf(n) for n in range(cap + 1)])
-    rest = np.cumsum(pmf[::-1])[-2::-1]     # rest[n] = sum_{k > n} p(k)
-    n_max = int(np.count_nonzero(rest >= 2.0 ** -53))
-    pmf[n_max] = pmf[n_max:].sum()
-    return pmf[:n_max + 1]
+    lo, pmf = fold_tails(np.array([src.pmf(n) for n in range(cap + 1)]))
+    return np.concatenate((np.zeros(lo), pmf))
 
 
 def sample_photon_number(pmf: np.ndarray, rng: np.random.Generator,

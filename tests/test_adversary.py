@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -196,8 +197,10 @@ def test_beam_split_records_the_photons_it_holds():
     # not hold goes on, and the line draws its loss
     ch = ChannelModel(length_km=30.0, attenuation_db_per_km=0.2)
     pmf = photon_pmf(SourceModel.laser(2.0))
-    law = attack_batch(EveStrategy("beam_split"), np.arange(pmf.size), pmf,
-                       BB84, ch)
+    law = attack_batch(EveStrategy("beam_split"),
+                       np.arange(pmf.size, dtype=np.int8), pmf, BB84, ch)
+    # the records keep the narrow type of the cells they were given
+    assert law.cell.dtype == law.n.dtype == law.eve_seen.dtype == np.int8
     k = law.cell - law.n
     assert (k >= 3).any() and law.transmittance == 1.0
     assert np.array_equal(law.eve_seen, np.where(k >= 1, HELD + 1 - k,
@@ -222,7 +225,9 @@ def _strategy_cases():
 @pytest.mark.parametrize("eve, table, src, ch", list(_strategy_cases()))
 def test_attack_law_sums_back_to_the_source_pmf(eve, table, src, ch):
     pmf = photon_pmf(src)
-    law = attack_batch(eve, np.arange(pmf.size), pmf, table, ch)
+    law = attack_batch(eve, np.arange(pmf.size, dtype=np.int8), pmf, table,
+                       ch)
+    assert law.cell.dtype == law.n.dtype == law.eve_seen.dtype == np.int8
     assert (law.prob > 0).all()
     np.testing.assert_allclose(np.bincount(law.cell, law.prob, pmf.size),
                                pmf, rtol=0, atol=1e-12)
@@ -260,6 +265,27 @@ def test_beam_split_table_stays_small_at_the_largest_counts():
     sd = np.sqrt(np.arange(rows.size) * tap * (1 - tap))
     assert (rows <= 17 * sd + 3).all()
     assert law.prob.size < pmf.size * (pmf.size + 1) // 2 // 3
+    np.testing.assert_allclose(np.bincount(law.cell, law.prob, pmf.size),
+                               pmf, rtol=0, atol=1e-12)
+
+
+def test_beam_split_law_at_the_largest_mu_stays_bounded():
+    # mu = 9000 is near the 10^4 counts photon_pmf accepts.  It folds the
+    # source's left tail below 2^-53 too, so the rows span 16.4 sd of the
+    # source, not the 44 sd down to where p(n) underflows, and building
+    # the law peaks at ~52 bytes per joint cell (without the fold, and
+    # with every row and both halves in int64: 3.0e6 cells, 361 MiB)
+    ch = ChannelModel(length_km=15.0, attenuation_db_per_km=0.2)
+    pmf = photon_pmf(SourceModel.laser(9000.0))
+    cells = np.arange(pmf.size, dtype=np.min_scalar_type(-pmf.size))
+    tracemalloc.start()
+    try:
+        law = attack_batch(EveStrategy("beam_split"), cells, pmf, BB84, ch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.unique(law.cell).size <= 18 * math.sqrt(9000.0)
+    assert peak < 64 * law.prob.size
     np.testing.assert_allclose(np.bincount(law.cell, law.prob, pmf.size),
                                pmf, rtol=0, atol=1e-12)
 

@@ -79,9 +79,23 @@ def test_photon_pmf_truncated_tail_is_below_the_bound(src):
     # one count earlier the remaining mass is not yet below the bound
     assert n_max == 0 or tail + src.pmf(n_max) >= 2.0 ** -53
     assert pmf[:-1].tolist() == [src.pmf(n) for n in range(n_max)]
-    assert pmf[-1] == pytest.approx(src.pmf(n_max) + tail, rel=1e-12)
+    assert pmf[-1] == pytest.approx(src.pmf(n_max) + tail, rel=1e-12,
+                                    abs=0)
     draws = sample_photon_number(pmf, derive_rng(15), size=100000)
     assert draws.min() >= 0 and draws.max() <= n_max
+
+
+@pytest.mark.parametrize("mu", [40.0, 120.0, 9000.0])
+def test_photon_pmf_folds_the_left_tail_below_the_bound(mu):
+    src = SourceModel.laser(mu)
+    pmf = photon_pmf(src)
+    lo = int(np.flatnonzero(pmf)[0])
+    head = math.fsum(src.pmf(n) for n in range(lo))
+    # one count later the mass before it is no longer below the bound
+    assert lo > 0 and head < 2.0 ** -53 <= head + src.pmf(lo)
+    assert pmf[lo] == pytest.approx(src.pmf(lo) + head, rel=1e-12, abs=0)
+    assert pmf[lo + 1:-1].tolist() == [src.pmf(n)
+                                       for n in range(lo + 1, pmf.size - 1)]
 
 
 @pytest.mark.parametrize("pmf", [photon_pmf(SourceModel.ideal()),
