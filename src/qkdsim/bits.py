@@ -118,8 +118,17 @@ def random_bits(n: int, rng: np.random.Generator) -> BitString:
     return BitString._from_packed(random_packed(n, rng), n)
 
 
-def random_index(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    """n uniform int8 indices into range(k); one packed bit each if k = 2."""
+def random_index(n: int, k: int, rng: np.random.Generator,
+                 primary: float | None = None) -> np.ndarray:
+    """n int8 indices into range(k): uniform, one packed bit each if k = 2;
+    or, given `primary`, index 0 with that probability and the rest
+    uniform."""
+    if primary is not None:
+        out = (rng.random(n) >= primary).astype(np.int8)
+        if k > 2:
+            idx = np.flatnonzero(out)
+            out[idx] += rng.integers(0, k - 1, size=idx.size, dtype=np.int8)
+        return out
     if k == 2:
         return np.unpackbits(random_packed(n, rng), count=n).view(np.int8)
     return rng.integers(0, k, size=n, dtype=np.int8)

@@ -170,20 +170,17 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_rates(args) -> int:
+    params = {"epsilon": args.epsilon, "mu": args.mu, "eta": args.eta,
+              "p_dark": args.p_dark, "overlap": args.overlap}
     try:
-        report = evaluate_rates(epsilon=args.epsilon, mu=args.mu,
-                                eta=args.eta, p_dark=args.p_dark,
-                                overlap=args.overlap)
+        report = evaluate_rates(**params)
     except ValueError as exc:
         raise ConfigError(f"rates: {exc}") from None
     if args.format == "csv":
         text = ",".join(RATE_CSV_HEADER) + "\n" + ",".join(report.csv_row()) \
             + "\n"
     elif args.format == "json":
-        text = json.dumps({"params": {"epsilon": args.epsilon, "mu": args.mu,
-                                      "eta": args.eta, "p_dark": args.p_dark,
-                                      "overlap": args.overlap},
-                           "values": report.values},
+        text = json.dumps({"params": params, "values": report.values},
                           indent=2, sort_keys=True) + "\n"
     else:
         text = report.to_text() + "\n"

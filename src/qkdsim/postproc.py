@@ -67,9 +67,8 @@ def estimate_qber(alice: BitString, bob: BitString, sample_fraction: float,
     if m == 0 or n == 0:
         raise ValueError("sample is empty")
     positions = rng.choice(n, size=m, replace=False)
-    a = alice.to_array()[positions]
-    b = bob.to_array()[positions]
-    return float((a != b).mean()), np.sort(positions)
+    return (float((alice ^ bob).to_array()[positions].mean()),
+            np.sort(positions))
 
 
 def remove_positions(key: BitString, positions: np.ndarray) -> BitString:

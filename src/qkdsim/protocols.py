@@ -34,7 +34,6 @@ split the N - C other pulses by each intensity's no-click mass.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -137,10 +136,6 @@ class SessionTranscript:
                 "|".join(k): {"count": int(v.size), "sum": int(v.sum())}
                 for k, v in self.chsh_samples.items()}
         return out
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh)
 
 
 # ---------------------------------------------------------------------------
@@ -248,19 +243,6 @@ _SARG_PAIRS = np.array([[0, 2], [1, 3], [2, 0], [3, 1]])
 # ---------------------------------------------------------------------------
 # prepare-and-measure engine
 # ---------------------------------------------------------------------------
-
-def _biased_choice(rng, n, num_options, primary_prob):
-    """Index array: option 0 with primary_prob, the rest uniform."""
-    if primary_prob is None:
-        return random_index(n, num_options, rng)
-    rest = rng.random(n) >= primary_prob
-    out = rest.astype(np.int8)
-    if num_options > 2:
-        idx = np.flatnonzero(rest)
-        out[idx] += rng.integers(0, num_options - 1, size=idx.size,
-                                 dtype=np.int8)
-    return out
-
 
 def _decoy_photons(cfg, src):
     """Randomly interleaved decoy pulses; the source fixes the emitter
@@ -387,8 +369,8 @@ def _run_prepare_measure(spec: PrepareMeasureSpec, cfg: ProtocolConfig,
         u = rng.random(m)
         n, fwd, held = (x.take(cells) for x in (sent_n, atk.n, atk.eve_seen))
         bits = random_index(m, 2, rng)
-        a_bases = _biased_choice(rng, m, alice_bases, cfg.basis_bias)
-        b_bases = _biased_choice(rng, m, len(table.bases), cfg.basis_bias)
+        a_bases = random_index(m, alice_bases, rng, cfg.basis_bias)
+        b_bases = random_index(m, len(table.bases), rng, cfg.basis_bias)
         sent = 2 * a_bases + bits
         state, eve_seen = adversary.resend_batch(eve, n, fwd, held, sent,
                                                  table, rng)

@@ -26,7 +26,7 @@ import numpy as np
 
 NO_CLICK = -1  # detection outcome: neither logical detector fired
 CHUNK = 1 << 16  # detected pulses per session slice (see protocols)
-_GUIDE_BITS, _GUIDE = 10, 1 << 10  # buckets of sample_photon_number
+_GUIDE = 1 << 10  # buckets of sample_photon_number
 
 _NORM_TOL = 1e-12
 
@@ -219,28 +219,23 @@ def sample_photon_number(pmf: np.ndarray, rng: np.random.Generator,
                          size: int) -> np.ndarray:
     """Draw the cells of `size` pulses from `pmf` (a ``photon_pmf``, or a
     session's law given a click) in the smallest signed type that holds
-    -len(pmf): one uniform u per pulse inverts the cumulative pmf, and
-    nothing is drawn when one cell holds all the mass.  u is the top 53
-    bits of a 64-bit draw over 2^53 (``rng.random()`` on a PCG64 engine),
-    so its bucket floor(u _GUIDE) is the top bits.  A guide table (Chen &
-    Asau, 1974) gives the bucket's cell when no edge of the cumulative pmf
-    lies inside it, and binary-searches u otherwise: each u gets a binary
-    search's cell."""
-    cells = np.flatnonzero(pmf)
+    -len(pmf): one uniform u = ``rng.random()`` per pulse inverts the
+    cumulative pmf, and nothing is drawn when one cell holds all the mass.
+    A guide table (Chen & Asau, 1974) gives the cell of u's bucket
+    floor(u _GUIDE) when no edge of the cumulative pmf lies in it, and
+    binary-searches u otherwise: each u gets a binary search's cell."""
     dtype = np.min_scalar_type(-len(pmf))
-    if cells.size == 1:
-        return np.full(size, cells[0], dtype=dtype)
+    if np.count_nonzero(pmf) == 1:
+        return np.full(size, pmf.argmax(), dtype=dtype)
     edges = np.cumsum(pmf)[:-1]
-    bounds = np.arange(_GUIDE + 1) / _GUIDE
-    first = np.searchsorted(edges, bounds[:-1], side="right")
-    # bucket j's cell, or -1 when an edge lies inside (j, j + 1) / _GUIDE
-    guide = np.where(first == np.searchsorted(edges, bounds[1:]),
-                     first, -1).astype(dtype)
-    raw = rng.integers(0, 1 << 64, size, dtype=np.uint64)
-    out = guide.take((raw >> (64 - _GUIDE_BITS)).view(np.int64))
+    first = np.searchsorted(edges, np.arange(_GUIDE + 1) / _GUIDE,
+                            side="right")
+    # bucket j's cell, or -1 when an edge lies in (j, j + 1] / _GUIDE
+    guide = np.where(first[:-1] == first[1:], first[:-1], -1).astype(dtype)
+    u = rng.random(size)
+    out = guide.take((u * _GUIDE).astype(np.intp))
     split = np.flatnonzero(out < 0)
-    out[split] = np.searchsorted(edges, (raw.take(split) >> 11) * 2.0 ** -53,
-                                 side="right")
+    out[split] = np.searchsorted(edges, u.take(split), side="right")
     return out
 
 
