@@ -2,8 +2,11 @@
 
 Three families are pinned:
 
-* the CLI's ``run`` (text and JSON), ``sweep`` and ``bell`` output for the
-  three bundled scenarios, with exit code and stderr;
+* the CLI's ``run`` (text and JSON), ``sweep`` and ``bell`` (JSON) output
+  for the three bundled scenarios, ``bell e91_honest.cfg`` as text, and
+  ``rates`` as text, CSV and JSON for the README's example with and
+  without ``--overlap 0.7``, plus the refusal ``rates --eta 7``, each with
+  exit code and stderr;
 * a protocol x Eve x source matrix of session transcripts, one digest per
   protocol over ``to_dict()``: the sifted keys and Eve's known bits of
   them as hex, the pulse, detection and sift counts, the decoy intensity
@@ -56,6 +59,12 @@ CHANNEL = ChannelModel(length_km=30.0, attenuation_db_per_km=0.2,
 DETECTOR = DetectorModel(efficiency=0.8, dark_prob=0.01)
 PULSES = 1500
 
+# the README's rates example, and the same with a B92 state overlap
+README_RATES = ("--epsilon", "0.05", "--mu", "0.1", "--eta", "0.1",
+                "--p-dark", "1e-5")
+RATES_ARGV = {"readme": README_RATES,
+              "readme overlap": README_RATES + ("--overlap", "0.7")}
+
 GOLDEN_CLI = {
     "run bb84_honest.cfg text":
         "ad350f298e80464d3dc786e9e392985f2943fa89cde4b42de3d3b7dc0866017d",
@@ -81,6 +90,22 @@ GOLDEN_CLI = {
         "bb19ea53e95b23f432085c5402b63fc9afaa8a65bfe28801280963520d1c3603",
     "bell e91_honest.cfg":
         "d0ab1ae11fb7d385e5b6dc80004c6bc94cb0e72c25c83eb8bfd42701e126651a",
+    "bell e91_honest.cfg text":
+        "0e9e4a5087cc4b217158f3e97cd0cb1dfc26158d5309b5b3460b9b697fde658f",
+    "rates readme text":
+        "65251f537950e4e495da233126a8f137fbf25b22e0a67d182fb6ab24050ce0f7",
+    "rates readme csv":
+        "5dbc4e2fb373666c82fcdfccd0caa0085e5a2036ebf241e99da0d8dbddba4d00",
+    "rates readme json":
+        "a3f634c4c0c8f1eb1036648a9f6ac47ad178d0557a5de6de585dbb213a11b691",
+    "rates readme overlap text":
+        "5e9e49e29a5c6e33397b8013e7a8a4584e42cc6b73e625cffd48ab8a434f3e24",
+    "rates readme overlap csv":
+        "0173d98f9ec1672de1ff22589a3e67145e8870be9e70cbfa6965dc61ffb10409",
+    "rates readme overlap json":
+        "f0c2bf834c19c06f409a34b2c6d55964a44696259c95fe2f6585b3d977be4b72",
+    "rates --eta 7":
+        "51f9c8746163f409fe2c269ace189cff8505aa1054bcc49411666067c2e38505",
 }
 
 GOLDEN_TRANSCRIPTS = {
@@ -106,6 +131,11 @@ def _cli_cases():
                                 "--axis", "length_km", "--start", "0",
                                 "--stop", "40", "--steps", "3"]
         yield f"bell {name}", ["bell", path, "--format", "json"]
+    yield "bell e91_honest.cfg text", ["bell", "bundled:e91_honest.cfg"]
+    for label, argv in RATES_ARGV.items():
+        for fmt in ("text", "csv", "json"):
+            yield f"rates {label} {fmt}", ["rates", *argv, "--format", fmt]
+    yield "rates --eta 7", ["rates", "--eta", "7"]
 
 
 def _transcript_blob(protocol, eve, src, bias) -> bytes:
