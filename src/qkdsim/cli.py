@@ -6,8 +6,10 @@ Verbs:
   rates              closed-form rate table, no simulation
   bell   <scenario>  CHSH estimate from an entanglement scenario
 
-Exit codes: 0 success with key, 2 protocol abort, 1 usage or config error.
-Scenario files are read by ``qkdsim.scenario``.
+Each verb returns its report and exit code; ``main`` writes the report to
+stdout or ``--out``.  Exit codes: 0 success with key, 2 protocol abort (or
+argparse's usage error), 1 config error, reported as ``error: <where>:
+<reason>``.  Scenario files are read by ``qkdsim.scenario``.
 """
 
 from __future__ import annotations
@@ -25,20 +27,18 @@ from .postproc import FinalKeyResult
 from .protocols import SessionTranscript
 from .quantum import SourceModel
 from .rates import RateReport, evaluate_rates
-from .scenario import (ConfigError, Scenario, _message, load_scenario,
+from .scenario import (ConfigError, Scenario, _build, _message, load_scenario,
                        scenario_rates, simulate)
 
 
 # ---------------------------------------------------------------------------
-# report assembly
+# report assembly: one writer per format
 # ---------------------------------------------------------------------------
 
 def _chsh(transcript: SessionTranscript) -> tuple[float, float]:
     """CHSH estimate; a setting pair with no samples is a scenario error."""
-    try:
-        return bell_mod.chsh_estimate(transcript.chsh_samples, min_count=1)
-    except ValueError as exc:
-        raise ConfigError(f"chsh: {exc}") from None
+    return _build("chsh", bell_mod.chsh_estimate, transcript.chsh_samples,
+                  min_count=1)
 
 
 def session_report(scenario: Scenario, transcript: SessionTranscript,
@@ -71,8 +71,10 @@ def session_report(scenario: Scenario, transcript: SessionTranscript,
     return report
 
 
-def _report_text(report: dict, rates: RateReport) -> str:
-    lines = ["session report"]
+def _text(title: str, report: dict) -> str:
+    """``title``, then ``key = value`` per entry, a nested dict indented
+    under its key."""
+    lines = [title]
     for key, val in report.items():
         if isinstance(val, dict):
             lines.append(f"  {key}:")
@@ -80,43 +82,35 @@ def _report_text(report: dict, rates: RateReport) -> str:
                 lines.append(f"    {k2} = {v2!r}")
         else:
             lines.append(f"  {key} = {val!r}")
-    lines.append(rates.to_text())
     return "\n".join(lines) + "\n"
 
 
-def _emit(text: str, out: Optional[str]) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text)
+def _json(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _csv(header, rows) -> str:
+    return "".join(",".join(row) + "\n" for row in [header, *rows])
 
 
 # ---------------------------------------------------------------------------
 # verbs
 # ---------------------------------------------------------------------------
 
-def cmd_run(args) -> int:
+def cmd_run(args) -> tuple[str, int]:
     scenario = load_scenario(args.scenario, args.seed, args.pulses)
     transcript, result = simulate(scenario)
     report = session_report(scenario, transcript, result)
     rates = scenario_rates(scenario, result.qber_estimate)
-    if args.format == "json":
-        payload = dict(report)
-        payload["rates"] = rates.values
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    else:
-        text = _report_text(report, rates)
-    _emit(text, args.out)
-    return 0 if result.final_key is not None else 2
+    text = (_json(dict(report, rates=rates.values)) if args.format == "json"
+            else _text("session report", report) + rates.to_text() + "\n")
+    return text, 0 if result.final_key is not None else 2
 
 
 SWEEP_AXES = ("length_km", "mu", "epsilon")
-
-RATE_CSV_HEADER = [f"{c}_{suffix}" for c in RateReport.CSV_COLUMNS
-                   for suffix in ("raw", "clamped")]
-SWEEP_CSV_HEADER = ["axis", "axis_value", "seed", "sifted_fraction",
-                    "qber_sifted", "sim_key_rate_per_pulse"] + RATE_CSV_HEADER
+SWEEP_CSV_HEADER = (("axis", "axis_value", "seed", "sifted_fraction",
+                     "qber_sifted", "sim_key_rate_per_pulse")
+                    + RateReport.CSV_HEADER)
 
 
 def _apply_axis(scenario: Scenario, axis: str, value: float) -> Scenario:
@@ -137,7 +131,7 @@ def _apply_axis(scenario: Scenario, axis: str, value: float) -> Scenario:
     raise ConfigError(f"axis: unknown axis {axis!r}")
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> tuple[str, int]:
     base = load_scenario(args.scenario, args.seed, args.pulses)
     if args.steps < 1:
         raise ConfigError("steps: must be >= 1")
@@ -149,46 +143,34 @@ def cmd_sweep(args) -> int:
                 raise ConfigError(f"--{name}: must be finite with --steps "
                                   f">= 2, got {getattr(args, name)!r}")
         values = np.linspace(args.start, args.stop, args.steps)
-    rows = [",".join(SWEEP_CSV_HEADER)]
+    rows = []
     for i, value in enumerate(values.tolist()):
-        try:
-            point = _apply_axis(base, args.axis, value)
-        except ValueError as exc:   # the value is out of the model's range
-            raise ConfigError(f"{args.axis} = {value!r}: {exc}") from None
+        point = _build(f"{args.axis} = {value!r}", _apply_axis, base,
+                       args.axis, value)
         transcript, result = simulate(point, i)
         rate = result.final_length / transcript.pulse_count \
             if transcript.pulse_count else 0.0
         eps = result.qber_estimate if args.axis != "epsilon" else value
         rates = scenario_rates(point, eps)
-        row = [args.axis, repr(value), str(base.seed),
-               repr(transcript.sifted_fraction),
-               "" if transcript.qber is None else repr(transcript.qber),
-               repr(rate)] + rates.csv_row()
-        rows.append(",".join(row))
-    _emit("\n".join(rows) + "\n", args.out)
-    return 0
+        rows.append([args.axis, repr(value), str(base.seed),
+                     repr(transcript.sifted_fraction),
+                     "" if transcript.qber is None else repr(transcript.qber),
+                     repr(rate)] + rates.csv_row())
+    return _csv(SWEEP_CSV_HEADER, rows), 0
 
 
-def cmd_rates(args) -> int:
-    params = {"epsilon": args.epsilon, "mu": args.mu, "eta": args.eta,
-              "p_dark": args.p_dark, "overlap": args.overlap}
-    try:
-        report = evaluate_rates(**params)
-    except ValueError as exc:
-        raise ConfigError(f"rates: {exc}") from None
+def cmd_rates(args) -> tuple[str, int]:
+    report = _build("rates", evaluate_rates, epsilon=args.epsilon,
+                    mu=args.mu, eta=args.eta, p_dark=args.p_dark,
+                    overlap=args.overlap)
     if args.format == "csv":
-        text = ",".join(RATE_CSV_HEADER) + "\n" + ",".join(report.csv_row()) \
-            + "\n"
-    elif args.format == "json":
-        text = json.dumps({"params": params, "values": report.values},
-                          indent=2, sort_keys=True) + "\n"
-    else:
-        text = report.to_text() + "\n"
-    _emit(text, args.out)
-    return 0
+        return _csv(RateReport.CSV_HEADER, [report.csv_row()]), 0
+    if args.format == "json":
+        return _json({"params": report.params, "values": report.values}), 0
+    return report.to_text() + "\n", 0
 
 
-def cmd_bell(args) -> int:
+def cmd_bell(args) -> tuple[str, int]:
     scenario = load_scenario(args.scenario, args.seed, args.pulses)
     if scenario.protocol_config.protocol != "e91":
         raise ConfigError("protocol: bell requires an e91 scenario")
@@ -204,13 +186,8 @@ def cmd_bell(args) -> int:
         "classical_limit": 2.0,
         "violates_classical": s_hat > 2.0,
     }
-    if args.format == "json":
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    else:
-        lines = ["chsh report"] + [f"  {k} = {v!r}" for k, v in payload.items()]
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
-    return 0
+    return (_json(payload) if args.format == "json"
+            else _text("chsh report", payload)), 0
 
 
 # ---------------------------------------------------------------------------
@@ -265,10 +242,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        text, code = args.func(args)
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        return code
     except (ConfigError, OSError, KeyError) as exc:
         print(f"error: {_message(exc)}", file=sys.stderr)
         return 1

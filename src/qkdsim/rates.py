@@ -264,19 +264,19 @@ def decoy_estimate(Q_signal: float, Q_decoy: float, mu_s: float, mu_d: float,
 
 @dataclass
 class RateReport:
-    """Every applicable closed-form rate/bound at one parameter point.
-    Raw values may be negative ('no secure key'); reports clamp them at 0."""
+    """Every applicable closed-form rate/bound at one parameter point:
+    ``params`` holds the inputs (epsilon, mu, eta, p_dark, overlap; None
+    where not given), ``values`` the rates.  Raw values may be negative
+    ('no secure key'); reports clamp them at 0."""
 
-    epsilon: Optional[float] = None
-    mu: Optional[float] = None
-    eta: Optional[float] = None
-    p_dark: float = 0.0
-    overlap: Optional[float] = None
+    params: dict
     values: dict = field(default_factory=dict)
 
     CSV_COLUMNS = ("r_mayers", "r_shor_preskill", "r_six_state", "r_gllp",
                    "r_gllp_per_pulse", "bound_beamsplit", "bound_pns",
                    "usd_threshold", "gain_Qmu")
+    CSV_HEADER = tuple(f"{c}_{suffix}" for c in CSV_COLUMNS
+                       for suffix in ("raw", "clamped"))
 
     def csv_row(self) -> list:
         row = []
@@ -288,9 +288,7 @@ class RateReport:
 
     def to_text(self) -> str:
         lines = ["rate report"]
-        params = {"epsilon": self.epsilon, "mu": self.mu, "eta": self.eta,
-                  "p_dark": self.p_dark, "overlap": self.overlap}
-        for k, v in params.items():
+        for k, v in self.params.items():
             if v is not None:
                 lines.append(f"  {k} = {v!r}")
         for k in sorted(self.values):
@@ -313,8 +311,8 @@ def evaluate_rates(epsilon: Optional[float] = None, mu: Optional[float] = None,
         raise ValueError("mu must be finite and > 0")
     if eta is not None and not 0.0 <= eta <= 1.0:
         raise ValueError("eta must lie in [0, 1]")
-    report = RateReport(epsilon=epsilon, mu=mu, eta=eta, p_dark=p_dark,
-                        overlap=overlap)
+    report = RateReport(dict(epsilon=epsilon, mu=mu, eta=eta, p_dark=p_dark,
+                             overlap=overlap))
     vals = report.values
     if epsilon is not None:
         if epsilon <= 0.25:

@@ -8,6 +8,9 @@ margin key - (sifted - Eve-known - leaked) is positive.
 The sweep is every protocol x source x attack cell below, each run by
 ``simulate`` on 4e5 pulses over 50 km of ``fiber_1550`` with seed 7 and
 the default detector and pipeline; cells the runner refuses are skipped.
+The laser cells run at mu = 0.5, except decoy BB84's: ``decoy_bb84``
+does not read the source's mu and runs at its defaults, ``signal_mu``
+0.8 with a 0.12 decoy.
 The cells, pulse count and seed are fixed: a change of the simulator's
 outputs re-records the list, it never re-seeds or resizes the sweep.
 

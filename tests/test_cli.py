@@ -389,15 +389,27 @@ def test_run_intercept_aborts_with_exit_two(capsys):
     ({"protocol": "b92", "decoy_fraction": 0.3},
      "protocol: decoy_fraction is not used by b92"),
 ])
-def test_scenario_refused_by_runner_is_clean_error(tmp_path, scenario,
-                                                   message):
+def test_scenario_refused_by_runner_is_clean_error(tmp_path, capsys,
+                                                   scenario, message):
     path = write_scenario(tmp_path, dict(BASE, **{"num_pulses": 2000,
                                                   **scenario}))
+    code, _, err = run_cli(capsys, "run", path)
+    assert code == 1
+    assert err.startswith(f"error: {message}")
+    assert "Traceback" not in err
+
+
+def test_module_entry_refuses_cleanly_in_a_fresh_interpreter(tmp_path):
+    # the other refusal tests call cli.main in-process; this one runs
+    # ``python -m qkdsim.cli`` for the module entry point, its exit code
+    # and a stderr with no traceback
+    path = write_scenario(tmp_path, dict(BASE, protocol="decoy_bb84",
+                                         num_pulses=2000))
     proc = run_python(["-m", "qkdsim.cli", "run", path], cwd=tmp_path,
                       pythonpath=str(PACKAGE.parent))
-    assert proc.returncode == 1
-    assert proc.stderr.startswith(f"error: {message}")
-    assert "Traceback" not in proc.stderr
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == ("error: decoy_bb84 requires an attenuated_laser "
+                           "source\n")
 
 
 # every bit randomized on the line: the estimated error rate lands near 0.5
@@ -508,12 +520,10 @@ def test_run_pulses_override(tmp_path, capsys):
     ("--pulses", "protocol: num_pulses must be >= 0"),
     ("--seed", "scenario: seed must be a non-negative integer, got -3"),
 ])
-def test_negative_override_is_clean_error(tmp_path, flag, message):
+def test_negative_override_is_clean_error(tmp_path, capsys, flag, message):
     path = write_scenario(tmp_path, BASE)
-    proc = run_python(["-m", "qkdsim.cli", "run", path, flag, "-3"],
-                      cwd=tmp_path, pythonpath=str(PACKAGE.parent))
-    assert proc.returncode == 1 and proc.stdout == ""
-    assert proc.stderr == f"error: {message}\n"
+    assert run_cli(capsys, "run", path, flag, "-3") == (
+        1, "", f"error: {message}\n")
 
 
 def test_run_out_writes_file(tmp_path, capsys):
@@ -566,31 +576,29 @@ def test_sweep_mu_requires_laser(tmp_path, capsys):
     ("mu", "0", {"kind": "laser", "mu": 0.5},
      "mu = 0.0: attenuated_laser requires mu > 0"),
 ])
-def test_sweep_out_of_range_value_is_clean_error(tmp_path, axis, value,
-                                                 source, message):
+def test_sweep_out_of_range_value_is_clean_error(tmp_path, capsys, axis,
+                                                 value, source, message):
     path = write_scenario(tmp_path, dict(BASE, num_pulses=2000,
                                          source=source))
-    proc = run_python(["-m", "qkdsim.cli", "sweep", path, "--axis", axis,
-                       "--start", value, "--stop", value, "--steps", "1"],
-                      cwd=tmp_path, pythonpath=str(PACKAGE.parent))
-    assert proc.returncode == 1
-    assert proc.stderr.startswith(f"error: {message}")
-    assert "Traceback" not in proc.stderr
+    code, _, err = run_cli(capsys, "sweep", path, "--axis", axis,
+                           "--start", value, "--stop", value, "--steps", "1")
+    assert code == 1
+    assert err.startswith(f"error: {message}")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("value", ["-0.5", "0", "nan", "inf"])
-def test_sweep_decoy_mu_out_of_range_is_clean_error(tmp_path, value):
+def test_sweep_decoy_mu_out_of_range_is_clean_error(tmp_path, capsys, value):
     # on decoy_bb84 the mu axis sets signal_mu
     path = write_scenario(tmp_path, dict(
         BASE, protocol="decoy_bb84", num_pulses=2000,
         source={"kind": "laser", "mu": 0.5}))
-    proc = run_python(["-m", "qkdsim.cli", "sweep", path, "--axis", "mu",
-                       "--start", value, "--stop", value, "--steps", "1"],
-                      cwd=tmp_path, pythonpath=str(PACKAGE.parent))
-    assert proc.returncode == 1
-    assert proc.stderr.startswith(
+    code, _, err = run_cli(capsys, "sweep", path, "--axis", "mu",
+                           "--start", value, "--stop", value, "--steps", "1")
+    assert code == 1
+    assert err.startswith(
         f"error: mu = {float(value)!r}: signal_mu must be finite and > 0")
-    assert "Traceback" not in proc.stderr
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("start, stop, message", [
@@ -598,17 +606,15 @@ def test_sweep_decoy_mu_out_of_range_is_clean_error(tmp_path, value):
     ("-inf", "10", "--start: must be finite with --steps >= 2, got -inf"),
     ("nan", "10", "--start: must be finite with --steps >= 2, got nan"),
     ("0", "nan", "--stop: must be finite with --steps >= 2, got nan")])
-def test_sweep_refuses_a_bound_that_is_not_finite(tmp_path, start, stop,
-                                                  message):
-    # np.linspace would turn the span into NaN, with a RuntimeWarning, and
-    # the error would name a value the user never gave
+@pytest.mark.filterwarnings("error")
+def test_sweep_refuses_a_bound_that_is_not_finite(tmp_path, capsys, start,
+                                                  stop, message):
+    # np.linspace would turn the span into NaN, with a RuntimeWarning (an
+    # error here), and the error would name a value the user never gave
     path = write_scenario(tmp_path, dict(BASE, num_pulses=200))
-    proc = run_python(["-W", "error", "-m", "qkdsim.cli", "sweep", path,
-                       "--axis", "length_km", f"--start={start}",
-                       f"--stop={stop}", "--steps", "3"],
-                      cwd=tmp_path, pythonpath=str(PACKAGE.parent))
-    assert (proc.returncode, proc.stdout) == (1, "")
-    assert proc.stderr == f"error: {message}\n"
+    assert run_cli(capsys, "sweep", path, "--axis", "length_km",
+                   f"--start={start}", f"--stop={stop}", "--steps", "3") == (
+        1, "", f"error: {message}\n")
 
 
 def test_sweep_invalid_steps(tmp_path, capsys):
