@@ -83,7 +83,7 @@ def _message(exc: Exception) -> str:   # str() of a KeyError quotes it
 
 
 def _build(path: str, factory, *args, **kwargs):
-    """``factory(*args, **kwargs)``, a model's refusal reported at ``path``."""
+    """``factory(*args, **kwargs)``, its refusal reported at ``path``."""
     try:
         return factory(*args, **kwargs)
     except (KeyError, TypeError, ValueError) as exc:
